@@ -7,7 +7,6 @@ from .algebra import (
     bracket,
     center,
     derived_subalgebra,
-    hom_associator,
     parity_sign,
     validate,
 )

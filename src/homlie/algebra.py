@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -253,14 +253,3 @@ def derived_subalgebra(spec: AlgebraSpec) -> Subspace:
         spec.n,
         [spec.brackets[i][j] for i in range(spec.n) for j in range(spec.n)])
 
-
-def hom_associator(spec: AlgebraSpec,
-                   product: Callable[[Vec, Vec], Vec],
-                   x: Sequence[Rat], y: Sequence[Rat], z: Sequence[Rat]) -> Vec:
-    """product(product(x,y), alpha z) - product(alpha x, product(y,z))."""
-    a, b, c = vec(x), vec(y), vec(z)
-    for v in (a, b, c):
-        if len(v) != spec.n:
-            raise ValueError("vectors must match the algebra dimension")
-    return vsub(product(product(a, b), spec.alpha.matvec(c)),
-                product(spec.alpha.matvec(a), product(b, c)))

@@ -360,7 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "kmax", 0) < 0:
+        parser.error("--kmax must be >= 0")
     try:
         return args.func(args)
     except AlgebraFileError as exc:

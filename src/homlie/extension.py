@@ -36,6 +36,8 @@ from .spaces import (
     CheckReport,
     GradedMap,
     SpaceKind,
+    _first_outside,
+    _verdict,
     project_component,
     solve_space,
     space_contains,
@@ -47,14 +49,16 @@ class ExtendedAlgebra:
     """The 2n-dimensional double of ``base``.
 
     ``spec`` orders the basis as e_1 t .. e_n t, e_1 t^2 .. e_n t^2;
-    ``derived`` is [L, L] of the base and ``u_complement`` the chosen
-    graded complement with base = u_complement (+) [L, L].
+    ``derived`` is [L, L] of the base, ``u_complement`` the chosen
+    graded complement with base = u_complement (+) [L, L], and
+    ``projection`` the projector of the base onto [L, L] along it.
     """
 
     base: AlgebraSpec
     spec: AlgebraSpec
     derived: Subspace
     u_complement: Subspace
+    projection: Matrix
 
 
 def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
@@ -92,24 +96,25 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
         if not contains(grown, e):
             chosen.append(e)
             grown = subspace_sum(grown, Subspace.from_vectors(n, [e]))
-    return ExtendedAlgebra(base, spec, derived,
-                           Subspace.from_vectors(n, chosen))
+    complement = Subspace.from_vectors(n, chosen)
+    return ExtendedAlgebra(base, spec, derived, complement,
+                           _derived_projection(derived, complement))
 
 
-def _derived_projection(ext: ExtendedAlgebra) -> Matrix:
-    """Projector of the base onto [L, L] along the chosen complement."""
-    n = ext.base.n
-    cols = list(ext.derived.basis) + list(ext.u_complement.basis)
+def _derived_projection(derived: Subspace, complement: Subspace) -> Matrix:
+    """Projector onto ``derived`` along ``complement``."""
+    n = derived.ambient_dim
+    cols = list(derived.basis) + list(complement.basis)
     # columns of B are the combined basis; B is invertible by construction
     b = Matrix.from_rows([[cols[c][m] for c in range(n)] for m in range(n)], n)
-    dd = ext.derived.dim
     out_cols = []
     for j in range(n):
         lam = solve_linear(b, unit_vec(n, j))
-        assert lam is not None
-        col = [sum(lam[i] * ext.derived.basis[i][m] for i in range(dd))
-               for m in range(n)]
-        out_cols.append(col)
+        if lam is None:
+            raise RuntimeError(
+                "[L, L] and its complement do not span the base algebra")
+        out_cols.append([sum(lam[i] * row[m] for i, row in enumerate(derived.basis))
+                         for m in range(n)])
     return Matrix.from_rows([[out_cols[j][m] for j in range(n)]
                              for m in range(n)], n)
 
@@ -128,14 +133,13 @@ def phi(ext: ExtendedAlgebra, pair, k: int, strict: bool = True) -> GradedMap:
     if not space_contains(space, (d, dp)):
         raise ValueError(
             "pair is not in the quasiderivation space at this k and degree")
-    lower = dp.matrix.matmul(_derived_projection(ext))
-    return GradedMap(block_diag(d.matrix, lower), d.degree)
+    return _phi_unchecked(ext, pair)
 
 
 def _phi_unchecked(ext: ExtendedAlgebra, pair) -> GradedMap:
     d, dp = pair
-    lower = dp.matrix.matmul(_derived_projection(ext))
-    return GradedMap(block_diag(d.matrix, lower), d.degree)
+    return GradedMap(block_diag(d.matrix, dp.matrix.matmul(ext.projection)),
+                     d.degree)
 
 
 def verify_phi_properties(ext: ExtendedAlgebra, k: int,
@@ -200,11 +204,9 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
         # (c) containment in the derivations of the double
         der_span = project_component(
             solve_space(ext.spec, SpaceKind.DER, k, th, strict), 0)
-        outside = next((g for g in images
-                        if not contains(der_span, g.flatten())), None)
-        checks.append(Check(
+        checks.append(_verdict(
             f"phi(QDer) inside Der(double) {tag}",
-            "pass" if outside is None else "fail"))
+            _first_outside((der_span, g.flatten(), g) for g in images)))
     return CheckReport("phi properties", tuple(checks))
 
 
@@ -236,10 +238,9 @@ def verify_embedding_decomposition(ext: ExtendedAlgebra, k: int) -> CheckReport:
 
     # the t^2 copy is always central in the double
     zext = center(ext.spec)
-    t2_bad = next((i for i in range(n)
-                   if not contains(zext, unit_vec(2 * n, n + i))), None)
-    checks.append(Check(f"t^2 copy inside Z(double) (k={k})",
-                        "pass" if t2_bad is None else "fail"))
+    checks.append(_verdict(
+        f"t^2 copy inside Z(double) (k={k})",
+        _first_outside((zext, unit_vec(2 * n, n + i), i) for i in range(n))))
 
     surjective = rank(base.alpha) == n
     centerless = center(base).is_zero()

@@ -33,6 +33,13 @@ def _rat(value: Any, where: str) -> Fraction:
         raise AlgebraFileError(f"{where}: {exc}") from None
 
 
+def _integer(value: Any, error: str) -> int:
+    """A JSON integer as is; bool, float, str and anything else raise."""
+    if type(value) is not int:
+        raise AlgebraFileError(error)
+    return value
+
+
 def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
     if not isinstance(doc, dict):
         raise AlgebraFileError(f"{source}: top level must be an object")
@@ -49,10 +56,11 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
         if not isinstance(item, dict) or "name" not in item or "degree" not in item:
             raise AlgebraFileError(
                 f"{source}: basis[{idx}] needs 'name' and 'degree'")
-        if item["degree"] not in (0, 1):
-            raise AlgebraFileError(f"{source}: basis[{idx}] degree must be 0 or 1")
+        bad_degree = f"{source}: basis[{idx}] degree must be 0 or 1"
+        if _integer(item["degree"], bad_degree) not in (0, 1):
+            raise AlgebraFileError(bad_degree)
         names.append(str(item["name"]))
-        degrees.append(int(item["degree"]))
+        degrees.append(item["degree"])
     n = len(names)
 
     alpha_rows = doc.get("alpha")
@@ -77,11 +85,9 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
         where = f"{source}: brackets[{idx}]"
         if not isinstance(ent, dict):
             raise AlgebraFileError(f"{where}: must be an object")
-        try:
-            left, right = int(ent["left"]), int(ent["right"])
-        except (KeyError, TypeError, ValueError):
-            raise AlgebraFileError(
-                f"{where}: needs integer 'left' and 'right'") from None
+        left, right = (_integer(ent.get(side),
+                                f"{where}: needs integer 'left' and 'right'")
+                       for side in ("left", "right"))
         if not (0 <= left < n and 0 <= right < n):
             raise AlgebraFileError(f"{where}: basis index out of range")
         if left > right:
@@ -106,11 +112,8 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
                 raise AlgebraFileError(
                     f"{where}: result[{t_idx}] must be [coefficient, index]")
             coef = _rat(term[0], f"{where}: result[{t_idx}]")
-            try:
-                mi = int(term[1])
-            except (TypeError, ValueError):
-                raise AlgebraFileError(
-                    f"{where}: result[{t_idx}] index must be an integer") from None
+            mi = _integer(term[1],
+                          f"{where}: result[{t_idx}] index must be an integer")
             if not 0 <= mi < n:
                 raise AlgebraFileError(
                     f"{where}: result[{t_idx}] index out of range")
@@ -181,8 +184,9 @@ def parse_map_tuple(path, n: int, count: int) -> tuple[GradedMap, ...]:
     if not isinstance(doc, dict):
         raise AlgebraFileError(f"{path}: top level must be an object")
     degree = doc.get("degree", 0)
-    if degree not in (0, 1):
-        raise AlgebraFileError(f"{path}: 'degree' must be 0 or 1")
+    bad_degree = f"{path}: 'degree' must be 0 or 1"
+    if _integer(degree, bad_degree) not in (0, 1):
+        raise AlgebraFileError(bad_degree)
     maps = doc.get("maps")
     if not isinstance(maps, list) or len(maps) != count:
         raise AlgebraFileError(f"{path}: 'maps' must list exactly {count} matrices")

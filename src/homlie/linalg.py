@@ -296,8 +296,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
     A common vector is sum(t_i a_i) = sum(u_j b_j); the (t, u) kernel is
     computed exactly and mapped back through a's basis.  The dimension
-    formula dim a + dim b = dim(a+b) + dim(a^b) is asserted on the way
-    out as a self-check.
+    formula dim a + dim b = dim(a+b) + dim(a^b) is checked on the way
+    out, and a violation raises RuntimeError.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -316,7 +316,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
                 w = vadd(w, vscale(t[i], a.basis[i]))
         found.append(w)
     inter = Subspace.from_vectors(n, found)
-    assert a.dim + b.dim == subspace_sum(a, b).dim + inter.dim
+    if a.dim + b.dim != subspace_sum(a, b).dim + inter.dim:
+        raise RuntimeError("subspace intersection violates the dimension formula")
     return inter
 
 

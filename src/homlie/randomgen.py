@@ -71,8 +71,6 @@ def _free_draw(rng: random.Random, n_max: int) -> AlgebraSpec:
                       for m in range(n)]
             if any(coeffs):
                 pairs[(i, j)] = tuple(coeffs)
-    if not pairs:
-        pairs = {}
     return AlgebraSpec.from_pairs(f"rand_free{n}", degrees, alpha, pairs)
 
 

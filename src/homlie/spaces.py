@@ -21,7 +21,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import SimpleNamespace
 from typing import Sequence
 
 from .algebra import AlgebraSpec, bracket, center, parity_sign, validate
@@ -34,7 +35,6 @@ from .linalg import (
     nullspace,
     rank,
     unit_vec,
-    vec,
 )
 
 _F0 = Fraction(0)
@@ -84,28 +84,11 @@ class GradedMap:
     def n(self) -> int:
         return self.matrix.rows
 
-    def apply(self, v) -> Vec:
-        return self.matrix.matvec(v)
-
     def flatten(self) -> Vec:
         return self.matrix.entries
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
-
-    @classmethod
-    def from_flat(cls, n: int, entries, degree: int) -> "GradedMap":
-        return cls(Matrix(n, n, vec(entries)), degree)
-
-
-def is_homogeneous(spec: AlgebraSpec, g: GradedMap) -> bool:
-    """Entries outside the degree pattern of g.degree must vanish."""
-    deg = spec.degrees
-    for m in range(spec.n):
-        for l in range(spec.n):
-            if deg[m] != (deg[l] + g.degree) % 2 and g.matrix.at(m, l):
-                return False
-    return True
 
 
 def compose(a: GradedMap, b: GradedMap) -> GradedMap:
@@ -321,13 +304,6 @@ def project_component(space: MapSpace, index: int) -> Subspace:
                                  [t[index].flatten() for t in space.tuples])
 
 
-def _component_maps(space: MapSpace, index: int = 0) -> list[GradedMap]:
-    """Canonical basis of one component span, as graded maps."""
-    sub = project_component(space, index)
-    return [GradedMap(Matrix(space.n, space.n, row), space.degree)
-            for row in sub.basis]
-
-
 # ---------------------------------------------------------------------------
 # check reports
 # ---------------------------------------------------------------------------
@@ -375,6 +351,105 @@ class CheckReport:
         }
 
 
+def _first_outside(cells):
+    """Payload of the first (target, vector, payload) cell whose vector
+    lies outside its target subspace, or None.  Cells are consumed
+    lazily, so nothing after the first witness is tested."""
+    for target, vector, payload in cells:
+        if not contains(target, vector):
+            return payload
+    return None
+
+
+def _verdict(name: str, witness, describe=lambda witness: "") -> Check:
+    """A pass when no witness was found, else a fail that describes it."""
+    if witness is None:
+        return Check(name, "pass")
+    return Check(name, "fail", describe(witness))
+
+
+def _first_components(spec: AlgebraSpec, strict: bool):
+    """Memos for one verifier call, so that each is formed once: the
+    first-component span of (kind, k, degree), its canonical basis as
+    graded maps, and op(a, b) over two such bases, a outermost."""
+    @cache
+    def span(kind, k, th):
+        return project_component(solve_space(spec, kind, k, th, strict), 0)
+
+    @cache
+    def maps(kind, k, th):
+        return [GradedMap(Matrix(spec.n, spec.n, row), th)
+                for row in span(kind, k, th).basis]
+
+    @cache
+    def products(op, ka, k, th1, kb, s, th2):
+        return [op(a, b) for a in maps(ka, k, th1) for b in maps(kb, s, th2)]
+
+    return SimpleNamespace(span=span, maps=maps, products=products)
+
+
+def _levels(k_max: int) -> list[tuple[int, int]]:
+    """Every pair of twist powers (k, s) with k + s <= k_max, k outermost."""
+    return [(k, s) for k in range(k_max + 1) for s in range(k_max - k + 1)]
+
+
+def _product_cells(memos, op, ka, kb, target, levels):
+    """Cells of op(a, b), a from ka at level k and b from kb at level s,
+    in the order (k, s, th1, th2, a, b) with payload (k, s, th1, th2,
+    op(a, b)).  ``target`` is a fixed subspace, or a kind whose span at
+    level k + s and the product's degree is used."""
+    for k, s in levels:
+        for th1, th2 in itertools.product((0, 1), repeat=2):
+            tgt = (target if isinstance(target, Subspace)
+                   else memos.span(target, k + s, (th1 + th2) % 2))
+            for g in memos.products(op, ka, k, th1, kb, s, th2):
+                yield tgt, g.flatten(), (k, s, th1, th2, g)
+
+
+def _witness(g: GradedMap) -> str:
+    return "witness " + format_matrix(g.matrix)
+
+
+def _where(witness) -> str:
+    """Levels and degrees of a payload, then its product unless None."""
+    k, s, th1, th2, g = witness
+    where = f"k={k}, s={s}, degrees ({th1},{th2})"
+    return where if g is None else f"{where}: {format_matrix(g.matrix)}"
+
+
+# (label, small, big): the first-component span of small lies in that of
+# big, at every twist power and degree
+_CHAIN = (
+    ("ZDer <= Der", SpaceKind.ZDER, SpaceKind.DER),
+    ("Der <= QDer.0", SpaceKind.DER, SpaceKind.QDER),
+    ("QDer.0 <= GDer.0", SpaceKind.QDER, SpaceKind.GDER),
+    ("C <= QC", SpaceKind.C, SpaceKind.QC),
+    ("C <= QDer.0", SpaceKind.C, SpaceKind.QDER),
+)
+
+_TUPLE, _CENTER, _ZERO = "tuple space", "maps into Z(L)", "zero"
+
+# (label, A, B, target): [a, b] for a in A at level k and b in B at level
+# s lies in the target at level k + s.  A kind as target is its
+# first-component span, bracketed against first components; _TUPLE is
+# the tuple space of A, bracketed component by component; _CENTER is the
+# span of the maps z e_l^T with z in Z(L), the maps into the center.
+_LAWS = (
+    ("[Der,C] <= C", SpaceKind.DER, SpaceKind.C, SpaceKind.C),
+    ("[QDer.0,QC] <= QC", SpaceKind.QDER, SpaceKind.QC, SpaceKind.QC),
+    ("[QC,QC] <= QDer.0", SpaceKind.QC, SpaceKind.QC, SpaceKind.QDER),
+    ("[ZDer,Der] <= ZDer", SpaceKind.ZDER, SpaceKind.DER, SpaceKind.ZDER),
+    ("[C,C] <= C", SpaceKind.C, SpaceKind.C, SpaceKind.C),
+    ("[QDer,QDer] <= QDer (pairs)", SpaceKind.QDER, SpaceKind.QDER, _TUPLE),
+    ("[GDer,GDer] <= GDer (triples)", SpaceKind.GDER, SpaceKind.GDER, _TUPLE),
+    ("[C,QC] maps into the center", SpaceKind.C, SpaceKind.QC, _CENTER),
+    ("[C,QC] = 0", SpaceKind.C, SpaceKind.QC, _ZERO),
+)
+
+# quasicentroid closure, [QC, QC] <= QC, which both reports observe
+_QC_CLOSURE = (SpaceKind.QC, SpaceKind.QC, SpaceKind.QC)
+
+
 def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
                           strict: bool = True) -> CheckReport:
     """Containments among the six spaces, per twist power and degree.
@@ -382,28 +457,14 @@ def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
     Multi-component spaces are compared through their first-component
     spans.  Violations carry the offending basis map.
     """
-    checks: list[Check] = []
-    for k in range(k_max + 1):
-        for th in (0, 1):
-            span = {kind: project_component(solve_space(spec, kind, k, th, strict), 0)
-                    for kind in SpaceKind}
-            relations = (
-                ("ZDer <= Der", SpaceKind.ZDER, SpaceKind.DER),
-                ("Der <= QDer.0", SpaceKind.DER, SpaceKind.QDER),
-                ("QDer.0 <= GDer.0", SpaceKind.QDER, SpaceKind.GDER),
-                ("C <= QC", SpaceKind.C, SpaceKind.QC),
-                ("C <= QDer.0", SpaceKind.C, SpaceKind.QDER),
-            )
-            for label, small, big in relations:
-                witness = next((row for row in span[small].basis
-                                if not contains(span[big], row)), None)
-                name = f"{label} (k={k}, deg={th})"
-                if witness is None:
-                    checks.append(Check(name, "pass"))
-                else:
-                    checks.append(Check(
-                        name, "fail",
-                        "witness " + format_matrix(Matrix(spec.n, spec.n, witness))))
+    memos = _first_components(spec, strict)
+    checks = [
+        _verdict(f"{label} (k={k}, deg={th})",
+                 _first_outside((memos.span(big, k, th), g.flatten(), g)
+                                for g in memos.maps(small, k, th)),
+                 _witness)
+        for k in range(k_max + 1) for th in (0, 1)
+        for label, small, big in _CHAIN]
     return CheckReport("inclusion chain", tuple(checks))
 
 
@@ -419,136 +480,74 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     z = center(spec)
     surjective = rank(spec.alpha) == n
     centerless = z.is_zero()
+    memos = _first_components(spec, strict)
+    fixed = {
+        _CENTER: Subspace.from_vectors(
+            n * n, [tuple(zi[m] if c == l else _F0
+                          for m in range(n) for c in range(n))
+                    for zi in z.basis for l in range(n)]),
+        _ZERO: Subspace.zero(n * n),
+    }
+
+    @cache
+    def tuple_space(kind, k, th):
+        return solve_space(spec, kind, k, th, strict).as_subspace()
+
+    def tuple_cells(kind, k, s):
+        for th1, th2 in itertools.product((0, 1), repeat=2):
+            target = tuple_space(kind, k + s, (th1 + th2) % 2)
+            for ta in solve_space(spec, kind, k, th1, strict).tuples:
+                for tb in solve_space(spec, kind, s, th2, strict).tuples:
+                    gt = tuple(supercommutator(x, y) for x, y in zip(ta, tb))
+                    yield target, tuple_vector(gt), (k, s, th1, th2, None)
+
+    # why a law with this target is skipped, or None when it applies
+    unmet = {_CENTER: None if surjective else "twist is not surjective"}
+    unmet[_ZERO] = unmet[_CENTER] or (None if centerless else "center is nonzero")
+
     checks: list[Check] = []
-
-    def maps(kind, k, th):
-        return _component_maps(solve_space(spec, kind, k, th, strict), 0)
-
-    def span(kind, k, th):
-        return project_component(solve_space(spec, kind, k, th, strict), 0)
-
-    qc_closed = True
-    qc_witness = ""
-    qc_brackets: list[GradedMap] = []
-
-    span_laws = (
-        ("[Der,C] <= C", SpaceKind.DER, SpaceKind.C, SpaceKind.C),
-        ("[QDer.0,QC] <= QC", SpaceKind.QDER, SpaceKind.QC, SpaceKind.QC),
-        ("[QC,QC] <= QDer.0", SpaceKind.QC, SpaceKind.QC, SpaceKind.QDER),
-        ("[ZDer,Der] <= ZDer", SpaceKind.ZDER, SpaceKind.DER, SpaceKind.ZDER),
-        ("[C,C] <= C", SpaceKind.C, SpaceKind.C, SpaceKind.C),
-    )
-    tuple_laws = (
-        ("[QDer,QDer] <= QDer (pairs)", SpaceKind.QDER),
-        ("[GDer,GDer] <= GDer (triples)", SpaceKind.GDER),
-    )
-
-    for k in range(k_max + 1):
-        for s in range(k_max - k + 1):
-            failures: dict[str, str] = {}
-            for th1, th2 in itertools.product((0, 1), repeat=2):
-                thr = (th1 + th2) % 2
-                where = f"k={k}, s={s}, degrees ({th1},{th2})"
-                for label, ka, kb, kt in span_laws:
-                    tgt = span(kt, k + s, thr)
-                    for a in maps(ka, k, th1):
-                        for b in maps(kb, s, th2):
-                            g = supercommutator(a, b)
-                            if not contains(tgt, g.flatten()):
-                                failures.setdefault(
-                                    label, f"{where}: {format_matrix(g.matrix)}")
-                for label, kind in tuple_laws:
-                    target = solve_space(spec, kind, k + s, thr, strict)
-                    tsub = target.as_subspace()
-                    for ta in solve_space(spec, kind, k, th1, strict).tuples:
-                        for tb in solve_space(spec, kind, s, th2, strict).tuples:
-                            gt = tuple(supercommutator(x, y)
-                                       for x, y in zip(ta, tb))
-                            if not contains(tsub, tuple_vector(gt)):
-                                failures.setdefault(label, where)
-                # centroid against quasicentroid
-                for a in maps(SpaceKind.C, k, th1):
-                    for b in maps(SpaceKind.QC, s, th2):
-                        g = supercommutator(a, b)
-                        if surjective:
-                            if not all(contains(z, g.matrix.col(i)) for i in range(n)):
-                                failures.setdefault(
-                                    "[C,QC] maps into the center",
-                                    f"{where}: {format_matrix(g.matrix)}")
-                            if centerless and not g.matrix.is_zero():
-                                failures.setdefault(
-                                    "[C,QC] = 0",
-                                    f"{where}: {format_matrix(g.matrix)}")
-                # quasicentroid closure is an observation, not a law
-                tgt_qc = span(SpaceKind.QC, k + s, thr)
-                for a in maps(SpaceKind.QC, k, th1):
-                    for b in maps(SpaceKind.QC, s, th2):
-                        g = supercommutator(a, b)
-                        qc_brackets.append(g)
-                        if not contains(tgt_qc, g.flatten()):
-                            if qc_closed:
-                                qc_witness = f"{where}: {format_matrix(g.matrix)}"
-                            qc_closed = False
-
-            suffix = f" (k={k}, s={s})"
-            for label, *_ in span_laws:
-                checks.append(Check(label + suffix,
-                                    "fail" if label in failures else "pass",
-                                    failures.get(label, "")))
-            for label, _ in tuple_laws:
-                checks.append(Check(label + suffix,
-                                    "fail" if label in failures else "pass",
-                                    failures.get(label, "")))
-            if surjective:
-                for label in ("[C,QC] maps into the center", "[C,QC] = 0"):
-                    if label == "[C,QC] = 0" and not centerless:
-                        checks.append(Check(label + suffix, "skipped",
-                                            "center is nonzero"))
-                        continue
-                    checks.append(Check(label + suffix,
-                                        "fail" if label in failures else "pass",
-                                        failures.get(label, "")))
-            else:
-                for label in ("[C,QC] maps into the center", "[C,QC] = 0"):
-                    checks.append(Check(label + suffix, "skipped",
-                                        "twist is not surjective"))
+    for k, s in _levels(k_max):
+        for label, ka, kb, kt in _LAWS:
+            name = f"{label} (k={k}, s={s})"
+            if unmet.get(kt):
+                checks.append(Check(name, "skipped", unmet[kt]))
+                continue
+            cells = (tuple_cells(ka, k, s) if kt == _TUPLE else
+                     _product_cells(memos, supercommutator, ka, kb,
+                                    fixed.get(kt, kt), [(k, s)]))
+            checks.append(_verdict(name, _first_outside(cells), _where))
 
     # stability of every space under the shift D -> D o alpha; this one
     # genuinely needs a bracket-preserving twist, so it is gated
     multiplicative = validate(spec).multiplicative_ok
-    for k in range(k_max):
-        for th in (0, 1):
-            for kind in SpaceKind:
-                name = f"shift {kind.value}: k={k} -> {k + 1} (deg={th})"
-                if not multiplicative:
-                    checks.append(Check(name, "skipped",
-                                        "twist does not preserve the bracket"))
-                    continue
-                src = solve_space(spec, kind, k, th, strict)
-                tgt = solve_space(spec, kind, k + 1, th, strict)
-                tsub = tgt.as_subspace()
-                bad = None
-                for t in src.tuples:
-                    shifted = tuple(alpha_shift(spec, g) for g in t)
-                    if not contains(tsub, tuple_vector(shifted)):
-                        bad = format_matrix(shifted[0].matrix)
-                        break
-                checks.append(Check(name, "pass" if bad is None else "fail",
-                                    "" if bad is None else "witness " + bad))
+    for k, th, kind in itertools.product(range(k_max), (0, 1), SpaceKind):
+        name = f"shift {kind.value}: k={k} -> {k + 1} (deg={th})"
+        if not multiplicative:
+            checks.append(Check(name, "skipped",
+                                "twist does not preserve the bracket"))
+            continue
+        shifted = (tuple(alpha_shift(spec, g) for g in t)
+                   for t in solve_space(spec, kind, k, th, strict).tuples)
+        checks.append(_verdict(name, _first_outside(
+            (tuple_space(kind, k + 1, th), tuple_vector(t), t[0])
+            for t in shifted), _witness))
 
+    # quasicentroid closure is an observation, not a law
+    open_at = _first_outside(_product_cells(
+        memos, supercommutator, *_QC_CLOSURE, _levels(k_max)))
     checks.append(Check("QC bracket-closed", "info",
-                        "yes" if qc_closed else f"no; {qc_witness}"))
+                        "yes" if open_at is None else f"no; {_where(open_at)}"))
     vanish_label = "QC brackets vanish (closed, surjective twist, trivial center)"
-    if not qc_closed:
+    if open_at is not None:
         checks.append(Check(vanish_label, "skipped", "QC is not bracket-closed"))
     elif not (surjective and centerless):
         checks.append(Check(vanish_label, "skipped", "hypotheses unmet"))
     else:
-        bad = next((g for g in qc_brackets if not g.matrix.is_zero()), None)
-        checks.append(Check(
-            vanish_label,
-            "pass" if bad is None else "fail",
-            "" if bad is None else format_matrix(bad.matrix)))
+        nonzero = _first_outside(_product_cells(
+            memos, supercommutator, SpaceKind.QC, SpaceKind.QC, fixed[_ZERO],
+            _levels(k_max)))
+        checks.append(_verdict(vanish_label, nonzero,
+                               lambda w: format_matrix(w[4].matrix)))
 
     return CheckReport("bracket laws", tuple(checks))
 
@@ -608,72 +607,38 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     identity over quadruples of basis maps, and whether the two closures
     agree (they are predicted to be equivalent).
     """
+    memos = _first_components(spec, strict)
     checks: list[Check] = []
-    spans: dict[tuple[int, int], Subspace] = {}
-    basis: dict[tuple[int, int], list[GradedMap]] = {}
-    for k in range(k_max + 1):
-        for th in (0, 1):
-            sp = solve_space(spec, SpaceKind.QC, k, th, strict)
-            spans[(k, th)] = project_component(sp, 0)
-            basis[(k, th)] = _component_maps(sp, 0)
-
-    bracket_closed = True
-    bracket_detail = ""
-    comp_closed = True
-    comp_detail = ""
-    for k in range(k_max + 1):
-        for s in range(k_max - k + 1):
-            for th1, th2 in itertools.product((0, 1), repeat=2):
-                tgt = spans[(k + s, (th1 + th2) % 2)]
-                for a in basis[(k, th1)]:
-                    for b in basis[(s, th2)]:
-                        if not contains(tgt, supercommutator(a, b).flatten()):
-                            if bracket_closed:
-                                bracket_detail = f"k={k}, s={s}"
-                            bracket_closed = False
-                        if not contains(tgt, compose(a, b).flatten()):
-                            if comp_closed:
-                                comp_detail = f"k={k}, s={s}"
-                            comp_closed = False
-
-    checks.append(Check("QC bracket-closed", "info",
-                        "yes" if bracket_closed else f"no ({bracket_detail})"))
-    checks.append(Check("QC composition-closed", "info",
-                        "yes" if comp_closed else f"no ({comp_detail})"))
+    closed = {}
+    for label, op in (("bracket", supercommutator), ("composition", compose)):
+        open_at = _first_outside(_product_cells(memos, op, *_QC_CLOSURE,
+                                                _levels(k_max)))
+        closed[label] = open_at is None
+        checks.append(Check(f"QC {label}-closed", "info",
+                            "yes" if open_at is None
+                            else f"no (k={open_at[0]}, s={open_at[1]})"))
     checks.append(Check(
         "closure equivalence (bracket <=> composition)",
-        "pass" if bracket_closed == comp_closed else "fail",
-        f"bracket: {bracket_closed}, composition: {comp_closed}"))
+        "pass" if closed["bracket"] == closed["composition"] else "fail",
+        f"bracket: {closed['bracket']}, composition: {closed['composition']}"))
 
     # quadruple checks run on the deduplicated union of all basis maps
-    elems: list[GradedMap] = []
-    seen: set[GradedMap] = set()
-    for key in sorted(basis):
-        for g in basis[key]:
-            if g not in seen:
-                seen.add(g)
-                elems.append(g)
+    elems = list(dict.fromkeys(g for k in range(k_max + 1) for th in (0, 1)
+                               for g in memos.maps(SpaceKind.QC, k, th)))
 
-    comm_bad = None
-    for a, b in itertools.product(elems, repeat=2):
-        lhs = jordan_product(a, b).matrix
-        rhs = jordan_product(b, a).matrix.scale(parity_sign(a.degree, b.degree))
-        if lhs != rhs:
-            comm_bad = (a, b)
-            break
-    checks.append(Check("circle product super-commutative",
-                        "pass" if comm_bad is None else "fail",
-                        "" if comm_bad is None
-                        else format_matrix(comm_bad[0].matrix)))
+    comm_bad = next(
+        ((a, b) for a, b in itertools.product(elems, repeat=2)
+         if jordan_product(a, b).matrix
+         != jordan_product(b, a).matrix.scale(parity_sign(a.degree, b.degree))),
+        None)
+    checks.append(_verdict("circle product super-commutative", comm_bad,
+                           lambda w: format_matrix(w[0].matrix)))
 
-    jordan_bad = None
-    for x, y, zz, w in itertools.product(elems, repeat=4):
-        if not hom_jordan_residual(spec.alpha, x, y, zz, w).is_zero():
-            jordan_bad = (x, y, zz, w)
-            break
-    checks.append(Check("twisted Jordan identity on QC",
-                        "pass" if jordan_bad is None else "fail",
-                        "" if jordan_bad is None
-                        else " , ".join(format_matrix(g.matrix) for g in jordan_bad)))
+    jordan_bad = next(
+        (quad for quad in itertools.product(elems, repeat=4)
+         if not hom_jordan_residual(spec.alpha, *quad).is_zero()), None)
+    checks.append(_verdict(
+        "twisted Jordan identity on QC", jordan_bad,
+        lambda w: " , ".join(format_matrix(g.matrix) for g in w)))
 
     return CheckReport("quasicentroid structure", tuple(checks))

@@ -8,12 +8,28 @@ explicit pin-to-zero row per banned entry).  The kernel is computed by
 a separately written elimination (forward echelon plus back
 substitution) and canonicalized by an independent reduction pass, so a
 matching answer really is two routes agreeing.
+
+The module also keeps the verifiers' original per-pair loops as the
+reference that the law tables in homlie.spaces are tested against.
 """
 
+import itertools
 from fractions import Fraction
 
-from homlie.algebra import AlgebraSpec, parity_sign
-from homlie.spaces import SpaceKind
+from homlie import spaces
+from homlie.algebra import AlgebraSpec, center, parity_sign, validate
+from homlie.linalg import Matrix, contains, format_matrix, rank
+from homlie.spaces import (
+    Check,
+    CheckReport,
+    GradedMap,
+    SpaceKind,
+    alpha_shift,
+    compose,
+    project_component,
+    supercommutator,
+    tuple_vector,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -195,3 +211,222 @@ def oracle_solve(spec: AlgebraSpec, kind: SpaceKind, k: int, theta: int,
                     row[c * nn + m * n + l] = F1
                     rows.append(row)
     return canonical_rows(kernel_basis(rows, total), total)
+
+
+# ---------------------------------------------------------------------------
+# reference verifier loops
+# ---------------------------------------------------------------------------
+# The per-pair loops that the law tables in homlie.spaces replaced, kept
+# as written before that change.  solve_space is looked up on the module
+# at call time, so a test that substitutes faulty spaces there feeds the
+# same spaces to the reference and to the engine.
+
+def _component_maps(space, index=0):
+    sub = project_component(space, index)
+    return [GradedMap(Matrix(space.n, space.n, row), space.degree)
+            for row in sub.basis]
+
+
+def reference_inclusion_chain(spec: AlgebraSpec, k_max: int,
+                              strict: bool = True) -> CheckReport:
+    checks = []
+    for k in range(k_max + 1):
+        for th in (0, 1):
+            span = {kind: project_component(spaces.solve_space(spec, kind, k, th, strict), 0)
+                    for kind in SpaceKind}
+            relations = (
+                ("ZDer <= Der", SpaceKind.ZDER, SpaceKind.DER),
+                ("Der <= QDer.0", SpaceKind.DER, SpaceKind.QDER),
+                ("QDer.0 <= GDer.0", SpaceKind.QDER, SpaceKind.GDER),
+                ("C <= QC", SpaceKind.C, SpaceKind.QC),
+                ("C <= QDer.0", SpaceKind.C, SpaceKind.QDER),
+            )
+            for label, small, big in relations:
+                witness = next((row for row in span[small].basis
+                                if not contains(span[big], row)), None)
+                name = f"{label} (k={k}, deg={th})"
+                if witness is None:
+                    checks.append(Check(name, "pass"))
+                else:
+                    checks.append(Check(
+                        name, "fail",
+                        "witness " + format_matrix(Matrix(spec.n, spec.n, witness))))
+    return CheckReport("inclusion chain", tuple(checks))
+
+
+def reference_bracket_laws(spec: AlgebraSpec, k_max: int,
+                           strict: bool = True) -> CheckReport:
+    solve_space = spaces.solve_space
+    n = spec.n
+    z = center(spec)
+    surjective = rank(spec.alpha) == n
+    centerless = z.is_zero()
+    checks = []
+
+    def maps(kind, k, th):
+        return _component_maps(solve_space(spec, kind, k, th, strict), 0)
+
+    def span(kind, k, th):
+        return project_component(solve_space(spec, kind, k, th, strict), 0)
+
+    qc_closed = True
+    qc_witness = ""
+    qc_brackets = []
+
+    span_laws = (
+        ("[Der,C] <= C", SpaceKind.DER, SpaceKind.C, SpaceKind.C),
+        ("[QDer.0,QC] <= QC", SpaceKind.QDER, SpaceKind.QC, SpaceKind.QC),
+        ("[QC,QC] <= QDer.0", SpaceKind.QC, SpaceKind.QC, SpaceKind.QDER),
+        ("[ZDer,Der] <= ZDer", SpaceKind.ZDER, SpaceKind.DER, SpaceKind.ZDER),
+        ("[C,C] <= C", SpaceKind.C, SpaceKind.C, SpaceKind.C),
+    )
+    tuple_laws = (
+        ("[QDer,QDer] <= QDer (pairs)", SpaceKind.QDER),
+        ("[GDer,GDer] <= GDer (triples)", SpaceKind.GDER),
+    )
+
+    for k in range(k_max + 1):
+        for s in range(k_max - k + 1):
+            failures = {}
+            for th1, th2 in itertools.product((0, 1), repeat=2):
+                thr = (th1 + th2) % 2
+                where = f"k={k}, s={s}, degrees ({th1},{th2})"
+                for label, ka, kb, kt in span_laws:
+                    tgt = span(kt, k + s, thr)
+                    for a in maps(ka, k, th1):
+                        for b in maps(kb, s, th2):
+                            g = supercommutator(a, b)
+                            if not contains(tgt, g.flatten()):
+                                failures.setdefault(
+                                    label, f"{where}: {format_matrix(g.matrix)}")
+                for label, kind in tuple_laws:
+                    target = solve_space(spec, kind, k + s, thr, strict)
+                    tsub = target.as_subspace()
+                    for ta in solve_space(spec, kind, k, th1, strict).tuples:
+                        for tb in solve_space(spec, kind, s, th2, strict).tuples:
+                            gt = tuple(supercommutator(x, y)
+                                       for x, y in zip(ta, tb))
+                            if not contains(tsub, tuple_vector(gt)):
+                                failures.setdefault(label, where)
+                for a in maps(SpaceKind.C, k, th1):
+                    for b in maps(SpaceKind.QC, s, th2):
+                        g = supercommutator(a, b)
+                        if surjective:
+                            if not all(contains(z, g.matrix.col(i)) for i in range(n)):
+                                failures.setdefault(
+                                    "[C,QC] maps into the center",
+                                    f"{where}: {format_matrix(g.matrix)}")
+                            if centerless and not g.matrix.is_zero():
+                                failures.setdefault(
+                                    "[C,QC] = 0",
+                                    f"{where}: {format_matrix(g.matrix)}")
+                tgt_qc = span(SpaceKind.QC, k + s, thr)
+                for a in maps(SpaceKind.QC, k, th1):
+                    for b in maps(SpaceKind.QC, s, th2):
+                        g = supercommutator(a, b)
+                        qc_brackets.append(g)
+                        if not contains(tgt_qc, g.flatten()):
+                            if qc_closed:
+                                qc_witness = f"{where}: {format_matrix(g.matrix)}"
+                            qc_closed = False
+
+            suffix = f" (k={k}, s={s})"
+            for label, *_ in span_laws:
+                checks.append(Check(label + suffix,
+                                    "fail" if label in failures else "pass",
+                                    failures.get(label, "")))
+            for label, _ in tuple_laws:
+                checks.append(Check(label + suffix,
+                                    "fail" if label in failures else "pass",
+                                    failures.get(label, "")))
+            if surjective:
+                for label in ("[C,QC] maps into the center", "[C,QC] = 0"):
+                    if label == "[C,QC] = 0" and not centerless:
+                        checks.append(Check(label + suffix, "skipped",
+                                            "center is nonzero"))
+                        continue
+                    checks.append(Check(label + suffix,
+                                        "fail" if label in failures else "pass",
+                                        failures.get(label, "")))
+            else:
+                for label in ("[C,QC] maps into the center", "[C,QC] = 0"):
+                    checks.append(Check(label + suffix, "skipped",
+                                        "twist is not surjective"))
+
+    multiplicative = validate(spec).multiplicative_ok
+    for k in range(k_max):
+        for th in (0, 1):
+            for kind in SpaceKind:
+                name = f"shift {kind.value}: k={k} -> {k + 1} (deg={th})"
+                if not multiplicative:
+                    checks.append(Check(name, "skipped",
+                                        "twist does not preserve the bracket"))
+                    continue
+                src = solve_space(spec, kind, k, th, strict)
+                tgt = solve_space(spec, kind, k + 1, th, strict)
+                tsub = tgt.as_subspace()
+                bad = None
+                for t in src.tuples:
+                    shifted = tuple(alpha_shift(spec, g) for g in t)
+                    if not contains(tsub, tuple_vector(shifted)):
+                        bad = format_matrix(shifted[0].matrix)
+                        break
+                checks.append(Check(name, "pass" if bad is None else "fail",
+                                    "" if bad is None else "witness " + bad))
+
+    checks.append(Check("QC bracket-closed", "info",
+                        "yes" if qc_closed else f"no; {qc_witness}"))
+    vanish_label = "QC brackets vanish (closed, surjective twist, trivial center)"
+    if not qc_closed:
+        checks.append(Check(vanish_label, "skipped", "QC is not bracket-closed"))
+    elif not (surjective and centerless):
+        checks.append(Check(vanish_label, "skipped", "hypotheses unmet"))
+    else:
+        bad = next((g for g in qc_brackets if not g.matrix.is_zero()), None)
+        checks.append(Check(
+            vanish_label,
+            "pass" if bad is None else "fail",
+            "" if bad is None else format_matrix(bad.matrix)))
+
+    return CheckReport("bracket laws", tuple(checks))
+
+
+def reference_qc_closure(spec: AlgebraSpec, k_max: int,
+                         strict: bool = True) -> tuple:
+    """The three closure checks that open the quasicentroid report."""
+    spans = {}
+    basis = {}
+    for k in range(k_max + 1):
+        for th in (0, 1):
+            sp = spaces.solve_space(spec, SpaceKind.QC, k, th, strict)
+            spans[(k, th)] = project_component(sp, 0)
+            basis[(k, th)] = _component_maps(sp, 0)
+
+    bracket_closed = True
+    bracket_detail = ""
+    comp_closed = True
+    comp_detail = ""
+    for k in range(k_max + 1):
+        for s in range(k_max - k + 1):
+            for th1, th2 in itertools.product((0, 1), repeat=2):
+                tgt = spans[(k + s, (th1 + th2) % 2)]
+                for a in basis[(k, th1)]:
+                    for b in basis[(s, th2)]:
+                        if not contains(tgt, supercommutator(a, b).flatten()):
+                            if bracket_closed:
+                                bracket_detail = f"k={k}, s={s}"
+                            bracket_closed = False
+                        if not contains(tgt, compose(a, b).flatten()):
+                            if comp_closed:
+                                comp_detail = f"k={k}, s={s}"
+                            comp_closed = False
+
+    return (
+        Check("QC bracket-closed", "info",
+              "yes" if bracket_closed else f"no ({bracket_detail})"),
+        Check("QC composition-closed", "info",
+              "yes" if comp_closed else f"no ({comp_detail})"),
+        Check("closure equivalence (bracket <=> composition)",
+              "pass" if bracket_closed == comp_closed else "fail",
+              f"bracket: {bracket_closed}, composition: {comp_closed}"),
+    )

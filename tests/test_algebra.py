@@ -7,7 +7,6 @@ from homlie.algebra import (
     bracket,
     center,
     derived_subalgebra,
-    hom_associator,
     parity_sign,
     validate,
 )
@@ -92,35 +91,6 @@ def test_derived_subalgebra(bundled):
     assert derived_subalgebra(bundled["abelian2"]).is_zero()
     assert derived_subalgebra(bundled["heisenberg3"]) == \
         Subspace.from_vectors(3, [unit_vec(3, 2)])
-
-
-@given(st.lists(small, min_size=3, max_size=3),
-       st.lists(small, min_size=3, max_size=3),
-       st.lists(small, min_size=3, max_size=3))
-def test_associator_of_associative_product(x, y, z):
-    spec = AlgebraSpec.from_pairs("ab3", (0, 0, 0), Matrix.identity(3), {})
-    pointwise = lambda u, v: tuple(a * b for a, b in zip(u, v))
-    res = hom_associator(spec, pointwise, x, y, z)
-    assert res == vec([0, 0, 0])
-
-
-def test_associator_at_zero(ex2_5):
-    zero = vec([0, 0, 0])
-    res = hom_associator(ex2_5, lambda u, v: bracket(ex2_5, u, v),
-                         zero, zero, zero)
-    assert res == zero
-
-
-@given(st.lists(small, min_size=3, max_size=3),
-       st.lists(small, min_size=3, max_size=3),
-       st.lists(small, min_size=3, max_size=3))
-def test_associator_of_circle_product_on_diagonal_maps(ex2_5, x, y, z):
-    # diagonal maps on ex2_5 in diagonal-entry coordinates: the circle
-    # product is 2 * pointwise, the twist scales coordinates, and the
-    # twisted associator vanishes identically
-    circle = lambda u, v: tuple(2 * a * b for a, b in zip(u, v))
-    res = hom_associator(ex2_5, circle, x, y, z)
-    assert res == vec([0, 0, 0])
 
 
 def test_from_pairs_rejects_bad_input():

@@ -182,3 +182,16 @@ def test_report_invalid_algebra_exits_one(capsys, tmp_path):
     code, out, _ = run(capsys, "report", str(path))
     assert code == 1
     assert "skipping computations" in out
+
+
+def test_negative_kmax_exits_two(capsys):
+    for command in ("chain", "laws", "jordan", "report"):
+        try:
+            main([command, "ex2_5", "--kmax", "-1"])
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            code = None
+        assert code == 2, command
+        err = capsys.readouterr().err
+        assert "--kmax must be >= 0" in err, command

@@ -145,3 +145,35 @@ def test_parse_map_tuple(tmp_path):
     assert str(maps[1].matrix.at(0, 1)) == "1/2"
     with pytest.raises(AlgebraFileError, match="exactly 2"):
         parse_map_tuple(path, 2, 2)
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("path", [
+    ("basis", 0, "degree"),
+    ("brackets", 0, "left"),
+    ("brackets", 0, "right"),
+    ("brackets", 0, "result", 0, 1),
+], ids=lambda p: "-".join(map(str, p)))
+@pytest.mark.parametrize("value", [True, 0.0, 1.0, "0", "1"], ids=repr)
+def test_reject_non_integer_index(path, value):
+    doc = _ex_doc()
+    _set(path, value)(doc)
+    with pytest.raises(AlgebraFileError, match="degree must be 0 or 1|integer"):
+        algebra_from_dict(doc)
+
+
+@pytest.mark.parametrize("degree", [True, 0.0, "0"], ids=repr)
+def test_parse_map_tuple_rejects_non_integer_degree(tmp_path, degree):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"degree": degree,
+                                "maps": [[["1"]], [["0"]]]}))
+    with pytest.raises(AlgebraFileError, match="'degree' must be 0 or 1"):
+        parse_map_tuple(path, 1, 2)

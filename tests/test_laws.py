@@ -1,0 +1,97 @@
+"""The law tables in homlie.spaces against the reference loops in oracle.
+
+Every report must match the reference check for check, witnesses
+included: on the bundled algebras, and on spaces with an injected fault
+that makes checks fail.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from homlie import spaces
+from homlie.cli import main
+from homlie.linalg import Matrix
+from homlie.spaces import (
+    GradedMap,
+    SpaceKind,
+    check_bracket_laws,
+    check_inclusion_chain,
+    check_qc_structure,
+)
+from oracle import (
+    reference_bracket_laws,
+    reference_inclusion_chain,
+    reference_qc_closure,
+)
+
+K_MAX = 1
+
+
+def _assert_matches_reference(spec, strict):
+    args = (spec, K_MAX, strict)
+    chain = check_inclusion_chain(*args)
+    assert chain == reference_inclusion_chain(*args)
+    laws = check_bracket_laws(*args)
+    assert laws == reference_bracket_laws(*args)
+    qc = check_qc_structure(*args)
+    assert qc.checks[:3] == reference_qc_closure(*args)
+    return [c for rep in (chain, laws, qc) for c in rep.checks
+            if c.status == "fail"]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_engine_matches_reference(bundled, strict):
+    for spec in bundled.values():
+        _assert_matches_reference(spec, strict)
+
+
+def _with_fault(kind):
+    """solve_space, with +1/3 added at entry (0, 1) of the first basis
+    map of every space of the given kind."""
+    original = spaces.solve_space
+
+    def faulty(spec, space_kind, k=0, degree=0, strict=True):
+        space = original(spec, space_kind, k, degree, strict)
+        if space_kind is not kind or not space.tuples:
+            return space
+        first = space.tuples[0]
+        entries = list(first[0].matrix.entries)
+        entries[1] += Fraction(1, 3)
+        bent = GradedMap(Matrix(space.n, space.n, tuple(entries)), degree)
+        return dataclasses.replace(
+            space, tuples=((bent,) + first[1:],) + space.tuples[1:])
+
+    return faulty
+
+
+# strict mode and no heisenberg3 keep the sweep to about two seconds;
+# the clean comparison above covers both modes on every bundled algebra
+FAULT_ALGEBRAS = ("ex2_5", "abelian2", "odd_heisenberg")
+
+
+@pytest.mark.parametrize("kind", list(SpaceKind), ids=lambda k: k.value)
+def test_fault_injected_reports_match_reference(bundled, monkeypatch, kind):
+    monkeypatch.setattr(spaces, "solve_space", _with_fault(kind))
+    failed = []
+    for name in FAULT_ALGEBRAS:
+        failed += _assert_matches_reference(bundled[name], True)
+    assert failed, "the injected fault should make some check fail"
+
+
+def test_laws_ex2_5_lax_failures(capsys):
+    assert main(["laws", "ex2_5", "--lax", "--kmax", "2"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  [FAIL]")]
+    assert len(fails) == 13
+    assert fails[0] == ("  [FAIL] [QDer.0,QC] <= QC (k=0, s=1) -- "
+                        "k=0, s=1, degrees (0,0): [0 1 0; 0 0 0; 0 0 0]")
+
+
+def test_jordan_abelian2_lax_failure(capsys):
+    assert main(["jordan", "abelian2", "--lax"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  [FAIL]")]
+    assert len(fails) == 1
+    assert fails[0].startswith("  [FAIL] twisted Jordan identity on QC -- ")

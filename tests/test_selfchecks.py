@@ -1,0 +1,24 @@
+"""Internal self-checks raise errors rather than assert, so they still
+fire under ``python -O``.  These tests avoid bare ``assert`` for the
+same reason: each outcome is checked with ``pytest.raises``.
+"""
+
+import pytest
+
+from homlie import extension, linalg
+from homlie.linalg import Subspace, subspace_intersection, unit_vec
+
+
+def test_intersection_checks_the_dimension_formula(monkeypatch):
+    # a sum that drops b breaks dim a + dim b = dim(a+b) + dim(a^b)
+    monkeypatch.setattr(linalg, "subspace_sum", lambda a, b: a)
+    a = Subspace.from_vectors(2, [unit_vec(2, 0)])
+    b = Subspace.from_vectors(2, [unit_vec(2, 1)])
+    with pytest.raises(RuntimeError, match="dimension formula"):
+        subspace_intersection(a, b)
+
+
+def test_projection_checks_the_complement_spans(monkeypatch, ex2_5):
+    monkeypatch.setattr(extension, "solve_linear", lambda m, rhs: None)
+    with pytest.raises(RuntimeError, match="do not span"):
+        extension.build_extended(ex2_5)

@@ -13,7 +13,6 @@ from homlie.spaces import (
     check_qc_structure,
     compose,
     decompose_generalized,
-    is_homogeneous,
     jordan_product,
     project_component,
     solve_space,
@@ -24,6 +23,16 @@ from homlie.spaces import (
 from oracle import defining_residuals, oracle_solve
 
 ALL_KINDS = tuple(SpaceKind)
+
+
+def is_homogeneous(spec: AlgebraSpec, g: GradedMap) -> bool:
+    """Entries outside the degree pattern of g.degree must vanish."""
+    deg = spec.degrees
+    for m in range(spec.n):
+        for l in range(spec.n):
+            if deg[m] != (deg[l] + g.degree) % 2 and g.matrix.at(m, l):
+                return False
+    return True
 
 
 def diag(*entries):
