@@ -364,6 +364,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "kmax", 0) < 0:
         parser.error("--kmax must be >= 0")
+    if getattr(args, "k", 0) < 0:
+        parser.error("--k must be >= 0")
     try:
         return args.func(args)
     except AlgebraFileError as exc:

@@ -278,13 +278,6 @@ def contains(s: Subspace, v: Sequence[Rat]) -> bool:
     return all(x == 0 for x in w)
 
 
-def is_subspace(a: Subspace, b: Subspace) -> bool:
-    """True when every basis vector of a lies in b."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return all(contains(b, row) for row in a.basis)
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")

@@ -52,11 +52,9 @@ class SpaceKind(Enum):
 
     @property
     def arity(self) -> int:
-        if self is SpaceKind.GDER:
-            return 3
-        if self is SpaceKind.QDER:
-            return 2
-        return 1
+        """Number of maps in a tuple: one past the largest component
+        index that the kind's identities mention."""
+        return 1 + max(c for eq in IDENTITIES[self] for _, c, _ in eq)
 
     @classmethod
     def parse(cls, text: str) -> "SpaceKind":
@@ -121,11 +119,6 @@ def alpha_shift(spec: AlgebraSpec, d: GradedMap) -> GradedMap:
     return GradedMap(d.matrix.matmul(spec.alpha), d.degree)
 
 
-@lru_cache(maxsize=None)
-def alpha_power(spec: AlgebraSpec, k: int) -> Matrix:
-    return spec.alpha.power(k)
-
-
 @dataclass(frozen=True)
 class MapSpace:
     """Solved basis of one operator space at fixed twist power and degree.
@@ -151,7 +144,7 @@ class MapSpace:
 
     def stacked(self) -> list[Vec]:
         """Each basis tuple as one flat vector, components concatenated."""
-        return [tuple(x for g in t for x in g.flatten()) for t in self.tuples]
+        return [tuple_vector(t) for t in self.tuples]
 
     def as_subspace(self) -> Subspace:
         return Subspace.from_vectors(self.arity * self.n * self.n, self.stacked())
@@ -169,13 +162,30 @@ def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
     return contains(space.as_subspace(), tuple_vector(maps))
 
 
+# The defining identities, one README row per kind.  Each equation is a
+# list of (side, c, sign) terms whose sum vanishes at every ordered basis
+# pair (e_i, e_j) of degrees, with theta the degree of the maps:
+#   "right"  [D_c e_i, a^k e_j]
+#   "left"   (-1)^{theta |e_i|} [a^k e_i, D_c e_j]
+#   "eval"   D_c [e_i, e_j]
+IDENTITIES = {
+    SpaceKind.DER: ((("right", 0, 1), ("left", 0, 1), ("eval", 0, -1)),),
+    SpaceKind.GDER: ((("right", 0, 1), ("left", 1, 1), ("eval", 2, -1)),),
+    SpaceKind.QDER: ((("right", 0, 1), ("left", 0, 1), ("eval", 1, -1)),),
+    SpaceKind.C: ((("right", 0, 1), ("eval", 0, -1)),
+                  (("left", 0, 1), ("eval", 0, -1))),
+    SpaceKind.QC: ((("right", 0, 1), ("left", 0, -1)),),
+    SpaceKind.ZDER: ((("right", 0, 1),), (("eval", 0, 1),)),
+}
+
+
 @lru_cache(maxsize=None)
 def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
                 degree: int = 0, strict: bool = True) -> MapSpace:
     """Solve the defining linear system of one operator space.
 
     Unknowns are the matrix entries allowed by homogeneity at the given
-    degree, for every component of the tuple; the defining identities
+    degree, for every component of the tuple; the kind's ``IDENTITIES``
     are imposed on every ordered basis pair, and strict mode adds the
     commutation constraint M alpha = alpha M per component.  The result
     is the canonical reduced basis of the solution space.
@@ -197,93 +207,59 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     pos = {t: i for i, t in enumerate(allowed)}
     width = len(allowed)
 
-    ak = alpha_power(spec, k)
+    ak = spec.alpha.power(k)
     akcol = [ak.col(i) for i in range(n)]
-    # right_tbl[j][l] = [e_l, ak e_j],  left_tbl[i][l] = [ak e_i, e_l]
-    right_tbl = [[bracket(spec, unit_vec(n, l), akcol[j]) for l in range(n)]
-                 for j in range(n)]
-    left_tbl = [[bracket(spec, akcol[i], unit_vec(n, l)) for l in range(n)]
-                for i in range(n)]
+    signed = [[parity_sign(degree, deg[i]) * x for x in akcol[i]]
+              for i in range(n)]
+    # right[j][l] = [e_l, a^k e_j],  left[i][l] = (-1)^{theta|e_i|} [a^k e_i, e_l]
+    right = [[bracket(spec, unit_vec(n, l), akcol[j]) for l in range(n)]
+             for j in range(n)]
+    left = [[bracket(spec, signed[i], unit_vec(n, l)) for l in range(n)]
+            for i in range(n)]
 
     rows: list[list[Fraction]] = []
 
     def emit(terms):
-        # terms: ("ad", comp, col, table, scale) for [D e_col, w]-style
-        # sums over rows of D, or ("eval", comp, u, scale) for D(u).
+        """Append the nonzero rows of sum(terms) = 0, one per output
+        coordinate.  A term (c, col, vecs, sign), sign +1 or -1, stands
+        for sign * D_c vecs when col is None and vecs is a vector, and
+        for sign * sum_l D_c[l, col] vecs[l] otherwise."""
         out = [[_F0] * width for _ in range(n)]
-        for term in terms:
-            if term[0] == "ad":
-                _, comp, colidx, tbl, sc = term
-                for l in range(n):
-                    idx = pos.get((comp, l, colidx))
-                    if idx is None:
-                        continue
-                    tv = tbl[l]
-                    for m in range(n):
-                        if tv[m]:
-                            out[m][idx] += sc * tv[m]
-            else:
-                _, comp, u, sc = term
-                for m in range(n):
-                    target = out[m]
-                    for l in range(n):
-                        if u[l]:
-                            idx = pos.get((comp, m, l))
+        for c, col, vecs, sign in terms:
+            for l in range(n):
+                if col is None:
+                    x = vecs[l]
+                    if x:
+                        x = x if sign > 0 else -x
+                        for m in range(n):
+                            idx = pos.get((c, m, l))
                             if idx is not None:
-                                target[idx] += sc * u[l]
+                                out[m][idx] += x
+                    continue
+                idx = pos.get((c, l, col))
+                if idx is not None:
+                    for m, x in enumerate(vecs[l]):
+                        if x:
+                            out[m][idx] += x if sign > 0 else -x
         rows.extend(r for r in out if any(r))
 
     for i in range(n):
-        sgn = parity_sign(degree, deg[i])
         for j in range(n):
-            u = spec.brackets[i][j]
-            if kind is SpaceKind.DER:
-                emit([("ad", 0, i, right_tbl[j], 1),
-                      ("ad", 0, j, left_tbl[i], sgn),
-                      ("eval", 0, u, -1)])
-            elif kind is SpaceKind.GDER:
-                emit([("ad", 0, i, right_tbl[j], 1),
-                      ("ad", 1, j, left_tbl[i], sgn),
-                      ("eval", 2, u, -1)])
-            elif kind is SpaceKind.QDER:
-                emit([("ad", 0, i, right_tbl[j], 1),
-                      ("ad", 0, j, left_tbl[i], sgn),
-                      ("eval", 1, u, -1)])
-            elif kind is SpaceKind.C:
-                emit([("ad", 0, i, right_tbl[j], 1), ("eval", 0, u, -1)])
-                emit([("ad", 0, j, left_tbl[i], sgn), ("eval", 0, u, -1)])
-            elif kind is SpaceKind.QC:
-                emit([("ad", 0, i, right_tbl[j], 1),
-                      ("ad", 0, j, left_tbl[i], -sgn)])
-            else:  # ZDER
-                emit([("ad", 0, i, right_tbl[j], 1)])
-                emit([("eval", 0, u, 1)])
+            sides = {"right": (i, right[j]), "left": (j, left[i]),
+                     "eval": (None, spec.brackets[i][j])}
+            for equation in IDENTITIES[kind]:
+                emit([(c, *sides[side], sign) for side, c, sign in equation])
 
     if strict:
-        alpha = spec.alpha
-        for comp in range(arity):
-            for m in range(n):
-                for l in range(n):
-                    row = [_F0] * width
-                    for p in range(n):
-                        apl = alpha.at(p, l)
-                        if apl:
-                            idx = pos.get((comp, m, p))
-                            if idx is not None:
-                                row[idx] += apl
-                        amp = alpha.at(m, p)
-                        if amp:
-                            idx = pos.get((comp, p, l))
-                            if idx is not None:
-                                row[idx] -= amp
-                    if any(row):
-                        rows.append(row)
+        # column l of M alpha - alpha M: M (alpha e_l) - sum_p M[p,l] alpha e_p
+        acol = [spec.alpha.col(p) for p in range(n)]
+        for c in range(arity):
+            for l in range(n):
+                emit([(c, None, acol[l], 1), (c, l, acol, -1)])
 
     system = Matrix.from_rows(rows, width) if rows else Matrix.zeros(0, width)
-    sol = nullspace(system)
-
     tuples = []
-    for rvec in sol.basis:
+    for rvec in nullspace(system).basis:
         full = [_F0] * (arity * nn)
         for idx, (c, m, l) in enumerate(allowed):
             full[c * nn + m * n + l] = rvec[idx]

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from homlie.cli import main
 from homlie.spaces import SpaceKind, solve_space
 
@@ -195,3 +197,16 @@ def test_negative_kmax_exits_two(capsys):
         assert code == 2, command
         err = capsys.readouterr().err
         assert "--kmax must be >= 0" in err, command
+
+
+def test_negative_k_exits_two(capsys, tmp_path):
+    # a well-formed triple, so only the twist power is at fault
+    zero = [["0"] * 3] * 3
+    triple = tmp_path / "triple.json"
+    triple.write_text(json.dumps({"degree": 0, "maps": [zero] * 3}))
+    for argv in (["solve", "ex2_5", "--kind", "Der"], ["embed", "ex2_5"],
+                 ["decompose", "ex2_5", "--triple", str(triple)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--k", "-1"])
+        assert exc.value.code == 2, argv[0]
+        assert "--k must be >= 0" in capsys.readouterr().err, argv[0]

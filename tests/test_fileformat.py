@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from homlie.algebra import AlgebraSpec
 from homlie.catalog import BUILTIN, load_builtin, resolve
 from homlie.fileformat import (
     AlgebraFileError,
@@ -177,3 +180,43 @@ def test_parse_map_tuple_rejects_non_integer_degree(tmp_path, degree):
                                 "maps": [[["1"]], [["0"]]]}))
     with pytest.raises(AlgebraFileError, match="'degree' must be 0 or 1"):
         parse_map_tuple(path, 1, 2)
+
+
+# JSON-like values biased towards the file format's own keys and literals
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "x", "0", "1", "-1/2", "1/0", "3e2"]) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["name", "basis", "degree", "alpha", "brackets",
+                         "left", "right", "result"]) | st.text(),
+        inner, max_size=4),
+    max_leaves=8)
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a nested document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _documents(draw):
+    """Either an arbitrary value or the sample file with one part replaced."""
+    if draw(st.booleans()):
+        return draw(_json_values)
+    doc = _ex_doc()
+    _set(draw(st.sampled_from(list(_paths(doc)))), draw(_json_values))(doc)
+    return doc
+
+
+@given(_documents())
+def test_parser_fuzz_raises_only_file_errors(doc):
+    try:
+        spec = algebra_from_dict(doc)
+    except AlgebraFileError:
+        return
+    assert isinstance(spec, AlgebraSpec)

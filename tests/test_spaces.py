@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from homlie.algebra import AlgebraSpec
+from homlie.extension import build_extended
 from homlie.linalg import Matrix, Subspace, contains
 from homlie.spaces import (
     GradedMap,
@@ -20,7 +23,7 @@ from homlie.spaces import (
     supercommutator,
     tuple_vector,
 )
-from oracle import defining_residuals, oracle_solve
+from oracle import _arity, defining_residuals, oracle_solve
 
 ALL_KINDS = tuple(SpaceKind)
 
@@ -295,6 +298,28 @@ def test_solver_matches_oracle_spot(bundled):
             got = solve_space(spec, kind, 1, 0).stacked()
             want = oracle_solve(spec, kind, 1, 0, True)
             assert got == want, (name, kind)
+
+
+def test_solver_matches_oracle_lax(bundled):
+    for name, spec in bundled.items():
+        for kind, k, th in itertools.product(ALL_KINDS, (0, 1), (0, 1)):
+            got = solve_space(spec, kind, k, th, False).stacked()
+            want = oracle_solve(spec, kind, k, th, False)
+            assert got == want, (name, kind, k, th)
+
+
+@pytest.mark.parametrize("strict", (True, False))
+def test_solver_matches_oracle_on_double(ex2_5, strict):
+    spec = build_extended(ex2_5).spec
+    assert spec.n == 6
+    for kind in (SpaceKind.DER, SpaceKind.QC, SpaceKind.ZDER):
+        got = solve_space(spec, kind, 1, 0, strict).stacked()
+        assert got == oracle_solve(spec, kind, 1, 0, strict), kind
+
+
+def test_arity_matches_oracle():
+    for kind in ALL_KINDS:
+        assert kind.arity == _arity(kind), kind
 
 
 def test_space_kind_parse():
