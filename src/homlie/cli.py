@@ -305,6 +305,17 @@ def cmd_report(args) -> int:
     return 0 if ok else 1
 
 
+def _twist_power(text: str) -> int:
+    """argparse type of --k and --kmax: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homlie",
@@ -323,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--kind", required=True,
                             help="one of Der, GDer, QDer, C, QC, ZDer")
         if k:
-            sp.add_argument("--k", type=int, default=0, help="twist power")
+            sp.add_argument("--k", type=_twist_power, default=0, help="twist power")
         if kmax:
-            sp.add_argument("--kmax", type=int, default=3,
+            sp.add_argument("--kmax", type=_twist_power, default=3,
                             help="largest twist power checked (default 3)")
         if degree:
             sp.add_argument("--degree", type=int, choices=(0, 1), default=0,
@@ -362,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kmax", 0) < 0:
-        parser.error("--kmax must be >= 0")
-    if getattr(args, "k", 0) < 0:
-        parser.error("--k must be >= 0")
     try:
         return args.func(args)
     except AlgebraFileError as exc:

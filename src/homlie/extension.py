@@ -21,11 +21,9 @@ from .linalg import (
     Matrix,
     Subspace,
     block_diag,
-    contains,
     is_zero_vec,
-    nullspace,
     rank,
-    solve_linear,
+    rref,
     subspace_intersection,
     subspace_sum,
     unit_vec,
@@ -89,33 +87,30 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     spec = AlgebraSpec.from_pairs(f"{base.name}_ext", degrees, alpha, pairs, names)
 
     derived = derived_subalgebra(base)
-    grown = derived
-    chosen = []
-    for j in range(n):
-        e = unit_vec(n, j)
-        if not contains(grown, e):
-            chosen.append(e)
-            grown = subspace_sum(grown, Subspace.from_vectors(n, [e]))
-    complement = Subspace.from_vectors(n, chosen)
+    # e_j is chosen when independent of [L, L] and the e_i before it:
+    # a pivot past the [L, L] columns of the matrix [d_1 .. d_r | I]
+    r = derived.dim
+    _, pivots, _ = rref(Matrix.from_rows(
+        [[d[m] for d in derived.basis] + list(unit_vec(n, m)) for m in range(n)], r + n))
+    complement = Subspace(n, tuple(unit_vec(n, p - r) for p in pivots if p >= r))
     return ExtendedAlgebra(base, spec, derived, complement,
                            _derived_projection(derived, complement))
 
 
 def _derived_projection(derived: Subspace, complement: Subspace) -> Matrix:
-    """Projector onto ``derived`` along ``complement``."""
+    """Projector onto ``derived`` along ``complement``, by one RREF.
+
+    The rows [d | d] and [u | 0] span the graph {(x, P x)} of the
+    projector P; when the two bases together form a basis of the base
+    algebra, the RREF rows are [e_j | P e_j] for j = 0 .. n-1.
+    """
     n = derived.ambient_dim
-    cols = list(derived.basis) + list(complement.basis)
-    # columns of B are the combined basis; B is invertible by construction
-    b = Matrix.from_rows([[cols[c][m] for c in range(n)] for m in range(n)], n)
-    out_cols = []
-    for j in range(n):
-        lam = solve_linear(b, unit_vec(n, j))
-        if lam is None:
-            raise RuntimeError(
-                "[L, L] and its complement do not span the base algebra")
-        out_cols.append([sum(lam[i] * row[m] for i, row in enumerate(derived.basis))
-                         for m in range(n)])
-    return Matrix.from_rows([[out_cols[j][m] for j in range(n)]
+    stacked = [d + d for d in derived.basis] + [u + zero_vec(n) for u in complement.basis]
+    reduced, pivots, _ = rref(Matrix.from_rows(stacked, 2 * n))
+    if pivots != tuple(range(n)):
+        raise RuntimeError(
+            "[L, L] and its complement do not span the base algebra")
+    return Matrix.from_rows([[reduced.at(j, n + m) for j in range(n)]
                              for m in range(n)], n)
 
 
@@ -166,17 +161,10 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
         coord = Subspace.from_vectors(
             2 * nn, [unit_vec(2 * nn, nn + i) for i in range(nn)])
         kernel_pairs = subspace_intersection(qspace.as_subspace(), coord)
-        bad = None
-        for row in kernel_pairs.basis:
-            partner = Matrix(n, n, row[nn:])
-            for dvec in ext.derived.basis:
-                if not is_zero_vec(partner.matvec(dvec)):
-                    bad = partner
-                    break
-            if bad is not None:
-                break
+        bad = any(not is_zero_vec(Matrix(n, n, row[nn:]).matvec(d))
+                  for row in kernel_pairs.basis for d in ext.derived.basis)
         checks.append(Check(f"partner determined on [L,L] {tag}",
-                            "pass" if bad is None else "fail"))
+                            "fail" if bad else "pass"))
 
         # (b) injectivity on first components
         images = [_phi_unchecked(ext, (t[0], t[1])) for t in qspace.tuples]
@@ -186,20 +174,14 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
             f"phi image dimension equals first-component dimension {tag}",
             "pass" if img_span.dim == first_span.dim else "fail",
             f"image {img_span.dim}, first component {first_span.dim}"))
-        kernel_ok = True
-        if images:
-            m = Matrix.from_rows([g.flatten() for g in images], big * big)
-            for combo in nullspace(m.transpose()).basis:
-                acc = Matrix.zeros(n, n)
-                for coef, t in zip(combo, qspace.tuples):
-                    if coef:
-                        acc = acc + t[0].matrix.scale(coef)
-                if not acc.is_zero():
-                    kernel_ok = False
-                    break
+        # a vanishing image combination has a vanishing first component
+        # exactly when appending the first components adds no rank
+        with_first = Subspace.from_vectors(
+            big * big + n * n,
+            [g.flatten() + t[0].flatten() for g, t in zip(images, qspace.tuples)])
         checks.append(Check(
             f"vanishing phi image forces vanishing first component {tag}",
-            "pass" if kernel_ok else "fail"))
+            "pass" if with_first.dim == img_span.dim else "fail"))
 
         # (c) containment in the derivations of the double
         der_span = project_component(

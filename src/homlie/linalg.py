@@ -2,15 +2,20 @@
 
 Everything runs on :class:`fractions.Fraction`, so row reduction,
 nullspaces and the subspace lattice (membership, sum, intersection) are
-exact.  Ambient dimensions stay small here (a few hundred columns at
-most), hence the dense row-major layout and plain leftmost-first
-pivoting with no further heuristics.
+exact.  ``rref`` is the one elimination routine: a sum is the RREF of
+the stacked bases, an intersection the RREF of the Zassenhaus rows
+[a | a] over [b | 0], and a :class:`Subspace` keeps the pivot columns
+of its canonical basis for membership tests.  Ambient dimensions stay
+small here (a few hundred columns at most), hence the dense row-major
+layout and plain leftmost-first pivoting with no further heuristics.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Rat = int | str | Fraction
@@ -18,10 +23,12 @@ Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# as str(Fraction) writes; Fraction alone takes "1e1000000" as a huge integer
+_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def frac(value: Rat) -> Fraction:
-    """Coerce an int, a "p/q" string or a Fraction; floats are rejected."""
+    """Coerce an int, a "p" or "p/q" string or a Fraction; floats are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -29,6 +36,8 @@ def frac(value: Rat) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _LITERAL.fullmatch(value):
+            raise ValueError(f"bad rational literal {value!r}: expected p or p/q")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -160,10 +169,6 @@ class Matrix:
         f = frac(s)
         return Matrix(self.rows, self.cols, tuple(f * x for x in self.entries))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.at(r, c) for c in range(self.cols) for r in range(self.rows)))
-
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
@@ -261,6 +266,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Leading column of each basis row (not a field: no effect on ==)."""
+        return tuple(next(i for i, x in enumerate(row) if x != 0)
+                     for row in self.basis)
+
     def is_zero(self) -> bool:
         return not self.basis
 
@@ -270,8 +281,7 @@ def contains(s: Subspace, v: Sequence[Rat]) -> bool:
     w = list(vec(v))
     if len(w) != s.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    for row in s.basis:
-        lead = next(i for i, x in enumerate(row) if x != 0)
+    for lead, row in zip(s.pivots, s.basis):
         coef = w[lead]
         if coef:
             w = [x - coef * y for x, y in zip(w, row)]
@@ -285,30 +295,22 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection through the kernel of the stacked-coefficient system.
+    """Intersection by the Zassenhaus algorithm: one RREF of stacked rows.
 
-    A common vector is sum(t_i a_i) = sum(u_j b_j); the (t, u) kernel is
-    computed exactly and mapped back through a's basis.  The dimension
-    formula dim a + dim b = dim(a+b) + dim(a^b) is checked on the way
-    out, and a violation raises RuntimeError.
+    The rows [a_i | a_i] and [b_j | 0] span {(x + y, x) : x in a, y in b};
+    the RREF rows that vanish on the left carry the canonical basis of
+    a ^ b on the right.  The dimension formula dim a + dim b =
+    dim(a+b) + dim(a^b) is checked on the way out (RuntimeError).
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     if a.is_zero() or b.is_zero():
         return Subspace.zero(n)
-    rows = [[a.basis[i][c] for i in range(a.dim)]
-            + [-b.basis[j][c] for j in range(b.dim)]
-            for c in range(n)]
-    ker = nullspace(Matrix.from_rows(rows, a.dim + b.dim))
-    found = []
-    for t in ker.basis:
-        w: Sequence[Fraction] = zero_vec(n)
-        for i in range(a.dim):
-            if t[i]:
-                w = vadd(w, vscale(t[i], a.basis[i]))
-        found.append(w)
-    inter = Subspace.from_vectors(n, found)
+    stacked = [row + row for row in a.basis] + [row + zero_vec(n) for row in b.basis]
+    reduced, pivots, _ = rref(Matrix.from_rows(stacked, 2 * n))
+    inter = Subspace(n, tuple(reduced.row(r)[n:]
+                              for r, p in enumerate(pivots) if p >= n))
     if a.dim + b.dim != subspace_sum(a, b).dim + inter.dim:
         raise RuntimeError("subspace intersection violates the dimension formula")
     return inter
@@ -333,21 +335,6 @@ def nullspace(m: Matrix) -> Subspace:
             v[p] = -reduced.at(r, free)
         out.append(v)
     return Subspace.from_vectors(n, out)
-
-
-def solve_linear(m: Matrix, rhs: Sequence[Rat]) -> Vec | None:
-    """One exact solution of m x = rhs (free variables 0), or None."""
-    b = vec(rhs)
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = Matrix.from_rows([list(m.row(r)) + [b[r]] for r in range(m.rows)], m.cols + 1)
-    reduced, pivots, _ = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [_ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.at(r, m.cols)
-    return tuple(x)
 
 
 def format_vec(v: Sequence[Fraction]) -> str:

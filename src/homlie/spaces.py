@@ -179,7 +179,7 @@ IDENTITIES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
                 degree: int = 0, strict: bool = True) -> MapSpace:
     """Solve the defining linear system of one operator space.

@@ -10,13 +10,15 @@ substitution) and canonicalized by an independent reduction pass, so a
 matching answer really is two routes agreeing.
 
 The module also keeps the verifiers' original per-pair loops as the
-reference that the law tables in homlie.spaces are tested against.
+reference that the law tables in homlie.spaces are tested against, and
+the intersection, projection and phi-kernel routines that one stacked
+RREF replaced in homlie.linalg and homlie.extension.
 """
 
 import itertools
 from fractions import Fraction
 
-from homlie import spaces
+from homlie import extension, spaces
 from homlie.algebra import AlgebraSpec, center, parity_sign, validate
 from homlie.linalg import Matrix, contains, format_matrix, rank
 from homlie.spaces import (
@@ -430,3 +432,78 @@ def reference_qc_closure(spec: AlgebraSpec, k_max: int,
               "pass" if bracket_closed == comp_closed else "fail",
               f"bracket: {bracket_closed}, composition: {comp_closed}"),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference subspace routines
+# ---------------------------------------------------------------------------
+# The routines that one stacked RREF replaced, as written before that
+# change except that elimination goes through kernel_basis and
+# canonical_rows above.  _phi_unchecked is looked up on the extension
+# module at call time, so a test that patches it feeds both sides.
+
+def reference_intersection(a, b):
+    """Canonical basis rows of a ^ b.
+
+    A common vector is sum(t_i a_i) = sum(u_j b_j); the (t, u) kernel is
+    mapped back through a's basis.
+    """
+    n = a.ambient_dim
+    if a.is_zero() or b.is_zero():
+        return []
+    rows = [[a.basis[i][c] for i in range(a.dim)]
+            + [-b.basis[j][c] for j in range(b.dim)]
+            for c in range(n)]
+    found = [[sum(t[i] * a.basis[i][c] for i in range(a.dim)) for c in range(n)]
+             for t in kernel_basis(rows, a.dim + b.dim)]
+    return canonical_rows(found, n)
+
+
+def reference_derived_projection(derived, complement):
+    """Projector onto ``derived`` along ``complement``, one solve per column.
+
+    Column j is sum(lam_i d_i) where B lam = e_j and the columns of B are
+    the basis of derived followed by that of complement; B lam = e_j is
+    the kernel line (lam, 1) of [B | -e_j].
+    """
+    n = derived.ambient_dim
+    cols = list(derived.basis) + list(complement.basis)
+    width = len(cols) + 1
+    out_cols = []
+    for j in range(n):
+        aug = [[cols[c][m] for c in range(len(cols))] + [-F1 if m == j else F0]
+               for m in range(n)]
+        ker = kernel_basis(aug, width)
+        if len(ker) != 1 or ker[0][-1] != 1:
+            raise RuntimeError(
+                "[L, L] and its complement do not span the base algebra")
+        lam = ker[0]
+        out_cols.append([sum(lam[i] * row[m] for i, row in enumerate(derived.basis))
+                         for m in range(n)])
+    return Matrix.from_rows([[out_cols[j][m] for j in range(n)]
+                             for m in range(n)], n)
+
+
+def reference_phi_kernel(ext, k: int, strict: bool = True) -> tuple:
+    """Status of "vanishing phi image forces vanishing first component"
+    per degree 0, 1: every combination of QDer basis pairs whose phi
+    images cancel must have cancelling first components."""
+    nn = ext.base.n ** 2
+    out = []
+    for th in (0, 1):
+        tuples = spaces.solve_space(ext.base, SpaceKind.QDER, k, th, strict).tuples
+        images = [extension._phi_unchecked(ext, (t[0], t[1])).flatten()
+                  for t in tuples]
+        ok = True
+        if images:
+            # the cancelling combinations: kernel of the transposed images
+            rows = [[img[c] for img in images] for c in range(len(images[0]))]
+            for combo in kernel_basis(rows, len(images)):
+                first = [sum(coef * t[0].matrix.entries[e]
+                             for coef, t in zip(combo, tuples))
+                         for e in range(nn)]
+                if any(x != 0 for x in first):
+                    ok = False
+                    break
+        out.append("pass" if ok else "fail")
+    return tuple(out)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlie.cli import main
 from homlie.spaces import SpaceKind, solve_space
@@ -196,7 +201,9 @@ def test_negative_kmax_exits_two(capsys):
             code = None
         assert code == 2, command
         err = capsys.readouterr().err
-        assert "--kmax must be >= 0" in err, command
+        # reported by the subcommand's own parser, with its usage line
+        assert err.startswith(f"usage: homlie {command}"), command
+        assert "argument --kmax: must be >= 0" in err, command
 
 
 def test_negative_k_exits_two(capsys, tmp_path):
@@ -209,4 +216,59 @@ def test_negative_k_exits_two(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--k", "-1"])
         assert exc.value.code == 2, argv[0]
-        assert "--k must be >= 0" in capsys.readouterr().err, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: homlie {argv[0]}"), argv[0]
+        assert "argument --k: must be >= 0" in err, argv[0]
+
+
+def test_exponent_literal_exits_two_at_once(capsys, tmp_path):
+    # Fraction would take "1e1000000" as a 3.3-million-bit integer
+    doc = {"name": "big",
+           "basis": [{"name": "x", "degree": 0}],
+           "alpha": [["1e1000000"]],
+           "brackets": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "bad rational literal '1e1000000'" in err
+
+
+_COMMANDS = ("validate", "center", "solve", "chain", "laws", "decompose",
+             "extend", "embed", "jordan", "report")
+_VALUES = st.sampled_from(["-1", "0", "1", "x"])
+_JUNK = st.sampled_from(["", "-", "--", "--nope", "-h", "abelian", "Der"]) \
+    | st.text(max_size=4)
+_OPTIONS = st.one_of(
+    st.tuples(st.just("--k"), _VALUES),
+    st.tuples(st.just("--kmax"), _VALUES),
+    st.tuples(st.just("--kind"), st.sampled_from(["Der", "QC", "ZDer", "Nope"])),
+    st.tuples(st.just("--degree"), st.sampled_from(["0", "1", "2"])),
+    st.tuples(st.just("--lax")),
+    st.tuples(st.just("--json")),
+    st.tuples(_JUNK),
+)
+
+
+@st.composite
+def _argvs(draw):
+    argv = [draw(st.sampled_from(_COMMANDS) | _JUNK)]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["abelian2", "odd_heisenberg"])))
+    for option in draw(st.lists(_OPTIONS, max_size=4)):
+        argv.extend(option)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_main_fuzz_exits_zero_one_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())

@@ -12,7 +12,6 @@ from homlie.linalg import (
     nullspace,
     rank,
     rref,
-    solve_linear,
     subspace_intersection,
     subspace_sum,
     unit_vec,
@@ -46,6 +45,14 @@ def test_frac_parsing():
         frac(0.5)
     with pytest.raises(ValueError):
         frac("1/0")
+    assert frac("+3") == 3 and frac("-3/4") == Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("text", ["1e5", "1.5", "1e1000000", " 1", "1_000",
+                                  "1/-2", "", "inf", "nan"])
+def test_frac_rejects_non_p_q_literals(text):
+    with pytest.raises(ValueError, match="bad rational literal"):
+        frac(text)
 
 
 def test_rref_proportional_rows():
@@ -178,11 +185,3 @@ def test_ambient_mismatch_raises():
     with pytest.raises(ValueError):
         contains(a, [1, 0, 0])
 
-
-def test_solve_linear():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
-    x = solve_linear(m, [5, 6])
-    assert x is not None
-    assert m.matvec(x) == vec([5, 6])
-    inconsistent = Matrix.from_rows([[1, 1], [1, 1]])
-    assert solve_linear(inconsistent, [0, 1]) is None

@@ -18,7 +18,8 @@ def test_intersection_checks_the_dimension_formula(monkeypatch):
         subspace_intersection(a, b)
 
 
-def test_projection_checks_the_complement_spans(monkeypatch, ex2_5):
-    monkeypatch.setattr(extension, "solve_linear", lambda m, rhs: None)
+def test_projection_checks_the_complement_spans(heisenberg3):
+    # [L, L] twice over spans only [L, L], a proper subspace here
+    ext = extension.build_extended(heisenberg3)
     with pytest.raises(RuntimeError, match="do not span"):
-        extension.build_extended(ex2_5)
+        extension._derived_projection(ext.derived, ext.derived)
