@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache
-from types import SimpleNamespace
 from typing import Sequence
 
 from .algebra import AlgebraSpec, bracket, center, parity_sign, validate
@@ -147,7 +146,8 @@ class MapSpace:
         return [tuple_vector(t) for t in self.tuples]
 
     def as_subspace(self) -> Subspace:
-        return Subspace.from_vectors(self.arity * self.n * self.n, self.stacked())
+        # RREF over the allowed coordinates, which embed in order: canonical
+        return Subspace(self.arity * self.n * self.n, tuple(self.stacked()))
 
 
 def tuple_vector(maps: Sequence[GradedMap]) -> Vec:
@@ -345,23 +345,20 @@ def _verdict(name: str, witness, describe=lambda witness: "") -> Check:
 
 
 def _first_components(spec: AlgebraSpec, strict: bool):
-    """Memos for one verifier call, so that each is formed once: the
-    first-component span of (kind, k, degree), its canonical basis as
-    graded maps, and op(a, b) over two such bases, a outermost."""
+    """One verifier call's memo of (span, basis elements) per (kind, k,
+    degree, whole): the first-component span with its basis maps as
+    1-tuples, or with ``whole`` the tuple space with the solved tuples.
+    Its key holds no content, so it must not outlive the call."""
     @cache
-    def span(kind, k, th):
-        return project_component(solve_space(spec, kind, k, th, strict), 0)
+    def space(kind, k, th, whole):
+        solved = solve_space(spec, kind, k, th, strict)
+        if whole:
+            return solved.as_subspace(), solved.tuples
+        span = project_component(solved, 0)
+        return span, tuple((GradedMap(Matrix(spec.n, spec.n, row), th),)
+                           for row in span.basis)
 
-    @cache
-    def maps(kind, k, th):
-        return [GradedMap(Matrix(spec.n, spec.n, row), th)
-                for row in span(kind, k, th).basis]
-
-    @cache
-    def products(op, ka, k, th1, kb, s, th2):
-        return [op(a, b) for a in maps(ka, k, th1) for b in maps(kb, s, th2)]
-
-    return SimpleNamespace(span=span, maps=maps, products=products)
+    return space
 
 
 def _levels(k_max: int) -> list[tuple[int, int]]:
@@ -369,17 +366,34 @@ def _levels(k_max: int) -> list[tuple[int, int]]:
     return [(k, s) for k in range(k_max + 1) for s in range(k_max - k + 1)]
 
 
-def _product_cells(memos, op, ka, kb, target, levels):
-    """Cells of op(a, b), a from ka at level k and b from kb at level s,
-    in the order (k, s, th1, th2, a, b) with payload (k, s, th1, th2,
-    op(a, b)).  ``target`` is a fixed subspace, or a kind whose span at
-    level k + s and the product's degree is used."""
+@lru_cache(maxsize=1024)
+def _first_product_outside(op, a, b, target):
+    """The first op(x, y) outside target, x in a outermost, formed
+    component by component, or None.  Keyed on content: a repeated cell
+    is answered once, and a changed basis is never served stale."""
+    for x in a:
+        for y in b:
+            g = tuple(op(p, q) for p, q in zip(x, y))
+            if not contains(target, tuple_vector(g)):
+                return g
+    return None
+
+
+def _law_witness(space, op, ka, kb, target, levels, whole=False):
+    """(k, s, th1, th2, g) for the first op(a, b) outside its target in
+    the order (k, s, th1, th2, a, b), a from ka at level k and b from kb
+    at level s, or None.  ``target`` is a fixed subspace or a kind, whose
+    span at k + s and the product's degree is used.  g is the product's
+    first component, or None for whole tuples."""
     for k, s in levels:
         for th1, th2 in itertools.product((0, 1), repeat=2):
             tgt = (target if isinstance(target, Subspace)
-                   else memos.span(target, k + s, (th1 + th2) % 2))
-            for g in memos.products(op, ka, k, th1, kb, s, th2):
-                yield tgt, g.flatten(), (k, s, th1, th2, g)
+                   else space(target, k + s, (th1 + th2) % 2, whole)[0])
+            g = _first_product_outside(op, space(ka, k, th1, whole)[1],
+                                       space(kb, s, th2, whole)[1], tgt)
+            if g is not None:
+                return k, s, th1, th2, None if whole else g[0]
+    return None
 
 
 def _witness(g: GradedMap) -> str:
@@ -433,11 +447,11 @@ def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
     Multi-component spaces are compared through their first-component
     spans.  Violations carry the offending basis map.
     """
-    memos = _first_components(spec, strict)
+    space = _first_components(spec, strict)
     checks = [
         _verdict(f"{label} (k={k}, deg={th})",
-                 _first_outside((memos.span(big, k, th), g.flatten(), g)
-                                for g in memos.maps(small, k, th)),
+                 _first_outside((space(big, k, th, False)[0], g.flatten(), g)
+                                for g, in space(small, k, th, False)[1]),
                  _witness)
         for k in range(k_max + 1) for th in (0, 1)
         for label, small, big in _CHAIN]
@@ -456,7 +470,7 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     z = center(spec)
     surjective = rank(spec.alpha) == n
     centerless = z.is_zero()
-    memos = _first_components(spec, strict)
+    space = _first_components(spec, strict)
     fixed = {
         _CENTER: Subspace.from_vectors(
             n * n, [tuple(zi[m] if c == l else _F0
@@ -464,18 +478,6 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
                     for zi in z.basis for l in range(n)]),
         _ZERO: Subspace.zero(n * n),
     }
-
-    @cache
-    def tuple_space(kind, k, th):
-        return solve_space(spec, kind, k, th, strict).as_subspace()
-
-    def tuple_cells(kind, k, s):
-        for th1, th2 in itertools.product((0, 1), repeat=2):
-            target = tuple_space(kind, k + s, (th1 + th2) % 2)
-            for ta in solve_space(spec, kind, k, th1, strict).tuples:
-                for tb in solve_space(spec, kind, s, th2, strict).tuples:
-                    gt = tuple(supercommutator(x, y) for x, y in zip(ta, tb))
-                    yield target, tuple_vector(gt), (k, s, th1, th2, None)
 
     # why a law with this target is skipped, or None when it applies
     unmet = {_CENTER: None if surjective else "twist is not surjective"}
@@ -488,10 +490,10 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
             if unmet.get(kt):
                 checks.append(Check(name, "skipped", unmet[kt]))
                 continue
-            cells = (tuple_cells(ka, k, s) if kt == _TUPLE else
-                     _product_cells(memos, supercommutator, ka, kb,
-                                    fixed.get(kt, kt), [(k, s)]))
-            checks.append(_verdict(name, _first_outside(cells), _where))
+            whole = kt == _TUPLE
+            checks.append(_verdict(name, _law_witness(
+                space, supercommutator, ka, kb,
+                ka if whole else fixed.get(kt, kt), [(k, s)], whole), _where))
 
     # stability of every space under the shift D -> D o alpha; this one
     # genuinely needs a bracket-preserving twist, so it is gated
@@ -505,12 +507,12 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
         shifted = (tuple(alpha_shift(spec, g) for g in t)
                    for t in solve_space(spec, kind, k, th, strict).tuples)
         checks.append(_verdict(name, _first_outside(
-            (tuple_space(kind, k + 1, th), tuple_vector(t), t[0])
+            (space(kind, k + 1, th, True)[0], tuple_vector(t), t[0])
             for t in shifted), _witness))
 
     # quasicentroid closure is an observation, not a law
-    open_at = _first_outside(_product_cells(
-        memos, supercommutator, *_QC_CLOSURE, _levels(k_max)))
+    open_at = _law_witness(space, supercommutator, *_QC_CLOSURE,
+                           _levels(k_max))
     checks.append(Check("QC bracket-closed", "info",
                         "yes" if open_at is None else f"no; {_where(open_at)}"))
     vanish_label = "QC brackets vanish (closed, surjective twist, trivial center)"
@@ -519,9 +521,8 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     elif not (surjective and centerless):
         checks.append(Check(vanish_label, "skipped", "hypotheses unmet"))
     else:
-        nonzero = _first_outside(_product_cells(
-            memos, supercommutator, SpaceKind.QC, SpaceKind.QC, fixed[_ZERO],
-            _levels(k_max)))
+        nonzero = _law_witness(space, supercommutator, SpaceKind.QC,
+                               SpaceKind.QC, fixed[_ZERO], _levels(k_max))
         checks.append(_verdict(vanish_label, nonzero,
                                lambda w: format_matrix(w[4].matrix)))
 
@@ -583,12 +584,11 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     identity over quadruples of basis maps, and whether the two closures
     agree (they are predicted to be equivalent).
     """
-    memos = _first_components(spec, strict)
+    space = _first_components(spec, strict)
     checks: list[Check] = []
     closed = {}
     for label, op in (("bracket", supercommutator), ("composition", compose)):
-        open_at = _first_outside(_product_cells(memos, op, *_QC_CLOSURE,
-                                                _levels(k_max)))
+        open_at = _law_witness(space, op, *_QC_CLOSURE, _levels(k_max))
         closed[label] = open_at is None
         checks.append(Check(f"QC {label}-closed", "info",
                             "yes" if open_at is None
@@ -600,7 +600,7 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
 
     # quadruple checks run on the deduplicated union of all basis maps
     elems = list(dict.fromkeys(g for k in range(k_max + 1) for th in (0, 1)
-                               for g in memos.maps(SpaceKind.QC, k, th)))
+                               for g, in space(SpaceKind.QC, k, th, False)[1]))
 
     comm_bad = next(
         ((a, b) for a, b in itertools.product(elems, repeat=2)

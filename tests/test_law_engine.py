@@ -1,0 +1,77 @@
+"""The content-keyed law engine of homlie.spaces.
+
+A law cell is answered from a cache keyed on the product, both bases
+and the target, so a changed basis or a changed product must never be
+served the verdict of an earlier call; and the checks it runs must
+report ``fail`` with a witness when a product really leaves its target.
+"""
+
+from fractions import Fraction
+
+from homlie import spaces
+from homlie.linalg import Matrix, format_matrix
+from homlie.spaces import (
+    GradedMap,
+    SpaceKind,
+    check_bracket_laws,
+    check_qc_structure,
+    compose,
+    jordan_product,
+    solve_space,
+)
+from oracle import reference_bracket_laws
+from test_laws import K_MAX, _with_fault
+
+_EQUIVALENCE = "closure equivalence (bracket <=> composition)"
+
+
+def _by_name(report):
+    return {c.name: c for c in report.checks}
+
+
+def test_cached_cells_are_not_served_to_changed_bases(ex2_5, monkeypatch):
+    clean = check_bracket_laws(ex2_5, K_MAX)
+    monkeypatch.setattr(spaces, "solve_space", _with_fault(SpaceKind.QDER))
+    faulted = check_bracket_laws(ex2_5, K_MAX)
+    assert faulted == reference_bracket_laws(ex2_5, K_MAX, True)
+    assert faulted != clean
+
+
+def test_closure_equivalence_fails_on_a_bent_composition(ex2_5, monkeypatch):
+    # ex2_5's QC at degree 0 is spanned by the identity at k = 0 and by
+    # diag(1, 2, 2) at k = 1; bending diag(1, 2, 2) o identity moves
+    # exactly the level (k, s) = (1, 0)
+    first = [solve_space(ex2_5, SpaceKind.QC, k).tuples[0][0] for k in (0, 1)]
+    clean = _by_name(check_qc_structure(ex2_5, K_MAX))
+    assert clean[_EQUIVALENCE].status == "pass"
+
+    def bent_compose(a, b):
+        g = compose(a, b)
+        if (a, b) != (first[1], first[0]):
+            return g
+        entries = list(g.matrix.entries)
+        entries[1] += Fraction(1, 3)
+        return GradedMap(Matrix(g.n, g.n, tuple(entries)), g.degree)
+
+    monkeypatch.setattr(spaces, "compose", bent_compose)
+    checks = _by_name(check_qc_structure(ex2_5, K_MAX))
+    assert checks["QC bracket-closed"].detail == "yes"
+    assert checks["QC composition-closed"].detail == "no (k=1, s=0)"
+    equivalence = checks[_EQUIVALENCE]
+    assert (equivalence.status, equivalence.detail) == (
+        "fail", "bracket: True, composition: False")
+
+
+def test_super_commutativity_fails_on_an_asymmetric_circle(heisenberg3,
+                                                           monkeypatch):
+    def asymmetric(a, b):
+        g = jordan_product(a, b)
+        return GradedMap(g.matrix + a.matrix, g.degree)
+
+    monkeypatch.setattr(spaces, "jordan_product", asymmetric)
+    check = _by_name(check_qc_structure(heisenberg3, K_MAX))[
+        "circle product super-commutative"]
+    # the first pair of distinct maps (a, b) gives a - b != 0; a is the
+    # first QC basis map at k = 0, degree 0
+    first = solve_space(heisenberg3, SpaceKind.QC).tuples[0][0]
+    assert (check.status, check.detail) == ("fail", format_matrix(first.matrix))

@@ -327,3 +327,17 @@ def test_space_kind_parse():
     assert SpaceKind.parse("zder") is SpaceKind.ZDER
     with pytest.raises(ValueError):
         SpaceKind.parse("Frobenius")
+
+
+def test_as_subspace_is_the_solved_basis_unreduced(bundled):
+    """The solved basis is already canonical over the stacked coordinates,
+    so as_subspace wraps it: equal to a fresh reduction on 360 spaces."""
+    specs = list(bundled.values()) + [build_extended(bundled["heisenberg3"]).spec]
+    checked = 0
+    for spec, kind, k, th, strict in itertools.product(
+            specs, ALL_KINDS, range(3), (0, 1), (True, False)):
+        space = solve_space(spec, kind, k, th, strict)
+        reduced = Subspace.from_vectors(space.arity * spec.n ** 2, space.stacked())
+        assert space.as_subspace() == reduced, (spec.name, kind, k, th, strict)
+        checked += 1
+    assert checked == 360
