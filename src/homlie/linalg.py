@@ -1,13 +1,13 @@
-"""Exact dense linear algebra over the rational numbers.
+"""Exact linear algebra over the rational numbers.
 
 Everything runs on :class:`fractions.Fraction`, so row reduction,
 nullspaces and the subspace lattice (membership, sum, intersection) are
 exact.  ``rref`` is the one elimination routine: a sum is the RREF of
 the stacked bases, an intersection the RREF of the Zassenhaus rows
 [a | a] over [b | 0], and a :class:`Subspace` keeps the pivot columns
-of its canonical basis for membership tests.  Ambient dimensions stay
-small here (a few hundred columns at most), hence the dense row-major
-layout and plain leftmost-first pivoting with no further heuristics.
+of its canonical basis for membership tests.  Matrices are dense, but
+``rref`` reduces rows held sparse, as {column: nonzero}: the solver's
+systems are under 1% nonzero.  The RREF is unique, so pivot order is free.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Rat = int | str | Fraction
 Vec = tuple[Fraction, ...]
+Row = dict[int, Fraction]  # a sparse row: column -> nonzero entry
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -105,6 +106,17 @@ class Matrix:
         return cls(len(parsed), cols, tuple(x for r in parsed for x in r))
 
     @classmethod
+    def from_sparse(cls, data: Sequence[Mapping[int, Rat]], cols: int) -> "Matrix":
+        """One row per mapping of column index to entry; absent entries are 0."""
+        entries = [_ZERO] * (len(data) * cols)
+        for r, row in enumerate(data):
+            for c, x in row.items():
+                if not 0 <= c < cols:
+                    raise ValueError(f"column {c} outside 0..{cols - 1}")
+                entries[r * cols + c] = frac(x)
+        return cls(len(data), cols, tuple(entries))
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(_ONE if i == j else _ZERO
                                for i in range(n) for j in range(n)))
@@ -112,6 +124,12 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, (_ZERO,) * (rows * cols))
+
+    def __hash__(self) -> int:
+        # once per matrix: cache keys rehash them, and Fraction's hash is slow
+        return self._hash
+
+    _hash = cached_property(lambda m: hash((m.rows, m.cols, m.entries)))
 
     def at(self, r: int, c: int) -> Fraction:
         return self.entries[r * self.cols + c]
@@ -121,9 +139,6 @@ class Matrix:
 
     def col(self, c: int) -> Vec:
         return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(r)) for r in range(self.rows)]
 
     def matvec(self, v: Sequence[Rat]) -> Vec:
         w = vec(v)
@@ -194,33 +209,46 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows + b.rows, a.cols + b.cols, tuple(ent))
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """Reduced row echelon form; returns (R, pivot_columns, rank).
+def _nonzeros(row: Sequence[Fraction]) -> Row:
+    # zeros built here are the one _ZERO, and `is` is cheaper than truth
+    return {c: x for c, x in enumerate(row) if x is not _ZERO and x}
 
-    Deterministic: columns are scanned left to right and the first row
-    with a nonzero entry in the current column becomes the pivot.
-    """
-    a = m.row_lists()
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        hit = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if hit is None:
-            continue
-        a[r], a[hit] = a[hit], a[r]
-        p = a[r][c]
-        if p != 1:
-            a[r] = [x / p for x in a[r]]
-        lead = a[r]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], lead)]
-        pivots.append(c)
-        r += 1
-    return Matrix.from_rows(a, m.cols), tuple(pivots), len(pivots)
+
+def _subtract(row: Row, f: Fraction, other: Row) -> None:
+    """row -= f * other, in place, keeping only the nonzeros."""
+    for c, x in other.items():
+        y = row.get(c, _ZERO) - f * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def _reduce(rows: Iterable[Row]) -> dict[int, Row]:
+    """Sparse Gauss-Jordan: the RREF rows of the rows' span (the rows are
+    consumed) by pivot column, without their leading 1.  Each new row is
+    reduced against the pivot rows, scaled, and then cleared from them."""
+    done: dict[int, Row] = {}
+    for row in rows:
+        for p in [c for c in row if c in done]:
+            _subtract(row, row.pop(p), done[p])
+        if row:
+            lead = min(row)
+            inv = 1 / row.pop(lead)
+            row = {c: x * inv for c, x in row.items()}
+            for other in done.values():
+                if lead in other:
+                    _subtract(other, other.pop(lead), row)
+            done[lead] = row
+    return done
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
+    """(R, pivot columns, rank): R is the RREF of m, zero rows last."""
+    done = _reduce(_nonzeros(m.row(r)) for r in range(m.rows))
+    pivots = tuple(sorted(done))
+    rows = [{p: _ONE, **done[p]} for p in pivots] + [{}] * (m.rows - len(pivots))
+    return Matrix.from_sparse(rows, m.cols), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -261,6 +289,11 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    _hash = cached_property(lambda s: hash((s.ambient_dim, s.basis)))
 
     @property
     def dim(self) -> int:
@@ -317,24 +350,19 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """Canonical basis of the right kernel {v : m v = 0}.
-
-    Free variables are taken in ascending column order and the basis is
-    reduced once more, so the output is deterministic across runs.
-    """
+    """Canonical basis of the right kernel {v : m v = 0}: per free column
+    f of the RREF R, e_f - sum_r R[r, f] e_{pivot r}, built from the
+    nonzeros of R's pivot rows and made canonical by one more ``rref``."""
     reduced, pivots, _ = rref(m)
-    n = m.cols
-    pivot_set = set(pivots)
-    out = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * n
-        v[free] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.at(r, free)
-        out.append(v)
-    return Subspace.from_vectors(n, out)
+    kernel = {f: {f: _ONE} for f in sorted(set(range(m.cols)) - set(pivots))}
+    for r, p in enumerate(pivots):
+        for c, x in _nonzeros(reduced.row(r)).items():
+            if c != p:
+                kernel[c][p] = -x
+    if not kernel:
+        return Subspace.zero(m.cols)
+    basis, _, dim = rref(Matrix.from_sparse(list(kernel.values()), m.cols))
+    return Subspace(m.cols, tuple(basis.row(i) for i in range(dim)))
 
 
 def format_vec(v: Sequence[Fraction]) -> str:

@@ -18,6 +18,7 @@ mode drops that constraint and comes with no law guarantees.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -217,14 +218,14 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     left = [[bracket(spec, signed[i], unit_vec(n, l)) for l in range(n)]
             for i in range(n)]
 
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
 
     def emit(terms):
-        """Append the nonzero rows of sum(terms) = 0, one per output
-        coordinate.  A term (c, col, vecs, sign), sign +1 or -1, stands
-        for sign * D_c vecs when col is None and vecs is a vector, and
-        for sign * sum_l D_c[l, col] vecs[l] otherwise."""
-        out = [[_F0] * width for _ in range(n)]
+        """Append the nonzero rows of sum(terms) = 0, one {unknown: nonzero}
+        per output coordinate.  A term (c, col, vecs, sign), sign +1 or -1,
+        stands for sign * D_c vecs when col is None and vecs is a vector,
+        and for sign * sum_l D_c[l, col] vecs[l] otherwise."""
+        out = [defaultdict(Fraction) for _ in range(n)]
         for c, col, vecs, sign in terms:
             for l in range(n):
                 if col is None:
@@ -241,7 +242,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
                     for m, x in enumerate(vecs[l]):
                         if x:
                             out[m][idx] += x if sign > 0 else -x
-        rows.extend(r for r in out if any(r))
+        rows.extend(filter(None, ({i: x for i, x in r.items() if x} for r in out)))
 
     for i in range(n):
         for j in range(n):
@@ -257,12 +258,12 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
             for l in range(n):
                 emit([(c, None, acol[l], 1), (c, l, acol, -1)])
 
-    system = Matrix.from_rows(rows, width) if rows else Matrix.zeros(0, width)
+    slots = [c * nn + m * n + l for c, m, l in allowed]
     tuples = []
-    for rvec in nullspace(system).basis:
+    for rvec in nullspace(Matrix.from_sparse(rows, width)).basis:
         full = [_F0] * (arity * nn)
-        for idx, (c, m, l) in enumerate(allowed):
-            full[c * nn + m * n + l] = rvec[idx]
+        for slot, x in zip(slots, rvec):
+            full[slot] = x
         comps = tuple(
             GradedMap(Matrix(n, n, tuple(full[c * nn:(c + 1) * nn])), degree)
             for c in range(arity))

@@ -12,7 +12,8 @@ matching answer really is two routes agreeing.
 The module also keeps the verifiers' original per-pair loops as the
 reference that the law tables in homlie.spaces are tested against, and
 the intersection, projection and phi-kernel routines that one stacked
-RREF replaced in homlie.linalg and homlie.extension.
+RREF replaced in homlie.linalg and homlie.extension, and the dense
+Gauss-Jordan loop that the sparse ``rref`` replaced.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from homlie import extension, spaces
 from homlie.algebra import AlgebraSpec, center, parity_sign, validate
-from homlie.linalg import Matrix, contains, format_matrix, rank
+from homlie.linalg import Matrix, Subspace, contains, format_matrix, rank
 from homlie.spaces import (
     Check,
     CheckReport,
@@ -81,7 +82,9 @@ def defining_residuals(spec: AlgebraSpec, kind: SpaceKind, k: int, theta: int,
     akcols = [[ak[m][i] for m in range(n)] for i in range(n)]
 
     def app(c, v):
-        return [sum(mats[c][m][l] * v[l] for l in range(n)) for m in range(n)]
+        nz = [(l, x) for l, x in enumerate(v) if x]
+        return [sum((row[l] * x for l, x in nz if row[l]), F0)
+                for row in mats[c]]
 
     out = []
     for i in range(n):
@@ -507,3 +510,54 @@ def reference_phi_kernel(ext, k: int, strict: bool = True) -> tuple:
                     break
         out.append("pass" if ok else "fail")
     return tuple(out)
+
+
+def reference_rref(m: Matrix):
+    """Dense Gauss-Jordan as ``linalg.rref`` had it before its rows went
+    sparse: columns left to right, the first row with a nonzero entry in
+    the current column becomes the pivot.  Returns (R, pivots, rank)."""
+    a = [list(m.row(r)) for r in range(m.rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        hit = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        p = a[r][c]
+        if p != 1:
+            a[r] = [x / p for x in a[r]]
+        lead = a[r]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], lead)]
+        pivots.append(c)
+        r += 1
+    return Matrix.from_rows(a, m.cols), tuple(pivots), len(pivots)
+
+
+def reference_span(n: int, vectors) -> Subspace:
+    """Canonical basis of the span: the nonzero rows of the dense RREF."""
+    if not vectors:
+        return Subspace.zero(n)
+    reduced, _, rk = reference_rref(Matrix.from_rows(vectors, n))
+    return Subspace(n, tuple(reduced.row(i) for i in range(rk)))
+
+
+def reference_nullspace(m: Matrix) -> Subspace:
+    """The kernel as ``linalg.nullspace`` built it on the dense RREF: one
+    dense vector per free column, reduced once more."""
+    reduced, pivots, _ = reference_rref(m)
+    out = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [F0] * m.cols
+        v[free] = F1
+        for r, p in enumerate(pivots):
+            v[p] = -reduced.at(r, free)
+        out.append(v)
+    return reference_span(m.cols, out)

@@ -8,7 +8,7 @@ report ``fail`` with a witness when a product really leaves its target.
 
 from fractions import Fraction
 
-from homlie import spaces
+from homlie import cli, spaces
 from homlie.linalg import Matrix, format_matrix
 from homlie.spaces import (
     GradedMap,
@@ -75,3 +75,12 @@ def test_super_commutativity_fails_on_an_asymmetric_circle(heisenberg3,
     # first QC basis map at k = 0, degree 0
     first = solve_space(heisenberg3, SpaceKind.QC).tuples[0][0]
     assert (check.status, check.detail) == ("fail", format_matrix(first.matrix))
+
+
+def test_law_cache_counts_on_report(capsys):
+    """Hashing a key differently must not change what the cache sees:
+    ``report ex2_5 --kmax 3`` looks up 520 law cells, 124 of them new."""
+    spaces._first_product_outside.cache_clear()
+    cli.main(["report", "ex2_5", "--kmax", "3"])
+    info = spaces._first_product_outside.cache_info()
+    assert (info.hits, info.misses) == (396, 124)

@@ -185,3 +185,15 @@ def test_ambient_mismatch_raises():
     with pytest.raises(ValueError):
         contains(a, [1, 0, 0])
 
+
+def test_equal_objects_hash_equal_and_cache_it():
+    m = Matrix.from_rows([[1, "1/2"], [0, 3]])
+    twin = Matrix(2, 2, (Fraction(1), Fraction(1, 2), Fraction(0), Fraction(3)))
+    assert m == twin and hash(m) == hash(twin)
+    assert hash(m) == hash((m.rows, m.cols, m.entries))
+    a = Subspace.from_vectors(3, [[1, 2, 0], [0, 1, 1]])
+    b = Subspace.from_vectors(3, [[2, 4, 0], [1, 3, 1]])
+    assert a == b and hash(a) == hash(b)
+    assert {m: 1}[twin] == 1 and {a: 1}[b] == 1
+    # computed once per object
+    assert "_hash" in vars(m) and "_hash" in vars(a)
