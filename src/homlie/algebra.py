@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -64,6 +65,13 @@ class AlgebraSpec:
                                tuple(f"e{i + 1}" for i in range(n)))
         elif len(self.basis_names) != n:
             raise ValueError("need one basis name per dimension")
+
+    def __hash__(self) -> int:
+        # once per spec, as for Matrix: every cached call rehashes its spec
+        return self._hash
+
+    _hash = cached_property(lambda s: hash(
+        (s.name, s.degrees, s.alpha, s.brackets, s.basis_names)))
 
     @property
     def n(self) -> int:
@@ -172,6 +180,7 @@ class ValidationReport:
         }
 
 
+@lru_cache(maxsize=1024)
 def validate(spec: AlgebraSpec) -> ValidationReport:
     """Check every axiom on all basis tuples; failures are collected,
     never thrown."""
@@ -236,6 +245,7 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
                             tuple(failures))
 
 
+@lru_cache(maxsize=1024)
 def center(spec: AlgebraSpec) -> Subspace:
     """{v : [v, e_j] = 0 for all j}, as the kernel of the stacked
     adjoint system."""

@@ -35,8 +35,8 @@ from .spaces import (
     GradedMap,
     SpaceKind,
     _first_outside,
+    _spans,
     _verdict,
-    project_component,
     solve_space,
     space_contains,
 )
@@ -169,7 +169,7 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
         # (b) injectivity on first components
         images = [_phi_unchecked(ext, (t[0], t[1])) for t in qspace.tuples]
         img_span = Subspace.from_vectors(big * big, [g.flatten() for g in images])
-        first_span = project_component(qspace, 0)
+        first_span = _spans(qspace, False)[0]
         checks.append(Check(
             f"phi image dimension equals first-component dimension {tag}",
             "pass" if img_span.dim == first_span.dim else "fail",
@@ -184,8 +184,7 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
             "pass" if with_first.dim == img_span.dim else "fail"))
 
         # (c) containment in the derivations of the double
-        der_span = project_component(
-            solve_space(ext.spec, SpaceKind.DER, k, th, strict), 0)
+        der_span = _spans(solve_space(ext.spec, SpaceKind.DER, k, th, strict), False)[0]
         checks.append(_verdict(
             f"phi(QDer) inside Der(double) {tag}",
             _first_outside((der_span, g.flatten(), g) for g in images)))
@@ -202,9 +201,8 @@ def _phi_span(ext: ExtendedAlgebra, k: int, strict: bool) -> Subspace:
 
 
 def _total_span(spec: AlgebraSpec, kind: SpaceKind, k: int, strict: bool) -> Subspace:
-    parts = [project_component(solve_space(spec, kind, k, th, strict), 0)
-             for th in (0, 1)]
-    return subspace_sum(parts[0], parts[1])
+    return subspace_sum(*(_spans(solve_space(spec, kind, k, th, strict), False)[0]
+                          for th in (0, 1)))
 
 
 def verify_embedding_decomposition(ext: ExtendedAlgebra, k: int) -> CheckReport:

@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .algebra import AlgebraSpec, bracket, center, parity_sign, validate
@@ -96,22 +96,27 @@ def compose(a: GradedMap, b: GradedMap) -> GradedMap:
     return GradedMap(a.matrix.matmul(b.matrix), (a.degree + b.degree) % 2)
 
 
-def supercommutator(a: GradedMap, b: GradedMap) -> GradedMap:
-    """ab - (-1)^{|a||b|} ba."""
+def _signed_sum(x: Matrix, y: Matrix, sign: int) -> Matrix:
+    """x + sign * y for sign +1 or -1, chosen rather than multiplied."""
+    return x + y if sign > 0 else x - y
+
+
+def _graded_sum(a: GradedMap, b: GradedMap, sign: int) -> GradedMap:
+    """ab + sign * ba; degrees add mod 2."""
     if a.n != b.n:
         raise ValueError("ambient dimension mismatch")
-    s = parity_sign(a.degree, b.degree)
-    m = a.matrix.matmul(b.matrix) - b.matrix.matmul(a.matrix).scale(s)
+    m = _signed_sum(a.matrix.matmul(b.matrix), b.matrix.matmul(a.matrix), sign)
     return GradedMap(m, (a.degree + b.degree) % 2)
+
+
+def supercommutator(a: GradedMap, b: GradedMap) -> GradedMap:
+    """ab - (-1)^{|a||b|} ba."""
+    return _graded_sum(a, b, -parity_sign(a.degree, b.degree))
 
 
 def jordan_product(a: GradedMap, b: GradedMap) -> GradedMap:
     """ab + (-1)^{|a||b|} ba, the circle product."""
-    if a.n != b.n:
-        raise ValueError("ambient dimension mismatch")
-    s = parity_sign(a.degree, b.degree)
-    m = a.matrix.matmul(b.matrix) + b.matrix.matmul(a.matrix).scale(s)
-    return GradedMap(m, (a.degree + b.degree) % 2)
+    return _graded_sum(a, b, parity_sign(a.degree, b.degree))
 
 
 def alpha_shift(spec: AlgebraSpec, d: GradedMap) -> GradedMap:
@@ -345,21 +350,22 @@ def _verdict(name: str, witness, describe=lambda witness: "") -> Check:
     return Check(name, "fail", describe(witness))
 
 
-def _first_components(spec: AlgebraSpec, strict: bool):
-    """One verifier call's memo of (span, basis elements) per (kind, k,
-    degree, whole): the first-component span with its basis maps as
-    1-tuples, or with ``whole`` the tuple space with the solved tuples.
-    Its key holds no content, so it must not outlive the call."""
-    @cache
-    def space(kind, k, th, whole):
-        solved = solve_space(spec, kind, k, th, strict)
-        if whole:
-            return solved.as_subspace(), solved.tuples
-        span = project_component(solved, 0)
-        return span, tuple((GradedMap(Matrix(spec.n, spec.n, row), th),)
-                           for row in span.basis)
+@lru_cache(maxsize=1024)
+def _spans(solved: MapSpace, whole: bool) -> tuple[Subspace, tuple]:
+    """(span, basis elements) of a solved space: its first-component span
+    with the span's basis maps as 1-tuples, or with ``whole`` the tuple
+    space with the solved tuples.  Keyed on the solved content, so a
+    changed space is never served a stale span."""
+    if whole:
+        return solved.as_subspace(), solved.tuples
+    span = project_component(solved, 0)
+    return span, tuple((GradedMap(Matrix(solved.n, solved.n, row), solved.degree),)
+                       for row in span.basis)
 
-    return space
+
+def _space(spec, strict, kind, k, th, whole=False):
+    """``_spans`` of the solved space of one kind, twist power and degree."""
+    return _spans(solve_space(spec, kind, k, th, strict), whole)
 
 
 def _levels(k_max: int) -> list[tuple[int, int]]:
@@ -448,11 +454,11 @@ def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
     Multi-component spaces are compared through their first-component
     spans.  Violations carry the offending basis map.
     """
-    space = _first_components(spec, strict)
+    space = partial(_space, spec, strict)
     checks = [
         _verdict(f"{label} (k={k}, deg={th})",
-                 _first_outside((space(big, k, th, False)[0], g.flatten(), g)
-                                for g, in space(small, k, th, False)[1]),
+                 _first_outside((space(big, k, th)[0], g.flatten(), g)
+                                for g, in space(small, k, th)[1]),
                  _witness)
         for k in range(k_max + 1) for th in (0, 1)
         for label, small, big in _CHAIN]
@@ -471,7 +477,7 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     z = center(spec)
     surjective = rank(spec.alpha) == n
     centerless = z.is_zero()
-    space = _first_components(spec, strict)
+    space = partial(_space, spec, strict)
     fixed = {
         _CENTER: Subspace.from_vectors(
             n * n, [tuple(zi[m] if c == l else _F0
@@ -567,13 +573,12 @@ def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
         return (jordan_product(jordan_product(a, b), tw(c)).matrix
                 - jordan_product(tw(a), jordan_product(b, c)).matrix)
 
-    t1 = assoc(jordan_product(x, y), tw(z), tw(w)).scale(
-        parity_sign(z.degree, x.degree + w.degree))
-    t2 = assoc(jordan_product(y, w), tw(z), tw(x)).scale(
-        parity_sign(x.degree, y.degree + z.degree))
-    t3 = assoc(jordan_product(w, x), tw(z), tw(y)).scale(
-        parity_sign(y.degree, w.degree + z.degree))
-    return t1 + t2 + t3
+    out = Matrix.zeros(alpha.rows, alpha.cols)
+    for (a, b, c), sign in (((x, y, w), parity_sign(z.degree, x.degree + w.degree)),
+                            ((y, w, x), parity_sign(x.degree, y.degree + z.degree)),
+                            ((w, x, y), parity_sign(y.degree, w.degree + z.degree))):
+        out = _signed_sum(out, assoc(jordan_product(a, b), tw(z), tw(c)), sign)
+    return out
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,
@@ -585,7 +590,7 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     identity over quadruples of basis maps, and whether the two closures
     agree (they are predicted to be equivalent).
     """
-    space = _first_components(spec, strict)
+    space = partial(_space, spec, strict)
     checks: list[Check] = []
     closed = {}
     for label, op in (("bracket", supercommutator), ("composition", compose)):
@@ -601,12 +606,12 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
 
     # quadruple checks run on the deduplicated union of all basis maps
     elems = list(dict.fromkeys(g for k in range(k_max + 1) for th in (0, 1)
-                               for g, in space(SpaceKind.QC, k, th, False)[1]))
+                               for g, in space(SpaceKind.QC, k, th)[1]))
 
     comm_bad = next(
         ((a, b) for a, b in itertools.product(elems, repeat=2)
-         if jordan_product(a, b).matrix
-         != jordan_product(b, a).matrix.scale(parity_sign(a.degree, b.degree))),
+         if not _signed_sum(jordan_product(a, b).matrix, jordan_product(b, a).matrix,
+                            -parity_sign(a.degree, b.degree)).is_zero()),
         None)
     checks.append(_verdict("circle product super-commutative", comm_bad,
                            lambda w: format_matrix(w[0].matrix)))

@@ -12,8 +12,9 @@ matching answer really is two routes agreeing.
 The module also keeps the verifiers' original per-pair loops as the
 reference that the law tables in homlie.spaces are tested against, and
 the intersection, projection and phi-kernel routines that one stacked
-RREF replaced in homlie.linalg and homlie.extension, and the dense
-Gauss-Jordan loop that the sparse ``rref`` replaced.
+RREF replaced in homlie.linalg and homlie.extension, the dense
+Gauss-Jordan loop that the sparse ``rref`` replaced, and the map
+products as they were written with ``Matrix.scale`` by a +-1 sign.
 """
 
 import itertools
@@ -561,3 +562,33 @@ def reference_nullspace(m: Matrix) -> Subspace:
             v[p] = -reduced.at(r, free)
         out.append(v)
     return reference_span(m.cols, out)
+
+
+def reference_supercommutator(a: GradedMap, b: GradedMap) -> GradedMap:
+    s = parity_sign(a.degree, b.degree)
+    m = a.matrix.matmul(b.matrix) - b.matrix.matmul(a.matrix).scale(s)
+    return GradedMap(m, (a.degree + b.degree) % 2)
+
+
+def reference_jordan_product(a: GradedMap, b: GradedMap) -> GradedMap:
+    s = parity_sign(a.degree, b.degree)
+    m = a.matrix.matmul(b.matrix) + b.matrix.matmul(a.matrix).scale(s)
+    return GradedMap(m, (a.degree + b.degree) % 2)
+
+
+def reference_hom_jordan_residual(alpha: Matrix, x, y, z, w) -> Matrix:
+    jp = reference_jordan_product
+
+    def tw(g: GradedMap) -> GradedMap:
+        return GradedMap(g.matrix.matmul(alpha), g.degree)
+
+    def assoc(a, b, c) -> Matrix:
+        return (jp(jp(a, b), tw(c)).matrix - jp(tw(a), jp(b, c)).matrix)
+
+    t1 = assoc(jp(x, y), tw(z), tw(w)).scale(
+        parity_sign(z.degree, x.degree + w.degree))
+    t2 = assoc(jp(y, w), tw(z), tw(x)).scale(
+        parity_sign(x.degree, y.degree + z.degree))
+    t3 = assoc(jp(w, x), tw(z), tw(y)).scale(
+        parity_sign(y.degree, w.degree + z.degree))
+    return t1 + t2 + t3

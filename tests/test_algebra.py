@@ -118,3 +118,16 @@ def test_multiplicativity_consequence(bundled):
                 lhs = spec.alpha.matvec(spec.brackets[i][j])
                 rhs = bracket(spec, spec.alpha.col(i), spec.alpha.col(j))
                 assert lhs == rhs
+
+
+def test_equal_specs_hash_equal_and_cache_it(ex2_5):
+    twin = AlgebraSpec(ex2_5.name, ex2_5.degrees, ex2_5.alpha,
+                       tuple(tuple(r) for r in ex2_5.brackets),
+                       ex2_5.basis_names)
+    assert twin == ex2_5 and twin is not ex2_5
+    assert "_hash" not in vars(twin)
+    assert hash(twin) == hash(ex2_5) == hash(
+        (twin.name, twin.degrees, twin.alpha, twin.brackets, twin.basis_names))
+    # computed once per object: later lookups read the stored value
+    assert vars(twin)["_hash"] == hash(twin)
+    assert {ex2_5: 1}[twin] == 1

@@ -166,6 +166,29 @@ def test_report_json_dimensions_match_text(capsys):
     assert len(json_dims) == 6 * 2 * 2
 
 
+@pytest.mark.parametrize("command, check", [
+    ("chain", "check_inclusion_chain"), ("laws", "check_bracket_laws"),
+    ("jordan", "check_qc_structure")])
+def test_check_commands_run_the_check_bound_at_call_time(capsys, monkeypatch,
+                                                        command, check):
+    from homlie import cli
+    from homlie.spaces import CheckReport
+
+    seen = []
+
+    def stub(spec, k_max, strict):
+        seen.append((spec.name, k_max, strict))
+        return CheckReport(command, ())
+
+    monkeypatch.setattr(cli, check, stub)
+    code, raw, _ = run(capsys, command, "abelian2", "--kmax", "0", "--lax", "--json")
+    assert code == 0 and seen == [("abelian2", 0, False)]
+    assert json.loads(raw) == {
+        "command": command, "algebra": "abelian2",
+        "mode": {"strict": False, "k_max": 0},
+        "report": {"title": command, "ok": True, "checks": []}, "ok": True}
+
+
 def test_report_all_bundled_exit_zero(capsys):
     for name in ("abelian2", "heisenberg3", "odd_heisenberg"):
         code, out, _ = run(capsys, "report", name, "--kmax", "1")

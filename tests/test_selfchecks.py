@@ -3,8 +3,12 @@ fire under ``python -O``.  These tests avoid bare ``assert`` for the
 same reason: each outcome is checked with ``pytest.raises``.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import homlie
 from homlie import extension, linalg
 from homlie.linalg import Subspace, subspace_intersection, unit_vec
 
@@ -23,3 +27,13 @@ def test_projection_checks_the_complement_spans(heisenberg3):
     ext = extension.build_extended(heisenberg3)
     with pytest.raises(RuntimeError, match="do not span"):
         extension._derived_projection(ext.derived, ext.derived)
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a self-check must raise
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(homlie.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    if found:
+        pytest.fail("assert statements in homlie: " + ", ".join(found))

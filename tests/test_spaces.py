@@ -16,6 +16,7 @@ from homlie.spaces import (
     check_qc_structure,
     compose,
     decompose_generalized,
+    hom_jordan_residual,
     jordan_product,
     project_component,
     solve_space,
@@ -23,7 +24,14 @@ from homlie.spaces import (
     supercommutator,
     tuple_vector,
 )
-from oracle import _arity, defining_residuals, oracle_solve
+from oracle import (
+    _arity,
+    defining_residuals,
+    oracle_solve,
+    reference_hom_jordan_residual,
+    reference_jordan_product,
+    reference_supercommutator,
+)
 
 ALL_KINDS = tuple(SpaceKind)
 
@@ -288,6 +296,29 @@ def test_qc_circle_product_supercommutative(odd_heisenberg):
             rhs = jordan_product(b, a).matrix.scale(
                 parity_sign(a.degree, b.degree))
             assert lhs == rhs
+
+
+_ENTRIES = st.integers(-3, 3) | st.fractions(min_value=-2, max_value=2,
+                                             max_denominator=3)
+
+
+@st.composite
+def _graded_maps(draw, count, n=2):
+    return [GradedMap(Matrix(n, n, tuple(draw(st.lists(_ENTRIES, min_size=n * n,
+                                                         max_size=n * n)))),
+                      draw(st.integers(0, 1)))
+            for _ in range(count)]
+
+
+@given(_graded_maps(5))
+def test_products_choose_signs_as_the_scaled_formulas(maps):
+    """The products pick ab + ba or ab - ba by parity; the values are
+    those of the formulas that multiplied by the +-1 sign."""
+    a, b, x, y, alpha = maps
+    assert supercommutator(a, b) == reference_supercommutator(a, b)
+    assert jordan_product(a, b) == reference_jordan_product(a, b)
+    assert (hom_jordan_residual(alpha.matrix, a, b, x, y)
+            == reference_hom_jordan_residual(alpha.matrix, a, b, x, y))
 
 
 def test_solver_matches_oracle_spot(bundled):
