@@ -160,7 +160,7 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
         nn = n * n
         coord = Subspace.from_vectors(
             2 * nn, [unit_vec(2 * nn, nn + i) for i in range(nn)])
-        kernel_pairs = subspace_intersection(qspace.as_subspace(), coord)
+        kernel_pairs = subspace_intersection(_spans(qspace, True)[0], coord)
         bad = any(not is_zero_vec(Matrix(n, n, row[nn:]).matvec(d))
                   for row in kernel_pairs.basis for d in ext.derived.basis)
         checks.append(Check(f"partner determined on [L,L] {tag}",

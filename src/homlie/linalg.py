@@ -8,6 +8,7 @@ the stacked bases, an intersection the RREF of the Zassenhaus rows
 of its canonical basis for membership tests.  Matrices are dense, but
 ``rref`` reduces rows held sparse, as {column: nonzero}: the solver's
 systems are under 1% nonzero.  The RREF is unique, so pivot order is free.
+Products are sparse too: one routine sums signed products of such rows.
 """
 
 from __future__ import annotations
@@ -144,29 +145,14 @@ class Matrix:
         w = vec(v)
         if len(w) != self.cols:
             raise ValueError("matvec length mismatch")
-        out = []
-        for r in range(self.rows):
-            acc = _ZERO
-            base = r * self.cols
-            for c in range(self.cols):
-                if w[c]:
-                    acc += self.entries[base + c] * w[c]
-            out.append(acc)
-        return tuple(out)
+        out = _sparse_sum((1, _sparse(self), _sparse(Matrix(len(w), 1, w))))
+        return tuple(out.get(r, {0: _ZERO})[0] for r in range(self.rows))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
-        out = []
-        for r in range(self.rows):
-            row = self.row(r)
-            for c in range(other.cols):
-                acc = _ZERO
-                for k in range(self.cols):
-                    if row[k]:
-                        acc += row[k] * other.entries[k * other.cols + c]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
+        rows = _sparse_sum((1, _sparse(self), _sparse(other)))
+        return Matrix.from_sparse([rows.get(r, {}) for r in range(self.rows)], other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -212,6 +198,25 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 def _nonzeros(row: Sequence[Fraction]) -> Row:
     # zeros built here are the one _ZERO, and `is` is cheaper than truth
     return {c: x for c, x in enumerate(row) if x is not _ZERO and x}
+
+
+def _sparse(m: Matrix) -> dict[int, Row]:
+    """m as {row: {col: nonzero}}, zero rows left out."""
+    return {r: row for r in range(m.rows) if (row := _nonzeros(m.row(r)))}
+
+
+def _sparse_sum(*terms) -> dict[int, Row]:
+    """The nonzeros of sum(sign * ab) over (sign, a, b), for sparse maps
+    {row: {col: nonzero}} and sign +1 or -1: empty exactly when zero."""
+    acc: dict[int, Row] = {}
+    for sign, a, b in terms:
+        for r, arow in a.items():
+            out = acc.setdefault(r, {})
+            for k, x in arow.items():
+                for c, y in b.get(k, {}).items():
+                    out[c] = out.get(c, _ZERO) + (x * y if sign > 0 else -x * y)
+    rows = {r: {c: x for c, x in row.items() if x} for r, row in acc.items()}
+    return {r: row for r, row in rows.items() if row}
 
 
 def _subtract(row: Row, f: Fraction, other: Row) -> None:

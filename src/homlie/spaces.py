@@ -30,6 +30,9 @@ from .linalg import (
     Matrix,
     Subspace,
     Vec,
+    _nonzeros,
+    _sparse,
+    _sparse_sum,
     contains,
     format_matrix,
     nullspace,
@@ -165,7 +168,7 @@ def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
     if len(maps) != space.arity:
         raise ValueError(
             f"{space.kind.value} expects {space.arity} maps, got {len(maps)}")
-    return contains(space.as_subspace(), tuple_vector(maps))
+    return contains(_spans(space, True)[0], tuple_vector(maps))
 
 
 # The defining identities, one README row per kind.  Each equation is a
@@ -218,10 +221,11 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     signed = [[parity_sign(degree, deg[i]) * x for x in akcol[i]]
               for i in range(n)]
     # right[j][l] = [e_l, a^k e_j],  left[i][l] = (-1)^{theta|e_i|} [a^k e_i, e_l]
-    right = [[bracket(spec, unit_vec(n, l), akcol[j]) for l in range(n)]
+    right = [[_nonzeros(bracket(spec, unit_vec(n, l), akcol[j])) for l in range(n)]
              for j in range(n)]
-    left = [[bracket(spec, signed[i], unit_vec(n, l)) for l in range(n)]
+    left = [[_nonzeros(bracket(spec, signed[i], unit_vec(n, l))) for l in range(n)]
             for i in range(n)]
+    brackets = [[_nonzeros(v) for v in row] for row in spec.brackets]
 
     rows: list[dict[int, Fraction]] = []
 
@@ -229,36 +233,35 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
         """Append the nonzero rows of sum(terms) = 0, one {unknown: nonzero}
         per output coordinate.  A term (c, col, vecs, sign), sign +1 or -1,
         stands for sign * D_c vecs when col is None and vecs is a vector,
-        and for sign * sum_l D_c[l, col] vecs[l] otherwise."""
+        and for sign * sum_l D_c[l, col] vecs[l] otherwise, each vector
+        given as {index: nonzero}."""
         out = [defaultdict(Fraction) for _ in range(n)]
         for c, col, vecs, sign in terms:
+            if col is None:
+                for l, x in vecs.items():
+                    x = x if sign > 0 else -x
+                    for m in range(n):
+                        idx = pos.get((c, m, l))
+                        if idx is not None:
+                            out[m][idx] += x
+                continue
             for l in range(n):
-                if col is None:
-                    x = vecs[l]
-                    if x:
-                        x = x if sign > 0 else -x
-                        for m in range(n):
-                            idx = pos.get((c, m, l))
-                            if idx is not None:
-                                out[m][idx] += x
-                    continue
                 idx = pos.get((c, l, col))
                 if idx is not None:
-                    for m, x in enumerate(vecs[l]):
-                        if x:
-                            out[m][idx] += x if sign > 0 else -x
+                    for m, x in vecs[l].items():
+                        out[m][idx] += x if sign > 0 else -x
         rows.extend(filter(None, ({i: x for i, x in r.items() if x} for r in out)))
 
     for i in range(n):
         for j in range(n):
             sides = {"right": (i, right[j]), "left": (j, left[i]),
-                     "eval": (None, spec.brackets[i][j])}
+                     "eval": (None, brackets[i][j])}
             for equation in IDENTITIES[kind]:
                 emit([(c, *sides[side], sign) for side, c, sign in equation])
 
     if strict:
         # column l of M alpha - alpha M: M (alpha e_l) - sum_p M[p,l] alpha e_p
-        acol = [spec.alpha.col(p) for p in range(n)]
+        acol = [_nonzeros(spec.alpha.col(p)) for p in range(n)]
         for c in range(arity):
             for l in range(n):
                 emit([(c, None, acol[l], 1), (c, l, acol, -1)])
@@ -560,25 +563,60 @@ def decompose_generalized(spec: AlgebraSpec, k: int, degree: int,
     return (dq, d2), dc
 
 
+def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
+    """The residual of the twisted super Jordan identity at four of
+    ``elems`` by index, as a sparse map of its nonzeros: with tw g =
+    g alpha, the signed sum over (a, b, c) in (x, y, w), (y, w, x),
+    (w, x, y) of ((a o b) o tw z) o tw^2 c - tw(a o b) o (tw z o tw c).
+    Each factor that omits an index is made once per engine."""
+    if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
+        raise ValueError("ambient dimension mismatch")
+
+    def circle_terms(sign, a, b):
+        """The terms of sign * (a o b) for (sparse map, degree) pairs."""
+        (p, dp), (q, dq) = a, b
+        return [(sign, p, q), (sign * parity_sign(dp, dq), q, p)]
+
+    def circle(a, b):
+        return _sparse_sum(*circle_terms(1, a, b)), (a[1] + b[1]) % 2
+
+    def twist(g, a):
+        return _sparse_sum((1, g[0], a)), g[1]
+
+    maps = [(_sparse(g.matrix), g.degree) for g in elems]
+    a1, a2 = _sparse(alpha), _sparse(alpha.matmul(alpha))
+    tw, tw2 = [twist(g, a1) for g in maps], [twist(g, a2) for g in maps]
+    memo: dict = {}
+
+    def once(key, make):
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    def residual(x, y, z, w):
+        d = {i: maps[i][1] for i in (x, y, z, w)}
+        terms = []
+        for (a, b, c), sign in (((x, y, w), parity_sign(d[z], d[x] + d[w])),
+                                ((y, w, x), parity_sign(d[x], d[y] + d[z])),
+                                ((w, x, y), parity_sign(d[y], d[w] + d[z]))):
+            ab = once(("a o b", a, b), lambda: circle(maps[a], maps[b]))
+            inner = once(("(a o b) o tw z", a, b, z), lambda: circle(ab, tw[z]))
+            tw_ab = once(("tw(a o b)", a, b), lambda: twist(ab, a1))
+            tw_zc = once(("tw z o tw c", z, c), lambda: circle(tw[z], tw[c]))
+            terms += circle_terms(sign, inner, tw2[c]) + circle_terms(-sign, tw_ab, tw_zc)
+        return _sparse_sum(*terms)
+
+    return residual
+
+
 def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
                         z: GradedMap, w: GradedMap) -> Matrix:
-    """Residual of the twisted super Jordan identity at four maps.
-
-    The twist acts on maps by composition with alpha on the input side.
-    """
-    def tw(g: GradedMap) -> GradedMap:
-        return GradedMap(g.matrix.matmul(alpha), g.degree)
-
-    def assoc(a: GradedMap, b: GradedMap, c: GradedMap) -> Matrix:
-        return (jordan_product(jordan_product(a, b), tw(c)).matrix
-                - jordan_product(tw(a), jordan_product(b, c)).matrix)
-
-    out = Matrix.zeros(alpha.rows, alpha.cols)
-    for (a, b, c), sign in (((x, y, w), parity_sign(z.degree, x.degree + w.degree)),
-                            ((y, w, x), parity_sign(x.degree, y.degree + z.degree)),
-                            ((w, x, y), parity_sign(y.degree, w.degree + z.degree))):
-        out = _signed_sum(out, assoc(jordan_product(a, b), tw(z), tw(c)), sign)
-    return out
+    """Residual of the twisted super Jordan identity at four maps, the
+    twist acting on maps by composition with alpha on the input side: a
+    dense view of the engine that ``check_qc_structure`` runs."""
+    rows = _jordan_engine(alpha, (x, y, z, w))(0, 1, 2, 3)
+    return Matrix.from_sparse([rows.get(r, {}) for r in range(alpha.rows)],
+                              alpha.cols)
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,
@@ -616,9 +654,10 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     checks.append(_verdict("circle product super-commutative", comm_bad,
                            lambda w: format_matrix(w[0].matrix)))
 
-    jordan_bad = next(
-        (quad for quad in itertools.product(elems, repeat=4)
-         if not hom_jordan_residual(spec.alpha, *quad).is_zero()), None)
+    residual = _jordan_engine(spec.alpha, elems)
+    jordan_bad = next((tuple(elems[i] for i in quad)
+                       for quad in itertools.product(range(len(elems)), repeat=4)
+                       if residual(*quad)), None)
     checks.append(_verdict(
         "twisted Jordan identity on QC", jordan_bad,
         lambda w: " , ".join(format_matrix(g.matrix) for g in w)))

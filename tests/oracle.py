@@ -13,8 +13,10 @@ The module also keeps the verifiers' original per-pair loops as the
 reference that the law tables in homlie.spaces are tested against, and
 the intersection, projection and phi-kernel routines that one stacked
 RREF replaced in homlie.linalg and homlie.extension, the dense
-Gauss-Jordan loop that the sparse ``rref`` replaced, and the map
-products as they were written with ``Matrix.scale`` by a +-1 sign.
+Gauss-Jordan loop that the sparse ``rref`` replaced, the dense product
+loop and the map products as they were written with ``Matrix.scale`` by
+a +-1 sign, and the per-quadruple Jordan loop that the memoised sparse
+engine replaced.
 """
 
 import itertools
@@ -564,15 +566,33 @@ def reference_nullspace(m: Matrix) -> Subspace:
     return reference_span(m.cols, out)
 
 
+def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The dense product loop of ``Matrix.matmul`` before products went
+    sparse; the reference products below use it, so they share no
+    product code with homlie."""
+    out = []
+    for r in range(a.rows):
+        row = a.row(r)
+        for c in range(b.cols):
+            acc = F0
+            for k in range(a.cols):
+                if row[k]:
+                    acc += row[k] * b.entries[k * b.cols + c]
+            out.append(acc)
+    return Matrix(a.rows, b.cols, tuple(out))
+
+
 def reference_supercommutator(a: GradedMap, b: GradedMap) -> GradedMap:
     s = parity_sign(a.degree, b.degree)
-    m = a.matrix.matmul(b.matrix) - b.matrix.matmul(a.matrix).scale(s)
+    m = (reference_matmul(a.matrix, b.matrix)
+         - reference_matmul(b.matrix, a.matrix).scale(s))
     return GradedMap(m, (a.degree + b.degree) % 2)
 
 
 def reference_jordan_product(a: GradedMap, b: GradedMap) -> GradedMap:
     s = parity_sign(a.degree, b.degree)
-    m = a.matrix.matmul(b.matrix) + b.matrix.matmul(a.matrix).scale(s)
+    m = (reference_matmul(a.matrix, b.matrix)
+         + reference_matmul(b.matrix, a.matrix).scale(s))
     return GradedMap(m, (a.degree + b.degree) % 2)
 
 
@@ -580,7 +600,7 @@ def reference_hom_jordan_residual(alpha: Matrix, x, y, z, w) -> Matrix:
     jp = reference_jordan_product
 
     def tw(g: GradedMap) -> GradedMap:
-        return GradedMap(g.matrix.matmul(alpha), g.degree)
+        return GradedMap(reference_matmul(g.matrix, alpha), g.degree)
 
     def assoc(a, b, c) -> Matrix:
         return (jp(jp(a, b), tw(c)).matrix - jp(tw(a), jp(b, c)).matrix)
@@ -592,3 +612,12 @@ def reference_hom_jordan_residual(alpha: Matrix, x, y, z, w) -> Matrix:
     t3 = assoc(jp(w, x), tw(z), tw(y)).scale(
         parity_sign(y.degree, w.degree + z.degree))
     return t1 + t2 + t3
+
+
+def reference_jordan_witness(alpha: Matrix, elems):
+    """The first quadruple of elems, in ``itertools.product`` order, at
+    which the dense residual of the twisted Jordan identity is nonzero,
+    or None: the loop ``check_qc_structure`` ran before its engine."""
+    return next((quad for quad in itertools.product(elems, repeat=4)
+                 if not reference_hom_jordan_residual(alpha, *quad).is_zero()),
+                None)

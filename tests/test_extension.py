@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from homlie import extension
 from homlie.algebra import AlgebraSpec, bracket, center, validate
 from homlie.extension import (
     build_extended,
@@ -11,6 +12,7 @@ from homlie.extension import (
 )
 from homlie.linalg import Matrix, contains, is_zero_vec, unit_vec
 from homlie.spaces import GradedMap, SpaceKind, project_component, solve_space
+from test_laws import _with_fault
 
 small = st.integers(-2, 2)
 
@@ -153,6 +155,27 @@ def test_embedding_decomposition_ex2_5(ex2_5):
         assert rep.ok
         statuses = {c.name: c.status for c in rep.checks}
         assert all(s == "pass" for s in statuses.values())
+
+
+def test_embedding_decomposition_fails_on_a_bent_quasiderivation(
+        ex2_5, monkeypatch):
+    # the first QDer pair at k = 0, bent by +1/3 at entry (0, 1) of its
+    # first map, embeds outside Der(double): the sum is no longer
+    # Der(double), although the dimensions still add up
+    ext = build_extended(ex2_5)
+    monkeypatch.setattr(extension, "solve_space", _with_fault(SpaceKind.QDER))
+    failed = {c.name: c.detail for c in verify_embedding_decomposition(ext, 0).checks
+              if c.status == "fail"}
+    assert failed == {
+        "Der(double) = phi(QDer) + ZDer(double) [strict, k=0]":
+            "dim phi(QDer)=3, dim ZDer=5, dim Der=8",
+        "Der(double) = phi(QDer) + ZDer(double) [lax, k=0]":
+            "dim phi(QDer)=9, dim ZDer=9, dim Der=18",
+    }
+    # the witness: the bent pair's image is not a derivation of the double
+    bent = extension.solve_space(ex2_5, SpaceKind.QDER, 0, 0).tuples[0]
+    der = project_component(solve_space(ext.spec, SpaceKind.DER, 0, 0), 0)
+    assert not contains(der, extension._phi_unchecked(ext, bent).flatten())
 
 
 def test_embedding_decomposition_guard(heisenberg3):

@@ -1,0 +1,172 @@
+"""The memoised sparse engine behind the twisted Jordan check.
+
+``check_qc_structure`` tests the twisted super Jordan identity on every
+quadruple of quasicentroid basis maps through one engine that memoises
+the factors shared between quadruples.  Its first witness and its
+residuals must be those of the dense per-quadruple loop kept in
+``oracle.reference_jordan_witness``, on the bundled algebras, on random
+algebras and on the larger twisted and odd inputs; and the check must
+report ``fail`` with that witness when a basis map is bent.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homlie import spaces
+from homlie.algebra import AlgebraSpec
+from homlie.linalg import Matrix, format_matrix
+from homlie.randomgen import sample_algebras
+from homlie.spaces import (
+    GradedMap,
+    SpaceKind,
+    check_qc_structure,
+    hom_jordan_residual,
+    project_component,
+)
+from oracle import reference_hom_jordan_residual, reference_jordan_witness
+from test_laws import _with_fault
+
+JORDAN = "twisted Jordan identity on QC"
+
+
+def _diag(*entries):
+    n = len(entries)
+    return Matrix.from_rows([[entries[r] if r == c else 0 for c in range(n)]
+                             for r in range(n)])
+
+
+def heisenberg(m, twist):
+    """h_{2m+1}: [x_i, y_i] = z, all even, twisted by diag(twist)."""
+    n = 2 * m + 1
+    z = tuple(int(c == n - 1) for c in range(n))
+    return AlgebraSpec.from_pairs(f"h{n}", (0,) * n, _diag(*twist),
+                                  {(i, m + i): z for i in range(m)})
+
+
+def super_heisenberg(m):
+    """1|m: even e, odd f_1..f_m, [f_i, f_i] = e, twist diag(4, 2, .., 2)."""
+    e = tuple(int(c == 0) for c in range(m + 1))
+    return AlgebraSpec.from_pairs(f"sh1_{m}", (0,) + (1,) * m,
+                                  _diag(4, *[2] * m),
+                                  {(i, i): e for i in range(1, m + 1)})
+
+
+def qc_maps(spec, k_max, strict):
+    """The deduplicated QC basis maps, reduced independently of the
+    span cache, in the order the check walks them."""
+    maps = {}
+    for k in range(k_max + 1):
+        for th in (0, 1):
+            space = spaces.solve_space(spec, SpaceKind.QC, k, th, strict)
+            for row in project_component(space, 0).basis:
+                maps[GradedMap(Matrix(spec.n, spec.n, row), th)] = None
+    return list(maps)
+
+
+def _describe(witness):
+    return " , ".join(format_matrix(g.matrix) for g in witness)
+
+
+def assert_engine_matches_oracle(spec, k_max, strict):
+    """The check's verdict is the oracle's first witness, and the
+    engine's residual there is the dense one; returns the witness."""
+    witness = reference_jordan_witness(spec.alpha, qc_maps(spec, k_max, strict))
+    check = {c.name: c for c in check_qc_structure(spec, k_max, strict).checks}[JORDAN]
+    if witness is None:
+        assert (check.status, check.detail) == ("pass", ""), spec.name
+        return None
+    assert (check.status, check.detail) == ("fail", _describe(witness)), spec.name
+    residual = hom_jordan_residual(spec.alpha, *witness)
+    assert residual == reference_hom_jordan_residual(spec.alpha, *witness)
+    assert not residual.is_zero()
+    return witness
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+def test_engine_matches_oracle_on_bundled(bundled, strict):
+    witnesses = {name: assert_engine_matches_oracle(spec, 2, strict)
+                 for name, spec in bundled.items()}
+    # abelian2 --lax is the bundled failure; strict mode passes everywhere
+    assert [name for name, w in witnesses.items() if w] == (
+        [] if strict else ["abelian2"])
+
+
+def test_engine_matches_oracle_on_random_algebras():
+    specs = sample_algebras(random.Random(20261018), 20, n_max=3)
+    assert len(specs) == 20
+    for spec in specs:
+        for strict in (True, False):
+            assert_engine_matches_oracle(spec, 1, strict)
+
+
+@pytest.mark.parametrize("spec", [heisenberg(1, (1, 2, 2)), super_heisenberg(2)],
+                         ids=["h3_d", "sh1_2"])
+def test_engine_matches_oracle_on_twisted_and_odd(spec):
+    assert assert_engine_matches_oracle(spec, 3, True) is None
+
+
+_ENTRIES = st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 2])
+
+
+@st.composite
+def _maps_and_twist(draw, n=2):
+    def matrix():
+        return Matrix(n, n, tuple(Fraction(x) for x in draw(
+            st.lists(_ENTRIES, min_size=n * n, max_size=n * n))))
+    return ([GradedMap(matrix(), draw(st.integers(0, 1))) for _ in range(3)],
+            matrix())
+
+
+@given(_maps_and_twist())
+@settings(max_examples=40, deadline=None)
+def test_engine_residuals_match_dense_residuals(maps_and_twist):
+    """One engine answers every quadruple of three maps of mixed
+    degrees, so each memoised factor is served to other quadruples."""
+    elems, alpha = maps_and_twist
+    residual = spaces._jordan_engine(alpha, elems)
+    for quad in itertools.product(range(3), repeat=4):
+        rows = residual(*quad)
+        dense = Matrix.from_sparse([rows.get(r, {}) for r in range(2)], 2)
+        want = reference_hom_jordan_residual(alpha, *(elems[i] for i in quad))
+        assert dense == want, quad
+
+
+def test_h5_identity_twist_report_is_pinned():
+    """Recorded from the dense per-quadruple loop (about a minute there)."""
+    report = check_qc_structure(heisenberg(2, (1,) * 5), 1)
+    assert report.to_dict() == {
+        "title": "quasicentroid structure", "ok": True, "checks": [
+            {"name": "QC bracket-closed", "status": "info",
+             "detail": "no (k=0, s=0)"},
+            {"name": "QC composition-closed", "status": "info",
+             "detail": "no (k=0, s=0)"},
+            {"name": "closure equivalence (bracket <=> composition)",
+             "status": "pass", "detail": "bracket: False, composition: False"},
+            {"name": "circle product super-commutative", "status": "pass",
+             "detail": ""},
+            {"name": JORDAN, "status": "pass", "detail": ""},
+        ]}
+
+
+def test_jordan_identity_fails_on_a_bent_quasicentroid_map(ex2_5, monkeypatch):
+    # ex2_5's QC at k = 0 is spanned by the identity alone, so the fault
+    # bends exactly one basis map, to identity + 1/3 at entry (0, 1)
+    assert [spaces.solve_space(ex2_5, SpaceKind.QC, 0, th).dim
+            for th in (0, 1)] == [1, 0]
+    monkeypatch.setattr(spaces, "solve_space", _with_fault(SpaceKind.QC))
+    bent = spaces.solve_space(ex2_5, SpaceKind.QC, 0, 0).tuples[0][0]
+    assert bent.matrix.at(0, 1) == Fraction(1, 3)
+    witness = assert_engine_matches_oracle(ex2_5, 0, True)
+    assert witness == (bent,) * 4
+
+
+def test_engine_rejects_maps_of_another_size():
+    one = GradedMap(Matrix.identity(2), 0)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        hom_jordan_residual(Matrix.identity(3), one, one, one, one)
+

@@ -13,6 +13,7 @@ from homlie.linalg import Matrix, format_matrix
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
+    alpha_shift,
     check_bracket_laws,
     check_qc_structure,
     compose,
@@ -75,6 +76,25 @@ def test_super_commutativity_fails_on_an_asymmetric_circle(heisenberg3,
     # first QC basis map at k = 0, degree 0
     first = solve_space(heisenberg3, SpaceKind.QC).tuples[0][0]
     assert (check.status, check.detail) == ("fail", format_matrix(first.matrix))
+
+
+def test_shift_law_fails_on_a_space_bent_at_one_level(heisenberg3,
+                                                     monkeypatch):
+    # bending ZDer's first basis map at k = 0 only, by +1/3 at entry
+    # (0, 1), moves it out of ZDer: a map into the center cannot send
+    # e_1 to e_0.  So D -> D o alpha leaves ZDer at k = 1 with it.
+    faulty = _with_fault(SpaceKind.ZDER)
+
+    def bent_at_level_0(spec, kind, k=0, degree=0, strict=True):
+        return (faulty if k == 0 else solve_space)(spec, kind, k, degree, strict)
+
+    monkeypatch.setattr(spaces, "solve_space", bent_at_level_0)
+    bent = bent_at_level_0(heisenberg3, SpaceKind.ZDER).tuples[0][0]
+    laws = check_bracket_laws(heisenberg3, K_MAX)
+    assert laws == reference_bracket_laws(heisenberg3, K_MAX, True)
+    check = _by_name(laws)["shift ZDer: k=0 -> 1 (deg=0)"]
+    assert (check.status, check.detail) == (
+        "fail", "witness " + format_matrix(alpha_shift(heisenberg3, bent).matrix))
 
 
 def test_law_cache_counts_on_report(capsys):

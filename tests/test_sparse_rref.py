@@ -1,6 +1,7 @@
 """The sparse ``rref`` against the dense Gauss-Jordan it replaced.
 
-``oracle.reference_rref`` is the dense loop as it stood; nullspace and
+``oracle.reference_rref`` is the dense loop as it stood, and
+``oracle.reference_matmul`` the dense product loop; nullspace and
 span are checked against the dense routines built on it, intersection
 against the same Zassenhaus rows reduced by it, and all of them against
 sympy when sympy can be imported.  The solver is checked at the sizes
@@ -29,6 +30,7 @@ from homlie.spaces import SpaceKind, solve_space
 from oracle import (
     commutation_residuals,
     defining_residuals,
+    reference_matmul,
     reference_nullspace,
     reference_rref,
     reference_span,
@@ -117,6 +119,18 @@ def test_intersection_matches_dense_reference(m, data):
     # the same Zassenhaus rows, every elimination done by the dense loop
     with mock.patch.object(linalg, "rref", reference_rref):
         assert got == subspace_intersection(a, b)
+
+
+@given(rational_matrices(max_rows=5, max_cols=5), st.data())
+def test_products_match_dense_reference(m, data):
+    """matmul and matvec sum sparse products; the values are the dense
+    loop's, with zero rows, zero columns and empty shapes."""
+    cols = data.draw(st.integers(0, 5))
+    other = Matrix(m.cols, cols, tuple(data.draw(
+        st.lists(entries, min_size=m.cols * cols, max_size=m.cols * cols))))
+    assert m.matmul(other) == reference_matmul(m, other)
+    v = other.col(0) if cols else (Fraction(0),) * m.cols
+    assert m.matvec(v) == reference_matmul(m, Matrix(m.cols, 1, v)).entries
 
 
 # -- sympy as a third reference ---------------------------------------------
