@@ -2,13 +2,13 @@
 
 Everything runs on :class:`fractions.Fraction`, so row reduction,
 nullspaces and the subspace lattice (membership, sum, intersection) are
-exact.  ``rref`` is the one elimination routine: a sum is the RREF of
-the stacked bases, an intersection the RREF of the Zassenhaus rows
-[a | a] over [b | 0], and a :class:`Subspace` keeps the pivot columns
-of its canonical basis for membership tests.  Matrices are dense, but
-``rref`` reduces rows held sparse, as {column: nonzero}: the solver's
-systems are under 1% nonzero.  The RREF is unique, so pivot order is free.
-Products are sparse too: one routine sums signed products of such rows.
+exact.  Matrices are dense but cache a sparse view {row: {col: nonzero}},
+as the solver's systems are under 1% nonzero.  One sparse Gauss-Jordan,
+``_reduce``, behind ``rref`` (unique, so pivot order is free) answers
+every elimination: a sum is the RREF of the stacked bases, an intersection
+that of the Zassenhaus rows [a | a] over [b | 0], and membership runs its
+elimination step against a :class:`Subspace`'s cached reduced basis.
+One routine, ``_sparse_sum``, forms every product from sparse views.
 """
 
 from __future__ import annotations
@@ -132,6 +132,10 @@ class Matrix:
 
     _hash = cached_property(lambda m: hash((m.rows, m.cols, m.entries)))
 
+    # nonzero rows only; once per matrix like _hash, not a field, read-only
+    _sparse = cached_property(lambda m: {
+        r: row for r in range(m.rows) if (row := _nonzeros(m.row(r)))})
+
     def at(self, r: int, c: int) -> Fraction:
         return self.entries[r * self.cols + c]
 
@@ -145,14 +149,14 @@ class Matrix:
         w = vec(v)
         if len(w) != self.cols:
             raise ValueError("matvec length mismatch")
-        out = _sparse_sum((1, _sparse(self), _sparse(Matrix(len(w), 1, w))))
+        out = _sparse_sum((1, self._sparse, Matrix(len(w), 1, w)._sparse))
         return tuple(out.get(r, {0: _ZERO})[0] for r in range(self.rows))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
-        rows = _sparse_sum((1, _sparse(self), _sparse(other)))
-        return Matrix.from_sparse([rows.get(r, {}) for r in range(self.rows)], other.cols)
+        return _dense(_sparse_sum((1, self._sparse, other._sparse)),
+                      self.rows, other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -200,9 +204,9 @@ def _nonzeros(row: Sequence[Fraction]) -> Row:
     return {c: x for c, x in enumerate(row) if x is not _ZERO and x}
 
 
-def _sparse(m: Matrix) -> dict[int, Row]:
-    """m as {row: {col: nonzero}}, zero rows left out."""
-    return {r: row for r in range(m.rows) if (row := _nonzeros(m.row(r)))}
+def _dense(rows: Mapping[int, Row], n_rows: int, cols: int) -> Matrix:
+    """The matrix of sparse rows {row: {col: nonzero}}, absent rows zero."""
+    return Matrix.from_sparse([rows.get(r, {}) for r in range(n_rows)], cols)
 
 
 def _sparse_sum(*terms) -> dict[int, Row]:
@@ -229,17 +233,23 @@ def _subtract(row: Row, f: Fraction, other: Row) -> None:
             del row[c]
 
 
+def _eliminate(row: Row, done: Mapping[int, Row]) -> Row:
+    """row, in place, less its part along the pivot rows of ``_reduce``
+    (which hold no other pivot): empty exactly when row is in their span."""
+    for p in [c for c in row if c in done]:
+        _subtract(row, row.pop(p), done[p])
+    return row
+
+
 def _reduce(rows: Iterable[Row]) -> dict[int, Row]:
     """Sparse Gauss-Jordan: the RREF rows of the rows' span (the rows are
     consumed) by pivot column, without their leading 1.  Each new row is
-    reduced against the pivot rows, scaled, and then cleared from them."""
+    eliminated against the pivot rows, scaled, and then cleared from them."""
     done: dict[int, Row] = {}
     for row in rows:
-        for p in [c for c in row if c in done]:
-            _subtract(row, row.pop(p), done[p])
-        if row:
+        if _eliminate(row, done):
             lead = min(row)
-            inv = 1 / row.pop(lead)
+            inv = _ONE / row.pop(lead)
             row = {c: x * inv for c, x in row.items()}
             for other in done.values():
                 if lead in other:
@@ -262,10 +272,10 @@ def rank(m: Matrix) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n held as its canonical RREF basis (rows).
+    """A subspace of Q^n held as a basis (rows), canonical RREF when built here.
 
-    Canonical form makes equality entry-wise: two subspaces coincide
-    exactly when their stored bases are identical.
+    Membership accepts any basis, reduced once per object; equality compares
+    the stored bases, so only canonical bases compare correctly.
     """
 
     ambient_dim: int
@@ -304,26 +314,20 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        """Leading column of each basis row (not a field: no effect on ==)."""
-        return tuple(next(i for i, x in enumerate(row) if x != 0)
-                     for row in self.basis)
+    # {pivot: row without its leading 1}, from fresh rows as _reduce eats them
+    _reduced = cached_property(
+        lambda s: _reduce(_nonzeros(row) for row in s.basis))
 
     def is_zero(self) -> bool:
         return not self.basis
 
 
 def contains(s: Subspace, v: Sequence[Rat]) -> bool:
-    """Exact membership, decided by eliminating v against the basis."""
-    w = list(vec(v))
+    """Exact membership, decided by eliminating v against the reduced basis."""
+    w = vec(v)
     if len(w) != s.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    for lead, row in zip(s.pivots, s.basis):
-        coef = w[lead]
-        if coef:
-            w = [x - coef * y for x, y in zip(w, row)]
-    return all(x == 0 for x in w)
+    return not _eliminate(_nonzeros(w), s._reduced)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

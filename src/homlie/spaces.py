@@ -30,8 +30,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vec,
+    _dense,
     _nonzeros,
-    _sparse,
     _sparse_sum,
     contains,
     format_matrix,
@@ -92,39 +92,41 @@ class GradedMap:
         return self.matrix.is_zero()
 
 
+def _terms(a: GradedMap, b: GradedMap, s: int, sign: int = 1) -> list:
+    """The ``_sparse_sum`` terms of sign * (ab + s (-1)^{|a||b|} ba), s 0
+    or +-1 and sign +-1, over the matrices' cached sparse views."""
+    x, y = a.matrix._sparse, b.matrix._sparse
+    if not s:
+        return [(sign, x, y)]
+    return [(sign, x, y), (sign * s * parity_sign(a.degree, b.degree), y, x)]
+
+
+def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
+    """ab + s (-1)^{|a||b|} ba by one ``_sparse_sum``; degrees add mod 2."""
+    if a.n != b.n:
+        raise ValueError("ambient dimension mismatch")
+    return GradedMap(_dense(_sparse_sum(*_terms(a, b, s)), a.n, a.n),
+                     (a.degree + b.degree) % 2)
+
+
 def compose(a: GradedMap, b: GradedMap) -> GradedMap:
     """a after b; degrees add mod 2."""
-    if a.n != b.n:
-        raise ValueError("ambient dimension mismatch")
-    return GradedMap(a.matrix.matmul(b.matrix), (a.degree + b.degree) % 2)
-
-
-def _signed_sum(x: Matrix, y: Matrix, sign: int) -> Matrix:
-    """x + sign * y for sign +1 or -1, chosen rather than multiplied."""
-    return x + y if sign > 0 else x - y
-
-
-def _graded_sum(a: GradedMap, b: GradedMap, sign: int) -> GradedMap:
-    """ab + sign * ba; degrees add mod 2."""
-    if a.n != b.n:
-        raise ValueError("ambient dimension mismatch")
-    m = _signed_sum(a.matrix.matmul(b.matrix), b.matrix.matmul(a.matrix), sign)
-    return GradedMap(m, (a.degree + b.degree) % 2)
+    return _product(a, b, 0)
 
 
 def supercommutator(a: GradedMap, b: GradedMap) -> GradedMap:
     """ab - (-1)^{|a||b|} ba."""
-    return _graded_sum(a, b, -parity_sign(a.degree, b.degree))
+    return _product(a, b, -1)
 
 
 def jordan_product(a: GradedMap, b: GradedMap) -> GradedMap:
     """ab + (-1)^{|a||b|} ba, the circle product."""
-    return _graded_sum(a, b, parity_sign(a.degree, b.degree))
+    return _product(a, b, 1)
 
 
 def alpha_shift(spec: AlgebraSpec, d: GradedMap) -> GradedMap:
     """Compose with the twist on the input side, D -> D o alpha."""
-    return GradedMap(d.matrix.matmul(spec.alpha), d.degree)
+    return _product(d, GradedMap(spec.alpha, 0), 0)
 
 
 @dataclass(frozen=True)
@@ -381,12 +383,8 @@ def _first_product_outside(op, a, b, target):
     """The first op(x, y) outside target, x in a outermost, formed
     component by component, or None.  Keyed on content: a repeated cell
     is answered once, and a changed basis is never served stale."""
-    for x in a:
-        for y in b:
-            g = tuple(op(p, q) for p, q in zip(x, y))
-            if not contains(target, tuple_vector(g)):
-                return g
-    return None
+    products = (tuple(op(p, q) for p, q in zip(x, y)) for x in a for y in b)
+    return _first_outside((target, tuple_vector(g), g) for g in products)
 
 
 def _law_witness(space, op, ka, kb, target, levels, whole=False):
@@ -571,21 +569,10 @@ def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
     Each factor that omits an index is made once per engine."""
     if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
         raise ValueError("ambient dimension mismatch")
-
-    def circle_terms(sign, a, b):
-        """The terms of sign * (a o b) for (sparse map, degree) pairs."""
-        (p, dp), (q, dq) = a, b
-        return [(sign, p, q), (sign * parity_sign(dp, dq), q, p)]
-
-    def circle(a, b):
-        return _sparse_sum(*circle_terms(1, a, b)), (a[1] + b[1]) % 2
-
-    def twist(g, a):
-        return _sparse_sum((1, g[0], a)), g[1]
-
-    maps = [(_sparse(g.matrix), g.degree) for g in elems]
-    a1, a2 = _sparse(alpha), _sparse(alpha.matmul(alpha))
-    tw, tw2 = [twist(g, a1) for g in maps], [twist(g, a2) for g in maps]
+    a1 = GradedMap(alpha, 0)
+    a2 = _product(a1, a1, 0)
+    tw = [_product(g, a1, 0) for g in elems]
+    tw2 = [_product(g, a2, 0) for g in elems]
     memo: dict = {}
 
     def once(key, make):
@@ -594,16 +581,16 @@ def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
         return memo[key]
 
     def residual(x, y, z, w):
-        d = {i: maps[i][1] for i in (x, y, z, w)}
+        d = {i: elems[i].degree for i in (x, y, z, w)}
         terms = []
         for (a, b, c), sign in (((x, y, w), parity_sign(d[z], d[x] + d[w])),
                                 ((y, w, x), parity_sign(d[x], d[y] + d[z])),
                                 ((w, x, y), parity_sign(d[y], d[w] + d[z]))):
-            ab = once(("a o b", a, b), lambda: circle(maps[a], maps[b]))
-            inner = once(("(a o b) o tw z", a, b, z), lambda: circle(ab, tw[z]))
-            tw_ab = once(("tw(a o b)", a, b), lambda: twist(ab, a1))
-            tw_zc = once(("tw z o tw c", z, c), lambda: circle(tw[z], tw[c]))
-            terms += circle_terms(sign, inner, tw2[c]) + circle_terms(-sign, tw_ab, tw_zc)
+            ab = once(("a o b", a, b), lambda: _product(elems[a], elems[b], 1))
+            inner = once(("(a o b) o tw z", a, b, z), lambda: _product(ab, tw[z], 1))
+            tw_ab = once(("tw(a o b)", a, b), lambda: _product(ab, a1, 0))
+            tw_zc = once(("tw z o tw c", z, c), lambda: _product(tw[z], tw[c], 1))
+            terms += _terms(inner, tw2[c], 1, sign) + _terms(tw_ab, tw_zc, 1, -sign)
         return _sparse_sum(*terms)
 
     return residual
@@ -614,9 +601,8 @@ def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
     """Residual of the twisted super Jordan identity at four maps, the
     twist acting on maps by composition with alpha on the input side: a
     dense view of the engine that ``check_qc_structure`` runs."""
-    rows = _jordan_engine(alpha, (x, y, z, w))(0, 1, 2, 3)
-    return Matrix.from_sparse([rows.get(r, {}) for r in range(alpha.rows)],
-                              alpha.cols)
+    return _dense(_jordan_engine(alpha, (x, y, z, w))(0, 1, 2, 3),
+                  alpha.rows, alpha.cols)
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,
@@ -646,10 +632,12 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     elems = list(dict.fromkeys(g for k in range(k_max + 1) for th in (0, 1)
                                for g, in space(SpaceKind.QC, k, th)[1]))
 
+    # a o b = s (b o a) with s = (-1)^{|a||b|} is symmetric in (a, b), as
+    # s^2 = 1, so unordered pairs find the first ordered witness
     comm_bad = next(
-        ((a, b) for a, b in itertools.product(elems, repeat=2)
-         if not _signed_sum(jordan_product(a, b).matrix, jordan_product(b, a).matrix,
-                            -parity_sign(a.degree, b.degree)).is_zero()),
+        ((a, b) for a, b in itertools.combinations_with_replacement(elems, 2)
+         if jordan_product(a, b).matrix
+         != jordan_product(b, a).matrix.scale(parity_sign(a.degree, b.degree))),
         None)
     checks.append(_verdict("circle product super-commutative", comm_bad,
                            lambda w: format_matrix(w[0].matrix)))

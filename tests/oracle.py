@@ -15,8 +15,10 @@ the intersection, projection and phi-kernel routines that one stacked
 RREF replaced in homlie.linalg and homlie.extension, the dense
 Gauss-Jordan loop that the sparse ``rref`` replaced, the dense product
 loop and the map products as they were written with ``Matrix.scale`` by
-a +-1 sign, and the per-quadruple Jordan loop that the memoised sparse
-engine replaced.
+a +-1 sign, the per-quadruple Jordan loop that the memoised sparse
+engine replaced, the ordered-pair walk of the circle super-commutativity
+check, and the coordinate-subspace intersection that found the pairs
+with a vanishing first map for the phi check.
 """
 
 import itertools
@@ -24,7 +26,15 @@ from fractions import Fraction
 
 from homlie import extension, spaces
 from homlie.algebra import AlgebraSpec, center, parity_sign, validate
-from homlie.linalg import Matrix, Subspace, contains, format_matrix, rank
+from homlie.linalg import (
+    Matrix,
+    Subspace,
+    contains,
+    format_matrix,
+    rank,
+    subspace_intersection,
+    unit_vec,
+)
 from homlie.spaces import (
     Check,
     CheckReport,
@@ -621,3 +631,27 @@ def reference_jordan_witness(alpha: Matrix, elems):
     return next((quad for quad in itertools.product(elems, repeat=4)
                  if not reference_hom_jordan_residual(alpha, *quad).is_zero()),
                 None)
+
+
+def reference_circle_witness(elems):
+    """The first ordered pair (a, b) of elems, in ``itertools.product``
+    order, with a o b != (-1)^{|a||b|} (b o a), or None: the walk the
+    super-commutativity check ran before it took unordered pairs.
+    ``spaces.jordan_product`` is looked up at call time, so a patched
+    circle product reaches this walk and the check alike."""
+    jp = spaces.jordan_product
+    return next(((a, b) for a, b in itertools.product(elems, repeat=2)
+                 if not (jp(a, b).matrix - jp(b, a).matrix.scale(
+                     parity_sign(a.degree, b.degree))).is_zero()),
+                None)
+
+
+def reference_zero_first_pairs(pairs: Subspace, nn: int) -> Subspace:
+    """The pairs of a pair space whose first map (the first nn
+    coordinates) vanishes, as ``verify_phi_properties`` found them before
+    it read them off the reduced rows: the intersection with the
+    coordinate subspace of the second map."""
+    width = pairs.ambient_dim
+    coord = Subspace.from_vectors(
+        width, [unit_vec(width, i) for i in range(nn, width)])
+    return subspace_intersection(pairs, coord)

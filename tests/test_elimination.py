@@ -86,10 +86,13 @@ def test_contains_matches_rank_test(case):
 
 @given(subspace_pairs())
 def test_pivots_leave_identity_alone(pair):
+    """The cached reduced basis is keyed by the canonical rows' pivots,
+    holds those rows without their leading 1, and is not a field."""
     a, _ = pair
     fresh = Subspace(a.ambient_dim, a.basis)
-    assert a.pivots == tuple(next(i for i, x in enumerate(row) if x != 0)
-                             for row in a.basis)
+    leads = [next(i for i, x in enumerate(row) if x != 0) for row in a.basis]
+    assert a._reduced == {p: {c: x for c, x in enumerate(row) if x and c != p}
+                          for p, row in zip(leads, a.basis)}
     assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
 
 

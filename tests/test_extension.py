@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,8 +12,9 @@ from homlie.extension import (
     verify_embedding_decomposition,
     verify_phi_properties,
 )
-from homlie.linalg import Matrix, contains, is_zero_vec, unit_vec
+from homlie.linalg import Matrix, Subspace, contains, is_zero_vec, unit_vec
 from homlie.spaces import GradedMap, SpaceKind, project_component, solve_space
+from oracle import reference_zero_first_pairs
 from test_laws import _with_fault
 
 small = st.integers(-2, 2)
@@ -192,3 +195,38 @@ def test_t2_copy_always_central(bundled):
         z = center(ext.spec)
         for i in range(spec.n, 2 * spec.n):
             assert contains(z, unit_vec(2 * spec.n, i))
+
+
+def _assert_zero_first_pairs_match_intersection(spec):
+    """The reduced rows that ``verify_phi_properties`` reads the pairs
+    (0, D') off span what the coordinate-subspace intersection found, at
+    every k <= 2, degree and mode; returns how many spaces have some."""
+    found = 0
+    for k, th, strict in itertools.product(range(3), (0, 1), (True, False)):
+        space = extension.solve_space(spec, SpaceKind.QDER, k, th, strict)
+        pairs, nn = space.as_subspace(), spec.n ** 2
+        rows = extension._zero_first_pairs(pairs, nn)
+        want = reference_zero_first_pairs(pairs, nn)
+        assert Subspace.from_vectors(2 * nn, rows) == want, (spec.name, k, th, strict)
+        assert len(rows) == want.dim
+        found += bool(rows)
+    return found
+
+
+def test_zero_first_pairs_match_the_intersection(bundled):
+    assert sum(map(_assert_zero_first_pairs_match_intersection, bundled.values()))
+
+
+def test_zero_first_pairs_match_on_a_bent_quasiderivation(bundled, monkeypatch):
+    # the bent first pair leaves the stored basis non-canonical
+    monkeypatch.setattr(extension, "solve_space", _with_fault(SpaceKind.QDER))
+    for spec in bundled.values():
+        _assert_zero_first_pairs_match_intersection(spec)
+
+
+def test_zero_first_pairs_are_read_off_the_reduced_rows():
+    # both stored rows lead in the first map, yet their difference is the
+    # pair (0, 1): picking stored rows by their leading column misses it
+    pairs = Subspace(2, ((1, 0), (1, 1)))
+    assert extension._zero_first_pairs(pairs, 1) == [(0, 1)]
+    assert reference_zero_first_pairs(pairs, 1) == Subspace(2, ((0, 1),))

@@ -6,7 +6,9 @@ the factors shared between quadruples.  Its first witness and its
 residuals must be those of the dense per-quadruple loop kept in
 ``oracle.reference_jordan_witness``, on the bundled algebras, on random
 algebras and on the larger twisted and odd inputs; and the check must
-report ``fail`` with that witness when a basis map is bent.
+report ``fail`` with that witness when a basis map is bent.  The circle
+super-commutativity check walks unordered pairs; its verdict must be
+that of the ordered walk in ``oracle.reference_circle_witness``.
 """
 
 import itertools
@@ -26,12 +28,18 @@ from homlie.spaces import (
     SpaceKind,
     check_qc_structure,
     hom_jordan_residual,
+    jordan_product,
     project_component,
 )
-from oracle import reference_hom_jordan_residual, reference_jordan_witness
-from test_laws import _with_fault
+from oracle import (
+    reference_circle_witness,
+    reference_hom_jordan_residual,
+    reference_jordan_witness,
+)
+from test_laws import K_MAX, _with_fault
 
 JORDAN = "twisted Jordan identity on QC"
+CIRCLE = "circle product super-commutative"
 
 
 def _diag(*entries):
@@ -87,6 +95,40 @@ def assert_engine_matches_oracle(spec, k_max, strict):
     return witness
 
 
+def assert_circle_check_matches_ordered_walk(spec, k_max, strict):
+    """The unordered walk's verdict is the ordered walk's; returns the
+    ordered walk's first witness pair."""
+    witness = reference_circle_witness(qc_maps(spec, k_max, strict))
+    check = {c.name: c for c in check_qc_structure(spec, k_max, strict).checks}[CIRCLE]
+    assert (check.status, check.detail) == (
+        ("pass", "") if witness is None
+        else ("fail", format_matrix(witness[0].matrix))), spec.name
+    return witness
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+def test_circle_check_matches_ordered_walk_on_bundled(bundled, strict):
+    for spec in bundled.values():
+        assert assert_circle_check_matches_ordered_walk(spec, 2, strict) is None
+
+
+def test_circle_check_finds_a_fault_at_a_later_ordered_pair(heisenberg3,
+                                                           monkeypatch):
+    """Bent only at (b, a), b after a, the check fails at (a, b) already:
+    a o b = s (b o a) is symmetric in a and b, since s^2 = 1."""
+    elems = qc_maps(heisenberg3, K_MAX, True)
+    a, b = elems[:2]
+
+    def bent(x, y):
+        g = jordan_product(x, y)
+        if (x, y) != (b, a):
+            return g
+        return GradedMap(g.matrix + Matrix.identity(g.n), g.degree)
+
+    monkeypatch.setattr(spaces, "jordan_product", bent)
+    assert assert_circle_check_matches_ordered_walk(heisenberg3, K_MAX, True) == (a, b)
+
+
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
 def test_engine_matches_oracle_on_bundled(bundled, strict):
     witnesses = {name: assert_engine_matches_oracle(spec, 2, strict)
@@ -102,6 +144,12 @@ def test_engine_matches_oracle_on_random_algebras():
     for spec in specs:
         for strict in (True, False):
             assert_engine_matches_oracle(spec, 1, strict)
+
+
+def test_circle_check_matches_ordered_walk_on_random_algebras():
+    for spec in sample_algebras(random.Random(20261018), 20, n_max=3):
+        for strict in (True, False):
+            assert assert_circle_check_matches_ordered_walk(spec, 1, strict) is None
 
 
 @pytest.mark.parametrize("spec", [heisenberg(1, (1, 2, 2)), super_heisenberg(2)],

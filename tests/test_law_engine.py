@@ -21,6 +21,7 @@ from homlie.spaces import (
     solve_space,
 )
 from oracle import reference_bracket_laws
+from test_jordan_engine import assert_circle_check_matches_ordered_walk
 from test_laws import K_MAX, _with_fault
 
 _EQUIVALENCE = "closure equivalence (bracket <=> composition)"
@@ -76,6 +77,9 @@ def test_super_commutativity_fails_on_an_asymmetric_circle(heisenberg3,
     # first QC basis map at k = 0, degree 0
     first = solve_space(heisenberg3, SpaceKind.QC).tuples[0][0]
     assert (check.status, check.detail) == ("fail", format_matrix(first.matrix))
+    # the unordered walk finds the ordered walk's first pair
+    witness = assert_circle_check_matches_ordered_walk(heisenberg3, K_MAX, True)
+    assert witness[0] == first
 
 
 def test_shift_law_fails_on_a_space_bent_at_one_level(heisenberg3,

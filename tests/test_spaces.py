@@ -1,12 +1,13 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homlie.algebra import AlgebraSpec
+from homlie.algebra import AlgebraSpec, parity_sign
 from homlie.extension import build_extended
-from homlie.linalg import Matrix, Subspace, contains
+from homlie.linalg import Matrix, Subspace, contains, rref
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
@@ -30,6 +31,7 @@ from oracle import (
     oracle_solve,
     reference_hom_jordan_residual,
     reference_jordan_product,
+    reference_matmul,
     reference_supercommutator,
 )
 
@@ -319,6 +321,79 @@ def test_products_choose_signs_as_the_scaled_formulas(maps):
     assert jordan_product(a, b) == reference_jordan_product(a, b)
     assert (hom_jordan_residual(alpha.matrix, a, b, x, y)
             == reference_hom_jordan_residual(alpha.matrix, a, b, x, y))
+
+
+# mostly zeros, as in the solved bases
+_SPARSE = st.one_of(st.just(0), st.just(0), _ENTRIES)
+
+
+def _matrices(rows, cols):
+    """Matrices of the shape, sometimes the zero matrix."""
+    return st.one_of(st.just(Matrix.zeros(rows, cols)), st.builds(
+        lambda e: Matrix(rows, cols, tuple(e)),
+        st.lists(_SPARSE, min_size=rows * cols, max_size=rows * cols)))
+
+
+@st.composite
+def _product_cases(draw):
+    """Two graded n x n maps and a twist, n <= 3, plus an r x n and an
+    n x c matrix and a vector of length n, zero shapes included."""
+    n = draw(st.integers(1, 3))
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a, b = (GradedMap(draw(_matrices(n, n)), draw(st.integers(0, 1)))
+            for _ in range(2))
+    return (a, b, draw(_matrices(n, n)), draw(_matrices(r, n)),
+            draw(_matrices(n, c)), draw(_matrices(n, 1)).entries)
+
+
+@given(_product_cases())
+def test_products_match_the_dense_reference_product(case):
+    """Every sparse product against formulas on ``reference_matmul``,
+    which shares no product code with homlie."""
+    a, b, alpha, left, right, v = case
+    ab, ba = reference_matmul(a.matrix, b.matrix), reference_matmul(b.matrix, a.matrix)
+    s, degree = parity_sign(a.degree, b.degree), (a.degree + b.degree) % 2
+    assert compose(a, b) == GradedMap(ab, degree)
+    assert supercommutator(a, b) == GradedMap(ab - ba.scale(s), degree)
+    assert jordan_product(a, b) == GradedMap(ab + ba.scale(s), degree)
+    spec = AlgebraSpec.from_pairs("abelian", (0,) * a.n, alpha, {})
+    assert alpha_shift(spec, a) == GradedMap(reference_matmul(a.matrix, alpha), a.degree)
+    assert left.matmul(right) == reference_matmul(left, right)
+    assert left.matvec(v) == reference_matmul(left, Matrix(a.n, 1, v)).entries
+
+
+@given(_product_cases())
+def test_one_matrix_on_both_sides_twice_in_a_row(case):
+    """Products and eliminations read a matrix's cached sparse view; none
+    may change it, so the same object gives the same answers again."""
+    m = case[0].matrix
+    even, odd = GradedMap(m, 0), GradedMap(m, 1)
+    view = {r: dict(row) for r, row in m._sparse.items()}
+    square = reference_matmul(m, m)
+    for _ in range(2):
+        assert m.matmul(m) == square
+        assert compose(odd, odd) == GradedMap(square, 0)
+        assert jordan_product(even, even) == GradedMap(square.scale(2), 0)
+        assert supercommutator(even, even).is_zero()
+        assert jordan_product(odd, odd).is_zero()
+        rref(m)
+        rows = Subspace(m.cols, tuple(m.row(r) for r in range(m.rows)))
+        assert all(contains(rows, m.row(r)) for r in range(m.rows))
+    assert m._sparse == view == Matrix(m.rows, m.cols, m.entries)._sparse
+
+
+def test_cached_views_are_not_fields():
+    m = Matrix.from_rows([[1, 0, "1/2"], [0, 0, 0], [-2, 3, 0]])
+    s = Subspace(3, ((2, 0, 1), (0, 3, 0)))
+    before = [(x, hash(x), repr(x)) for x in (m, s)]
+    m.matmul(m)
+    contains(s, (2, 3, 1))
+    assert "_sparse" in vars(m) and "_reduced" in vars(s)
+    for x, h, text in before:
+        twin = dataclasses.replace(x)
+        assert x == twin and hash(x) == h == hash(twin) and repr(x) == text
+    assert [f.name for f in dataclasses.fields(Matrix)] == ["rows", "cols", "entries"]
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient_dim", "basis"]
 
 
 def test_solver_matches_oracle_spot(bundled):
