@@ -2,30 +2,33 @@
 
 An algebra is a graded basis e_1..e_n, a bracket table giving the
 coordinates of every [e_i, e_j], and an even twist matrix acting on
-coordinate columns.  Validation checks super skew-symmetry, evenness,
-the twisted Jacobi identity and multiplicativity of the twist, on basis
-tuples only; bilinearity extends each identity to the whole space, so
-that is exhaustive.
+coordinate columns.  The dense table is the public format; every reader
+goes through one cached sparse view of its nonzeros and one sparse
+bilinear product over it, ``_bracket``.  Validation checks super
+skew-symmetry, evenness, the twisted Jacobi identity and multiplicativity
+of the twist, on basis tuples only; bilinearity extends each identity to
+the whole space, so that is exhaustive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .linalg import (
+    _ZERO,
     Matrix,
     Rat,
+    Row,
     Subspace,
     Vec,
+    _nonzeros,
+    _sparse_sum,
+    _subtract,
     is_zero_vec,
     nullspace,
-    vadd,
     vec,
-    vscale,
-    vsub,
     zero_vec,
 )
 
@@ -73,6 +76,12 @@ class AlgebraSpec:
     _hash = cached_property(lambda s: hash(
         (s.name, s.degrees, s.alpha, s.brackets, s.basis_names)))
 
+    # {(i, j): {m: nonzero}} of the nonzero brackets in (i, j) order; once
+    # per spec like _hash, not a field, read-only
+    _sparse = cached_property(lambda s: {
+        (i, j): row for i, r in enumerate(s.brackets)
+        for j, v in enumerate(r) if (row := _nonzeros(v))})
+
     @property
     def n(self) -> int:
         return len(self.degrees)
@@ -118,24 +127,33 @@ class AlgebraSpec:
                    tuple(basis_names))
 
 
+def _bracket(spec: AlgebraSpec, a: Row, b: Row, sign: int = 1) -> Row:
+    """The nonzeros of sign * [a, b], sign +1 or -1, for a and b given as
+    {index: nonzero}: one ``_sparse_sum`` of the products a_i b_j against
+    the sparse view, so zero brackets cost nothing."""
+    pairs = {(i, j): x * y for i, x in a.items() for j, y in b.items()}
+    return _sparse_sum((sign, {0: pairs}, spec._sparse)).get(0, {})
+
+
+def _add(*rows: Row) -> Row:
+    """The nonzeros of a sum of sparse vectors."""
+    out: Row = {}
+    for row in rows:
+        _subtract(out, -1, row)
+    return out
+
+
+def _dense_vec(row: Row, n: int) -> Vec:
+    return tuple(row.get(m, _ZERO) for m in range(n))
+
+
 def bracket(spec: AlgebraSpec, u: Sequence[Rat], v: Sequence[Rat]) -> Vec:
-    """[u, v] by bilinear extension of the structure constants."""
+    """[u, v] by bilinear extension of the structure constants, as a
+    dense vector; ``_bracket`` does the work on the nonzeros."""
     a, b = vec(u), vec(v)
     if len(a) != spec.n or len(b) != spec.n:
         raise ValueError("vectors must match the algebra dimension")
-    out = [Fraction(0)] * spec.n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        row = spec.brackets[i]
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            f = ai * bj
-            for m, cm in enumerate(row[j]):
-                if cm:
-                    out[m] += f * cm
-    return tuple(out)
+    return _dense_vec(_bracket(spec, _nonzeros(a), _nonzeros(b)), spec.n)
 
 
 @dataclass(frozen=True)
@@ -183,83 +201,64 @@ class ValidationReport:
 @lru_cache(maxsize=1024)
 def validate(spec: AlgebraSpec) -> ValidationReport:
     """Check every axiom on all basis tuples; failures are collected,
-    never thrown."""
-    n, deg = spec.n, spec.degrees
-    failures: list[IdentityFailure] = []
+    never thrown, per identity in index order with dense residuals.
 
-    even_ok = True
-    for m in range(n):
-        for i in range(n):
-            if deg[m] != deg[i] and spec.alpha.at(m, i):
-                even_ok = False
-                failures.append(IdentityFailure(
-                    "twist evenness", (m, i), (spec.alpha.at(m, i),)))
-    for i in range(n):
-        for j in range(n):
-            want = (deg[i] + deg[j]) % 2
-            for m, cm in enumerate(spec.brackets[i][j]):
-                if cm and deg[m] != want:
-                    even_ok = False
-                    failures.append(IdentityFailure(
-                        "bracket evenness", (i, j, m), (cm,)))
+    Everything runs on the sparse view: evenness walks the nonzeros, skew
+    the nonzero pairs and their transposes, and Jacobi only the live
+    triples, those with a nonzero inner bracket, since a term whose inner
+    bracket vanishes is zero.  Multiplicativity visits every pair, as
+    [alpha e_i, alpha e_j] may be nonzero where [e_i, e_j] is not.
+    """
+    n, deg, table = spec.n, spec.degrees, spec._sparse
+    acol = {i: _nonzeros(spec.alpha.col(i)) for i in range(n)}
 
-    skew_ok = True
-    for i in range(n):
-        for j in range(n):
-            s = parity_sign(deg[i], deg[j])
-            res = vadd(spec.brackets[j][i], vscale(s, spec.brackets[i][j]))
-            if not is_zero_vec(res):
-                skew_ok = False
-                failures.append(IdentityFailure(
-                    "super skew-symmetry", (j, i), res))
+    twist = [IdentityFailure("twist evenness", (m, i), (x,))
+             for m, row in spec.alpha._sparse.items() for i, x in row.items()
+             if deg[m] != deg[i]]
+    graded = [IdentityFailure("bracket evenness", (i, j, m), (x,))
+              for (i, j), row in table.items() for m, x in row.items()
+              if deg[m] != (deg[i] + deg[j]) % 2]
+    skew = [IdentityFailure("super skew-symmetry", (j, i), _dense_vec(res, n))
+            for i, j in sorted(table.keys() | {(j, i) for i, j in table})
+            if (res := _add(table.get((j, i), {}), _bracket(
+                spec, {i: 1}, {j: 1}, parity_sign(deg[i], deg[j]))))]
 
-    acol = [spec.alpha.col(i) for i in range(n)]
+    def jacobi_term(x: int, y: int, z: int) -> Row:
+        # (-1)^{|e_z||e_x|} [alpha e_x, [e_y, e_z]]
+        return _bracket(spec, acol[x], table.get((y, z), {}),
+                        parity_sign(deg[z], deg[x]))
 
-    jacobi_ok = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t1 = vscale(parity_sign(deg[k], deg[i]),
-                            bracket(spec, acol[i], spec.brackets[j][k]))
-                t2 = vscale(parity_sign(deg[i], deg[j]),
-                            bracket(spec, acol[j], spec.brackets[k][i]))
-                t3 = vscale(parity_sign(deg[j], deg[k]),
-                            bracket(spec, acol[k], spec.brackets[i][j]))
-                res = vadd(vadd(t1, t2), t3)
-                if not is_zero_vec(res):
-                    jacobi_ok = False
-                    failures.append(IdentityFailure(
-                        "twisted Jacobi", (i, j, k), res))
+    live = sorted({t for a, b in table for x in range(n)
+                   for t in ((x, a, b), (b, x, a), (a, b, x))})
+    jacobi = [IdentityFailure("twisted Jacobi", (i, j, k), _dense_vec(res, n))
+              for i, j, k in live
+              if (res := _add(jacobi_term(i, j, k), jacobi_term(j, k, i),
+                              jacobi_term(k, i, j)))]
+    # alpha [e_i, e_j] - [alpha e_i, alpha e_j]; the view as a matrix with
+    # rows (i, j) times alpha's columns gives every alpha [e_i, e_j] at once
+    twisted = _sparse_sum((1, table, acol))
+    mult = [IdentityFailure("multiplicativity", (i, j), _dense_vec(res, n))
+            for i in range(n) for j in range(n)
+            if (res := _add(twisted.get((i, j), {}),
+                            _bracket(spec, acol[i], acol[j], -1)))]
 
-    mult_ok = True
-    for i in range(n):
-        for j in range(n):
-            res = vsub(spec.alpha.matvec(spec.brackets[i][j]),
-                       bracket(spec, acol[i], acol[j]))
-            if not is_zero_vec(res):
-                mult_ok = False
-                failures.append(IdentityFailure(
-                    "multiplicativity", (i, j), res))
-
-    return ValidationReport(skew_ok, even_ok, jacobi_ok, mult_ok,
-                            tuple(failures))
+    return ValidationReport(not skew, not (twist or graded), not jacobi,
+                            not mult, (*twist, *graded, *skew, *jacobi, *mult))
 
 
 @lru_cache(maxsize=1024)
 def center(spec: AlgebraSpec) -> Subspace:
     """{v : [v, e_j] = 0 for all j}, as the kernel of the stacked
-    adjoint system."""
+    adjoint system: row j n + m, column i holds [e_i, e_j]_m."""
     n = spec.n
-    rows = [[spec.brackets[i][j][m] for i in range(n)]
-            for j in range(n) for m in range(n)]
-    if not rows:
-        return Subspace.full(n)
-    return nullspace(Matrix.from_rows(rows, n))
+    rows: list[Row] = [{} for _ in range(n * n)]
+    for (i, j), row in spec._sparse.items():
+        for m, x in row.items():
+            rows[j * n + m][i] = x
+    return nullspace(Matrix.from_sparse(rows, n))
 
 
 def derived_subalgebra(spec: AlgebraSpec) -> Subspace:
     """Span of all basis brackets [e_i, e_j]."""
     return Subspace.from_vectors(
-        spec.n,
-        [spec.brackets[i][j] for i in range(spec.n) for j in range(spec.n)])
-
+        spec.n, [spec.brackets[i][j] for i, j in spec._sparse])

@@ -19,7 +19,7 @@ from .extension import (
     verify_phi_properties,
 )
 from .fileformat import parse_map_tuple
-from .linalg import Matrix, contains, format_matrix, format_vec, is_zero_vec
+from .linalg import Matrix, contains, format_matrix, format_vec
 from .spaces import (
     CheckReport,
     SpaceKind,
@@ -191,10 +191,7 @@ def _extension_checks(spec: AlgebraSpec):
     axioms_ok = rep.axioms_ok
     mult_ok = rep.multiplicative_ok or not base_rep.multiplicative_ok
     n = spec.n
-    nil_ok = all(
-        is_zero_vec(ext.spec.brackets[i][j])
-        for i in range(2 * n) for j in range(2 * n)
-        if i >= n or j >= n)
+    nil_ok = all(i < n and j < n for i, j in ext.spec._sparse)
     return ext, rep, axioms_ok and mult_ok, nil_ok
 
 

@@ -74,15 +74,9 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     n = base.n
     degrees = base.degrees + base.degrees
     alpha = block_diag(base.alpha, base.alpha)
-    pairs = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and base.degrees[i] == 0:
-                continue
-            coeffs = base.brackets[i][j]
-            if is_zero_vec(coeffs):
-                continue
-            pairs[(i, j)] = zero_vec(n) + coeffs
+    # validated, so an even [e, e] vanishes and is not in the view
+    pairs = {(i, j): zero_vec(n) + base.brackets[i][j]
+             for i, j in base._sparse if i <= j}
     names = tuple(f"{nm}t" for nm in base.basis_names) + \
         tuple(f"{nm}t2" for nm in base.basis_names)
     spec = AlgebraSpec.from_pairs(f"{base.name}_ext", degrees, alpha, pairs, names)

@@ -127,32 +127,31 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
     return AlgebraSpec.from_pairs(name, degrees, alpha, pairs, tuple(names))
 
 
-def parse_algebra(path) -> AlgebraSpec:
-    p = Path(path)
+def _read_json(path) -> Any:
+    """The document in a JSON file; any failure to read or decode it,
+    including nesting too deep for the decoder, a binary file and an
+    integer too long to convert, raises AlgebraFileError naming the path."""
     try:
-        text = p.read_text()
-    except OSError as exc:
-        raise AlgebraFileError(f"{path}: {exc}") from None
-    try:
-        doc = json.loads(text)
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return algebra_from_dict(doc, source=str(path))
+    # UnicodeDecodeError is a ValueError
+    except (OSError, RecursionError, ValueError) as exc:
+        raise AlgebraFileError(f"{path}: {exc}") from None
+
+
+def parse_algebra(path) -> AlgebraSpec:
+    return algebra_from_dict(_read_json(path), source=str(path))
 
 
 def algebra_to_dict(spec: AlgebraSpec) -> dict:
     """Serialize back to the file schema (i <= j brackets only)."""
     n = spec.n
-    out_brackets = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and spec.degrees[i] == 0:
-                continue
-            coeffs = spec.brackets[i][j]
-            result = [[str(c), m] for m, c in enumerate(coeffs) if c]
-            if result:
-                out_brackets.append({"left": i, "right": j, "result": result})
+    out_brackets = [
+        {"left": i, "right": j, "result": [[str(c), m] for m, c in row.items()]}
+        for (i, j), row in spec._sparse.items()
+        if i < j or (i == j and spec.degrees[i])]
     return {
         "name": spec.name,
         "basis": [{"name": nm, "degree": d}
@@ -173,14 +172,7 @@ def parse_map_tuple(path, n: int, count: int) -> tuple[GradedMap, ...]:
     Schema: {"degree": 0 or 1, "maps": [matrix, ...]} with each matrix
     an n x n array of rational strings or integers.
     """
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise AlgebraFileError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(
-            f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise AlgebraFileError(f"{path}: top level must be an object")
     degree = doc.get("degree", 0)

@@ -59,19 +59,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(s: Rat, a: Sequence[Fraction]) -> Vec:
-    f = frac(s)
-    return tuple(f * x for x in a)
-
-
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 

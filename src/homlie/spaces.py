@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Sequence
 
-from .algebra import AlgebraSpec, bracket, center, parity_sign, validate
+from .algebra import AlgebraSpec, _bracket, center, parity_sign, validate
 from .linalg import (
     Matrix,
     Subspace,
@@ -37,7 +37,6 @@ from .linalg import (
     format_matrix,
     nullspace,
     rank,
-    unit_vec,
 )
 
 _F0 = Fraction(0)
@@ -219,15 +218,12 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     width = len(allowed)
 
     ak = spec.alpha.power(k)
-    akcol = [ak.col(i) for i in range(n)]
-    signed = [[parity_sign(degree, deg[i]) * x for x in akcol[i]]
-              for i in range(n)]
+    akcol = [_nonzeros(ak.col(i)) for i in range(n)]
     # right[j][l] = [e_l, a^k e_j],  left[i][l] = (-1)^{theta|e_i|} [a^k e_i, e_l]
-    right = [[_nonzeros(bracket(spec, unit_vec(n, l), akcol[j])) for l in range(n)]
+    right = [[_bracket(spec, {l: 1}, akcol[j]) for l in range(n)]
              for j in range(n)]
-    left = [[_nonzeros(bracket(spec, signed[i], unit_vec(n, l))) for l in range(n)]
-            for i in range(n)]
-    brackets = [[_nonzeros(v) for v in row] for row in spec.brackets]
+    left = [[_bracket(spec, akcol[i], {l: 1}, parity_sign(degree, deg[i]))
+             for l in range(n)] for i in range(n)]
 
     rows: list[dict[int, Fraction]] = []
 
@@ -257,7 +253,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     for i in range(n):
         for j in range(n):
             sides = {"right": (i, right[j]), "left": (j, left[i]),
-                     "eval": (None, brackets[i][j])}
+                     "eval": (None, spec._sparse.get((i, j), {}))}
             for equation in IDENTITIES[kind]:
                 emit([(c, *sides[side], sign) for side, c, sign in equation])
 

@@ -17,15 +17,23 @@ Gauss-Jordan loop that the sparse ``rref`` replaced, the dense product
 loop and the map products as they were written with ``Matrix.scale`` by
 a +-1 sign, the per-quadruple Jordan loop that the memoised sparse
 engine replaced, the ordered-pair walk of the circle super-commutativity
-check, and the coordinate-subspace intersection that found the pairs
-with a vanishing first map for the phi check.
+check, the coordinate-subspace intersection that found the pairs
+with a vanishing first map for the phi check, and the dense ``validate``
+that the sparse view of the structure constants replaced.
 """
 
 import itertools
 from fractions import Fraction
 
 from homlie import extension, spaces
-from homlie.algebra import AlgebraSpec, center, parity_sign, validate
+from homlie.algebra import (
+    AlgebraSpec,
+    IdentityFailure,
+    ValidationReport,
+    center,
+    parity_sign,
+    validate,
+)
 from homlie.linalg import (
     Matrix,
     Subspace,
@@ -655,3 +663,81 @@ def reference_zero_first_pairs(pairs: Subspace, nn: int) -> Subspace:
     coord = Subspace.from_vectors(
         width, [unit_vec(width, i) for i in range(nn, width)])
     return subspace_intersection(pairs, coord)
+
+
+def reference_validate(spec: AlgebraSpec) -> ValidationReport:
+    """``algebra.validate`` as it was before it read the sparse view: four
+    dense loops over every basis pair and triple of the table, brackets
+    through ``brute_bracket``.  Failures in the same order, with the same
+    indices and dense residuals."""
+    n, deg = spec.n, spec.degrees
+    failures: list[IdentityFailure] = []
+
+    def vadd(a, b):
+        return tuple(x + y for x, y in zip(a, b, strict=True))
+
+    def vscale(s, a):
+        return tuple(s * x for x in a)
+
+    def nonzero(a):
+        return any(x != 0 for x in a)
+
+    even_ok = True
+    for m in range(n):
+        for i in range(n):
+            if deg[m] != deg[i] and spec.alpha.at(m, i):
+                even_ok = False
+                failures.append(IdentityFailure(
+                    "twist evenness", (m, i), (spec.alpha.at(m, i),)))
+    for i in range(n):
+        for j in range(n):
+            want = (deg[i] + deg[j]) % 2
+            for m, cm in enumerate(spec.brackets[i][j]):
+                if cm and deg[m] != want:
+                    even_ok = False
+                    failures.append(IdentityFailure(
+                        "bracket evenness", (i, j, m), (cm,)))
+
+    skew_ok = True
+    for i in range(n):
+        for j in range(n):
+            s = parity_sign(deg[i], deg[j])
+            res = vadd(spec.brackets[j][i], vscale(s, spec.brackets[i][j]))
+            if nonzero(res):
+                skew_ok = False
+                failures.append(IdentityFailure(
+                    "super skew-symmetry", (j, i), res))
+
+    acol = [spec.alpha.col(i) for i in range(n)]
+
+    def br(u, v):
+        return tuple(brute_bracket(spec, u, v))
+
+    jacobi_ok = True
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                t1 = vscale(parity_sign(deg[k], deg[i]),
+                            br(acol[i], spec.brackets[j][k]))
+                t2 = vscale(parity_sign(deg[i], deg[j]),
+                            br(acol[j], spec.brackets[k][i]))
+                t3 = vscale(parity_sign(deg[j], deg[k]),
+                            br(acol[k], spec.brackets[i][j]))
+                res = vadd(vadd(t1, t2), t3)
+                if nonzero(res):
+                    jacobi_ok = False
+                    failures.append(IdentityFailure(
+                        "twisted Jacobi", (i, j, k), res))
+
+    mult_ok = True
+    for i in range(n):
+        for j in range(n):
+            res = vadd(spec.alpha.matvec(spec.brackets[i][j]),
+                       vscale(-1, br(acol[i], acol[j])))
+            if nonzero(res):
+                mult_ok = False
+                failures.append(IdentityFailure(
+                    "multiplicativity", (i, j), res))
+
+    return ValidationReport(skew_ok, even_ok, jacobi_ok, mult_ok,
+                            tuple(failures))

@@ -259,6 +259,23 @@ def test_exponent_literal_exits_two_at_once(capsys, tmp_path):
     assert "bad rational literal '1e1000000'" in err
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 200000 + b"]" * 200000,  # deeper than the decoder recurses
+    bytes(range(256)),  # not UTF-8
+    b'{"degree": ' + b"9" * 5000 + b"}",  # past the int conversion limit
+], ids=["deep", "binary", "long-int"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["decompose", "ex2_5", "--k", "0", "--triple"]])
+def test_unreadable_json_exits_two_naming_the_file(capsys, tmp_path, argv,
+                                                   content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
 _COMMANDS = ("validate", "center", "solve", "chain", "laws", "decompose",
              "extend", "embed", "jordan", "report")
 _VALUES = st.sampled_from(["-1", "0", "1", "x"])
