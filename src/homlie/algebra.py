@@ -213,7 +213,7 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     acol = {i: _nonzeros(spec.alpha.col(i)) for i in range(n)}
 
     twist = [IdentityFailure("twist evenness", (m, i), (x,))
-             for m, row in spec.alpha._sparse.items() for i, x in row.items()
+             for m, row in spec.alpha._sparse.items() for i, x in sorted(row.items())
              if deg[m] != deg[i]]
     graded = [IdentityFailure("bracket evenness", (i, j, m), (x,))
               for (i, j), row in table.items() for m, x in row.items()

@@ -2,13 +2,14 @@
 
 Everything runs on :class:`fractions.Fraction`, so row reduction,
 nullspaces and the subspace lattice (membership, sum, intersection) are
-exact.  Matrices are dense but cache a sparse view {row: {col: nonzero}},
-as the solver's systems are under 1% nonzero.  One sparse Gauss-Jordan,
-``_reduce``, behind ``rref`` (unique, so pivot order is free) answers
-every elimination: a sum is the RREF of the stacked bases, an intersection
-that of the Zassenhaus rows [a | a] over [b | 0], and membership runs its
-elimination step against a :class:`Subspace`'s cached reduced basis.
-One routine, ``_sparse_sum``, forms every product from sparse views.
+exact.  Matrices are dense but hold a sparse view {row: {col: nonzero}},
+as the solver's systems are under 1% nonzero; ``from_sparse`` records it
+from its rows, other matrices build it on first read.  One sparse
+Gauss-Jordan, ``_reduce``, behind ``rref`` (unique, so pivot order is
+free) answers every elimination: a sum is the RREF of the stacked bases,
+an intersection that of the Zassenhaus rows [a | a] over [b | 0], and
+membership runs its elimination step against a :class:`Subspace`'s
+cached reduced basis.  One routine, ``_sparse_sum``, forms every product.
 """
 
 from __future__ import annotations
@@ -95,14 +96,18 @@ class Matrix:
 
     @classmethod
     def from_sparse(cls, data: Sequence[Mapping[int, Rat]], cols: int) -> "Matrix":
-        """One row per mapping of column index to entry; absent entries are 0."""
+        """Rows as {column: entry}, absent 0; a copy of the nonzeros is the view."""
         entries = [_ZERO] * (len(data) * cols)
+        view: dict[int, Row] = {}
         for r, row in enumerate(data):
             for c, x in row.items():
                 if not 0 <= c < cols:
                     raise ValueError(f"column {c} outside 0..{cols - 1}")
-                entries[r * cols + c] = frac(x)
-        return cls(len(data), cols, tuple(entries))
+                if x := frac(x):
+                    entries[r * cols + c] = view.setdefault(r, {})[c] = x
+        m = cls(len(data), cols, tuple(entries))
+        m.__dict__["_sparse"] = view
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -119,7 +124,8 @@ class Matrix:
 
     _hash = cached_property(lambda m: hash((m.rows, m.cols, m.entries)))
 
-    # nonzero rows only; once per matrix like _hash, not a field, read-only
+    # nonzero rows only, ascending, and each row's columns ascending unless
+    # from_sparse recorded them in its input's order; not a field, read-only
     _sparse = cached_property(lambda m: {
         r: row for r in range(m.rows) if (row := _nonzeros(m.row(r)))})
 
@@ -136,14 +142,13 @@ class Matrix:
         w = vec(v)
         if len(w) != self.cols:
             raise ValueError("matvec length mismatch")
-        out = _sparse_sum((1, self._sparse, Matrix(len(w), 1, w)._sparse))
-        return tuple(out.get(r, {0: _ZERO})[0] for r in range(self.rows))
+        return self.matmul(Matrix(len(w), 1, w)).entries
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
-        return _dense(_sparse_sum((1, self._sparse, other._sparse)),
-                      self.rows, other.cols)
+        rows = _sparse_sum((1, self._sparse, other._sparse))
+        return Matrix.from_sparse([rows.get(r, {}) for r in range(self.rows)], other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -189,11 +194,6 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 def _nonzeros(row: Sequence[Fraction]) -> Row:
     # zeros built here are the one _ZERO, and `is` is cheaper than truth
     return {c: x for c, x in enumerate(row) if x is not _ZERO and x}
-
-
-def _dense(rows: Mapping[int, Row], n_rows: int, cols: int) -> Matrix:
-    """The matrix of sparse rows {row: {col: nonzero}}, absent rows zero."""
-    return Matrix.from_sparse([rows.get(r, {}) for r in range(n_rows)], cols)
 
 
 def _sparse_sum(*terms) -> dict[int, Row]:
@@ -279,8 +279,6 @@ class Subspace:
         for v in vs:
             if len(v) != ambient_dim:
                 raise ValueError(f"expected vectors of length {ambient_dim}")
-        if not vs:
-            return cls(ambient_dim, ())
         reduced, _, rk = rref(Matrix.from_rows(vs, ambient_dim))
         return cls(ambient_dim, tuple(reduced.row(i) for i in range(rk)))
 
@@ -334,8 +332,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    if a.is_zero() or b.is_zero():
-        return Subspace.zero(n)
     stacked = [row + row for row in a.basis] + [row + zero_vec(n) for row in b.basis]
     reduced, pivots, _ = rref(Matrix.from_rows(stacked, 2 * n))
     inter = Subspace(n, tuple(reduced.row(r)[n:]
@@ -347,16 +343,13 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
 def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}: per free column
-    f of the RREF R, e_f - sum_r R[r, f] e_{pivot r}, built from the
-    nonzeros of R's pivot rows and made canonical by one more ``rref``."""
-    reduced, pivots, _ = rref(m)
-    kernel = {f: {f: _ONE} for f in sorted(set(range(m.cols)) - set(pivots))}
-    for r, p in enumerate(pivots):
-        for c, x in _nonzeros(reduced.row(r)).items():
-            if c != p:
-                kernel[c][p] = -x
-    if not kernel:
-        return Subspace.zero(m.cols)
+    f, e_f - sum_p R[p, f] e_p over the pivot rows R[p] that ``_reduce``
+    leaves of m's sparse view, made canonical by one ``rref``."""
+    done = _reduce(dict(row) for row in m._sparse.values())
+    kernel = {f: {f: _ONE} for f in range(m.cols) if f not in done}
+    for p, row in done.items():
+        for c, x in row.items():
+            kernel[c][p] = -x
     basis, _, dim = rref(Matrix.from_sparse(list(kernel.values()), m.cols))
     return Subspace(m.cols, tuple(basis.row(i) for i in range(dim)))
 

@@ -27,10 +27,11 @@ from typing import Sequence
 
 from .algebra import AlgebraSpec, _bracket, center, parity_sign, validate
 from .linalg import (
+    _ZERO,
     Matrix,
     Subspace,
     Vec,
-    _dense,
+    _eliminate,
     _nonzeros,
     _sparse_sum,
     contains,
@@ -38,8 +39,6 @@ from .linalg import (
     nullspace,
     rank,
 )
-
-_F0 = Fraction(0)
 
 
 class SpaceKind(Enum):
@@ -104,7 +103,8 @@ def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
     """ab + s (-1)^{|a||b|} ba by one ``_sparse_sum``; degrees add mod 2."""
     if a.n != b.n:
         raise ValueError("ambient dimension mismatch")
-    return GradedMap(_dense(_sparse_sum(*_terms(a, b, s)), a.n, a.n),
+    rows = _sparse_sum(*_terms(a, b, s))
+    return GradedMap(Matrix.from_sparse([rows.get(r, {}) for r in range(a.n)], a.n),
                      (a.degree + b.degree) % 2)
 
 
@@ -162,6 +162,12 @@ class MapSpace:
 
 def tuple_vector(maps: Sequence[GradedMap]) -> Vec:
     return tuple(x for g in maps for x in g.flatten())
+
+
+def _coords(*maps: GradedMap) -> dict[int, Fraction]:
+    """The nonzeros of ``tuple_vector(maps)``, read off the maps' views."""
+    return {(c * g.n + r) * g.n + col: x for c, g in enumerate(maps)
+            for r, row in g.matrix._sparse.items() for col, x in row.items()}
 
 
 def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
@@ -267,7 +273,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     slots = [c * nn + m * n + l for c, m, l in allowed]
     tuples = []
     for rvec in nullspace(Matrix.from_sparse(rows, width)).basis:
-        full = [_F0] * (arity * nn)
+        full = [_ZERO] * (arity * nn)
         for slot, x in zip(slots, rvec):
             full[slot] = x
         comps = tuple(
@@ -335,11 +341,11 @@ class CheckReport:
 
 
 def _first_outside(cells):
-    """Payload of the first (target, vector, payload) cell whose vector
-    lies outside its target subspace, or None.  Cells are consumed
-    lazily, so nothing after the first witness is tested."""
-    for target, vector, payload in cells:
-        if not contains(target, vector):
+    """Payload of the first (target, row, payload) cell whose ``_coords``
+    row, eliminated in place as ``contains`` does, lies outside its target,
+    or None.  Cells are consumed lazily: nothing after a witness is tested."""
+    for target, row, payload in cells:
+        if _eliminate(row, target._reduced):
             return payload
     return None
 
@@ -380,7 +386,7 @@ def _first_product_outside(op, a, b, target):
     component by component, or None.  Keyed on content: a repeated cell
     is answered once, and a changed basis is never served stale."""
     products = (tuple(op(p, q) for p, q in zip(x, y)) for x in a for y in b)
-    return _first_outside((target, tuple_vector(g), g) for g in products)
+    return _first_outside((target, _coords(*g), g) for g in products)
 
 
 def _law_witness(space, op, ka, kb, target, levels, whole=False):
@@ -421,7 +427,7 @@ _CHAIN = (
     ("C <= QDer.0", SpaceKind.C, SpaceKind.QDER),
 )
 
-_TUPLE, _CENTER, _ZERO = "tuple space", "maps into Z(L)", "zero"
+_TUPLE, _CENTER, _NULL = "tuple space", "maps into Z(L)", "zero"
 
 # (label, A, B, target): [a, b] for a in A at level k and b in B at level
 # s lies in the target at level k + s.  A kind as target is its
@@ -437,7 +443,7 @@ _LAWS = (
     ("[QDer,QDer] <= QDer (pairs)", SpaceKind.QDER, SpaceKind.QDER, _TUPLE),
     ("[GDer,GDer] <= GDer (triples)", SpaceKind.GDER, SpaceKind.GDER, _TUPLE),
     ("[C,QC] maps into the center", SpaceKind.C, SpaceKind.QC, _CENTER),
-    ("[C,QC] = 0", SpaceKind.C, SpaceKind.QC, _ZERO),
+    ("[C,QC] = 0", SpaceKind.C, SpaceKind.QC, _NULL),
 )
 
 # quasicentroid closure, [QC, QC] <= QC, which both reports observe
@@ -454,7 +460,7 @@ def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
     space = partial(_space, spec, strict)
     checks = [
         _verdict(f"{label} (k={k}, deg={th})",
-                 _first_outside((space(big, k, th)[0], g.flatten(), g)
+                 _first_outside((space(big, k, th)[0], _coords(g), g)
                                 for g, in space(small, k, th)[1]),
                  _witness)
         for k in range(k_max + 1) for th in (0, 1)
@@ -477,15 +483,15 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     space = partial(_space, spec, strict)
     fixed = {
         _CENTER: Subspace.from_vectors(
-            n * n, [tuple(zi[m] if c == l else _F0
+            n * n, [tuple(zi[m] if c == l else _ZERO
                           for m in range(n) for c in range(n))
                     for zi in z.basis for l in range(n)]),
-        _ZERO: Subspace.zero(n * n),
+        _NULL: Subspace.zero(n * n),
     }
 
     # why a law with this target is skipped, or None when it applies
     unmet = {_CENTER: None if surjective else "twist is not surjective"}
-    unmet[_ZERO] = unmet[_CENTER] or (None if centerless else "center is nonzero")
+    unmet[_NULL] = unmet[_CENTER] or (None if centerless else "center is nonzero")
 
     checks: list[Check] = []
     for k, s in _levels(k_max):
@@ -511,7 +517,7 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
         shifted = (tuple(alpha_shift(spec, g) for g in t)
                    for t in solve_space(spec, kind, k, th, strict).tuples)
         checks.append(_verdict(name, _first_outside(
-            (space(kind, k + 1, th, True)[0], tuple_vector(t), t[0])
+            (space(kind, k + 1, th, True)[0], _coords(*t), t[0])
             for t in shifted), _witness))
 
     # quasicentroid closure is an observation, not a law
@@ -526,7 +532,7 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
         checks.append(Check(vanish_label, "skipped", "hypotheses unmet"))
     else:
         nonzero = _law_witness(space, supercommutator, SpaceKind.QC,
-                               SpaceKind.QC, fixed[_ZERO], _levels(k_max))
+                               SpaceKind.QC, fixed[_NULL], _levels(k_max))
         checks.append(_verdict(vanish_label, nonzero,
                                lambda w: format_matrix(w[4].matrix)))
 
@@ -597,8 +603,8 @@ def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
     """Residual of the twisted super Jordan identity at four maps, the
     twist acting on maps by composition with alpha on the input side: a
     dense view of the engine that ``check_qc_structure`` runs."""
-    return _dense(_jordan_engine(alpha, (x, y, z, w))(0, 1, 2, 3),
-                  alpha.rows, alpha.cols)
+    rows = _jordan_engine(alpha, (x, y, z, w))(0, 1, 2, 3)
+    return Matrix.from_sparse([rows.get(r, {}) for r in range(alpha.rows)], alpha.cols)
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,

@@ -18,8 +18,10 @@ loop and the map products as they were written with ``Matrix.scale`` by
 a +-1 sign, the per-quadruple Jordan loop that the memoised sparse
 engine replaced, the ordered-pair walk of the circle super-commutativity
 check, the coordinate-subspace intersection that found the pairs
-with a vanishing first map for the phi check, and the dense ``validate``
-that the sparse view of the structure constants replaced.
+with a vanishing first map for the phi check, the dense ``validate``
+that the sparse view of the structure constants replaced, the dense
+membership walk that sparse coordinates replaced in the verifiers, and
+the two-``rref`` ``nullspace`` that now reads ``_reduce``'s pivot rows.
 """
 
 import itertools
@@ -37,9 +39,11 @@ from homlie.algebra import (
 from homlie.linalg import (
     Matrix,
     Subspace,
+    _nonzeros,
     contains,
     format_matrix,
     rank,
+    rref,
     subspace_intersection,
     unit_vec,
 )
@@ -582,6 +586,32 @@ def reference_nullspace(m: Matrix) -> Subspace:
             v[p] = -reduced.at(r, free)
         out.append(v)
     return reference_span(m.cols, out)
+
+
+def reference_two_rref_nullspace(m: Matrix) -> Subspace:
+    """``linalg.nullspace`` as it was before it read the pivot rows of
+    ``_reduce``: the kernel from the nonzeros of the dense RREF's pivot
+    rows, made canonical by a second ``rref``."""
+    reduced, pivots, _ = rref(m)
+    kernel = {f: {f: F1} for f in sorted(set(range(m.cols)) - set(pivots))}
+    for r, p in enumerate(pivots):
+        for c, x in _nonzeros(reduced.row(r)).items():
+            if c != p:
+                kernel[c][p] = -x
+    if not kernel:
+        return Subspace.zero(m.cols)
+    basis, _, dim = rref(Matrix.from_sparse(list(kernel.values()), m.cols))
+    return Subspace(m.cols, tuple(basis.row(i) for i in range(dim)))
+
+
+def reference_first_outside(cells):
+    """``spaces._first_outside`` as it was: the payload of the first
+    (target, dense vector, payload) cell whose vector ``contains``
+    rejects, or None."""
+    for target, vector, payload in cells:
+        if not contains(target, vector):
+            return payload
+    return None
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:

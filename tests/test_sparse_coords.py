@@ -1,0 +1,149 @@
+"""Membership on sparse coordinates against the dense walk it replaced.
+
+The verifiers test each formed map tuple by eliminating its nonzeros,
+read off the maps' sparse views by ``spaces._coords`` (which must equal
+the nonzeros of its dense ``tuple_vector``), against the target's
+reduced basis.  ``oracle.reference_first_outside`` is the walk
+as it stood: a dense ``tuple_vector`` per cell, tested by ``contains``.
+The views are recorded by ``Matrix.from_sparse`` and must equal the
+ones rescanned from the dense entries; the special cases for empty
+input that the general path now covers must give the same zero
+subspace.
+"""
+
+import copy
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homlie.linalg import (
+    Matrix,
+    Subspace,
+    _nonzeros,
+    subspace_intersection,
+    vec,
+)
+from homlie.spaces import (
+    GradedMap,
+    _coords,
+    _first_outside,
+    compose,
+    jordan_product,
+    supercommutator,
+    tuple_vector,
+)
+from oracle import reference_first_outside
+
+fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero = fr.filter(bool)
+
+
+def sparse_vectors(width):
+    """Mostly zero vectors of Q^width, as the verifiers' maps are."""
+    return st.dictionaries(st.integers(0, width - 1), nonzero, max_size=4).map(
+        lambda d: [d.get(i, Fraction(0)) for i in range(width)])
+
+
+@st.composite
+def graded_maps(draw, n, products=True):
+    """A map built densely (its view rescanned), from sparse rows with an
+    explicit zero (its view recorded), or as a product of two such maps,
+    which is sometimes bent: one entry moved off the product."""
+    kinds = ("dense", "sparse", "product", "bent") if products else ("dense", "sparse")
+    how = draw(st.sampled_from(kinds))
+    degree = draw(st.integers(0, 1))
+    values = draw(sparse_vectors(n * n))
+    if how == "dense":
+        return GradedMap(Matrix(n, n, tuple(values)), degree)
+    if how == "sparse":
+        return GradedMap(Matrix.from_sparse(
+            [{c: values[r * n + c] for c in reversed(range(n))} for r in range(n)],
+            n), degree)
+    a, b = draw(graded_maps(n, False)), draw(graded_maps(n, False))
+    g = draw(st.sampled_from((compose, supercommutator, jordan_product)))(a, b)
+    if how == "bent":
+        i = draw(st.integers(0, n * n - 1))
+        bent = list(g.matrix.entries)
+        bent[i] += draw(nonzero)
+        g = GradedMap(Matrix(n, n, tuple(bent)), g.degree)
+    return g
+
+
+@st.composite
+def cells(draw):
+    """Map tuples of one arity and a target whose stored basis is
+    canonical or not: some tuples' vectors and random rows, maybe joined
+    by a combination of two of them, scaled and shuffled."""
+    n, arity = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    width = arity * n * n
+    tuples = draw(st.lists(st.lists(graded_maps(n), min_size=arity, max_size=arity)
+                           .map(tuple), max_size=4))
+    rows = [list(tuple_vector(t)) for t in tuples if draw(st.booleans())]
+    rows += draw(st.lists(sparse_vectors(width), max_size=2))
+    if rows and draw(st.booleans()):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        f = draw(fr)
+        rows.append([x + f * y for x, y in zip(rows[i], rows[j])])
+    rows = [[s * x for x in r] for r, s in zip(
+        rows, draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows))))]
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        return tuples, Subspace.from_vectors(width, rows)
+    return tuples, Subspace(width, tuple(vec(r) for r in rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells())
+def test_first_outside_matches_the_dense_walk(case):
+    tuples, target = case
+    assert all(_coords(*t) == _nonzeros(tuple_vector(t)) for t in tuples)
+    reduced = copy.deepcopy(target._reduced)
+    got = _first_outside((target, _coords(*t), i) for i, t in enumerate(tuples))
+    assert got == reference_first_outside(
+        (target, tuple_vector(t), i) for i, t in enumerate(tuples))
+    # eliminating a cell's row leaves the target's cached rows as they were
+    assert target._reduced == reduced
+
+
+def test_first_outside_finds_a_bent_product():
+    a = GradedMap(Matrix.from_rows([[0, 1], [0, 0]]), 0)
+    b = GradedMap(Matrix.from_rows([[1, 0], [2, 3]]), 1)
+    ab, ba = compose(a, b), compose(b, a)
+    bent = GradedMap(Matrix(2, 2, ba.matrix.entries[:3] + (Fraction(7),)), 1)
+    # a scaled, non-canonical basis holding ab and ba but not the bent ba
+    target = Subspace(4, (tuple(2 * x for x in ab.flatten()), ba.flatten()))
+    tuples = [(ab,), (ba,), (bent,), (ab,)]
+    got = _first_outside((target, _coords(*t), i) for i, t in enumerate(tuples))
+    assert got == 2 == reference_first_outside(
+        (target, tuple_vector(t), i) for i, t in enumerate(tuples))
+
+
+# 0 in every accepted form, and nonzeros as int, "p/q" string and Fraction
+values = st.sampled_from((0, "0", Fraction(0), 3, -1, "2/3", "-5", Fraction(-7, 4)))
+
+
+@given(st.integers(0, 4).flatmap(lambda cols: st.tuples(st.just(cols), st.lists(
+    st.dictionaries(st.integers(0, cols - 1), values) if cols else st.just({}),
+    max_size=4))))
+def test_from_sparse_records_the_rescanned_view(case):
+    cols, data = case
+    m = Matrix.from_sparse(data, cols)
+    want = Matrix(m.rows, m.cols, m.entries)._sparse
+    assert m._sparse == want and list(m._sparse) == list(want)
+    # the caller's dicts are not shared with the view
+    for row in data:
+        row.clear()
+        if cols:
+            row[0] = 99
+    assert m._sparse == want
+
+
+def test_empty_inputs_give_the_zero_subspace():
+    for n in (0, 1, 3):
+        zero = Subspace.zero(n)
+        assert Subspace.from_vectors(n, []) == zero
+        for other in (zero, Subspace.full(n),
+                      Subspace(n, tuple((Fraction(2),) * n for _ in range(n > 0)))):
+            assert subspace_intersection(zero, other) == zero
+            assert subspace_intersection(other, zero) == zero

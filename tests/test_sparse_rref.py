@@ -34,6 +34,7 @@ from oracle import (
     reference_nullspace,
     reference_rref,
     reference_span,
+    reference_two_rref_nullspace,
 )
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -94,7 +95,9 @@ def test_rref_matches_dense_reference(m):
 @with_examples
 @given(rational_matrices())
 def test_nullspace_matches_dense_reference(m):
-    assert nullspace(m) == reference_nullspace(m)
+    # and the two-rref nullspace it replaced, on 0 x k, k x 0, zero and
+    # full-rank edge cases too
+    assert nullspace(m) == reference_nullspace(m) == reference_two_rref_nullspace(m)
 
 
 @with_examples

@@ -181,3 +181,15 @@ def test_sparse_view_is_not_a_field(ex2_5):
     assert "_sparse" in vars(spec) and "_sparse" not in vars(twin)
     assert spec == twin and (hash(spec), repr(spec)) == before == (
         hash(twin), repr(twin))
+
+
+def test_a_matmul_twist_fails_in_column_order():
+    # row 0 of the product is summed, and its view recorded, as
+    # {2: 5, 1: 7}; the failures still come in column order
+    a = Matrix.from_rows([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    b = Matrix.from_rows([[0, 0, 0], [0, 0, 5], [0, 7, 0]])
+    spec = AlgebraSpec("bent", (0, 1, 1), a.matmul(b), table(3, {}))
+    validate.cache_clear()
+    assert list(validate(spec).failures) == [
+        fail("twist evenness", (0, 1), 7), fail("twist evenness", (0, 2), 5)]
+    assert validate(spec) == oracle.reference_validate(spec)
