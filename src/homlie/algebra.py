@@ -260,5 +260,4 @@ def center(spec: AlgebraSpec) -> Subspace:
 
 def derived_subalgebra(spec: AlgebraSpec) -> Subspace:
     """Span of all basis brackets [e_i, e_j]."""
-    return Subspace.from_vectors(
-        spec.n, [spec.brackets[i][j] for i, j in spec._sparse])
+    return Subspace._from_sparse(spec.n, (dict(row) for row in spec._sparse.values()))

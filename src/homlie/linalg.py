@@ -5,11 +5,12 @@ nullspaces and the subspace lattice (membership, sum, intersection) are
 exact.  Matrices are dense but hold a sparse view {row: {col: nonzero}},
 as the solver's systems are under 1% nonzero; ``from_sparse`` records it
 from its rows, other matrices build it on first read.  One sparse
-Gauss-Jordan, ``_reduce``, behind ``rref`` (unique, so pivot order is
-free) answers every elimination: a sum is the RREF of the stacked bases,
-an intersection that of the Zassenhaus rows [a | a] over [b | 0], and
-membership runs its elimination step against a :class:`Subspace`'s
-cached reduced basis.  One routine, ``_sparse_sum``, forms every product.
+Gauss-Jordan, ``_reduce`` (unique, so pivot order is free), answers every
+elimination; ``Subspace._from_sparse`` builds each span by one of them
+and records its pivot rows.  A sum reduces the stacked bases, an
+intersection the Zassenhaus rows [a | a] over [b | 0], and membership
+runs the elimination step on the recorded rows.  One routine,
+``_sparse_sum``, forms every product.
 """
 
 from __future__ import annotations
@@ -276,11 +277,25 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Rat]]) -> "Subspace":
         vs = [vec(v) for v in vectors]
-        for v in vs:
-            if len(v) != ambient_dim:
-                raise ValueError(f"expected vectors of length {ambient_dim}")
-        reduced, _, rk = rref(Matrix.from_rows(vs, ambient_dim))
-        return cls(ambient_dim, tuple(reduced.row(i) for i in range(rk)))
+        if any(len(v) != ambient_dim for v in vs):
+            raise ValueError(f"expected vectors of length {ambient_dim}")
+        return cls._from_sparse(ambient_dim, map(_nonzeros, vs))
+
+    @classmethod
+    def _from_sparse(cls, ambient_dim: int, rows: Iterable[Row]) -> "Subspace":
+        """The span of sparse rows, consumed by one ``_reduce`` whose pivot
+        rows give the canonical basis and are recorded as ``_reduced``."""
+        done = _reduce(rows)
+        basis = []
+        for p in sorted(done):
+            row = [_ZERO] * ambient_dim
+            row[p] = _ONE
+            for c, x in done[p].items():
+                row[c] = x
+            basis.append(tuple(row))
+        s = cls(ambient_dim, tuple(basis))
+        s.__dict__["_reduced"] = done
+        return s
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -299,7 +314,7 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    # {pivot: row without its leading 1}, from fresh rows as _reduce eats them
+    # {pivot: row without its leading 1}; unless recorded, from fresh rows
     _reduced = cached_property(
         lambda s: _reduce(_nonzeros(row) for row in s.basis))
 
@@ -318,24 +333,24 @@ def contains(s: Subspace, v: Sequence[Rat]) -> bool:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(a.ambient_dim, list(a.basis) + list(b.basis))
+    return Subspace._from_sparse(a.ambient_dim, map(_nonzeros, a.basis + b.basis))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection by the Zassenhaus algorithm: one RREF of stacked rows.
+    """Intersection by the Zassenhaus algorithm: one reduction of stacked rows.
 
     The rows [a_i | a_i] and [b_j | 0] span {(x + y, x) : x in a, y in b};
-    the RREF rows that vanish on the left carry the canonical basis of
-    a ^ b on the right.  The dimension formula dim a + dim b =
-    dim(a+b) + dim(a^b) is checked on the way out (RuntimeError).
+    the pivot rows past column n vanish on the left and carry the
+    canonical basis of a ^ b on the right.  The dimension formula dim a +
+    dim b = dim(a+b) + dim(a^b) is checked on the way out (RuntimeError).
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    stacked = [row + row for row in a.basis] + [row + zero_vec(n) for row in b.basis]
-    reduced, pivots, _ = rref(Matrix.from_rows(stacked, 2 * n))
-    inter = Subspace(n, tuple(reduced.row(r)[n:]
-                              for r, p in enumerate(pivots) if p >= n))
+    left = [row | {c + n: x for c, x in row.items()} for row in map(_nonzeros, a.basis)]
+    done = _reduce([*left, *map(_nonzeros, b.basis)])
+    inter = Subspace._from_sparse(n, ({p - n: _ONE} | {c - n: x for c, x in row.items()}
+                                      for p, row in done.items() if p >= n))
     if a.dim + b.dim != subspace_sum(a, b).dim + inter.dim:
         raise RuntimeError("subspace intersection violates the dimension formula")
     return inter
@@ -344,14 +359,13 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}: per free column
     f, e_f - sum_p R[p, f] e_p over the pivot rows R[p] that ``_reduce``
-    leaves of m's sparse view, made canonical by one ``rref``."""
+    leaves of m's sparse view, made canonical by ``Subspace._from_sparse``."""
     done = _reduce(dict(row) for row in m._sparse.values())
     kernel = {f: {f: _ONE} for f in range(m.cols) if f not in done}
     for p, row in done.items():
         for c, x in row.items():
             kernel[c][p] = -x
-    basis, _, dim = rref(Matrix.from_sparse(list(kernel.values()), m.cols))
-    return Subspace(m.cols, tuple(basis.row(i) for i in range(dim)))
+    return Subspace._from_sparse(m.cols, kernel.values())
 
 
 def format_vec(v: Sequence[Fraction]) -> str:

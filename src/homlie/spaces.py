@@ -289,8 +289,8 @@ def project_component(space: MapSpace, index: int) -> Subspace:
         raise IndexError(
             f"component {index} out of range for {space.kind.value} "
             f"(arity {space.arity})")
-    return Subspace.from_vectors(space.n * space.n,
-                                 [t[index].flatten() for t in space.tuples])
+    return Subspace._from_sparse(space.n * space.n,
+                                 (_coords(t[index]) for t in space.tuples))
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +482,9 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     centerless = z.is_zero()
     space = partial(_space, spec, strict)
     fixed = {
-        _CENTER: Subspace.from_vectors(
-            n * n, [tuple(zi[m] if c == l else _ZERO
-                          for m in range(n) for c in range(n))
-                    for zi in z.basis for l in range(n)]),
+        _CENTER: Subspace._from_sparse(
+            n * n, ({m * n + l: x for m, x in enumerate(zi) if x}
+                    for zi in z.basis for l in range(n))),
         _NULL: Subspace.zero(n * n),
     }
 

@@ -17,11 +17,12 @@ Gauss-Jordan loop that the sparse ``rref`` replaced, the dense product
 loop and the map products as they were written with ``Matrix.scale`` by
 a +-1 sign, the per-quadruple Jordan loop that the memoised sparse
 engine replaced, the ordered-pair walk of the circle super-commutativity
-check, the coordinate-subspace intersection that found the pairs
-with a vanishing first map for the phi check, the dense ``validate``
-that the sparse view of the structure constants replaced, the dense
-membership walk that sparse coordinates replaced in the verifiers, and
-the two-``rref`` ``nullspace`` that now reads ``_reduce``'s pivot rows.
+check, the dense test of the pairs with a vanishing first map that
+phi's well-definedness check ran before it compared spans, the dense
+``validate`` that the sparse view of the structure constants replaced,
+the dense membership walk that sparse coordinates replaced in the
+verifiers, and the two-``rref`` ``nullspace`` that now reads
+``_reduce``'s pivot rows.
 """
 
 import itertools
@@ -42,10 +43,9 @@ from homlie.linalg import (
     _nonzeros,
     contains,
     format_matrix,
+    is_zero_vec,
     rank,
     rref,
-    subspace_intersection,
-    unit_vec,
 )
 from homlie.spaces import (
     Check,
@@ -684,15 +684,23 @@ def reference_circle_witness(elems):
                 None)
 
 
-def reference_zero_first_pairs(pairs: Subspace, nn: int) -> Subspace:
-    """The pairs of a pair space whose first map (the first nn
-    coordinates) vanishes, as ``verify_phi_properties`` found them before
-    it read them off the reduced rows: the intersection with the
-    coordinate subspace of the second map."""
-    width = pairs.ambient_dim
-    coord = Subspace.from_vectors(
-        width, [unit_vec(width, i) for i in range(nn, width)])
-    return subspace_intersection(pairs, coord)
+def reference_partner_determined(ext, k: int, strict: bool = True) -> tuple:
+    """Status of "partner determined on [L,L]" per degree 0, 1, as
+    ``verify_phi_properties`` decided it before it read the check off
+    spans: the pairs (0, D') are the reduced rows of the QDer tuple space
+    that pivot past the first n^2 coordinates, and each such D' must send
+    every basis vector of [L, L] to zero, tested densely."""
+    n = ext.base.n
+    nn = n * n
+    out = []
+    for th in (0, 1):
+        pairs = extension.solve_space(ext.base, SpaceKind.QDER, k, th, strict).as_subspace()
+        rows = [Matrix.from_sparse([{p: 1, **row}], pairs.ambient_dim).entries
+                for p, row in pairs._reduced.items() if p >= nn]
+        bad = any(not is_zero_vec(Matrix(n, n, row[nn:]).matvec(d))
+                  for row in rows for d in ext.derived.basis)
+        out.append("fail" if bad else "pass")
+    return tuple(out)
 
 
 def reference_validate(spec: AlgebraSpec) -> ValidationReport:

@@ -4,10 +4,14 @@ The references in tests/oracle.py eliminate with the oracle's own
 kernel_basis and canonical_rows, so agreement is two routes agreeing.
 """
 
+import copy
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from homlie import extension
+from homlie.algebra import center, derived_subalgebra
 from homlie.extension import build_extended, verify_phi_properties
 from homlie.linalg import (
     Matrix,
@@ -15,9 +19,19 @@ from homlie.linalg import (
     block_diag,
     contains,
     is_zero_vec,
+    nullspace,
     subspace_intersection,
+    subspace_sum,
+    unit_vec,
 )
-from homlie.spaces import GradedMap
+from homlie.spaces import (
+    GradedMap,
+    MapSpace,
+    SpaceKind,
+    check_bracket_laws,
+    project_component,
+    solve_space,
+)
 
 from oracle import (
     canonical_rows,
@@ -94,6 +108,77 @@ def test_pivots_leave_identity_alone(pair):
     assert a._reduced == {p: {c: x for c, x in enumerate(row) if x and c != p}
                           for p, row in zip(leads, a.basis)}
     assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+
+
+def _center_target(spec):
+    """The "maps into Z(L)" target, which check_bracket_laws builds inside:
+    caught by spying on ``Subspace._from_sparse`` while the check runs."""
+    built, real = [], Subspace._from_sparse.__func__
+
+    def spy(cls, n, rows):
+        built.append(real(cls, n, rows))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subspace, "_from_sparse", classmethod(spy))
+        check_bracket_laws(spec, 0)
+    n = spec.n
+    want = Subspace.from_vectors(n * n, [
+        [z[m] if c == l else 0 for m in range(n) for c in range(n)]
+        for z in center(spec).basis for l in range(n)])
+    return next(s for s in built if s == want)
+
+
+def _two_spans():
+    return (Subspace.from_vectors(4, [(1, 2, 0, 1), (0, 1, 1, 0), (2, 0, 1, 3)]),
+            Subspace.from_vectors(4, [(1, 3, 1, 1), (0, 0, 1, -1)]))
+
+
+# each case: (the inputs, from the bundled algebras; how to build the span)
+SPAN_CASES = {
+    "from_vectors": (lambda b: [], lambda: Subspace.from_vectors(
+        3, [(1, 2, 0), (2, 4, 1), (0, 0, 3), (1, 2, 1)])),
+    "nullspace": (lambda b: [Matrix.from_sparse(
+        [{0: 1, 2: 2}, {1: 1, 3: -1}, {0: 2, 2: 4}], 5)], nullspace),
+    "subspace_sum": (lambda b: list(_two_spans()), subspace_sum),
+    "subspace_intersection": (lambda b: list(_two_spans()), subspace_intersection),
+    "project_component": (
+        lambda b: [solve_space(b["ex2_5"], SpaceKind.QDER, 0, 0)],
+        lambda space: project_component(space, 1)),
+    "derived_subalgebra": (lambda b: [b["ex2_5"]], derived_subalgebra),
+    "center": (lambda b: [b["heisenberg3"]], center.__wrapped__),
+    "law center target": (lambda b: [b["heisenberg3"]], _center_target),
+}
+
+
+def _views(value):
+    """Every cached view inside a matrix, spec, subspace or solved space."""
+    if isinstance(value, MapSpace):
+        return [g.matrix._sparse for t in value.tuples for g in t]
+    if isinstance(value, Subspace):
+        return [value._reduced]
+    return [value._sparse]
+
+
+@pytest.mark.parametrize("case", SPAN_CASES, ids=str)
+def test_built_spans_record_their_reduced_rows(bundled, case):
+    """Every span the package builds records at construction the reduced
+    rows a fresh Subspace on its basis would compute; building it leaves
+    its inputs' views alone, and membership leaves the rows alone."""
+    make, build = SPAN_CASES[case]
+    inputs = make(bundled)
+    views = [v for x in inputs for v in _views(x)]
+    before = copy.deepcopy(views)
+    s = build(*inputs)
+    fresh = Subspace(s.ambient_dim, s.basis)
+    assert s.dim and "_reduced" in vars(s)
+    assert s._reduced == fresh._reduced
+    assert views == before
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    recorded = copy.deepcopy(s._reduced)
+    probes = list(s.basis) + [unit_vec(s.ambient_dim, i) for i in range(s.ambient_dim)]
+    assert [contains(s, v) for v in probes] == [contains(fresh, v) for v in probes]
+    assert s._reduced == recorded
 
 
 def _check_projector(p, derived, complement):

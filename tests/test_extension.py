@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -12,9 +13,9 @@ from homlie.extension import (
     verify_embedding_decomposition,
     verify_phi_properties,
 )
-from homlie.linalg import Matrix, Subspace, contains, is_zero_vec, unit_vec
+from homlie.linalg import Matrix, contains, is_zero_vec, unit_vec
 from homlie.spaces import GradedMap, SpaceKind, project_component, solve_space
-from oracle import reference_zero_first_pairs
+from oracle import reference_partner_determined
 from test_laws import _with_fault
 
 small = st.integers(-2, 2)
@@ -197,36 +198,44 @@ def test_t2_copy_always_central(bundled):
             assert contains(z, unit_vec(2 * spec.n, i))
 
 
-def _assert_zero_first_pairs_match_intersection(spec):
-    """The reduced rows that ``verify_phi_properties`` reads the pairs
-    (0, D') off span what the coordinate-subspace intersection found, at
-    every k <= 2, degree and mode; returns how many spaces have some."""
-    found = 0
-    for k, th, strict in itertools.product(range(3), (0, 1), (True, False)):
-        space = extension.solve_space(spec, SpaceKind.QDER, k, th, strict)
-        pairs, nn = space.as_subspace(), spec.n ** 2
-        rows = extension._zero_first_pairs(pairs, nn)
-        want = reference_zero_first_pairs(pairs, nn)
-        assert Subspace.from_vectors(2 * nn, rows) == want, (spec.name, k, th, strict)
-        assert len(rows) == want.dim
-        found += bool(rows)
-    return found
+def _partner_statuses(ext, k, strict):
+    return tuple(c.status for c in verify_phi_properties(ext, k, strict).checks
+                 if c.name.startswith("partner determined"))
 
 
-def test_zero_first_pairs_match_the_intersection(bundled):
-    assert sum(map(_assert_zero_first_pairs_match_intersection, bundled.values()))
+def test_partner_check_matches_reference(bundled, monkeypatch):
+    # read off the spans, (a) gives the verdict of the dense D' d test on
+    # every bundled algebra at k <= 2, strict and lax, also under the
+    # bent first pair, which leaves the stored bases non-canonical
+    for bent in (False, True):
+        if bent:
+            monkeypatch.setattr(extension, "solve_space", _with_fault(SpaceKind.QDER))
+        for spec in bundled.values():
+            ext = build_extended(spec)
+            for k, strict in itertools.product(range(3), (True, False)):
+                assert _partner_statuses(ext, k, strict) == \
+                    reference_partner_determined(ext, k, strict), (spec.name, k, strict, bent)
 
 
-def test_zero_first_pairs_match_on_a_bent_quasiderivation(bundled, monkeypatch):
-    # the bent first pair leaves the stored basis non-canonical
-    monkeypatch.setattr(extension, "solve_space", _with_fault(SpaceKind.QDER))
-    for spec in bundled.values():
-        _assert_zero_first_pairs_match_intersection(spec)
+def _with_split_partner(original):
+    """solve_space, with the even QDer spaces stored as the pairs (A, B)
+    and (A, B + I) for their first basis pair (A, B): one first map with
+    two partners that differ by the identity, nonzero on [L, L]."""
+    def split(spec, kind, k=0, degree=0, strict=True):
+        space = original(spec, kind, k, degree, strict)
+        if kind is not SpaceKind.QDER or degree or not space.tuples:
+            return space
+        a, b = space.tuples[0]
+        other = GradedMap(b.matrix + Matrix.identity(space.n), 0)
+        return dataclasses.replace(space, tuples=((a, b), (a, other)))
+
+    return split
 
 
-def test_zero_first_pairs_are_read_off_the_reduced_rows():
-    # both stored rows lead in the first map, yet their difference is the
-    # pair (0, 1): picking stored rows by their leading column misses it
-    pairs = Subspace(2, ((1, 0), (1, 1)))
-    assert extension._zero_first_pairs(pairs, 1) == [(0, 1)]
-    assert reference_zero_first_pairs(pairs, 1) == Subspace(2, ((0, 1),))
+def test_partner_check_fails_on_split_partners(ex2_5, monkeypatch):
+    monkeypatch.setattr(extension, "solve_space", _with_split_partner(extension.solve_space))
+    ext = build_extended(ex2_5)
+    assert not ext.derived.is_zero()
+    for k, strict in itertools.product((0, 1), (True, False)):
+        assert _partner_statuses(ext, k, strict) == \
+            reference_partner_determined(ext, k, strict) == ("fail", "pass")
