@@ -144,7 +144,7 @@ def _add(*rows: Row) -> Row:
 
 
 def _dense_vec(row: Row, n: int) -> Vec:
-    return tuple(row.get(m, _ZERO) for m in range(n))
+    return vec(row.get(m, _ZERO) for m in range(n))
 
 
 def bracket(spec: AlgebraSpec, u: Sequence[Rat], v: Sequence[Rat]) -> Vec:
@@ -212,10 +212,10 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     n, deg, table = spec.n, spec.degrees, spec._sparse
     acol = {i: _nonzeros(spec.alpha.col(i)) for i in range(n)}
 
-    twist = [IdentityFailure("twist evenness", (m, i), (x,))
+    twist = [IdentityFailure("twist evenness", (m, i), vec((x,)))
              for m, row in spec.alpha._sparse.items() for i, x in sorted(row.items())
              if deg[m] != deg[i]]
-    graded = [IdentityFailure("bracket evenness", (i, j, m), (x,))
+    graded = [IdentityFailure("bracket evenness", (i, j, m), vec((x,)))
               for (i, j), row in table.items() for m, x in row.items()
               if deg[m] != (deg[i] + deg[j]) % 2]
     skew = [IdentityFailure("super skew-symmetry", (j, i), _dense_vec(res, n))

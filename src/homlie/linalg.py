@@ -1,15 +1,16 @@
 """Exact linear algebra over the rational numbers.
 
-Everything runs on :class:`fractions.Fraction`, so row reduction,
-nullspaces and the subspace lattice (membership, sum, intersection) are
-exact.  Matrices are dense but hold a sparse view {row: {col: nonzero}},
-as the solver's systems are under 1% nonzero; ``from_sparse`` records it
-from its rows, other matrices build it on first read.  One sparse
-Gauss-Jordan, ``_reduce`` (unique, so pivot order is free), answers every
-elimination; ``Subspace._from_sparse`` builds each span by one of them
-and records its pivot rows.  A sum reduces the stacked bases, an
-intersection the Zassenhaus rows [a | a] over [b | 0], and membership
-runs the elimination step on the recorded rows.  One routine,
+Row reduction, nullspaces and the subspace lattice (membership, sum,
+intersection) are exact.  They run on sparse rows {col: nonzero}, as the
+solver's systems are under 1% nonzero, which hold integral values as
+``int``, some 20 times cheaper than :class:`fractions.Fraction`.  A
+matrix keeps such rows as its view {row: {col: nonzero}}; products keep
+only the view and build the dense ``Fraction`` entries on first read.
+One sparse Gauss-Jordan, ``_reduce`` (unique, so pivot order is free),
+answers every elimination; ``Subspace._from_sparse`` builds each span by
+one of them and records its pivot rows.  A sum reduces the stacked
+bases, an intersection the Zassenhaus rows [a | a] over [b | 0], and
+membership runs the elimination step on the recorded rows.  One routine,
 ``_sparse_sum``, forms every product.
 """
 
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 Rat = int | str | Fraction
 Vec = tuple[Fraction, ...]
-Row = dict[int, Fraction]  # a sparse row: column -> nonzero entry
+Row = dict[int, int | Fraction]  # a sparse row: column -> nonzero, int if integral
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -67,7 +68,8 @@ def is_zero_vec(a: Sequence[Fraction]) -> bool:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+    """Immutable matrix of Fractions: row-major ``entries`` and the sparse
+    view, each built from the other on first read; ``==`` compares views."""
 
     rows: int
     cols: int
@@ -80,6 +82,13 @@ class Matrix:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}")
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, sparse: dict[int, Row]) -> "Matrix":
+        """A matrix over a trusted view: nonzeros in range, integral as int, unshared."""
+        m = cls.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, _sparse=sparse)
+        return m
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[Rat]], cols: int | None = None) -> "Matrix":
@@ -98,17 +107,14 @@ class Matrix:
     @classmethod
     def from_sparse(cls, data: Sequence[Mapping[int, Rat]], cols: int) -> "Matrix":
         """Rows as {column: entry}, absent 0; a copy of the nonzeros is the view."""
-        entries = [_ZERO] * (len(data) * cols)
         view: dict[int, Row] = {}
         for r, row in enumerate(data):
             for c, x in row.items():
                 if not 0 <= c < cols:
                     raise ValueError(f"column {c} outside 0..{cols - 1}")
                 if x := frac(x):
-                    entries[r * cols + c] = view.setdefault(r, {})[c] = x
-        m = cls(len(data), cols, tuple(entries))
-        m.__dict__["_sparse"] = view
-        return m
+                    view.setdefault(r, {})[c] = _int(x)
+        return cls._of(len(data), cols, view)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -119,14 +125,19 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, (_ZERO,) * (rows * cols))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self._sparse) == (other.rows, other.cols, other._sparse)
+
     def __hash__(self) -> int:
-        # once per matrix: cache keys rehash them, and Fraction's hash is slow
+        # once per matrix, off the view (an int hashes as the equal Fraction)
         return self._hash
 
-    _hash = cached_property(lambda m: hash((m.rows, m.cols, m.entries)))
+    _hash = cached_property(lambda m: hash((m.rows, m.cols, _scatter(m, 0, _int))))
 
     # nonzero rows only, ascending, and each row's columns ascending unless
-    # from_sparse recorded them in its input's order; not a field, read-only
+    # the matrix was built from sparse rows; not a field, read-only
     _sparse = cached_property(lambda m: {
         r: row for r in range(m.rows) if (row := _nonzeros(m.row(r)))})
 
@@ -148,8 +159,8 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
-        rows = _sparse_sum((1, self._sparse, other._sparse))
-        return Matrix.from_sparse([rows.get(r, {}) for r in range(self.rows)], other.cols)
+        return Matrix._of(self.rows, other.cols,
+                          _sparse_sum((1, self._sparse, other._sparse)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -164,8 +175,10 @@ class Matrix:
                       tuple(x - y for x, y in zip(self.entries, other.entries)))
 
     def scale(self, s: Rat) -> "Matrix":
-        f = frac(s)
-        return Matrix(self.rows, self.cols, tuple(f * x for x in self.entries))
+        f = _int(frac(s))
+        return Matrix._of(self.rows, self.cols, {
+            r: {c: _int(f * x) for c, x in row.items()}
+            for r, row in self._sparse.items()} if f else {})
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -178,23 +191,38 @@ class Matrix:
         return out
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not self._sparse
+
+
+# a field that _of leaves unset, so a product that no one reads stays sparse
+Matrix.entries = cached_property(lambda m: _scatter(m, _ZERO, Fraction))
+Matrix.entries.__set_name__(Matrix, "entries")
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    ent: list[Fraction] = []
-    for r in range(a.rows):
-        ent.extend(a.row(r))
-        ent.extend(zero_vec(b.cols))
-    for r in range(b.rows):
-        ent.extend(zero_vec(a.cols))
-        ent.extend(b.row(r))
-    return Matrix(a.rows + b.rows, a.cols + b.cols, tuple(ent))
+    low = {r + a.rows: {c + a.cols: x for c, x in row.items()}
+           for r, row in b._sparse.items()}
+    return Matrix._of(a.rows + b.rows, a.cols + b.cols,
+                      {r: dict(row) for r, row in a._sparse.items()} | low)
+
+
+def _int(x):
+    """x as an ``int`` when integral, as sparse rows hold it."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _scatter(m: Matrix, zero, cast) -> tuple:
+    """m's entries row-major off its view: ``cast`` of each, ``zero`` elsewhere."""
+    out = [zero] * (m.rows * m.cols)
+    for r, row in m._sparse.items():
+        for c, x in row.items():
+            out[r * m.cols + c] = cast(x)
+    return tuple(out)
 
 
 def _nonzeros(row: Sequence[Fraction]) -> Row:
     # zeros built here are the one _ZERO, and `is` is cheaper than truth
-    return {c: x for c, x in enumerate(row) if x is not _ZERO and x}
+    return {c: _int(x) for c, x in enumerate(row) if x is not _ZERO and x}
 
 
 def _sparse_sum(*terms) -> dict[int, Row]:
@@ -206,17 +234,17 @@ def _sparse_sum(*terms) -> dict[int, Row]:
             out = acc.setdefault(r, {})
             for k, x in arow.items():
                 for c, y in b.get(k, {}).items():
-                    out[c] = out.get(c, _ZERO) + (x * y if sign > 0 else -x * y)
-    rows = {r: {c: x for c, x in row.items() if x} for r, row in acc.items()}
+                    out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)
+    rows = {r: {c: _int(x) for c, x in row.items() if x} for r, row in acc.items()}
     return {r: row for r, row in rows.items() if row}
 
 
-def _subtract(row: Row, f: Fraction, other: Row) -> None:
+def _subtract(row: Row, f, other: Row) -> None:
     """row -= f * other, in place, keeping only the nonzeros."""
     for c, x in other.items():
-        y = row.get(c, _ZERO) - f * x
+        y = row.get(c, 0) - f * x
         if y:
-            row[c] = y
+            row[c] = _int(y)
         else:
             del row[c]
 
@@ -232,13 +260,16 @@ def _eliminate(row: Row, done: Mapping[int, Row]) -> Row:
 def _reduce(rows: Iterable[Row]) -> dict[int, Row]:
     """Sparse Gauss-Jordan: the RREF rows of the rows' span (the rows are
     consumed) by pivot column, without their leading 1.  Each new row is
-    eliminated against the pivot rows, scaled, and then cleared from them."""
+    eliminated against the pivot rows, scaled (a pivot of +-1 needs no
+    inverse), and then cleared from them."""
     done: dict[int, Row] = {}
     for row in rows:
         if _eliminate(row, done):
             lead = min(row)
-            inv = _ONE / row.pop(lead)
-            row = {c: x * inv for c, x in row.items()}
+            pivot = row.pop(lead)
+            if pivot != 1:
+                inv = -1 if pivot == -1 else _ONE / pivot
+                row = {c: _int(x * inv) for c, x in row.items()}
             for other in done.values():
                 if lead in other:
                     _subtract(other, other.pop(lead), row)
@@ -249,9 +280,12 @@ def _reduce(rows: Iterable[Row]) -> dict[int, Row]:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """(R, pivot columns, rank): R is the RREF of m, zero rows last."""
     done = _reduce(_nonzeros(m.row(r)) for r in range(m.rows))
-    pivots = tuple(sorted(done))
-    rows = [{p: _ONE, **done[p]} for p in pivots] + [{}] * (m.rows - len(pivots))
-    return Matrix.from_sparse(rows, m.cols), pivots, len(pivots)
+    return _echelon(done, m.rows, m.cols), tuple(sorted(done)), len(done)
+
+
+def _echelon(done: Mapping[int, Row], rows: int, cols: int) -> Matrix:
+    """The RREF of ``_reduce``'s pivot rows, zero rows last."""
+    return Matrix._of(rows, cols, {r: {p: 1, **done[p]} for r, p in enumerate(sorted(done))})
 
 
 def rank(m: Matrix) -> int:
@@ -286,14 +320,8 @@ class Subspace:
         """The span of sparse rows, consumed by one ``_reduce`` whose pivot
         rows give the canonical basis and are recorded as ``_reduced``."""
         done = _reduce(rows)
-        basis = []
-        for p in sorted(done):
-            row = [_ZERO] * ambient_dim
-            row[p] = _ONE
-            for c, x in done[p].items():
-                row[c] = x
-            basis.append(tuple(row))
-        s = cls(ambient_dim, tuple(basis))
+        m = _echelon(done, len(done), ambient_dim)
+        s = cls(ambient_dim, tuple(m.row(r) for r in range(m.rows)))
         s.__dict__["_reduced"] = done
         return s
 
@@ -349,7 +377,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     left = [row | {c + n: x for c, x in row.items()} for row in map(_nonzeros, a.basis)]
     done = _reduce([*left, *map(_nonzeros, b.basis)])
-    inter = Subspace._from_sparse(n, ({p - n: _ONE} | {c - n: x for c, x in row.items()}
+    inter = Subspace._from_sparse(n, ({p - n: 1} | {c - n: x for c, x in row.items()}
                                       for p, row in done.items() if p >= n))
     if a.dim + b.dim != subspace_sum(a, b).dim + inter.dim:
         raise RuntimeError("subspace intersection violates the dimension formula")
@@ -361,7 +389,7 @@ def nullspace(m: Matrix) -> Subspace:
     f, e_f - sum_p R[p, f] e_p over the pivot rows R[p] that ``_reduce``
     leaves of m's sparse view, made canonical by ``Subspace._from_sparse``."""
     done = _reduce(dict(row) for row in m._sparse.values())
-    kernel = {f: {f: _ONE} for f in range(m.cols) if f not in done}
+    kernel = {f: {f: 1} for f in range(m.cols) if f not in done}
     for p, row in done.items():
         for c, x in row.items():
             kernel[c][p] = -x

@@ -27,8 +27,8 @@ from typing import Sequence
 
 from .algebra import AlgebraSpec, _bracket, center, parity_sign, validate
 from .linalg import (
-    _ZERO,
     Matrix,
+    Row,
     Subspace,
     Vec,
     _eliminate,
@@ -103,8 +103,7 @@ def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
     """ab + s (-1)^{|a||b|} ba by one ``_sparse_sum``; degrees add mod 2."""
     if a.n != b.n:
         raise ValueError("ambient dimension mismatch")
-    rows = _sparse_sum(*_terms(a, b, s))
-    return GradedMap(Matrix.from_sparse([rows.get(r, {}) for r in range(a.n)], a.n),
+    return GradedMap(Matrix._of(a.n, a.n, _sparse_sum(*_terms(a, b, s))),
                      (a.degree + b.degree) % 2)
 
 
@@ -156,18 +155,27 @@ class MapSpace:
         return [tuple_vector(t) for t in self.tuples]
 
     def as_subspace(self) -> Subspace:
-        # RREF over the allowed coordinates, which embed in order: canonical
-        return Subspace(self.arity * self.n * self.n, tuple(self.stacked()))
+        return Subspace._from_sparse(self.arity * self.n * self.n,
+                                     (_coords(*t) for t in self.tuples))
 
 
 def tuple_vector(maps: Sequence[GradedMap]) -> Vec:
     return tuple(x for g in maps for x in g.flatten())
 
 
-def _coords(*maps: GradedMap) -> dict[int, Fraction]:
+def _coords(*maps: GradedMap) -> Row:
     """The nonzeros of ``tuple_vector(maps)``, read off the maps' views."""
     return {(c * g.n + r) * g.n + col: x for c, g in enumerate(maps)
             for r, row in g.matrix._sparse.items() for col, x in row.items()}
+
+
+def _maps(coords: Row, n: int, arity: int, degree: int) -> tuple[GradedMap, ...]:
+    """The ``arity`` maps whose ``_coords`` are ``coords``, as views only."""
+    views: list[dict] = [{} for _ in range(arity)]
+    for i, x in coords.items():
+        c, r = divmod(i // n, n)
+        views[c].setdefault(r, {})[i % n] = x
+    return tuple(GradedMap(Matrix._of(n, n, v), degree) for v in views)
 
 
 def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
@@ -231,7 +239,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     left = [[_bracket(spec, akcol[i], {l: 1}, parity_sign(degree, deg[i]))
              for l in range(n)] for i in range(n)]
 
-    rows: list[dict[int, Fraction]] = []
+    rows: list[Row] = []
 
     def emit(terms):
         """Append the nonzero rows of sum(terms) = 0, one {unknown: nonzero}
@@ -239,7 +247,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
         stands for sign * D_c vecs when col is None and vecs is a vector,
         and for sign * sum_l D_c[l, col] vecs[l] otherwise, each vector
         given as {index: nonzero}."""
-        out = [defaultdict(Fraction) for _ in range(n)]
+        out = [defaultdict(int) for _ in range(n)]
         for c, col, vecs, sign in terms:
             if col is None:
                 for l, x in vecs.items():
@@ -271,16 +279,10 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
                 emit([(c, None, acol[l], 1), (c, l, acol, -1)])
 
     slots = [c * nn + m * n + l for c, m, l in allowed]
-    tuples = []
-    for rvec in nullspace(Matrix.from_sparse(rows, width)).basis:
-        full = [_ZERO] * (arity * nn)
-        for slot, x in zip(slots, rvec):
-            full[slot] = x
-        comps = tuple(
-            GradedMap(Matrix(n, n, tuple(full[c * nn:(c + 1) * nn])), degree)
-            for c in range(arity))
-        tuples.append(comps)
-    return MapSpace(kind, k, degree, strict, n, tuple(tuples))
+    kernel = nullspace(Matrix.from_sparse(rows, width))._reduced
+    return MapSpace(kind, k, degree, strict, n, tuple(
+        _maps({slots[p]: 1} | {slots[i]: x for i, x in kernel[p].items()},
+              n, arity, degree) for p in sorted(kernel)))
 
 
 def project_component(space: MapSpace, index: int) -> Subspace:
@@ -366,8 +368,8 @@ def _spans(solved: MapSpace, whole: bool) -> tuple[Subspace, tuple]:
     if whole:
         return solved.as_subspace(), solved.tuples
     span = project_component(solved, 0)
-    return span, tuple((GradedMap(Matrix(solved.n, solved.n, row), solved.degree),)
-                       for row in span.basis)
+    return span, tuple(_maps({p: 1} | span._reduced[p], solved.n, 1, solved.degree)
+                       for p in sorted(span._reduced))
 
 
 def _space(spec, strict, kind, k, th, whole=False):
@@ -601,9 +603,9 @@ def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
                         z: GradedMap, w: GradedMap) -> Matrix:
     """Residual of the twisted super Jordan identity at four maps, the
     twist acting on maps by composition with alpha on the input side: a
-    dense view of the engine that ``check_qc_structure`` runs."""
-    rows = _jordan_engine(alpha, (x, y, z, w))(0, 1, 2, 3)
-    return Matrix.from_sparse([rows.get(r, {}) for r in range(alpha.rows)], alpha.cols)
+    matrix over the engine that ``check_qc_structure`` runs."""
+    return Matrix._of(alpha.rows, alpha.cols,
+                      _jordan_engine(alpha, (x, y, z, w))(0, 1, 2, 3))
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,
