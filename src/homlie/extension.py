@@ -86,7 +86,7 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     r = derived.dim
     _, pivots, _ = rref(Matrix.from_rows(
         [[d[m] for d in derived.basis] + list(unit_vec(n, m)) for m in range(n)], r + n))
-    complement = Subspace(n, tuple(unit_vec(n, p - r) for p in pivots if p >= r))
+    complement = Subspace._from_sparse(n, ({p - r: 1} for p in pivots if p >= r))
     return ExtendedAlgebra(base, spec, derived, complement,
                            _derived_projection(derived, complement))
 

@@ -4,13 +4,12 @@ Row reduction, nullspaces and the subspace lattice (membership, sum,
 intersection) are exact.  They run on sparse rows {col: nonzero}, as the
 solver's systems are under 1% nonzero, which hold integral values as
 ``int``, some 20 times cheaper than :class:`fractions.Fraction`.  A
-matrix keeps such rows as its view {row: {col: nonzero}}; products keep
-only the view and build the dense ``Fraction`` entries on first read.
-One sparse Gauss-Jordan, ``_reduce`` (unique, so pivot order is free),
-answers every elimination; ``Subspace._from_sparse`` builds each span by
-one of them and records its pivot rows.  A sum reduces the stacked
-bases, an intersection the Zassenhaus rows [a | a] over [b | 0], and
-membership runs the elimination step on the recorded rows.  One routine,
+matrix holds only its view {row: {col: nonzero}}, a subspace only its
+canonical reduced rows; dense ``Fraction`` entries and bases are built
+on first read.  One sparse Gauss-Jordan, ``_reduce`` (unique, so pivot
+order is free), answers every elimination.  A sum reduces the stacked
+rows, an intersection the Zassenhaus rows [a | a] over [b | 0], and
+membership runs the elimination step on the stored rows.  One routine,
 ``_sparse_sum``, forms every product.
 """
 
@@ -68,8 +67,9 @@ def is_zero_vec(a: Sequence[Fraction]) -> bool:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable matrix of Fractions: row-major ``entries`` and the sparse
-    view, each built from the other on first read; ``==`` compares views."""
+    """Immutable matrix of Fractions, holding its sparse view from
+    construction: row-major ``entries``, unless given, are built from it on
+    first read; ``==`` compares views."""
 
     rows: int
     cols: int
@@ -82,6 +82,9 @@ class Matrix:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}")
+        # the view, nonzero rows only; not a field, read-only
+        self.__dict__["_sparse"] = {
+            r: row for r in range(self.rows) if (row := _nonzeros(self.row(r)))}
 
     @classmethod
     def _of(cls, rows: int, cols: int, sparse: dict[int, Row]) -> "Matrix":
@@ -135,11 +138,6 @@ class Matrix:
         return self._hash
 
     _hash = cached_property(lambda m: hash((m.rows, m.cols, _scatter(m, 0, _int))))
-
-    # nonzero rows only, ascending, and each row's columns ascending unless
-    # the matrix was built from sparse rows; not a field, read-only
-    _sparse = cached_property(lambda m: {
-        r: row for r in range(m.rows) if (row := _nonzeros(m.row(r)))})
 
     def at(self, r: int, c: int) -> Fraction:
         return self.entries[r * self.cols + c]
@@ -277,15 +275,16 @@ def _reduce(rows: Iterable[Row]) -> dict[int, Row]:
     return done
 
 
+def _pivot_rows(done: Mapping[int, Row]) -> list[Row]:
+    """Fresh copies of ``_reduce``'s pivot rows by pivot, leading 1 included."""
+    return [{p: 1} | done[p] for p in sorted(done)]
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """(R, pivot columns, rank): R is the RREF of m, zero rows last."""
-    done = _reduce(_nonzeros(m.row(r)) for r in range(m.rows))
-    return _echelon(done, m.rows, m.cols), tuple(sorted(done)), len(done)
-
-
-def _echelon(done: Mapping[int, Row], rows: int, cols: int) -> Matrix:
-    """The RREF of ``_reduce``'s pivot rows, zero rows last."""
-    return Matrix._of(rows, cols, {r: {p: 1, **done[p]} for r, p in enumerate(sorted(done))})
+    done = _reduce(dict(row) for row in m._sparse.values())
+    reduced = Matrix._of(m.rows, m.cols, dict(enumerate(_pivot_rows(done))))
+    return reduced, tuple(sorted(done)), len(done)
 
 
 def rank(m: Matrix) -> int:
@@ -294,64 +293,70 @@ def rank(m: Matrix) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n held as a basis (rows), canonical RREF when built here.
-
-    Membership accepts any basis, reduced once per object; equality compares
-    the stored bases, so only canonical bases compare correctly.
-    """
+    """A subspace of Q^n, stored as its canonical reduced rows: the
+    constructor reduces the basis it is given and keeps only the rows, and
+    ``basis``, the canonical RREF basis, is built from them on first read.
+    ``==``, the hash, ``dim`` and ``is_zero`` read the rows."""
 
     ambient_dim: int
     basis: tuple[Vec, ...]
 
     def __post_init__(self):
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
-                raise ValueError("basis row length does not match ambient dimension")
+        rows = [vec(row) for row in self.basis]
+        if any(len(row) != self.ambient_dim for row in rows):
+            raise ValueError("basis row length does not match ambient dimension")
+        # {pivot: row without its leading 1}; not a field, read-only
+        self.__dict__["_reduced"] = _reduce(map(_nonzeros, rows))
+        del self.__dict__["basis"]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Rat]]) -> "Subspace":
-        vs = [vec(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vs):
-            raise ValueError(f"expected vectors of length {ambient_dim}")
-        return cls._from_sparse(ambient_dim, map(_nonzeros, vs))
+        return cls(ambient_dim, tuple(vectors))
 
     @classmethod
     def _from_sparse(cls, ambient_dim: int, rows: Iterable[Row]) -> "Subspace":
-        """The span of sparse rows, consumed by one ``_reduce`` whose pivot
-        rows give the canonical basis and are recorded as ``_reduced``."""
-        done = _reduce(rows)
-        m = _echelon(done, len(done), ambient_dim)
-        s = cls(ambient_dim, tuple(m.row(r) for r in range(m.rows)))
-        s.__dict__["_reduced"] = done
+        """The span of sparse rows, which one ``_reduce`` consumes."""
+        s = cls.__new__(cls)
+        s.__dict__.update(ambient_dim=ambient_dim, _reduced=_reduce(rows))
         return s
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        return cls._from_sparse(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)))
+        return cls._from_sparse(ambient_dim, ({i: 1} for i in range(ambient_dim)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self._reduced) == (other.ambient_dim, other._reduced)
 
     def __hash__(self) -> int:
         return self._hash
 
-    _hash = cached_property(lambda s: hash((s.ambient_dim, s.basis)))
+    # once per subspace, off the rows (an int hashes as the equal Fraction)
+    _hash = cached_property(lambda s: hash((s.ambient_dim, frozenset(
+        (p, frozenset(row.items())) for p, row in s._reduced.items()))))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    # {pivot: row without its leading 1}; unless recorded, from fresh rows
-    _reduced = cached_property(
-        lambda s: _reduce(_nonzeros(row) for row in s.basis))
+        return len(self._reduced)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self._reduced
+
+
+# a field that the constructors leave unset: the RREF rows, built on first read
+Subspace.basis = cached_property(lambda s: tuple(
+    tuple(Fraction(row[c]) if c in row else _ZERO for c in range(s.ambient_dim))
+    for row in _pivot_rows(s._reduced)))
+Subspace.basis.__set_name__(Subspace, "basis")
 
 
 def contains(s: Subspace, v: Sequence[Rat]) -> bool:
-    """Exact membership, decided by eliminating v against the reduced basis."""
+    """Exact membership, decided by eliminating v against the reduced rows."""
     w = vec(v)
     if len(w) != s.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
@@ -361,7 +366,8 @@ def contains(s: Subspace, v: Sequence[Rat]) -> bool:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace._from_sparse(a.ambient_dim, map(_nonzeros, a.basis + b.basis))
+    rows = _pivot_rows(a._reduced) + _pivot_rows(b._reduced)
+    return Subspace._from_sparse(a.ambient_dim, rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -375,8 +381,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    left = [row | {c + n: x for c, x in row.items()} for row in map(_nonzeros, a.basis)]
-    done = _reduce([*left, *map(_nonzeros, b.basis)])
+    left = [row | {c + n: x for c, x in row.items()} for row in _pivot_rows(a._reduced)]
+    done = _reduce(left + _pivot_rows(b._reduced))
     inter = Subspace._from_sparse(n, ({p - n: 1} | {c - n: x for c, x in row.items()}
                                       for p, row in done.items() if p >= n))
     if a.dim + b.dim != subspace_sum(a, b).dim + inter.dim:

@@ -33,8 +33,8 @@ from .linalg import (
     Vec,
     _eliminate,
     _nonzeros,
+    _pivot_rows,
     _sparse_sum,
-    contains,
     format_matrix,
     nullspace,
     rank,
@@ -150,21 +150,13 @@ class MapSpace:
     def arity(self) -> int:
         return self.kind.arity
 
-    def stacked(self) -> list[Vec]:
-        """Each basis tuple as one flat vector, components concatenated."""
-        return [tuple_vector(t) for t in self.tuples]
-
     def as_subspace(self) -> Subspace:
         return Subspace._from_sparse(self.arity * self.n * self.n,
                                      (_coords(*t) for t in self.tuples))
 
 
-def tuple_vector(maps: Sequence[GradedMap]) -> Vec:
-    return tuple(x for g in maps for x in g.flatten())
-
-
 def _coords(*maps: GradedMap) -> Row:
-    """The nonzeros of ``tuple_vector(maps)``, read off the maps' views."""
+    """The nonzeros of the maps' stacked entries, read off their views."""
     return {(c * g.n + r) * g.n + col: x for c, g in enumerate(maps)
             for r, row in g.matrix._sparse.items() for col, x in row.items()}
 
@@ -180,10 +172,10 @@ def _maps(coords: Row, n: int, arity: int, degree: int) -> tuple[GradedMap, ...]
 
 def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
     """Exact membership of a tuple of maps in a solved space."""
-    if len(maps) != space.arity:
-        raise ValueError(
-            f"{space.kind.value} expects {space.arity} maps, got {len(maps)}")
-    return contains(_spans(space, True)[0], tuple_vector(maps))
+    if len(maps) != space.arity or any(g.n != space.n for g in maps):
+        raise ValueError(f"{space.kind.value} expects {space.arity} maps of size "
+                         f"{space.n}x{space.n}, got sizes {[g.n for g in maps]}")
+    return not _eliminate(_coords(*maps), _spans(space, True)[0]._reduced)
 
 
 # The defining identities, one README row per kind.  Each equation is a
@@ -279,10 +271,9 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
                 emit([(c, None, acol[l], 1), (c, l, acol, -1)])
 
     slots = [c * nn + m * n + l for c, m, l in allowed]
-    kernel = nullspace(Matrix.from_sparse(rows, width))._reduced
-    return MapSpace(kind, k, degree, strict, n, tuple(
-        _maps({slots[p]: 1} | {slots[i]: x for i, x in kernel[p].items()},
-              n, arity, degree) for p in sorted(kernel)))
+    kernel = _pivot_rows(nullspace(Matrix.from_sparse(rows, width))._reduced)
+    return MapSpace(kind, k, degree, strict, n, tuple(_maps(
+        {slots[i]: x for i, x in row.items()}, n, arity, degree) for row in kernel))
 
 
 def project_component(space: MapSpace, index: int) -> Subspace:
@@ -368,8 +359,8 @@ def _spans(solved: MapSpace, whole: bool) -> tuple[Subspace, tuple]:
     if whole:
         return solved.as_subspace(), solved.tuples
     span = project_component(solved, 0)
-    return span, tuple(_maps({p: 1} | span._reduced[p], solved.n, 1, solved.degree)
-                       for p in sorted(span._reduced))
+    return span, tuple(_maps(row, solved.n, 1, solved.degree)
+                       for row in _pivot_rows(span._reduced))
 
 
 def _space(spec, strict, kind, k, th, whole=False):
@@ -485,8 +476,8 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     space = partial(_space, spec, strict)
     fixed = {
         _CENTER: Subspace._from_sparse(
-            n * n, ({m * n + l: x for m, x in enumerate(zi) if x}
-                    for zi in z.basis for l in range(n))),
+            n * n, ({m * n + l: x for m, x in zi.items()}
+                    for zi in _pivot_rows(z._reduced) for l in range(n))),
         _NULL: Subspace.zero(n * n),
     }
 

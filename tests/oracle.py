@@ -21,8 +21,10 @@ check, the dense test of the pairs with a vanishing first map that
 phi's well-definedness check ran before it compared spans, the dense
 ``validate`` that the sparse view of the structure constants replaced,
 the dense membership walk that sparse coordinates replaced in the
-verifiers, and the two-``rref`` ``nullspace`` that now reads
-``_reduce``'s pivot rows.
+verifiers, the two-``rref`` ``nullspace`` that now reads ``_reduce``'s
+pivot rows, and the dense flat vector of a map tuple (``tuple_vector``,
+``stacked``) that ``space_contains`` tested before it eliminated sparse
+coordinates.
 """
 
 import itertools
@@ -56,11 +58,20 @@ from homlie.spaces import (
     compose,
     project_component,
     supercommutator,
-    tuple_vector,
 )
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def tuple_vector(maps):
+    """A tuple of maps as one flat vector, components concatenated."""
+    return tuple(x for g in maps for x in g.flatten())
+
+
+def stacked(space) -> list:
+    """Each basis tuple of a solved space as one flat vector."""
+    return [tuple_vector(t) for t in space.tuples]
 
 
 def brute_bracket(spec: AlgebraSpec, u, v):

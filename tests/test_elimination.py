@@ -136,8 +136,11 @@ def _two_spans():
 
 # each case: (the inputs, from the bundled algebras; how to build the span)
 SPAN_CASES = {
+    "Subspace": (lambda b: [], lambda: Subspace(
+        3, ((2, 4, 0), (0, 0, 0), (1, 2, 1), (3, 6, 1)))),
     "from_vectors": (lambda b: [], lambda: Subspace.from_vectors(
         3, [(1, 2, 0), (2, 4, 1), (0, 0, 3), (1, 2, 1)])),
+    "full": (lambda b: [], lambda: Subspace.full(4)),
     "nullspace": (lambda b: [Matrix.from_sparse(
         [{0: 1, 2: 2}, {1: 1, 3: -1}, {0: 2, 2: 4}], 5)], nullspace),
     "subspace_sum": (lambda b: list(_two_spans()), subspace_sum),
@@ -162,16 +165,18 @@ def _views(value):
 
 @pytest.mark.parametrize("case", SPAN_CASES, ids=str)
 def test_built_spans_record_their_reduced_rows(bundled, case):
-    """Every span the package builds records at construction the reduced
-    rows a fresh Subspace on its basis would compute; building it leaves
-    its inputs' views alone, and membership leaves the rows alone."""
+    """Every span records at construction the reduced rows a fresh
+    Subspace on its basis would compute, and builds no basis until it is
+    read; building it leaves its inputs' views alone, and membership
+    leaves the rows alone."""
     make, build = SPAN_CASES[case]
     inputs = make(bundled)
     views = [v for x in inputs for v in _views(x)]
     before = copy.deepcopy(views)
     s = build(*inputs)
+    assert "_reduced" in vars(s) and "basis" not in vars(s)
     fresh = Subspace(s.ambient_dim, s.basis)
-    assert s.dim and "_reduced" in vars(s)
+    assert s.dim and "basis" in vars(s)
     assert s._reduced == fresh._reduced
     assert views == before
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)

@@ -1,13 +1,22 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homlie.algebra import AlgebraSpec, parity_sign
+from homlie.algebra import AlgebraSpec, center, parity_sign
 from homlie.extension import build_extended
-from homlie.linalg import Matrix, Subspace, contains, rref
+from homlie.linalg import (
+    Matrix,
+    Subspace,
+    contains,
+    nullspace,
+    rref,
+    subspace_intersection,
+    subspace_sum,
+)
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
@@ -23,7 +32,6 @@ from homlie.spaces import (
     solve_space,
     space_contains,
     supercommutator,
-    tuple_vector,
 )
 from oracle import (
     _arity,
@@ -33,6 +41,8 @@ from oracle import (
     reference_jordan_product,
     reference_matmul,
     reference_supercommutator,
+    stacked,
+    tuple_vector,
 )
 
 ALL_KINDS = tuple(SpaceKind)
@@ -242,6 +252,30 @@ def test_decompose_rejects_non_member(ex2_5):
         decompose_generalized(ex2_5, 1, 0, (bad, zero, zero))
 
 
+def test_space_contains_rejects_a_wrong_arity_or_size(ex2_5):
+    space = solve_space(ex2_5, SpaceKind.QDER, 1, 0)
+    pair = space.tuples[0]
+    with pytest.raises(ValueError, match=r"expects 2 maps .* got sizes \[3\]"):
+        space_contains(space, pair[:1])
+    # the coordinates of a 2x2 or 4x4 map would land on the wrong entries
+    for n in (2, 4):
+        other = GradedMap(Matrix.identity(n), 0)
+        with pytest.raises(ValueError, match=rf"of size 3x3, got sizes \[3, {n}\]"):
+            space_contains(space, (pair[0], other))
+
+
+def test_space_contains_matches_the_dense_test(bundled):
+    for spec in bundled.values():
+        one = GradedMap(Matrix.identity(spec.n), 0)
+        for kind, th in itertools.product(ALL_KINDS, (0, 1)):
+            space = solve_space(spec, kind, 1, th)
+            probes = [*space.tuples, (one,) * space.arity]
+            probes += [(alpha_shift(spec, t[0]),) + t[1:] for t in space.tuples]
+            whole = space.as_subspace()
+            assert [space_contains(space, t) for t in probes] == \
+                [contains(whole, tuple_vector(t)) for t in probes], (spec.name, kind)
+
+
 def test_inclusion_chain_bundled(bundled):
     for spec in bundled.values():
         rep = check_inclusion_chain(spec, 2)
@@ -382,9 +416,21 @@ def test_one_matrix_on_both_sides_twice_in_a_row(case):
     assert m._sparse == view == Matrix(m.rows, m.cols, m.entries)._sparse
 
 
-def test_cached_views_are_not_fields():
+def test_cached_views_are_not_fields(heisenberg3):
     m = Matrix.from_rows([[1, 0, "1/2"], [0, 0, 0], [-2, 3, 0]])
     s = Subspace(3, ((2, 0, 1), (0, 3, 0)))
+    # every constructor leaves the one stored form, and no subspace holds
+    # a basis until it is read
+    matrices = (m, Matrix(2, 1, (Fraction(0), Fraction(2))), Matrix.identity(3),
+                Matrix.zeros(2, 3), Matrix.from_sparse([{0: 1}, {}, {2: "1/2"}], 3),
+                m.matmul(m))
+    assert all("_sparse" in vars(x) for x in matrices)
+    space = solve_space.__wrapped__(heisenberg3, SpaceKind.QDER, 0, 0, True)
+    spans = (s, Subspace.from_vectors(3, [(1, 2, 3)]), Subspace.zero(3),
+             Subspace.full(3), nullspace(m), subspace_sum(s, s),
+             subspace_intersection(s, s), project_component(space, 1),
+             center.__wrapped__(heisenberg3))
+    assert all("_reduced" in vars(x) and "basis" not in vars(x) for x in spans)
     before = [(x, hash(x), repr(x)) for x in (m, s)]
     m.matmul(m)
     contains(s, (2, 3, 1))
@@ -401,7 +447,7 @@ def test_solver_matches_oracle_spot(bundled):
     for name in ("ex2_5", "odd_heisenberg"):
         spec = bundled[name]
         for kind in ALL_KINDS:
-            got = solve_space(spec, kind, 1, 0).stacked()
+            got = stacked(solve_space(spec, kind, 1, 0))
             want = oracle_solve(spec, kind, 1, 0, True)
             assert got == want, (name, kind)
 
@@ -409,7 +455,7 @@ def test_solver_matches_oracle_spot(bundled):
 def test_solver_matches_oracle_lax(bundled):
     for name, spec in bundled.items():
         for kind, k, th in itertools.product(ALL_KINDS, (0, 1), (0, 1)):
-            got = solve_space(spec, kind, k, th, False).stacked()
+            got = stacked(solve_space(spec, kind, k, th, False))
             want = oracle_solve(spec, kind, k, th, False)
             assert got == want, (name, kind, k, th)
 
@@ -419,7 +465,7 @@ def test_solver_matches_oracle_on_double(ex2_5, strict):
     spec = build_extended(ex2_5).spec
     assert spec.n == 6
     for kind in (SpaceKind.DER, SpaceKind.QC, SpaceKind.ZDER):
-        got = solve_space(spec, kind, 1, 0, strict).stacked()
+        got = stacked(solve_space(spec, kind, 1, 0, strict))
         assert got == oracle_solve(spec, kind, 1, 0, strict), kind
 
 
@@ -443,7 +489,7 @@ def test_as_subspace_is_the_solved_basis_unreduced(bundled):
     for spec, kind, k, th, strict in itertools.product(
             specs, ALL_KINDS, range(3), (0, 1), (True, False)):
         space = solve_space(spec, kind, k, th, strict)
-        reduced = Subspace.from_vectors(space.arity * spec.n ** 2, space.stacked())
+        reduced = Subspace.from_vectors(space.arity * spec.n ** 2, stacked(space))
         assert space.as_subspace() == reduced, (spec.name, kind, k, th, strict)
         checked += 1
     assert checked == 360

@@ -31,9 +31,8 @@ from homlie.spaces import (
     compose,
     jordan_product,
     supercommutator,
-    tuple_vector,
 )
-from oracle import reference_first_outside
+from oracle import reference_first_outside, tuple_vector
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero = fr.filter(bool)
