@@ -23,6 +23,7 @@ from .linalg import (
     Row,
     Subspace,
     Vec,
+    _columns,
     _nonzeros,
     _sparse_sum,
     _subtract,
@@ -210,7 +211,7 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
     [alpha e_i, alpha e_j] may be nonzero where [e_i, e_j] is not.
     """
     n, deg, table = spec.n, spec.degrees, spec._sparse
-    acol = {i: _nonzeros(spec.alpha.col(i)) for i in range(n)}
+    acol = dict(enumerate(_columns(spec.alpha)))
 
     twist = [IdentityFailure("twist evenness", (m, i), vec((x,)))
              for m, row in spec.alpha._sparse.items() for i, x in sorted(row.items())

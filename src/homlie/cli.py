@@ -19,7 +19,7 @@ from .extension import (
     verify_phi_properties,
 )
 from .fileformat import parse_map_tuple
-from .linalg import Matrix, contains, format_matrix, format_vec
+from .linalg import Matrix, format_matrix, format_vec
 from .spaces import (
     CheckReport,
     SpaceKind,
@@ -27,7 +27,6 @@ from .spaces import (
     check_inclusion_chain,
     check_qc_structure,
     decompose_generalized,
-    project_component,
     solve_space,
     space_contains,
 )
@@ -159,10 +158,9 @@ def cmd_decompose(args) -> int:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return 1
     qspace = solve_space(spec, SpaceKind.QDER, args.k, degree, strict)
-    qc_span = project_component(
-        solve_space(spec, SpaceKind.QC, args.k, degree, strict), 0)
+    qc_space = solve_space(spec, SpaceKind.QC, args.k, degree, strict)
     in_qder = space_contains(qspace, (dq, dpartner))
-    in_qc = contains(qc_span, dc.flatten())
+    in_qc = space_contains(qc_space, (dc,))
     exact = triple[0].matrix == dq.matrix + dc.matrix
     lines = [
         f"quasiderivation part Dq = {format_matrix(dq.matrix)}",

@@ -20,13 +20,13 @@ from .algebra import AlgebraSpec, center, derived_subalgebra, validate
 from .linalg import (
     Matrix,
     Subspace,
+    _columns,
+    _pivot_rows,
+    _reduce,
     block_diag,
     rank,
-    rref,
     subspace_intersection,
     subspace_sum,
-    unit_vec,
-    zero_vec,
 )
 from .spaces import (
     Check,
@@ -62,9 +62,10 @@ class ExtendedAlgebra:
 def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     """Construct the t-graded double of a validated base algebra.
 
-    The complement of [L, L] is grown greedily from standard basis
-    vectors in ascending index order, which keeps it graded and makes
-    the construction reproducible.
+    The complement of [L, L] is spanned by the standard basis vectors
+    e_j, j the last nonzero coordinate of no vector of [L, L]: the greedy
+    choice in ascending index order, which keeps it graded and makes the
+    construction reproducible.
     """
     report = validate(base)
     if not report.axioms_ok:
@@ -74,38 +75,41 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     degrees = base.degrees + base.degrees
     alpha = block_diag(base.alpha, base.alpha)
     # validated, so an even [e, e] vanishes and is not in the view
-    pairs = {(i, j): zero_vec(n) + base.brackets[i][j]
+    pairs = {(i, j): (0,) * n + base.brackets[i][j]
              for i, j in base._sparse if i <= j}
     names = tuple(f"{nm}t" for nm in base.basis_names) + \
         tuple(f"{nm}t2" for nm in base.basis_names)
     spec = AlgebraSpec.from_pairs(f"{base.name}_ext", degrees, alpha, pairs, names)
 
     derived = derived_subalgebra(base)
-    # e_j is chosen when independent of [L, L] and the e_i before it:
-    # a pivot past the [L, L] columns of the matrix [d_1 .. d_r | I]
-    r = derived.dim
-    _, pivots, _ = rref(Matrix.from_rows(
-        [[d[m] for d in derived.basis] + list(unit_vec(n, m)) for m in range(n)], r + n))
-    complement = Subspace._from_sparse(n, ({p - r: 1} for p in pivots if p >= r))
+    # e_j lies outside [L, L] and the e_i before it exactly when no vector
+    # of [L, L] ends at j: when n-1-j is no pivot of the reversed columns
+    last = _reduce({n - 1 - c: x for c, x in row.items()}
+                   for row in _pivot_rows(derived._reduced))
+    complement = Subspace._from_sparse(
+        n, ({j: 1} for j in range(n) if n - 1 - j not in last))
     return ExtendedAlgebra(base, spec, derived, complement,
                            _derived_projection(derived, complement))
 
 
 def _derived_projection(derived: Subspace, complement: Subspace) -> Matrix:
-    """Projector onto ``derived`` along ``complement``, by one RREF.
+    """Projector onto ``derived`` along ``complement``, by one ``_reduce``.
 
     The rows [d | d] and [u | 0] span the graph {(x, P x)} of the
     projector P; when the two bases together form a basis of the base
-    algebra, the RREF rows are [e_j | P e_j] for j = 0 .. n-1.
+    algebra, the pivots are exactly 0 .. n-1 and pivot row j is
+    [e_j | P e_j].
     """
     n = derived.ambient_dim
-    stacked = [d + d for d in derived.basis] + [u + zero_vec(n) for u in complement.basis]
-    reduced, pivots, _ = rref(Matrix.from_rows(stacked, 2 * n))
-    if pivots != tuple(range(n)):
+    done = _reduce([row | {c + n: x for c, x in row.items()}
+                    for row in _pivot_rows(derived._reduced)]
+                   + _pivot_rows(complement._reduced))
+    if done.keys() != set(range(n)):
         raise RuntimeError(
             "[L, L] and its complement do not span the base algebra")
-    return Matrix.from_rows([[reduced.at(j, n + m) for j in range(n)]
-                             for m in range(n)], n)
+    # row m of P, as (P e_j)_m for every j, is column n + m of those rows
+    rows = _columns(Matrix._of(n, 2 * n, done))[n:]
+    return Matrix._of(n, n, {m: row for m, row in enumerate(rows) if row})
 
 
 def phi(ext: ExtendedAlgebra, pair, k: int, strict: bool = True) -> GradedMap:

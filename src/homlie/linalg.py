@@ -57,10 +57,6 @@ def zero_vec(n: int) -> Vec:
     return (_ZERO,) * n
 
 
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
@@ -148,12 +144,6 @@ class Matrix:
     def col(self, c: int) -> Vec:
         return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
 
-    def matvec(self, v: Sequence[Rat]) -> Vec:
-        w = vec(v)
-        if len(w) != self.cols:
-            raise ValueError("matvec length mismatch")
-        return self.matmul(Matrix(len(w), 1, w)).entries
-
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
@@ -163,14 +153,13 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(x + y for x, y in zip(self.entries, other.entries)))
+        view = {r: dict(row) for r, row in self._sparse.items()}
+        for r, row in other._sparse.items():
+            _subtract(view.setdefault(r, {}), -1, row)
+        return Matrix._of(self.rows, self.cols, {r: row for r, row in view.items() if row})
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(x - y for x, y in zip(self.entries, other.entries)))
+        return self + other.scale(-1)
 
     def scale(self, s: Rat) -> "Matrix":
         f = _int(frac(s))
@@ -221,6 +210,15 @@ def _scatter(m: Matrix, zero, cast) -> tuple:
 def _nonzeros(row: Sequence[Fraction]) -> Row:
     # zeros built here are the one _ZERO, and `is` is cheaper than truth
     return {c: _int(x) for c, x in enumerate(row) if x is not _ZERO and x}
+
+
+def _columns(m: Matrix) -> list[Row]:
+    """m's columns off its view, each as {row: nonzero}, zero columns empty."""
+    cols: list[Row] = [{} for _ in range(m.cols)]
+    for r, row in m._sparse.items():
+        for c, x in row.items():
+            cols[c][r] = x
+    return cols
 
 
 def _sparse_sum(*terms) -> dict[int, Row]:

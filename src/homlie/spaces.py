@@ -30,9 +30,8 @@ from .linalg import (
     Matrix,
     Row,
     Subspace,
-    Vec,
+    _columns,
     _eliminate,
-    _nonzeros,
     _pivot_rows,
     _sparse_sum,
     format_matrix,
@@ -82,9 +81,6 @@ class GradedMap:
     @property
     def n(self) -> int:
         return self.matrix.rows
-
-    def flatten(self) -> Vec:
-        return self.matrix.entries
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -175,6 +171,9 @@ def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
     if len(maps) != space.arity or any(g.n != space.n for g in maps):
         raise ValueError(f"{space.kind.value} expects {space.arity} maps of size "
                          f"{space.n}x{space.n}, got sizes {[g.n for g in maps]}")
+    if any(g.degree != space.degree for g in maps):
+        raise ValueError(f"{space.kind.value} at degree {space.degree} expects maps "
+                         f"of that degree, got {[g.degree for g in maps]}")
     return not _eliminate(_coords(*maps), _spans(space, True)[0]._reduced)
 
 
@@ -223,8 +222,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     pos = {t: i for i, t in enumerate(allowed)}
     width = len(allowed)
 
-    ak = spec.alpha.power(k)
-    akcol = [_nonzeros(ak.col(i)) for i in range(n)]
+    akcol = _columns(spec.alpha.power(k))
     # right[j][l] = [e_l, a^k e_j],  left[i][l] = (-1)^{theta|e_i|} [a^k e_i, e_l]
     right = [[_bracket(spec, {l: 1}, akcol[j]) for l in range(n)]
              for j in range(n)]
@@ -265,7 +263,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
 
     if strict:
         # column l of M alpha - alpha M: M (alpha e_l) - sum_p M[p,l] alpha e_p
-        acol = [_nonzeros(spec.alpha.col(p)) for p in range(n)]
+        acol = _columns(spec.alpha)
         for c in range(arity):
             for l in range(n):
                 emit([(c, None, acol[l], 1), (c, l, acol, -1)])

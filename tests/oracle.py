@@ -12,7 +12,8 @@ matching answer really is two routes agreeing.
 The module also keeps the verifiers' original per-pair loops as the
 reference that the law tables in homlie.spaces are tested against, and
 the intersection, projection and phi-kernel routines that one stacked
-RREF replaced in homlie.linalg and homlie.extension, the dense
+RREF replaced in homlie.linalg and homlie.extension, the dense RREF of
+[L, L] beside the identity that chose the double's complement, the dense
 Gauss-Jordan loop that the sparse ``rref`` replaced, the dense product
 loop and the map products as they were written with ``Matrix.scale`` by
 a +-1 sign, the per-quadruple Jordan loop that the memoised sparse
@@ -64,9 +65,14 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def unit_vec(n: int, i: int):
+    """The standard basis vector e_i of Q^n."""
+    return tuple(F1 if j == i else F0 for j in range(n))
+
+
 def tuple_vector(maps):
     """A tuple of maps as one flat vector, components concatenated."""
-    return tuple(x for g in maps for x in g.flatten())
+    return tuple(x for g in maps for x in g.matrix.entries)
 
 
 def stacked(space) -> list:
@@ -337,7 +343,7 @@ def reference_bracket_laws(spec: AlgebraSpec, k_max: int,
                     for a in maps(ka, k, th1):
                         for b in maps(kb, s, th2):
                             g = supercommutator(a, b)
-                            if not contains(tgt, g.flatten()):
+                            if not contains(tgt, g.matrix.entries):
                                 failures.setdefault(
                                     label, f"{where}: {format_matrix(g.matrix)}")
                 for label, kind in tuple_laws:
@@ -366,7 +372,7 @@ def reference_bracket_laws(spec: AlgebraSpec, k_max: int,
                     for b in maps(SpaceKind.QC, s, th2):
                         g = supercommutator(a, b)
                         qc_brackets.append(g)
-                        if not contains(tgt_qc, g.flatten()):
+                        if not contains(tgt_qc, g.matrix.entries):
                             if qc_closed:
                                 qc_witness = f"{where}: {format_matrix(g.matrix)}"
                             qc_closed = False
@@ -453,11 +459,11 @@ def reference_qc_closure(spec: AlgebraSpec, k_max: int,
                 tgt = spans[(k + s, (th1 + th2) % 2)]
                 for a in basis[(k, th1)]:
                     for b in basis[(s, th2)]:
-                        if not contains(tgt, supercommutator(a, b).flatten()):
+                        if not contains(tgt, supercommutator(a, b).matrix.entries):
                             if bracket_closed:
                                 bracket_detail = f"k={k}, s={s}"
                             bracket_closed = False
-                        if not contains(tgt, compose(a, b).flatten()):
+                        if not contains(tgt, compose(a, b).matrix.entries):
                             if comp_closed:
                                 comp_detail = f"k={k}, s={s}"
                             comp_closed = False
@@ -498,6 +504,16 @@ def reference_intersection(a, b):
     return canonical_rows(found, n)
 
 
+def reference_complement(derived):
+    """The complement of [L, L] as ``build_extended`` chose it with one
+    dense RREF: e_m is chosen when independent of [L, L] and the e_i
+    before it, a pivot past the [L, L] columns of [d_1 .. d_r | I]."""
+    n, r = derived.ambient_dim, derived.dim
+    _, pivots, _ = rref(Matrix.from_rows(
+        [[d[m] for d in derived.basis] + list(unit_vec(n, m)) for m in range(n)], r + n))
+    return Subspace.from_vectors(n, [unit_vec(n, p - r) for p in pivots if p >= r])
+
+
 def reference_derived_projection(derived, complement):
     """Projector onto ``derived`` along ``complement``, one solve per column.
 
@@ -531,7 +547,7 @@ def reference_phi_kernel(ext, k: int, strict: bool = True) -> tuple:
     out = []
     for th in (0, 1):
         tuples = spaces.solve_space(ext.base, SpaceKind.QDER, k, th, strict).tuples
-        images = [extension._phi_unchecked(ext, (t[0], t[1])).flatten()
+        images = [extension._phi_unchecked(ext, (t[0], t[1])).matrix.entries
                   for t in tuples]
         ok = True
         if images:
@@ -625,6 +641,11 @@ def reference_first_outside(cells):
     return None
 
 
+def reference_matvec(m: Matrix, v) -> tuple:
+    """m v through ``reference_matmul``, v as a one-column matrix."""
+    return reference_matmul(m, Matrix(len(v), 1, tuple(map(Fraction, v)))).entries
+
+
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     """The dense product loop of ``Matrix.matmul`` before products went
     sparse; the reference products below use it, so they share no
@@ -708,7 +729,7 @@ def reference_partner_determined(ext, k: int, strict: bool = True) -> tuple:
         pairs = extension.solve_space(ext.base, SpaceKind.QDER, k, th, strict).as_subspace()
         rows = [Matrix.from_sparse([{p: 1, **row}], pairs.ambient_dim).entries
                 for p, row in pairs._reduced.items() if p >= nn]
-        bad = any(not is_zero_vec(Matrix(n, n, row[nn:]).matvec(d))
+        bad = any(not is_zero_vec(reference_matvec(Matrix(n, n, row[nn:]), d))
                   for row in rows for d in ext.derived.basis)
         out.append("fail" if bad else "pass")
     return tuple(out)
@@ -781,7 +802,7 @@ def reference_validate(spec: AlgebraSpec) -> ValidationReport:
     mult_ok = True
     for i in range(n):
         for j in range(n):
-            res = vadd(spec.alpha.matvec(spec.brackets[i][j]),
+            res = vadd(reference_matvec(spec.alpha, spec.brackets[i][j]),
                        vscale(-1, br(acol[i], acol[j])))
             if nonzero(res):
                 mult_ok = False

@@ -23,7 +23,6 @@ from homlie.linalg import (
     contains,
     is_zero_vec,
     subspace_sum,
-    unit_vec,
 )
 from homlie.randomgen import sample_algebras
 from homlie.spaces import (
@@ -37,7 +36,7 @@ from homlie.spaces import (
     solve_space,
     space_contains,
 )
-from oracle import oracle_solve, stacked
+from oracle import oracle_solve, stacked, unit_vec
 
 ALL_KINDS = tuple(SpaceKind)
 
@@ -86,16 +85,16 @@ def test_criterion_2_bundled_witness_reproduction():
     d = GradedMap(diag(1, 2, 2), 0)
     dp = GradedMap(diag(4, 4, 8), 0)
     qc1 = project_component(solve_space(spec, SpaceKind.QC, 1, 0, True), 0)
-    if not contains(qc1, d.flatten()):
+    if not contains(qc1, d.matrix.entries):
         problems.append("diag(1,2,2) not in QC at k=1")
     qd1 = solve_space(spec, SpaceKind.QDER, 1, 0, True)
     if not space_contains(qd1, (d, dp)):
         problems.append("(diag(1,2,2), diag(4,4,8)) not a QDer pair at k=1")
-    if not contains(project_component(qd1, 0), d.flatten()):
+    if not contains(project_component(qd1, 0), d.matrix.entries):
         problems.append("diag(1,2,2) not in the first QDer component at k=1")
     for t in range(4):
         ct = project_component(solve_space(spec, SpaceKind.C, t, 0, True), 0)
-        if contains(ct, d.flatten()):
+        if contains(ct, d.matrix.entries):
             problems.append(f"diag(1,2,2) unexpectedly in C at k={t}")
     report(2, "bundled witness reproduction", problems)
 
@@ -144,7 +143,7 @@ def test_criterion_4_split_and_decomposition():
                     if not space_contains(qder, (dq, partner)):
                         problems.append(
                             f"{name} k={k} deg={th}: QDer witness fails")
-                    if not contains(qc, dc.flatten()):
+                    if not contains(qc, dc.matrix.entries):
                         problems.append(
                             f"{name} k={k} deg={th}: QC witness fails")
                     if triple[0].matrix != dq.matrix + dc.matrix:

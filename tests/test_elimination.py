@@ -5,13 +5,14 @@ kernel_basis and canonical_rows, so agreement is two routes agreeing.
 """
 
 import copy
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from homlie import extension
-from homlie.algebra import center, derived_subalgebra
+from homlie.algebra import AlgebraSpec, center, derived_subalgebra
 from homlie.extension import build_extended, verify_phi_properties
 from homlie.linalg import (
     Matrix,
@@ -22,8 +23,8 @@ from homlie.linalg import (
     nullspace,
     subspace_intersection,
     subspace_sum,
-    unit_vec,
 )
+from homlie.randomgen import sample_algebras
 from homlie.spaces import (
     GradedMap,
     MapSpace,
@@ -35,10 +36,14 @@ from homlie.spaces import (
 
 from oracle import (
     canonical_rows,
+    reference_complement,
     reference_derived_projection,
     reference_intersection,
+    reference_matvec,
     reference_phi_kernel,
+    unit_vec,
 )
+from test_boundary import yau_sl2
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -189,17 +194,44 @@ def test_built_spans_record_their_reduced_rows(bundled, case):
 def _check_projector(p, derived, complement):
     assert p.matmul(p) == p
     for d in derived.basis:
-        assert p.matvec(d) == d
+        assert reference_matvec(p, d) == d
     for u in complement.basis:
-        assert is_zero_vec(p.matvec(u))
+        assert is_zero_vec(reference_matvec(p, u))
+
+
+def _check_double(ext):
+    name = ext.base.name
+    assert ext.u_complement == reference_complement(ext.derived), name
+    assert ext.projection == reference_derived_projection(
+        ext.derived, ext.u_complement), name
+    _check_projector(ext.projection, ext.derived, ext.u_complement)
 
 
 def test_projection_matches_reference_on_bundled(bundled):
-    for name, spec in bundled.items():
-        ext = build_extended(spec)
-        assert ext.projection == reference_derived_projection(
-            ext.derived, ext.u_complement), name
-        _check_projector(ext.projection, ext.derived, ext.u_complement)
+    for spec in bundled.values():
+        _check_double(build_extended(spec))
+
+
+def _e0_plus_e1():
+    """[e0, e1] = e0 + e1: the non-pivot columns of the RREF of [L, L]
+    give e1, the greedy complement e0."""
+    return AlgebraSpec.from_pairs("e0_plus_e1", (0, 0), Matrix.identity(2),
+                                  {(0, 1): (1, 1)})
+
+
+def test_complement_is_the_greedy_choice_off_the_last_coordinate():
+    ext = build_extended(_e0_plus_e1())
+    assert ext.u_complement == Subspace.from_vectors(2, [unit_vec(2, 0)])
+    _check_double(ext)
+
+
+def test_double_matches_dense_references_beyond_bundled(ex2_5):
+    double = build_extended(ex2_5)
+    bases = [double.spec, build_extended(double.spec).spec, yau_sl2()]
+    for seed in range(4):
+        bases += sample_algebras(random.Random(seed), 10, n_max=4)
+    for spec in bases:
+        _check_double(build_extended(spec))
 
 
 @given(invertible_rows())

@@ -10,7 +10,9 @@ import pytest
 
 import homlie
 from homlie import extension, linalg
-from homlie.linalg import Subspace, subspace_intersection, unit_vec
+from homlie.linalg import Subspace, subspace_intersection
+
+from oracle import unit_vec
 
 
 def test_intersection_checks_the_dimension_formula(monkeypatch):

@@ -242,7 +242,7 @@ def test_decompose_is_linear(ex2_5):
     qspace = solve_space(ex2_5, SpaceKind.QDER, 1, 0)
     assert space_contains(qspace, (dq, partner))
     qcspan = project_component(solve_space(ex2_5, SpaceKind.QC, 1, 0), 0)
-    assert contains(qcspan, dc.flatten())
+    assert contains(qcspan, dc.matrix.entries)
 
 
 def test_decompose_rejects_non_member(ex2_5):
@@ -264,10 +264,25 @@ def test_space_contains_rejects_a_wrong_arity_or_size(ex2_5):
             space_contains(space, (pair[0], other))
 
 
+def test_space_contains_rejects_a_wrong_degree(heisenberg3):
+    # a nonzero degree-0 derivation tagged degree 1 lies in no degree-1
+    # space here, as Der is zero in degree 1: the tag must match
+    der = solve_space(heisenberg3, SpaceKind.DER, 0, 0)
+    assert solve_space(heisenberg3, SpaceKind.DER, 0, 1).dim == 0
+    retagged = GradedMap(der.tuples[0][0].matrix, 1)
+    with pytest.raises(ValueError, match=r"Der at degree 0 expects .* got \[1\]"):
+        space_contains(der, (retagged,))
+    # nor may decompose_generalized re-tag a degree-1 triple as degree 0
+    triple = solve_space(heisenberg3, SpaceKind.GDER, 0, 0).tuples[0]
+    with pytest.raises(ValueError, match="at degree 0 expects"):
+        decompose_generalized(heisenberg3, 0, 0,
+                              tuple(GradedMap(g.matrix, 1) for g in triple))
+
+
 def test_space_contains_matches_the_dense_test(bundled):
     for spec in bundled.values():
-        one = GradedMap(Matrix.identity(spec.n), 0)
         for kind, th in itertools.product(ALL_KINDS, (0, 1)):
+            one = GradedMap(Matrix.identity(spec.n), th)
             space = solve_space(spec, kind, 1, th)
             probes = [*space.tuples, (one,) * space.arity]
             probes += [(alpha_shift(spec, t[0]),) + t[1:] for t in space.tuples]
@@ -393,7 +408,7 @@ def test_products_match_the_dense_reference_product(case):
     spec = AlgebraSpec.from_pairs("abelian", (0,) * a.n, alpha, {})
     assert alpha_shift(spec, a) == GradedMap(reference_matmul(a.matrix, alpha), a.degree)
     assert left.matmul(right) == reference_matmul(left, right)
-    assert left.matvec(v) == reference_matmul(left, Matrix(a.n, 1, v)).entries
+    assert left.matmul(Matrix(a.n, 1, v)) == reference_matmul(left, Matrix(a.n, 1, v))
 
 
 @given(_product_cases())

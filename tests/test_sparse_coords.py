@@ -111,7 +111,7 @@ def test_first_outside_finds_a_bent_product():
     ab, ba = compose(a, b), compose(b, a)
     bent = GradedMap(Matrix(2, 2, ba.matrix.entries[:3] + (Fraction(7),)), 1)
     # a scaled, non-canonical basis holding ab and ba but not the bent ba
-    target = Subspace(4, (tuple(2 * x for x in ab.flatten()), ba.flatten()))
+    target = Subspace(4, (tuple(2 * x for x in ab.matrix.entries), ba.matrix.entries))
     tuples = [(ab,), (ba,), (bent,), (ab,)]
     got = _first_outside((target, _coords(*t), i) for i, t in enumerate(tuples))
     assert got == 2 == reference_first_outside(

@@ -21,6 +21,8 @@ from homlie.extension import build_extended
 from homlie.linalg import (
     Matrix,
     Subspace,
+    _columns,
+    _nonzeros,
     nullspace,
     rref,
     subspace_intersection,
@@ -124,16 +126,41 @@ def test_intersection_matches_dense_reference(m, data):
         assert got == subspace_intersection(a, b)
 
 
+@given(rational_matrices())
+def test_columns_match_the_dense_columns(m):
+    assert _columns(m) == [_nonzeros(m.col(i)) for i in range(m.cols)]
+
+
+def test_twist_power_columns_match_the_dense_columns(bundled):
+    for spec in bundled.values():
+        for k in range(4):
+            ak = spec.alpha.power(k)
+            assert _columns(ak) == [_nonzeros(ak.col(i)) for i in range(ak.cols)]
+
+
 @given(rational_matrices(max_rows=5, max_cols=5), st.data())
 def test_products_match_dense_reference(m, data):
-    """matmul and matvec sum sparse products; the values are the dense
-    loop's, with zero rows, zero columns and empty shapes."""
+    """matmul sums sparse products; the values are the dense loop's, with
+    zero rows, zero columns, empty shapes and a one-column right factor."""
     cols = data.draw(st.integers(0, 5))
     other = Matrix(m.cols, cols, tuple(data.draw(
         st.lists(entries, min_size=m.cols * cols, max_size=m.cols * cols))))
     assert m.matmul(other) == reference_matmul(m, other)
     v = other.col(0) if cols else (Fraction(0),) * m.cols
-    assert m.matvec(v) == reference_matmul(m, Matrix(m.cols, 1, v)).entries
+    assert m.matmul(Matrix(m.cols, 1, v)) == reference_matmul(m, Matrix(m.cols, 1, v))
+
+
+@given(rational_matrices(max_rows=5, max_cols=5), st.data())
+def test_sums_match_dense_reference(m, data):
+    """+ and - sum the views; the values are the entrywise dense sums."""
+    other = Matrix(m.rows, m.cols, tuple(data.draw(st.lists(
+        entries, min_size=m.rows * m.cols, max_size=m.rows * m.cols))))
+    pairs = list(zip(m.entries, other.entries))
+    assert m + other == Matrix(m.rows, m.cols, tuple(x + y for x, y in pairs))
+    assert m - other == Matrix(m.rows, m.cols, tuple(x - y for x, y in pairs))
+    for wide in (m.__add__, m.__sub__):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            wide(Matrix.zeros(m.rows, m.cols + 1))
 
 
 # -- sympy as a third reference ---------------------------------------------
