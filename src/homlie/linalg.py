@@ -120,10 +120,6 @@ class Matrix:
         return cls(n, n, tuple(_ONE if i == j else _ZERO
                                for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -223,9 +219,18 @@ def _columns(m: Matrix) -> list[Row]:
 
 def _sparse_sum(*terms) -> dict[int, Row]:
     """The nonzeros of sum(sign * ab) over (sign, a, b), for sparse maps
-    {row: {col: nonzero}} and sign +1 or -1: empty exactly when zero."""
-    acc: dict[int, Row] = {}
+    {row: {col: nonzero}} and sign +1 or -1: empty exactly when zero.  For
+    b with rows keyed (w, k), one map per w, a may be its left factor's
+    ``_columns``, which row (w, k) reads at k."""
+    acc: dict = {}
     for sign, a, b in terms:
+        if isinstance(a, list):
+            for (w, k), brow in b.items():
+                for r, x in a[k].items():
+                    out = acc.setdefault((w, r), {})
+                    for c, y in brow.items():
+                        out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)
+            continue
         for r, arow in a.items():
             out = acc.setdefault(r, {})
             for k, x in arow.items():
@@ -286,7 +291,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    return len(_reduce(dict(row) for row in m._sparse.values()))
 
 
 @dataclass(frozen=True)

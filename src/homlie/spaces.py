@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 from .algebra import AlgebraSpec, _bracket, center, parity_sign, validate
@@ -85,14 +85,17 @@ class GradedMap:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
+    def __hash__(self) -> int:  # once per map, the dataclass hash of the fields
+        return self._hash
 
-def _terms(a: GradedMap, b: GradedMap, s: int, sign: int = 1) -> list:
-    """The ``_sparse_sum`` terms of sign * (ab + s (-1)^{|a||b|} ba), s 0
-    or +-1 and sign +-1, over the matrices' cached sparse views."""
+    _hash = cached_property(lambda g: hash((g.matrix, g.degree)))
+
+
+def _terms(a: GradedMap, b: GradedMap, s: int) -> list:
+    """The ``_sparse_sum`` terms of ab + s (-1)^{|a||b|} ba, s 0 or +-1,
+    over the matrices' cached sparse views."""
     x, y = a.matrix._sparse, b.matrix._sparse
-    if not s:
-        return [(sign, x, y)]
-    return [(sign, x, y), (sign * s * parity_sign(a.degree, b.degree), y, x)]
+    return [(1, x, y)] + ([(s * parity_sign(a.degree, b.degree), y, x)] if s else [])
 
 
 def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
@@ -149,6 +152,12 @@ class MapSpace:
     def as_subspace(self) -> Subspace:
         return Subspace._from_sparse(self.arity * self.n * self.n,
                                      (_coords(*t) for t in self.tuples))
+
+    def __hash__(self) -> int:  # once per space, the dataclass hash of the fields
+        return self._hash
+
+    _hash = cached_property(lambda s: hash((s.kind, s.k, s.degree, s.strict, s.n,
+                                            s.tuples)))
 
 
 def _coords(*maps: GradedMap) -> Row:
@@ -371,13 +380,34 @@ def _levels(k_max: int) -> list[tuple[int, int]]:
     return [(k, s) for k in range(k_max + 1) for s in range(k_max - k + 1)]
 
 
+def _blocks(maps: Sequence[GradedMap]) -> GradedMap:
+    """The block-diagonal map of ``maps``, all of one size and degree."""
+    n, m = maps[0].n, len(maps)
+    view = {w * n + r: {w * n + c: x for c, x in row.items()}
+            for w, g in enumerate(maps) for r, row in g.matrix._sparse.items()}
+    return GradedMap(Matrix._of(m * n, m * n, view), maps[0].degree)
+
+
 @lru_cache(maxsize=1024)
 def _first_product_outside(op, a, b, target):
     """The first op(x, y) outside target, x in a outermost, formed
-    component by component, or None.  Keyed on content: a repeated cell
-    is answered once, and a changed basis is never served stale."""
-    products = (tuple(op(p, q) for p, q in zip(x, y)) for x in a for y in b)
-    return _first_outside((target, _coords(*g), g) for g in products)
+    component by component, or None.  One op call per x and component c
+    forms every op(x[c], y[c]) as block y of op(m copies of x[c], the
+    blocks y[c]), as all y have one degree.  Keyed on content: a repeated
+    cell is answered once, and a changed basis is never served stale."""
+    if not b:
+        return None
+    n, blocks = b[0][0].n, [_blocks([y[c] for y in b]) for c in range(len(b[0]))]
+    for x in a:
+        rows: list[Row] = [{} for _ in b]
+        for c, (p, q) in enumerate(zip(x, blocks)):
+            for i, row in op(_blocks([p] * len(b)), q).matrix._sparse.items():
+                w, r = divmod(i, n)
+                rows[w].update(((c * n + r - w) * n + col, v) for col, v in row.items())
+        w = _first_outside((target, row, w) for w, row in enumerate(rows))
+        if w is not None:
+            return tuple(op(p, q) for p, q in zip(x, b[w]))
+    return None
 
 
 def _law_witness(space, op, ka, kb, target, levels, whole=False):
@@ -554,17 +584,17 @@ def decompose_generalized(spec: AlgebraSpec, k: int, degree: int,
 
 
 def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
-    """The residual of the twisted super Jordan identity at four of
-    ``elems`` by index, as a sparse map of its nonzeros: with tw g =
-    g alpha, the signed sum over (a, b, c) in (x, y, w), (y, w, x),
-    (w, x, y) of ((a o b) o tw z) o tw^2 c - tw(a o b) o (tw z o tw c).
-    Each factor that omits an index is made once per engine."""
+    """The residual of the twisted super Jordan identity at (x, y, z, w),
+    elems by index: with tw g = g alpha, the signed sum over (a, b, c) in
+    (x, y, w), (y, w, x), (w, x, y) of ((a o b) o tw z) o tw^2 c -
+    tw(a o b) o (tw z o tw c).  It is linear in w at each degree of w, so
+    residual(x, y, z) holds its nonzero rows for every w at once, keyed
+    (w, r).  Each factor that omits x, y or z is made once per engine."""
     if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
         raise ValueError("ambient dimension mismatch")
-    a1 = GradedMap(alpha, 0)
-    a2 = _product(a1, a1, 0)
+    av, a1 = alpha._sparse, GradedMap(alpha, 0)
     tw = [_product(g, a1, 0) for g in elems]
-    tw2 = [_product(g, a2, 0) for g in elems]
+    tw2 = [_product(g, a1, 0) for g in tw]
     memo: dict = {}
 
     def once(key, make):
@@ -572,29 +602,72 @@ def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
             memo[key] = make()
         return memo[key]
 
-    def residual(x, y, z, w):
-        d = {i: elems[i].degree for i in (x, y, z, w)}
-        terms = []
-        for (a, b, c), sign in (((x, y, w), parity_sign(d[z], d[x] + d[w])),
-                                ((y, w, x), parity_sign(d[x], d[y] + d[z])),
-                                ((w, x, y), parity_sign(d[y], d[w] + d[z]))):
-            ab = once(("a o b", a, b), lambda: _product(elems[a], elems[b], 1))
-            inner = once(("(a o b) o tw z", a, b, z), lambda: _product(ab, tw[z], 1))
-            tw_ab = once(("tw(a o b)", a, b), lambda: _product(ab, a1, 0))
-            tw_zc = once(("tw z o tw c", z, c), lambda: _product(tw[z], tw[c], 1))
-            terms += _terms(inner, tw2[c], 1, sign) + _terms(tw_ab, tw_zc, 1, -sign)
-        return _sparse_sum(*terms)
+    def circle(g, p, sign=1, g_first=True):
+        """The terms of sign * (g o p), or of (p o g), keyed g = (rows, degree)."""
+        (rows, dg), view = g, p.matrix._sparse
+        if not (rows and view):
+            return []
+        s = sign * parity_sign(dg, p.degree)
+        return [(sign if g_first else s, rows, view),
+                (s if g_first else sign, _columns(p.matrix), rows)]
+
+    def keyed(degree, *terms):
+        return _sparse_sum(*terms), degree % 2
+
+    # per degree d: every w of degree d, w alpha and w alpha^2, keyed (w, r)
+    ws = [({(i, r): row for i, g in enumerate(elems) if g.degree == d
+            for r, row in g.matrix._sparse.items()}, d) for d in (0, 1)]
+    was = [keyed(d, (1, w[0], av)) for d, w in enumerate(ws)]
+    wa2s = [keyed(d, (1, wa[0], av)) for d, wa in enumerate(was)]
+
+    def residual(x, y, z):
+        dx, dy, dz = (elems[i].degree for i in (x, y, z))
+        ab = once(("x o y", x, y), lambda: _product(elems[x], elems[y], 1))
+        tw_ab = once(("tw(x o y)", x, y), lambda: _product(ab, a1, 0))
+        inner = _product(ab, tw[z], 1)
+        zx, zy = (once(("tw z o tw c", z, c), lambda: _product(tw[z], tw[c], 1))
+                  for c in (x, y))
+        out = {}
+        for d, w, wa, wa2 in zip((0, 1), ws, was, wa2s):
+            zw = once(("tw z o tw w", z, d),
+                      lambda: keyed(dz + d, *circle(wa, tw[z], g_first=False)))
+            yw = once(("y o w", y, d),
+                      lambda: keyed(dy + d, *circle(w, elems[y], g_first=False)))
+            wx = once(("w o x", x, d), lambda: keyed(d + dx, *circle(w, elems[x])))
+            tw_yw = once(("tw(y o w)", y, d), lambda: keyed(dy + d, (1, yw[0], av)))
+            tw_wx = once(("tw(w o x)", x, d), lambda: keyed(d + dx, (1, wx[0], av)))
+            s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, dy + dz),
+                          parity_sign(dy, d + dz))
+            out |= _sparse_sum(
+                *circle(wa2, inner, s1, g_first=False),
+                *circle(zw, tw_ab, -s1, g_first=False),
+                *circle(keyed(dy + d + dz, *circle(yw, tw[z])), tw2[x], s2),
+                *circle(tw_yw, zx, -s2),
+                *circle(keyed(d + dx + dz, *circle(wx, tw[z])), tw2[y], s3),
+                *circle(tw_wx, zy, -s3))
+        return out
 
     return residual
+
+
+def _jordan_witness(alpha: Matrix, elems: Sequence[GradedMap]):
+    """The first quadruple of indices into elems, in ``itertools.product``
+    order, with a nonzero Jordan residual, or None."""
+    residual = _jordan_engine(alpha, elems)
+    for x, y, z in itertools.product(range(len(elems)), repeat=3):
+        if rows := residual(x, y, z):
+            return x, y, z, min(w for w, _ in rows)
+    return None
 
 
 def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
                         z: GradedMap, w: GradedMap) -> Matrix:
     """Residual of the twisted super Jordan identity at four maps, the
-    twist acting on maps by composition with alpha on the input side: a
-    matrix over the engine that ``check_qc_structure`` runs."""
+    twist acting on maps by composition with alpha on the input side: the
+    rows at w of the engine that ``check_qc_structure`` runs."""
+    rows = _jordan_engine(alpha, (x, y, z, w))(0, 1, 2)
     return Matrix._of(alpha.rows, alpha.cols,
-                      _jordan_engine(alpha, (x, y, z, w))(0, 1, 2, 3))
+                      {r: row for (i, r), row in rows.items() if i == 3})
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,
@@ -634,10 +707,15 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     checks.append(_verdict("circle product super-commutative", comm_bad,
                            lambda w: format_matrix(w[0].matrix)))
 
-    residual = _jordan_engine(spec.alpha, elems)
-    jordan_bad = next((tuple(elems[i] for i in quad)
-                       for quad in itertools.product(range(len(elems)), repeat=4)
-                       if residual(*quad)), None)
+    # the residual is linear in each map at fixed degrees, so it vanishes
+    # on elems exactly when on a basis of their span per degree; only a
+    # failing basis sends the walk over elems, for the first witness
+    n = spec.n
+    basis = [_maps(row, n, 1, th)[0] for th in (0, 1) for row in _pivot_rows(
+        Subspace._from_sparse(n * n, (_coords(g) for g in elems
+                                      if g.degree == th))._reduced)]
+    quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)
+    jordan_bad = quad and tuple(elems[i] for i in quad)
     checks.append(_verdict(
         "twisted Jordan identity on QC", jordan_bad,
         lambda w: " , ".join(format_matrix(g.matrix) for g in w)))

@@ -17,7 +17,9 @@ RREF replaced in homlie.linalg and homlie.extension, the dense RREF of
 Gauss-Jordan loop that the sparse ``rref`` replaced, the dense product
 loop and the map products as they were written with ``Matrix.scale`` by
 a +-1 sign, the per-quadruple Jordan loop that the memoised sparse
-engine replaced, the ordered-pair walk of the circle super-commutativity
+engine replaced and that engine itself, which now makes w generic, the
+per-pair law cell that now forms one product per first element, the
+zero matrix built dense, the ordered-pair walk of the circle super-commutativity
 check, the dense test of the pairs with a vanishing first map that
 phi's well-definedness check ran before it compared spans, the dense
 ``validate`` that the sparse view of the structure constants replaced,
@@ -44,6 +46,7 @@ from homlie.linalg import (
     Matrix,
     Subspace,
     _nonzeros,
+    _sparse_sum,
     contains,
     format_matrix,
     is_zero_vec,
@@ -63,6 +66,11 @@ from homlie.spaces import (
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    """The rows x cols zero matrix, built dense (``Matrix.zeros`` as it was)."""
+    return Matrix(rows, cols, (F0,) * (rows * cols))
 
 
 def unit_vec(n: int, i: int):
@@ -692,6 +700,62 @@ def reference_hom_jordan_residual(alpha: Matrix, x, y, z, w) -> Matrix:
     t3 = assoc(jp(w, x), tw(z), tw(y)).scale(
         parity_sign(y.degree, w.degree + z.degree))
     return t1 + t2 + t3
+
+
+def reference_first_product_outside(op, a, b, target):
+    """``spaces._first_product_outside`` as it was: one op call per pair
+    (x, y), x in a outermost, component by component, each product's
+    ``_coords`` eliminated against the target; the first product outside
+    it, or None."""
+    products = (tuple(op(p, q) for p, q in zip(x, y)) for x in a for y in b)
+    return spaces._first_outside((target, spaces._coords(*g), g)
+                                 for g in products)
+
+
+def reference_jordan_engine(alpha: Matrix, elems):
+    """The per-quadruple engine that ``check_qc_structure`` ran before w
+    went generic: residual(x, y, z, w), elems by index, is the sparse
+    map of the Jordan residual's nonzeros, each factor that omits an
+    index made once."""
+    if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
+        raise ValueError("ambient dimension mismatch")
+    product = spaces._product
+    a1 = GradedMap(alpha, 0)
+    a2 = product(a1, a1, 0)
+    tw = [product(g, a1, 0) for g in elems]
+    tw2 = [product(g, a2, 0) for g in elems]
+    memo: dict = {}
+
+    def once(key, make):
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    def signed(sign, a, b):
+        return [(sign * t, p, q) for t, p, q in spaces._terms(a, b, 1)]
+
+    def residual(x, y, z, w):
+        d = {i: elems[i].degree for i in (x, y, z, w)}
+        terms = []
+        for (a, b, c), sign in (((x, y, w), parity_sign(d[z], d[x] + d[w])),
+                                ((y, w, x), parity_sign(d[x], d[y] + d[z])),
+                                ((w, x, y), parity_sign(d[y], d[w] + d[z]))):
+            ab = once(("a o b", a, b), lambda: product(elems[a], elems[b], 1))
+            inner = once(("(a o b) o tw z", a, b, z), lambda: product(ab, tw[z], 1))
+            tw_ab = once(("tw(a o b)", a, b), lambda: product(ab, a1, 0))
+            tw_zc = once(("tw z o tw c", z, c), lambda: product(tw[z], tw[c], 1))
+            terms += signed(sign, inner, tw2[c]) + signed(-sign, tw_ab, tw_zc)
+        return _sparse_sum(*terms)
+
+    return residual
+
+
+def reference_engine_witness(alpha: Matrix, elems):
+    """The first quadruple of indices into elems, in ``itertools.product``
+    order, at which ``reference_jordan_engine`` is nonzero, or None."""
+    residual = reference_jordan_engine(alpha, elems)
+    return next((quad for quad in itertools.product(range(len(elems)), repeat=4)
+                 if residual(*quad)), None)
 
 
 def reference_jordan_witness(alpha: Matrix, elems):

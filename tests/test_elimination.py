@@ -42,6 +42,7 @@ from oracle import (
     reference_matvec,
     reference_phi_kernel,
     unit_vec,
+    zero_matrix,
 )
 from test_boundary import yau_sl2
 
@@ -280,7 +281,7 @@ def test_phi_kernel_check_fails_without_the_t_block(monkeypatch, heisenberg3):
     # vanishes on [L, L] cancel while their first components do not
     def dropped(ext, pair):
         d, dp = pair
-        zero = Matrix.zeros(ext.base.n, ext.base.n)
+        zero = zero_matrix(ext.base.n, ext.base.n)
         return GradedMap(block_diag(zero, dp.matrix.matmul(ext.projection)),
                          d.degree)
 

@@ -15,7 +15,7 @@ from homlie.extension import (
 )
 from homlie.linalg import Matrix, contains, is_zero_vec
 from homlie.spaces import GradedMap, SpaceKind, project_component, solve_space
-from oracle import reference_partner_determined, unit_vec
+from oracle import reference_partner_determined, unit_vec, zero_matrix
 from test_laws import _with_fault
 
 small = st.integers(-2, 2)
@@ -96,14 +96,14 @@ def test_phi_block_structure(ex2_5):
 
 def test_phi_of_zero_pair(ex2_5):
     ext = build_extended(ex2_5)
-    zero = GradedMap(Matrix.zeros(3, 3), 0)
+    zero = GradedMap(zero_matrix(3, 3), 0)
     assert phi(ext, (zero, zero), 0).is_zero()
 
 
 def test_phi_rejects_non_member(ex2_5):
     ext = build_extended(ex2_5)
     bad = GradedMap(Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 0)
-    zero = GradedMap(Matrix.zeros(3, 3), 0)
+    zero = GradedMap(zero_matrix(3, 3), 0)
     with pytest.raises(ValueError):
         phi(ext, (bad, zero), 0)
 

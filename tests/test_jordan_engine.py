@@ -1,9 +1,10 @@
 """The memoised sparse engine behind the twisted Jordan check.
 
 ``check_qc_structure`` tests the twisted super Jordan identity on every
-quadruple of quasicentroid basis maps through one engine that memoises
-the factors shared between quadruples.  Its first witness and its
-residuals must be those of the dense per-quadruple loop kept in
+quadruple of quasicentroid basis maps through one engine that forms the
+residual once per (x, y, z) for every w, and memoises the factors shared
+between triples.  Its first witness and its residuals must be those of
+the dense per-quadruple loop kept in
 ``oracle.reference_jordan_witness``, on the bundled algebras, on random
 algebras and on the larger twisted and odd inputs; and the check must
 report ``fail`` with that witness when a basis map is bent.  The circle
@@ -173,15 +174,17 @@ def _maps_and_twist(draw, n=2):
 @given(_maps_and_twist())
 @settings(max_examples=40, deadline=None)
 def test_engine_residuals_match_dense_residuals(maps_and_twist):
-    """One engine answers every quadruple of three maps of mixed
-    degrees, so each memoised factor is served to other quadruples."""
+    """One engine answers every triple of three maps of mixed degrees,
+    each w generic, so each memoised factor is served to other triples."""
     elems, alpha = maps_and_twist
     residual = spaces._jordan_engine(alpha, elems)
-    for quad in itertools.product(range(3), repeat=4):
-        rows = residual(*quad)
-        dense = Matrix.from_sparse([rows.get(r, {}) for r in range(2)], 2)
-        want = reference_hom_jordan_residual(alpha, *(elems[i] for i in quad))
-        assert dense == want, quad
+    for x, y, z in itertools.product(range(3), repeat=3):
+        rows = residual(x, y, z)
+        for w in range(3):
+            dense = Matrix.from_sparse([rows.get((w, r), {}) for r in range(2)], 2)
+            want = reference_hom_jordan_residual(
+                alpha, *(elems[i] for i in (x, y, z, w)))
+            assert dense == want, (x, y, z, w)
 
 
 def test_h5_identity_twist_report_is_pinned():

@@ -64,6 +64,48 @@ def test_closure_equivalence_fails_on_a_bent_composition(ex2_5, monkeypatch):
         "fail", "bracket: True, composition: False")
 
 
+def _diagonal_blocks(g, n):
+    """The n x n diagonal blocks of a block-diagonal map, as matrices."""
+    view = g.matrix._sparse
+    return [Matrix.from_sparse([{c - w * n: x for c, x in view.get(w * n + r, {}).items()}
+                                for r in range(n)], n) for w in range(g.n // n)]
+
+
+def test_closure_equivalence_fails_on_a_bent_block_of_a_wide_cell(abelian2,
+                                                                 monkeypatch):
+    # abelian2's QC at k = 0 is spanned by diag(1, 0) and diag(0, 1), so a
+    # law cell there has m = 2: one compose forms both products of the
+    # first map, as the blocks of its two copies times the two maps.
+    # Bending block w = 1 of that product, where b_1 = diag(0, 1), by
+    # +1/3 at entry (0, 1) moves first o b_1 = 0 out of QC at (0, 0)
+    first, second = (t[0] for t in solve_space(abelian2, SpaceKind.QC).tuples)
+    n = abelian2.n
+    clean = _by_name(check_qc_structure(abelian2, K_MAX))
+    assert clean[_EQUIVALENCE].status == "pass"
+    bent_at = []
+
+    def bent_compose(a, b):
+        g = compose(a, b)
+        if a.n == n or a.n != b.n:
+            return g
+        lifted, blocks = _diagonal_blocks(a, n), _diagonal_blocks(b, n)
+        if set(lifted) != {first.matrix} or blocks[1:2] != [second.matrix]:
+            return g
+        bent_at.append(len(blocks))
+        view = {r: dict(row) for r, row in g.matrix._sparse.items()}
+        view.setdefault(n, {})[n + 1] = Fraction(1, 3)
+        return GradedMap(Matrix._of(g.n, g.n, view), g.degree)
+
+    monkeypatch.setattr(spaces, "compose", bent_compose)
+    checks = _by_name(check_qc_structure(abelian2, K_MAX))
+    assert bent_at and set(bent_at) == {2}
+    assert checks["QC bracket-closed"].detail == "yes"
+    assert checks["QC composition-closed"].detail == "no (k=0, s=0)"
+    equivalence = checks[_EQUIVALENCE]
+    assert (equivalence.status, equivalence.detail) == (
+        "fail", "bracket: True, composition: False")
+
+
 def test_super_commutativity_fails_on_an_asymmetric_circle(heisenberg3,
                                                            monkeypatch):
     def asymmetric(a, b):

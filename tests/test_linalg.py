@@ -17,7 +17,7 @@ from homlie.linalg import (
     vec,
 )
 
-from oracle import reference_matvec, unit_vec
+from oracle import reference_matvec, unit_vec, zero_matrix
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -87,7 +87,7 @@ def test_rref_idempotent(m):
 
 
 def test_nullspace_zero_map():
-    assert nullspace(Matrix.zeros(2, 3)).dim == 3
+    assert nullspace(zero_matrix(2, 3)).dim == 3
 
 
 def test_nullspace_identity():

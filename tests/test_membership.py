@@ -99,6 +99,15 @@ def test_a_rescaled_basis_gives_an_equal_subspace():
     assert a != Subspace(2, ((1, 1),)) and a != Subspace(3, ((1, 0, 0),))
 
 
+def test_the_hash_ignores_the_order_in_which_reduced_rows_were_built():
+    # two spanning lists of one subspace whose reduction leaves pivot
+    # row 0 with its entries inserted in opposite orders
+    a = Subspace(5, ((1, 1, 0, 0, -1), (1, 2, 0, -1, -1), (0, -1, 1, -1, 0)))
+    b = Subspace(5, ((4, 7, -1, -1, -4), (1, 2, 0, -1, -1), (2, 1, 1, -1, -2)))
+    assert [list(a._reduced[0]), list(b._reduced[0])] == [[4, 3], [3, 4]]
+    assert a == b and hash(a) == hash(b)
+
+
 def test_intersection_of_a_dependent_basis_keeps_the_dimension_formula():
     zero = Subspace.zero(2)
     assert subspace_intersection(Subspace(2, ((1, 0), (2, 0))), zero) == zero

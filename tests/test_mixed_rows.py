@@ -21,7 +21,13 @@ from homlie.linalg import (
     contains,
     nullspace,
 )
-from oracle import reference_matmul, reference_nullspace, reference_rref, reference_span
+from oracle import (
+    reference_matmul,
+    reference_nullspace,
+    reference_rref,
+    reference_span,
+    zero_matrix,
+)
 
 # +-1 often, so that unit pivots are common; integral values as int
 unit = st.sampled_from((1, -1))
@@ -88,7 +94,7 @@ def draw_map(data, rows, cols):
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_sparse_sum_matches_the_dense_products(rows, inner, cols, data):
     """sign * a b summed over one to three terms, against the dense loop."""
-    terms, want = [], Matrix.zeros(rows, cols)
+    terms, want = [], zero_matrix(rows, cols)
     for _ in range(data.draw(st.integers(1, 3))):
         sign, a, b = data.draw(unit), draw_map(data, rows, inner), draw_map(data, inner, cols)
         terms.append((sign, a, b))

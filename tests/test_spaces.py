@@ -43,6 +43,7 @@ from oracle import (
     reference_supercommutator,
     stacked,
     tuple_vector,
+    zero_matrix,
 )
 
 ALL_KINDS = tuple(SpaceKind)
@@ -136,7 +137,7 @@ def test_jordan_product_rules():
 def test_alpha_shift(ex2_5):
     d = GradedMap(diag(1, 0, -1), 0)
     assert alpha_shift(ex2_5, d).matrix == diag(1, 0, -2)
-    zero = GradedMap(Matrix.zeros(3, 3), 0)
+    zero = GradedMap(zero_matrix(3, 3), 0)
     assert alpha_shift(ex2_5, zero).is_zero()
     ident_spec = AlgebraSpec.from_pairs("ab3", (0, 0, 0),
                                         Matrix.identity(3), {})
@@ -222,7 +223,7 @@ def test_decompose_symmetric_case(ex2_5):
 def test_decompose_antisymmetric_case(ex2_5):
     d = solve_space(ex2_5, SpaceKind.QC, 1, 0).tuples[0][0]
     neg = GradedMap(d.matrix.scale(-1), 0)
-    zero = GradedMap(Matrix.zeros(3, 3), 0)
+    zero = GradedMap(zero_matrix(3, 3), 0)
     (dq, _), dc = decompose_generalized(ex2_5, 1, 0, (d, neg, zero))
     assert dq.is_zero()
     assert dc.matrix == d.matrix
@@ -247,7 +248,7 @@ def test_decompose_is_linear(ex2_5):
 
 def test_decompose_rejects_non_member(ex2_5):
     bad = GradedMap(Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 0)
-    zero = GradedMap(Matrix.zeros(3, 3), 0)
+    zero = GradedMap(zero_matrix(3, 3), 0)
     with pytest.raises(ValueError):
         decompose_generalized(ex2_5, 1, 0, (bad, zero, zero))
 
@@ -378,7 +379,7 @@ _SPARSE = st.one_of(st.just(0), st.just(0), _ENTRIES)
 
 def _matrices(rows, cols):
     """Matrices of the shape, sometimes the zero matrix."""
-    return st.one_of(st.just(Matrix.zeros(rows, cols)), st.builds(
+    return st.one_of(st.just(zero_matrix(rows, cols)), st.builds(
         lambda e: Matrix(rows, cols, tuple(e)),
         st.lists(_SPARSE, min_size=rows * cols, max_size=rows * cols)))
 
@@ -437,7 +438,7 @@ def test_cached_views_are_not_fields(heisenberg3):
     # every constructor leaves the one stored form, and no subspace holds
     # a basis until it is read
     matrices = (m, Matrix(2, 1, (Fraction(0), Fraction(2))), Matrix.identity(3),
-                Matrix.zeros(2, 3), Matrix.from_sparse([{0: 1}, {}, {2: "1/2"}], 3),
+                zero_matrix(2, 3), Matrix.from_sparse([{0: 1}, {}, {2: "1/2"}], 3),
                 m.matmul(m))
     assert all("_sparse" in vars(x) for x in matrices)
     space = solve_space.__wrapped__(heisenberg3, SpaceKind.QDER, 0, 0, True)

@@ -37,6 +37,7 @@ from oracle import (
     reference_rref,
     reference_span,
     reference_two_rref_nullspace,
+    zero_matrix,
 )
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -67,7 +68,7 @@ EDGE_CASES = (
     Matrix(0, 3, ()),
     Matrix(3, 0, ()),
     Matrix(0, 0, ()),
-    Matrix.zeros(3, 4),
+    zero_matrix(3, 4),
     Matrix.identity(4),
     Matrix.from_rows([[1, 2, 3], [1, 2, 3], [2, 4, 6]]),
     # zero column; the third row is the sum of the first two
@@ -92,6 +93,17 @@ def test_rref_matches_dense_reference(m):
     reduced, pivots, rk = rref(m)
     want = reference_rref(m)
     assert (reduced, pivots, rk) == want
+
+
+@with_examples
+@given(rational_matrices())
+def test_rank_reduces_copies_of_the_rows_without_rref(m):
+    """rank is the dense reference's rank by one ``_reduce`` of copied
+    rows: the matrix's view is left as it was, and ``rref`` is not run."""
+    view = {r: dict(row) for r, row in m._sparse.items()}
+    with mock.patch.object(linalg, "rref", side_effect=AssertionError("rref ran")):
+        assert linalg.rank(m) == reference_rref(m)[2]
+    assert m._sparse == view
 
 
 @with_examples
@@ -160,7 +172,7 @@ def test_sums_match_dense_reference(m, data):
     assert m - other == Matrix(m.rows, m.cols, tuple(x - y for x, y in pairs))
     for wide in (m.__add__, m.__sub__):
         with pytest.raises(ValueError, match="shape mismatch"):
-            wide(Matrix.zeros(m.rows, m.cols + 1))
+            wide(zero_matrix(m.rows, m.cols + 1))
 
 
 # -- sympy as a third reference ---------------------------------------------

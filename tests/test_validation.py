@@ -42,11 +42,11 @@ FAULTS = {
                     table(2, {})),
         [fail("twist evenness", (0, 1), 1)]),
     "bracket evenness": (
-        AlgebraSpec("graded", (0, 1), Matrix.zeros(2, 2),
+        AlgebraSpec("graded", (0, 1), oracle.zero_matrix(2, 2),
                     table(2, {(1, 1): (0, 1)})),
         [fail("bracket evenness", (1, 1, 1), 1)]),
     "super skew-symmetry": (
-        AlgebraSpec("skew", (0, 0), Matrix.zeros(2, 2),
+        AlgebraSpec("skew", (0, 0), oracle.zero_matrix(2, 2),
                     table(2, {(0, 1): (1, 0)})),
         [fail("super skew-symmetry", (1, 0), 1, 0),
          fail("super skew-symmetry", (0, 1), 1, 0)]),
