@@ -58,15 +58,20 @@ MUTANTS = (
            "s1, s2, s3 = (parity_sign(dz, dx + d),", "s1, s2, s3 = (parity_sign(dz, dx),",
            (RESIDUALS,)),
     Mutant("jordan: (y o w) o tw z without the degree of w", SPACES,
-           "keyed(dy + d + dz, *circle(yw, tw[z]))", "keyed(dy + dz, *circle(yw, tw[z]))",
+           "*circle(yw, dy + d, tw[z])", "*circle(yw, dy, tw[z])",
            (RESIDUALS,)),
     Mutant("jordan: the left product of a circle unsigned", SPACES,
-           "(s if g_first else sign, _columns(p.matrix), rows)]",
-           "(sign, _columns(p.matrix), rows)]",
+           "(s if g_first else sign, p.matrix._cols, g)]", "(sign, p.matrix._cols, g)]",
            (RESIDUALS,)),
     Mutant("jordan: a memo key without the degree of w", SPACES,
            'yw = once(("y o w", y, d),', 'yw = once(("y o w", y),',
            (RESIDUALS,)),
+    Mutant("jordan: a factor with z kept for the next z", SPACES,
+           "*circle(yw, dy + d, tw[z])), near)", "*circle(yw, dy + d, tw[z])), memo)",
+           (RESIDUALS,)),
+    Mutant("jordan: the z-outer walk keeps the last witness", SPACES,
+           "(x, y, z) < best[:3]", "(x, y, z) > best[:3]",
+           (JORDAN + "test_engine_matches_oracle_on_bundled[lax]",)),
     Mutant("jordan: basis-first reports pass when the basis fails", SPACES,
            "quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)",
            "quad = _jordan_witness(spec.alpha, basis) and None",
@@ -96,10 +101,10 @@ MUTANTS = (
     Mutant("_first_outside: an inverted cell verdict", SPACES,
            "if _eliminate(row, target._reduced):", "if not _eliminate(row, target._reduced):",
            ("tests/test_sparse_coords.py::test_first_outside_matches_the_dense_walk",)),
-    Mutant("_terms: a product ignoring the parity sign", SPACES,
+    Mutant("_product: a product ignoring the parity sign", SPACES,
            "(s * parity_sign(a.degree, b.degree), y, x)", "(s, y, x)",
            ("tests/test_spaces.py::test_products_match_the_dense_reference_product",)),
-    Mutant("_terms: a dropped term sign", SPACES,
+    Mutant("_product: a dropped term sign", SPACES,
            "(s * parity_sign(a.degree, b.degree), y, x)", "(parity_sign(a.degree, b.degree), y, x)",
            ("tests/test_spaces.py::test_products_match_the_dense_reference_product",)),
     Mutant("space_contains: the degree tag ignored", SPACES,

@@ -130,6 +130,7 @@ class Matrix:
         return self._hash
 
     _hash = cached_property(lambda m: hash((m.rows, m.cols, _scatter(m, 0, _int))))
+    _cols = cached_property(lambda m: _columns(m))  # once per matrix; not a field
 
     def at(self, r: int, c: int) -> Fraction:
         return self.entries[r * self.cols + c]

@@ -91,19 +91,14 @@ class GradedMap:
     _hash = cached_property(lambda g: hash((g.matrix, g.degree)))
 
 
-def _terms(a: GradedMap, b: GradedMap, s: int) -> list:
-    """The ``_sparse_sum`` terms of ab + s (-1)^{|a||b|} ba, s 0 or +-1,
-    over the matrices' cached sparse views."""
-    x, y = a.matrix._sparse, b.matrix._sparse
-    return [(1, x, y)] + ([(s * parity_sign(a.degree, b.degree), y, x)] if s else [])
-
-
 def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
-    """ab + s (-1)^{|a||b|} ba by one ``_sparse_sum``; degrees add mod 2."""
+    """ab + s (-1)^{|a||b|} ba, s 0 or +-1, by one ``_sparse_sum`` over the
+    matrices' cached sparse views; degrees add mod 2."""
     if a.n != b.n:
         raise ValueError("ambient dimension mismatch")
-    return GradedMap(Matrix._of(a.n, a.n, _sparse_sum(*_terms(a, b, s))),
-                     (a.degree + b.degree) % 2)
+    x, y = a.matrix._sparse, b.matrix._sparse
+    terms = [(1, x, y)] + ([(s * parity_sign(a.degree, b.degree), y, x)] if s else [])
+    return GradedMap(Matrix._of(a.n, a.n, _sparse_sum(*terms)), (a.degree + b.degree) % 2)
 
 
 def compose(a: GradedMap, b: GradedMap) -> GradedMap:
@@ -391,9 +386,9 @@ def _blocks(maps: Sequence[GradedMap]) -> GradedMap:
 @lru_cache(maxsize=1024)
 def _first_product_outside(op, a, b, target):
     """The first op(x, y) outside target, x in a outermost, formed
-    component by component, or None.  One op call per x and component c
-    forms every op(x[c], y[c]) as block y of op(m copies of x[c], the
-    blocks y[c]), as all y have one degree.  Keyed on content: a repeated
+    component by component, or None.  As all y have one degree, one op
+    call per x and component c forms each op(x[c], y[c]) as block y of
+    op(m copies of x[c], the blocks y[c]).  Keyed on content: a repeated
     cell is answered once, and a changed basis is never served stale."""
     if not b:
         return None
@@ -587,9 +582,9 @@ def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
     """The residual of the twisted super Jordan identity at (x, y, z, w),
     elems by index: with tw g = g alpha, the signed sum over (a, b, c) in
     (x, y, w), (y, w, x), (w, x, y) of ((a o b) o tw z) o tw^2 c -
-    tw(a o b) o (tw z o tw c).  It is linear in w at each degree of w, so
-    residual(x, y, z) holds its nonzero rows for every w at once, keyed
-    (w, r).  Each factor that omits x, y or z is made once per engine."""
+    tw(a o b) o (tw z o tw c).  Linear in w at each degree of w, it is
+    formed for every w at once: engine(z)(x, y) holds its nonzero rows,
+    keyed (w, r).  A factor is made once per engine, or per engine(z)."""
     if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
         raise ValueError("ambient dimension mismatch")
     av, a1 = alpha._sparse, GradedMap(alpha, 0)
@@ -597,67 +592,74 @@ def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
     tw2 = [_product(g, a1, 0) for g in tw]
     memo: dict = {}
 
-    def once(key, make):
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
+    def once(key, make, table=memo):
+        return table[key] if key in table else table.setdefault(key, make())
 
-    def circle(g, p, sign=1, g_first=True):
-        """The terms of sign * (g o p), or of (p o g), keyed g = (rows, degree)."""
-        (rows, dg), view = g, p.matrix._sparse
-        if not (rows and view):
+    def circle(g, dg, p, sign=1, g_first=True):
+        """The terms of sign * (g o p), or of (p o g), rows g keyed (w, r)."""
+        if not (g and p.matrix._sparse):
             return []
         s = sign * parity_sign(dg, p.degree)
-        return [(sign if g_first else s, rows, view),
-                (s if g_first else sign, _columns(p.matrix), rows)]
+        return [(sign if g_first else s, g, p.matrix._sparse),
+                (s if g_first else sign, p.matrix._cols, g)]
 
-    def keyed(degree, *terms):
-        return _sparse_sum(*terms), degree % 2
+    # per degree d held: every w of degree d, w alpha and w alpha^2, keyed (w, r)
+    batches = []
+    for d in (0, 1):
+        w = {(i, r): row for i, g in enumerate(elems) if g.degree == d
+             for r, row in g.matrix._sparse.items()}
+        wa = _sparse_sum((1, w, av))
+        batches += [(d, w, wa, _sparse_sum((1, wa, av)))] if w else []
 
-    # per degree d: every w of degree d, w alpha and w alpha^2, keyed (w, r)
-    ws = [({(i, r): row for i, g in enumerate(elems) if g.degree == d
-            for r, row in g.matrix._sparse.items()}, d) for d in (0, 1)]
-    was = [keyed(d, (1, w[0], av)) for d, w in enumerate(ws)]
-    wa2s = [keyed(d, (1, wa[0], av)) for d, wa in enumerate(was)]
+    def at(z):
+        dz, near = elems[z].degree, {}
 
-    def residual(x, y, z):
-        dx, dy, dz = (elems[i].degree for i in (x, y, z))
-        ab = once(("x o y", x, y), lambda: _product(elems[x], elems[y], 1))
-        tw_ab = once(("tw(x o y)", x, y), lambda: _product(ab, a1, 0))
-        inner = _product(ab, tw[z], 1)
-        zx, zy = (once(("tw z o tw c", z, c), lambda: _product(tw[z], tw[c], 1))
-                  for c in (x, y))
-        out = {}
-        for d, w, wa, wa2 in zip((0, 1), ws, was, wa2s):
-            zw = once(("tw z o tw w", z, d),
-                      lambda: keyed(dz + d, *circle(wa, tw[z], g_first=False)))
-            yw = once(("y o w", y, d),
-                      lambda: keyed(dy + d, *circle(w, elems[y], g_first=False)))
-            wx = once(("w o x", x, d), lambda: keyed(d + dx, *circle(w, elems[x])))
-            tw_yw = once(("tw(y o w)", y, d), lambda: keyed(dy + d, (1, yw[0], av)))
-            tw_wx = once(("tw(w o x)", x, d), lambda: keyed(d + dx, (1, wx[0], av)))
-            s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, dy + dz),
-                          parity_sign(dy, d + dz))
-            out |= _sparse_sum(
-                *circle(wa2, inner, s1, g_first=False),
-                *circle(zw, tw_ab, -s1, g_first=False),
-                *circle(keyed(dy + d + dz, *circle(yw, tw[z])), tw2[x], s2),
-                *circle(tw_yw, zx, -s2),
-                *circle(keyed(d + dx + dz, *circle(wx, tw[z])), tw2[y], s3),
-                *circle(tw_wx, zy, -s3))
-        return out
+        def residual(x, y):
+            dx, dy = elems[x].degree, elems[y].degree
+            ab = once(("x o y", x, y), lambda: _product(elems[x], elems[y], 1))
+            tw_ab = once(("tw(x o y)", x, y), lambda: _product(ab, a1, 0))
+            inner = _product(ab, tw[z], 1)
+            zx, zy = (once(("tw z o tw c", z, c), lambda: _product(tw[z], tw[c], 1))
+                      for c in (x, y))
+            out = {}
+            for d, w, wa, wa2 in batches:
+                yw = once(("y o w", y, d),
+                          lambda: _sparse_sum(*circle(w, d, elems[y], g_first=False)))
+                wx = once(("w o x", x, d), lambda: _sparse_sum(*circle(w, d, elems[x])))
+                tw_yw = once(("tw(y o w)", y, d), lambda: _sparse_sum((1, yw, av)))
+                tw_wx = once(("tw(w o x)", x, d), lambda: _sparse_sum((1, wx, av)))
+                zw = once(("tw z o tw w", d), lambda: _sparse_sum(
+                    *circle(wa, d, tw[z], g_first=False)), near)
+                yw_z = once(("(y o w) o tw z", y, d), lambda: _sparse_sum(
+                    *circle(yw, dy + d, tw[z])), near)
+                wx_z = once(("(w o x) o tw z", x, d), lambda: _sparse_sum(
+                    *circle(wx, d + dx, tw[z])), near)
+                s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, dy + dz),
+                              parity_sign(dy, d + dz))
+                out |= _sparse_sum(
+                    *circle(wa2, d, inner, s1, g_first=False),
+                    *circle(zw, dz + d, tw_ab, -s1, g_first=False),
+                    *circle(yw_z, dy + d + dz, tw2[x], s2),
+                    *circle(tw_yw, dy + d, zx, -s2),
+                    *circle(wx_z, d + dx + dz, tw2[y], s3),
+                    *circle(tw_wx, d + dx, zy, -s3))
+            return out
 
-    return residual
+        return residual
+
+    return at
 
 
 def _jordan_witness(alpha: Matrix, elems: Sequence[GradedMap]):
     """The first quadruple of indices into elems, in ``itertools.product``
-    order, with a nonzero Jordan residual, or None."""
-    residual = _jordan_engine(alpha, elems)
-    for x, y, z in itertools.product(range(len(elems)), repeat=3):
-        if rows := residual(x, y, z):
-            return x, y, z, min(w for w, _ in rows)
-    return None
+    order, with a nonzero residual, or None; z runs outermost."""
+    engine, best = _jordan_engine(alpha, elems), None
+    for z in range(len(elems)):
+        residual = engine(z)
+        for x, y in itertools.product(range(len(elems)), repeat=2):
+            if (best is None or (x, y, z) < best[:3]) and (rows := residual(x, y)):
+                best = (x, y, z, min(w for w, _ in rows))
+    return best
 
 
 def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
@@ -665,9 +667,8 @@ def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
     """Residual of the twisted super Jordan identity at four maps, the
     twist acting on maps by composition with alpha on the input side: the
     rows at w of the engine that ``check_qc_structure`` runs."""
-    rows = _jordan_engine(alpha, (x, y, z, w))(0, 1, 2)
-    return Matrix._of(alpha.rows, alpha.cols,
-                      {r: row for (i, r), row in rows.items() if i == 3})
+    rows = _jordan_engine(alpha, (x, y, z, w))(2)(0, 1).items()
+    return Matrix._of(alpha.rows, alpha.cols, {r: row for (i, r), row in rows if i == 3})
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,

@@ -732,7 +732,9 @@ def reference_jordan_engine(alpha: Matrix, elems):
         return memo[key]
 
     def signed(sign, a, b):
-        return [(sign * t, p, q) for t, p, q in spaces._terms(a, b, 1)]
+        """The ``_sparse_sum`` terms of sign * (a o b)."""
+        x, y = a.matrix._sparse, b.matrix._sparse
+        return [(sign, x, y), (sign * parity_sign(a.degree, b.degree), y, x)]
 
     def residual(x, y, z, w):
         d = {i: elems[i].degree for i in (x, y, z, w)}

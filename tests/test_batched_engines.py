@@ -91,7 +91,7 @@ def test_first_failing_w_is_not_the_first_of_its_degree():
     assert spaces._jordan_witness(alpha, elems) == (0, 0, 1, 1)
     assert reference_jordan_witness(alpha, elems) == tuple(
         elems[i] for i in (0, 0, 1, 1))
-    assert not spaces._jordan_engine(alpha, elems)(0, 0, 1).get((0, 0))
+    assert not spaces._jordan_engine(alpha, elems)(1)(0, 0).get((0, 0))
 
 
 def test_first_failing_w_is_odd_before_a_failing_even_w():
@@ -100,7 +100,7 @@ def test_first_failing_w_is_odd_before_a_failing_even_w():
     alpha = Matrix.from_rows([[2, 0], [0, 1]])
     elems = [_map({0: {0: -1}, 1: {0: 2}}, 0), _map({0: {1: 1}}, 1),
              _map({0: {0: -1, 1: 2}}, 0)]
-    rows = spaces._jordan_engine(alpha, elems)(0, 0, 0)
+    rows = spaces._jordan_engine(alpha, elems)(0)(0, 0)
     assert sorted({w for w, _ in rows}) == [1, 2]
     assert spaces._jordan_witness(alpha, elems) == (0, 0, 0, 1)
     assert reference_jordan_witness(alpha, elems) == tuple(

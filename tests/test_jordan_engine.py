@@ -177,9 +177,9 @@ def test_engine_residuals_match_dense_residuals(maps_and_twist):
     """One engine answers every triple of three maps of mixed degrees,
     each w generic, so each memoised factor is served to other triples."""
     elems, alpha = maps_and_twist
-    residual = spaces._jordan_engine(alpha, elems)
+    engine = spaces._jordan_engine(alpha, elems)
     for x, y, z in itertools.product(range(3), repeat=3):
-        rows = residual(x, y, z)
+        rows = engine(z)(x, y)
         for w in range(3):
             dense = Matrix.from_sparse([rows.get((w, r), {}) for r in range(2)], 2)
             want = reference_hom_jordan_residual(
