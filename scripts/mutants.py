@@ -8,12 +8,10 @@ For every entry the script copies ``src/`` to a temporary directory,
 applies the edit there and runs only the named tests, with
 ``PYTHONPATH`` at the copy.  The union of the named tests must first
 pass on an unmutated copy.  ``EQUIVALENT`` lists edits that change no
-behaviour, each with its reason: they are printed, never run and never
-counted as killed.
+behaviour, each with its reason: they are never run and never counted
+as killed.
 
-    python scripts/mutants.py              # every entry
-    python scripts/mutants.py NAME ...     # only the named entries
-    python scripts/mutants.py --list       # print both tables
+    python scripts/mutants.py
 
 The exit code is 0 when every mutant run is killed, and 1 when one
 survives, an entry is stale or a named test fails unmutated.  Uses the
@@ -22,7 +20,6 @@ standard library and the pytest that the tests need.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -217,22 +214,5 @@ def run(mutants, out=print) -> int:
     return 1 if bad else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these entries")
-    parser.add_argument("--list", action="store_true", help="print the tables")
-    args = parser.parse_args(argv)
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name}  [{m.file}]  -> {', '.join(m.tests)}")
-        for name, file, _, _, why in EQUIVALENT:
-            print(f"equivalent: {name}  [{file}]: {why}")
-        return 0
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
-    return run([m for m in MUTANTS if not args.names or m.name in args.names])
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(MUTANTS))
