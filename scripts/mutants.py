@@ -40,13 +40,26 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-SPACES, LINALG = "homlie/spaces.py", "homlie/linalg.py"
+SPACES, LINALG, ALGEBRA = "homlie/spaces.py", "homlie/linalg.py", "homlie/algebra.py"
 BATCHED = "tests/test_batched_engines.py::"
 JORDAN = "tests/test_jordan_engine.py::"
 RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
+BATCH = "tests/test_batched_product.py::test_each_block_is_the_per_pair_product"
+WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
 RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
+VALIDATE = "tests/test_validation.py::"
 
 MUTANTS = (
+    # the batched product of both engines
+    Mutant("_batched: s ignored", SPACES,
+           "(sign * s * parity_sign(p.degree, dg), g, x)", "(sign * parity_sign(p.degree, dg), g, x)",
+           (BATCH,)),
+    Mutant("_batched: the parity sign ignored", SPACES,
+           "(sign * s * parity_sign(p.degree, dg), g, x)", "(sign * s, g, x)",
+           (BATCH,)),
+    Mutant("_batched: the left product unsigned", SPACES,
+           "[(sign, p.matrix._cols, g)]", "[(1, p.matrix._cols, g)]",
+           (BATCH,)),
     # the w-generic Jordan engine and its basis-first walk
     Mutant("jordan: the max instead of the min w", SPACES,
            "min(w for w, _ in rows)", "max(w for w, _ in rows)",
@@ -54,17 +67,17 @@ MUTANTS = (
     Mutant("jordan: a dropped w-degree sign", SPACES,
            "s1, s2, s3 = (parity_sign(dz, dx + d),", "s1, s2, s3 = (parity_sign(dz, dx),",
            (RESIDUALS,)),
-    Mutant("jordan: (y o w) o tw z without the degree of w", SPACES,
-           "*circle(yw, dy + d, tw[z])", "*circle(yw, dy, tw[z])",
+    Mutant("jordan: (g o w) o tw z turned round without the degree of w", SPACES,
+           "parity_sign(g.degree + d, dz)", "parity_sign(g.degree, dz)",
            (RESIDUALS,)),
-    Mutant("jordan: the left product of a circle unsigned", SPACES,
-           "(s if g_first else sign, p.matrix._cols, g)]", "(sign, p.matrix._cols, g)]",
+    Mutant("jordan: a swapped (w, r) key", SPACES,
+           "w = {(i, r): row for i, g in enumerate(elems)", "w = {(r, i): row for i, g in enumerate(elems)",
            (RESIDUALS,)),
-    Mutant("jordan: a memo key without the degree of w", SPACES,
-           'yw = once(("y o w", y, d),', 'yw = once(("y o w", y),',
-           (RESIDUALS,)),
-    Mutant("jordan: a factor with z kept for the next z", SPACES,
-           "*circle(yw, dy + d, tw[z])), near)", "*circle(yw, dy + d, tw[z])), memo)",
+    Mutant("jordan: a per-z table built once per engine", SPACES,
+           "    def at(z):\n        dz, twz = elems[z].degree, tw[z]\n"
+           "        zc = [_product(twz, g, 1) for g in tw]\n",
+           "    zc = [_product(tw[0], g, 1) for g in tw]\n\n"
+           "    def at(z):\n        dz, twz = elems[z].degree, tw[z]\n",
            (RESIDUALS,)),
     Mutant("jordan: the z-outer walk keeps the last witness", SPACES,
            "(x, y, z) < best[:3]", "(x, y, z) > best[:3]",
@@ -80,18 +93,15 @@ MUTANTS = (
            "out = acc.setdefault((w, r), {})", "out = acc.setdefault((w, k), {})",
            (RESIDUALS,)),
     # the batched law cells
-    Mutant("law: a wrong divmod split", SPACES,
-           "w, r = divmod(i, n)", "r, w = divmod(i, n)",
-           (BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell",)),
-    Mutant("law: the block offset kept in the column", SPACES,
-           "(c * n + r - w) * n + col", "(c * n + r) * n + col",
-           (BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell",)),
-    Mutant("law: an unlifted factor", SPACES,
-           "op(_blocks([p] * len(b)), q)", "op(_blocks([x[0]] * len(b)), q)",
-           (BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell",)),
+    Mutant("law: a swapped (w, r) key", SPACES,
+           "for (w, r), row in _sparse_sum(", "for (r, w), row in _sparse_sum(",
+           (WIDE_CELL,)),
+    Mutant("law: the component offset dropped", SPACES,
+           "(c * n + r) * n + col", "r * n + col",
+           (WIDE_CELL,)),
     Mutant("law: the witness rebuilt at the first w", SPACES,
            "zip(x, b[w]))", "zip(x, b[0]))",
-           (BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell",)),
+           (WIDE_CELL,)),
     Mutant("law: cells of one map skipped", SPACES,
            "    if not b:\n        return None", "    if len(b) < 2:\n        return None",
            ("tests/test_law_engine.py::test_closure_equivalence_fails_on_a_bent_composition",)),
@@ -110,7 +120,18 @@ MUTANTS = (
     Mutant("GradedMap: a hash without the degree", SPACES,
            "hash((g.matrix, g.degree))", "hash((g.matrix,))",
            (BATCHED + "test_map_and_space_hashes_are_the_dataclass_hashes",)),
-    # elimination and subspaces
+    # validate on the sparse bracket view
+    Mutant("validate: a dropped live-triple rotation", ALGEBRA,
+           "for t in ((x, a, b), (b, x, a), (a, b, x))", "for t in ((x, a, b), (b, x, a))",
+           (VALIDATE + "test_matches_reference_on_faulty_tables",)),
+    Mutant("validate: skew without the transposes", ALGEBRA,
+           "sorted(table.keys() | {(j, i) for i, j in table})", "sorted(table.keys())",
+           (VALIDATE + "test_matches_reference_on_faulty_tables",)),
+    Mutant("validate: multiplicativity on nonzero pairs only", ALGEBRA,
+           "for i in range(n) for j in range(n)\n            if (res := _add(twisted",
+           "for i, j in table\n            if (res := _add(twisted",
+           (VALIDATE + "test_all_five_faults_in_identity_order",)),
+    # elimination, products and subspaces
     Mutant("_eliminate: only the first pivot cleared", LINALG,
            "for p in [c for c in row if c in done]:", "for p in [c for c in row if c in done][:1]:",
            ("tests/test_linalg.py::test_contains_linear_combination", RREF)),
@@ -123,6 +144,10 @@ MUTANTS = (
     Mutant("_sparse_sum: no zero pruning", LINALG,
            "return {r: row for r, row in rows.items() if row}", "return rows",
            ("tests/test_spaces.py::test_products_match_the_dense_reference_product",)),
+    Mutant("_sparse_sum: the column branch unsigned", LINALG,
+           "out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)\n            continue",
+           "out[c] = out.get(c, 0) + x * y\n            continue",
+           (BATCH,)),
     Mutant("rank: the matrix's own view consumed", LINALG,
            "len(_reduce(dict(row) for row in m._sparse.values()))",
            "len(_reduce(m._sparse.values()))",
@@ -143,12 +168,12 @@ MUTANTS = (
 
 # (name, file, old, new, why the edit changes no behaviour)
 EQUIVALENT = (
-    ("jordan: the two indices of a memo key swapped", SPACES,
-     'once(("tw z o tw c", z, c),', 'once(("tw z o tw c", c, z),',
-     "one line makes and reads every key of that tag, so the swap only "
-     "relabels entries: (z, c) and (c, z) are told apart either way"),
-    ("law: the block degree read off the last map", SPACES,
-     "maps[0].degree)", "maps[-1].degree)",
+    ("_batched: no early return for an empty factor", SPACES,
+     "    if not (g and x):\n        return []\n", "",
+     "a term with an empty factor adds only empty rows, which _sparse_sum "
+     "prunes"),
+    ("law: the batch degree read off the last map", SPACES,
+     "b[0][0].degree", "b[-1][0].degree",
      "every map of one basis has the degree of its space"),
     ("jordan: the w-degree sign with its arguments swapped", SPACES,
      "parity_sign(dz, dx + d)", "parity_sign(dx + d, dz)",

@@ -101,6 +101,18 @@ def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
     return GradedMap(Matrix._of(a.n, a.n, _sparse_sum(*terms)), (a.degree + b.degree) % 2)
 
 
+def _batched(p: GradedMap, g: dict, dg: int, s: int, sign: int = 1) -> list:
+    """The ``_sparse_sum`` terms of sign (pg + s (-1)^{|p| dg} gp), for g one
+    map of degree dg per w held as rows keyed (w, r): ``_product`` with its
+    second argument batched, p multiplying g on the left through p's
+    columns.  s is 0 or +-1, sign +-1."""
+    x = p.matrix._sparse
+    if not (g and x):
+        return []
+    return [(sign, p.matrix._cols, g)] + ([(sign * s * parity_sign(p.degree, dg), g, x)]
+                                          if s else [])
+
+
 def compose(a: GradedMap, b: GradedMap) -> GradedMap:
     """a after b; degrees add mod 2."""
     return _product(a, b, 0)
@@ -375,47 +387,41 @@ def _levels(k_max: int) -> list[tuple[int, int]]:
     return [(k, s) for k in range(k_max + 1) for s in range(k_max - k + 1)]
 
 
-def _blocks(maps: Sequence[GradedMap]) -> GradedMap:
-    """The block-diagonal map of ``maps``, all of one size and degree."""
-    n, m = maps[0].n, len(maps)
-    view = {w * n + r: {w * n + c: x for c, x in row.items()}
-            for w, g in enumerate(maps) for r, row in g.matrix._sparse.items()}
-    return GradedMap(Matrix._of(m * n, m * n, view), maps[0].degree)
-
-
 @lru_cache(maxsize=1024)
-def _first_product_outside(op, a, b, target):
-    """The first op(x, y) outside target, x in a outermost, formed
-    component by component, or None.  As all y have one degree, one op
-    call per x and component c forms each op(x[c], y[c]) as block y of
-    op(m copies of x[c], the blocks y[c]).  Keyed on content: a repeated
-    cell is answered once, and a changed basis is never served stale."""
+def _first_product_outside(s, a, b, target):
+    """The first tuple of products ``_product(x[c], y[c], s)`` outside
+    target, x in a outermost, or None; s is -1 for brackets and 0 for
+    compositions.  As all y have one degree, one ``_batched`` product per
+    x and component c forms x[c] times every y[c], the y[c] held as rows
+    keyed (w, r).  Keyed on content: a repeated cell is answered once, and
+    a changed basis is never served stale."""
     if not b:
         return None
-    n, blocks = b[0][0].n, [_blocks([y[c] for y in b]) for c in range(len(b[0]))]
+    n, dg = b[0][0].n, b[0][0].degree
+    batches = [{(w, r): row for w, y in enumerate(b)
+                for r, row in y[c].matrix._sparse.items()} for c in range(len(b[0]))]
     for x in a:
         rows: list[Row] = [{} for _ in b]
-        for c, (p, q) in enumerate(zip(x, blocks)):
-            for i, row in op(_blocks([p] * len(b)), q).matrix._sparse.items():
-                w, r = divmod(i, n)
-                rows[w].update(((c * n + r - w) * n + col, v) for col, v in row.items())
+        for c, (p, g) in enumerate(zip(x, batches)):
+            for (w, r), row in _sparse_sum(*_batched(p, g, dg, s)).items():
+                rows[w].update(((c * n + r) * n + col, v) for col, v in row.items())
         w = _first_outside((target, row, w) for w, row in enumerate(rows))
         if w is not None:
-            return tuple(op(p, q) for p, q in zip(x, b[w]))
+            return tuple(_product(p, q, s) for p, q in zip(x, b[w]))
     return None
 
 
-def _law_witness(space, op, ka, kb, target, levels, whole=False):
-    """(k, s, th1, th2, g) for the first op(a, b) outside its target in
-    the order (k, s, th1, th2, a, b), a from ka at level k and b from kb
-    at level s, or None.  ``target`` is a fixed subspace or a kind, whose
-    span at k + s and the product's degree is used.  g is the product's
-    first component, or None for whole tuples."""
+def _law_witness(space, sign, ka, kb, target, levels, whole=False):
+    """(k, s, th1, th2, g) for the first product ``_product(a, b, sign)``
+    outside its target in the order (k, s, th1, th2, a, b), a from ka at
+    level k and b from kb at level s, or None.  ``target`` is a fixed
+    subspace or a kind, whose span at k + s and the product's degree is
+    used.  g is the product's first component, or None for whole tuples."""
     for k, s in levels:
         for th1, th2 in itertools.product((0, 1), repeat=2):
             tgt = (target if isinstance(target, Subspace)
                    else space(target, k + s, (th1 + th2) % 2, whole)[0])
-            g = _first_product_outside(op, space(ka, k, th1, whole)[1],
+            g = _first_product_outside(sign, space(ka, k, th1, whole)[1],
                                        space(kb, s, th2, whole)[1], tgt)
             if g is not None:
                 return k, s, th1, th2, None if whole else g[0]
@@ -517,7 +523,7 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
                 continue
             whole = kt == _TUPLE
             checks.append(_verdict(name, _law_witness(
-                space, supercommutator, ka, kb,
+                space, -1, ka, kb,
                 ka if whole else fixed.get(kt, kt), [(k, s)], whole), _where))
 
     # stability of every space under the shift D -> D o alpha; this one
@@ -536,8 +542,7 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
             for t in shifted), _witness))
 
     # quasicentroid closure is an observation, not a law
-    open_at = _law_witness(space, supercommutator, *_QC_CLOSURE,
-                           _levels(k_max))
+    open_at = _law_witness(space, -1, *_QC_CLOSURE, _levels(k_max))
     checks.append(Check("QC bracket-closed", "info",
                         "yes" if open_at is None else f"no; {_where(open_at)}"))
     vanish_label = "QC brackets vanish (closed, surjective twist, trivial center)"
@@ -546,8 +551,8 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     elif not (surjective and centerless):
         checks.append(Check(vanish_label, "skipped", "hypotheses unmet"))
     else:
-        nonzero = _law_witness(space, supercommutator, SpaceKind.QC,
-                               SpaceKind.QC, fixed[_NULL], _levels(k_max))
+        nonzero = _law_witness(space, -1, SpaceKind.QC, SpaceKind.QC,
+                               fixed[_NULL], _levels(k_max))
         checks.append(_verdict(vanish_label, nonzero,
                                lambda w: format_matrix(w[4].matrix)))
 
@@ -584,65 +589,57 @@ def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
     (x, y, w), (y, w, x), (w, x, y) of ((a o b) o tw z) o tw^2 c -
     tw(a o b) o (tw z o tw c).  Linear in w at each degree of w, it is
     formed for every w at once: engine(z)(x, y) holds its nonzero rows,
-    keyed (w, r).  A factor is made once per engine, or per engine(z)."""
+    keyed (w, r).  The factors without z are made once per engine, those
+    with z once per engine(z)."""
     if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
         raise ValueError("ambient dimension mismatch")
     av, a1 = alpha._sparse, GradedMap(alpha, 0)
     tw = [_product(g, a1, 0) for g in elems]
     tw2 = [_product(g, a1, 0) for g in tw]
-    memo: dict = {}
+    xy = [[_product(g, h, 1) for h in elems] for g in elems]
+    tw_xy = [[_product(g, a1, 0) for g in row] for row in xy]
 
-    def once(key, make, table=memo):
-        return table[key] if key in table else table.setdefault(key, make())
+    def twist(rows):
+        return _sparse_sum((1, rows, av))
 
-    def circle(g, dg, p, sign=1, g_first=True):
-        """The terms of sign * (g o p), or of (p o g), rows g keyed (w, r)."""
-        if not (g and p.matrix._sparse):
-            return []
-        s = sign * parity_sign(dg, p.degree)
-        return [(sign if g_first else s, g, p.matrix._sparse),
-                (s if g_first else sign, p.matrix._cols, g)]
-
-    # per degree d held: every w of degree d, w alpha and w alpha^2, keyed (w, r)
+    # per degree d held, every w of degree d keyed (w, r): (d, w alpha,
+    # w alpha^2, g o w for every g, and its twist); w o g is read as
+    # (-1)^{|w||g|} g o w
     batches = []
     for d in (0, 1):
         w = {(i, r): row for i, g in enumerate(elems) if g.degree == d
              for r, row in g.matrix._sparse.items()}
-        wa = _sparse_sum((1, w, av))
-        batches += [(d, w, wa, _sparse_sum((1, wa, av)))] if w else []
+        if w:
+            gw = [_sparse_sum(*_batched(g, w, d, 1)) for g in elems]
+            batches.append((d, twist(w), twist(twist(w)), gw, [twist(v) for v in gw]))
 
     def at(z):
-        dz, near = elems[z].degree, {}
+        dz, twz = elems[z].degree, tw[z]
+        zc = [_product(twz, g, 1) for g in tw]
+        # per degree d held: tw z o tw w, and (g o w) o tw z for every g
+        with_z = [(_sparse_sum(*_batched(twz, wa, d, 1)),
+                   [_sparse_sum(*_batched(twz, v, g.degree + d, 1,
+                                          parity_sign(g.degree + d, dz)))
+                    for g, v in zip(elems, gw)])
+                  for d, wa, _, gw, _ in batches]
 
         def residual(x, y):
             dx, dy = elems[x].degree, elems[y].degree
-            ab = once(("x o y", x, y), lambda: _product(elems[x], elems[y], 1))
-            tw_ab = once(("tw(x o y)", x, y), lambda: _product(ab, a1, 0))
-            inner = _product(ab, tw[z], 1)
-            zx, zy = (once(("tw z o tw c", z, c), lambda: _product(tw[z], tw[c], 1))
-                      for c in (x, y))
+            inner = _product(xy[x][y], twz, 1)
             out = {}
-            for d, w, wa, wa2 in batches:
-                yw = once(("y o w", y, d),
-                          lambda: _sparse_sum(*circle(w, d, elems[y], g_first=False)))
-                wx = once(("w o x", x, d), lambda: _sparse_sum(*circle(w, d, elems[x])))
-                tw_yw = once(("tw(y o w)", y, d), lambda: _sparse_sum((1, yw, av)))
-                tw_wx = once(("tw(w o x)", x, d), lambda: _sparse_sum((1, wx, av)))
-                zw = once(("tw z o tw w", d), lambda: _sparse_sum(
-                    *circle(wa, d, tw[z], g_first=False)), near)
-                yw_z = once(("(y o w) o tw z", y, d), lambda: _sparse_sum(
-                    *circle(yw, dy + d, tw[z])), near)
-                wx_z = once(("(w o x) o tw z", x, d), lambda: _sparse_sum(
-                    *circle(wx, d + dx, tw[z])), near)
-                s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, dy + dz),
-                              parity_sign(dy, d + dz))
+            for (d, _, wa2, _, tw_gw), (zw, gw_z) in zip(batches, with_z):
+                # the three signs of the sum, once w o x is read as x o w and
+                # each circle g o p with g batched as (-1)^{|g||p|} p o g
+                s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, d),
+                              parity_sign(dx, d + dy))
+                u = parity_sign(dz, dx + dy + d)
                 out |= _sparse_sum(
-                    *circle(wa2, d, inner, s1, g_first=False),
-                    *circle(zw, dz + d, tw_ab, -s1, g_first=False),
-                    *circle(yw_z, dy + d + dz, tw2[x], s2),
-                    *circle(tw_yw, dy + d, zx, -s2),
-                    *circle(wx_z, d + dx + dz, tw2[y], s3),
-                    *circle(tw_wx, d + dx, zy, -s3))
+                    *_batched(inner, wa2, d, 1, s1),
+                    *_batched(tw_xy[x][y], zw, dz + d, 1, -s1),
+                    *_batched(tw2[x], gw_z[y], dy + d + dz, 1, s2),
+                    *_batched(zc[x], tw_gw[y], dy + d, 1, -u * s2),
+                    *_batched(tw2[y], gw_z[x], dx + d + dz, 1, s3),
+                    *_batched(zc[y], tw_gw[x], dx + d, 1, -u * s3))
             return out
 
         return residual
@@ -683,8 +680,8 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     space = partial(_space, spec, strict)
     checks: list[Check] = []
     closed = {}
-    for label, op in (("bracket", supercommutator), ("composition", compose)):
-        open_at = _law_witness(space, op, *_QC_CLOSURE, _levels(k_max))
+    for label, sign in (("bracket", -1), ("composition", 0)):
+        open_at = _law_witness(space, sign, *_QC_CLOSURE, _levels(k_max))
         closed[label] = open_at is None
         checks.append(Check(f"QC {label}-closed", "info",
                             "yes" if open_at is None

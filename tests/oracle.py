@@ -702,12 +702,13 @@ def reference_hom_jordan_residual(alpha: Matrix, x, y, z, w) -> Matrix:
     return t1 + t2 + t3
 
 
-def reference_first_product_outside(op, a, b, target):
-    """``spaces._first_product_outside`` as it was: one op call per pair
-    (x, y), x in a outermost, component by component, each product's
-    ``_coords`` eliminated against the target; the first product outside
-    it, or None."""
-    products = (tuple(op(p, q) for p, q in zip(x, y)) for x in a for y in b)
+def reference_first_product_outside(s, a, b, target):
+    """``spaces._first_product_outside`` as it was: one ``_product(p, q, s)``
+    per pair (x, y), x in a outermost, component by component, each
+    product's ``_coords`` eliminated against the target; the first product
+    outside it, or None."""
+    products = (tuple(spaces._product(p, q, s) for p, q in zip(x, y))
+                for x in a for y in b)
     return spaces._first_outside((target, spaces._coords(*g), g)
                                  for g in products)
 

@@ -1,22 +1,23 @@
 """The content-keyed law engine of homlie.spaces.
 
-A law cell is answered from a cache keyed on the product, both bases
-and the target, so a changed basis or a changed product must never be
-served the verdict of an earlier call; and the checks it runs must
+A law cell is answered from a cache keyed on the product's sign, both
+bases and the target, so a changed basis or a changed product must never
+be served the verdict of an earlier call; and the checks it runs must
 report ``fail`` with a witness when a product really leaves its target.
 """
 
 from fractions import Fraction
 
+import pytest
+
 from homlie import cli, spaces
-from homlie.linalg import Matrix, format_matrix
+from homlie.linalg import format_matrix
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
     alpha_shift,
     check_bracket_laws,
     check_qc_structure,
-    compose,
     jordan_product,
     solve_space,
 )
@@ -39,24 +40,44 @@ def test_cached_cells_are_not_served_to_changed_bases(ex2_5, monkeypatch):
     assert faulted != clean
 
 
-def test_closure_equivalence_fails_on_a_bent_composition(ex2_5, monkeypatch):
+@pytest.fixture
+def bend_compositions(monkeypatch):
+    """bend(p, w, block) patches ``spaces._batched`` so that a composition
+    (s = 0) of the map p with a batch whose block w is ``block`` gains
+    +1/3 at entry (0, 1) of block w, and returns the list of batch sizes
+    it bent at.  The law cache is cleared once bent and again after the
+    test, so no verdict crosses the bend."""
+    batched, bent_at = spaces._batched, []
+
+    def bend(p, w, block):
+        def bent(q, g, dg, s, sign=1):
+            terms = batched(q, g, dg, s, sign)
+            if (s != 0 or q != p or block.matrix._sparse
+                    != {r: row for (v, r), row in g.items() if v == w}):
+                return terms
+            bent_at.append(len({v for v, _ in g}))
+            return terms + [(1, {(w, 0): {0: Fraction(1, 3)}}, {0: {1: 1}})]
+
+        monkeypatch.setattr(spaces, "_batched", bent)
+        spaces._first_product_outside.cache_clear()
+        return bent_at
+
+    yield bend
+    spaces._first_product_outside.cache_clear()
+
+
+def test_closure_equivalence_fails_on_a_bent_composition(ex2_5, bend_compositions):
     # ex2_5's QC at degree 0 is spanned by the identity at k = 0 and by
-    # diag(1, 2, 2) at k = 1; bending diag(1, 2, 2) o identity moves
-    # exactly the level (k, s) = (1, 0)
+    # diag(1, 2, 2) at k = 1; bending diag(1, 2, 2) o identity, the only
+    # map of a cell of one map (w = 0), moves exactly the level
+    # (k, s) = (1, 0)
     first = [solve_space(ex2_5, SpaceKind.QC, k).tuples[0][0] for k in (0, 1)]
     clean = _by_name(check_qc_structure(ex2_5, K_MAX))
     assert clean[_EQUIVALENCE].status == "pass"
 
-    def bent_compose(a, b):
-        g = compose(a, b)
-        if (a, b) != (first[1], first[0]):
-            return g
-        entries = list(g.matrix.entries)
-        entries[1] += Fraction(1, 3)
-        return GradedMap(Matrix(g.n, g.n, tuple(entries)), g.degree)
-
-    monkeypatch.setattr(spaces, "compose", bent_compose)
+    bent_at = bend_compositions(first[1], 0, first[0])
     checks = _by_name(check_qc_structure(ex2_5, K_MAX))
+    assert bent_at and set(bent_at) == {1}
     assert checks["QC bracket-closed"].detail == "yes"
     assert checks["QC composition-closed"].detail == "no (k=1, s=0)"
     equivalence = checks[_EQUIVALENCE]
@@ -64,39 +85,18 @@ def test_closure_equivalence_fails_on_a_bent_composition(ex2_5, monkeypatch):
         "fail", "bracket: True, composition: False")
 
 
-def _diagonal_blocks(g, n):
-    """The n x n diagonal blocks of a block-diagonal map, as matrices."""
-    view = g.matrix._sparse
-    return [Matrix.from_sparse([{c - w * n: x for c, x in view.get(w * n + r, {}).items()}
-                                for r in range(n)], n) for w in range(g.n // n)]
-
-
 def test_closure_equivalence_fails_on_a_bent_block_of_a_wide_cell(abelian2,
-                                                                 monkeypatch):
+                                                                 bend_compositions):
     # abelian2's QC at k = 0 is spanned by diag(1, 0) and diag(0, 1), so a
-    # law cell there has m = 2: one compose forms both products of the
-    # first map, as the blocks of its two copies times the two maps.
-    # Bending block w = 1 of that product, where b_1 = diag(0, 1), by
-    # +1/3 at entry (0, 1) moves first o b_1 = 0 out of QC at (0, 0)
+    # law cell there has m = 2: one batched product forms both products of
+    # the first map, as blocks w = 0 and w = 1.  Bending block w = 1,
+    # where b_1 = diag(0, 1), by +1/3 at entry (0, 1) moves
+    # first o b_1 = 0 out of QC at (0, 0)
     first, second = (t[0] for t in solve_space(abelian2, SpaceKind.QC).tuples)
-    n = abelian2.n
     clean = _by_name(check_qc_structure(abelian2, K_MAX))
     assert clean[_EQUIVALENCE].status == "pass"
-    bent_at = []
 
-    def bent_compose(a, b):
-        g = compose(a, b)
-        if a.n == n or a.n != b.n:
-            return g
-        lifted, blocks = _diagonal_blocks(a, n), _diagonal_blocks(b, n)
-        if set(lifted) != {first.matrix} or blocks[1:2] != [second.matrix]:
-            return g
-        bent_at.append(len(blocks))
-        view = {r: dict(row) for r, row in g.matrix._sparse.items()}
-        view.setdefault(n, {})[n + 1] = Fraction(1, 3)
-        return GradedMap(Matrix._of(g.n, g.n, view), g.degree)
-
-    monkeypatch.setattr(spaces, "compose", bent_compose)
+    bent_at = bend_compositions(first, 1, second)
     checks = _by_name(check_qc_structure(abelian2, K_MAX))
     assert bent_at and set(bent_at) == {2}
     assert checks["QC bracket-closed"].detail == "yes"
