@@ -47,9 +47,41 @@ RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
 BATCH = "tests/test_batched_product.py::test_each_block_is_the_per_pair_product"
 WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
 RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
+ASSEMBLY = "tests/test_solver_assembly.py::"
+ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
 VALIDATE = "tests/test_validation.py::"
 
 MUTANTS = (
+    # the solver's system, assembled from the nonzeros of the bracket tables
+    Mutant("solver: the left table's parity sign dropped", SPACES,
+           "-x * parity_sign(degree, deg[i]), vec)", "-x, vec)",
+           (ON_BUNDLED,)),
+    Mutant("solver: the right table reading a^k transposed", SPACES,
+           "for j, x in ak.get(b, {}).items():",
+           "for j, x in _columns(spec.alpha.power(k))[b].items():",
+           (ON_BUNDLED,)),
+    Mutant("solver: the eval sign flipped", SPACES,
+           "(((i, j, e, m), idx, sign * x) for (i, j), vec in spec._sparse.items()",
+           "(((i, j, e, m), idx, -sign * x) for (i, j), vec in spec._sparse.items()",
+           (ON_BUNDLED,)),
+    Mutant("solver: the strict alpha-term sign flipped", SPACES,
+           "(((c, l, m), idx, -x) for c in range(arity)", "(((c, l, m), idx, x) for c in range(arity)",
+           (ON_BUNDLED,)),
+    Mutant("solver: rows in walk order, not key order", SPACES,
+           "for key in sorted(acc)", "for key in acc",
+           (ON_BUNDLED,)),
+    Mutant("solver: the eval term through the row index", SPACES,
+           "for l, x in vec.items() for m, idx in by_col[c][l])",
+           "for l, x in vec.items() for m, idx in by_row[c][l])",
+           (ON_BUNDLED,)),
+    Mutant("solver: integral sums left as Fraction", SPACES,
+           "if (row := {idx: _int(x) for idx, x in acc[key].items() if x})]",
+           "if (row := {idx: x for idx, x in acc[key].items() if x})]",
+           (ON_BUNDLED,)),
+    Mutant("nullspace: the columns not reversed", LINALG,
+           "done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())",
+           "done = _reduce(dict(row) for row in m._sparse.values())",
+           ("tests/test_mixed_rows.py::test_nullspace_matches_the_dense_reference",)),
     # the batched product of both engines
     Mutant("_batched: s ignored", SPACES,
            "(sign * s * parity_sign(p.degree, dg), g, x)", "(sign * parity_sign(p.degree, dg), g, x)",
@@ -175,6 +207,14 @@ EQUIVALENT = (
     ("law: the batch degree read off the last map", SPACES,
      "b[0][0].degree", "b[-1][0].degree",
      "every map of one basis has the degree of its space"),
+    ("solver: the left table's parity sign with its arguments swapped", SPACES,
+     "parity_sign(degree, deg[i])", "parity_sign(deg[i], degree)",
+     "(-1)^(ab) is symmetric in a and b"),
+    ("nullspace: the canonical kernel rows reduced once more", LINALG,
+     "return Subspace._of(m.cols, kernel)",
+     "return Subspace._from_sparse(m.cols, ({f: 1} | row for f, row in kernel.items()))",
+     "each kernel row leads at its free column, which no other row holds, so "
+     "_reduce returns the rows as they are; only the time differs"),
     ("jordan: the w-degree sign with its arguments swapped", SPACES,
      "parity_sign(dz, dx + d)", "parity_sign(dx + d, dz)",
      "(-1)^(ab) is symmetric in a and b"),

@@ -318,11 +318,16 @@ class Subspace:
         return cls(ambient_dim, tuple(vectors))
 
     @classmethod
+    def _of(cls, ambient_dim: int, reduced: dict[int, Row]) -> "Subspace":
+        """A subspace over trusted canonical rows, as ``_reduce`` leaves them."""
+        s = cls.__new__(cls)
+        s.__dict__.update(ambient_dim=ambient_dim, _reduced=reduced)
+        return s
+
+    @classmethod
     def _from_sparse(cls, ambient_dim: int, rows: Iterable[Row]) -> "Subspace":
         """The span of sparse rows, which one ``_reduce`` consumes."""
-        s = cls.__new__(cls)
-        s.__dict__.update(ambient_dim=ambient_dim, _reduced=_reduce(rows))
-        return s
+        return cls._of(ambient_dim, _reduce(rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -395,15 +400,18 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """Canonical basis of the right kernel {v : m v = 0}: per free column
-    f, e_f - sum_p R[p, f] e_p over the pivot rows R[p] that ``_reduce``
-    leaves of m's sparse view, made canonical by ``Subspace._from_sparse``."""
-    done = _reduce(dict(row) for row in m._sparse.values())
-    kernel = {f: {f: 1} for f in range(m.cols) if f not in done}
+    """Canonical basis of the right kernel {v : m v = 0}, from one
+    ``_reduce`` of m's sparse view with its columns reversed (c -> w - c):
+    per free column f, e_f - sum_p R[p, f] e_p over the pivot rows R[p]
+    it leaves.  Each such p lies right of f and is no free column, so
+    these vectors are already the kernel's canonical reduced rows."""
+    w = m.cols - 1
+    done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())
+    kernel: dict[int, Row] = {f: {} for f in range(m.cols) if w - f not in done}
     for p, row in done.items():
         for c, x in row.items():
-            kernel[c][p] = -x
-    return Subspace._from_sparse(m.cols, kernel.values())
+            kernel[w - c][w - p] = -x
+    return Subspace._of(m.cols, kernel)
 
 
 def format_vec(v: Sequence[Fraction]) -> str:

@@ -18,22 +18,23 @@ mode drops that constraint and comes with no law guarantees.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
-from .algebra import AlgebraSpec, _bracket, center, parity_sign, validate
+from .algebra import AlgebraSpec, center, parity_sign, validate
 from .linalg import (
     Matrix,
     Row,
     Subspace,
     _columns,
     _eliminate,
+    _int,
     _pivot_rows,
     _sparse_sum,
+    _subtract,
     format_matrix,
     nullspace,
     rank,
@@ -228,66 +229,76 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     n = spec.n
     deg = spec.degrees
     arity = kind.arity
-    nn = n * n
 
     allowed = [(c, m, l)
                for c in range(arity) for m in range(n) for l in range(n)
                if deg[m] == (deg[l] + degree) % 2]
     if not allowed:
         return MapSpace(kind, k, degree, strict, n, ())
-    pos = {t: i for i, t in enumerate(allowed)}
-    width = len(allowed)
+    # the unknowns D_c[m, l] as (l, index) by (c, m), and as (m, index) by (c, l)
+    by_row = [[[] for _ in range(n)] for _ in range(arity)]
+    by_col = [[[] for _ in range(n)] for _ in range(arity)]
+    for idx, (c, m, l) in enumerate(allowed):
+        by_row[c][m].append((l, idx))
+        by_col[c][l].append((m, idx))
 
-    akcol = _columns(spec.alpha.power(k))
-    # right[j][l] = [e_l, a^k e_j],  left[i][l] = (-1)^{theta|e_i|} [a^k e_i, e_l]
-    right = [[_bracket(spec, {l: 1}, akcol[j]) for l in range(n)]
-             for j in range(n)]
-    left = [[_bracket(spec, akcol[i], {l: 1}, parity_sign(degree, deg[i]))
-             for l in range(n)] for i in range(n)]
+    # right[j][l] = [e_l, a^k e_j],  left[i][l] = (-1)^{theta|e_i|} [a^k e_i, e_l],
+    # each {m: nonzero}, from one pass over the nonzero brackets [e_a, e_b]
+    ak = spec.alpha.power(k)._sparse
+    right: list[dict[int, Row]] = [{} for _ in range(n)]
+    left: list[dict[int, Row]] = [{} for _ in range(n)]
+    for (a, b), vec in spec._sparse.items():
+        for j, x in ak.get(b, {}).items():
+            _subtract(right[j].setdefault(a, {}), -x, vec)
+        for i, x in ak.get(a, {}).items():
+            _subtract(left[i].setdefault(b, {}), -x * parity_sign(degree, deg[i]), vec)
 
-    rows: list[Row] = []
+    def cells(e, side, c, sign):
+        """(row key (i, j, e, m), unknown, coefficient) of one term at every
+        pair (e_i, e_j), over the nonzeros of its table: "right" is
+        sum_l D_c[l, i] right[j][l], "left" sum_l D_c[l, j] left[i][l] and
+        "eval" sum_l [e_i, e_j]_l D_c e_l."""
+        if side == "eval":
+            return (((i, j, e, m), idx, sign * x) for (i, j), vec in spec._sparse.items()
+                    for l, x in vec.items() for m, idx in by_col[c][l])
+        if side == "right":
+            return (((i, j, e, m), idx, sign * x) for j, t in enumerate(right)
+                    for l, vec in t.items() for i, idx in by_row[c][l] for m, x in vec.items())
+        return (((i, j, e, m), idx, sign * x) for i, t in enumerate(left)
+                for l, vec in t.items() for j, idx in by_row[c][l] for m, x in vec.items())
 
-    def emit(terms):
-        """Append the nonzero rows of sum(terms) = 0, one {unknown: nonzero}
-        per output coordinate.  A term (c, col, vecs, sign), sign +1 or -1,
-        stands for sign * D_c vecs when col is None and vecs is a vector,
-        and for sign * sum_l D_c[l, col] vecs[l] otherwise, each vector
-        given as {index: nonzero}."""
-        out = [defaultdict(int) for _ in range(n)]
-        for c, col, vecs, sign in terms:
-            if col is None:
-                for l, x in vecs.items():
-                    x = x if sign > 0 else -x
-                    for m in range(n):
-                        idx = pos.get((c, m, l))
-                        if idx is not None:
-                            out[m][idx] += x
-                continue
-            for l in range(n):
-                idx = pos.get((c, l, col))
-                if idx is not None:
-                    for m, x in vecs[l].items():
-                        out[m][idx] += x if sign > 0 else -x
-        rows.extend(filter(None, ({i: x for i, x in r.items() if x} for r in out)))
-
-    for i in range(n):
-        for j in range(n):
-            sides = {"right": (i, right[j]), "left": (j, left[i]),
-                     "eval": (None, spec._sparse.get((i, j), {}))}
-            for equation in IDENTITIES[kind]:
-                emit([(c, *sides[side], sign) for side, c, sign in equation])
-
+    rows = _keyed_rows(cell for e, equation in enumerate(IDENTITIES[kind])
+                       for term in equation for cell in cells(e, *term))
     if strict:
         # column l of M alpha - alpha M: M (alpha e_l) - sum_p M[p,l] alpha e_p
         acol = _columns(spec.alpha)
-        for c in range(arity):
-            for l in range(n):
-                emit([(c, None, acol[l], 1), (c, l, acol, -1)])
+        rows += _keyed_rows(itertools.chain(
+            (((c, l, m), idx, x) for c in range(arity) for l, col in enumerate(acol)
+             for p, x in col.items() for m, idx in by_col[c][p]),
+            (((c, l, m), idx, -x) for c in range(arity) for p, col in enumerate(acol)
+             for l, idx in by_row[c][p] for m, x in col.items())))
 
-    slots = [c * nn + m * n + l for c, m, l in allowed]
-    kernel = _pivot_rows(nullspace(Matrix.from_sparse(rows, width))._reduced)
-    return MapSpace(kind, k, degree, strict, n, tuple(_maps(
-        {slots[i]: x for i, x in row.items()}, n, arity, degree) for row in kernel))
+    kernel = _pivot_rows(nullspace(Matrix._of(len(rows), len(allowed),
+                                              dict(enumerate(rows))))._reduced)
+    tuples = []
+    for row in kernel:
+        views: list[dict] = [{} for _ in range(arity)]
+        for idx, x in row.items():
+            c, m, l = allowed[idx]
+            views[c].setdefault(m, {})[l] = x
+        tuples.append(tuple(GradedMap(Matrix._of(n, n, v), degree) for v in views))
+    return MapSpace(kind, k, degree, strict, n, tuple(tuples))
+
+
+def _keyed_rows(cells) -> list[Row]:
+    """The nonzero rows of a system given as (key, unknown, coefficient)
+    cells summed per key, in key order."""
+    acc: dict = {}
+    for key, idx, x in cells:
+        row = acc.setdefault(key, {})
+        row[idx] = row.get(idx, 0) + x
+    return [row for key in sorted(acc)
+            if (row := {idx: _int(x) for idx, x in acc[key].items() if x})]
 
 
 def project_component(space: MapSpace, index: int) -> Subspace:

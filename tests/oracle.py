@@ -25,12 +25,16 @@ phi's well-definedness check ran before it compared spans, the dense
 ``validate`` that the sparse view of the structure constants replaced,
 the dense membership walk that sparse coordinates replaced in the
 verifiers, the two-``rref`` ``nullspace`` that now reads ``_reduce``'s
-pivot rows, and the dense flat vector of a map tuple (``tuple_vector``,
+pivot rows, the dense flat vector of a map tuple (``tuple_vector``,
 ``stacked``) that ``space_contains`` tested before it eliminated sparse
-coordinates.
+coordinates, and the per-pair walk that assembled the solver's system
+before it was driven by the nonzeros of the bracket tables
+(``reference_system_rows``), with the basis maps read off its kernel as
+they were (``reference_solve_space``).
 """
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 from homlie import extension, spaces
@@ -38,6 +42,7 @@ from homlie.algebra import (
     AlgebraSpec,
     IdentityFailure,
     ValidationReport,
+    _bracket,
     center,
     parity_sign,
     validate,
@@ -45,18 +50,23 @@ from homlie.algebra import (
 from homlie.linalg import (
     Matrix,
     Subspace,
+    _columns,
     _nonzeros,
+    _pivot_rows,
     _sparse_sum,
     contains,
     format_matrix,
     is_zero_vec,
+    nullspace,
     rank,
     rref,
 )
 from homlie.spaces import (
+    IDENTITIES,
     Check,
     CheckReport,
     GradedMap,
+    MapSpace,
     SpaceKind,
     alpha_shift,
     compose,
@@ -266,6 +276,85 @@ def oracle_solve(spec: AlgebraSpec, kind: SpaceKind, k: int, theta: int,
                     row[c * nn + m * n + l] = F1
                     rows.append(row)
     return canonical_rows(kernel_basis(rows, total), total)
+
+
+def reference_system_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,
+                          degree: int, strict: bool):
+    """(rows, width) of ``solve_space``'s system as its per-pair walk built
+    them: one ``_bracket`` per entry of the two bracket tables, and one
+    ``emit`` per ordered pair and equation (then per component and twist
+    column) that scans every output coordinate and unknown through a
+    position dict."""
+    n = spec.n
+    deg = spec.degrees
+    arity = kind.arity
+    allowed = [(c, m, l)
+               for c in range(arity) for m in range(n) for l in range(n)
+               if deg[m] == (deg[l] + degree) % 2]
+    pos = {t: i for i, t in enumerate(allowed)}
+
+    akcol = _columns(spec.alpha.power(k))
+    # right[j][l] = [e_l, a^k e_j],  left[i][l] = (-1)^{theta|e_i|} [a^k e_i, e_l]
+    right = [[_bracket(spec, {l: 1}, akcol[j]) for l in range(n)]
+             for j in range(n)]
+    left = [[_bracket(spec, akcol[i], {l: 1}, parity_sign(degree, deg[i]))
+             for l in range(n)] for i in range(n)]
+
+    rows = []
+
+    def emit(terms):
+        """Append the nonzero rows of sum(terms) = 0, one {unknown: nonzero}
+        per output coordinate.  A term (c, col, vecs, sign), sign +1 or -1,
+        stands for sign * D_c vecs when col is None and vecs is a vector,
+        and for sign * sum_l D_c[l, col] vecs[l] otherwise, each vector
+        given as {index: nonzero}."""
+        out = [defaultdict(int) for _ in range(n)]
+        for c, col, vecs, sign in terms:
+            if col is None:
+                for l, x in vecs.items():
+                    x = x if sign > 0 else -x
+                    for m in range(n):
+                        idx = pos.get((c, m, l))
+                        if idx is not None:
+                            out[m][idx] += x
+                continue
+            for l in range(n):
+                idx = pos.get((c, l, col))
+                if idx is not None:
+                    for m, x in vecs[l].items():
+                        out[m][idx] += x if sign > 0 else -x
+        rows.extend(filter(None, ({i: x for i, x in r.items() if x} for r in out)))
+
+    for i in range(n):
+        for j in range(n):
+            sides = {"right": (i, right[j]), "left": (j, left[i]),
+                     "eval": (None, spec._sparse.get((i, j), {}))}
+            for equation in IDENTITIES[kind]:
+                emit([(c, *sides[side], sign) for side, c, sign in equation])
+
+    if strict:
+        # column l of M alpha - alpha M: M (alpha e_l) - sum_p M[p,l] alpha e_p
+        acol = _columns(spec.alpha)
+        for c in range(arity):
+            for l in range(n):
+                emit([(c, None, acol[l], 1), (c, l, acol, -1)])
+    return rows, len(allowed)
+
+
+def reference_solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int,
+                          degree: int, strict: bool) -> MapSpace:
+    """``solve_space`` as it read its answer off ``reference_system_rows``:
+    the kernel of ``Matrix.from_sparse`` of the rows, each basis row moved
+    to stacked map slots through a dict and split into maps by ``_maps``."""
+    n, arity = spec.n, kind.arity
+    rows, width = reference_system_rows(spec, kind, k, degree, strict)
+    if not width:
+        return MapSpace(kind, k, degree, strict, n, ())
+    slots = [(c * n + m) * n + l for c in range(arity) for m in range(n)
+             for l in range(n) if spec.degrees[m] == (spec.degrees[l] + degree) % 2]
+    kernel = _pivot_rows(nullspace(Matrix.from_sparse(rows, width))._reduced)
+    return MapSpace(kind, k, degree, strict, n, tuple(spaces._maps(
+        {slots[i]: x for i, x in row.items()}, n, arity, degree) for row in kernel))
 
 
 # ---------------------------------------------------------------------------
