@@ -159,6 +159,37 @@ def _set(path, value):
     return edit
 
 
+@pytest.mark.parametrize("edit, message", [
+    (_set(("alpha", 1), ["0", "2"]), "<data>: 'alpha' must be an 3x3 array"),
+    (_set(("alpha", 1, 2), "x"),
+     "<data>: alpha[1][2]: bad rational literal 'x': expected p or p/q"),
+    (_set(("alpha", 0, 0), 1.5),
+     "<data>: alpha[0][0]: floating point is not allowed, use 'p/q' strings"),
+], ids=["ragged", "bad-entry", "float"])
+def test_alpha_array_errors_are_exact(edit, message):
+    doc = _ex_doc()
+    edit(doc)
+    with pytest.raises(AlgebraFileError) as exc:
+        algebra_from_dict(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("second, message", [
+    ([["0", "1"], ["0"]], "maps[1]: must be an 2x2 array"),
+    ([["0", "1"], ["x", "0"]],
+     "maps[1][1][0]: bad rational literal 'x': expected p or p/q"),
+    ([["0", "1"], [1.5, "0"]],
+     "maps[1][1][0]: floating point is not allowed, use 'p/q' strings"),
+], ids=["ragged", "bad-entry", "float"])
+def test_map_array_errors_are_exact(tmp_path, second, message):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"degree": 0,
+                                "maps": [[["1", "0"], ["0", "1"]], second]}))
+    with pytest.raises(AlgebraFileError) as exc:
+        parse_map_tuple(path, 2, 2)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("path", [
     ("basis", 0, "degree"),
     ("brackets", 0, "left"),
