@@ -1,8 +1,10 @@
 """Command-line front end: parse algebra files, run solvers and checks.
 
 Exit status is 0 when every executed check passed, 1 when some check
-failed, and 2 for usage or file errors.  Checks whose hypotheses are
-unmet are reported as skipped and do not affect the exit status.
+failed or a command refused its input (a triple outside the GDer space,
+a base whose double cannot be built), and 2 for usage or file errors.
+Checks whose hypotheses are unmet are reported as skipped and do not
+affect the exit status.
 """
 
 from __future__ import annotations
@@ -38,12 +40,8 @@ def _matrix_json(m: Matrix) -> list[list[str]]:
     return [[str(m.at(r, c)) for c in range(m.cols)] for r in range(m.rows)]
 
 
-def _emit(args, lines: list[str], doc: dict) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            print(line)
+class _Refusal(Exception):
+    """A command declines its input; ``main`` prints it and exits 1."""
 
 
 def _validation_lines(spec: AlgebraSpec, rep) -> list[str]:
@@ -92,30 +90,22 @@ def _dimension_lines(entries: list[dict]) -> list[str]:
             for e in entries]
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, spec: AlgebraSpec):
     # multiplicativity is a property of the twist, not an axiom, so it is
     # reported but does not fail the run
-    spec = resolve(args.algebra)
     rep = validate(spec)
-    doc = {"command": "validate", "algebra": spec.name,
-           "validation": rep.to_dict(), "ok": rep.axioms_ok}
-    _emit(args, _validation_lines(spec, rep), doc)
-    return 0 if rep.axioms_ok else 1
+    return _validation_lines(spec, rep), {"validation": rep.to_dict()}, rep.axioms_ok
 
 
-def cmd_center(args) -> int:
-    spec = resolve(args.algebra)
+def cmd_center(args, spec: AlgebraSpec):
     z = center(spec)
     lines = [f"center of {spec.name}: dim {z.dim}"]
     lines.extend(f"  {format_vec(row)}" for row in z.basis)
-    doc = {"command": "center", "algebra": spec.name, "dim": z.dim,
-           "basis": [[str(x) for x in row] for row in z.basis]}
-    _emit(args, lines, doc)
-    return 0
+    return lines, {"dim": z.dim,
+                   "basis": [[str(x) for x in row] for row in z.basis]}, None
 
 
-def cmd_solve(args) -> int:
-    spec = resolve(args.algebra)
+def cmd_solve(args, spec: AlgebraSpec):
     kind = SpaceKind.parse(args.kind)
     strict = not args.lax
     space = solve_space(spec, kind, args.k, args.degree, strict)
@@ -126,28 +116,21 @@ def cmd_solve(args) -> int:
         lines.append(f"basis {idx}:")
         for cname, g in zip(_COMPONENT_NAMES, t):
             lines.append(f"  {cname} = {format_matrix(g.matrix)}")
-    doc = {"command": "solve", "algebra": spec.name, "kind": kind.value,
-           "k": args.k, "theta": args.degree, "strict": strict,
-           "dim": space.dim,
-           "tuples": [[_matrix_json(g.matrix) for g in t]
-                      for t in space.tuples]}
-    _emit(args, lines, doc)
-    return 0
+    return lines, {"kind": kind.value, "k": args.k, "theta": args.degree,
+                   "strict": strict, "dim": space.dim,
+                   "tuples": [[_matrix_json(g.matrix) for g in t]
+                              for t in space.tuples]}, None
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, spec: AlgebraSpec):
     """chain, laws and jordan: run the subcommand's ``check`` function."""
-    spec = resolve(args.algebra)
     rep = args.check(spec, args.kmax, not args.lax)
-    doc = {"command": args.command, "algebra": spec.name,
-           "mode": {"strict": not args.lax, "k_max": args.kmax},
-           "report": rep.to_dict(), "ok": rep.ok}
-    _emit(args, _report_lines(rep), doc)
-    return 0 if rep.ok else 1
+    return _report_lines(rep), {
+        "mode": {"strict": not args.lax, "k_max": args.kmax},
+        "report": rep.to_dict()}, rep.ok
 
 
-def cmd_decompose(args) -> int:
-    spec = resolve(args.algebra)
+def cmd_decompose(args, spec: AlgebraSpec):
     strict = not args.lax
     triple = parse_map_tuple(args.triple, spec.n, 3)
     degree = triple[0].degree
@@ -155,8 +138,7 @@ def cmd_decompose(args) -> int:
         (dq, dpartner), dc = decompose_generalized(spec, args.k, degree,
                                                    triple, strict)
     except ValueError as exc:
-        print(f"decomposition failed: {exc}", file=sys.stderr)
-        return 1
+        raise _Refusal(f"decomposition failed: {exc}") from None
     qspace = solve_space(spec, SpaceKind.QDER, args.k, degree, strict)
     qc_space = solve_space(spec, SpaceKind.QC, args.k, degree, strict)
     in_qder = space_contains(qspace, (dq, dpartner))
@@ -170,15 +152,12 @@ def cmd_decompose(args) -> int:
         f"Dc in QC space: {'yes' if in_qc else 'NO'}",
         f"D = Dq + Dc exactly: {'yes' if exact else 'NO'}",
     ]
-    doc = {"command": "decompose", "algebra": spec.name, "k": args.k,
-           "theta": degree, "strict": strict,
-           "qder_part": _matrix_json(dq.matrix),
-           "qder_partner": _matrix_json(dpartner.matrix),
-           "qc_part": _matrix_json(dc.matrix),
-           "qder_member": in_qder, "qc_member": in_qc, "sum_exact": exact,
-           "ok": in_qder and in_qc and exact}
-    _emit(args, lines, doc)
-    return 0 if in_qder and in_qc and exact else 1
+    return lines, {"k": args.k, "theta": degree, "strict": strict,
+                   "qder_part": _matrix_json(dq.matrix),
+                   "qder_partner": _matrix_json(dpartner.matrix),
+                   "qc_part": _matrix_json(dc.matrix),
+                   "qder_member": in_qder, "qc_member": in_qc,
+                   "sum_exact": exact}, in_qder and in_qc and exact
 
 
 def _extension_checks(spec: AlgebraSpec):
@@ -193,58 +172,44 @@ def _extension_checks(spec: AlgebraSpec):
     return ext, rep, axioms_ok and mult_ok, nil_ok
 
 
-def cmd_extend(args) -> int:
-    spec = resolve(args.algebra)
+def cmd_extend(args, spec: AlgebraSpec):
     try:
         ext, rep, valid_ok, nil_ok = _extension_checks(spec)
     except ValueError as exc:
-        print(f"extension failed: {exc}", file=sys.stderr)
-        return 1
+        raise _Refusal(f"extension failed: {exc}") from None
     lines = [f"double of {spec.name}: n={ext.spec.n}",
              f"derived subalgebra of the base: dim {ext.derived.dim}",
              f"complement U: dim {ext.u_complement.dim}",
              f"double passes validation: {'yes' if valid_ok else 'NO'}",
              f"brackets with t-power >= 3 vanish: {'yes' if nil_ok else 'NO'}"]
-    doc = {"command": "extend", "algebra": spec.name, "n": ext.spec.n,
-           "derived_dim": ext.derived.dim,
-           "u_complement_dim": ext.u_complement.dim,
-           "validation": rep.to_dict(), "truncation_ok": nil_ok,
-           "ok": valid_ok and nil_ok}
-    _emit(args, lines, doc)
-    return 0 if valid_ok and nil_ok else 1
+    return lines, {"n": ext.spec.n, "derived_dim": ext.derived.dim,
+                   "u_complement_dim": ext.u_complement.dim,
+                   "validation": rep.to_dict(),
+                   "truncation_ok": nil_ok}, valid_ok and nil_ok
 
 
-def cmd_embed(args) -> int:
-    spec = resolve(args.algebra)
+def cmd_embed(args, spec: AlgebraSpec):
     try:
         ext = build_extended(spec)
     except ValueError as exc:
-        print(f"extension failed: {exc}", file=sys.stderr)
-        return 1
+        raise _Refusal(f"extension failed: {exc}") from None
     prep = verify_phi_properties(ext, args.k, not args.lax)
     drep = verify_embedding_decomposition(ext, args.k)
-    lines = _report_lines(prep) + _report_lines(drep)
-    ok = prep.ok and drep.ok
-    doc = {"command": "embed", "algebra": spec.name, "k": args.k,
-           "phi": prep.to_dict(), "decomposition": drep.to_dict(), "ok": ok}
-    _emit(args, lines, doc)
-    return 0 if ok else 1
+    return _report_lines(prep) + _report_lines(drep), {
+        "k": args.k, "phi": prep.to_dict(),
+        "decomposition": drep.to_dict()}, prep.ok and drep.ok
 
 
-def cmd_report(args) -> int:
-    spec = resolve(args.algebra)
+def cmd_report(args, spec: AlgebraSpec):
     strict = not args.lax
     k_max = args.kmax
     rep = validate(spec)
     lines = _validation_lines(spec, rep)
-    doc = {"command": "report", "algebra": spec.name,
-           "mode": {"strict": strict, "k_max": k_max},
+    doc = {"mode": {"strict": strict, "k_max": k_max},
            "validation": rep.to_dict()}
     if not rep.axioms_ok:
         lines.append("skipping computations: validation failed")
-        doc["ok"] = False
-        _emit(args, lines, doc)
-        return 1
+        return lines, doc, False
 
     z = center(spec)
     lines.append(f"center: dim {z.dim}")
@@ -279,10 +244,7 @@ def cmd_report(args) -> int:
     for r in reports:
         lines.extend(_report_lines(r))
     doc["checks"] = [r.to_dict() for r in reports]
-    ok = rep.axioms_ok and ext_ok and all(r.ok for r in reports)
-    doc["ok"] = ok
-    _emit(args, lines, doc)
-    return 0 if ok else 1
+    return lines, doc, ext_ok and all(r.ok for r in reports)
 
 
 def _twist_power(text: str) -> int:
@@ -327,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         if lax:
             sp.add_argument("--lax", action="store_true",
                             help="drop the twist-commutation constraints")
-        else:
-            sp.set_defaults(lax=False)
         sp.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
         sp.set_defaults(func=fn, check=check)
@@ -355,13 +315,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Resolve the algebra and run one command; each ``cmd_*`` returns its
+    text lines, its JSON fields and ok, which None leaves out of the JSON."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = resolve(args.algebra)
+        lines, fields, ok = args.func(args, spec)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        doc = {"command": args.command, "algebra": spec.name, **fields}
+        if ok is not None:
+            doc["ok"] = ok
+        print(json.dumps(doc, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if ok is None or ok else 1
 
 
 if __name__ == "__main__":
