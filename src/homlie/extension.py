@@ -75,8 +75,8 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     degrees = base.degrees + base.degrees
     alpha = block_diag(base.alpha, base.alpha)
     # validated, so an even [e, e] vanishes and is not in the view
-    pairs = {(i, j): (0,) * n + base.brackets[i][j]
-             for i, j in base._sparse if i <= j}
+    pairs = {(i, j): (0,) * n + tuple(row.get(m, 0) for m in range(n))
+             for (i, j), row in base._sparse.items() if i <= j}
     names = tuple(f"{nm}t" for nm in base.basis_names) + \
         tuple(f"{nm}t2" for nm in base.basis_names)
     spec = AlgebraSpec.from_pairs(f"{base.name}_ext", degrees, alpha, pairs, names)

@@ -30,7 +30,9 @@ pivot rows, the dense flat vector of a map tuple (``tuple_vector``,
 coordinates, and the per-pair walk that assembled the solver's system
 before it was driven by the nonzeros of the bracket tables
 (``reference_system_rows``), with the basis maps read off its kernel as
-they were (``reference_solve_space``).
+they were (``reference_solve_space``), and the double's structure
+constants as ``build_extended`` read them off the dense bracket table
+(``reference_double_spec``).
 """
 
 import itertools
@@ -54,6 +56,7 @@ from homlie.linalg import (
     _nonzeros,
     _pivot_rows,
     _sparse_sum,
+    block_diag,
     contains,
     format_matrix,
     is_zero_vec,
@@ -609,6 +612,19 @@ def reference_complement(derived):
     _, pivots, _ = rref(Matrix.from_rows(
         [[d[m] for d in derived.basis] + list(unit_vec(n, m)) for m in range(n)], r + n))
     return Subspace.from_vectors(n, [unit_vec(n, p - r) for p in pivots if p >= r])
+
+
+def reference_double_spec(base: AlgebraSpec) -> AlgebraSpec:
+    """The spec of the t-graded double of ``base``, its pairs read off
+    the dense bracket table: [e_i t, e_j t] = [e_i, e_j] t^2."""
+    n = base.n
+    pairs = {(i, j): (0,) * n + base.brackets[i][j]
+             for i in range(n) for j in range(i, n)
+             if not is_zero_vec(base.brackets[i][j])}
+    names = tuple(f"{nm}t" for nm in base.basis_names) + \
+        tuple(f"{nm}t2" for nm in base.basis_names)
+    return AlgebraSpec.from_pairs(f"{base.name}_ext", base.degrees * 2,
+                                  block_diag(base.alpha, base.alpha), pairs, names)
 
 
 def reference_derived_projection(derived, complement):

@@ -4,9 +4,11 @@
 (``Matrix._sparse``, ``Subspace._reduced``, ``AlgebraSpec._sparse``).
 Dense entries, bases, rows, columns and flat vectors are built only at
 the boundary: the dense constructors, ``cli``, ``fileformat`` and
-``format_matrix``.  This walks the three modules' syntax trees for an
-attribute read of a dense form.  It fails by ``pytest.fail``, not by a
-bare ``assert``, so it still fires under ``python -O``.
+``format_matrix``.  The dense bracket table ``brackets`` is read only by
+``algebra``, which owns it: its constructor, ``_hash`` and ``_sparse``.
+This walks the three modules' syntax trees for an attribute read of a
+dense form.  It fails by ``pytest.fail``, not by a bare ``assert``, so
+it still fires under ``python -O``.
 """
 
 import ast
@@ -19,10 +21,14 @@ import homlie
 DENSE = {"basis", "entries", "row", "col", "at", "flatten", "matvec"}
 
 
-@pytest.mark.parametrize("module", ["algebra", "spaces", "extension"])
-def test_core_reads_no_dense_form(module):
+@pytest.mark.parametrize("module, dense", [
+    ("algebra", DENSE),
+    ("spaces", DENSE | {"brackets"}),
+    ("extension", DENSE | {"brackets"}),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_core_reads_no_dense_form(module, dense):
     tree = ast.parse((Path(homlie.__file__).parent / f"{module}.py").read_text())
     reads = sorted((node.lineno, node.attr) for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and node.attr in DENSE)
+                   if isinstance(node, ast.Attribute) and node.attr in dense)
     if reads:
         pytest.fail(f"{module}.py reads dense forms at (line, attribute) {reads}")

@@ -15,7 +15,12 @@ from homlie.extension import (
 )
 from homlie.linalg import Matrix, contains, is_zero_vec
 from homlie.spaces import GradedMap, SpaceKind, project_component, solve_space
-from oracle import reference_partner_determined, unit_vec, zero_matrix
+from oracle import (
+    reference_double_spec,
+    reference_partner_determined,
+    unit_vec,
+    zero_matrix,
+)
 from test_laws import _with_fault
 
 small = st.integers(-2, 2)
@@ -29,6 +34,16 @@ def test_double_brackets(ex2_5):
     assert bracket(ext.spec, x1t, x2t) == x1t2
     assert is_zero_vec(bracket(ext.spec, x1t, x2t2))
     assert is_zero_vec(bracket(ext.spec, x1t2, x2t2))
+
+
+def test_double_spec_matches_the_dense_reference(bundled):
+    iterated = [bundled["ex2_5"]]
+    for _ in range(3):  # to n = 24
+        iterated.append(build_extended(iterated[-1]).spec)
+    for base in [*bundled.values(), *iterated[1:]]:
+        spec, ref = build_extended(base).spec, reference_double_spec(base)
+        assert spec == ref, base.name
+        assert hash(spec) == hash(ref), base.name
 
 
 def test_double_of_abelian_is_abelian(abelian2):
