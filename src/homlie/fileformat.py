@@ -33,6 +33,16 @@ def _rat(value: Any, where: str) -> Fraction:
         raise AlgebraFileError(f"{where}: {exc}") from None
 
 
+def _rational_array(rows: Any, n: int, where: str, bad_shape: str) -> Matrix:
+    """An n x n JSON array of rationals; entry (r, c) is named where[r][c]."""
+    if (not isinstance(rows, list) or len(rows) != n
+            or any(not isinstance(r, list) or len(r) != n for r in rows)):
+        raise AlgebraFileError(bad_shape)
+    return Matrix.from_rows(
+        [[_rat(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)]
+         for r, row in enumerate(rows)], n)
+
+
 def _integer(value: Any, error: str) -> int:
     """A JSON integer as is; bool, float, str and anything else raise."""
     if type(value) is not int:
@@ -63,13 +73,8 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
         degrees.append(item["degree"])
     n = len(names)
 
-    alpha_rows = doc.get("alpha")
-    if (not isinstance(alpha_rows, list) or len(alpha_rows) != n
-            or any(not isinstance(r, list) or len(r) != n for r in alpha_rows)):
-        raise AlgebraFileError(f"{source}: 'alpha' must be an {n}x{n} array")
-    alpha = Matrix.from_rows(
-        [[_rat(x, f"{source}: alpha[{r}][{c}]") for c, x in enumerate(row)]
-         for r, row in enumerate(alpha_rows)], n)
+    alpha = _rational_array(doc.get("alpha"), n, f"{source}: alpha",
+                            f"{source}: 'alpha' must be an {n}x{n} array")
     for m in range(n):
         for i in range(n):
             if degrees[m] != degrees[i] and alpha.at(m, i):
@@ -185,11 +190,6 @@ def parse_map_tuple(path, n: int, count: int) -> tuple[GradedMap, ...]:
     out = []
     for m_idx, rows in enumerate(maps):
         where = f"{path}: maps[{m_idx}]"
-        if (not isinstance(rows, list) or len(rows) != n
-                or any(not isinstance(r, list) or len(r) != n for r in rows)):
-            raise AlgebraFileError(f"{where}: must be an {n}x{n} array")
-        mat = Matrix.from_rows(
-            [[_rat(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)]
-             for r, row in enumerate(rows)], n)
-        out.append(GradedMap(mat, degree))
+        out.append(GradedMap(_rational_array(
+            rows, n, where, f"{where}: must be an {n}x{n} array"), degree))
     return tuple(out)
