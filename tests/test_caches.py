@@ -57,9 +57,6 @@ def test_each_fact_is_computed_once_per_report(monkeypatch, lax):
         assert (centered.misses, centered.hits) == (2, 8), name
         assert max(formed.values()) == 1, name
         if name == "ex2_5" and not lax:
-            # 133 spans were formed before they were cached, 76 distinct;
-            # the phi check and space_contains built tuple spaces outside
-            # the cache, 24 of them on 16 solved spaces
             tuples = [key for key in formed if key[1] == "tuples"]
             assert len(formed) - len(tuples) == 76
             assert len(tuples) == 16
