@@ -21,12 +21,9 @@ import homlie
 DENSE = {"basis", "entries", "row", "col", "at", "flatten", "matvec"}
 
 
-@pytest.mark.parametrize("module, dense", [
-    ("algebra", DENSE),
-    ("spaces", DENSE | {"brackets"}),
-    ("extension", DENSE | {"brackets"}),
-], ids=lambda v: v if isinstance(v, str) else "")
-def test_core_reads_no_dense_form(module, dense):
+@pytest.mark.parametrize("module", ["algebra", "spaces", "extension"])
+def test_core_reads_no_dense_form(module):
+    dense = DENSE if module == "algebra" else DENSE | {"brackets"}
     tree = ast.parse((Path(homlie.__file__).parent / f"{module}.py").read_text())
     reads = sorted((node.lineno, node.attr) for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr in dense)
