@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 SPACES, LINALG, ALGEBRA = "homlie/spaces.py", "homlie/linalg.py", "homlie/algebra.py"
+EXTENSION, CLI = "homlie/extension.py", "homlie/cli.py"
 BATCHED = "tests/test_batched_engines.py::"
 JORDAN = "tests/test_jordan_engine.py::"
 RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
@@ -50,6 +51,7 @@ RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
 ASSEMBLY = "tests/test_solver_assembly.py::"
 ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
 VALIDATE = "tests/test_validation.py::"
+STORED = "tests/test_stored_form.py::"
 
 MUTANTS = (
     # the solver's system, assembled from the nonzeros of the bracket tables
@@ -163,6 +165,27 @@ MUTANTS = (
            "for i in range(n) for j in range(n)\n            if (res := _add(twisted",
            "for i, j in table\n            if (res := _add(twisted",
            (VALIDATE + "test_all_five_faults_in_identity_order",)),
+    # the spec's view, as from_pairs and build_extended fill it
+    Mutant("from_pairs: the transpose without the parity sign", ALGEBRA,
+           "view[j, i] = {m: -s * x for m, x in row.items()}",
+           "view[j, i] = {m: -x for m, x in row.items()}",
+           (STORED + "test_from_pairs_fills_each_transpose_by_super_skew_symmetry",)),
+    Mutant("from_pairs: the transposed pair skipped", ALGEBRA,
+           "            if i != j:\n                s = parity_sign",
+           "            if False:\n                s = parity_sign",
+           (STORED + "test_from_pairs_fills_each_transpose_by_super_skew_symmetry",)),
+    Mutant("build_extended: the brackets written into the t copy", EXTENSION,
+           "{n + m: x for m, x in row.items()}", "{m: x for m, x in row.items()}",
+           ("tests/test_extension.py::test_double_spec_matches_the_dense_reference",)),
+    # verdicts that only a bent double fails
+    Mutant("extend: the t-power truncation verdict inverted", CLI,
+           "nil_ok = all(i < n and j < n for i, j in ext.spec._sparse)",
+           "nil_ok = not all(i < n and j < n for i, j in ext.spec._sparse)",
+           ("tests/test_cli.py::test_extend_fails_on_a_pair_of_t_power_three",)),
+    Mutant("embedding: the t^2 centrality verdict inverted", EXTENSION,
+           "_first_outside((zext, {n + i: 1}, i) for i in range(n))))",
+           "_first_outside((zext, {n + i: 1}, i) for i in range(n)) is None or None))",
+           ("tests/test_extension.py::test_t2_copy_check_fails_on_a_bent_double",)),
     # elimination, products and subspaces
     Mutant("_eliminate: only the first pivot cleared", LINALG,
            "for p in [c for c in row if c in done]:", "for p in [c for c in row if c in done][:1]:",

@@ -2,17 +2,18 @@
 
 An algebra is a graded basis e_1..e_n, a bracket table giving the
 coordinates of every [e_i, e_j], and an even twist matrix acting on
-coordinate columns.  The dense table is the public format; every reader
-goes through one cached sparse view of its nonzeros and one sparse
-bilinear product over it, ``_bracket``.  Validation checks super
-skew-symmetry, evenness, the twisted Jacobi identity and multiplicativity
-of the twist, on basis tuples only; bilinearity extends each identity to
-the whole space, so that is exhaustive.
+coordinate columns.  A spec stores the sparse view of its nonzeros and
+builds the dense table, the public format, on first read; every reader
+goes through the view and one sparse bilinear product over it,
+``_bracket``.  Validation checks super skew-symmetry, evenness, the
+twisted Jacobi identity and multiplicativity of the twist, on basis
+tuples only; bilinearity extends each identity to the whole space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -24,13 +25,12 @@ from .linalg import (
     Subspace,
     Vec,
     _columns,
+    _int,
     _nonzeros,
     _sparse_sum,
     _subtract,
-    is_zero_vec,
     nullspace,
     vec,
-    zero_vec,
 )
 
 
@@ -44,7 +44,8 @@ class AlgebraSpec:
     """Structure-constant presentation of a Hom-Lie superalgebra.
 
     ``brackets[i][j]`` holds the coordinates of [e_i, e_j]; column ``i``
-    of ``alpha`` is the image of e_i.  The constructor checks shapes
+    of ``alpha`` is the image of e_i; ``brackets``, unless given, is built
+    on first read from the stored view.  The constructor checks shapes
     only; use :func:`validate` for the axioms.
     """
 
@@ -55,33 +56,53 @@ class AlgebraSpec:
     basis_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        n = self._checked()
+        if len(self.brackets) != n or any(len(r) != n for r in self.brackets):
+            raise ValueError("bracket table must be n x n")
+        if any(len(cv) != n for r in self.brackets for cv in r):
+            raise ValueError("bracket coefficient vectors must have length n")
+        # {(i, j): {m: nonzero}} in (i, j) order; not a field, read-only
+        self.__dict__["_sparse"] = {
+            (i, j): row for i, r in enumerate(self.brackets)
+            for j, v in enumerate(r) if (row := _nonzeros(v))}
+
+    @classmethod
+    def _of(cls, name: str, degrees: tuple[int, ...], alpha: Matrix,
+            sparse: dict, basis_names: tuple[str, ...]) -> "AlgebraSpec":
+        """A spec over a trusted view: sorted, in range, integral as int, unshared."""
+        s = cls.__new__(cls)
+        s.__dict__.update(name=name, degrees=degrees, alpha=alpha, _sparse=sparse,
+                          basis_names=basis_names)
+        s._checked()
+        return s
+
+    def _checked(self) -> int:
+        """n, with grading, twist shape and names checked; e1..en by default."""
         n = len(self.degrees)
         if any(d not in (0, 1) for d in self.degrees):
             raise ValueError("degrees must be 0 or 1")
         if (self.alpha.rows, self.alpha.cols) != (n, n):
             raise ValueError("twist matrix must be n x n")
-        if len(self.brackets) != n or any(len(r) != n for r in self.brackets):
-            raise ValueError("bracket table must be n x n")
-        if any(len(cv) != n for r in self.brackets for cv in r):
-            raise ValueError("bracket coefficient vectors must have length n")
         if not self.basis_names:
-            object.__setattr__(self, "basis_names",
-                               tuple(f"e{i + 1}" for i in range(n)))
+            self.__dict__["basis_names"] = tuple(f"e{i + 1}" for i in range(n))
         elif len(self.basis_names) != n:
             raise ValueError("need one basis name per dimension")
+        return n
+
+    def __eq__(self, other):  # on the views, which are equal when the tables are
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.degrees, self.alpha, self._sparse, self.basis_names)
+                == (other.name, other.degrees, other.alpha, other._sparse,
+                    other.basis_names))
 
     def __hash__(self) -> int:
         # once per spec, as for Matrix: every cached call rehashes its spec
         return self._hash
 
+    # the dataclass hash, off the view (an int hashes as the equal Fraction)
     _hash = cached_property(lambda s: hash(
-        (s.name, s.degrees, s.alpha, s.brackets, s.basis_names)))
-
-    # {(i, j): {m: nonzero}} of the nonzero brackets in (i, j) order; once
-    # per spec like _hash, not a field, read-only
-    _sparse = cached_property(lambda s: {
-        (i, j): row for i, r in enumerate(s.brackets)
-        for j, v in enumerate(r) if (row := _nonzeros(v))})
+        (s.name, s.degrees, s.alpha, _table(s, 0, _int), s.basis_names)))
 
     @property
     def n(self) -> int:
@@ -94,7 +115,7 @@ class AlgebraSpec:
                    alpha: Matrix | Sequence[Sequence[Rat]],
                    pairs: Mapping[tuple[int, int], Sequence[Rat]],
                    basis_names: Sequence[str] = ()) -> "AlgebraSpec":
-        """Build the full table from brackets given for i <= j.
+        """Build the spec's view from brackets given for i <= j.
 
         Keys must have i < j, or i == j for an odd basis element (super
         skew-symmetry does not force those diagonal brackets to vanish);
@@ -105,7 +126,7 @@ class AlgebraSpec:
         n = len(degs)
         if not isinstance(alpha, Matrix):
             alpha = Matrix.from_rows(alpha, n)
-        table: list[list[Vec]] = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
+        view: dict[tuple[int, int], Row] = {}
         for (i, j), coeffs in pairs.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bracket pair ({i},{j}) out of range")
@@ -115,17 +136,29 @@ class AlgebraSpec:
             v = vec(coeffs)
             if len(v) != n:
                 raise ValueError(f"bracket [{i},{j}] needs {n} coefficients")
-            if i == j:
-                if degs[i] == 0 and not is_zero_vec(v):
-                    raise ValueError(
-                        f"[e,e] must vanish for the even basis element {i}")
-                table[i][i] = v
-            else:
-                table[i][j] = v
+            if not (row := _nonzeros(v)):
+                continue
+            if i == j and degs[i] == 0:
+                raise ValueError(f"[e,e] must vanish for the even basis element {i}")
+            view[i, j] = row
+            if i != j:
                 s = parity_sign(degs[i], degs[j])
-                table[j][i] = tuple(-s * x for x in v)
-        return cls(name, degs, alpha, tuple(tuple(r) for r in table),
-                   tuple(basis_names))
+                view[j, i] = {m: -s * x for m, x in row.items()}
+        return cls._of(name, degs, alpha, dict(sorted(view.items())), tuple(basis_names))
+
+
+def _table(s: AlgebraSpec, zero, cast) -> tuple:
+    """The n x n table of bracket vectors off the view: ``cast`` of each
+    nonzero, ``zero`` elsewhere (the zero vectors of a row shared)."""
+    rows = [[(zero,) * s.n] * s.n for _ in range(s.n)]
+    for (i, j), row in s._sparse.items():
+        rows[i][j] = tuple(cast(row[m]) if m in row else zero for m in range(s.n))
+    return tuple(map(tuple, rows))
+
+
+# a field that _of leaves unset, so a spec that no one prints stays sparse
+AlgebraSpec.brackets = cached_property(lambda s: _table(s, _ZERO, Fraction))
+AlgebraSpec.brackets.__set_name__(AlgebraSpec, "brackets")
 
 
 def _bracket(spec: AlgebraSpec, a: Row, b: Row, sign: int = 1) -> Row:
@@ -252,11 +285,11 @@ def center(spec: AlgebraSpec) -> Subspace:
     """{v : [v, e_j] = 0 for all j}, as the kernel of the stacked
     adjoint system: row j n + m, column i holds [e_i, e_j]_m."""
     n = spec.n
-    rows: list[Row] = [{} for _ in range(n * n)]
+    rows: dict[int, Row] = {}
     for (i, j), row in spec._sparse.items():
         for m, x in row.items():
-            rows[j * n + m][i] = x
-    return nullspace(Matrix.from_sparse(rows, n))
+            rows.setdefault(j * n + m, {})[i] = x
+    return nullspace(Matrix._of(n * n, n, rows))
 
 
 def derived_subalgebra(spec: AlgebraSpec) -> Subspace:

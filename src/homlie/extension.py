@@ -74,12 +74,11 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     n = base.n
     degrees = base.degrees + base.degrees
     alpha = block_diag(base.alpha, base.alpha)
-    # validated, so an even [e, e] vanishes and is not in the view
-    pairs = {(i, j): (0,) * n + tuple(row.get(m, 0) for m in range(n))
-             for (i, j), row in base._sparse.items() if i <= j}
+    # [e_i t, e_j t] = [e_i, e_j] t^2: the base's view in the t^2 copy
+    view = {ij: {n + m: x for m, x in row.items()} for ij, row in base._sparse.items()}
     names = tuple(f"{nm}t" for nm in base.basis_names) + \
         tuple(f"{nm}t2" for nm in base.basis_names)
-    spec = AlgebraSpec.from_pairs(f"{base.name}_ext", degrees, alpha, pairs, names)
+    spec = AlgebraSpec._of(f"{base.name}_ext", degrees, alpha, view, names)
 
     derived = derived_subalgebra(base)
     # e_j lies outside [L, L] and the e_i before it exactly when no vector

@@ -53,14 +53,6 @@ def vec(values: Iterable[Rat]) -> Vec:
     return tuple(frac(v) for v in values)
 
 
-def zero_vec(n: int) -> Vec:
-    return (_ZERO,) * n
-
-
-def is_zero_vec(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable matrix of Fractions, holding its sparse view from
@@ -117,8 +109,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(_ONE if i == j else _ZERO
-                               for i in range(n) for j in range(n)))
+        if n < 0:
+            raise ValueError("matrix dimensions must be non-negative")
+        return cls._of(n, n, {i: {i: 1} for i in range(n)})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -137,9 +130,6 @@ class Matrix:
 
     def row(self, r: int) -> Vec:
         return self.entries[r * self.cols:(r + 1) * self.cols]
-
-    def col(self, c: int) -> Vec:
-        return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

@@ -280,14 +280,10 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
 
     kernel = _pivot_rows(nullspace(Matrix._of(len(rows), len(allowed),
                                               dict(enumerate(rows))))._reduced)
-    tuples = []
-    for row in kernel:
-        views: list[dict] = [{} for _ in range(arity)]
-        for idx, x in row.items():
-            c, m, l = allowed[idx]
-            views[c].setdefault(m, {})[l] = x
-        tuples.append(tuple(GradedMap(Matrix._of(n, n, v), degree) for v in views))
-    return MapSpace(kind, k, degree, strict, n, tuple(tuples))
+    flat = [(c * n + m) * n + l for c, m, l in allowed]
+    return MapSpace(kind, k, degree, strict, n, tuple(
+        _maps({flat[idx]: x for idx, x in row.items()}, n, arity, degree)
+        for row in kernel))
 
 
 def _keyed_rows(cells) -> list[Row]:

@@ -30,9 +30,11 @@ pivot rows, the dense flat vector of a map tuple (``tuple_vector``,
 coordinates, and the per-pair walk that assembled the solver's system
 before it was driven by the nonzeros of the bracket tables
 (``reference_system_rows``), with the basis maps read off its kernel as
-they were (``reference_solve_space``), and the double's structure
-constants as ``build_extended`` read them off the dense bracket table
-(``reference_double_spec``).
+they were (``reference_solve_space``), the double's structure constants
+as ``build_extended`` read them off the dense bracket table
+(``reference_double_spec``), and the dense vector and column helpers
+that the package no longer calls (``zero_vec``, ``is_zero_vec``,
+``col``).
 """
 
 import itertools
@@ -59,7 +61,6 @@ from homlie.linalg import (
     block_diag,
     contains,
     format_matrix,
-    is_zero_vec,
     nullspace,
     rank,
     rref,
@@ -79,6 +80,21 @@ from homlie.spaces import (
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def zero_vec(n: int):
+    """The zero vector of Q^n (``linalg.zero_vec`` as it was)."""
+    return (F0,) * n
+
+
+def is_zero_vec(a) -> bool:
+    """Whether every entry is 0 (``linalg.is_zero_vec`` as it was)."""
+    return all(x == 0 for x in a)
+
+
+def col(m: Matrix, c: int):
+    """Column c of m, dense (``Matrix.col`` as it was)."""
+    return tuple(m.entries[r * m.cols + c] for r in range(m.rows))
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
@@ -459,7 +475,7 @@ def reference_bracket_laws(spec: AlgebraSpec, k_max: int,
                     for b in maps(SpaceKind.QC, s, th2):
                         g = supercommutator(a, b)
                         if surjective:
-                            if not all(contains(z, g.matrix.col(i)) for i in range(n)):
+                            if not all(contains(z, col(g.matrix, i)) for i in range(n)):
                                 failures.setdefault(
                                     "[C,QC] maps into the center",
                                     f"{where}: {format_matrix(g.matrix)}")
@@ -950,7 +966,7 @@ def reference_validate(spec: AlgebraSpec) -> ValidationReport:
                 failures.append(IdentityFailure(
                     "super skew-symmetry", (j, i), res))
 
-    acol = [spec.alpha.col(i) for i in range(n)]
+    acol = [col(spec.alpha, i) for i in range(n)]
 
     def br(u, v):
         return tuple(brute_bracket(spec, u, v))

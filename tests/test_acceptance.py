@@ -21,7 +21,6 @@ from homlie.extension import (
 from homlie.linalg import (
     Matrix,
     contains,
-    is_zero_vec,
     subspace_sum,
 )
 from homlie.randomgen import sample_algebras
@@ -36,7 +35,7 @@ from homlie.spaces import (
     solve_space,
     space_contains,
 )
-from oracle import oracle_solve, stacked, unit_vec
+from oracle import is_zero_vec, oracle_solve, stacked, unit_vec
 
 ALL_KINDS = tuple(SpaceKind)
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlie import cli
+from homlie.algebra import AlgebraSpec
 from homlie.cli import main
 from homlie.spaces import SpaceKind, solve_space
 
@@ -129,6 +132,37 @@ def test_extend_command(capsys):
     assert code == 0
     assert "n=6" in out
     assert "t-power >= 3 vanish: yes" in out
+
+
+def _with_a_t3_pair(monkeypatch):
+    """``build_extended`` with [e_1 t, e_1 t^2] = e_1 t^2 added to the
+    double, with its skew partner: a pair keyed outside the base block,
+    of t-power 3.  On abelian2 the bent double still validates."""
+    build = cli.build_extended
+
+    def bent(base):
+        ext, n = build(base), base.n
+        view = ext.spec._sparse | {(0, n): {n: 1}, (n, 0): {n: -1}}
+        spec = AlgebraSpec._of(ext.spec.name, ext.spec.degrees, ext.spec.alpha,
+                               dict(sorted(view.items())), ext.spec.basis_names)
+        return dataclasses.replace(ext, spec=spec)
+
+    monkeypatch.setattr(cli, "build_extended", bent)
+
+
+def test_extend_fails_on_a_pair_of_t_power_three(capsys, monkeypatch):
+    _with_a_t3_pair(monkeypatch)
+    code, out, _ = run(capsys, "extend", "abelian2")
+    assert code == 1
+    assert "double passes validation: yes" in out
+    assert "brackets with t-power >= 3 vanish: NO" in out.splitlines()
+
+
+def test_report_fails_on_a_pair_of_t_power_three(capsys, monkeypatch):
+    _with_a_t3_pair(monkeypatch)
+    code, out, _ = run(capsys, "report", "abelian2", "--kmax", "0")
+    assert code == 1
+    assert "double validates: yes; t-power truncation: NO" in out.splitlines()
 
 
 def test_embed_command(capsys):

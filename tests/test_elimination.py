@@ -19,7 +19,6 @@ from homlie.linalg import (
     Subspace,
     block_diag,
     contains,
-    is_zero_vec,
     nullspace,
     subspace_intersection,
     subspace_sum,
@@ -36,6 +35,7 @@ from homlie.spaces import (
 
 from oracle import (
     canonical_rows,
+    is_zero_vec,
     reference_complement,
     reference_derived_projection,
     reference_intersection,

@@ -13,9 +13,10 @@ from homlie.extension import (
     verify_embedding_decomposition,
     verify_phi_properties,
 )
-from homlie.linalg import Matrix, contains, is_zero_vec
+from homlie.linalg import Matrix, contains
 from homlie.spaces import GradedMap, SpaceKind, project_component, solve_space
 from oracle import (
+    is_zero_vec,
     reference_double_spec,
     reference_partner_determined,
     unit_vec,
@@ -43,7 +44,7 @@ def test_double_spec_matches_the_dense_reference(bundled):
     for base in [*bundled.values(), *iterated[1:]]:
         spec, ref = build_extended(base).spec, reference_double_spec(base)
         assert spec == ref, base.name
-        assert hash(spec) == hash(ref), base.name
+        assert hash(spec) == hash(ref) and repr(spec) == repr(ref), base.name
 
 
 def test_double_of_abelian_is_abelian(abelian2):
@@ -211,6 +212,26 @@ def test_t2_copy_always_central(bundled):
         z = center(ext.spec)
         for i in range(spec.n, 2 * spec.n):
             assert contains(z, unit_vec(2 * spec.n, i))
+
+
+def test_t2_copy_check_fails_on_a_bent_double(ex2_5, monkeypatch):
+    # [e_2 t^2, e_1 t] = e_3 t^2, and its skew partner: e_2 t^2 leaves the
+    # center of the bent double, and e_1 t^2 stays in it
+    ext = build_extended(ex2_5)
+    n = ex2_5.n
+    view = dict(ext.spec._sparse) | {(0, n + 1): {n + 2: -1}, (n + 1, 0): {n + 2: 1}}
+    bent = AlgebraSpec._of("bent", ext.spec.degrees, ext.spec.alpha,
+                           dict(sorted(view.items())), ext.spec.basis_names)
+    witnesses, first_outside = [], extension._first_outside
+
+    def spy(cells):
+        witnesses.append(first_outside(cells))
+        return witnesses[-1]
+
+    monkeypatch.setattr(extension, "_first_outside", spy)
+    checks = verify_embedding_decomposition(dataclasses.replace(ext, spec=bent), 0).checks
+    assert (checks[0].name, checks[0].status) == ("t^2 copy inside Z(double) (k=0)", "fail")
+    assert witnesses[0] == 1
 
 
 def _partner_statuses(ext, k, strict):

@@ -178,7 +178,11 @@ def test_sparse_view_is_not_a_field(ex2_5):
     assert view == {(i, j): {m: x for m, x in enumerate(v) if x}
                     for i, row in enumerate(spec.brackets)
                     for j, v in enumerate(row) if any(v)}
-    assert "_sparse" in vars(spec) and "_sparse" not in vars(twin)
+    # the view is the stored form: a spec built from it has no dense
+    # table until ``brackets`` is read
+    fresh = build_extended(ex2_5).spec
+    assert "brackets" not in vars(fresh)
+    assert fresh.brackets == spec.brackets and "brackets" in vars(fresh)
     assert spec == twin and (hash(spec), repr(spec)) == before == (
         hash(twin), repr(twin))
 
