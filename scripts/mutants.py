@@ -52,6 +52,8 @@ ASSEMBLY = "tests/test_solver_assembly.py::"
 ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
+SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random_splits",
+         "tests/test_elimination.py::test_projection_matches_reference_on_bundled")
 
 MUTANTS = (
     # the solver's system, assembled from the nonzeros of the bracket tables
@@ -177,6 +179,16 @@ MUTANTS = (
     Mutant("build_extended: the brackets written into the t copy", EXTENSION,
            "{n + m: x for m, x in row.items()}", "{m: x for m, x in row.items()}",
            ("tests/test_extension.py::test_double_spec_matches_the_dense_reference",)),
+    # the double's complement and projector, off one reversed reduction
+    Mutant("_split: the leading 1 of d_j dropped", EXTENSION,
+           "{n - 1 - p: 1} | {n - 1 - c: x", "{n - 1 - c: x",
+           SPLIT),
+    Mutant("_split: the complement on the pivots", EXTENSION,
+           "for u in range(n) if u not in ends}", "for u in range(n) if u in ends}",
+           SPLIT),
+    Mutant("_split: the d_j as rows of P, not columns", EXTENSION,
+           "rows = _columns(Matrix._of(n, n, ends))", "rows = [ends.get(m, {}) for m in range(n)]",
+           SPLIT),
     # verdicts that only a bent double fails
     Mutant("extend: the t-power truncation verdict inverted", CLI,
            "nil_ok = all(i < n and j < n for i, j in ext.spec._sparse)",

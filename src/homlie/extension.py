@@ -4,12 +4,12 @@ For a base algebra L the extended algebra lives on two copies of L,
 formal multiples of t and t^2 with t^3 = 0, carrying the bracket
 [x t^i, y t^j] = [x, y] t^{i+j} and the twist acting copy-wise.  A
 quasiderivation pair (D, D') of the base embeds as an endomorphism of
-the double (D on the t copy, D' through the projection onto [L, L] on
-the t^2 copy, zero on the chosen complement) which is in fact a
-derivation of the double; for centerless bases with invertible twist
-the derivations of the double split as the embedded quasiderivations
-plus the central derivations, and that split is verified here per
-twist power.
+the double (D on the t copy, D' composed with the projection onto [L, L]
+along a complement, both read off one reduction, on the t^2 copy) which
+is in fact a derivation of the double; for centerless bases with
+invertible twist the derivations of the double split as the embedded
+quasiderivations plus the central derivations, and that split is
+verified here per twist power.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     The complement of [L, L] is spanned by the standard basis vectors
     e_j, j the last nonzero coordinate of no vector of [L, L]: the greedy
     choice in ascending index order, which keeps it graded and makes the
-    construction reproducible.
+    construction reproducible; the projector comes from the same reduction.
     """
     report = validate(base)
     if not report.axioms_ok:
@@ -81,34 +81,24 @@ def build_extended(base: AlgebraSpec) -> ExtendedAlgebra:
     spec = AlgebraSpec._of(f"{base.name}_ext", degrees, alpha, view, names)
 
     derived = derived_subalgebra(base)
-    # e_j lies outside [L, L] and the e_i before it exactly when no vector
-    # of [L, L] ends at j: when n-1-j is no pivot of the reversed columns
+    return ExtendedAlgebra(base, spec, derived, *_split(derived))
+
+
+def _split(derived: Subspace) -> tuple[Subspace, Matrix]:
+    """The greedy complement of ``derived`` and the projector onto
+    ``derived`` along it, off one ``_reduce`` of its rows with the columns
+    reversed: pivot row j is the d_j in ``derived`` that ends at j, nonzero
+    elsewhere only off the pivots, so the e_u, u no pivot, span the
+    complement, P e_j = d_j and P e_u = 0."""
+    n = derived.ambient_dim
     last = _reduce({n - 1 - c: x for c, x in row.items()}
                    for row in _pivot_rows(derived._reduced))
-    complement = Subspace._from_sparse(
-        n, ({j: 1} for j in range(n) if n - 1 - j not in last))
-    return ExtendedAlgebra(base, spec, derived, complement,
-                           _derived_projection(derived, complement))
-
-
-def _derived_projection(derived: Subspace, complement: Subspace) -> Matrix:
-    """Projector onto ``derived`` along ``complement``, by one ``_reduce``.
-
-    The rows [d | d] and [u | 0] span the graph {(x, P x)} of the
-    projector P; when the two bases together form a basis of the base
-    algebra, the pivots are exactly 0 .. n-1 and pivot row j is
-    [e_j | P e_j].
-    """
-    n = derived.ambient_dim
-    done = _reduce([row | {c + n: x for c, x in row.items()}
-                    for row in _pivot_rows(derived._reduced)]
-                   + _pivot_rows(complement._reduced))
-    if done.keys() != set(range(n)):
-        raise RuntimeError(
-            "[L, L] and its complement do not span the base algebra")
-    # row m of P, as (P e_j)_m for every j, is column n + m of those rows
-    rows = _columns(Matrix._of(n, 2 * n, done))[n:]
-    return Matrix._of(n, n, {m: row for m, row in enumerate(rows) if row})
+    ends = {n - 1 - p: {n - 1 - p: 1} | {n - 1 - c: x for c, x in row.items()}
+            for p, row in last.items()}
+    # column j of P is d_j, so row m of P is column m of the rows d_j
+    rows = _columns(Matrix._of(n, n, ends))
+    return (Subspace._of(n, {u: {} for u in range(n) if u not in ends}),
+            Matrix._of(n, n, {m: row for m, row in enumerate(rows) if row}))
 
 
 def phi(ext: ExtendedAlgebra, pair, k: int, strict: bool = True) -> GradedMap:

@@ -69,7 +69,10 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
         bad_degree = f"{source}: basis[{idx}] degree must be 0 or 1"
         if _integer(item["degree"], bad_degree) not in (0, 1):
             raise AlgebraFileError(bad_degree)
-        names.append(str(item["name"]))
+        if not isinstance(item["name"], str) or not item["name"]:
+            raise AlgebraFileError(
+                f"{source}: basis[{idx}] 'name' must be a non-empty string")
+        names.append(item["name"])
         degrees.append(item["degree"])
     n = len(names)
 

@@ -16,6 +16,7 @@ from .linalg import Matrix
 
 _POOL = (-2, -1, 0, 1, 2)
 _NONZERO = (-2, -1, 1, 2)
+_MAX_TRIES = 20000  # draws before sample_algebras gives up
 
 
 def _even_matrix(rng: random.Random, degrees, pool) -> Matrix:
@@ -88,11 +89,10 @@ def random_algebra(rng: random.Random, n_max: int = 3) -> AlgebraSpec | None:
     return spec if validate(spec).ok else None
 
 
-def sample_algebras(rng: random.Random, count: int, n_max: int = 3,
-                    max_tries: int = 20000) -> list[AlgebraSpec]:
+def sample_algebras(rng: random.Random, count: int, n_max: int = 3) -> list[AlgebraSpec]:
     """Draw until `count` validated algebras are found."""
     out: list[AlgebraSpec] = []
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         if len(out) == count:
             break
         spec = random_algebra(rng, n_max)

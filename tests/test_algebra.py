@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from homlie import randomgen
 from homlie.algebra import (
     AlgebraSpec,
     bracket,
@@ -133,3 +136,13 @@ def test_equal_specs_hash_equal_and_cache_it(ex2_5):
     # computed once per object: later lookups read the stored value
     assert vars(twin)["_hash"] == hash(twin)
     assert {ex2_5: 1}[twin] == 1
+
+
+def test_sampling_gives_up_after_its_budget(monkeypatch):
+    draws = []
+    monkeypatch.setattr(randomgen, "random_algebra",
+                        lambda rng, n_max: draws.append(n_max))
+    with pytest.raises(RuntimeError, match="sampling budget exhausted before "
+                                           "2 valid algebras were found"):
+        randomgen.sample_algebras(random.Random(0), 2, n_max=4)
+    assert draws == [4] * 20000

@@ -14,6 +14,7 @@ and ``dataclasses.replace`` like a twin built dense, with explicit zeros.
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,14 @@ def test_products_solved_tuples_and_span_maps_stay_sparse_until_read():
              reference_hom_jordan_residual(spec.alpha, a, b, b, a))):
         assert not got.is_zero()
         assert_lazy_like_twin(got, dense_twin(got, want.entries))
+
+
+@pytest.mark.parametrize("bad", ["1", 1.5, 0.0, None])
+def test_dense_constructors_name_an_inexact_entry(bad):
+    # an entry that is not an int or Fraction, zero-valued ones included
+    word = re.escape(f"not an exact rational: {bad!r}")
+    with pytest.raises(TypeError, match=word):
+        Matrix(2, 2, (1, Fraction(1, 2), bad, 0))
+    with pytest.raises(TypeError, match=word):
+        AlgebraSpec("bad", (0, 1), Matrix.identity(2),
+                    (((0, 0), (0, bad)), ((0, 0), (0, 0))))

@@ -42,6 +42,17 @@ def test_validate_rejects_broken_file(capsys, tmp_path):
     assert "basis" in err
 
 
+@pytest.mark.parametrize("value", [None, ["x"], ""], ids=repr)
+def test_basis_name_that_is_no_string_exits_two(capsys, tmp_path, value):
+    doc = {"name": "x", "basis": [{"name": value, "degree": 0}],
+           "alpha": [["1"]], "brackets": []}
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: basis[0] 'name' must be a non-empty string\n"
+
+
 def test_validate_jacobi_failure_exits_one(capsys, tmp_path):
     doc = {
         "name": "broken",

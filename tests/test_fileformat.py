@@ -174,6 +174,15 @@ def test_alpha_array_errors_are_exact(edit, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("value", [None, ["x"], "", 1, True], ids=repr)
+def test_reject_basis_name_that_is_no_string(value):
+    doc = _ex_doc()
+    doc["basis"][1]["name"] = value
+    with pytest.raises(AlgebraFileError) as exc:
+        algebra_from_dict(doc)
+    assert str(exc.value) == "<data>: basis[1] 'name' must be a non-empty string"
+
+
 @pytest.mark.parametrize("second, message", [
     ([["0", "1"], ["0"]], "maps[1]: must be an 2x2 array"),
     ([["0", "1"], ["x", "0"]],

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import homlie
-from homlie import extension, linalg
+from homlie import linalg
 from homlie.linalg import Subspace, subspace_intersection
 
 from oracle import unit_vec
@@ -22,13 +22,6 @@ def test_intersection_checks_the_dimension_formula(monkeypatch):
     b = Subspace.from_vectors(2, [unit_vec(2, 1)])
     with pytest.raises(RuntimeError, match="dimension formula"):
         subspace_intersection(a, b)
-
-
-def test_projection_checks_the_complement_spans(heisenberg3):
-    # [L, L] twice over spans only [L, L], a proper subspace here
-    ext = extension.build_extended(heisenberg3)
-    with pytest.raises(RuntimeError, match="do not span"):
-        extension._derived_projection(ext.derived, ext.derived)
 
 
 def test_no_assert_statements_in_the_package():
