@@ -50,6 +50,7 @@ WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
 RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
 ASSEMBLY = "tests/test_solver_assembly.py::"
 ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
+EDGES = ASSEMBLY + "test_presolve_edge_cases_match_the_reference"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
 SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random_splits",
@@ -79,9 +80,25 @@ MUTANTS = (
            "for l, x in vec.items() for m, idx in by_row[c][l])",
            (ON_BUNDLED,)),
     Mutant("solver: integral sums left as Fraction", SPACES,
-           "if (row := {idx: _int(x) for idx, x in acc[key].items() if x})]",
-           "if (row := {idx: x for idx, x in acc[key].items() if x})]",
+           "if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})]",
+           "if (row := {at[idx]: x for idx, x in r.items() if idx in at})]",
            (ON_BUNDLED,)),
+    # the unknowns that one-entry rows fix to zero, taken out of the system
+    Mutant("presolve: a two-entry row taken as fixing its unknowns", SPACES,
+           "if len(row) == 1 for idx in row}", "if len(row) <= 2 for idx in row}",
+           (ON_BUNDLED, EDGES)),
+    Mutant("presolve: the surviving unknowns renumbered out of order", SPACES,
+           "enumerate(i for i in range(len(allowed)) if i not in fixed)",
+           "enumerate(i for i in reversed(range(len(allowed))) if i not in fixed)",
+           (ON_BUNDLED, EDGES)),
+    Mutant("presolve: the fixed unknowns left in the other rows, and as columns", SPACES,
+           "enumerate(i for i in range(len(allowed)) if i not in fixed)",
+           "enumerate(i for i in range(len(allowed)))",
+           (ON_BUNDLED, EDGES)),
+    Mutant("solver: the zero map built at degree 0 for every degree", SPACES,
+           "zero = GradedMap._of(Matrix._of(n, n, {}), degree)",
+           "zero = GradedMap._of(Matrix._of(n, n, {}), 0)",
+           (ON_BUNDLED, EDGES)),
     Mutant("nullspace: the columns not reversed", LINALG,
            "done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())",
            "done = _reduce(dict(row) for row in m._sparse.values())",

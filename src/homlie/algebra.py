@@ -62,7 +62,7 @@ class AlgebraSpec:
         if any(len(cv) != n for r in self.brackets for cv in r):
             raise ValueError("bracket coefficient vectors must have length n")
         if bad := [x for r in self.brackets for v in r for x in v
-                   if not isinstance(x, (int, Fraction))]:
+                   if isinstance(x, bool) or not isinstance(x, (int, Fraction))]:
             raise TypeError(f"not an exact rational: {bad[0]!r}")
         # {(i, j): {m: nonzero}} in (i, j) order; not a field, read-only
         self.__dict__["_sparse"] = {

@@ -72,6 +72,9 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
         if not isinstance(item["name"], str) or not item["name"]:
             raise AlgebraFileError(
                 f"{source}: basis[{idx}] 'name' must be a non-empty string")
+        if item["name"] in names:
+            raise AlgebraFileError(f"{source}: basis[{idx}] repeats the name "
+                                   f"{item['name']!r} of basis[{names.index(item['name'])}]")
         names.append(item["name"])
         degrees.append(item["degree"])
     n = len(names)

@@ -70,7 +70,8 @@ class Matrix:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}")
-        if bad := [x for x in self.entries if not isinstance(x, (int, Fraction))]:
+        if bad := [x for x in self.entries
+                      if isinstance(x, bool) or not isinstance(x, (int, Fraction))]:
             raise TypeError(f"not an exact rational: {bad[0]!r}")
         # the view, nonzero rows only; not a field, read-only
         self.__dict__["_sparse"] = {

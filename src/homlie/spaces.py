@@ -83,6 +83,13 @@ class GradedMap:
     def n(self) -> int:
         return self.matrix.rows
 
+    @classmethod
+    def _of(cls, matrix: Matrix, degree: int) -> "GradedMap":
+        """A map over a trusted square matrix and a degree of 0 or 1."""
+        g = cls.__new__(cls)
+        g.__dict__.update(matrix=matrix, degree=degree)
+        return g
+
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
@@ -174,13 +181,13 @@ def _coords(*maps: GradedMap) -> Row:
             for r, row in g.matrix._sparse.items() for col, x in row.items()}
 
 
-def _maps(coords: Row, n: int, arity: int, degree: int) -> tuple[GradedMap, ...]:
-    """The ``arity`` maps whose ``_coords`` are ``coords``, as views only."""
-    views: list[dict] = [{} for _ in range(arity)]
+def _maps(coords: Row, arity: int, zero: GradedMap) -> tuple[GradedMap, ...]:
+    """The ``arity`` maps with these ``_coords``, views only; each zero one is ``zero``."""
+    n, views = zero.n, [{} for _ in range(arity)]
     for i, x in coords.items():
         c, r = divmod(i // n, n)
         views[c].setdefault(r, {})[i % n] = x
-    return tuple(GradedMap(Matrix._of(n, n, v), degree) for v in views)
+    return tuple(GradedMap._of(Matrix._of(n, n, v), zero.degree) if v else zero for v in views)
 
 
 def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
@@ -278,12 +285,16 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
             (((c, l, m), idx, -x) for c in range(arity) for p, col in enumerate(acol)
              for l, idx in by_row[c][p] for m, x in col.items())))
 
-    kernel = _pivot_rows(nullspace(Matrix._of(len(rows), len(allowed),
-                                              dict(enumerate(rows))))._reduced)
-    flat = [(c * n + m) * n + l for c, m, l in allowed]
+    # unknowns fixed to 0 by one-entry rows leave; the rest keep order, so kernels stay canonical
+    fixed = {idx for row in rows if len(row) == 1 for idx in row}
+    at = {old: new for new, old in enumerate(i for i in range(len(allowed)) if i not in fixed)}
+    rows = [row for r in rows if len(r) > 1
+            if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})]
+    kernel = _pivot_rows(nullspace(Matrix._of(len(rows), len(at), dict(enumerate(rows))))._reduced)
+    flat = [(c * n + m) * n + l for c, m, l in (allowed[idx] for idx in at)]
+    zero = GradedMap._of(Matrix._of(n, n, {}), degree)  # shared: no one writes a view
     return MapSpace(kind, k, degree, strict, n, tuple(
-        _maps({flat[idx]: x for idx, x in row.items()}, n, arity, degree)
-        for row in kernel))
+        _maps({flat[idx]: x for idx, x in row.items()}, arity, zero) for row in kernel))
 
 
 def _keyed_rows(cells) -> list[Row]:
@@ -294,7 +305,7 @@ def _keyed_rows(cells) -> list[Row]:
         row = acc.setdefault(key, {})
         row[idx] = row.get(idx, 0) + x
     return [row for key in sorted(acc)
-            if (row := {idx: _int(x) for idx, x in acc[key].items() if x})]
+            if (row := {idx: x for idx, x in acc[key].items() if x})]
 
 
 def project_component(space: MapSpace, index: int) -> Subspace:
@@ -380,8 +391,8 @@ def _spans(solved: MapSpace, whole: bool) -> tuple[Subspace, tuple]:
     if whole:
         return solved.as_subspace(), solved.tuples
     span = project_component(solved, 0)
-    return span, tuple(_maps(row, solved.n, 1, solved.degree)
-                       for row in _pivot_rows(span._reduced))
+    zero = GradedMap._of(Matrix._of(solved.n, solved.n, {}), solved.degree)
+    return span, tuple(_maps(row, 1, zero) for row in _pivot_rows(span._reduced))
 
 
 def _space(spec, strict, kind, k, th, whole=False):
@@ -716,9 +727,9 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     # on elems exactly when on a basis of their span per degree; only a
     # failing basis sends the walk over elems, for the first witness
     n = spec.n
-    basis = [_maps(row, n, 1, th)[0] for th in (0, 1) for row in _pivot_rows(
-        Subspace._from_sparse(n * n, (_coords(g) for g in elems
-                                      if g.degree == th))._reduced)]
+    basis = [_maps(row, 1, GradedMap._of(Matrix._of(n, n, {}), th))[0] for th in (0, 1)
+             for row in _pivot_rows(Subspace._from_sparse(n * n, (
+                 _coords(g) for g in elems if g.degree == th))._reduced)]
     quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)
     jordan_bad = quad and tuple(elems[i] for i in quad)
     checks.append(_verdict(

@@ -30,7 +30,9 @@ pivot rows, the dense flat vector of a map tuple (``tuple_vector``,
 coordinates, and the per-pair walk that assembled the solver's system
 before it was driven by the nonzeros of the bracket tables
 (``reference_system_rows``), with the basis maps read off its kernel as
-they were (``reference_solve_space``), the double's structure constants
+they were before the unknowns that one-entry rows fix to zero left the
+system (``reference_solve_space``) and that presolve written apart
+(``reference_presolve``), the double's structure constants
 as ``build_extended`` read them off the dense bracket table
 (``reference_double_spec``), and the dense vector and column helpers
 that the package no longer calls (``zero_vec``, ``is_zero_vec``,
@@ -360,11 +362,33 @@ def reference_system_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,
     return rows, len(allowed)
 
 
+def reference_presolve(rows, width):
+    """(rows, width) of a system less the unknowns that its one-entry rows
+    fix to zero: each such unknown is struck from every row, a row left
+    empty is dropped, and the other unknowns are numbered 0, 1, ... in
+    their old order."""
+    zeroed = set()
+    for row in rows:
+        if len(row) == 1:
+            zeroed.update(row)
+    renumber = {}
+    for old in range(width):
+        if old not in zeroed:
+            renumber[old] = len(renumber)
+    out = []
+    for row in rows:
+        kept = {renumber[c]: x for c, x in row.items() if c not in zeroed}
+        if kept:
+            out.append(kept)
+    return out, len(renumber)
+
+
 def reference_solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int,
                           degree: int, strict: bool) -> MapSpace:
-    """``solve_space`` as it read its answer off ``reference_system_rows``:
-    the kernel of ``Matrix.from_sparse`` of the rows, each basis row moved
-    to stacked map slots through a dict and split into maps by ``_maps``."""
+    """``solve_space`` as it read its answer off ``reference_system_rows``,
+    with no unknown taken out: the kernel of ``Matrix.from_sparse`` of the
+    whole system, each basis row moved to stacked map slots through a dict
+    and split into one validated ``GradedMap`` per component."""
     n, arity = spec.n, kind.arity
     rows, width = reference_system_rows(spec, kind, k, degree, strict)
     if not width:
@@ -372,8 +396,14 @@ def reference_solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int,
     slots = [(c * n + m) * n + l for c in range(arity) for m in range(n)
              for l in range(n) if spec.degrees[m] == (spec.degrees[l] + degree) % 2]
     kernel = _pivot_rows(nullspace(Matrix.from_sparse(rows, width))._reduced)
-    return MapSpace(kind, k, degree, strict, n, tuple(spaces._maps(
-        {slots[i]: x for i, x in row.items()}, n, arity, degree) for row in kernel))
+    tuples = []
+    for row in kernel:
+        entries = [[[0] * n for _ in range(n)] for _ in range(arity)]
+        for i, x in row.items():
+            c, m, l = slots[i] // (n * n), slots[i] // n % n, slots[i] % n
+            entries[c][m][l] = x
+        tuples.append(tuple(GradedMap(Matrix.from_rows(e), degree) for e in entries))
+    return MapSpace(kind, k, degree, strict, n, tuple(tuples))
 
 
 # ---------------------------------------------------------------------------

@@ -208,3 +208,17 @@ def test_dense_constructors_name_an_inexact_entry(bad):
     with pytest.raises(TypeError, match=word):
         AlgebraSpec("bad", (0, 1), Matrix.identity(2),
                     (((0, 0), (0, bad)), ((0, 0), (0, 0))))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_dense_matrix_rejects_a_bool_entry(flag):
+    # bool is an int subclass, and frac rejects it in the same words
+    with pytest.raises(TypeError, match=re.escape(f"not an exact rational: {flag!r}")):
+        Matrix(2, 2, (1, 0, flag, 1))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_dense_algebra_spec_rejects_a_bool_entry(flag):
+    with pytest.raises(TypeError, match=re.escape(f"not an exact rational: {flag!r}")):
+        AlgebraSpec("bad", (0, 0), Matrix.identity(2),
+                    (((0, 0), (0, flag)), ((0, 0), (0, 0))))

@@ -6,9 +6,10 @@ and the failure paths (an algebra that fails Jacobi, a triple outside
 the GDer space, an unknown space kind), were recorded before the command
 line's output policy moved into ``main``.  Any change to the bytes a
 command prints on stdout or stderr, or to its exit code, fails here.
-Input files are written under ``tmp_path``, and their paths are kept
-out of the pinned bytes.  The test runs under ``python -O`` too, so it
-checks with ``pytest.fail``, not ``assert``.
+Input files are written under ``tmp_path`` and named relative to it, the
+working directory of each run, so a message that names its file pins
+the file name and not the temporary path.  The test runs under
+``python -O`` too, so it checks with ``pytest.fail``, not ``assert``.
 """
 
 import contextlib
@@ -76,6 +77,10 @@ _BROKEN = {
     ],
 }
 
+# basis[2] takes the name of basis[0]
+_REPEATED_NAME = dict(_BROKEN, basis=[{"name": "a", "degree": 0}, {"name": "b", "degree": 0},
+                                      {"name": "a", "degree": 0}])
+
 # [x1, ., .] on ex2_5 is no generalized derivation at k = 1
 _NON_MEMBER = [[["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
                [["0"] * 3] * 3, [["0"] * 3] * 3]
@@ -90,8 +95,8 @@ def _member(name):
 
 
 def _write_inputs(tmp_path):
-    """Write the input files; returns {placeholder: path}."""
-    docs = {"BROKEN": _BROKEN,
+    """Write the input files; returns {placeholder: name under tmp_path}."""
+    docs = {"BROKEN": _BROKEN, "REPEATED_NAME": _REPEATED_NAME,
             "NON_MEMBER": {"degree": 0, "maps": _NON_MEMBER}}
     docs.update({f"MEMBER_{name}": {"degree": 0, "maps": _member(name)}
                  for name in BUILTIN})
@@ -99,7 +104,7 @@ def _write_inputs(tmp_path):
     for key, doc in docs.items():
         paths[key] = tmp_path / f"{key.lower()}.json"
         paths[key].write_text(json.dumps(doc))
-    return {key: str(path) for key, path in paths.items()}
+    return {key: path.name for key, path in paths.items()}
 
 
 _COMMANDS = {
@@ -130,6 +135,7 @@ _CASES += [
     ("extend-broken", ["extend", "{BROKEN}"], None),
     ("embed-broken", ["embed", "{BROKEN}"], None),
     ("solve-unknown-kind", ["solve", "ex2_5", "--kind", "Nope"], None),
+    ("validate-repeated-name", ["validate", "{REPEATED_NAME}"], None),
 ]
 
 # case + ("", "--json") -> (sha256 of stdout, stderr, exit code)
@@ -458,6 +464,12 @@ COMMAND_GOLDEN = {
     ('solve-unknown-kind', '--json'): (
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         "error: unknown space kind 'Nope'; expected one of Der, GDer, QDer, C, QC, ZDer\n", 2),
+    ('validate-repeated-name',): (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        "error: repeated_name.json: basis[2] repeats the name 'a' of basis[0]\n", 2),
+    ('validate-repeated-name', '--json'): (
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        "error: repeated_name.json: basis[2] repeats the name 'a' of basis[0]\n", 2),
 }
 
 
@@ -482,7 +494,9 @@ def _outcome(argv):
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 @pytest.mark.parametrize("case, template, algebra", _CASES,
                          ids=[case for case, _, _ in _CASES])
-def test_command_output_is_golden(tmp_path, case, template, algebra, json_flag):
+def test_command_output_is_golden(tmp_path, monkeypatch, case, template, algebra,
+                                  json_flag):
+    monkeypatch.chdir(tmp_path)
     paths = _write_inputs(tmp_path)
     argv = _argv(template, algebra, paths) + list(json_flag)
     got = _outcome(argv)

@@ -3,15 +3,21 @@
 The solver builds its two bracket tables in one pass over the nonzero
 structure constants, drives every term of ``IDENTITIES`` by the nonzeros
 of its table, and emits the rows in (i, j, equation, m) order, then the
-strict rows in (component, twist column, m) order.  The rows and the
-width of the system that reaches ``nullspace`` must be exactly those of
-the per-pair walk kept in ``oracle.reference_system_rows``, and the
-solved space must be the one read off that walk's system
-(``oracle.reference_solve_space``), equal, with equal repr and hash.
+strict rows in (component, twist column, m) order, and takes the
+unknowns that one-entry rows fix to zero out of the system.  The rows and
+the width of the system that reaches ``nullspace`` must be exactly those
+of the per-pair walk kept in ``oracle.reference_system_rows`` after
+``oracle.reference_presolve``, and the solved space must be the one read
+off that walk's whole system (``oracle.reference_solve_space``), equal,
+with equal repr and hash.
 The brute-force oracle, which builds its system dense over every matrix
-entry, must agree on twisted h5 for every kind.
+entry, must agree on twisted h5, sheared h3 and super-Heisenberg 1|2 for
+every kind.
 """
 
+import contextlib
+import copy
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -20,10 +26,18 @@ import pytest
 
 from homlie import spaces
 from homlie.algebra import AlgebraSpec
+from homlie.catalog import load_builtin
+from homlie.cli import main
 from homlie.extension import build_extended
 from homlie.randomgen import sample_algebras
 from homlie.spaces import SpaceKind
-from oracle import oracle_solve, reference_solve_space, reference_system_rows, stacked
+from oracle import (
+    oracle_solve,
+    reference_presolve,
+    reference_solve_space,
+    reference_system_rows,
+    stacked,
+)
 from test_boundary import yau_sl2
 from test_jordan_engine import heisenberg, super_heisenberg
 
@@ -51,6 +65,21 @@ def sheared_h3() -> AlgebraSpec:
                                   {(0, 1): (0, 0, 1)})
 
 
+def odd_line() -> AlgebraSpec:
+    """Even h acting on odd f by [h, f] = f, untwisted.  An odd D sends f
+    to b h, and the QC row of b at (f, f) cancels only through the parity
+    sign of the left term, so b stays free."""
+    return AlgebraSpec.from_pairs("odd_line", (0, 1), [[1, 0], [0, 1]], {(0, 1): (0, 1)})
+
+
+def half_twisted_plane() -> AlgebraSpec:
+    """The abelian plane under the twist [[3/2, 1], [1, 1/2]]: no row has one
+    entry, and the strict row at twist column 0, m = 1 sums 3/2 - 1/2 into
+    an integral coefficient beside two other unknowns."""
+    return AlgebraSpec.from_pairs("half_plane", (0, 0),
+                                  [[Fraction(3, 2), 1], [1, Fraction(1, 2)]], {})
+
+
 def h(m):
     """h_{2m+1} twisted by diag(1,..,1, 2,..,2, 2) on (x, y, z)."""
     return heisenberg(m, (1,) * m + (2,) * (m + 1))
@@ -76,7 +105,8 @@ def assert_assembly_matches(monkeypatch, specs, k_max):
             specs, SpaceKind, range(k_max + 1), (0, 1), (True, False)):
         case = (spec.name, kind.value, k, degree, strict)
         rows, width, space = _system(monkeypatch, spec, kind, k, degree, strict)
-        want_rows, want_width = reference_system_rows(spec, kind, k, degree, strict)
+        want_rows, want_width = reference_presolve(
+            *reference_system_rows(spec, kind, k, degree, strict))
         assert (rows, width) == (want_rows, want_width), case
         # the trusted view holds integral values as int, as every sparse row does
         assert all(type(x) is int or x.denominator != 1
@@ -88,7 +118,8 @@ def assert_assembly_matches(monkeypatch, specs, k_max):
 
 def test_assembly_matches_the_per_pair_walk_on_bundled(bundled, monkeypatch):
     assert_assembly_matches(monkeypatch,
-                            [*bundled.values(), yau_sl2(), sl2_sum(), sheared_h3()], 3)
+                            [*bundled.values(), yau_sl2(), sl2_sum(), sheared_h3(),
+                             odd_line(), half_twisted_plane()], 3)
 
 
 @pytest.mark.parametrize("name", ["h5", "h7", "sh1_3", "ex2_5 double of double"])
@@ -105,10 +136,88 @@ def test_assembly_matches_the_per_pair_walk_on_random_algebras(monkeypatch, seed
     assert_assembly_matches(monkeypatch, sample_algebras(random.Random(seed), 10, n_max=4), 1)
 
 
+def _commutation_rows(spec, kind, k, degree):
+    """The strict rows of the whole system: those past the lax ones."""
+    whole, _ = reference_system_rows(spec, kind, k, degree, True)
+    return whole[len(reference_system_rows(spec, kind, k, degree, False)[0]):]
+
+
+# name: (algebra, kind, k, degree, strict, what the case is, given the
+# whole system, the system that reaches nullspace and the solved space)
+EDGES = {
+    "every allowed unknown fixed": (
+        lambda: load_builtin("ex2_5"), SpaceKind.ZDER, 0, 0, True,
+        lambda whole, rows, width, space: whole[1] > 0 and (rows, width) == ([], 0)),
+    "a row with one entry only after stripping": (
+        lambda: load_builtin("ex2_5"), SpaceKind.DER, 0, 0, True,
+        lambda whole, rows, width, space: any(len(row) == 1 for row in rows)),
+    "no one-entry row": (
+        lambda: load_builtin("ex2_5"), SpaceKind.QDER, 0, 0, False,
+        lambda whole, rows, width, space: whole[0] and (rows, width) == whole
+        and all(len(row) > 1 for row in rows)),
+    "sheared h3 strict, with two-entry commutation rows": (
+        sheared_h3, SpaceKind.QC, 0, 0, True,
+        lambda whole, rows, width, space: any(
+            len(row) == 2 for row in _commutation_rows(sheared_h3(), SpaceKind.QC, 0, 0))),
+    "an odd algebra, with zero odd components": (
+        lambda: load_builtin("odd_heisenberg"), SpaceKind.GDER, 0, 1, True,
+        lambda whole, rows, width, space: any(g.is_zero() for t in space.tuples for g in t)),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGES))
+def test_presolve_edge_cases_match_the_reference(monkeypatch, case):
+    make, kind, k, degree, strict, holds = EDGES[case]
+    spec = make()
+    whole = reference_system_rows(spec, kind, k, degree, strict)
+    rows, width, space = _system(monkeypatch, spec, kind, k, degree, strict)
+    assert holds(whole, rows, width, space), case
+    assert (rows, width) == reference_presolve(*whole), case
+    want = reference_solve_space(spec, kind, k, degree, strict)
+    assert space == want and repr(space) == repr(want), case
+    assert hash(space) == hash(want), case
+
+
+@pytest.mark.parametrize("lax", [(), ("--lax",)], ids=["strict", "lax"])
+def test_a_report_writes_into_no_solved_map(bundled, lax):
+    """The zero components of one solve share one map, so a consumer that
+    wrote into a view would change other tuples: after ``report --kmax 2``
+    on the bundled algebras, which reads the cached spaces, every solved
+    tuple prints as before and holds the views it held."""
+    spaces.solve_space.cache_clear()
+    solved = [spaces.solve_space(spec, kind, k, degree, not lax)
+              for spec in bundled.values() for kind in SpaceKind
+              for k in range(3) for degree in (0, 1)]
+    zeros = [g for space in solved for t in space.tuples for g in t if g.is_zero()]
+    assert len({id(g) for g in zeros}) < len(zeros)
+
+    def state():
+        return [(repr(space.tuples), [g.matrix._sparse for t in space.tuples for g in t])
+                for space in solved]
+
+    before, hits = copy.deepcopy(state()), spaces.solve_space.cache_info().hits
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in bundled:
+            main(["report", name, "--kmax", "2", *lax])
+    assert spaces.solve_space.cache_info().hits > hits
+    assert state() == before
+
+
 @pytest.mark.slow  # about 6 s for both modes: dense Fraction elimination of 75 unknowns
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
 def test_solver_matches_brute_force_oracle_on_twisted_h5(strict):
     spec = h(2)
+    for kind, k, degree in itertools.product(SpaceKind, (0, 1), (0, 1)):
+        got = stacked(spaces.solve_space(spec, kind, k, degree, strict))
+        assert got == oracle_solve(spec, kind, k, degree, strict), (kind, k, degree)
+
+
+@pytest.mark.slow  # under 2 s for all four: n = 3 and n = 3 with two odd elements
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+@pytest.mark.parametrize("name", ["sheared h3", "sh1_2"])
+def test_solver_matches_brute_force_oracle_beyond_one_entry_rows(name, strict):
+    # the shear's commutation rows have two entries, and 1|2 has odd signs
+    spec = {"sheared h3": sheared_h3, "sh1_2": lambda: super_heisenberg(2)}[name]()
     for kind, k, degree in itertools.product(SpaceKind, (0, 1), (0, 1)):
         got = stacked(spaces.solve_space(spec, kind, k, degree, strict))
         assert got == oracle_solve(spec, kind, k, degree, strict), (kind, k, degree)
