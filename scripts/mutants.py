@@ -51,6 +51,7 @@ RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
 ASSEMBLY = "tests/test_solver_assembly.py::"
 ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
 EDGES = ASSEMBLY + "test_presolve_edge_cases_match_the_reference"
+ROUND_TRIP = "tests/test_sparse_coords.py::test_maps_inverts_coords_and_hands_back_zero"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
 SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random_splits",
@@ -59,34 +60,44 @@ SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random
 MUTANTS = (
     # the solver's system, assembled from the nonzeros of the bracket tables
     Mutant("solver: the left table's parity sign dropped", SPACES,
-           "-x * parity_sign(degree, deg[i]), vec)", "-x, vec)",
+           "left.setdefault(b, {}), -x * parity_sign(degree, deg[i]),",
+           "left.setdefault(b, {}), -x,",
            (ON_BUNDLED,)),
     Mutant("solver: the right table reading a^k transposed", SPACES,
            "for j, x in ak.get(b, {}).items():",
            "for j, x in _columns(spec.alpha.power(k))[b].items():",
            (ON_BUNDLED,)),
     Mutant("solver: the eval sign flipped", SPACES,
-           "(((i, j, e, m), idx, sign * x) for (i, j), vec in spec._sparse.items()",
-           "(((i, j, e, m), idx, -sign * x) for (i, j), vec in spec._sparse.items()",
+           "evals.setdefault(l, {})[(a * n + b) * step] = x",
+           "evals.setdefault(l, {})[(a * n + b) * step] = -x",
            (ON_BUNDLED,)),
     Mutant("solver: the strict alpha-term sign flipped", SPACES,
-           "(((c, l, m), idx, -x) for c in range(arity)", "(((c, l, m), idx, x) for c in range(arity)",
+           "spread(comm, c * n * n, n, acols, by_row[c], -1)",
+           "spread(comm, c * n * n, n, acols, by_row[c], 1)",
            (ON_BUNDLED,)),
     Mutant("solver: rows in walk order, not key order", SPACES,
-           "for key in sorted(acc)", "for key in acc",
+           "for key in sorted(multi):", "for key in multi:",
            (ON_BUNDLED,)),
     Mutant("solver: the eval term through the row index", SPACES,
-           "for l, x in vec.items() for m, idx in by_col[c][l])",
-           "for l, x in vec.items() for m, idx in by_row[c][l])",
+           '"eval": (evals, 1, by_col)}', '"eval": (evals, 1, by_row)}',
            (ON_BUNDLED,)),
     Mutant("solver: integral sums left as Fraction", SPACES,
-           "if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})]",
-           "if (row := {at[idx]: x for idx, x in r.items() if idx in at})]",
+           "{at[idx]: _int(x) for idx, x in r.items() if idx in at}",
+           "{at[idx]: x for idx, x in r.items() if idx in at}",
            (ON_BUNDLED,)),
-    # the unknowns that one-entry rows fix to zero, taken out of the system
+    # the unknowns that rows of one nonzero entry fix to zero, taken out of the system
     Mutant("presolve: a two-entry row taken as fixing its unknowns", SPACES,
-           "if len(row) == 1 for idx in row}", "if len(row) <= 2 for idx in row}",
+           "if len(row := {idx: x for idx, x in acc[key].items() if x}) > 1:",
+           "if len(row := {idx: x for idx, x in acc[key].items() if x}) > 2:",
            (ON_BUNDLED, EDGES)),
+    Mutant("presolve: a one-unknown row whose sum is 0 taken as fixing it", SPACES,
+           "                (idx, x), = row.items()\n                if x:",
+           "                (idx, x), = row.items()\n                if True:",
+           (ON_BUNDLED,)),
+    Mutant("presolve: a row cancelled down to one entry kept as a row", SPACES,
+           "if len(row := {idx: x for idx, x in acc[key].items() if x}) > 1:",
+           "if len(row := {idx: x for idx, x in acc[key].items() if x}) > 0:",
+           (EDGES,)),
     Mutant("presolve: the surviving unknowns renumbered out of order", SPACES,
            "enumerate(i for i in range(len(allowed)) if i not in fixed)",
            "enumerate(i for i in reversed(range(len(allowed))) if i not in fixed)",
@@ -99,6 +110,9 @@ MUTANTS = (
            "zero = GradedMap._of(Matrix._of(n, n, {}), degree)",
            "zero = GradedMap._of(Matrix._of(n, n, {}), 0)",
            (ON_BUNDLED, EDGES)),
+    Mutant("_maps: row and column read swapped", SPACES,
+           "c, m, l = where[i]", "c, l, m = where[i]",
+           (ON_BUNDLED, ROUND_TRIP)),
     Mutant("nullspace: the columns not reversed", LINALG,
            "done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())",
            "done = _reduce(dict(row) for row in m._sparse.values())",

@@ -80,7 +80,7 @@ class AlgebraSpec:
         return s
 
     def _checked(self) -> int:
-        """n, with grading, twist shape and names checked; e1..en by default."""
+        """n, with grading, twist shape and unique names checked; e1..en by default."""
         n = len(self.degrees)
         if any(d not in (0, 1) for d in self.degrees):
             raise ValueError("degrees must be 0 or 1")
@@ -90,6 +90,9 @@ class AlgebraSpec:
             self.__dict__["basis_names"] = tuple(f"e{i + 1}" for i in range(n))
         elif len(self.basis_names) != n:
             raise ValueError("need one basis name per dimension")
+        for i, name in enumerate(self.basis_names):
+            if (j := self.basis_names.index(name)) < i:
+                raise ValueError(f"basis name {i} repeats the name {name!r} of basis name {j}")
         return n
 
     def __eq__(self, other):  # on the views, which are equal when the tables are

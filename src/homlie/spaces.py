@@ -181,13 +181,24 @@ def _coords(*maps: GradedMap) -> Row:
             for r, row in g.matrix._sparse.items() for col, x in row.items()}
 
 
-def _maps(coords: Row, arity: int, zero: GradedMap) -> tuple[GradedMap, ...]:
-    """The ``arity`` maps with these ``_coords``, views only; each zero one is ``zero``."""
-    n, views = zero.n, [{} for _ in range(arity)]
-    for i, x in coords.items():
-        c, r = divmod(i // n, n)
-        views[c].setdefault(r, {})[i % n] = x
-    return tuple(GradedMap._of(Matrix._of(n, n, v), zero.degree) if v else zero for v in views)
+def _maps(rows: Sequence[Row], where: Sequence, arity: int, zero: GradedMap) -> tuple:
+    """One tuple of ``arity`` maps per row, D_c[m, l] = x for each i: x of
+    the row and (c, m, l) = ``where[i]``; views only, each zero map ``zero``."""
+    n, out = zero.n, []
+    for coords in rows:
+        views: dict[int, dict[int, Row]] = {}
+        for i, x in coords.items():
+            c, m, l = where[i]
+            views.setdefault(c, {}).setdefault(m, {})[l] = x
+        out.append(tuple([GradedMap._of(Matrix._of(n, n, views[c]), zero.degree)
+                          if c in views else zero for c in range(arity)]))
+    return tuple(out)
+
+
+def _span_maps(span: Subspace, n: int, degree: int) -> tuple:
+    """The n x n maps of a span's canonical basis, as 1-tuples of one degree."""
+    where = [(0, m, l) for m in range(n) for l in range(n)]
+    return _maps(_pivot_rows(span._reduced), where, 1, GradedMap._of(Matrix._of(n, n, {}), degree))
 
 
 def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
@@ -233,12 +244,8 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
         raise ValueError("twist power k must be >= 0")
     if degree not in (0, 1):
         raise ValueError("degree must be 0 or 1")
-    n = spec.n
-    deg = spec.degrees
-    arity = kind.arity
-
-    allowed = [(c, m, l)
-               for c in range(arity) for m in range(n) for l in range(n)
+    n, deg, arity = spec.n, spec.degrees, kind.arity
+    allowed = [(c, m, l) for c in range(arity) for m in range(n) for l in range(n)
                if deg[m] == (deg[l] + degree) % 2]
     if not allowed:
         return MapSpace(kind, k, degree, strict, n, ())
@@ -249,63 +256,75 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
         by_row[c][m].append((l, idx))
         by_col[c][l].append((m, idx))
 
-    # right[j][l] = [e_l, a^k e_j],  left[i][l] = (-1)^{theta|e_i|} [a^k e_i, e_l],
-    # each {m: nonzero}, from one pass over the nonzero brackets [e_a, e_b]
-    ak = spec.alpha.power(k)._sparse
-    right: list[dict[int, Row]] = [{} for _ in range(n)]
-    left: list[dict[int, Row]] = [{} for _ in range(n)]
+    # every cell is summed into its row as it is made, the row (i, j, e, m)
+    # keyed ((i*n + j)*eqs + e)*n + m, so that keys sort as those tuples.
+    # One pass over the nonzero brackets [e_a, e_b] fills one table per side,
+    # {l: {the key's share: nonzero}}: right[l] holds [e_l, a^k e_j] at
+    # j*eqs*n + m, left[l] (-1)^{theta|e_i|} [a^k e_i, e_l] at i*n*eqs*n + m
+    # and evals[l] [e_i, e_j]_l at (i*n + j)*eqs*n, for the sums over l of
+    # D_c[l, i] right, D_c[l, j] left and D_c e_l evals
+    step, ak = len(IDENTITIES[kind]) * n, spec.alpha.power(k)._sparse
+    right, left, evals = {}, {}, {}
     for (a, b), vec in spec._sparse.items():
         for j, x in ak.get(b, {}).items():
-            _subtract(right[j].setdefault(a, {}), -x, vec)
+            _subtract(right.setdefault(a, {}), -x, {j * step + m: y for m, y in vec.items()})
         for i, x in ak.get(a, {}).items():
-            _subtract(left[i].setdefault(b, {}), -x * parity_sign(degree, deg[i]), vec)
+            _subtract(left.setdefault(b, {}), -x * parity_sign(degree, deg[i]),
+                      {i * n * step + m: y for m, y in vec.items()})
+        for l, x in vec.items():
+            evals.setdefault(l, {})[(a * n + b) * step] = x
 
-    def cells(e, side, c, sign):
-        """(row key (i, j, e, m), unknown, coefficient) of one term at every
-        pair (e_i, e_j), over the nonzeros of its table: "right" is
-        sum_l D_c[l, i] right[j][l], "left" sum_l D_c[l, j] left[i][l] and
-        "eval" sum_l [e_i, e_j]_l D_c e_l."""
-        if side == "eval":
-            return (((i, j, e, m), idx, sign * x) for (i, j), vec in spec._sparse.items()
-                    for l, x in vec.items() for m, idx in by_col[c][l])
-        if side == "right":
-            return (((i, j, e, m), idx, sign * x) for j, t in enumerate(right)
-                    for l, vec in t.items() for i, idx in by_row[c][l] for m, x in vec.items())
-        return (((i, j, e, m), idx, sign * x) for i, t in enumerate(left)
-                for l, vec in t.items() for j, idx in by_row[c][l] for m, x in vec.items())
+    def spread(acc, start, stride, table, index, sign):
+        """Sum sign * x into row start + q * stride + m at unknown idx, for
+        each l: vec of table, (q, idx) of index[l] and m: x of vec."""
+        for l, vec in table.items():
+            for q, idx in index[l]:
+                at = start + q * stride
+                for m, x in vec.items():
+                    row = acc.setdefault(at + m, {})
+                    row[idx] = row.get(idx, 0) + sign * x
 
-    rows = _keyed_rows(cell for e, equation in enumerate(IDENTITIES[kind])
-                       for term in equation for cell in cells(e, *term))
+    sides = {"right": (right, n * step, by_row), "left": (left, step, by_row),
+             "eval": (evals, 1, by_col)}
+    ident, comm = {}, {}  # comm: the strict row (c, l, m), keyed (c*n + l)*n + m
+    for e, equation in enumerate(IDENTITIES[kind]):
+        for side, c, sign in equation:
+            table, stride, index = sides[side]
+            spread(ident, e * n, stride, table, index[c], sign)
     if strict:
-        # column l of M alpha - alpha M: M (alpha e_l) - sum_p M[p,l] alpha e_p
-        acol = _columns(spec.alpha)
-        rows += _keyed_rows(itertools.chain(
-            (((c, l, m), idx, x) for c in range(arity) for l, col in enumerate(acol)
-             for p, x in col.items() for m, idx in by_col[c][p]),
-            (((c, l, m), idx, -x) for c in range(arity) for p, col in enumerate(acol)
-             for l, idx in by_row[c][p] for m, x in col.items())))
+        # column l of M alpha - alpha M: M (alpha e_l) - sum_p M[p,l] alpha e_p,
+        # the first term off arows[p] = {l*n: alpha[p, l]}
+        arows = {p: {l * n: x for l, x in row.items()} for p, row in spec.alpha._sparse.items()}
+        acols = dict(enumerate(_columns(spec.alpha)))
+        for c in range(arity):
+            spread(comm, c * n * n, 1, arows, by_col[c], 1)
+            spread(comm, c * n * n, n, acols, by_row[c], -1)
 
-    # unknowns fixed to 0 by one-entry rows leave; the rest keep order, so kernels stay canonical
-    fixed = {idx for row in rows if len(row) == 1 for idx in row}
+    # one scan: a row of one unknown fixes it to 0 if its sum is not 0; only the keys of
+    # more unknowns are sorted and cleared of zeros, and one left with one entry fixes it
+    fixed, kept = set(), []
+    for acc in (ident, comm):
+        multi = []
+        for key, row in acc.items():
+            if len(row) > 1:
+                multi.append(key)
+            else:
+                (idx, x), = row.items()
+                if x:
+                    fixed.add(idx)
+        for key in sorted(multi):
+            if len(row := {idx: x for idx, x in acc[key].items() if x}) > 1:
+                kept.append(row)
+            else:
+                fixed.update(row)
+
+    # the fixed unknowns leave; the rest keep order, so kernels stay canonical
     at = {old: new for new, old in enumerate(i for i in range(len(allowed)) if i not in fixed)}
-    rows = [row for r in rows if len(r) > 1
-            if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})]
+    rows = [row for r in kept if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})]
     kernel = _pivot_rows(nullspace(Matrix._of(len(rows), len(at), dict(enumerate(rows))))._reduced)
-    flat = [(c * n + m) * n + l for c, m, l in (allowed[idx] for idx in at)]
+    where = [allowed[idx] for idx in at]
     zero = GradedMap._of(Matrix._of(n, n, {}), degree)  # shared: no one writes a view
-    return MapSpace(kind, k, degree, strict, n, tuple(
-        _maps({flat[idx]: x for idx, x in row.items()}, arity, zero) for row in kernel))
-
-
-def _keyed_rows(cells) -> list[Row]:
-    """The nonzero rows of a system given as (key, unknown, coefficient)
-    cells summed per key, in key order."""
-    acc: dict = {}
-    for key, idx, x in cells:
-        row = acc.setdefault(key, {})
-        row[idx] = row.get(idx, 0) + x
-    return [row for key in sorted(acc)
-            if (row := {idx: x for idx, x in acc[key].items() if x})]
+    return MapSpace(kind, k, degree, strict, n, _maps(kernel, where, arity, zero))
 
 
 def project_component(space: MapSpace, index: int) -> Subspace:
@@ -391,8 +410,7 @@ def _spans(solved: MapSpace, whole: bool) -> tuple[Subspace, tuple]:
     if whole:
         return solved.as_subspace(), solved.tuples
     span = project_component(solved, 0)
-    zero = GradedMap._of(Matrix._of(solved.n, solved.n, {}), solved.degree)
-    return span, tuple(_maps(row, 1, zero) for row in _pivot_rows(span._reduced))
+    return span, _span_maps(span, solved.n, solved.degree)
 
 
 def _space(spec, strict, kind, k, th, whole=False):
@@ -727,9 +745,8 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     # on elems exactly when on a basis of their span per degree; only a
     # failing basis sends the walk over elems, for the first witness
     n = spec.n
-    basis = [_maps(row, 1, GradedMap._of(Matrix._of(n, n, {}), th))[0] for th in (0, 1)
-             for row in _pivot_rows(Subspace._from_sparse(n * n, (
-                 _coords(g) for g in elems if g.degree == th))._reduced)]
+    basis = [g for th in (0, 1) for g, in _span_maps(Subspace._from_sparse(
+        n * n, (_coords(g) for g in elems if g.degree == th)), n, th)]
     quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)
     jordan_bad = quad and tuple(elems[i] for i in quad)
     checks.append(_verdict(

@@ -300,12 +300,13 @@ def oracle_solve(spec: AlgebraSpec, kind: SpaceKind, k: int, theta: int,
 
 
 def reference_system_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,
-                          degree: int, strict: bool):
+                          degree: int, strict: bool, touched=None):
     """(rows, width) of ``solve_space``'s system as its per-pair walk built
     them: one ``_bracket`` per entry of the two bracket tables, and one
     ``emit`` per ordered pair and equation (then per component and twist
     column) that scans every output coordinate and unknown through a
-    position dict."""
+    position dict.  A ``touched`` list receives, for every row that some
+    term reaches, (unknowns reached, unknowns left nonzero)."""
     n = spec.n
     deg = spec.degrees
     arity = kind.arity
@@ -345,6 +346,8 @@ def reference_system_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,
                     for m, x in vecs[l].items():
                         out[m][idx] += x if sign > 0 else -x
         rows.extend(filter(None, ({i: x for i, x in r.items() if x} for r in out)))
+        if touched is not None:
+            touched.extend((len(r), sum(1 for x in r.values() if x)) for r in out if r)
 
     for i in range(n):
         for j in range(n):

@@ -222,3 +222,17 @@ def test_dense_algebra_spec_rejects_a_bool_entry(flag):
     with pytest.raises(TypeError, match=re.escape(f"not an exact rational: {flag!r}")):
         AlgebraSpec("bad", (0, 0), Matrix.identity(2),
                     (((0, 0), (0, flag)), ((0, 0), (0, 0))))
+
+
+@pytest.mark.parametrize("build", ["dense", "from_pairs"])
+def test_constructors_reject_a_repeated_basis_name(build):
+    # as the file reader does, naming both indices; ambiguous names would
+    # make printed maps and witnesses ambiguous
+    names, zero = ("x", "y", "x"), ((0, 0, 0),) * 3
+    with pytest.raises(ValueError,
+                       match=re.escape("basis name 2 repeats the name 'x' of basis name 0")):
+        if build == "dense":
+            AlgebraSpec("dup", (0, 0, 0), Matrix.identity(3), (zero,) * 3, names)
+        else:
+            AlgebraSpec.from_pairs("dup", (0, 0, 0), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   {}, names)

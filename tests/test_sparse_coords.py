@@ -8,7 +8,8 @@ as it stood: a dense ``tuple_vector`` per cell, tested by ``contains``.
 The views are recorded by ``Matrix.from_sparse`` and must equal the
 ones rescanned from the dense entries; the special cases for empty
 input that the general path now covers must give the same zero
-subspace.
+subspace.  ``spaces._maps``, the one builder of solved and spanned maps,
+must read ``_coords`` back through a (component, row, column) table.
 """
 
 import copy
@@ -28,6 +29,7 @@ from homlie.spaces import (
     GradedMap,
     _coords,
     _first_outside,
+    _maps,
     compose,
     jordan_product,
     supercommutator,
@@ -116,6 +118,22 @@ def test_first_outside_finds_a_bent_product():
     got = _first_outside((target, _coords(*t), i) for i, t in enumerate(tuples))
     assert got == 2 == reference_first_outside(
         (target, tuple_vector(t), i) for i, t in enumerate(tuples))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 1), st.data())
+def test_maps_inverts_coords_and_hands_back_zero(n, arity, degree, data):
+    """Tuples of ``arity`` maps, zero ones among them, come back from their
+    ``_coords`` equal, with the caller's ``zero`` for every zero map."""
+    tuples = [tuple(GradedMap(Matrix(n, n, tuple(v)), degree) for v in t)
+              for t in data.draw(st.lists(st.lists(sparse_vectors(n * n), min_size=arity,
+                                                    max_size=arity), max_size=3))]
+    where = [(c, m, l) for c in range(arity) for m in range(n) for l in range(n)]
+    zero = GradedMap(Matrix(n, n, (0,) * (n * n)), degree)
+    got = _maps([_coords(*t) for t in tuples], where, arity, zero)
+    assert got == tuple(tuples)
+    assert all((h is zero) == g.is_zero() for t, back in zip(tuples, got)
+               for g, h in zip(t, back))
 
 
 # 0 in every accepted form, and nonzeros as int, "p/q" string and Fraction
