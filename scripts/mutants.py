@@ -54,6 +54,9 @@ EDGES = ASSEMBLY + "test_presolve_edge_cases_match_the_reference"
 ROUND_TRIP = "tests/test_sparse_coords.py::test_maps_inverts_coords_and_hands_back_zero"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
+BENT_SHIFT = "tests/test_law_engine.py::test_shift_law_fails_on_a_space_bent_at_one_level"
+ON_REFERENCE = "tests/test_laws.py::test_engine_matches_reference"
+EXT = "tests/test_extension.py::"
 SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random_splits",
          "tests/test_elimination.py::test_projection_matches_reference_on_bundled")
 
@@ -169,6 +172,18 @@ MUTANTS = (
     Mutant("law: the witness rebuilt at the first w", SPACES,
            "zip(x, b[w]))", "zip(x, b[0]))",
            (WIDE_CELL,)),
+    # the spans each solved space holds, and the shift laws as law cells
+    Mutant("views: arity-1 spaces served their tuple view as first view", SPACES,
+           "        span = project_component(self, 0)\n",
+           "        if self.arity == 1:\n            return self._tuple_view\n"
+           "        span = project_component(self, 0)\n",
+           (BENT_SHIFT,)),
+    Mutant("shift: alpha on component 0 only", SPACES,
+           "((GradedMap(spec.alpha, 0),) * kind.arity,)", "((GradedMap(spec.alpha, 0),),)",
+           (ON_REFERENCE,)),
+    Mutant("shift: the target at level k, not k + 1", SPACES,
+           "space(kind, k + 1, th, True)[0])", "space(kind, k, th, True)[0])",
+           (BENT_SHIFT,)),
     Mutant("law: cells of one map skipped", SPACES,
            "    if not b:\n        return None", "    if len(b) < 2:\n        return None",
            ("tests/test_law_engine.py::test_closure_equivalence_fails_on_a_bent_composition",)),
@@ -229,6 +244,22 @@ MUTANTS = (
            "_first_outside((zext, {n + i: 1}, i) for i in range(n))))",
            "_first_outside((zext, {n + i: 1}, i) for i in range(n)) is None or None))",
            ("tests/test_extension.py::test_t2_copy_check_fails_on_a_bent_double",)),
+    Mutant("phi: the Der(double) membership verdict inverted", EXTENSION,
+           "_first_outside((der_span, _coords(g), g) for g in images)))",
+           "_first_outside((der_span, _coords(g), g) for g in images) is None or None))",
+           (EXT + "test_phi_inside_der_fails_on_a_bent_quasiderivation",)),
+    Mutant("phi: the image dimension verdict inverted", EXTENSION,
+           '"pass" if img_span.dim == first_span.dim else "fail"',
+           '"pass" if img_span.dim != first_span.dim else "fail"',
+           (EXT + "test_phi_dimension_checks_fail_on_a_vanishing_embedding",)),
+    Mutant("embedding: the trivial intersection verdict inverted", EXTENSION,
+           '"pass" if subspace_intersection(a, b).is_zero() else "fail"',
+           '"pass" if not subspace_intersection(a, b).is_zero() else "fail"',
+           (EXT + "test_decomposition_fails_when_phi_meets_zder",)),
+    Mutant("embedding: the dimension sum verdict inverted", EXTENSION,
+           '"pass" if t.dim == a.dim + b.dim else "fail"',
+           '"pass" if t.dim != a.dim + b.dim else "fail"',
+           (EXT + "test_decomposition_fails_when_phi_meets_zder",)),
     # elimination, products and subspaces
     Mutant("_eliminate: only the first pivot cleared", LINALG,
            "for p in [c for c in row if c in done]:", "for p in [c for c in row if c in done][:1]:",

@@ -35,7 +35,6 @@ from .spaces import (
     SpaceKind,
     _coords,
     _first_outside,
-    _spans,
     _verdict,
     solve_space,
     space_contains,
@@ -134,17 +133,16 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
     component; (c) every image lies in the solved derivation space of
     the double at the same k.
     """
-    base = ext.base
-    n = base.n
+    n = ext.base.n
     big = 2 * n
     checks: list[Check] = []
 
     for th in (0, 1):
-        qspace = solve_space(base, SpaceKind.QDER, k, th, strict)
+        qspace = solve_space(ext.base, SpaceKind.QDER, k, th, strict)
         tag = f"(k={k}, deg={th})"
         images = [_phi_unchecked(ext, (t[0], t[1])) for t in qspace.tuples]
         img_span = Subspace._from_sparse(big * big, map(_coords, images))
-        first_span = _spans(qspace, False)[0]
+        first_span = qspace._first_view[0]
         with_first = Subspace._from_sparse(big * big + n * n, (
             _coords(g) | {big * big + c: x for c, x in _coords(t[0]).items()}
             for g, t in zip(images, qspace.tuples)))
@@ -166,7 +164,7 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
             "pass" if with_first.dim == img_span.dim else "fail"))
 
         # (c) containment in the derivations of the double
-        der_span = _spans(solve_space(ext.spec, SpaceKind.DER, k, th, strict), False)[0]
+        der_span = solve_space(ext.spec, SpaceKind.DER, k, th, strict)._first_view[0]
         checks.append(_verdict(
             f"phi(QDer) inside Der(double) {tag}",
             _first_outside((der_span, _coords(g), g) for g in images)))
@@ -181,7 +179,7 @@ def _phi_span(ext: ExtendedAlgebra, k: int, strict: bool) -> Subspace:
 
 
 def _total_span(spec: AlgebraSpec, kind: SpaceKind, k: int, strict: bool) -> Subspace:
-    return subspace_sum(*(_spans(solve_space(spec, kind, k, th, strict), False)[0]
+    return subspace_sum(*(solve_space(spec, kind, k, th, strict)._first_view[0]
                           for th in (0, 1)))
 
 

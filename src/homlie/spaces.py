@@ -76,8 +76,8 @@ class GradedMap:
     def __post_init__(self):
         if self.matrix.rows != self.matrix.cols:
             raise ValueError("map matrix must be square")
-        if self.degree not in (0, 1):
-            raise ValueError("degree must be 0 or 1")
+        if isinstance(self.degree, bool) or self.degree not in (0, 1):
+            raise ValueError("degree must be the int 0 or 1")
 
     @property
     def n(self) -> int:
@@ -147,6 +147,8 @@ class MapSpace:
 
     ``tuples`` is the canonical reduced basis of the solution space over
     the stacked coordinates of all components (D, then D', then D'').
+    Two views, each formed once on first use, pair the tuple space with
+    ``tuples`` and the first-component span with its canonical basis maps.
     """
 
     kind: SpaceKind
@@ -168,11 +170,14 @@ class MapSpace:
         return Subspace._from_sparse(self.arity * self.n * self.n,
                                      (_coords(*t) for t in self.tuples))
 
-    def __hash__(self) -> int:  # once per space, the dataclass hash of the fields
-        return self._hash
+    @cached_property
+    def _tuple_view(self) -> tuple[Subspace, tuple]:
+        return self.as_subspace(), self.tuples
 
-    _hash = cached_property(lambda s: hash((s.kind, s.k, s.degree, s.strict, s.n,
-                                            s.tuples)))
+    @cached_property
+    def _first_view(self) -> tuple[Subspace, tuple]:
+        span = project_component(self, 0)
+        return span, _span_maps(span, self.n, self.degree)
 
 
 def _coords(*maps: GradedMap) -> Row:
@@ -209,7 +214,7 @@ def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
     if any(g.degree != space.degree for g in maps):
         raise ValueError(f"{space.kind.value} at degree {space.degree} expects maps "
                          f"of that degree, got {[g.degree for g in maps]}")
-    return not _eliminate(_coords(*maps), _spans(space, True)[0]._reduced)
+    return not _eliminate(_coords(*maps), space._tuple_view[0]._reduced)
 
 
 # The defining identities, one README row per kind.  Each equation is a
@@ -238,8 +243,12 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     degree, for every component of the tuple; the kind's ``IDENTITIES``
     are imposed on every ordered basis pair, and strict mode adds the
     commutation constraint M alpha = alpha M per component.  The result
-    is the canonical reduced basis of the solution space.
+    is the canonical reduced basis of the solution space.  k and degree
+    must be ints, not bools; as the cache answers first, a bool call that
+    hits a cached int entry still returns that entry.
     """
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (k, degree)):
+        raise TypeError(f"twist power k and degree must be ints, got {k!r}, {degree!r}")
     if k < 0:
         raise ValueError("twist power k must be >= 0")
     if degree not in (0, 1):
@@ -401,25 +410,16 @@ def _verdict(name: str, witness, describe=lambda witness: "") -> Check:
     return Check(name, "fail", describe(witness))
 
 
-@lru_cache(maxsize=1024)
-def _spans(solved: MapSpace, whole: bool) -> tuple[Subspace, tuple]:
-    """(span, basis elements) of a solved space: its first-component span
-    with the span's basis maps as 1-tuples, or with ``whole`` the tuple
-    space with the solved tuples.  Keyed on the solved content, so a
-    changed space is never served a stale span."""
-    if whole:
-        return solved.as_subspace(), solved.tuples
-    span = project_component(solved, 0)
-    return span, _span_maps(span, solved.n, solved.degree)
-
-
 def _space(spec, strict, kind, k, th, whole=False):
-    """``_spans`` of the solved space of one kind, twist power and degree."""
-    return _spans(solve_space(spec, kind, k, th, strict), whole)
+    """The tuple view with ``whole``, else the first view, of one solved space."""
+    solved = solve_space(spec, kind, k, th, strict)
+    return solved._tuple_view if whole else solved._first_view
 
 
 def _levels(k_max: int) -> list[tuple[int, int]]:
     """Every pair of twist powers (k, s) with k + s <= k_max, k outermost."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     return [(k, s) for k in range(k_max + 1) for s in range(k_max - k + 1)]
 
 
@@ -515,6 +515,8 @@ def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
     Multi-component spaces are compared through their first-component
     spans.  Violations carry the offending basis map.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     space = partial(_space, spec, strict)
     checks = [
         _verdict(f"{label} (k={k}, deg={th})",
@@ -562,8 +564,8 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
                 space, -1, ka, kb,
                 ka if whole else fixed.get(kt, kt), [(k, s)], whole), _where))
 
-    # stability of every space under the shift D -> D o alpha; this one
-    # genuinely needs a bracket-preserving twist, so it is gated
+    # stability of every space under the shift D -> D o alpha, one law cell with
+    # B = ((alpha, .., alpha),); it needs a bracket-preserving twist, so it is gated
     multiplicative = validate(spec).multiplicative_ok
     for k, th, kind in itertools.product(range(k_max), (0, 1), SpaceKind):
         name = f"shift {kind.value}: k={k} -> {k + 1} (deg={th})"
@@ -571,11 +573,10 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
             checks.append(Check(name, "skipped",
                                 "twist does not preserve the bracket"))
             continue
-        shifted = (tuple(alpha_shift(spec, g) for g in t)
-                   for t in solve_space(spec, kind, k, th, strict).tuples)
-        checks.append(_verdict(name, _first_outside(
-            (space(kind, k + 1, th, True)[0], _coords(*t), t[0])
-            for t in shifted), _witness))
+        shifted = _first_product_outside(0, solve_space(spec, kind, k, th, strict).tuples,
+                                         ((GradedMap(spec.alpha, 0),) * kind.arity,),
+                                         space(kind, k + 1, th, True)[0])
+        checks.append(_verdict(name, shifted and shifted[0], _witness))
 
     # quasicentroid closure is an observation, not a law
     open_at = _law_witness(space, -1, *_QC_CLOSURE, _levels(k_max))

@@ -38,7 +38,6 @@ from homlie.linalg import (
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
-    _spans,
     alpha_shift,
     compose,
     hom_jordan_residual,
@@ -87,7 +86,7 @@ def test_maps_and_their_products_read_as_fractions(algebras):
             space = solve_space(spec, kind, 1, th)
             for t in space.tuples:
                 assert_map_fractions(t)
-            span, maps = _spans(space, False)
+            span, maps = space._first_view
             assert_fractions(x for row in span.basis for x in row)
             assert_map_fractions(g for g, in maps)
             firsts += [g for g, in maps]
@@ -182,8 +181,7 @@ def test_products_solved_tuples_and_span_maps_stay_sparse_until_read():
             twin = dense_twin(g.matrix, flat[c * n * n:(c + 1) * n * n])
             assert_lazy_like_twin(g.matrix, twin)
 
-    span, maps = _spans.__wrapped__(
-        solve_space.__wrapped__(spec, SpaceKind.DER, 0, 0, True), False)
+    span, maps = solve_space.__wrapped__(spec, SpaceKind.DER, 0, 0, True)._first_view
     assert len(maps) == span.dim > 0
     for (g,), row in zip(maps, span.basis):
         assert_lazy_like_twin(g.matrix, dense_twin(g.matrix, row))

@@ -2,9 +2,10 @@
 
 homlie reuses work through bounded ``functools.lru_cache``s over pure
 functions of immutable values, keyed on content: ``solve_space``, the
-law cells, ``validate``, ``center`` and the spans of solved spaces.
-That a changed space is never served a stale span or verdict is tested
-with injected faults in ``test_laws`` and ``test_law_engine``.
+law cells, ``validate`` and ``center``.  A solved space holds its own
+spans, each formed once on first use.  That a changed space is never
+served a stale span or verdict is tested with injected faults in
+``test_laws`` and ``test_law_engine``.
 """
 
 import ast
@@ -24,8 +25,10 @@ from homlie.cli import main
 def _report_work(monkeypatch, argv):
     """Run ``main(argv)`` on cleared caches; returns the cache infos of
     ``validate`` and ``center`` and how often each span was formed: the
-    (space, component) spans and the (space, "tuples") tuple spaces."""
-    for cached in (algebra.validate, algebra.center, spaces._spans):
+    (space, component) spans and the (space, "tuples") tuple spaces.
+    Spans live on the solved spaces, so clearing ``solve_space`` clears
+    them too."""
+    for cached in (algebra.validate, algebra.center, spaces.solve_space):
         cached.cache_clear()
     formed = Counter()
     project = spaces.project_component
@@ -81,5 +84,4 @@ def test_every_memo_is_a_bounded_content_keyed_lru_cache():
                          and [(kw.arg, kw.value.value) for kw in dec.keywords]
                          == [("maxsize", 1024)])
     assert found == dict.fromkeys(
-        ("validate", "center", "solve_space", "_spans",
-         "_first_product_outside"), True)
+        ("validate", "center", "solve_space", "_first_product_outside"), True)

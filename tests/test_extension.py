@@ -13,7 +13,7 @@ from homlie.extension import (
     verify_embedding_decomposition,
     verify_phi_properties,
 )
-from homlie.linalg import Matrix, contains
+from homlie.linalg import Matrix, contains, subspace_sum
 from homlie.spaces import GradedMap, SpaceKind, project_component, solve_space
 from oracle import (
     is_zero_vec,
@@ -282,3 +282,50 @@ def test_partner_check_fails_on_split_partners(ex2_5, monkeypatch):
     for k, strict in itertools.product((0, 1), (True, False)):
         assert _partner_statuses(ext, k, strict) == \
             reference_partner_determined(ext, k, strict) == ("fail", "pass")
+
+
+def _statuses(report):
+    return {c.name: (c.status, c.detail) for c in report.checks}
+
+
+def test_phi_inside_der_fails_on_a_bent_quasiderivation(ex2_5, monkeypatch):
+    # the bent first QDer pair at k = 0 embeds outside Der(double), read
+    # off the double's first-component view; nothing else about phi moves
+    ext = build_extended(ex2_5)
+    monkeypatch.setattr(extension, "solve_space", _with_fault(SpaceKind.QDER))
+    got = _statuses(verify_phi_properties(ext, 0))
+    assert got["phi(QDer) inside Der(double) (k=0, deg=0)"] == ("fail", "")
+    assert [c for c, (status, _) in got.items() if status == "fail"] == [
+        "phi(QDer) inside Der(double) (k=0, deg=0)"]
+
+
+def test_phi_dimension_checks_fail_on_a_vanishing_embedding(ex2_5, monkeypatch):
+    # phi bent to send every pair to 0: the images span nothing, while the
+    # first components, read off the QDer first-component view, span 3 maps
+    ext = build_extended(ex2_5)
+    zero = Matrix._of(2 * ex2_5.n, 2 * ex2_5.n, {})
+    monkeypatch.setattr(extension, "_phi_unchecked",
+                        lambda ext, pair: GradedMap(zero, pair[0].degree))
+    got = _statuses(verify_phi_properties(ext, 0))
+    assert {c: v for c, v in got.items() if v[0] == "fail"} == {
+        "phi image dimension equals first-component dimension (k=0, deg=0)":
+            ("fail", "image 0, first component 3"),
+        "vanishing phi image forces vanishing first component (k=0, deg=0)":
+            ("fail", ""),
+    }
+
+
+def test_decomposition_fails_when_phi_meets_zder(ex2_5, monkeypatch):
+    # phi's span bent to take in ZDer(double), read off the views of the
+    # double: the sum is still Der(double), but it is no longer direct
+    ext = build_extended(ex2_5)
+    phi_span = extension._phi_span
+    monkeypatch.setattr(extension, "_phi_span", lambda ext, k, strict: subspace_sum(
+        phi_span(ext, k, strict), extension._total_span(ext.spec, SpaceKind.ZDER, k, strict)))
+    got = _statuses(verify_embedding_decomposition(ext, 0))
+    for mode, dims in (("strict", "dim phi(QDer)=8, dim ZDer=5, dim Der=8"),
+                       ("lax", "dim phi(QDer)=18, dim ZDer=9, dim Der=18")):
+        assert got[f"Der(double) = phi(QDer) + ZDer(double) [{mode}, k=0]"] == ("pass", dims)
+        assert got[f"phi(QDer) meets ZDer(double) trivially [{mode}, k=0]"] == ("fail", "")
+        assert got[f"dim Der(double) = dim phi(QDer) + dim ZDer(double) [{mode}, k=0]"] \
+            == ("fail", dims)

@@ -110,6 +110,39 @@ def test_negative_k_rejected(ex2_5):
         solve_space(ex2_5, SpaceKind.DER, -1, 0)
 
 
+def test_negative_k_max_rejected_by_the_inclusion_chain(ex2_5):
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        check_inclusion_chain(ex2_5, -1)
+
+
+def test_negative_k_max_rejected_by_the_bracket_laws(ex2_5):
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        check_bracket_laws(ex2_5, -1)
+
+
+def test_negative_k_max_rejected_by_the_qc_structure(heisenberg3):
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        check_qc_structure(heisenberg3, -5)
+
+
+def test_bool_twist_power_or_degree_rejected(heisenberg3, odd_heisenberg):
+    # True == 1 and both hash alike, so a bool that reached the cache
+    # would key a space with k=True that a later int call is served
+    solve_space.cache_clear()
+    for spec, k, degree in ((heisenberg3, True, 0), (odd_heisenberg, 0, True),
+                            (heisenberg3, 1.0, 0), (heisenberg3, 0, "1")):
+        with pytest.raises(TypeError, match="must be ints"):
+            solve_space(spec, SpaceKind.DER, k, degree)
+    assert type(solve_space(heisenberg3, SpaceKind.DER, 1).k) is int
+    assert type(solve_space(odd_heisenberg, SpaceKind.DER, 0, 1).degree) is int
+    # the cache answers before the check: a bool call that hits an int
+    # entry is served that entry
+    assert solve_space(heisenberg3, SpaceKind.DER, True) is \
+        solve_space(heisenberg3, SpaceKind.DER, 1)
+    with pytest.raises(ValueError, match="degree must be the int 0 or 1"):
+        GradedMap(Matrix.identity(2), True)
+
+
 def test_projection_index_range(ex2_5):
     space = solve_space(ex2_5, SpaceKind.QDER, 0, 0)
     with pytest.raises(IndexError):
