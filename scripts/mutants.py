@@ -47,6 +47,9 @@ JORDAN = "tests/test_jordan_engine.py::"
 RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
 BATCH = "tests/test_batched_product.py::test_each_block_is_the_per_pair_product"
 WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
+SELF_CELL = BATCHED + "test_a_bracket_cell_of_one_basis_finds_the_first_witness"
+H9_LAX = "tests/test_golden_large.py::test_large_report_is_golden[h9-lax]"
+CACHE_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_a_failing_report"
 RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
 ASSEMBLY = "tests/test_solver_assembly.py::"
 ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
@@ -156,6 +159,9 @@ MUTANTS = (
            "quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)",
            "quad = _jordan_witness(spec.alpha, basis) and None",
            (JORDAN + "test_engine_matches_oracle_on_bundled[lax]",)),
+    Mutant("jordan: the walk keeps the last failing triple", SPACES,
+           "if (best is None or (x, y, z) < best[:3]) and (rows", "if True and (rows",
+           (H9_LAX,)),
     Mutant("jordan: the witness read off the basis walk", SPACES,
            "and _jordan_witness(spec.alpha, elems)", "and _jordan_witness(spec.alpha, basis)",
            (BATCHED + "test_basis_first_walk_fails_with_the_walked_witness",)),
@@ -172,6 +178,29 @@ MUTANTS = (
     Mutant("law: the witness rebuilt at the first w", SPACES,
            "zip(x, b[w]))", "zip(x, b[0]))",
            (WIDE_CELL,)),
+    # only nonzero product rows, each bracket cell of one basis from w = x on,
+    # and a cell of a kind with itself skipped once its transpose passes
+    Mutant("law: rows tested in reverse w order", SPACES,
+           "for w in sorted(rows))", "for w in sorted(rows, reverse=True))",
+           (H9_LAX,)),
+    Mutant("law: an empty row treated as failing", SPACES,
+           "(target, rows[w], w) for w in sorted(rows))",
+           "(target, rows.get(w, {None: 1}), w) for w in range(len(b)))",
+           (ON_REFERENCE,)),
+    Mutant("law: w > x in place of w >= x in a cell of one basis", SPACES,
+           "b[i - 1] if skew and i else ()):\n            for r in y.matrix._sparse:\n"
+           "                del g[i - 1, r]",
+           "b[i] if skew else ()):\n            for r in y.matrix._sparse:\n"
+           "                del g[i, r]",
+           (SELF_CELL,)),
+    Mutant("law: the transposed cut on a composition cell", SPACES,
+           "if (sign == -1 and ka == kb", "if (sign <= 0 and ka == kb",
+           ("tests/test_law_engine.py::test_closure_equivalence_fails_on_a_bent_composition",)),
+    # the swapped cell holds the same products up to sign, so no verdict moves;
+    # but the walk never forms it for two kinds, so the lookups form more cells
+    Mutant("law: the transposed cut across two kinds", SPACES,
+           "if (sign == -1 and ka == kb", "if (sign == -1",
+           (CACHE_COUNTS,)),
     # the spans each solved space holds, and the shift laws as law cells
     Mutant("views: arity-1 spaces served their tuple view as first view", SPACES,
            "        span = project_component(self, 0)\n",
@@ -273,6 +302,9 @@ MUTANTS = (
     Mutant("_sparse_sum: no zero pruning", LINALG,
            "return {r: row for r, row in rows.items() if row}", "return rows",
            ("tests/test_spaces.py::test_products_match_the_dense_reference_product",)),
+    Mutant("_sparse_sum: a nonempty column of one entry skipped", LINALG,
+           "if col := a[k]:", "if len(col := a[k]) > 1:",
+           (BATCH,)),
     Mutant("_sparse_sum: the column branch unsigned", LINALG,
            "out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)\n            continue",
            "out[c] = out.get(c, 0) + x * y\n            continue",

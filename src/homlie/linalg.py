@@ -215,21 +215,24 @@ def _sparse_sum(*terms) -> dict[int, Row]:
     """The nonzeros of sum(sign * ab) over (sign, a, b), for sparse maps
     {row: {col: nonzero}} and sign +1 or -1: empty exactly when zero.  For
     b with rows keyed (w, k), one map per w, a may be its left factor's
-    ``_columns``, which row (w, k) reads at k."""
+    ``_columns``, which row (w, k) reads at k.  Only a nonempty column of
+    a, or row of b, is read, and only it opens a row of the sum."""
     acc: dict = {}
     for sign, a, b in terms:
         if isinstance(a, list):
             for (w, k), brow in b.items():
-                for r, x in a[k].items():
-                    out = acc.setdefault((w, r), {})
-                    for c, y in brow.items():
-                        out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)
+                if col := a[k]:
+                    for r, x in col.items():
+                        out = acc.setdefault((w, r), {})
+                        for c, y in brow.items():
+                            out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)
             continue
         for r, arow in a.items():
-            out = acc.setdefault(r, {})
             for k, x in arow.items():
-                for c, y in b.get(k, {}).items():
-                    out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)
+                if brow := b.get(k):
+                    out = acc.setdefault(r, {})
+                    for c, y in brow.items():
+                        out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)
     rows = {r: {c: _int(x) for c, x in row.items() if x} for r, row in acc.items()}
     return {r: row for r, row in rows.items() if row}
 

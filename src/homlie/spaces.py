@@ -429,19 +429,26 @@ def _first_product_outside(s, a, b, target):
     target, x in a outermost, or None; s is -1 for brackets and 0 for
     compositions.  As all y have one degree, one ``_batched`` product per
     x and component c forms x[c] times every y[c], the y[c] held as rows
-    keyed (w, r).  Keyed on content: a repeated cell is answered once, and
-    a changed basis is never served stale."""
+    keyed (w, r); only the nonzero products are tested, in w order, as a
+    zero lies in every target.  A bracket is super-skew, so when a == b
+    the product at (x_i, w) is +-that at (x_w, i), which comes first for
+    w < i: each x_i is bracketed only with the batches' suffix from w = i,
+    left as the rows of each w are dropped.  Keyed on content: a repeated
+    cell is answered once, and a changed basis is never served stale."""
     if not b:
         return None
-    n, dg = b[0][0].n, b[0][0].degree
+    n, dg, skew = b[0][0].n, b[0][0].degree, s == -1 and a == b
     batches = [{(w, r): row for w, y in enumerate(b)
                 for r, row in y[c].matrix._sparse.items()} for c in range(len(b[0]))]
-    for x in a:
-        rows: list[Row] = [{} for _ in b]
+    for i, x in enumerate(a):
+        for g, y in zip(batches, b[i - 1] if skew and i else ()):
+            for r in y.matrix._sparse:
+                del g[i - 1, r]
+        rows: dict[int, Row] = {}
         for c, (p, g) in enumerate(zip(x, batches)):
             for (w, r), row in _sparse_sum(*_batched(p, g, dg, s)).items():
-                rows[w].update(((c * n + r) * n + col, v) for col, v in row.items())
-        w = _first_outside((target, row, w) for w, row in enumerate(rows))
+                rows.setdefault(w, {}).update(((c * n + r) * n + col, v) for col, v in row.items())
+        w = _first_outside((target, rows[w], w) for w in sorted(rows))
         if w is not None:
             return tuple(_product(p, q, s) for p, q in zip(x, b[w]))
     return None
@@ -452,13 +459,21 @@ def _law_witness(space, sign, ka, kb, target, levels, whole=False):
     outside its target in the order (k, s, th1, th2, a, b), a from ka at
     level k and b from kb at level s, or None.  ``target`` is a fixed
     subspace or a kind, whose span at k + s and the product's degree is
-    used.  g is the product's first component, or None for whole tuples."""
+    used.  g is the product's first component, or None for whole tuples.
+    A bracket is super-skew, so when ka and kb are one kind the cell
+    (s, k, th2, th1), which comes first for (s, th2) < (k, th1), holds the
+    same products up to sign and has the same target: once it passes,
+    this cell passes.  A failing cell walks its own products, for its own
+    first witness."""
     for k, s in levels:
         for th1, th2 in itertools.product((0, 1), repeat=2):
             tgt = (target if isinstance(target, Subspace)
                    else space(target, k + s, (th1 + th2) % 2, whole)[0])
-            g = _first_product_outside(sign, space(ka, k, th1, whole)[1],
-                                       space(kb, s, th2, whole)[1], tgt)
+            a, b = space(ka, k, th1, whole)[1], space(kb, s, th2, whole)[1]
+            if (sign == -1 and ka == kb and (s, th2) < (k, th1)
+                    and _first_product_outside(sign, b, a, tgt) is None):
+                continue
+            g = _first_product_outside(sign, a, b, tgt)
             if g is not None:
                 return k, s, th1, th2, None if whole else g[0]
     return None

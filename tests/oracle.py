@@ -19,6 +19,8 @@ loop and the map products as they were written with ``Matrix.scale`` by
 a +-1 sign, the per-quadruple Jordan loop that the memoised sparse
 engine replaced and that engine itself, which now makes w generic, the
 per-pair law cell that now forms one product per first element, the
+walk over every law cell that bracket cells now cut by reading their
+transposes (``reference_law_witness``), the
 zero matrix built dense, the ordered-pair walk of the circle super-commutativity
 check, the dense test of the pairs with a vanishing first map that
 phi's well-definedness check ran before it compared spans, the dense
@@ -36,7 +38,9 @@ system (``reference_solve_space``) and that presolve written apart
 as ``build_extended`` read them off the dense bracket table
 (``reference_double_spec``), and the dense vector and column helpers
 that the package no longer calls (``zero_vec``, ``is_zero_vec``,
-``col``).
+``col``).  Last, it builds the large inputs whose reports
+``test_golden_large`` pins: the twisted Heisenberg algebras and the
+iterated double (``heisenberg``, ``iterated_double``).
 """
 
 import itertools
@@ -44,6 +48,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from homlie import extension, spaces
+from homlie.extension import build_extended
 from homlie.algebra import (
     AlgebraSpec,
     IdentityFailure,
@@ -867,6 +872,22 @@ def reference_first_product_outside(s, a, b, target):
                                  for g in products)
 
 
+def reference_law_witness(space, sign, ka, kb, target, levels, whole=False):
+    """``spaces._law_witness`` as it was before bracket cells read their
+    transposes: every cell of the order (k, s, th1, th2) is walked through
+    ``spaces._first_product_outside``, looked up at call time, so a
+    patched cell reaches this walk too."""
+    for k, s in levels:
+        for th1, th2 in itertools.product((0, 1), repeat=2):
+            tgt = (target if isinstance(target, Subspace)
+                   else space(target, k + s, (th1 + th2) % 2, whole)[0])
+            g = spaces._first_product_outside(sign, space(ka, k, th1, whole)[1],
+                                              space(kb, s, th2, whole)[1], tgt)
+            if g is not None:
+                return k, s, th1, th2, None if whole else g[0]
+    return None
+
+
 def reference_jordan_engine(alpha: Matrix, elems):
     """The per-quadruple engine that ``check_qc_structure`` ran before w
     went generic: residual(x, y, z, w), elems by index, is the sparse
@@ -1032,3 +1053,25 @@ def reference_validate(spec: AlgebraSpec) -> ValidationReport:
 
     return ValidationReport(skew_ok, even_ok, jacobi_ok, mult_ok,
                             tuple(failures))
+
+
+def heisenberg(m: int, twisted: bool) -> AlgebraSpec:
+    """h_{2m+1}, [x_i, y_i] = z, with the identity twist or the
+    bracket-preserving diag(1,..,1, 2,..,2, 2) on (x, y, z): the family
+    the benchmark's ladder runs, built here so no test imports it."""
+    n = 2 * m + 1
+    twist = [1] * m + [2] * m + [2] if twisted else [1] * n
+    z = tuple(1 if c == n - 1 else 0 for c in range(n))
+    names = [f"x{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(m)] + ["z"]
+    return AlgebraSpec.from_pairs(
+        f"h{n}_{'d' if twisted else 'id'}", (0,) * n,
+        [[twist[r] if r == c else 0 for c in range(n)] for r in range(n)],
+        {(i, m + i): z for i in range(m)}, names)
+
+
+def iterated_double(base: AlgebraSpec, times: int) -> AlgebraSpec:
+    """The t-graded double of ``base``, taken ``times`` times."""
+    spec = base
+    for _ in range(times):
+        spec = build_extended(spec).spec
+    return spec

@@ -1,21 +1,27 @@
 """The batched verifier engines of homlie.spaces against their references.
 
 A law cell forms one product per first element x and component: x
-times all m second elements at once, held as rows keyed (w, r).  The twisted Jordan check forms the residual once per
-(x, y, z), with every w of one degree carried as one map keyed (w, r),
-and it walks the quasicentroid maps only when a basis of their span per
-degree already fails.  Whole reports must be those of the per-pair and
-per-quadruple engines kept in ``oracle``, and the first witness must be
+times all m second elements at once, held as rows keyed (w, r), and
+tests only the nonzero ones.  A bracket cell of one basis with itself
+forms x_i's brackets only from w = i on, and a law that brackets a kind
+with itself skips a cell whose transpose passed.  The twisted Jordan
+check forms the residual once per (x, y, z), with every w of one degree
+carried as one map keyed (w, r), and it walks the quasicentroid maps
+only when a basis of their span per degree already fails.  Whole reports
+must be those of the per-pair cells, the full walk over cells and the
+per-quadruple engine kept in ``oracle``, and the first witness must be
 found where it sits later in a cell or in a triple.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlie import spaces
 from homlie.catalog import BUILTIN
-from homlie.linalg import Matrix, format_matrix
+from homlie.linalg import Matrix, Subspace, format_matrix
 from homlie.randomgen import sample_algebras
 from homlie.spaces import (
     GradedMap,
@@ -29,7 +35,9 @@ from oracle import (
     reference_engine_witness,
     reference_first_product_outside,
     reference_jordan_witness,
+    reference_law_witness,
 )
+from test_batched_product import _matrices
 from test_boundary import yau_sl2
 
 SEEDS = (0, 1, 2)
@@ -48,15 +56,17 @@ def _qc_elems(spec, k_max, strict):
 
 
 def assert_matches_references(monkeypatch, spec, k_max, strict):
-    """Whole law and QC reports equal those of the reference engines,
-    and the Jordan engine's first witness on the walked maps is the
-    per-quadruple engine's."""
+    """Whole law and QC reports equal those of the reference engines, the
+    law cells and the walk over them both replaced, and the Jordan
+    engine's first witness on the walked maps is the per-quadruple
+    engine's."""
     batched = _reports(spec, k_max, strict)
     elems = _qc_elems(spec, k_max, strict)
     assert (spaces._jordan_witness(spec.alpha, elems)
             == reference_engine_witness(spec.alpha, elems)), spec.name
     with monkeypatch.context() as m:
         m.setattr(spaces, "_first_product_outside", reference_first_product_outside)
+        m.setattr(spaces, "_law_witness", reference_law_witness)
         m.setattr(spaces, "_jordan_witness", reference_engine_witness)
         assert _reports(spec, k_max, strict) == batched, spec.name
 
@@ -142,6 +152,48 @@ def test_law_witness_at_a_later_w_in_a_wide_cell(ex2_5):
     # nothing before it leaves the target: not x = 0, nor x = 1 at w < 3
     for a, b in ((pairs[:1], later[1]), (pairs[1:2], later[1][:3])):
         assert reference_first_product_outside(-1, a, b, later[0]) is None
+
+
+# --- bracket cells of one basis with itself: the first w is never below x ----
+
+def _brackets(x, y):
+    return tuple(supercommutator(p, q) for p, q in zip(x, y))
+
+
+@st.composite
+def _self_cells(draw):
+    """(a, target): one to four tuples of 1 or 2 maps of one degree, even
+    or odd, and a target spanned by the brackets of the first pairs in
+    walk order and by a random tuple, so that cells pass, and fail at
+    w = x as at w > x, for the first x and later ones."""
+    n, arity, degree = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    tuples = st.lists(_matrices(n), min_size=arity, max_size=arity).map(
+        lambda ms: tuple(GradedMap(m, degree) for m in ms))
+    a = tuple(draw(st.lists(tuples, min_size=1, max_size=4)))
+    spans = [_brackets(x, y) for x in a for y in a][:draw(st.integers(0, len(a) ** 2))]
+    spans += draw(st.lists(tuples, max_size=1))
+    return a, Subspace._from_sparse(arity * n * n, (spaces._coords(*g) for g in spans))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_self_cells())
+def test_a_bracket_cell_of_one_basis_finds_the_first_witness(cell):
+    a, target = cell
+    assert (spaces._first_product_outside(-1, a, a, target)
+            == reference_first_product_outside(-1, a, a, target))
+
+
+@pytest.mark.parametrize("a, x, w", [
+    # odd: [x_0, x_0] = 2 x_0^2 = 2 I, the first witness on the diagonal
+    (((_map({0: {1: 1}, 1: {0: 1}}, 1),), (_map({0: {1: 1}}, 1),)), 0, 0),
+    # even: x_0 = E00 brackets every map to 0, [x_1, x_1] = 0 and
+    # [x_1, x_2] = [E11, E12] = E12 is the first witness, past x
+    (tuple((_map({r: {c: 1}}, 0, 3),) for r, c in ((0, 0), (1, 1), (1, 2))), 1, 2),
+], ids=["w=x", "w>x"])
+def test_a_bracket_cell_of_one_basis_fails_at_its_first_pair(a, x, w):
+    zero = Subspace.zero(a[0][0].n ** 2)
+    g = spaces._first_product_outside(-1, a, a, zero)
+    assert g == _brackets(a[x], a[w]) == reference_first_product_outside(-1, a, a, zero)
 
 
 # --- cached hashes ------------------------------------------------------------

@@ -73,7 +73,7 @@ FAULT_ALGEBRAS = ("ex2_5", "abelian2", "odd_heisenberg")
 
 @pytest.mark.parametrize("kind", list(SpaceKind), ids=lambda k: k.value)
 def test_fault_injected_reports_match_reference(bundled, monkeypatch, kind):
-    # clean checks first, so the span and law caches hold the clean
+    # clean checks first, so the law cache holds the cells of the clean
     # spaces; the faulted spaces are other keys and must not be served them
     for name in FAULT_ALGEBRAS:
         for check in (check_inclusion_chain, check_bracket_laws,
