@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """A committed mutation kill-list for homlie's engines.
 
-Each entry of ``MUTANTS`` is one edit of a file under ``src/``: an old
-snippet, which must occur exactly once (a stale entry is an error, not
-a skip), its replacement, and the tests that must fail once it is made.
-For every entry the script copies ``src/`` to a temporary directory,
-applies the edit there and runs only the named tests, with
-``PYTHONPATH`` at the copy.  The union of the named tests must first
-pass on an unmutated copy.  ``EQUIVALENT`` lists edits that change no
-behaviour, each with its reason: they are never run and never counted
-as killed.
+Each entry of ``MUTANTS`` is one edit of a file under ``src/`` or of
+``README.md``: an old snippet, which must occur exactly once (a stale
+entry is an error, not a skip), its replacement, and the tests that must
+fail once it is made.  For every entry the script copies ``src/`` and
+``README.md`` to a temporary directory, applies the edit there and runs
+only the named tests, with ``PYTHONPATH`` at the copy (the tests read
+the README beside the ``src`` that ``homlie`` is imported from).  The
+union of the named tests must first pass on an unmutated copy.
+``EQUIVALENT`` lists edits that change no behaviour, each with its
+reason: they are never run and never counted as killed.
 
     python scripts/mutants.py
 
@@ -34,14 +35,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class Mutant(NamedTuple):
     name: str
-    file: str  # relative to src/
+    file: str  # relative to the repository root
     old: str
     new: str
     tests: tuple[str, ...]
 
 
-SPACES, LINALG, ALGEBRA = "homlie/spaces.py", "homlie/linalg.py", "homlie/algebra.py"
-EXTENSION, CLI = "homlie/extension.py", "homlie/cli.py"
+SPACES, LINALG, ALGEBRA = "src/homlie/spaces.py", "src/homlie/linalg.py", "src/homlie/algebra.py"
+EXTENSION, CLI, README = "src/homlie/extension.py", "src/homlie/cli.py", "README.md"
+FILEFORMAT = "src/homlie/fileformat.py"
 BATCHED = "tests/test_batched_engines.py::"
 JORDAN = "tests/test_jordan_engine.py::"
 RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
@@ -60,6 +62,9 @@ STORED = "tests/test_stored_form.py::"
 BENT_SHIFT = "tests/test_law_engine.py::test_shift_law_fails_on_a_space_bent_at_one_level"
 ON_REFERENCE = "tests/test_laws.py::test_engine_matches_reference"
 EXT = "tests/test_extension.py::"
+PUBLIC = "tests/test_public_api.py::"
+SUMMED = ("tests/test_fileformat.py::"
+          "test_terms_are_summed_into_one_row_and_a_cancelled_bracket_is_dropped")
 SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random_splits",
          "tests/test_elimination.py::test_projection_matches_reference_on_bundled")
 
@@ -242,15 +247,23 @@ MUTANTS = (
            "for i in range(n) for j in range(n)\n            if (res := _add(twisted",
            "for i, j in table\n            if (res := _add(twisted",
            (VALIDATE + "test_all_five_faults_in_identity_order",)),
-    # the spec's view, as from_pairs and build_extended fill it
-    Mutant("from_pairs: the transpose without the parity sign", ALGEBRA,
-           "view[j, i] = {m: -s * x for m, x in row.items()}",
-           "view[j, i] = {m: -x for m, x in row.items()}",
+    # the spec's view, as from_pairs, the file parser and build_extended fill it
+    Mutant("skew fill: the transpose without the parity sign", ALGEBRA,
+           "{m: -parity_sign(degrees[i], degrees[j]) * x", "{m: -x",
            (STORED + "test_from_pairs_fills_each_transpose_by_super_skew_symmetry",)),
-    Mutant("from_pairs: the transposed pair skipped", ALGEBRA,
-           "            if i != j:\n                s = parity_sign",
-           "            if False:\n                s = parity_sign",
+    Mutant("skew fill: the transposed half dropped", ALGEBRA,
+           "sorted((upper | lower).items())", "sorted(upper.items())",
            (STORED + "test_from_pairs_fills_each_transpose_by_super_skew_symmetry",)),
+    Mutant("skew fill: empty rows kept", ALGEBRA,
+           "sorted((upper | lower).items()) if row}", "sorted((upper | lower).items())}",
+           (SUMMED,)),
+    Mutant("parser: a term replacing the earlier terms at its index", FILEFORMAT,
+           "row[mi] = row.get(mi, 0) + coef", "row[mi] = coef",
+           (SUMMED,)),
+    Mutant("skew fill: the sign flipped", ALGEBRA,
+           "{m: -parity_sign(degrees[i], degrees[j]) * x",
+           "{m: parity_sign(degrees[i], degrees[j]) * x",
+           ("tests/test_fileformat.py::test_parse_bundled_ex2_5",)),
     Mutant("build_extended: the brackets written into the t copy", EXTENSION,
            "{n + m: x for m, x in row.items()}", "{m: x for m, x in row.items()}",
            ("tests/test_extension.py::test_double_spec_matches_the_dense_reference",)),
@@ -264,6 +277,17 @@ MUTANTS = (
     Mutant("_split: the d_j as rows of P, not columns", EXTENSION,
            "rows = _columns(Matrix._of(n, n, ends))", "rows = [ends.get(m, {}) for m in range(n)]",
            SPLIT),
+    # the chain, whose every inclusion fails on a bent small kind
+    Mutant("chain: the small and big kinds swapped", SPACES,
+           "        for label, small, big in _CHAIN]", "        for label, big, small in _CHAIN]",
+           ("tests/test_laws.py::test_each_chain_inclusion_fails_at_its_bent_small_kind",)),
+    # the README's list of public names
+    Mutant("public names: an exported name dropped from the list", README,
+           "- `homlie.rref`: the reduced row echelon form", "- the reduced row echelon form",
+           (PUBLIC + "test_every_exported_name_is_listed",)),
+    Mutant("public names: a name no package module uses dropped from the list", README,
+           "- `homlie.spaces.hom_jordan_residual`:", "- the Jordan residual:",
+           (PUBLIC + "test_every_public_name_no_package_module_uses_is_listed",)),
     # verdicts that only a bent double fails
     Mutant("extend: the t-power truncation verdict inverted", CLI,
            "nil_ok = all(i < n and j < n for i, j in ext.spec._sparse)",
@@ -351,8 +375,10 @@ EQUIVALENT = (
 
 
 def _copy_src(dest: Path) -> Path:
+    """Copy ``src/`` and the README into dest; the copy of ``src/``."""
     src = dest / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "README.md", dest / "README.md")
     return src
 
 
@@ -390,7 +416,7 @@ def run(mutants, out=print) -> int:
     for m in mutants:
         with tempfile.TemporaryDirectory() as tmp:
             src = _copy_src(Path(tmp))
-            path = src / m.file
+            path = Path(tmp) / m.file
             text = path.read_text()
             if text.count(m.old) != 1:
                 out(f"STALE    {m.name}: the old snippet occurs "

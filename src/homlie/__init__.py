@@ -43,7 +43,6 @@ from .spaces import (
     GradedMap,
     MapSpace,
     SpaceKind,
-    alpha_shift,
     check_bracket_laws,
     check_inclusion_chain,
     check_qc_structure,

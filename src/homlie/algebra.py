@@ -142,15 +142,17 @@ class AlgebraSpec:
             v = vec(coeffs)
             if len(v) != n:
                 raise ValueError(f"bracket [{i},{j}] needs {n} coefficients")
-            if not (row := _nonzeros(v)):
-                continue
-            if i == j and degs[i] == 0:
+            if (row := _nonzeros(v)) and i == j and degs[i] == 0:
                 raise ValueError(f"[e,e] must vanish for the even basis element {i}")
             view[i, j] = row
-            if i != j:
-                s = parity_sign(degs[i], degs[j])
-                view[j, i] = {m: -s * x for m, x in row.items()}
-        return cls._of(name, degs, alpha, dict(sorted(view.items())), tuple(basis_names))
+        return cls._of(name, degs, alpha, _skew_filled(degs, view), tuple(basis_names))
+
+
+def _skew_filled(degrees: Sequence[int], upper: dict) -> dict:
+    """The rows at i <= j less empty ones, sorted with their i > j half by super skew-symmetry."""
+    lower = {(j, i): {m: -parity_sign(degrees[i], degrees[j]) * x for m, x in row.items()}
+             for (i, j), row in upper.items() if i != j}
+    return {ij: row for ij, row in sorted((upper | lower).items()) if row}
 
 
 def _table(s: AlgebraSpec, zero, cast) -> tuple:

@@ -119,8 +119,8 @@ def phi(ext: ExtendedAlgebra, pair, k: int, strict: bool = True) -> GradedMap:
 
 def _phi_unchecked(ext: ExtendedAlgebra, pair) -> GradedMap:
     d, dp = pair
-    return GradedMap(block_diag(d.matrix, dp.matrix.matmul(ext.projection)),
-                     d.degree)
+    return GradedMap._of(block_diag(d.matrix, dp.matrix.matmul(ext.projection)),
+                         d.degree)
 
 
 def verify_phi_properties(ext: ExtendedAlgebra, k: int,

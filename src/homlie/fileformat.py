@@ -14,8 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .algebra import AlgebraSpec
-from .linalg import Matrix, frac
+from .algebra import AlgebraSpec, _skew_filled
+from .linalg import Matrix, _int, frac
 from .spaces import GradedMap
 
 
@@ -81,17 +81,16 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
 
     alpha = _rational_array(doc.get("alpha"), n, f"{source}: alpha",
                             f"{source}: 'alpha' must be an {n}x{n} array")
-    for m in range(n):
-        for i in range(n):
-            if degrees[m] != degrees[i] and alpha.at(m, i):
+    for m, row in alpha._sparse.items():
+        for i in row:
+            if degrees[m] != degrees[i]:
                 raise AlgebraFileError(
-                    f"{source}: alpha[{m}][{i}] must be 0, it maps across "
-                    f"Z2 degrees")
+                    f"{source}: alpha[{m}][{i}] must be 0, it maps across Z2 degrees")
 
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
         raise AlgebraFileError(f"{source}: 'brackets' must be a list")
-    pairs: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    pairs: dict[tuple[int, int], dict] = {}
     for idx, ent in enumerate(entries):
         where = f"{source}: brackets[{idx}]"
         if not isinstance(ent, dict):
@@ -116,7 +115,7 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
         if not isinstance(result, list):
             raise AlgebraFileError(f"{where}: 'result' must be a list of "
                                    f"[coefficient, index] terms")
-        target = [Fraction(0)] * n
+        row: dict[int, Fraction] = {}
         want = (degrees[left] + degrees[right]) % 2
         for t_idx, term in enumerate(result):
             if (not isinstance(term, list) or len(term) != 2):
@@ -132,10 +131,10 @@ def algebra_from_dict(doc: Any, source: str = "<data>") -> AlgebraSpec:
                 raise AlgebraFileError(
                     f"{where}: '{names[mi]}' has the wrong Z2 degree for "
                     f"this bracket")
-            target[mi] += coef
-        pairs[(left, right)] = tuple(target)
+            row[mi] = row.get(mi, 0) + coef
+        pairs[left, right] = {m: _int(x) for m, x in sorted(row.items()) if x}
 
-    return AlgebraSpec.from_pairs(name, degrees, alpha, pairs, tuple(names))
+    return AlgebraSpec._of(name, tuple(degrees), alpha, _skew_filled(degrees, pairs), tuple(names))
 
 
 def _read_json(path) -> Any:
@@ -158,7 +157,6 @@ def parse_algebra(path) -> AlgebraSpec:
 
 def algebra_to_dict(spec: AlgebraSpec) -> dict:
     """Serialize back to the file schema (i <= j brackets only)."""
-    n = spec.n
     out_brackets = [
         {"left": i, "right": j, "result": [[str(c), m] for m, c in row.items()]}
         for (i, j), row in spec._sparse.items()
@@ -167,8 +165,7 @@ def algebra_to_dict(spec: AlgebraSpec) -> dict:
         "name": spec.name,
         "basis": [{"name": nm, "degree": d}
                   for nm, d in zip(spec.basis_names, spec.degrees)],
-        "alpha": [[str(spec.alpha.at(r, c)) for c in range(n)]
-                  for r in range(n)],
+        "alpha": [[str(x) for x in spec.alpha.row(r)] for r in range(spec.n)],
         "brackets": out_brackets,
     }
 

@@ -81,7 +81,8 @@ class Matrix:
     def _of(cls, rows: int, cols: int, sparse: dict[int, Row]) -> "Matrix":
         """A matrix over a trusted view: nonzeros in range, integral as int, unshared."""
         m = cls.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, _sparse=sparse)
+        d = m.__dict__  # keys written straight in: cheaper than update(**keywords)
+        d["rows"], d["cols"], d["_sparse"] = rows, cols, sparse
         return m
 
     @classmethod
@@ -97,18 +98,6 @@ class Matrix:
         elif cols is None:
             cols = 0
         return cls(len(parsed), cols, tuple(x for r in parsed for x in r))
-
-    @classmethod
-    def from_sparse(cls, data: Sequence[Mapping[int, Rat]], cols: int) -> "Matrix":
-        """Rows as {column: entry}, absent 0; a copy of the nonzeros is the view."""
-        view: dict[int, Row] = {}
-        for r, row in enumerate(data):
-            for c, x in row.items():
-                if not 0 <= c < cols:
-                    raise ValueError(f"column {c} outside 0..{cols - 1}")
-                if x := frac(x):
-                    view.setdefault(r, {})[c] = _int(x)
-        return cls._of(len(data), cols, view)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -328,10 +317,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls._from_sparse(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._from_sparse(ambient_dim, ({i: 1} for i in range(ambient_dim)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -87,7 +87,8 @@ class GradedMap:
     def _of(cls, matrix: Matrix, degree: int) -> "GradedMap":
         """A map over a trusted square matrix and a degree of 0 or 1."""
         g = cls.__new__(cls)
-        g.__dict__.update(matrix=matrix, degree=degree)
+        d = g.__dict__  # as Matrix._of, keys written straight in
+        d["matrix"], d["degree"] = matrix, degree
         return g
 
     def is_zero(self) -> bool:
@@ -106,7 +107,7 @@ def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
         raise ValueError("ambient dimension mismatch")
     x, y = a.matrix._sparse, b.matrix._sparse
     terms = [(1, x, y)] + ([(s * parity_sign(a.degree, b.degree), y, x)] if s else [])
-    return GradedMap(Matrix._of(a.n, a.n, _sparse_sum(*terms)), (a.degree + b.degree) % 2)
+    return GradedMap._of(Matrix._of(a.n, a.n, _sparse_sum(*terms)), (a.degree + b.degree) % 2)
 
 
 def _batched(p: GradedMap, g: dict, dg: int, s: int, sign: int = 1) -> list:
@@ -134,11 +135,6 @@ def supercommutator(a: GradedMap, b: GradedMap) -> GradedMap:
 def jordan_product(a: GradedMap, b: GradedMap) -> GradedMap:
     """ab + (-1)^{|a||b|} ba, the circle product."""
     return _product(a, b, 1)
-
-
-def alpha_shift(spec: AlgebraSpec, d: GradedMap) -> GradedMap:
-    """Compose with the twist on the input side, D -> D o alpha."""
-    return _product(d, GradedMap(spec.alpha, 0), 0)
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,13 @@ they were before the unknowns that one-entry rows fix to zero left the
 system (``reference_solve_space``) and that presolve written apart
 (``reference_presolve``), the double's structure constants
 as ``build_extended`` read them off the dense bracket table
-(``reference_double_spec``), and the dense vector and column helpers
-that the package no longer calls (``zero_vec``, ``is_zero_vec``,
-``col``).  Last, it builds the large inputs whose reports
-``test_golden_large`` pins: the twisted Heisenberg algebras and the
-iterated double (``heisenberg``, ``iterated_double``).
+(``reference_double_spec``), and the helpers that the package no
+longer holds: dense vectors and columns (``is_zero_vec``, ``col``), a
+matrix from sparse rows (``from_sparse``), the whole space
+(``full_space``) and the shift D -> D o alpha (``alpha_shift``).  Last,
+it builds the large inputs whose reports ``test_golden_large`` pins:
+the twisted Heisenberg algebras and the iterated double (``heisenberg``,
+``iterated_double``).
 """
 
 import itertools
@@ -62,12 +64,14 @@ from homlie.linalg import (
     Matrix,
     Subspace,
     _columns,
+    _int,
     _nonzeros,
     _pivot_rows,
     _sparse_sum,
     block_diag,
     contains,
     format_matrix,
+    frac,
     nullspace,
     rank,
     rref,
@@ -79,7 +83,6 @@ from homlie.spaces import (
     GradedMap,
     MapSpace,
     SpaceKind,
-    alpha_shift,
     compose,
     project_component,
     supercommutator,
@@ -87,11 +90,6 @@ from homlie.spaces import (
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def zero_vec(n: int):
-    """The zero vector of Q^n (``linalg.zero_vec`` as it was)."""
-    return (F0,) * n
 
 
 def is_zero_vec(a) -> bool:
@@ -102,6 +100,29 @@ def is_zero_vec(a) -> bool:
 def col(m: Matrix, c: int):
     """Column c of m, dense (``Matrix.col`` as it was)."""
     return tuple(m.entries[r * m.cols + c] for r in range(m.rows))
+
+
+def from_sparse(data, cols: int) -> Matrix:
+    """Rows as {column: entry}, absent 0 (``Matrix.from_sparse`` as it was):
+    systems of thousands of unknowns cannot be built dense."""
+    view = {}
+    for r, row in enumerate(data):
+        for c, x in row.items():
+            if not 0 <= c < cols:
+                raise ValueError(f"column {c} outside 0..{cols - 1}")
+            if x := frac(x):
+                view.setdefault(r, {})[c] = _int(x)
+    return Matrix._of(len(data), cols, view)
+
+
+def full_space(n: int) -> Subspace:
+    """Q^n, spanned by the rows of the identity (``Subspace.full`` as it was)."""
+    return Subspace(n, [[int(r == c) for c in range(n)] for r in range(n)])
+
+
+def alpha_shift(spec: AlgebraSpec, d: GradedMap) -> GradedMap:
+    """D -> D o alpha, the shift of the law references (``spaces.alpha_shift`` as it was)."""
+    return compose(d, GradedMap(spec.alpha, 0))
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
@@ -394,7 +415,7 @@ def reference_presolve(rows, width):
 def reference_solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int,
                           degree: int, strict: bool) -> MapSpace:
     """``solve_space`` as it read its answer off ``reference_system_rows``,
-    with no unknown taken out: the kernel of ``Matrix.from_sparse`` of the
+    with no unknown taken out: the kernel of ``from_sparse`` of the
     whole system, each basis row moved to stacked map slots through a dict
     and split into one validated ``GradedMap`` per component."""
     n, arity = spec.n, kind.arity
@@ -403,7 +424,7 @@ def reference_solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int,
         return MapSpace(kind, k, degree, strict, n, ())
     slots = [(c * n + m) * n + l for c in range(arity) for m in range(n)
              for l in range(n) if spec.degrees[m] == (spec.degrees[l] + degree) % 2]
-    kernel = _pivot_rows(nullspace(Matrix.from_sparse(rows, width))._reduced)
+    kernel = _pivot_rows(nullspace(from_sparse(rows, width))._reduced)
     tuples = []
     for row in kernel:
         entries = [[[0] * n for _ in range(n)] for _ in range(arity)]
@@ -794,7 +815,7 @@ def reference_two_rref_nullspace(m: Matrix) -> Subspace:
                 kernel[c][p] = -x
     if not kernel:
         return Subspace.zero(m.cols)
-    basis, _, dim = rref(Matrix.from_sparse(list(kernel.values()), m.cols))
+    basis, _, dim = rref(from_sparse(list(kernel.values()), m.cols))
     return Subspace(m.cols, tuple(basis.row(i) for i in range(dim)))
 
 
@@ -969,7 +990,7 @@ def reference_partner_determined(ext, k: int, strict: bool = True) -> tuple:
     out = []
     for th in (0, 1):
         pairs = extension.solve_space(ext.base, SpaceKind.QDER, k, th, strict).as_subspace()
-        rows = [Matrix.from_sparse([{p: 1, **row}], pairs.ambient_dim).entries
+        rows = [from_sparse([{p: 1, **row}], pairs.ambient_dim).entries
                 for p, row in pairs._reduced.items() if p >= nn]
         bad = any(not is_zero_vec(reference_matvec(Matrix(n, n, row[nn:]), d))
                   for row in rows for d in ext.derived.basis)

@@ -32,6 +32,7 @@ from homlie.spaces import (
     supercommutator,
 )
 from oracle import (
+    from_sparse,
     reference_engine_witness,
     reference_first_product_outside,
     reference_jordan_witness,
@@ -89,7 +90,7 @@ def test_reports_match_references_on_random_algebras(monkeypatch, seed):
 # --- the Jordan engine: where the first w sits --------------------------------
 
 def _map(view, degree, n=2):
-    return GradedMap(Matrix.from_sparse([view.get(r, {}) for r in range(n)], n),
+    return GradedMap(from_sparse([view.get(r, {}) for r in range(n)], n),
                      degree)
 
 

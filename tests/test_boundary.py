@@ -38,7 +38,6 @@ from homlie.linalg import (
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
-    alpha_shift,
     compose,
     hom_jordan_residual,
     jordan_product,
@@ -46,6 +45,7 @@ from homlie.spaces import (
     supercommutator,
 )
 from oracle import (
+    alpha_shift,
     oracle_solve,
     reference_hom_jordan_residual,
     reference_matmul,

@@ -35,6 +35,8 @@ from homlie.spaces import (
 
 from oracle import (
     canonical_rows,
+    from_sparse,
+    full_space,
     is_zero_vec,
     reference_complement,
     reference_derived_projection,
@@ -146,8 +148,8 @@ SPAN_CASES = {
         3, ((2, 4, 0), (0, 0, 0), (1, 2, 1), (3, 6, 1)))),
     "from_vectors": (lambda b: [], lambda: Subspace.from_vectors(
         3, [(1, 2, 0), (2, 4, 1), (0, 0, 3), (1, 2, 1)])),
-    "full": (lambda b: [], lambda: Subspace.full(4)),
-    "nullspace": (lambda b: [Matrix.from_sparse(
+    "full": (lambda b: [], lambda: full_space(4)),
+    "nullspace": (lambda b: [from_sparse(
         [{0: 1, 2: 2}, {1: 1, 3: -1}, {0: 2, 2: 4}], 5)], nullspace),
     "subspace_sum": (lambda b: list(_two_spans()), subspace_sum),
     "subspace_intersection": (lambda b: list(_two_spans()), subspace_intersection),

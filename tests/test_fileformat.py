@@ -42,6 +42,19 @@ def test_parse_bundled_ex2_5():
     assert spec.brackets[1][2] == vec([0, 0, 2])
 
 
+def test_terms_are_summed_into_one_row_and_a_cancelled_bracket_is_dropped():
+    doc = _ex_doc()
+    doc["brackets"][0]["result"] = [["1/2", 0], ["1/2", 0]]
+    doc["brackets"][1]["result"] = [["1", 1], ["-1", 1]]
+    spec = algebra_from_dict(doc)
+    assert spec._sparse == {(0, 1): {0: 1}, (1, 0): {0: -1},
+                            (1, 2): {2: 2}, (2, 1): {2: -2}}
+    assert list(spec._sparse) == sorted(spec._sparse)
+    assert type(spec._sparse[0, 1][0]) is int
+    assert spec == AlgebraSpec.from_pairs("sample", (0, 0, 0), spec.alpha, {
+        (0, 1): (1, 0, 0), (0, 2): (0, 0, 0), (1, 2): (0, 0, 2)}, ("x1", "x2", "x3"))
+
+
 def test_round_trip_all_bundled():
     for name in BUILTIN:
         spec = load_builtin(name)

@@ -33,6 +33,7 @@ from homlie.spaces import (
     project_component,
 )
 from oracle import (
+    from_sparse,
     reference_circle_witness,
     reference_hom_jordan_residual,
     reference_jordan_witness,
@@ -181,7 +182,7 @@ def test_engine_residuals_match_dense_residuals(maps_and_twist):
     for x, y, z in itertools.product(range(3), repeat=3):
         rows = engine(z)(x, y)
         for w in range(3):
-            dense = Matrix.from_sparse([rows.get((w, r), {}) for r in range(2)], 2)
+            dense = from_sparse([rows.get((w, r), {}) for r in range(2)], 2)
             want = reference_hom_jordan_residual(
                 alpha, *(elems[i] for i in (x, y, z, w)))
             assert dense == want, (x, y, z, w)

@@ -15,13 +15,12 @@ from homlie.linalg import format_matrix
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
-    alpha_shift,
     check_bracket_laws,
     check_qc_structure,
     jordan_product,
     solve_space,
 )
-from oracle import reference_bracket_laws
+from oracle import alpha_shift, reference_bracket_laws
 from test_jordan_engine import assert_circle_check_matches_ordered_walk
 from test_laws import K_MAX, _with_fault
 

@@ -86,6 +86,33 @@ def test_fault_injected_reports_match_reference(bundled, monkeypatch, kind):
     assert failed, "the injected fault should make some check fail"
 
 
+# every failing check of the chain on abelian2 at kmax 0 with the first
+# basis map of one kind bent: the inclusions with that kind as the small
+# side fail at the bent map, those with it as the big side at a clean map
+CHAIN_FAILS = {
+    SpaceKind.ZDER: [("ZDer <= Der (k=0, deg=0)", "witness [1 1/3; 0 0]")],
+    SpaceKind.DER: [("ZDer <= Der (k=0, deg=0)", "witness [1 0; 0 0]"),
+                    ("Der <= QDer.0 (k=0, deg=0)", "witness [1 1/3; 0 0]")],
+    SpaceKind.QDER: [("Der <= QDer.0 (k=0, deg=0)", "witness [1 0; 0 0]"),
+                     ("QDer.0 <= GDer.0 (k=0, deg=0)", "witness [1 1/3; 0 0]"),
+                     ("C <= QDer.0 (k=0, deg=0)", "witness [1 0; 0 0]")],
+    SpaceKind.C: [("C <= QC (k=0, deg=0)", "witness [1 1/3; 0 0]"),
+                  ("C <= QDer.0 (k=0, deg=0)", "witness [1 1/3; 0 0]")],
+}
+
+
+@pytest.mark.parametrize("label, small", [
+    ("ZDer <= Der", SpaceKind.ZDER), ("Der <= QDer.0", SpaceKind.DER),
+    ("QDer.0 <= GDer.0", SpaceKind.QDER), ("C <= QC", SpaceKind.C),
+    ("C <= QDer.0", SpaceKind.C)], ids=lambda x: getattr(x, "value", x).replace(" ", ""))
+def test_each_chain_inclusion_fails_at_its_bent_small_kind(bundled, monkeypatch, label, small):
+    monkeypatch.setattr(spaces, "solve_space", _with_fault(small))
+    report = check_inclusion_chain(bundled["abelian2"], 0, True)
+    fails = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
+    assert (f"{label} (k=0, deg=0)", "witness [1 1/3; 0 0]") in fails
+    assert fails == CHAIN_FAILS[small]
+
+
 def test_laws_ex2_5_lax_failures(capsys):
     assert main(["laws", "ex2_5", "--lax", "--kmax", "2"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines()

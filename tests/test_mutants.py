@@ -1,6 +1,6 @@
 """The mutation kill-list in scripts/mutants.py.
 
-Each entry must name a snippet that occurs once in ``src/`` and tests
+Each entry must name a snippet that occurs once in its file and tests
 that exist; a mutant that no named test kills, or a stale entry, must
 make the run fail, and a killed mutant must let it pass.
 """
@@ -26,20 +26,20 @@ def test_every_entry_is_fresh_and_names_existing_tests():
     assert len(mutants.MUTANTS) >= 15
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     for m in mutants.MUTANTS:
-        text = (ROOT / "src" / m.file).read_text()
+        text = (ROOT / m.file).read_text()
         assert text.count(m.old) == 1, m.name
         assert m.tests, m.name
         for node in m.tests:
             path, _, name = node.partition("::")
             assert f"def {name.split('[')[0]}(" in (ROOT / path).read_text(), node
     for name, file, old, new, why in mutants.EQUIVALENT:
-        assert (ROOT / "src" / file).read_text().count(old) == 1, name
+        assert (ROOT / file).read_text().count(old) == 1, name
         assert old != new and why, name
 
 
 def test_a_mutant_no_test_kills_fails_the_run():
     docstring = "A homogeneous endomorphism: a square matrix plus its Z2 degree."
-    survivor = mutants.Mutant("a docstring reworded", "homlie/spaces.py",
+    survivor = mutants.Mutant("a docstring reworded", "src/homlie/spaces.py",
                               docstring, "A homogeneous map.", (PARSE,))
     lines = []
     assert mutants.run([survivor], out=lines.append) == 1
@@ -47,7 +47,7 @@ def test_a_mutant_no_test_kills_fails_the_run():
 
 
 def test_a_stale_entry_fails_the_run():
-    stale = mutants.Mutant("gone", "homlie/spaces.py", "no such snippet", "", (PARSE,))
+    stale = mutants.Mutant("gone", "src/homlie/spaces.py", "no such snippet", "", (PARSE,))
     lines = []
     assert mutants.run([stale], out=lines.append) == 1
     assert lines[0].startswith("STALE    gone")

@@ -20,7 +20,6 @@ from homlie.linalg import (
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
-    alpha_shift,
     check_bracket_laws,
     check_inclusion_chain,
     check_qc_structure,
@@ -35,8 +34,11 @@ from homlie.spaces import (
 )
 from oracle import (
     _arity,
+    alpha_shift,
     col,
     defining_residuals,
+    from_sparse,
+    full_space,
     oracle_solve,
     reference_hom_jordan_residual,
     reference_jordan_product,
@@ -472,12 +474,12 @@ def test_cached_views_are_not_fields(heisenberg3):
     # every constructor leaves the one stored form, and no subspace holds
     # a basis until it is read
     matrices = (m, Matrix(2, 1, (Fraction(0), Fraction(2))), Matrix.identity(3),
-                zero_matrix(2, 3), Matrix.from_sparse([{0: 1}, {}, {2: "1/2"}], 3),
+                zero_matrix(2, 3), from_sparse([{0: 1}, {}, {2: "1/2"}], 3),
                 m.matmul(m))
     assert all("_sparse" in vars(x) for x in matrices)
     space = solve_space.__wrapped__(heisenberg3, SpaceKind.QDER, 0, 0, True)
     spans = (s, Subspace.from_vectors(3, [(1, 2, 3)]), Subspace.zero(3),
-             Subspace.full(3), nullspace(m), subspace_sum(s, s),
+             full_space(3), nullspace(m), subspace_sum(s, s),
              subspace_intersection(s, s), project_component(space, 1),
              center.__wrapped__(heisenberg3))
     assert all("_reduced" in vars(x) and "basis" not in vars(x) for x in spans)

@@ -5,7 +5,7 @@ read off the maps' sparse views by ``spaces._coords`` (which must equal
 the nonzeros of its dense ``tuple_vector``), against the target's
 reduced basis.  ``oracle.reference_first_outside`` is the walk
 as it stood: a dense ``tuple_vector`` per cell, tested by ``contains``.
-The views are recorded by ``Matrix.from_sparse`` and must equal the
+The views are recorded by ``oracle.from_sparse`` and must equal the
 ones rescanned from the dense entries; the special cases for empty
 input that the general path now covers must give the same zero
 subspace.  ``spaces._maps``, the one builder of solved and spanned maps,
@@ -34,7 +34,7 @@ from homlie.spaces import (
     jordan_product,
     supercommutator,
 )
-from oracle import reference_first_outside, tuple_vector
+from oracle import from_sparse, full_space, reference_first_outside, tuple_vector
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero = fr.filter(bool)
@@ -58,7 +58,7 @@ def graded_maps(draw, n, products=True):
     if how == "dense":
         return GradedMap(Matrix(n, n, tuple(values)), degree)
     if how == "sparse":
-        return GradedMap(Matrix.from_sparse(
+        return GradedMap(from_sparse(
             [{c: values[r * n + c] for c in reversed(range(n))} for r in range(n)],
             n), degree)
     a, b = draw(graded_maps(n, False)), draw(graded_maps(n, False))
@@ -145,7 +145,7 @@ values = st.sampled_from((0, "0", Fraction(0), 3, -1, "2/3", "-5", Fraction(-7, 
     max_size=4))))
 def test_from_sparse_records_the_rescanned_view(case):
     cols, data = case
-    m = Matrix.from_sparse(data, cols)
+    m = from_sparse(data, cols)
     want = Matrix(m.rows, m.cols, m.entries)._sparse
     assert m._sparse == want and list(m._sparse) == list(want)
     # the caller's dicts are not shared with the view
@@ -160,7 +160,7 @@ def test_empty_inputs_give_the_zero_subspace():
     for n in (0, 1, 3):
         zero = Subspace.zero(n)
         assert Subspace.from_vectors(n, []) == zero
-        for other in (zero, Subspace.full(n),
+        for other in (zero, full_space(n),
                       Subspace(n, tuple((Fraction(2),) * n for _ in range(n > 0)))):
             assert subspace_intersection(zero, other) == zero
             assert subspace_intersection(other, zero) == zero
