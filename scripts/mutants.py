@@ -52,6 +52,8 @@ WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
 SELF_CELL = BATCHED + "test_a_bracket_cell_of_one_basis_finds_the_first_witness"
 H9_LAX = "tests/test_golden_large.py::test_large_report_is_golden[h9-lax]"
 CACHE_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_a_failing_report"
+REPORT_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_report"
+LEVEL_0 = "tests/test_law_engine.py::test_laws_of_an_identity_twist_solve_only_level_0"
 RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
 ASSEMBLY = "tests/test_solver_assembly.py::"
 ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
@@ -59,7 +61,9 @@ EDGES = ASSEMBLY + "test_presolve_edge_cases_match_the_reference"
 ROUND_TRIP = "tests/test_sparse_coords.py::test_maps_inverts_coords_and_hands_back_zero"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
-BENT_SHIFT = "tests/test_law_engine.py::test_shift_law_fails_on_a_space_bent_at_one_level"
+BENT_SHIFT = "tests/test_law_engine.py::test_shift_law_fails_into_a_space_bent_at_the_next_level"
+BENT_EVERYWHERE = ("tests/test_law_engine.py::"
+                   "test_a_bend_at_level_0_of_an_identity_twist_is_a_bend_at_every_level")
 ON_REFERENCE = "tests/test_laws.py::test_engine_matches_reference"
 EXT = "tests/test_extension.py::"
 PUBLIC = "tests/test_public_api.py::"
@@ -206,12 +210,26 @@ MUTANTS = (
     Mutant("law: the transposed cut across two kinds", SPACES,
            "if (sign == -1 and ka == kb", "if (sign == -1",
            (CACHE_COUNTS,)),
+    # a cell with an empty factor passes before any lookup
+    Mutant("law: a cell skipped only when both factors are empty", SPACES,
+           "if not (a and b):", "if not (a or b):",
+           (CACHE_COUNTS, REPORT_COUNTS)),
+    Mutant("law: the empty-factor skip inverted", SPACES,
+           "if not (a and b):", "if a and b:",
+           (ON_REFERENCE,)),
+    # each level read at the least power with its twist power
+    Mutant("levels: the least power is k", SPACES,
+           "return powers.index(powers[k])", "return k",
+           (LEVEL_0,)),
+    Mutant("levels: the least power is 0", SPACES,
+           "return powers.index(powers[k])", "return 0",
+           (ON_REFERENCE,)),
     # the spans each solved space holds, and the shift laws as law cells
     Mutant("views: arity-1 spaces served their tuple view as first view", SPACES,
            "        span = project_component(self, 0)\n",
            "        if self.arity == 1:\n            return self._tuple_view\n"
            "        span = project_component(self, 0)\n",
-           (BENT_SHIFT,)),
+           (BENT_EVERYWHERE,)),
     Mutant("shift: alpha on component 0 only", SPACES,
            "((GradedMap(spec.alpha, 0),) * kind.arity,)", "((GradedMap(spec.alpha, 0),),)",
            (ON_REFERENCE,)),
@@ -279,7 +297,7 @@ MUTANTS = (
            SPLIT),
     # the chain, whose every inclusion fails on a bent small kind
     Mutant("chain: the small and big kinds swapped", SPACES,
-           "        for label, small, big in _CHAIN]", "        for label, big, small in _CHAIN]",
+           "(label, small, big) in itertools", "(label, big, small) in itertools",
            ("tests/test_laws.py::test_each_chain_inclusion_fails_at_its_bent_small_kind",)),
     # the README's list of public names
     Mutant("public names: an exported name dropped from the list", README,

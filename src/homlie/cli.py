@@ -25,6 +25,7 @@ from .linalg import Matrix, format_matrix, format_vec
 from .spaces import (
     CheckReport,
     SpaceKind,
+    _least_power,
     check_bracket_laws,
     check_inclusion_chain,
     check_qc_structure,
@@ -81,7 +82,8 @@ def _dimension_entries(spec: AlgebraSpec, k_max: int, strict: bool) -> list[dict
         for k in range(k_max + 1):
             for th in (0, 1):
                 out.append({"kind": kind.value, "k": k, "theta": th,
-                            "dim": solve_space(spec, kind, k, th, strict).dim})
+                            "dim": solve_space(spec, kind, _least_power(spec.alpha, k),
+                                               th, strict).dim})
     return out
 
 

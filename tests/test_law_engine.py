@@ -123,49 +123,91 @@ def test_super_commutativity_fails_on_an_asymmetric_circle(heisenberg3,
     assert witness[0] == first
 
 
-def test_shift_law_fails_on_a_space_bent_at_one_level(heisenberg3,
-                                                     monkeypatch):
-    # bending ZDer's first basis map at k = 0 only, by +1/3 at entry
-    # (0, 1), moves it out of ZDer: a map into the center cannot send
-    # e_1 to e_0.  So D -> D o alpha leaves ZDer at k = 1 with it.
-    faulty = _with_fault(SpaceKind.ZDER)
+def _bent_at_level(kind, level):
+    """solve_space, with ``_with_fault(kind)`` at k = level only."""
+    faulty = _with_fault(kind)
 
-    def bent_at_level_0(spec, kind, k=0, degree=0, strict=True):
-        return (faulty if k == 0 else solve_space)(spec, kind, k, degree, strict)
+    def bent(spec, space_kind, k=0, degree=0, strict=True):
+        return (faulty if k == level else solve_space)(spec, space_kind, k, degree, strict)
 
+    return bent
+
+
+def test_shift_law_fails_on_a_space_bent_at_one_level(abelian2, monkeypatch):
+    # alpha = diag(1, 2), whose powers all differ, so level 0 is a space
+    # of its own.  ZDer of abelian2 is the diagonal maps at every k;
+    # bending its first basis map at k = 0 only, by +1/3 at entry (0, 1),
+    # gives a map that is not diagonal, so D -> D o alpha leaves ZDer at
+    # k = 1 with it.
+    bent_at_level_0 = _bent_at_level(SpaceKind.ZDER, 0)
     monkeypatch.setattr(spaces, "solve_space", bent_at_level_0)
-    bent = bent_at_level_0(heisenberg3, SpaceKind.ZDER).tuples[0][0]
-    laws = check_bracket_laws(heisenberg3, K_MAX)
-    assert laws == reference_bracket_laws(heisenberg3, K_MAX, True)
+    bent = bent_at_level_0(abelian2, SpaceKind.ZDER).tuples[0][0]
+    laws = check_bracket_laws(abelian2, K_MAX)
+    assert laws == reference_bracket_laws(abelian2, K_MAX, True)
     check = _by_name(laws)["shift ZDer: k=0 -> 1 (deg=0)"]
     assert (check.status, check.detail) == (
-        "fail", "witness " + format_matrix(alpha_shift(heisenberg3, bent).matrix))
+        "fail", "witness " + format_matrix(alpha_shift(abelian2, bent).matrix))
+
+
+def test_shift_law_fails_into_a_space_bent_at_the_next_level(abelian2, monkeypatch):
+    # bent at k = 1 only, ZDer no longer holds diag(1, 0) o alpha =
+    # diag(1, 0), the first basis map at k = 0 shifted
+    monkeypatch.setattr(spaces, "solve_space", _bent_at_level(SpaceKind.ZDER, 1))
+    laws = check_bracket_laws(abelian2, K_MAX)
+    assert laws == reference_bracket_laws(abelian2, K_MAX, True)
+    check = _by_name(laws)["shift ZDer: k=0 -> 1 (deg=0)"]
+    assert (check.status, check.detail) == ("fail", "witness [1 0; 0 0]")
+
+
+def test_a_bend_at_level_0_of_an_identity_twist_is_a_bend_at_every_level(heisenberg3,
+                                                                         monkeypatch):
+    # every power of the identity is the identity, so every level reads
+    # the one space solved at k = 0
+    views = [spaces._space(heisenberg3, True, SpaceKind.ZDER, k, 0) for k in range(4)]
+    assert all(view is views[0] for view in views)
+    reports = []
+    for bent in (_bent_at_level(SpaceKind.ZDER, 0), _with_fault(SpaceKind.ZDER)):
+        monkeypatch.setattr(spaces, "solve_space", bent)
+        reports.append(check_bracket_laws(heisenberg3, 3))
+    assert reports[0] == reports[1] == reference_bracket_laws(heisenberg3, 3, True)
+    assert not reports[0].ok
+
+
+def test_laws_of_an_identity_twist_solve_only_level_0(heisenberg3):
+    misses = []
+    for k_max in (0, 3):
+        solve_space.cache_clear()
+        check_bracket_laws(heisenberg3, k_max)
+        misses.append(solve_space.cache_info().misses)
+    assert misses[0] == misses[1]
 
 
 def test_law_cache_counts_on_report(capsys):
     """Hashing a key differently must not change what the cache sees:
-    ``report ex2_5 --kmax 3`` looks up 520 law cells, 96 of them new.
-    Before bracket cells read their transposes it was 396 hits and 124
-    misses.  A cell that brackets a kind with itself at (k, s, th1, th2)
-    now first looks up its transpose (s, k, th2, th1), which the walk
-    formed before it.  Here every such transpose passes, so no cell
-    looks up twice: the lookups stay 520, and 28 fewer of them form a
-    cell."""
+    ``report ex2_5 --kmax 3`` looks up 90 law cells, 51 of them new.  A
+    cell with an empty factor holds no product and passes before any
+    lookup; before, the cache saw 520 lookups, 96 of them new, most of
+    them on degree 1, where every space of ex2_5 is empty.  Before
+    bracket cells read their transposes it was 396 hits and 124 misses.
+    A cell that brackets a kind with itself at (k, s, th1, th2) first
+    looks up its transpose (s, k, th2, th1), which the walk formed before
+    it.  Here every such transpose passes, so no cell looks up twice."""
     spaces._first_product_outside.cache_clear()
     cli.main(["report", "ex2_5", "--kmax", "3"])
     info = spaces._first_product_outside.cache_info()
-    assert (info.hits, info.misses) == (424, 96)
+    assert (info.hits, info.misses) == (39, 51)
 
 
 def test_law_cache_counts_on_a_failing_report(capsys):
     """``report ex2_5 --kmax 3 --lax`` fails law checks, so some cells
-    whose transposes fail look up twice: 456 lookups, 93 of them new,
-    where the walk over every cell made 448, 109 new.  A transpose is
-    looked up only for a law that brackets a kind with itself; for two
-    kinds the swapped cell holds the same products up to sign, so no
-    verdict would move, but the walk never forms it and here one more
-    cell would be formed."""
+    whose transposes fail look up twice: 99 lookups, 60 of them new.  The
+    cells with an empty factor pass before any lookup; with them it was
+    456 lookups, 93 new, and the walk over every cell made 448, 109 new.
+    A transpose is looked up only for a law that brackets a kind with
+    itself; for two kinds the swapped cell holds the same products up to
+    sign, so no verdict would move, but the walk never forms it and here
+    one more cell would be formed."""
     spaces._first_product_outside.cache_clear()
     cli.main(["report", "ex2_5", "--kmax", "3", "--lax"])
     info = spaces._first_product_outside.cache_info()
-    assert (info.hits, info.misses) == (363, 93)
+    assert (info.hits, info.misses) == (39, 60)

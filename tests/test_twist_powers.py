@@ -1,0 +1,85 @@
+"""Levels with equal twist powers read one space.
+
+``solve_space`` reads the twist power k only through alpha^k, so the
+verifiers and the report's dimension table read each space at the least
+power j with alpha^j = alpha^k.  Their reports must equal the reference
+loops, which solve every level directly, on twists whose powers repeat
+at once, with a period, after a nilpotent tail, or never.
+"""
+
+import json
+
+import pytest
+
+from homlie import spaces
+from homlie.algebra import AlgebraSpec
+from homlie.cli import main
+from homlie.fileformat import write_algebra
+from homlie.linalg import Matrix
+from homlie.spaces import (
+    SpaceKind,
+    check_bracket_laws,
+    check_inclusion_chain,
+    check_qc_structure,
+    solve_space,
+)
+from oracle import (
+    reference_bracket_laws,
+    reference_inclusion_chain,
+    reference_qc_closure,
+)
+
+K_MAX = 3
+
+# (id, twist, the least power j with alpha^j = alpha^k for k = 0..3)
+TWISTS = [
+    ("identity", [[1, 0], [0, 1]], [0, 0, 0, 0]),
+    ("sign", [[1, 0], [0, -1]], [0, 1, 0, 1]),
+    ("projection", [[1, 0], [0, 0]], [0, 1, 1, 1]),
+    ("nilpotent", [[0, 1], [0, 0]], [0, 1, 2, 2]),
+    ("distinct", [[1, 0], [0, 2]], [0, 1, 2, 3]),
+]
+
+
+def _plane(name, twist):
+    return AlgebraSpec.from_pairs(f"plane_{name}", (0, 0), twist, {})
+
+
+def _h3_signed():
+    # [e1, e2] = e3 with alpha = diag(1, -1, -1): alpha [e1, e2] = -e3 =
+    # [alpha e1, alpha e2], so the twist is multiplicative
+    return AlgebraSpec.from_pairs("h3_signed", (0, 0, 0), [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                                  {(0, 1): (0, 0, 1)})
+
+
+INPUTS = [pytest.param(_plane(name, twist), id=f"plane-{name}") for name, twist, _ in TWISTS]
+INPUTS.append(pytest.param(_h3_signed(), id="h3-signed"))
+MODES = pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+
+
+@pytest.mark.parametrize("twist, least", [(t, j) for _, t, j in TWISTS],
+                         ids=[name for name, _, _ in TWISTS])
+def test_least_power_of_each_twist(twist, least):
+    alpha = Matrix.from_rows(twist, 2)
+    assert [spaces._least_power(alpha, k) for k in range(K_MAX + 1)] == least
+
+
+@MODES
+@pytest.mark.parametrize("spec", INPUTS)
+def test_verifiers_match_the_per_level_references(spec, strict):
+    args = (spec, K_MAX, strict)
+    assert check_inclusion_chain(*args) == reference_inclusion_chain(*args)
+    assert check_bracket_laws(*args) == reference_bracket_laws(*args)
+    assert check_qc_structure(*args).checks[:3] == reference_qc_closure(*args)
+
+
+@MODES
+@pytest.mark.parametrize("spec", INPUTS)
+def test_report_dimensions_are_solved_at_each_level(spec, strict, tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    write_algebra(spec, path)
+    main(["report", str(path), "--kmax", str(K_MAX), "--json", *(() if strict else ("--lax",))])
+    dims = json.loads(capsys.readouterr().out)["dimensions"]
+    assert dims == [{"kind": kind.value, "k": k, "theta": th,
+                     "dim": solve_space(spec, kind, k, th, strict).dim}
+                    for kind in SpaceKind for k in range(K_MAX + 1) for th in (0, 1)]
