@@ -54,6 +54,7 @@ H9_LAX = "tests/test_golden_large.py::test_large_report_is_golden[h9-lax]"
 CACHE_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_a_failing_report"
 REPORT_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_report"
 LEVEL_0 = "tests/test_law_engine.py::test_laws_of_an_identity_twist_solve_only_level_0"
+REPORT_LEVEL_0 = "tests/test_law_engine.py::test_report_of_an_identity_twist_solves_only_level_0"
 RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
 ASSEMBLY = "tests/test_solver_assembly.py::"
 ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
@@ -217,13 +218,27 @@ MUTANTS = (
     Mutant("law: the empty-factor skip inverted", SPACES,
            "if not (a and b):", "if a and b:",
            (ON_REFERENCE,)),
-    # each level read at the least power with its twist power
+    # each level read at the least power with its twist power, by one reader
+    # that also checks k_max
     Mutant("levels: the least power is k", SPACES,
-           "return powers.index(powers[k])", "return k",
+           "least = [powers.index(p) for p in powers]", "least = list(range(len(powers)))",
            (LEVEL_0,)),
     Mutant("levels: the least power is 0", SPACES,
-           "return powers.index(powers[k])", "return 0",
+           "least = [powers.index(p) for p in powers]", "least = [0] * len(powers)",
            (ON_REFERENCE,)),
+    Mutant("levels: each level resolved to itself", SPACES,
+           "solve_space(spec, kind, least[k], th, strict)", "solve_space(spec, kind, k, th, strict)",
+           (REPORT_LEVEL_0,)),
+    Mutant("levels: a bool k_max let through", SPACES,
+           "if isinstance(k_max, bool) or not isinstance(k_max, int):",
+           "if not isinstance(k_max, int):",
+           ("tests/test_spaces.py::test_bool_k_max_rejected_by_every_check",)),
+    Mutant("embedding: k checked only after the early return", EXTENSION,
+           "    modes = [(strict, _reader(base, strict, k), _reader(ext.spec, strict, k))\n"
+           "             for strict in (True, False)]",
+           "    modes = ((strict, _reader(base, strict, k), _reader(ext.spec, strict, k))\n"
+           "             for strict in (True, False))",
+           (EXT + "test_double_checks_reject_a_negative_or_bool_k",)),
     # the spans each solved space holds, and the shift laws as law cells
     Mutant("views: arity-1 spaces served their tuple view as first view", SPACES,
            "        span = project_component(self, 0)\n",
@@ -234,7 +249,7 @@ MUTANTS = (
            "((GradedMap(spec.alpha, 0),) * kind.arity,)", "((GradedMap(spec.alpha, 0),),)",
            (ON_REFERENCE,)),
     Mutant("shift: the target at level k, not k + 1", SPACES,
-           "space(kind, k + 1, th, True)[0])", "space(kind, k, th, True)[0])",
+           "space(kind, k + 1, th)._tuple_view[0])", "space(kind, k, th)._tuple_view[0])",
            (BENT_SHIFT,)),
     Mutant("law: cells of one map skipped", SPACES,
            "    if not b:\n        return None", "    if len(b) < 2:\n        return None",

@@ -25,7 +25,7 @@ from .linalg import Matrix, format_matrix, format_vec
 from .spaces import (
     CheckReport,
     SpaceKind,
-    _least_power,
+    _reader,
     check_bracket_laws,
     check_inclusion_chain,
     check_qc_structure,
@@ -77,14 +77,9 @@ def _report_lines(rep: CheckReport) -> list[str]:
 
 
 def _dimension_entries(spec: AlgebraSpec, k_max: int, strict: bool) -> list[dict]:
-    out = []
-    for kind in SpaceKind:
-        for k in range(k_max + 1):
-            for th in (0, 1):
-                out.append({"kind": kind.value, "k": k, "theta": th,
-                            "dim": solve_space(spec, kind, _least_power(spec.alpha, k),
-                                               th, strict).dim})
-    return out
+    space = _reader(spec, strict, k_max)
+    return [{"kind": kind.value, "k": k, "theta": th, "dim": space(kind, k, th).dim}
+            for kind in SpaceKind for k in range(k_max + 1) for th in (0, 1)]
 
 
 def _dimension_lines(entries: list[dict]) -> list[str]:

@@ -35,6 +35,7 @@ from .spaces import (
     SpaceKind,
     _coords,
     _first_outside,
+    _reader,
     _verdict,
     solve_space,
     space_contains,
@@ -133,12 +134,13 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
     component; (c) every image lies in the solved derivation space of
     the double at the same k.
     """
+    of_base, of_double = _reader(ext.base, strict, k), _reader(ext.spec, strict, k)
     n = ext.base.n
     big = 2 * n
     checks: list[Check] = []
 
     for th in (0, 1):
-        qspace = solve_space(ext.base, SpaceKind.QDER, k, th, strict)
+        qspace = of_base(SpaceKind.QDER, k, th)
         tag = f"(k={k}, deg={th})"
         images = [_phi_unchecked(ext, (t[0], t[1])) for t in qspace.tuples]
         img_span = Subspace._from_sparse(big * big, map(_coords, images))
@@ -164,23 +166,22 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
             "pass" if with_first.dim == img_span.dim else "fail"))
 
         # (c) containment in the derivations of the double
-        der_span = solve_space(ext.spec, SpaceKind.DER, k, th, strict)._first_view[0]
+        der_span = of_double(SpaceKind.DER, k, th)._first_view[0]
         checks.append(_verdict(
             f"phi(QDer) inside Der(double) {tag}",
             _first_outside((der_span, _coords(g), g) for g in images)))
     return CheckReport("phi properties", tuple(checks))
 
 
-def _phi_span(ext: ExtendedAlgebra, k: int, strict: bool) -> Subspace:
+def _phi_span(ext: ExtendedAlgebra, of_base, k: int) -> Subspace:
     big = 2 * ext.base.n
     return Subspace._from_sparse(big * big, (
         _coords(_phi_unchecked(ext, (t[0], t[1]))) for th in (0, 1)
-        for t in solve_space(ext.base, SpaceKind.QDER, k, th, strict).tuples))
+        for t in of_base(SpaceKind.QDER, k, th).tuples))
 
 
-def _total_span(spec: AlgebraSpec, kind: SpaceKind, k: int, strict: bool) -> Subspace:
-    return subspace_sum(*(solve_space(spec, kind, k, th, strict)._first_view[0]
-                          for th in (0, 1)))
+def _total_span(of_double, kind: SpaceKind, k: int) -> Subspace:
+    return subspace_sum(*(of_double(kind, k, th)._first_view[0] for th in (0, 1)))
 
 
 def verify_embedding_decomposition(ext: ExtendedAlgebra, k: int) -> CheckReport:
@@ -192,6 +193,9 @@ def verify_embedding_decomposition(ext: ExtendedAlgebra, k: int) -> CheckReport:
     """
     base = ext.base
     n = base.n
+    # the base's and the double's spaces per mode; k is checked on every base
+    modes = [(strict, _reader(base, strict, k), _reader(ext.spec, strict, k))
+             for strict in (True, False)]
     checks: list[Check] = []
 
     # the t^2 copy is always central in the double
@@ -215,11 +219,11 @@ def verify_embedding_decomposition(ext: ExtendedAlgebra, k: int) -> CheckReport:
                 "skipped", why))
         return CheckReport("embedding decomposition", tuple(checks))
 
-    for strict in (True, False):
+    for strict, of_base, of_double in modes:
         mode = "strict" if strict else "lax"
-        a = _phi_span(ext, k, strict)
-        b = _total_span(ext.spec, SpaceKind.ZDER, k, strict)
-        t = _total_span(ext.spec, SpaceKind.DER, k, strict)
+        a = _phi_span(ext, of_base, k)
+        b = _total_span(of_double, SpaceKind.ZDER, k)
+        t = _total_span(of_double, SpaceKind.DER, k)
         dims = f"dim phi(QDer)={a.dim}, dim ZDer={b.dim}, dim Der={t.dim}"
         checks.append(Check(
             f"Der(double) = phi(QDer) + ZDer(double) [{mode}, k={k}]",

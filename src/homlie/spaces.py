@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .algebra import AlgebraSpec, center, parity_sign, validate
@@ -407,27 +407,23 @@ def _verdict(name: str, witness, describe=lambda witness: "") -> Check:
     return Check(name, "fail", describe(witness))
 
 
-@lru_cache(maxsize=1024)
-def _least_power(alpha: Matrix, k: int) -> int:
-    """The least j with alpha^j = alpha^k: level k's spaces are those of
-    level j, as ``solve_space`` reads k only through alpha^k."""
-    powers = [Matrix.identity(alpha.rows)]
-    for _ in range(k):
-        powers.append(powers[-1].matmul(alpha))
-    return powers.index(powers[k])
-
-
-def _space(spec, strict, kind, k, th, whole=False):
-    """The tuple view with ``whole``, else the first view, of one solved
-    space, solved at the ``_least_power`` of level k."""
-    solved = solve_space(spec, kind, _least_power(spec.alpha, k), th, strict)
-    return solved._tuple_view if whole else solved._first_view
+def _reader(spec: AlgebraSpec, strict: bool, k_max: int):
+    """``space(kind, k, th)``: the solved space of level k <= k_max and
+    degree th, at the least j with alpha^j = alpha^k, as ``solve_space``
+    reads k only through alpha^k.  Every check reads its levels here."""
+    if isinstance(k_max, bool) or not isinstance(k_max, int):
+        raise TypeError(f"k_max must be an int, got {k_max!r}")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    powers = [Matrix.identity(spec.n)]
+    for _ in range(k_max):
+        powers.append(powers[-1].matmul(spec.alpha))
+    least = [powers.index(p) for p in powers]
+    return lambda kind, k, th: solve_space(spec, kind, least[k], th, strict)
 
 
 def _levels(k_max: int) -> list[tuple[int, int]]:
     """Every pair of twist powers (k, s) with k + s <= k_max, k outermost."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
     return [(k, s) for k in range(k_max + 1) for s in range(k_max - k + 1)]
 
 
@@ -465,21 +461,23 @@ def _first_product_outside(s, a, b, target):
 def _law_witness(space, sign, ka, kb, target, levels, whole=False):
     """(k, s, th1, th2, g) for the first product ``_product(a, b, sign)``
     outside its target in the order (k, s, th1, th2, a, b), a from ka at
-    level k and b from kb at level s, or None.  ``target`` is a fixed
-    subspace or a kind, whose span at k + s and the product's degree is
-    used.  g is the product's first component, or None for whole tuples.
+    level k and b from kb at level s, read by ``space``, or None.  ``target``
+    is a fixed subspace or a kind, whose span at k + s and the product's
+    degree is used.  g is the product's first component, or None for
+    whole tuples, read with their tuple spaces.
     A bracket is super-skew, so when ka and kb are one kind the cell
     (s, k, th2, th1), which comes first for (s, th2) < (k, th1), holds the
     same products up to sign and has the same target: once it passes,
     this cell passes.  A failing cell walks its own products, for its own
     first witness."""
+    view = "_tuple_view" if whole else "_first_view"
     for k, s in levels:
         for th1, th2 in itertools.product((0, 1), repeat=2):
-            a, b = space(ka, k, th1, whole)[1], space(kb, s, th2, whole)[1]
+            a, b = getattr(space(ka, k, th1), view)[1], getattr(space(kb, s, th2), view)[1]
             if not (a and b):
                 continue
             tgt = (target if isinstance(target, Subspace)
-                   else space(target, k + s, (th1 + th2) % 2, whole)[0])
+                   else getattr(space(target, k + s, (th1 + th2) % 2), view)[0])
             if (sign == -1 and ka == kb and (s, th2) < (k, th1)
                     and _first_product_outside(sign, b, a, tgt) is None):
                 continue
@@ -540,13 +538,11 @@ def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
     Multi-component spaces are compared through their first-component
     spans.  Violations carry the offending basis map.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    space = partial(_space, spec, strict)
+    space = _reader(spec, strict, k_max)
     checks = []
     for k, th, (label, small, big) in itertools.product(range(k_max + 1), (0, 1), _CHAIN):
-        maps = space(small, k, th)[1]
-        target = maps and space(big, k, th)[0]  # no map, no target read
+        maps = space(small, k, th)._first_view[1]
+        target = maps and space(big, k, th)._first_view[0]  # no map, no target read
         checks.append(_verdict(f"{label} (k={k}, deg={th})",
                                _first_outside((target, _coords(g), g) for g, in maps),
                                _witness))
@@ -561,11 +557,11 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     degree combinations.  Laws whose hypotheses fail (surjective twist,
     trivial center) are reported as skipped rather than asserted.
     """
+    space = _reader(spec, strict, k_max)
     n = spec.n
     z = center(spec)
     surjective = rank(spec.alpha) == n
     centerless = z.is_zero()
-    space = partial(_space, spec, strict)
     fixed = {
         _CENTER: Subspace._from_sparse(
             n * n, ({m * n + l: x for m, x in zi.items()}
@@ -598,9 +594,9 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
             checks.append(Check(name, "skipped",
                                 "twist does not preserve the bracket"))
             continue
-        shifted = _first_product_outside(0, space(kind, k, th, True)[1],
+        shifted = _first_product_outside(0, space(kind, k, th).tuples,
                                          ((GradedMap(spec.alpha, 0),) * kind.arity,),
-                                         space(kind, k + 1, th, True)[0])
+                                         space(kind, k + 1, th)._tuple_view[0])
         checks.append(_verdict(name, shifted and shifted[0], _witness))
 
     # quasicentroid closure is an observation, not a law
@@ -739,7 +735,7 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     identity over quadruples of basis maps, and whether the two closures
     agree (they are predicted to be equivalent).
     """
-    space = partial(_space, spec, strict)
+    space = _reader(spec, strict, k_max)
     checks: list[Check] = []
     closed = {}
     for label, sign in (("bracket", -1), ("composition", 0)):
@@ -755,7 +751,7 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
 
     # quadruple checks run on the deduplicated union of all basis maps
     elems = list(dict.fromkeys(g for k in range(k_max + 1) for th in (0, 1)
-                               for g, in space(SpaceKind.QC, k, th)[1]))
+                               for g, in space(SpaceKind.QC, k, th)._first_view[1]))
 
     # a o b = s (b o a) with s = (-1)^{|a||b|} is symmetric in (a, b), as
     # s^2 = 1, so unordered pairs find the first ordered witness

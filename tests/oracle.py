@@ -897,13 +897,19 @@ def reference_law_witness(space, sign, ka, kb, target, levels, whole=False):
     """``spaces._law_witness`` as it was before bracket cells read their
     transposes: every cell of the order (k, s, th1, th2) is walked through
     ``spaces._first_product_outside``, looked up at call time, so a
-    patched cell reaches this walk too."""
+    patched cell reaches this walk too.  ``space`` is a level reader of
+    ``spaces._reader``; the tuple view is read with ``whole``, else the
+    first-component view."""
+    def view(kind, k, th):
+        solved = space(kind, k, th)
+        return solved._tuple_view if whole else solved._first_view
+
     for k, s in levels:
         for th1, th2 in itertools.product((0, 1), repeat=2):
             tgt = (target if isinstance(target, Subspace)
-                   else space(target, k + s, (th1 + th2) % 2, whole)[0])
-            g = spaces._first_product_outside(sign, space(ka, k, th1, whole)[1],
-                                              space(kb, s, th2, whole)[1], tgt)
+                   else view(target, k + s, (th1 + th2) % 2)[0])
+            g = spaces._first_product_outside(sign, view(ka, k, th1)[1],
+                                              view(kb, s, th2)[1], tgt)
             if g is not None:
                 return k, s, th1, th2, None if whole else g[0]
     return None
@@ -989,7 +995,7 @@ def reference_partner_determined(ext, k: int, strict: bool = True) -> tuple:
     nn = n * n
     out = []
     for th in (0, 1):
-        pairs = extension.solve_space(ext.base, SpaceKind.QDER, k, th, strict).as_subspace()
+        pairs = spaces.solve_space(ext.base, SpaceKind.QDER, k, th, strict).as_subspace()
         rows = [from_sparse([{p: 1, **row}], pairs.ambient_dim).entries
                 for p, row in pairs._reduced.items() if p >= nn]
         bad = any(not is_zero_vec(reference_matvec(Matrix(n, n, row[nn:]), d))

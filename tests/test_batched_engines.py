@@ -51,9 +51,10 @@ def _reports(spec, k_max, strict):
 
 def _qc_elems(spec, k_max, strict):
     """The quasicentroid maps in the order the check walks them."""
+    space = spaces._reader(spec, strict, k_max)
     return list(dict.fromkeys(
         g for k in range(k_max + 1) for th in (0, 1)
-        for g, in spaces._space(spec, strict, SpaceKind.QC, k, th)[1]))
+        for g, in space(SpaceKind.QC, k, th)._first_view[1]))
 
 
 def assert_matches_references(monkeypatch, spec, k_max, strict):
@@ -143,8 +144,9 @@ def test_basis_first_walk_fails_with_the_walked_witness(monkeypatch):
 def test_law_witness_at_a_later_w_in_a_wide_cell(ex2_5):
     """lax ex2_5's pairs law at (k=0, s=1), degrees (0, 0), has 9 pairs a
     side and first fails at x = 1, w = 3."""
-    pairs = spaces._space(ex2_5, False, SpaceKind.QDER, 0, 0, True)[1]
-    later = spaces._space(ex2_5, False, SpaceKind.QDER, 1, 0, True)
+    space = spaces._reader(ex2_5, False, 1)
+    pairs = space(SpaceKind.QDER, 0, 0).tuples
+    later = space(SpaceKind.QDER, 1, 0)._tuple_view
     assert len(pairs) == len(later[1]) == 9
     args = (-1, pairs, later[1], later[0])
     g = spaces._first_product_outside(*args)

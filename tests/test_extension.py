@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homlie import extension
+from homlie import extension, spaces
 from homlie.algebra import AlgebraSpec, bracket, center, validate
 from homlie.extension import (
     build_extended,
@@ -183,7 +183,7 @@ def test_embedding_decomposition_fails_on_a_bent_quasiderivation(
     # first map, embeds outside Der(double): the sum is no longer
     # Der(double), although the dimensions still add up
     ext = build_extended(ex2_5)
-    monkeypatch.setattr(extension, "solve_space", _with_fault(SpaceKind.QDER))
+    monkeypatch.setattr(spaces, "solve_space", _with_fault(SpaceKind.QDER))
     failed = {c.name: c.detail for c in verify_embedding_decomposition(ext, 0).checks
               if c.status == "fail"}
     assert failed == {
@@ -193,7 +193,7 @@ def test_embedding_decomposition_fails_on_a_bent_quasiderivation(
             "dim phi(QDer)=9, dim ZDer=9, dim Der=18",
     }
     # the witness: the bent pair's image is not a derivation of the double
-    bent = extension.solve_space(ex2_5, SpaceKind.QDER, 0, 0).tuples[0]
+    bent = spaces.solve_space(ex2_5, SpaceKind.QDER, 0, 0).tuples[0]
     der = project_component(solve_space(ext.spec, SpaceKind.DER, 0, 0), 0)
     assert not contains(der, extension._phi_unchecked(ext, bent).matrix.entries)
 
@@ -204,6 +204,17 @@ def test_embedding_decomposition_guard(heisenberg3):
     assert rep.ok  # skipped checks are not failures
     skipped = [c for c in rep.checks if c.status == "skipped"]
     assert skipped and all("center" in c.detail for c in skipped)
+
+
+def test_double_checks_reject_a_negative_or_bool_k(bundled):
+    # heisenberg3 and abelian2 skip the split, but k is checked first
+    for spec in bundled.values():
+        ext = build_extended(spec)
+        for check in (verify_embedding_decomposition, verify_phi_properties):
+            with pytest.raises(ValueError, match="k_max must be >= 0"):
+                check(ext, -1)
+            with pytest.raises(TypeError, match="k_max must be an int"):
+                check(ext, True)
 
 
 def test_t2_copy_always_central(bundled):
@@ -256,7 +267,7 @@ def test_zero_first_pairs_match_the_intersection(bundled):
 
 def test_zero_first_pairs_match_on_a_bent_quasiderivation(bundled, monkeypatch):
     # the bent first pair leaves the stored bases non-canonical
-    monkeypatch.setattr(extension, "solve_space", _with_fault(SpaceKind.QDER))
+    monkeypatch.setattr(spaces, "solve_space", _with_fault(SpaceKind.QDER))
     _assert_partner_check_matches_reference(bundled)
 
 
@@ -276,7 +287,7 @@ def _with_split_partner(original):
 
 
 def test_partner_check_fails_on_split_partners(ex2_5, monkeypatch):
-    monkeypatch.setattr(extension, "solve_space", _with_split_partner(extension.solve_space))
+    monkeypatch.setattr(spaces, "solve_space", _with_split_partner(spaces.solve_space))
     ext = build_extended(ex2_5)
     assert not ext.derived.is_zero()
     for k, strict in itertools.product((0, 1), (True, False)):
@@ -292,7 +303,7 @@ def test_phi_inside_der_fails_on_a_bent_quasiderivation(ex2_5, monkeypatch):
     # the bent first QDer pair at k = 0 embeds outside Der(double), read
     # off the double's first-component view; nothing else about phi moves
     ext = build_extended(ex2_5)
-    monkeypatch.setattr(extension, "solve_space", _with_fault(SpaceKind.QDER))
+    monkeypatch.setattr(spaces, "solve_space", _with_fault(SpaceKind.QDER))
     got = _statuses(verify_phi_properties(ext, 0))
     assert got["phi(QDer) inside Der(double) (k=0, deg=0)"] == ("fail", "")
     assert [c for c, (status, _) in got.items() if status == "fail"] == [
@@ -319,9 +330,14 @@ def test_decomposition_fails_when_phi_meets_zder(ex2_5, monkeypatch):
     # phi's span bent to take in ZDer(double), read off the views of the
     # double: the sum is still Der(double), but it is no longer direct
     ext = build_extended(ex2_5)
-    phi_span = extension._phi_span
-    monkeypatch.setattr(extension, "_phi_span", lambda ext, k, strict: subspace_sum(
-        phi_span(ext, k, strict), extension._total_span(ext.spec, SpaceKind.ZDER, k, strict)))
+    phi_span, total_span = extension._phi_span, extension._total_span
+
+    def bent(ext, of_base, k):
+        # ZDer(double) in the mode that of_base reads, told by its spaces
+        of_double = spaces._reader(ext.spec, of_base(SpaceKind.QDER, k, 0).strict, k)
+        return subspace_sum(phi_span(ext, of_base, k), total_span(of_double, SpaceKind.ZDER, k))
+
+    monkeypatch.setattr(extension, "_phi_span", bent)
     got = _statuses(verify_embedding_decomposition(ext, 0))
     for mode, dims in (("strict", "dim phi(QDer)=8, dim ZDer=5, dim Der=8"),
                        ("lax", "dim phi(QDer)=18, dim ZDer=9, dim Der=18")):

@@ -163,8 +163,9 @@ def test_a_bend_at_level_0_of_an_identity_twist_is_a_bend_at_every_level(heisenb
                                                                          monkeypatch):
     # every power of the identity is the identity, so every level reads
     # the one space solved at k = 0
-    views = [spaces._space(heisenberg3, True, SpaceKind.ZDER, k, 0) for k in range(4)]
-    assert all(view is views[0] for view in views)
+    space = spaces._reader(heisenberg3, True, 3)
+    solved = [space(SpaceKind.ZDER, k, 0) for k in range(4)]
+    assert all(s is solved[0] for s in solved)
     reports = []
     for bent in (_bent_at_level(SpaceKind.ZDER, 0), _with_fault(SpaceKind.ZDER)):
         monkeypatch.setattr(spaces, "solve_space", bent)
@@ -180,6 +181,18 @@ def test_laws_of_an_identity_twist_solve_only_level_0(heisenberg3):
         check_bracket_laws(heisenberg3, k_max)
         misses.append(solve_space.cache_info().misses)
     assert misses[0] == misses[1]
+
+
+@pytest.mark.parametrize("lax", [(), ("--lax",)], ids=["strict", "lax"])
+def test_report_of_an_identity_twist_solves_only_level_0(lax, capsys):
+    # the dimension table, the checks and the double's checks all read
+    # level k of heisenberg3 and of its double at level 0
+    misses = []
+    for k_max in ("0", "3"):
+        solve_space.cache_clear()
+        cli.main(["report", "heisenberg3", "--kmax", k_max, *lax])
+        misses.append(solve_space.cache_info().misses)
+    assert misses == [14, 14]
 
 
 def test_law_cache_counts_on_report(capsys):

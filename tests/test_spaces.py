@@ -127,6 +127,14 @@ def test_negative_k_max_rejected_by_the_qc_structure(heisenberg3):
         check_qc_structure(heisenberg3, -5)
 
 
+def test_bool_k_max_rejected_by_every_check(abelian2):
+    # True == 1, so a bool k_max would run as kmax 1
+    for check in (check_inclusion_chain, check_bracket_laws, check_qc_structure):
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="k_max must be an int"):
+                check(abelian2, flag)
+
+
 def test_bool_twist_power_or_degree_rejected(heisenberg3, odd_heisenberg):
     # True == 1 and both hash alike, so a bool that reached the cache
     # would key a space with k=True that a later int call is served
