@@ -54,10 +54,13 @@ H9_LAX = "tests/test_golden_large.py::test_large_report_is_golden[h9-lax]"
 CACHE_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_a_failing_report"
 REPORT_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_report"
 LEVEL_0 = "tests/test_law_engine.py::test_laws_of_an_identity_twist_solve_only_level_0"
+LEAST = "tests/test_twist_powers.py::test_least_power_of_each_twist"
 REPORT_LEVEL_0 = "tests/test_law_engine.py::test_report_of_an_identity_twist_solves_only_level_0"
 RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
 ASSEMBLY = "tests/test_solver_assembly.py::"
 ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
+SHARED_LEVEL = ("tests/test_level_sharing.py::"
+                "test_each_kind_is_solved_alike_from_a_cold_or_a_shared_level[bundled]")
 EDGES = ASSEMBLY + "test_presolve_edge_cases_match_the_reference"
 ROUND_TRIP = "tests/test_sparse_coords.py::test_maps_inverts_coords_and_hands_back_zero"
 VALIDATE = "tests/test_validation.py::"
@@ -88,14 +91,14 @@ MUTANTS = (
            "evals.setdefault(l, {})[(a * n + b) * step] = -x",
            (ON_BUNDLED,)),
     Mutant("solver: the strict alpha-term sign flipped", SPACES,
-           "spread(comm, c * n * n, n, acols, by_row[c], -1)",
-           "spread(comm, c * n * n, n, acols, by_row[c], 1)",
+           "(l * n + p, -x) for p, x in acols[m].items()]",
+           "(l * n + p, x) for p, x in acols[m].items()]",
            (ON_BUNDLED,)),
     Mutant("solver: rows in walk order, not key order", SPACES,
-           "for key in sorted(multi):", "for key in multi:",
+           "for key in sorted(multi)]", "for key in multi]",
            (ON_BUNDLED,)),
     Mutant("solver: the eval term through the row index", SPACES,
-           '"eval": (evals, 1, by_col)}', '"eval": (evals, 1, by_row)}',
+           '"eval": (1, evals, by_col)}', '"eval": (1, evals, by_row)}',
            (ON_BUNDLED,)),
     Mutant("solver: integral sums left as Fraction", SPACES,
            "{at[idx]: _int(x) for idx, x in r.items() if idx in at}",
@@ -103,25 +106,37 @@ MUTANTS = (
            (ON_BUNDLED,)),
     # the unknowns that rows of one nonzero entry fix to zero, taken out of the system
     Mutant("presolve: a two-entry row taken as fixing its unknowns", SPACES,
-           "if len(row := {idx: x for idx, x in acc[key].items() if x}) > 1:",
-           "if len(row := {idx: x for idx, x in acc[key].items() if x}) > 2:",
+           "        if len(row) > 1:\n            kept.append(row)",
+           "        if len(row) > 2:\n            kept.append(row)",
            (ON_BUNDLED, EDGES)),
     Mutant("presolve: a one-unknown row whose sum is 0 taken as fixing it", SPACES,
-           "                (idx, x), = row.items()\n                if x:",
-           "                (idx, x), = row.items()\n                if True:",
+           "            (idx, x), = row.items()\n            if x:",
+           "            (idx, x), = row.items()\n            if True:",
            (ON_BUNDLED,)),
     Mutant("presolve: a row cancelled down to one entry kept as a row", SPACES,
-           "if len(row := {idx: x for idx, x in acc[key].items() if x}) > 1:",
-           "if len(row := {idx: x for idx, x in acc[key].items() if x}) > 0:",
+           "        if len(row) > 1:\n            kept.append(row)",
+           "        if len(row) > 0:\n            kept.append(row)",
            (EDGES,)),
     Mutant("presolve: the surviving unknowns renumbered out of order", SPACES,
-           "enumerate(i for i in range(len(allowed)) if i not in fixed)",
-           "enumerate(i for i in reversed(range(len(allowed))) if i not in fixed)",
+           "enumerate(i for i in range(arity * size) if i not in fixed)",
+           "enumerate(i for i in reversed(range(arity * size)) if i not in fixed)",
            (ON_BUNDLED, EDGES)),
     Mutant("presolve: the fixed unknowns left in the other rows, and as columns", SPACES,
-           "enumerate(i for i in range(len(allowed)) if i not in fixed)",
-           "enumerate(i for i in range(len(allowed)))",
+           "enumerate(i for i in range(arity * size) if i not in fixed)",
+           "enumerate(i for i in range(arity * size))",
            (ON_BUNDLED, EDGES)),
+    # one kind-free level per (k, degree, mode), read by every kind's solve
+    Mutant("level: read with strict forced True", SPACES,
+           "_level(spec, k, degree, strict)\n", "_level(spec, k, degree, True)\n",
+           (SHARED_LEVEL,)),
+    Mutant("level: the component offsets dropped", SPACES,
+           "spread(ident, e * n, *sides[side], sign, c * size)",
+           "spread(ident, e * n, *sides[side], sign, 0)",
+           (SHARED_LEVEL,)),
+    Mutant("level: the struck cells ignored", SPACES,
+           "struck = {i for row in rows if len(row) == 1 for i in row}",
+           "struck = set()",
+           (SHARED_LEVEL,)),
     Mutant("solver: the zero map built at degree 0 for every degree", SPACES,
            "zero = GradedMap._of(Matrix._of(n, n, {}), degree)",
            "zero = GradedMap._of(Matrix._of(n, n, {}), 0)",
@@ -221,14 +236,25 @@ MUTANTS = (
     # each level read at the least power with its twist power, by one reader
     # that also checks k_max
     Mutant("levels: the least power is k", SPACES,
-           "least = [powers.index(p) for p in powers]", "least = list(range(len(powers)))",
+           "q, p = seen.get(power, k_max + 1), len(seen)", "q, p = k_max + 1, len(seen)",
            (LEVEL_0,)),
     Mutant("levels: the least power is 0", SPACES,
-           "least = [powers.index(p) for p in powers]", "least = [0] * len(powers)",
+           "k if k < q else q + (k - q) % (p - q)", "0",
            (ON_REFERENCE,)),
     Mutant("levels: each level resolved to itself", SPACES,
-           "solve_space(spec, kind, least[k], th, strict)", "solve_space(spec, kind, k, th, strict)",
+           "spec, kind, k if k < q else q + (k - q) % (p - q), th, strict)",
+           "spec, kind, k, th, strict)",
            (REPORT_LEVEL_0,)),
+    # powers formed up to the first repeat alpha^p = alpha^q, then read off the cycle
+    Mutant("levels: the cycle taken as one power long", SPACES,
+           "q + (k - q) % (p - q)", "q + (k - q) % 1",
+           (LEAST + "[sign]",)),
+    Mutant("levels: the cycle read from alpha^0, not alpha^q", SPACES,
+           "q + (k - q) % (p - q)", "(k - q) % (p - q)",
+           (LEAST + "[projection]",)),
+    Mutant("power: the square not squared", LINALG,
+           "square = square.matmul(square) if k else square", "square = square if k else square",
+           ("tests/test_twist_powers.py::test_power_is_repeated_matmul",)),
     Mutant("levels: a bool k_max let through", SPACES,
            "if isinstance(k_max, bool) or not isinstance(k_max, int):",
            "if not isinstance(k_max, int):",

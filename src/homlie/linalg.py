@@ -151,9 +151,10 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out.matmul(self)
+        out, square = Matrix.identity(self.rows), self  # by repeated squaring
+        while k:
+            out, k = out.matmul(square) if k & 1 else out, k >> 1
+            square = square.matmul(square) if k else square
         return out
 
     def is_zero(self) -> bool:

@@ -231,6 +231,63 @@ IDENTITIES = {
 
 
 @lru_cache(maxsize=1024)
+def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
+    """(cells, comm, sides): what a solve at one level owes to no kind, for
+    one component, read and never written by every solve there.  cells
+    are the (m, l) that the degree allows, less in strict mode those that
+    a row of one entry of M alpha - alpha M fixes to 0; comm holds that
+    system's other rows over the cells left, in (l, m) order.  sides maps
+    each side of ``IDENTITIES`` to (stride, table, index), index listing
+    the cells as (l, idx) by row m, or (m, idx) by column l.  The row
+    (i, j, e, m) of an identity is keyed ((i*n + j)*eqs + e)*n + m, eqs
+    the most equations of any kind, so that keys sort as those tuples.
+    One pass over the nonzero brackets [e_a, e_b] fills one table per
+    side, {l: {the key's share: nonzero}}: right[l] holds [e_l, a^k e_j]
+    at j*eqs*n + m, left[l] (-1)^{theta|e_i|} [a^k e_i, e_l] at
+    i*n*eqs*n + m and evals[l] [e_i, e_j]_l at (i*n + j)*eqs*n, for the
+    sums over l of D[l, i] right, D[l, j] left and D e_l evals."""
+    n, deg = spec.n, spec.degrees
+    cells = [(m, l) for m in range(n) for l in range(n) if deg[m] == (deg[l] + degree) % 2]
+    comm = []
+    if strict:
+        # M[m, l] sits in the row (j, m) of M alpha times alpha[l, j], and in
+        # the row (l, p) of alpha M times alpha[p, m]; the row (l, m) keyed l*n + m
+        acc, acols = {}, _columns(spec.alpha)
+        for idx, (m, l) in enumerate(cells):
+            for key, x in [(j * n + m, x) for j, x in spec.alpha._sparse.get(l, {}).items()] + [
+                    (l * n + p, -x) for p, x in acols[m].items()]:
+                row = acc.setdefault(key, {})
+                row[idx] = row.get(idx, 0) + x
+        rows = [row for key in sorted(acc) if (row := {i: x for i, x in acc[key].items() if x})]
+        struck = {i for row in rows if len(row) == 1 for i in row}
+        at = {old: new for new, old in enumerate(i for i in range(len(cells)) if i not in struck)}
+        comm = [row for r in rows if len(r) > 1
+                and (row := {at[i]: x for i, x in r.items() if i in at})]
+        cells = [cells[i] for i in at]
+    if not cells:
+        return cells, comm, {}
+    by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
+    for idx, (m, l) in enumerate(cells):
+        by_row[m].append((l, idx))
+        by_col[l].append((m, idx))
+
+    eqs = max(len(equations) for equations in IDENTITIES.values())
+    step, ak = eqs * n, spec.alpha.power(k)._sparse
+    right, left, evals = {}, {}, {}
+    for (a, b), vec in spec._sparse.items():
+        for j, x in ak.get(b, {}).items():
+            _subtract(right.setdefault(a, {}), -x, {j * step + m: y for m, y in vec.items()})
+        for i, x in ak.get(a, {}).items():
+            _subtract(left.setdefault(b, {}), -x * parity_sign(degree, deg[i]),
+                      {i * n * step + m: y for m, y in vec.items()})
+        for l, x in vec.items():
+            evals.setdefault(l, {})[(a * n + b) * step] = x
+    sides = {"right": (n * step, right, by_row), "left": (step, left, by_row),
+             "eval": (1, evals, by_col)}
+    return cells, comm, sides
+
+
+@lru_cache(maxsize=1024)
 def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
                 degree: int = 0, strict: bool = True) -> MapSpace:
     """Solve the defining linear system of one operator space.
@@ -250,85 +307,50 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
         raise ValueError("twist power k must be >= 0")
     if degree not in (0, 1):
         raise ValueError("degree must be 0 or 1")
-    n, deg, arity = spec.n, spec.degrees, kind.arity
-    allowed = [(c, m, l) for c in range(arity) for m in range(n) for l in range(n)
-               if deg[m] == (deg[l] + degree) % 2]
-    if not allowed:
+    n, arity = spec.n, kind.arity
+    cells, comm, sides = _level(spec, k, degree, strict)
+    if not cells:
         return MapSpace(kind, k, degree, strict, n, ())
-    # the unknowns D_c[m, l] as (l, index) by (c, m), and as (m, index) by (c, l)
-    by_row = [[[] for _ in range(n)] for _ in range(arity)]
-    by_col = [[[] for _ in range(n)] for _ in range(arity)]
-    for idx, (c, m, l) in enumerate(allowed):
-        by_row[c][m].append((l, idx))
-        by_col[c][l].append((m, idx))
 
-    # every cell is summed into its row as it is made, the row (i, j, e, m)
-    # keyed ((i*n + j)*eqs + e)*n + m, so that keys sort as those tuples.
-    # One pass over the nonzero brackets [e_a, e_b] fills one table per side,
-    # {l: {the key's share: nonzero}}: right[l] holds [e_l, a^k e_j] at
-    # j*eqs*n + m, left[l] (-1)^{theta|e_i|} [a^k e_i, e_l] at i*n*eqs*n + m
-    # and evals[l] [e_i, e_j]_l at (i*n + j)*eqs*n, for the sums over l of
-    # D_c[l, i] right, D_c[l, j] left and D_c e_l evals
-    step, ak = len(IDENTITIES[kind]) * n, spec.alpha.power(k)._sparse
-    right, left, evals = {}, {}, {}
-    for (a, b), vec in spec._sparse.items():
-        for j, x in ak.get(b, {}).items():
-            _subtract(right.setdefault(a, {}), -x, {j * step + m: y for m, y in vec.items()})
-        for i, x in ak.get(a, {}).items():
-            _subtract(left.setdefault(b, {}), -x * parity_sign(degree, deg[i]),
-                      {i * n * step + m: y for m, y in vec.items()})
-        for l, x in vec.items():
-            evals.setdefault(l, {})[(a * n + b) * step] = x
-
-    def spread(acc, start, stride, table, index, sign):
-        """Sum sign * x into row start + q * stride + m at unknown idx, for
-        each l: vec of table, (q, idx) of index[l] and m: x of vec."""
+    def spread(acc, start, stride, table, index, sign, offset):
+        """Sum sign * x into row start + q * stride + m at unknown offset + idx,
+        for each l: vec of table, (q, idx) of index[l] and m: x of vec."""
         for l, vec in table.items():
             for q, idx in index[l]:
-                at = start + q * stride
+                at, idx = start + q * stride, offset + idx
                 for m, x in vec.items():
                     row = acc.setdefault(at + m, {})
                     row[idx] = row.get(idx, 0) + sign * x
 
-    sides = {"right": (right, n * step, by_row), "left": (left, step, by_row),
-             "eval": (evals, 1, by_col)}
-    ident, comm = {}, {}  # comm: the strict row (c, l, m), keyed (c*n + l)*n + m
+    # component c's unknowns follow those of c - 1
+    size, ident = len(cells), {}
     for e, equation in enumerate(IDENTITIES[kind]):
         for side, c, sign in equation:
-            table, stride, index = sides[side]
-            spread(ident, e * n, stride, table, index[c], sign)
-    if strict:
-        # column l of M alpha - alpha M: M (alpha e_l) - sum_p M[p,l] alpha e_p,
-        # the first term off arows[p] = {l*n: alpha[p, l]}
-        arows = {p: {l * n: x for l, x in row.items()} for p, row in spec.alpha._sparse.items()}
-        acols = dict(enumerate(_columns(spec.alpha)))
-        for c in range(arity):
-            spread(comm, c * n * n, 1, arows, by_col[c], 1)
-            spread(comm, c * n * n, n, acols, by_row[c], -1)
+            spread(ident, e * n, *sides[side], sign, c * size)
 
     # one scan: a row of one unknown fixes it to 0 if its sum is not 0; only the keys of
-    # more unknowns are sorted and cleared of zeros, and one left with one entry fixes it
-    fixed, kept = set(), []
-    for acc in (ident, comm):
-        multi = []
-        for key, row in acc.items():
-            if len(row) > 1:
-                multi.append(key)
-            else:
-                (idx, x), = row.items()
-                if x:
-                    fixed.add(idx)
-        for key in sorted(multi):
-            if len(row := {idx: x for idx, x in acc[key].items() if x}) > 1:
-                kept.append(row)
-            else:
-                fixed.update(row)
+    # more unknowns are sorted and cleared of zeros, and one left with one entry fixes it,
+    # as does a commutation row, each component's after the identities
+    fixed, multi, kept = set(), [], []
+    for key, row in ident.items():
+        if len(row) > 1:
+            multi.append(key)
+        else:
+            (idx, x), = row.items()
+            if x:
+                fixed.add(idx)
+    for row in ([{idx: x for idx, x in ident[key].items() if x} for key in sorted(multi)]
+                + [{c * size + i: x for i, x in r.items()} for c in range(arity) for r in comm]):
+        if len(row) > 1:
+            kept.append(row)
+        else:
+            fixed.update(row)
 
     # the fixed unknowns leave; the rest keep order, so kernels stay canonical
-    at = {old: new for new, old in enumerate(i for i in range(len(allowed)) if i not in fixed)}
+    at = {old: new for new, old in enumerate(i for i in range(arity * size) if i not in fixed)}
     rows = [row for r in kept if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})]
     kernel = _pivot_rows(nullspace(Matrix._of(len(rows), len(at), dict(enumerate(rows))))._reduced)
-    where = [allowed[idx] for idx in at]
+    where = [(idx // size, *cells[idx % size]) for idx in at]
     zero = GradedMap._of(Matrix._of(n, n, {}), degree)  # shared: no one writes a view
     return MapSpace(kind, k, degree, strict, n, _maps(kernel, where, arity, zero))
 
@@ -410,16 +432,20 @@ def _verdict(name: str, witness, describe=lambda witness: "") -> Check:
 def _reader(spec: AlgebraSpec, strict: bool, k_max: int):
     """``space(kind, k, th)``: the solved space of level k <= k_max and
     degree th, at the least j with alpha^j = alpha^k, as ``solve_space``
-    reads k only through alpha^k.  Every check reads its levels here."""
+    reads k only through alpha^k.  Every check reads its levels here.
+    The powers are formed up to the first repeat alpha^p = alpha^q, q < p,
+    after which the least power of k >= q is q + (k - q) mod (p - q)."""
     if isinstance(k_max, bool) or not isinstance(k_max, int):
         raise TypeError(f"k_max must be an int, got {k_max!r}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    powers = [Matrix.identity(spec.n)]
-    for _ in range(k_max):
-        powers.append(powers[-1].matmul(spec.alpha))
-    least = [powers.index(p) for p in powers]
-    return lambda kind, k, th: solve_space(spec, kind, least[k], th, strict)
+    seen, power = {}, Matrix.identity(spec.n)  # alpha^j: j
+    while power not in seen and len(seen) <= k_max:
+        seen[power] = len(seen)
+        power = power.matmul(spec.alpha)
+    q, p = seen.get(power, k_max + 1), len(seen)
+    return lambda kind, k, th: solve_space(
+        spec, kind, k if k < q else q + (k - q) % (p - q), th, strict)
 
 
 def _levels(k_max: int) -> list[tuple[int, int]]:

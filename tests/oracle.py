@@ -33,8 +33,9 @@ coordinates, and the per-pair walk that assembled the solver's system
 before it was driven by the nonzeros of the bracket tables
 (``reference_system_rows``), with the basis maps read off its kernel as
 they were before the unknowns that one-entry rows fix to zero left the
-system (``reference_solve_space``) and that presolve written apart
-(``reference_presolve``), the double's structure constants
+system (``reference_solve_space``) and that presolve written apart, with
+the unknowns that one-entry commutation rows fix struck first
+(``reference_presolve``, ``reference_presolved_rows``), the double's structure constants
 as ``build_extended`` read them off the dense bracket table
 (``reference_double_spec``), and the helpers that the package no
 longer holds: dense vectors and columns (``is_zero_vec``, ``col``), a
@@ -391,15 +392,10 @@ def reference_system_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,
     return rows, len(allowed)
 
 
-def reference_presolve(rows, width):
-    """(rows, width) of a system less the unknowns that its one-entry rows
-    fix to zero: each such unknown is struck from every row, a row left
-    empty is dropped, and the other unknowns are numbered 0, 1, ... in
-    their old order."""
-    zeroed = set()
-    for row in rows:
-        if len(row) == 1:
-            zeroed.update(row)
+def _strike(rows, width, zeroed):
+    """(rows, width) less the unknowns in zeroed: each is struck from every
+    row, a row left empty is dropped, and the other unknowns are numbered
+    0, 1, ... in their old order."""
     renumber = {}
     for old in range(width):
         if old not in zeroed:
@@ -410,6 +406,32 @@ def reference_presolve(rows, width):
         if kept:
             out.append(kept)
     return out, len(renumber)
+
+
+def reference_presolve(rows, width, commuting=0):
+    """(rows, width) of a system less the unknowns that its one-entry rows
+    fix to zero.  The last ``commuting`` rows, the strict ones, go first:
+    the unknowns that those of one entry fix are struck; then the unknowns
+    that the rows left of one entry fix are struck in turn."""
+    zeroed = set()
+    for row in rows[len(rows) - commuting:]:
+        if len(row) == 1:
+            zeroed.update(row)
+    rows, width = _strike(rows, width, zeroed)
+    zeroed = set()
+    for row in rows:
+        if len(row) == 1:
+            zeroed.update(row)
+    return _strike(rows, width, zeroed)
+
+
+def reference_presolved_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,
+                             degree: int, strict: bool):
+    """``reference_presolve`` of ``reference_system_rows``, the commutation
+    rows counted as those past the rows of lax mode."""
+    rows, width = reference_system_rows(spec, kind, k, degree, strict)
+    lax = reference_system_rows(spec, kind, k, degree, False)[0] if strict else rows
+    return reference_presolve(rows, width, len(rows) - len(lax))
 
 
 def reference_solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int,

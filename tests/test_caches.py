@@ -2,7 +2,8 @@
 
 homlie reuses work through bounded ``functools.lru_cache``s over pure
 functions of immutable values, keyed on content: ``solve_space``, the
-law cells, ``validate`` and ``center``.  The least twist power at which
+kind-free system of a level that every kind's solve there reads
+(``_level``), the law cells, ``validate`` and ``center``.  The least twist power at which
 a level's spaces are read is worked out once per check, by its level
 reader, and is no cache.  A solved space holds its own spans, each
 formed once on first use.  That a changed space is never
@@ -86,4 +87,4 @@ def test_every_memo_is_a_bounded_content_keyed_lru_cache():
                          and [(kw.arg, kw.value.value) for kw in dec.keywords]
                          == [("maxsize", 1024)])
     assert found == dict.fromkeys(
-        ("validate", "center", "solve_space", "_first_product_outside"), True)
+        ("validate", "center", "_level", "solve_space", "_first_product_outside"), True)

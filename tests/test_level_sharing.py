@@ -1,0 +1,91 @@
+"""One level's kind-free system serves all six kinds.
+
+``spaces._level`` holds what a solve at one (twist power, degree, mode)
+owes to no kind, for one component: the cells that the degree allows,
+less in strict mode those that a one-entry row of M alpha = alpha M
+fixes to 0, the other commutation rows, and the bracket tables at
+alpha^k.  ``solve_space`` offsets each component's unknowns, spreads its
+kind's identities and appends the commutation rows once per component.
+A solved space must not depend on whether its level was built for it or
+read warm after other kinds, in either order, and must equal the space
+read off the per-pair walk's whole system
+(``oracle.reference_solve_space``), with equal repr and hash.
+"""
+
+import contextlib
+import io
+import itertools
+import random
+
+import pytest
+
+from homlie import spaces
+from homlie.catalog import BUILTIN, load_builtin
+from homlie.cli import main
+from homlie.extension import build_extended
+from homlie.randomgen import sample_algebras
+from homlie.spaces import SpaceKind
+from oracle import reference_solve_space
+from test_solver_assembly import half_twisted_plane, sheared_h3
+
+K_MAX = 2
+
+INPUTS = {
+    "bundled": lambda: [load_builtin(name) for name in BUILTIN],
+    # non-diagonal twists: the plane's strict rows keep several entries
+    "half_plane": lambda: [half_twisted_plane()],
+    "sheared_h3": lambda: [sheared_h3()],
+    **{f"random{seed}": lambda seed=seed: sample_algebras(random.Random(seed), 10, n_max=4)
+       for seed in range(4)},
+}
+
+
+def _solve(spec, kind, k, degree, strict):
+    return spaces.solve_space.__wrapped__(spec, kind, k, degree, strict)
+
+
+def _three_ways(spec, k, degree, strict):
+    """Each kind's space with its level cold, then warm in ``SpaceKind``
+    order and in reverse order; the two warm walks build the level once."""
+    cold = {}
+    for kind in SpaceKind:
+        spaces._level.cache_clear()
+        cold[kind] = _solve(spec, kind, k, degree, strict)
+    walks = []
+    for order in (list(SpaceKind), list(reversed(SpaceKind))):
+        spaces._level.cache_clear()
+        walks.append({kind: _solve(spec, kind, k, degree, strict) for kind in order})
+        assert spaces._level.cache_info().misses == 1
+    return cold, *walks
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_each_kind_is_solved_alike_from_a_cold_or_a_shared_level(name):
+    for spec, k, degree, strict in itertools.product(
+            INPUTS[name](), range(K_MAX + 1), (0, 1), (True, False)):
+        ways = _three_ways(spec, k, degree, strict)
+        for kind in SpaceKind:
+            case = (spec.name, kind.value, k, degree, strict)
+            want = reference_solve_space(spec, kind, k, degree, strict)
+            for got in ways:
+                assert got[kind] == want and repr(got[kind]) == repr(want), case
+                assert hash(got[kind]) == hash(want), case
+    spaces._level.cache_clear()
+
+
+def test_a_report_builds_each_level_once(monkeypatch):
+    """``report ex2_5 --kmax 3`` reads the base and its double at every
+    k <= 3, both degrees and both modes (the embedding check runs both).
+    ex2_5's twist diag(1, 2, 2) repeats no power, so each of those is its
+    own least level, and each is built once."""
+    for cached in (spaces.solve_space, spaces._level):
+        cached.cache_clear()
+    read, level = [], spaces._level
+    monkeypatch.setattr(spaces, "_level", lambda *key: read.append(key) or level(*key))
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["report", "ex2_5", "--kmax", "3"])
+    base = load_builtin("ex2_5")
+    assert set(read) == {(spec, k, degree, strict)
+                         for spec in (base, build_extended(base).spec) for k in range(4)
+                         for degree in (0, 1) for strict in (True, False)}
+    assert (level.cache_info().misses, len(read)) == (32, 88)

@@ -5,7 +5,9 @@ verifiers and the report's dimension table read each space at the least
 power j with alpha^j = alpha^k, through one level reader per check.
 Their reports must equal the reference
 loops, which solve every level directly, on twists whose powers repeat
-at once, with a period, after a nilpotent tail, or never.
+at once, with a period, after a nilpotent tail, or never.  The reader
+forms powers only up to the first repeat, and ``Matrix.power`` squares,
+so a level far past k_max = 3 costs no more than one within it.
 """
 
 import json
@@ -16,6 +18,7 @@ from homlie import spaces
 from homlie.algebra import AlgebraSpec
 from homlie.cli import main
 from homlie.fileformat import write_algebra
+from homlie.linalg import Matrix
 from homlie.spaces import (
     SpaceKind,
     check_bracket_laws,
@@ -84,3 +87,26 @@ def test_report_dimensions_are_solved_at_each_level(spec, strict, tmp_path, caps
     assert dims == [{"kind": kind.value, "k": k, "theta": th,
                      "dim": solve_space(spec, kind, k, th, strict).dim}
                     for kind in SpaceKind for k in range(K_MAX + 1) for th in (0, 1)]
+
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("twist", [twist for _, twist, _ in TWISTS],
+                         ids=[name for name, _, _ in TWISTS])
+def test_power_is_repeated_matmul(twist, k):
+    alpha, want = Matrix.from_rows(twist), Matrix.identity(2)
+    for _ in range(k):
+        want = want.matmul(alpha)
+    assert alpha.power(k) == want
+
+
+@pytest.mark.parametrize("name, twist, k, least", [
+    ("identity", [[1, 0], [0, 1]], 10**6, 0),
+    ("sign", [[1, 0], [0, -1]], 10**6, 0),
+    ("sign", [[1, 0], [0, -1]], 10**6 + 1, 1),
+])
+def test_least_power_of_a_far_level(name, twist, k, least):
+    # the reader stops at the first repeat, alpha^1 or alpha^2 = alpha^0,
+    # not after 10^6 products
+    space = spaces._reader(_plane(name, twist), True, k)
+    assert space(SpaceKind.DER, k, 0).k == least
