@@ -55,6 +55,8 @@ CACHE_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_a_failing_rep
 REPORT_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_report"
 LEVEL_0 = "tests/test_law_engine.py::test_laws_of_an_identity_twist_solve_only_level_0"
 LEAST = "tests/test_twist_powers.py::test_least_power_of_each_twist"
+READER_WORK = ("tests/test_caches.py::"
+               "test_the_level_reader_compares_few_powers_of_a_twist_that_never_repeats")
 REPORT_LEVEL_0 = "tests/test_law_engine.py::test_report_of_an_identity_twist_solves_only_level_0"
 RREF = "tests/test_sparse_rref.py::test_rref_matches_dense_reference"
 ASSEMBLY = "tests/test_solver_assembly.py::"
@@ -62,6 +64,7 @@ ON_BUNDLED = ASSEMBLY + "test_assembly_matches_the_per_pair_walk_on_bundled"
 SHARED_LEVEL = ("tests/test_level_sharing.py::"
                 "test_each_kind_is_solved_alike_from_a_cold_or_a_shared_level[bundled]")
 EDGES = ASSEMBLY + "test_presolve_edge_cases_match_the_reference"
+RANDOM_ROWS = ASSEMBLY + "test_presolve_matches_the_reference_on_random_rows"
 ROUND_TRIP = "tests/test_sparse_coords.py::test_maps_inverts_coords_and_hands_back_zero"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
@@ -69,6 +72,7 @@ BENT_SHIFT = "tests/test_law_engine.py::test_shift_law_fails_into_a_space_bent_a
 BENT_EVERYWHERE = ("tests/test_law_engine.py::"
                    "test_a_bend_at_level_0_of_an_identity_twist_is_a_bend_at_every_level")
 ON_REFERENCE = "tests/test_laws.py::test_engine_matches_reference"
+LAW_FAIL = "tests/test_laws.py::test_each_law_family_fails_under_its_fixture"
 EXT = "tests/test_extension.py::"
 PUBLIC = "tests/test_public_api.py::"
 SUMMED = ("tests/test_fileformat.py::"
@@ -95,7 +99,8 @@ MUTANTS = (
            "(l * n + p, x) for p, x in acols[m].items()]",
            (ON_BUNDLED,)),
     Mutant("solver: rows in walk order, not key order", SPACES,
-           "for key in sorted(multi)]", "for key in multi]",
+           "for key in sorted(key for key, row in rows_by_key.items() if len(row) > 1)]",
+           "for key in (key for key, row in rows_by_key.items() if len(row) > 1)]",
            (ON_BUNDLED,)),
     Mutant("solver: the eval term through the row index", SPACES,
            '"eval": (1, evals, by_col)}', '"eval": (1, evals, by_row)}',
@@ -104,27 +109,28 @@ MUTANTS = (
            "{at[idx]: _int(x) for idx, x in r.items() if idx in at}",
            "{at[idx]: x for idx, x in r.items() if idx in at}",
            (ON_BUNDLED,)),
-    # the unknowns that rows of one nonzero entry fix to zero, taken out of the system
+    # the unknowns that rows of one nonzero entry fix to zero, taken out of the
+    # system by one routine, at the level and at the solve
     Mutant("presolve: a two-entry row taken as fixing its unknowns", SPACES,
-           "        if len(row) > 1:\n            kept.append(row)",
-           "        if len(row) > 2:\n            kept.append(row)",
-           (ON_BUNDLED, EDGES)),
+           "fixed.update(idx for row in cleared if len(row) == 1 for idx in row)",
+           "fixed.update(idx for row in cleared if len(row) in (1, 2) for idx in row)",
+           (ON_BUNDLED, EDGES, RANDOM_ROWS)),
     Mutant("presolve: a one-unknown row whose sum is 0 taken as fixing it", SPACES,
-           "            (idx, x), = row.items()\n            if x:",
-           "            (idx, x), = row.items()\n            if True:",
-           (ON_BUNDLED,)),
+           "if len(row) == 1 for idx, x in row.items() if x}",
+           "if len(row) == 1 for idx, x in row.items()}",
+           (ON_BUNDLED, RANDOM_ROWS)),
     Mutant("presolve: a row cancelled down to one entry kept as a row", SPACES,
-           "        if len(row) > 1:\n            kept.append(row)",
-           "        if len(row) > 0:\n            kept.append(row)",
-           (EDGES,)),
+           "fixed.update(idx for row in cleared if len(row) == 1 for idx in row)",
+           "fixed.update(idx for row in cleared if len(row) == 0 for idx in row)",
+           (EDGES, RANDOM_ROWS)),
     Mutant("presolve: the surviving unknowns renumbered out of order", SPACES,
-           "enumerate(i for i in range(arity * size) if i not in fixed)",
-           "enumerate(i for i in reversed(range(arity * size)) if i not in fixed)",
-           (ON_BUNDLED, EDGES)),
+           "kept = [idx for idx in range(width) if idx not in fixed]",
+           "kept = [idx for idx in reversed(range(width)) if idx not in fixed]",
+           (ON_BUNDLED, EDGES, RANDOM_ROWS)),
     Mutant("presolve: the fixed unknowns left in the other rows, and as columns", SPACES,
-           "enumerate(i for i in range(arity * size) if i not in fixed)",
-           "enumerate(i for i in range(arity * size))",
-           (ON_BUNDLED, EDGES)),
+           "kept = [idx for idx in range(width) if idx not in fixed]",
+           "kept = list(range(width))",
+           (ON_BUNDLED, EDGES, RANDOM_ROWS)),
     # one kind-free level per (k, degree, mode), read by every kind's solve
     Mutant("level: read with strict forced True", SPACES,
            "_level(spec, k, degree, strict)\n", "_level(spec, k, degree, True)\n",
@@ -134,8 +140,8 @@ MUTANTS = (
            "spread(ident, e * n, *sides[side], sign, 0)",
            (SHARED_LEVEL,)),
     Mutant("level: the struck cells ignored", SPACES,
-           "struck = {i for row in rows if len(row) == 1 for i in row}",
-           "struck = set()",
+           "cells = [cells[i] for i in kept]",
+           "cells = cells[:len(kept)]",
            (SHARED_LEVEL,)),
     Mutant("solver: the zero map built at degree 0 for every degree", SPACES,
            "zero = GradedMap._of(Matrix._of(n, n, {}), degree)",
@@ -236,7 +242,7 @@ MUTANTS = (
     # each level read at the least power with its twist power, by one reader
     # that also checks k_max
     Mutant("levels: the least power is k", SPACES,
-           "q, p = seen.get(power, k_max + 1), len(seen)", "q, p = k_max + 1, len(seen)",
+           "q, p = seen.get(at, k_max + 1), len(seen)", "q, p = k_max + 1, len(seen)",
            (LEVEL_0,)),
     Mutant("levels: the least power is 0", SPACES,
            "k if k < q else q + (k - q) % (p - q)", "0",
@@ -252,6 +258,9 @@ MUTANTS = (
     Mutant("levels: the cycle read from alpha^0, not alpha^q", SPACES,
            "q + (k - q) % (p - q)", "(k - q) % (p - q)",
            (LEAST + "[projection]",)),
+    Mutant("levels: the powers keyed on their hash alone", SPACES,
+           "return m, sum(x.numerator", "return m, 0 * sum(x.numerator",
+           (READER_WORK,)),
     Mutant("power: the square not squared", LINALG,
            "square = square.matmul(square) if k else square", "square = square if k else square",
            ("tests/test_twist_powers.py::test_power_is_repeated_matmul",)),
@@ -336,6 +345,27 @@ MUTANTS = (
     Mutant("_split: the d_j as rows of P, not columns", EXTENSION,
            "rows = _columns(Matrix._of(n, n, ends))", "rows = [ends.get(m, {}) for m in range(n)]",
            SPLIT),
+    # the law families that no clean algebra fails, each unable to fail once its
+    # row is dropped or its branch cannot reach a fail
+    Mutant("laws: the [C,C] row dropped", SPACES,
+           '    ("[C,C] <= C", SpaceKind.C, SpaceKind.C, SpaceKind.C),\n', "",
+           (LAW_FAIL + "[C-C]",)),
+    Mutant("laws: the [QC,QC] <= QDer.0 row dropped", SPACES,
+           '    ("[QC,QC] <= QDer.0", SpaceKind.QC, SpaceKind.QC, SpaceKind.QDER),\n', "",
+           (LAW_FAIL + "[QC-QC]",)),
+    Mutant("laws: the maps into the center read as every map", SPACES,
+           "({m * n + l: x for m, x in zi.items()}\n"
+           "                    for zi in _pivot_rows(z._reduced) for l in range(n))),",
+           "({i: 1} for i in range(n * n))),",
+           (LAW_FAIL + "[C-QC-center]",)),
+    Mutant("laws: [C,QC] = 0 skipped on every center", SPACES,
+           'unmet[_NULL] = unmet[_CENTER] or (None if centerless else "center is nonzero")',
+           'unmet[_NULL] = unmet[_CENTER] or "center is nonzero"',
+           (LAW_FAIL + "[C-QC-zero]",)),
+    Mutant("laws: QC brackets passed as vanishing", SPACES,
+           "checks.append(_verdict(vanish_label, nonzero,",
+           "checks.append(_verdict(vanish_label, None,",
+           (LAW_FAIL + "[QC-vanish]",)),
     # the chain, whose every inclusion fails on a bent small kind
     Mutant("chain: the small and big kinds swapped", SPACES,
            "(label, small, big) in itertools", "(label, big, small) in itertools",

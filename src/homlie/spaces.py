@@ -228,6 +228,21 @@ IDENTITIES = {
     SpaceKind.QC: ((("right", 0, 1), ("left", 0, -1)),),
     SpaceKind.ZDER: ((("right", 0, 1),), (("eval", 0, 1),)),
 }
+_EQS = max(len(equations) for equations in IDENTITIES.values())  # the most of any kind
+
+
+def _presolve(rows_by_key: dict, width: int) -> tuple[list, list]:
+    """(rows, kept): kept lists in order the unknowns 0..width-1 that no row of
+    {key: row} fixes to 0 by one nonzero entry, in place or once cleared of zeros;
+    rows holds the other rows in key order, over places in kept, none left empty."""
+    fixed = {idx for row in rows_by_key.values() if len(row) == 1 for idx, x in row.items() if x}
+    cleared = [{idx: x for idx, x in rows_by_key[key].items() if x}
+               for key in sorted(key for key, row in rows_by_key.items() if len(row) > 1)]
+    fixed.update(idx for row in cleared if len(row) == 1 for idx in row)
+    kept = [idx for idx in range(width) if idx not in fixed]
+    at = {old: new for new, old in enumerate(kept)}
+    return [row for r in cleared
+            if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})], kept
 
 
 @lru_cache(maxsize=1024)
@@ -240,7 +255,7 @@ def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
     each side of ``IDENTITIES`` to (stride, table, index), index listing
     the cells as (l, idx) by row m, or (m, idx) by column l.  The row
     (i, j, e, m) of an identity is keyed ((i*n + j)*eqs + e)*n + m, eqs
-    the most equations of any kind, so that keys sort as those tuples.
+    = ``_EQS``, so that keys sort as those tuples and stay below eqs*n^3.
     One pass over the nonzero brackets [e_a, e_b] fills one table per
     side, {l: {the key's share: nonzero}}: right[l] holds [e_l, a^k e_j]
     at j*eqs*n + m, left[l] (-1)^{theta|e_i|} [a^k e_i, e_l] at
@@ -258,12 +273,8 @@ def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
                     (l * n + p, -x) for p, x in acols[m].items()]:
                 row = acc.setdefault(key, {})
                 row[idx] = row.get(idx, 0) + x
-        rows = [row for key in sorted(acc) if (row := {i: x for i, x in acc[key].items() if x})]
-        struck = {i for row in rows if len(row) == 1 for i in row}
-        at = {old: new for new, old in enumerate(i for i in range(len(cells)) if i not in struck)}
-        comm = [row for r in rows if len(r) > 1
-                and (row := {at[i]: x for i, x in r.items() if i in at})]
-        cells = [cells[i] for i in at]
+        comm, kept = _presolve(acc, len(cells))
+        cells = [cells[i] for i in kept]
     if not cells:
         return cells, comm, {}
     by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
@@ -271,8 +282,7 @@ def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
         by_row[m].append((l, idx))
         by_col[l].append((m, idx))
 
-    eqs = max(len(equations) for equations in IDENTITIES.values())
-    step, ak = eqs * n, spec.alpha.power(k)._sparse
+    step, ak = _EQS * n, spec.alpha.power(k)._sparse
     right, left, evals = {}, {}, {}
     for (a, b), vec in spec._sparse.items():
         for j, x in ak.get(b, {}).items():
@@ -328,29 +338,14 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
         for side, c, sign in equation:
             spread(ident, e * n, *sides[side], sign, c * size)
 
-    # one scan: a row of one unknown fixes it to 0 if its sum is not 0; only the keys of
-    # more unknowns are sorted and cleared of zeros, and one left with one entry fixes it,
-    # as does a commutation row, each component's after the identities
-    fixed, multi, kept = set(), [], []
-    for key, row in ident.items():
-        if len(row) > 1:
-            multi.append(key)
-        else:
-            (idx, x), = row.items()
-            if x:
-                fixed.add(idx)
-    for row in ([{idx: x for idx, x in ident[key].items() if x} for key in sorted(multi)]
-                + [{c * size + i: x for i, x in r.items()} for c in range(arity) for r in comm]):
-        if len(row) > 1:
-            kept.append(row)
-        else:
-            fixed.update(row)
-
-    # the fixed unknowns leave; the rest keep order, so kernels stay canonical
-    at = {old: new for new, old in enumerate(i for i in range(arity * size) if i not in fixed)}
-    rows = [row for r in kept if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})]
-    kernel = _pivot_rows(nullspace(Matrix._of(len(rows), len(at), dict(enumerate(rows))))._reduced)
-    where = [(idx // size, *cells[idx % size]) for idx in at]
+    # the kept commutation rows follow, each component's keyed past the identities'
+    # (below _EQS * n^3); the unknowns keep their order, so kernels stay canonical
+    ident.update(zip(itertools.count(_EQS * n ** 3),
+                     ({c * size + i: x for i, x in r.items()} for c in range(arity) for r in comm)))
+    rows, kept = _presolve(ident, arity * size)
+    system = Matrix._of(len(rows), len(kept), dict(enumerate(rows)))
+    kernel = _pivot_rows(nullspace(system)._reduced)
+    where = [(idx // size, *cells[idx % size]) for idx in kept]
     zero = GradedMap._of(Matrix._of(n, n, {}), degree)  # shared: no one writes a view
     return MapSpace(kind, k, degree, strict, n, _maps(kernel, where, arity, zero))
 
@@ -434,16 +429,23 @@ def _reader(spec: AlgebraSpec, strict: bool, k_max: int):
     degree th, at the least j with alpha^j = alpha^k, as ``solve_space``
     reads k only through alpha^k.  Every check reads its levels here.
     The powers are formed up to the first repeat alpha^p = alpha^q, q < p,
-    after which the least power of k >= q is q + (k - q) mod (p - q)."""
+    after which the least power of k >= q is q + (k - q) mod (p - q).
+    A power is keyed with the sum of its entries' bit lengths: hash(2**j)
+    repeats with period 61, and unequal powers must not chain in one bucket."""
     if isinstance(k_max, bool) or not isinstance(k_max, int):
         raise TypeError(f"k_max must be an int, got {k_max!r}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    seen, power = {}, Matrix.identity(spec.n)  # alpha^j: j
-    while power not in seen and len(seen) <= k_max:
-        seen[power] = len(seen)
+
+    def key(m: Matrix):  # the sum is free of the order in which the view was built
+        return m, sum(x.numerator.bit_length() + x.denominator.bit_length()
+                      for row in m._sparse.values() for x in row.values())
+
+    seen, power = {}, Matrix.identity(spec.n)  # key(alpha^j): j
+    while (at := key(power)) not in seen and len(seen) <= k_max:
+        seen[at] = len(seen)
         power = power.matmul(spec.alpha)
-    q, p = seen.get(power, k_max + 1), len(seen)
+    q, p = seen.get(at, k_max + 1), len(seen)
     return lambda kind, k, th: solve_space(
         spec, kind, k if k < q else q + (k - q) % (p - q), th, strict)
 

@@ -88,3 +88,18 @@ def test_every_memo_is_a_bounded_content_keyed_lru_cache():
                          == [("maxsize", 1024)])
     assert found == dict.fromkeys(
         ("validate", "center", "_level", "solve_space", "_first_product_outside"), True)
+
+
+def test_the_level_reader_compares_few_powers_of_a_twist_that_never_repeats(ex2_5,
+                                                                           monkeypatch):
+    """ex2_5's twist diag(1, 2, 2) has the powers diag(1, 2^j, 2^j), none
+    equal, while hash(2**j) repeats with period 61: a search keyed on the
+    powers alone compares each new power with every earlier one of its
+    hash, 259,902 times up to k_max = 4000."""
+    calls = []
+    eq = spaces.Matrix.__eq__
+    monkeypatch.setattr(spaces.Matrix, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+    space = spaces._reader(ex2_5, True, 4000)
+    assert len(calls) < 4000
+    monkeypatch.undo()
+    assert space(spaces.SpaceKind.QC, 3, 0).k == 3

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from homlie import spaces
+from homlie.catalog import load_builtin
 from homlie.cli import main
 from homlie.linalg import Matrix
 from homlie.spaces import (
@@ -25,6 +26,7 @@ from oracle import (
     reference_inclusion_chain,
     reference_qc_closure,
 )
+from test_boundary import yau_sl2
 
 K_MAX = 1
 
@@ -111,6 +113,55 @@ def test_each_chain_inclusion_fails_at_its_bent_small_kind(bundled, monkeypatch,
     fails = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
     assert (f"{label} (k=0, deg=0)", "witness [1 1/3; 0 0]") in fails
     assert fails == CHAIN_FAILS[small]
+
+
+def _as_span(kind, rows):
+    """solve_space, with every degree-0 space of the given kind, of arity
+    1, spanned by the maps of the given rows."""
+    original = spaces.solve_space
+
+    def bent(spec, space_kind, k=0, degree=0, strict=True):
+        space = original(spec, space_kind, k, degree, strict)
+        if space_kind is not kind or degree:
+            return space
+        return dataclasses.replace(space, tuples=tuple(
+            (GradedMap(Matrix.from_rows(m), 0),) for m in rows))
+
+    return bent
+
+
+# the maps E_01, E_10 and E_00 - E_11 on sl2's basis (h, e, f), a copy of
+# sl2 in which [E_01, E_10] = E_00 - E_11 does not vanish
+SL2_OF_MAPS = ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+               [[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+
+# id: (check, algebra, k_max, bend, detail), one row per law family that no
+# clean algebra fails.  The [C,QC] laws and the vanish check need a
+# surjective twist and a trivial center, as the Yau-twisted sl2 has; the
+# vanish check needs QC bracket-closed too, so its QC is a copy of sl2.
+LAW_FAILS = {
+    "C-C": ("[C,C] <= C (k=0, s=0)", lambda: load_builtin("abelian2"), 0,
+            lambda: _with_fault(SpaceKind.C), "k=0, s=0, degrees (0,0): [0 1/3; 0 0]"),
+    "QC-QC": ("[QC,QC] <= QDer.0 (k=0, s=0)", lambda: load_builtin("abelian2"), 0,
+              lambda: _with_fault(SpaceKind.QC), "k=0, s=0, degrees (0,0): [0 1/3; 0 0]"),
+    "C-QC-center": ("[C,QC] maps into the center (k=0, s=1)", yau_sl2, 1,
+                    lambda: _with_fault(SpaceKind.C),
+                    "k=0, s=1, degrees (0,0): [0 1/3 0; 0 0 0; 0 0 0]"),
+    "C-QC-zero": ("[C,QC] = 0 (k=0, s=1)", yau_sl2, 1, lambda: _with_fault(SpaceKind.C),
+                  "k=0, s=1, degrees (0,0): [0 1/3 0; 0 0 0; 0 0 0]"),
+    "QC-vanish": ("QC brackets vanish (closed, surjective twist, trivial center)", yau_sl2, 0,
+                  lambda: _as_span(SpaceKind.QC, SL2_OF_MAPS), "[0 2 0; 0 0 0; 0 0 0]"),
+}
+
+
+@pytest.mark.parametrize("family", list(LAW_FAILS))
+def test_each_law_family_fails_under_its_fixture(monkeypatch, family):
+    check, make, k_max, bend, detail = LAW_FAILS[family]
+    spec = make()
+    monkeypatch.setattr(spaces, "solve_space", bend())
+    laws = check_bracket_laws(spec, k_max)
+    assert laws == reference_bracket_laws(spec, k_max, True)
+    assert {c.name: (c.status, c.detail) for c in laws.checks}[check] == ("fail", detail)
 
 
 def test_laws_ex2_5_lax_failures(capsys):

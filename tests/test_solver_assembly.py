@@ -7,12 +7,14 @@ term tables built in one pass over the nonzero structure constants.  It
 offsets each component's unknowns and sums every cell of every term of
 ``IDENTITIES`` into its row as it is made, the row keyed by one integer
 whose order is that of (i, j, equation, m); the kept commutation rows
-follow, in the order of (component, twist column, m).  One scan then
-takes out the unknowns that rows of one nonzero entry fix to zero,
-whether the row reached one unknown or cancelled down to one, and sorts
-only the keys of more unknowns.  The kernel rows become maps through
-``spaces._maps``, by a (component, row, column) table of the unknowns
-kept.  The rows and the width of the system that reaches ``nullspace``
+follow, in the order of (component, twist column, m).  One routine,
+``spaces._presolve``, then takes out the unknowns that rows of one
+nonzero entry fix to zero, whether the row reached one unknown or
+cancelled down to one, and sorts only the keys of more unknowns; the
+level strikes its commutation rows through it too, and on random rows
+it must agree with ``oracle.reference_presolve``.  The kernel rows
+become maps through ``spaces._maps``, by a (component, row, column)
+table of the unknowns kept.  The rows and the width of the system that reaches ``nullspace``
 must be exactly those of the per-pair walk kept in
 ``oracle.reference_system_rows`` after ``oracle.reference_presolve``,
 which strikes the unknowns that commutation rows of one entry fix
@@ -32,6 +34,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from homlie import spaces
 from homlie.algebra import AlgebraSpec
@@ -42,6 +46,7 @@ from homlie.randomgen import sample_algebras
 from homlie.spaces import SpaceKind
 from oracle import (
     oracle_solve,
+    reference_presolve,
     reference_presolved_rows,
     reference_solve_space,
     reference_system_rows,
@@ -196,6 +201,32 @@ def test_presolve_edge_cases_match_the_reference(monkeypatch, case):
     want = reference_solve_space(spec, kind, k, degree, strict)
     assert space == want and repr(space) == repr(want), case
     assert hash(space) == hash(want), case
+
+
+_ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@st.composite
+def _keyed_rows(draw):
+    """({key: row}, width): nonempty rows over unknowns 0..width-1, keys
+    inserted in any order, entries often 0, so that rows of one entry may
+    hold 0 and longer rows may cancel to one entry or to none; an unknown
+    may be named by no row."""
+    width = draw(st.integers(0, 6))
+    keys = draw(st.lists(st.integers(-20, 20), unique=True, max_size=8 if width else 0))
+    row = st.dictionaries(st.integers(0, width - 1), _ENTRIES, min_size=1, max_size=4)
+    return {key: draw(row) for key in keys}, width
+
+
+@given(_keyed_rows())
+def test_presolve_matches_the_reference_on_random_rows(case):
+    rows_by_key, width = case
+    rows, kept = spaces._presolve(rows_by_key, width)
+    cleared = [{i: x for i, x in rows_by_key[key].items() if x} for key in sorted(rows_by_key)]
+    assert (rows, len(kept)) == reference_presolve(cleared, width)
+    assert kept == sorted(set(kept)) and all(0 <= i < width for i in kept)
+    assert all(type(x) is int or x.denominator != 1 for row in rows for x in row.values())
 
 
 @pytest.mark.parametrize("lax", [(), ("--lax",)], ids=["strict", "lax"])
