@@ -382,6 +382,14 @@ MUTANTS = (
            "nil_ok = all(i < n and j < n for i, j in ext.spec._sparse)",
            "nil_ok = not all(i < n and j < n for i, j in ext.spec._sparse)",
            ("tests/test_cli.py::test_extend_fails_on_a_pair_of_t_power_three",)),
+    # the CLI's one parser and the checks it looks up by name
+    Mutant("cli: jordan runs the law check", CLI,
+           '"jordan": check_qc_structure}[args.command]',
+           '"jordan": check_bracket_laws}[args.command]',
+           ("tests/test_cli.py::test_check_commands_run_the_check_bound_at_call_time[jordan-check_qc_structure]",)),
+    Mutant("cli: a parser built on every call", CLI,
+           "args = _PARSER.parse_args(argv)", "args = build_parser().parse_args(argv)",
+           ("tests/test_cli.py::test_main_builds_no_parser_per_call",)),
     Mutant("embedding: the t^2 centrality verdict inverted", EXTENSION,
            "_first_outside((zext, {n + i: 1}, i) for i in range(n))))",
            "_first_outside((zext, {n + i: 1}, i) for i in range(n)) is None or None))",

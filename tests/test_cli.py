@@ -1,14 +1,20 @@
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homlie
 from homlie import cli
 from homlie.algebra import AlgebraSpec
 from homlie.cli import main
@@ -232,6 +238,40 @@ def test_check_commands_run_the_check_bound_at_call_time(capsys, monkeypatch,
         "command": command, "algebra": "abelian2",
         "mode": {"strict": False, "k_max": 0},
         "report": {"title": command, "ok": True, "checks": []}, "ok": True}
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    # the one parser is built when cli is imported
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "validate", "abelian2", "--json")[0] == 0
+    assert run(capsys, "chain", "abelian2", "--kmax", "0")[0] == 0
+    assert made == []
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["report", "abelian2", "--kmax", "0", "--json"], 0), (["report"], 2)],
+    ids=["report", "usage-error"])
+def test_module_entry_matches_main(capsys, argv, expected):
+    # python -m homlie.cli builds its parser at import, under __main__
+    src = Path(homlie.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "homlie.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr.splitlines()[:1]) == \
+        (code, out.out, out.err.splitlines()[:1])
+    assert code == expected
 
 
 def test_report_all_bundled_exit_zero(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from homlie.extension import (
     verify_phi_properties,
 )
 from homlie.linalg import Matrix, contains, subspace_sum
+from homlie.randomgen import sample_algebras
 from homlie.spaces import GradedMap, SpaceKind, project_component, solve_space
 from oracle import (
     is_zero_vec,
@@ -297,6 +299,39 @@ def test_partner_check_fails_on_split_partners(ex2_5, monkeypatch):
 
 def _statuses(report):
     return {c.name: (c.status, c.detail) for c in report.checks}
+
+
+_PHI_RANK_CHECKS = ("partner determined on [L,L]",
+                    "phi image dimension equals first-component dimension",
+                    "vanishing phi image forces vanishing first component")
+
+
+def _phi_rank_statuses(ext, k, strict):
+    """Per degree, the statuses of phi's three rank checks."""
+    got = _statuses(verify_phi_properties(ext, k, strict))
+    return [tuple(got[f"{name} (k={k}, deg={th})"][0] for name in _PHI_RANK_CHECKS)
+            for th in (0, 1)]
+
+
+def test_two_phi_rank_checks_cannot_fail_alone(bundled):
+    # phi(D, D') = diag(D, D'P) holds D as its t-block, so appending D to
+    # its image adds no rank: the vanishing-image check always passes, and
+    # the partner check has the status of the image-dimension check
+    for base in [*bundled.values(), *sample_algebras(random.Random(1), 30, n_max=4)]:
+        ext = build_extended(base)
+        for k, strict in itertools.product(range(3), (True, False)):
+            for partner, image, vanishing in _phi_rank_statuses(ext, k, strict):
+                assert vanishing == "pass" and partner == image, (base.name, k, strict)
+
+
+def test_two_phi_rank_checks_fail_together_on_split_partners(ex2_5, monkeypatch):
+    # one first map with two partners: the images gain a rank that the
+    # first components lack, and still hold each first component
+    monkeypatch.setattr(spaces, "solve_space", _with_split_partner(spaces.solve_space))
+    ext = build_extended(ex2_5)
+    for k, strict in itertools.product((0, 1), (True, False)):
+        assert _phi_rank_statuses(ext, k, strict) == [
+            ("fail", "fail", "pass"), ("pass", "pass", "pass")], (k, strict)
 
 
 def test_phi_inside_der_fails_on_a_bent_quasiderivation(ex2_5, monkeypatch):
