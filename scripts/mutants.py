@@ -8,7 +8,9 @@ fail once it is made.  For every entry the script copies ``src/`` and
 ``README.md`` to a temporary directory, applies the edit there and runs
 only the named tests, with ``PYTHONPATH`` at the copy (the tests read
 the README beside the ``src`` that ``homlie`` is imported from).  The
-union of the named tests must first pass on an unmutated copy.
+union of the named tests must first pass on unmutated copies, shared
+out over the CPUs; then the mutants run as many at a time as there are
+CPUs, each in its own copy, and are reported in list order.
 ``EQUIVALENT`` lists edits that change no behaviour, each with its
 reason: they are never run and never counted as killed.
 
@@ -27,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,6 +77,8 @@ BENT_EVERYWHERE = ("tests/test_law_engine.py::"
 ON_REFERENCE = "tests/test_laws.py::test_engine_matches_reference"
 LAW_FAIL = "tests/test_laws.py::test_each_law_family_fails_under_its_fixture"
 EXT = "tests/test_extension.py::"
+CLI_TESTS = "tests/test_cli.py::"
+BENT_SPLIT = CLI_TESTS + "test_decompose_verdicts_fail_on_a_bent_split"
 PUBLIC = "tests/test_public_api.py::"
 SUMMED = ("tests/test_fileformat.py::"
           "test_terms_are_summed_into_one_row_and_a_cancelled_bracket_is_dropped")
@@ -207,16 +212,27 @@ MUTANTS = (
            "(c * n + r) * n + col", "r * n + col",
            (WIDE_CELL,)),
     Mutant("law: the witness rebuilt at the first w", SPACES,
-           "zip(x, b[w]))", "zip(x, b[0]))",
+           "_product(a[at[0]][0], b[at[1]][0], sign)", "_product(a[at[0]][0], b[0][0], sign)",
+           (LAW_FAIL + "[C-C]",)),
+    # a cell answers with its first failing pair, and each caller forms the
+    # product it prints
+    Mutant("law: the pair returned as (w, i)", SPACES,
+           "            return i, w\n", "            return w, i\n",
            (WIDE_CELL,)),
+    Mutant("law: the tuple laws reading first-component views", SPACES,
+           'view = "_tuple_view" if whole else "_first_view"', 'view = "_first_view"',
+           (ON_REFERENCE,)),
+    Mutant("law: the witness formed with the pair's indices swapped", SPACES,
+           "_product(a[at[0]][0], b[at[1]][0], sign)", "_product(a[at[1]][0], b[at[0]][0], sign)",
+           (ON_REFERENCE,)),
     # only nonzero product rows, each bracket cell of one basis from w = x on,
     # and a cell of a kind with itself skipped once its transpose passes
     Mutant("law: rows tested in reverse w order", SPACES,
            "for w in sorted(rows))", "for w in sorted(rows, reverse=True))",
            (H9_LAX,)),
     Mutant("law: an empty row treated as failing", SPACES,
-           "(target, rows[w], w) for w in sorted(rows))",
-           "(target, rows.get(w, {None: 1}), w) for w in range(len(b)))",
+           "((rows[w], w) for w in sorted(rows)))",
+           "((rows.get(w, {None: 1}), w) for w in range(len(b))))",
            (ON_REFERENCE,)),
     Mutant("law: w > x in place of w >= x in a cell of one basis", SPACES,
            "b[i - 1] if skew and i else ()):\n            for r in y.matrix._sparse:\n"
@@ -281,7 +297,7 @@ MUTANTS = (
            "        span = project_component(self, 0)\n",
            (BENT_EVERYWHERE,)),
     Mutant("shift: alpha on component 0 only", SPACES,
-           "((GradedMap(spec.alpha, 0),) * kind.arity,)", "((GradedMap(spec.alpha, 0),),)",
+           "((alpha,) * kind.arity,)", "((alpha,),)",
            (ON_REFERENCE,)),
     Mutant("shift: the target at level k, not k + 1", SPACES,
            "space(kind, k + 1, th)._tuple_view[0])", "space(kind, k, th)._tuple_view[0])",
@@ -382,6 +398,20 @@ MUTANTS = (
            "nil_ok = all(i < n and j < n for i, j in ext.spec._sparse)",
            "nil_ok = not all(i < n and j < n for i, j in ext.spec._sparse)",
            ("tests/test_cli.py::test_extend_fails_on_a_pair_of_t_power_three",)),
+    Mutant("extend: the double's validity hard-wired True", CLI,
+           "return ext, rep, axioms_ok and mult_ok, nil_ok", "return ext, rep, True, nil_ok",
+           (CLI_TESTS + "test_extend_fails_on_a_double_without_a_skew_partner",
+            CLI_TESTS + "test_report_fails_on_a_double_without_a_skew_partner")),
+    # decompose's three verdicts, each of which only a bent split fails
+    Mutant("decompose: the QDer membership hard-wired True", CLI,
+           "in_qder = space_contains(qspace, (dq, dpartner))", "in_qder = True",
+           (BENT_SPLIT + "[partner-zeroed]",)),
+    Mutant("decompose: the QC membership hard-wired True", CLI,
+           "in_qc = space_contains(qc_space, (dc,))", "in_qc = True",
+           (BENT_SPLIT + "[parts-swapped]",)),
+    Mutant("decompose: the exact sum hard-wired True", CLI,
+           "exact = triple[0].matrix == dq.matrix + dc.matrix", "exact = True",
+           (BENT_SPLIT + "[dc-doubled]",)),
     # the CLI's one parser and the checks it looks up by name
     Mutant("cli: jordan runs the law check", CLI,
            '"jordan": check_qc_structure}[args.command]',
@@ -391,12 +421,12 @@ MUTANTS = (
            "args = _PARSER.parse_args(argv)", "args = build_parser().parse_args(argv)",
            ("tests/test_cli.py::test_main_builds_no_parser_per_call",)),
     Mutant("embedding: the t^2 centrality verdict inverted", EXTENSION,
-           "_first_outside((zext, {n + i: 1}, i) for i in range(n))))",
-           "_first_outside((zext, {n + i: 1}, i) for i in range(n)) is None or None))",
+           "_first_outside(zext, (({n + i: 1}, i) for i in range(n)))))",
+           "_first_outside(zext, (({n + i: 1}, i) for i in range(n))) is None or None))",
            ("tests/test_extension.py::test_t2_copy_check_fails_on_a_bent_double",)),
     Mutant("phi: the Der(double) membership verdict inverted", EXTENSION,
-           "_first_outside((der_span, _coords(g), g) for g in images)))",
-           "_first_outside((der_span, _coords(g), g) for g in images) is None or None))",
+           "_first_outside(der_span, ((_coords(g), g) for g in images))))",
+           "_first_outside(der_span, ((_coords(g), g) for g in images)) is None or None))",
            (EXT + "test_phi_inside_der_fails_on_a_bent_quasiderivation",)),
     Mutant("phi: the image dimension verdict inverted", EXTENSION,
            '"pass" if img_span.dim == first_span.dim else "fail"',
@@ -501,31 +531,43 @@ def _tests_fail(src: Path, tests, workdir: Path) -> bool:
     return done.returncode != 0
 
 
+def _unmutated_fail(tests) -> bool:
+    """True when any of the tests fails on an unmutated copy; an empty
+    share runs nothing, as pytest with no test named runs them all."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return bool(tests) and _tests_fail(_copy_src(Path(tmp)), tests, Path(tmp))
+
+
+def _outcome(m: Mutant) -> tuple[str, bool]:
+    """The line that reports one mutant, run in its own copy, and whether
+    it fails the run: a stale entry or a survivor."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(Path(tmp))
+        path = Path(tmp) / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            return (f"STALE    {m.name}: the old snippet occurs "
+                    f"{text.count(m.old)} times in {m.file}"), True
+        path.write_text(text.replace(m.old, m.new))
+        start = time.perf_counter()
+        killed = _tests_fail(src, m.tests, Path(tmp))
+    return (f"{'killed  ' if killed else 'SURVIVED'} {m.name} "
+            f"({time.perf_counter() - start:.1f} s)"), not killed
+
+
 def run(mutants, out=print) -> int:
     """0 when the named tests pass unmutated and every mutant is killed,
-    else 1."""
+    else 1.  The unmutated run comes first, its tests shared out over the
+    CPUs; then the mutants run one per CPU, their lines in list order."""
     tests = sorted({t for m in mutants for t in m.tests})
-    with tempfile.TemporaryDirectory() as tmp:
-        if _tests_fail(_copy_src(Path(tmp)), tests, Path(tmp)):
+    cpus, bad = os.cpu_count() or 1, 0
+    with ThreadPoolExecutor(cpus) as pool:
+        if any(pool.map(_unmutated_fail, (tests[i::cpus] for i in range(cpus)))):
             out("BASELINE the named tests fail on the unmutated copy")
             return 1
-    bad = 0
-    for m in mutants:
-        with tempfile.TemporaryDirectory() as tmp:
-            src = _copy_src(Path(tmp))
-            path = Path(tmp) / m.file
-            text = path.read_text()
-            if text.count(m.old) != 1:
-                out(f"STALE    {m.name}: the old snippet occurs "
-                    f"{text.count(m.old)} times in {m.file}")
-                bad += 1
-                continue
-            path.write_text(text.replace(m.old, m.new))
-            start = time.perf_counter()
-            killed = _tests_fail(src, m.tests, Path(tmp))
-        out(f"{'killed  ' if killed else 'SURVIVED'} {m.name} "
-            f"({time.perf_counter() - start:.1f} s)")
-        bad += not killed
+        for line, failed in pool.map(_outcome, mutants):
+            out(line)
+            bad += failed
     out(f"{len(mutants) - bad} of {len(mutants)} mutants killed; "
         f"{len(EQUIVALENT)} equivalent listed, not run")
     return 1 if bad else 0

@@ -169,7 +169,7 @@ def verify_phi_properties(ext: ExtendedAlgebra, k: int,
         der_span = of_double(SpaceKind.DER, k, th)._first_view[0]
         checks.append(_verdict(
             f"phi(QDer) inside Der(double) {tag}",
-            _first_outside((der_span, _coords(g), g) for g in images)))
+            _first_outside(der_span, ((_coords(g), g) for g in images))))
     return CheckReport("phi properties", tuple(checks))
 
 
@@ -202,7 +202,7 @@ def verify_embedding_decomposition(ext: ExtendedAlgebra, k: int) -> CheckReport:
     zext = center(ext.spec)
     checks.append(_verdict(
         f"t^2 copy inside Z(double) (k={k})",
-        _first_outside((zext, {n + i: 1}, i) for i in range(n))))
+        _first_outside(zext, (({n + i: 1}, i) for i in range(n)))))
 
     surjective = rank(base.alpha) == n
     centerless = center(base).is_zero()

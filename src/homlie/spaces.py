@@ -407,11 +407,11 @@ class CheckReport:
         }
 
 
-def _first_outside(cells):
-    """Payload of the first (target, row, payload) cell whose ``_coords``
-    row, eliminated in place as ``contains`` does, lies outside its target,
-    or None.  Cells are consumed lazily: nothing after a witness is tested."""
-    for target, row, payload in cells:
+def _first_outside(target, cells):
+    """Payload of the first (row, payload) cell whose ``_coords`` row,
+    eliminated in place as ``contains`` does, lies outside target, or
+    None.  Cells are consumed lazily: nothing after a witness is tested."""
+    for row, payload in cells:
         if _eliminate(row, target._reduced):
             return payload
     return None
@@ -457,16 +457,16 @@ def _levels(k_max: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=1024)
 def _first_product_outside(s, a, b, target):
-    """The first tuple of products ``_product(x[c], y[c], s)`` outside
-    target, x in a outermost, or None; s is -1 for brackets and 0 for
-    compositions.  As all y have one degree, one ``_batched`` product per
-    x and component c forms x[c] times every y[c], the y[c] held as rows
-    keyed (w, r); only the nonzero products are tested, in w order, as a
-    zero lies in every target.  A bracket is super-skew, so when a == b
-    the product at (x_i, w) is +-that at (x_w, i), which comes first for
-    w < i: each x_i is bracketed only with the batches' suffix from w = i,
-    left as the rows of each w are dropped.  Keyed on content: a repeated
-    cell is answered once, and a changed basis is never served stale."""
+    """The first index pair (i, w), i outermost, whose products
+    ``_product(x[c], y[c], s)``, x = a[i] and y = b[w], leave target, or
+    None; s is -1 for brackets and 0 for compositions.  As all y have one
+    degree, one ``_batched`` product per x and component c forms x[c] times
+    every y[c], the y[c] held as rows keyed (w, r); only the nonzero ones
+    are tested, in w order, as a zero lies in every target.  A bracket is
+    super-skew, so when a == b the product at (x_i, w) is +-that at (x_w, i),
+    which comes first for w < i: each x_i is bracketed only with the batches'
+    suffix from w = i, left as the rows of each w are dropped.  Keyed on
+    content: a repeated cell is answered once, and a changed basis afresh."""
     if not b:
         return None
     n, dg, skew = b[0][0].n, b[0][0].degree, s == -1 and a == b
@@ -480,38 +480,39 @@ def _first_product_outside(s, a, b, target):
         for c, (p, g) in enumerate(zip(x, batches)):
             for (w, r), row in _sparse_sum(*_batched(p, g, dg, s)).items():
                 rows.setdefault(w, {}).update(((c * n + r) * n + col, v) for col, v in row.items())
-        w = _first_outside((target, rows[w], w) for w in sorted(rows))
+        w = _first_outside(target, ((rows[w], w) for w in sorted(rows)))
         if w is not None:
-            return tuple(_product(p, q, s) for p, q in zip(x, b[w]))
+            return i, w
     return None
 
 
-def _law_witness(space, sign, ka, kb, target, levels, whole=False):
+def _law_witness(space, sign, ka, kb, target, levels):
     """(k, s, th1, th2, g) for the first product ``_product(a, b, sign)``
     outside its target in the order (k, s, th1, th2, a, b), a from ka at
     level k and b from kb at level s, read by ``space``, or None.  ``target``
-    is a fixed subspace or a kind, whose span at k + s and the product's
-    degree is used.  g is the product's first component, or None for
-    whole tuples, read with their tuple spaces.
+    is a fixed subspace, a kind, whose first-component span at k + s and the
+    product's degree is used, or _TUPLE, whose tuple space of ka there is
+    used against whole tuples; g is the first components' product, or None.
     A bracket is super-skew, so when ka and kb are one kind the cell
     (s, k, th2, th1), which comes first for (s, th2) < (k, th1), holds the
     same products up to sign and has the same target: once it passes,
     this cell passes.  A failing cell walks its own products, for its own
     first witness."""
+    whole = target == _TUPLE
     view = "_tuple_view" if whole else "_first_view"
     for k, s in levels:
         for th1, th2 in itertools.product((0, 1), repeat=2):
             a, b = getattr(space(ka, k, th1), view)[1], getattr(space(kb, s, th2), view)[1]
             if not (a and b):
                 continue
-            tgt = (target if isinstance(target, Subspace)
-                   else getattr(space(target, k + s, (th1 + th2) % 2), view)[0])
+            tgt = (target if isinstance(target, Subspace) else getattr(
+                space(ka if whole else target, k + s, (th1 + th2) % 2), view)[0])
             if (sign == -1 and ka == kb and (s, th2) < (k, th1)
                     and _first_product_outside(sign, b, a, tgt) is None):
                 continue
-            g = _first_product_outside(sign, a, b, tgt)
-            if g is not None:
-                return k, s, th1, th2, None if whole else g[0]
+            at = _first_product_outside(sign, a, b, tgt)
+            if at is not None:
+                return k, s, th1, th2, None if whole else _product(a[at[0]][0], b[at[1]][0], sign)
     return None
 
 
@@ -572,7 +573,7 @@ def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
         maps = space(small, k, th)._first_view[1]
         target = maps and space(big, k, th)._first_view[0]  # no map, no target read
         checks.append(_verdict(f"{label} (k={k}, deg={th})",
-                               _first_outside((target, _coords(g), g) for g, in maps),
+                               _first_outside(target, ((_coords(g), g) for g, in maps)),
                                _witness))
     return CheckReport("inclusion chain", tuple(checks))
 
@@ -608,24 +609,22 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
             if unmet.get(kt):
                 checks.append(Check(name, "skipped", unmet[kt]))
                 continue
-            whole = kt == _TUPLE
             checks.append(_verdict(name, _law_witness(
-                space, -1, ka, kb,
-                ka if whole else fixed.get(kt, kt), [(k, s)], whole), _where))
+                space, -1, ka, kb, fixed.get(kt, kt), [(k, s)]), _where))
 
     # stability of every space under the shift D -> D o alpha, one law cell with
     # B = ((alpha, .., alpha),); it needs a bracket-preserving twist, so it is gated
-    multiplicative = validate(spec).multiplicative_ok
+    multiplicative, alpha = validate(spec).multiplicative_ok, GradedMap(spec.alpha, 0)
     for k, th, kind in itertools.product(range(k_max), (0, 1), SpaceKind):
         name = f"shift {kind.value}: k={k} -> {k + 1} (deg={th})"
         if not multiplicative:
             checks.append(Check(name, "skipped",
                                 "twist does not preserve the bracket"))
             continue
-        shifted = _first_product_outside(0, space(kind, k, th).tuples,
-                                         ((GradedMap(spec.alpha, 0),) * kind.arity,),
-                                         space(kind, k + 1, th)._tuple_view[0])
-        checks.append(_verdict(name, shifted and shifted[0], _witness))
+        tuples = space(kind, k, th).tuples
+        at = _first_product_outside(0, tuples, ((alpha,) * kind.arity,),
+                                    space(kind, k + 1, th)._tuple_view[0])
+        checks.append(_verdict(name, at and _product(tuples[at[0]][0], alpha, 0), _witness))
 
     # quasicentroid closure is an observation, not a law
     open_at = _law_witness(space, -1, *_QC_CLOSURE, _levels(k_max))

@@ -841,11 +841,11 @@ def reference_two_rref_nullspace(m: Matrix) -> Subspace:
     return Subspace(m.cols, tuple(basis.row(i) for i in range(dim)))
 
 
-def reference_first_outside(cells):
+def reference_first_outside(target, cells):
     """``spaces._first_outside`` as it was: the payload of the first
-    (target, dense vector, payload) cell whose vector ``contains``
-    rejects, or None."""
-    for target, vector, payload in cells:
+    (dense vector, payload) cell whose vector ``contains`` rejects from
+    target, or None."""
+    for vector, payload in cells:
         if not contains(target, vector):
             return payload
     return None
@@ -907,33 +907,40 @@ def reference_hom_jordan_residual(alpha: Matrix, x, y, z, w) -> Matrix:
 def reference_first_product_outside(s, a, b, target):
     """``spaces._first_product_outside`` as it was: one ``_product(p, q, s)``
     per pair (x, y), x in a outermost, component by component, each
-    product's ``_coords`` eliminated against the target; the first product
-    outside it, or None."""
-    products = (tuple(spaces._product(p, q, s) for p, q in zip(x, y))
-                for x in a for y in b)
-    return spaces._first_outside((target, spaces._coords(*g), g)
-                                 for g in products)
+    product's ``_coords`` eliminated against the target; the index pair
+    (i, w) of x = a[i] and y = b[w] for the first product outside it, or
+    None."""
+    products = ((i, w, tuple(spaces._product(p, q, s) for p, q in zip(x, y)))
+                for i, x in enumerate(a) for w, y in enumerate(b))
+    return spaces._first_outside(target, ((spaces._coords(*g), (i, w))
+                                          for i, w, g in products))
 
 
-def reference_law_witness(space, sign, ka, kb, target, levels, whole=False):
+def reference_law_witness(space, sign, ka, kb, target, levels):
     """``spaces._law_witness`` as it was before bracket cells read their
     transposes: every cell of the order (k, s, th1, th2) is walked through
     ``spaces._first_product_outside``, looked up at call time, so a
     patched cell reaches this walk too.  ``space`` is a level reader of
-    ``spaces._reader``; the tuple view is read with ``whole``, else the
-    first-component view."""
+    ``spaces._reader``; the tuple views are read when target is
+    ``spaces._TUPLE``, with the tuple space of ka as target, else the
+    first-component views.  The witness is the product of the first
+    components of the cell's failing pair, or None for whole tuples."""
+    whole = target == spaces._TUPLE
+
     def view(kind, k, th):
         solved = space(kind, k, th)
         return solved._tuple_view if whole else solved._first_view
 
     for k, s in levels:
         for th1, th2 in itertools.product((0, 1), repeat=2):
+            a, b = view(ka, k, th1)[1], view(kb, s, th2)[1]
             tgt = (target if isinstance(target, Subspace)
-                   else view(target, k + s, (th1 + th2) % 2)[0])
-            g = spaces._first_product_outside(sign, view(ka, k, th1)[1],
-                                              view(kb, s, th2)[1], tgt)
-            if g is not None:
-                return k, s, th1, th2, None if whole else g[0]
+                   else view(ka if whole else target, k + s, (th1 + th2) % 2)[0])
+            at = spaces._first_product_outside(sign, a, b, tgt)
+            if at is not None:
+                i, w = at
+                return k, s, th1, th2, None if whole else spaces._product(
+                    a[i][0], b[w][0], sign)
     return None
 
 

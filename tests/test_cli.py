@@ -18,7 +18,7 @@ import homlie
 from homlie import cli
 from homlie.algebra import AlgebraSpec
 from homlie.cli import main
-from homlie.spaces import SpaceKind, solve_space
+from homlie.spaces import GradedMap, SpaceKind, solve_space
 
 
 def run(capsys, *argv):
@@ -114,7 +114,8 @@ def test_chain_laws_jordan_pass(capsys):
         assert "0 fail" in out
 
 
-def test_decompose_roundtrip(capsys, tmp_path):
+def _first_gder_triple_file(tmp_path):
+    """ex2_5's first GDer basis triple at k = 1, degree 0, as a file."""
     from homlie.catalog import load_builtin
     spec = load_builtin("ex2_5")
     triple = solve_space(spec, SpaceKind.GDER, 1, 0).tuples[0]
@@ -124,10 +125,55 @@ def test_decompose_roundtrip(capsys, tmp_path):
         "maps": [[[str(g.matrix.at(r, c)) for c in range(3)]
                   for r in range(3)] for g in triple],
     }))
+    return path
+
+
+def test_decompose_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "decompose", "ex2_5", "--k", "1",
-                       "--triple", str(path))
+                       "--triple", str(_first_gder_triple_file(tmp_path)))
     assert code == 0
     assert "D = Dq + Dc exactly: yes" in out
+
+
+def _bend_decomposition(monkeypatch, bend):
+    """``decompose_generalized`` with its split ((Dq, Dq'), Dc) passed
+    through bend(dq, dpartner, dc)."""
+    split = cli.decompose_generalized
+
+    def bent(*args):
+        (dq, dpartner), dc = split(*args)
+        return bend(dq, dpartner, dc)
+
+    monkeypatch.setattr(cli, "decompose_generalized", bent)
+
+
+# (bend, the three verdicts): a zeroed partner leaves only the pair
+# outside QDer, swapped parts leave both parts outside their spaces but
+# the sum exact, and a doubled Dc stays in QC but breaks the sum
+_DECOMPOSE_BENDS = {
+    "partner-zeroed": (lambda dq, dp, dc: ((dq, GradedMap(dp.matrix.scale(0), dp.degree)), dc),
+                       (False, True, True)),
+    "parts-swapped": (lambda dq, dp, dc: ((dc, dp), dq), (False, False, True)),
+    "dc-doubled": (lambda dq, dp, dc: ((dq, dp), GradedMap(dc.matrix.scale(2), dc.degree)),
+                   (True, True, False)),
+}
+
+
+@pytest.mark.parametrize("bend", list(_DECOMPOSE_BENDS))
+def test_decompose_verdicts_fail_on_a_bent_split(capsys, tmp_path, monkeypatch, bend):
+    make, verdicts = _DECOMPOSE_BENDS[bend]
+    _bend_decomposition(monkeypatch, make)
+    path = _first_gder_triple_file(tmp_path)
+    code, out, _ = run(capsys, "decompose", "ex2_5", "--k", "1", "--triple", str(path))
+    assert code == 1
+    labels = ("(Dq, Dq') in QDer space", "Dc in QC space", "D = Dq + Dc exactly")
+    assert out.splitlines()[-3:] == [f"{label}: {'yes' if v else 'NO'}"
+                                     for label, v in zip(labels, verdicts)]
+    code, out, _ = run(capsys, "decompose", "ex2_5", "--k", "1", "--triple", str(path),
+                       "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert (doc["qder_member"], doc["qc_member"], doc["sum_exact"]) == verdicts
 
 
 def test_decompose_rejects_non_member(capsys, tmp_path):
@@ -180,6 +226,46 @@ def test_report_fails_on_a_pair_of_t_power_three(capsys, monkeypatch):
     code, out, _ = run(capsys, "report", "abelian2", "--kmax", "0")
     assert code == 1
     assert "double validates: yes; t-power truncation: NO" in out.splitlines()
+
+
+def _without_a_skew_partner(monkeypatch):
+    """``build_extended`` with the first pair (j, i), j > i, dropped from
+    the double's view while (i, j) stays: the bent double fails super
+    skew-symmetry, and every bracket keeps its t-power."""
+    build = cli.build_extended
+
+    def bent(base):
+        ext = build(base)
+        view = dict(ext.spec._sparse)
+        del view[min((j, i) for j, i in view if j > i)]
+        spec = AlgebraSpec._of(ext.spec.name, ext.spec.degrees, ext.spec.alpha,
+                               view, ext.spec.basis_names)
+        return dataclasses.replace(ext, spec=spec)
+
+    monkeypatch.setattr(cli, "build_extended", bent)
+
+
+def test_extend_fails_on_a_double_without_a_skew_partner(capsys, monkeypatch):
+    _without_a_skew_partner(monkeypatch)
+    code, out, _ = run(capsys, "extend", "heisenberg3")
+    assert code == 1
+    assert "double passes validation: NO" in out.splitlines()
+    assert "brackets with t-power >= 3 vanish: yes" in out.splitlines()
+    code, out, _ = run(capsys, "extend", "heisenberg3", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False and doc["truncation_ok"] is True
+    assert (doc["validation"]["ok"], doc["validation"]["skew_ok"]) == (False, False)
+
+
+def test_report_fails_on_a_double_without_a_skew_partner(capsys, monkeypatch):
+    _without_a_skew_partner(monkeypatch)
+    code, out, _ = run(capsys, "report", "heisenberg3", "--kmax", "0")
+    assert code == 1
+    assert "double validates: NO; t-power truncation: yes" in out.splitlines()
+    code, out, _ = run(capsys, "report", "heisenberg3", "--kmax", "0", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert (doc["double"]["validates"], doc["double"]["truncation_ok"]) == (False, True)
 
 
 def test_embed_command(capsys):

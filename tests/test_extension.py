@@ -237,8 +237,8 @@ def test_t2_copy_check_fails_on_a_bent_double(ex2_5, monkeypatch):
                            dict(sorted(view.items())), ext.spec.basis_names)
     witnesses, first_outside = [], extension._first_outside
 
-    def spy(cells):
-        witnesses.append(first_outside(cells))
+    def spy(target, cells):
+        witnesses.append(first_outside(target, cells))
         return witnesses[-1]
 
     monkeypatch.setattr(extension, "_first_outside", spy)

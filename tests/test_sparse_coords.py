@@ -100,9 +100,9 @@ def test_first_outside_matches_the_dense_walk(case):
     tuples, target = case
     assert all(_coords(*t) == _nonzeros(tuple_vector(t)) for t in tuples)
     reduced = copy.deepcopy(target._reduced)
-    got = _first_outside((target, _coords(*t), i) for i, t in enumerate(tuples))
+    got = _first_outside(target, ((_coords(*t), i) for i, t in enumerate(tuples)))
     assert got == reference_first_outside(
-        (target, tuple_vector(t), i) for i, t in enumerate(tuples))
+        target, ((tuple_vector(t), i) for i, t in enumerate(tuples)))
     # eliminating a cell's row leaves the target's cached rows as they were
     assert target._reduced == reduced
 
@@ -115,9 +115,9 @@ def test_first_outside_finds_a_bent_product():
     # a scaled, non-canonical basis holding ab and ba but not the bent ba
     target = Subspace(4, (tuple(2 * x for x in ab.matrix.entries), ba.matrix.entries))
     tuples = [(ab,), (ba,), (bent,), (ab,)]
-    got = _first_outside((target, _coords(*t), i) for i, t in enumerate(tuples))
+    got = _first_outside(target, ((_coords(*t), i) for i, t in enumerate(tuples)))
     assert got == 2 == reference_first_outside(
-        (target, tuple_vector(t), i) for i, t in enumerate(tuples))
+        target, ((tuple_vector(t), i) for i, t in enumerate(tuples)))
 
 
 @settings(max_examples=100, deadline=None)
