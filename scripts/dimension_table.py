@@ -4,12 +4,13 @@
 import argparse
 
 from homlie.catalog import BUILTIN, load_builtin
+from homlie.cli import _twist_power
 from homlie.spaces import SpaceKind, project_component, solve_space
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kmax", type=int, default=2)
+    ap.add_argument("--kmax", type=_twist_power, default=2)
     ap.add_argument("--lax", action="store_true",
                     help="drop the twist-commutation constraints")
     args = ap.parse_args()

@@ -46,7 +46,7 @@ class Mutant(NamedTuple):
 
 SPACES, LINALG, ALGEBRA = "src/homlie/spaces.py", "src/homlie/linalg.py", "src/homlie/algebra.py"
 EXTENSION, CLI, README = "src/homlie/extension.py", "src/homlie/cli.py", "README.md"
-FILEFORMAT = "src/homlie/fileformat.py"
+FILEFORMAT, RANDOMGEN = "src/homlie/fileformat.py", "src/homlie/randomgen.py"
 BATCHED = "tests/test_batched_engines.py::"
 JORDAN = "tests/test_jordan_engine.py::"
 RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
@@ -79,6 +79,7 @@ LAW_FAIL = "tests/test_laws.py::test_each_law_family_fails_under_its_fixture"
 EXT = "tests/test_extension.py::"
 CLI_TESTS = "tests/test_cli.py::"
 BENT_SPLIT = CLI_TESTS + "test_decompose_verdicts_fail_on_a_bent_split"
+GOLDEN_REPORT = "tests/test_golden.py::test_report_output_is_golden"
 PUBLIC = "tests/test_public_api.py::"
 SUMMED = ("tests/test_fileformat.py::"
           "test_terms_are_summed_into_one_row_and_a_cancelled_bracket_is_dropped")
@@ -420,6 +421,22 @@ MUTANTS = (
     Mutant("cli: a parser built on every call", CLI,
            "args = _PARSER.parse_args(argv)", "args = build_parser().parse_args(argv)",
            ("tests/test_cli.py::test_main_builds_no_parser_per_call",)),
+    Mutant("cli: --lax stores True, so every run without it is lax", CLI,
+           'dest="strict", action="store_false"', 'dest="strict", action="store_true"',
+           (GOLDEN_REPORT + "[ex2_5-text]",)),
+    Mutant("cli: report's row loses --lax", CLI,
+           '"run the full verification suite", ("--kmax", "--lax")),',
+           '"run the full verification suite", ("--kmax",)),',
+           (CLI_TESTS + "test_every_subcommand_keeps_its_options",
+            GOLDEN_REPORT + "[ex2_5-json_lax]")),
+    # a sampler that refuses nonsense arguments before it draws
+    Mutant("sampler: a negative count let through", RANDOMGEN,
+           "if count < 0:", "if False:",
+           ("tests/test_algebra.py::test_sampling_refuses_a_negative_count_before_drawing",)),
+    # a check family that the fail census has no row for
+    Mutant("census: a check family renamed", EXTENSION,
+           'f"t^2 copy inside Z(double) (k={k})"', 'f"t^2 copy in Z(double) (k={k})"',
+           ("tests/test_fail_census.py::test_every_family_the_report_emits_has_a_row",)),
     Mutant("embedding: the t^2 centrality verdict inverted", EXTENSION,
            "_first_outside(zext, (({n + i: 1}, i) for i in range(n)))))",
            "_first_outside(zext, (({n + i: 1}, i) for i in range(n))) is None or None))",

@@ -8,6 +8,7 @@ beyond the bundled corpus.
 import argparse
 import random
 
+from homlie.cli import _twist_power
 from homlie.randomgen import sample_algebras
 from homlie.spaces import (
     SpaceKind,
@@ -18,12 +19,24 @@ from homlie.spaces import (
 )
 
 
+def _basis_size(text: str) -> int:
+    """argparse type of --nmax: an integer >= 2, as a free draw needs two
+    basis elements."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=10)
+    ap.add_argument("--count", type=_twist_power, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--nmax", type=int, default=3)
-    ap.add_argument("--kmax", type=int, default=1)
+    ap.add_argument("--nmax", type=_basis_size, default=3)
+    ap.add_argument("--kmax", type=_twist_power, default=1)
     args = ap.parse_args()
 
     rng = random.Random(args.seed)

@@ -104,9 +104,8 @@ def cmd_center(args, spec: AlgebraSpec):
 
 def cmd_solve(args, spec: AlgebraSpec):
     kind = SpaceKind.parse(args.kind)
-    strict = not args.lax
-    space = solve_space(spec, kind, args.k, args.degree, strict)
-    mode = "strict" if strict else "lax"
+    space = solve_space(spec, kind, args.k, args.degree, args.strict)
+    mode = "strict" if args.strict else "lax"
     lines = [f"{kind.value} space of {spec.name} "
              f"(k={args.k}, degree={args.degree}, {mode}): dim {space.dim}"]
     for idx, t in enumerate(space.tuples, 1):
@@ -114,7 +113,7 @@ def cmd_solve(args, spec: AlgebraSpec):
         for cname, g in zip(_COMPONENT_NAMES, t):
             lines.append(f"  {cname} = {format_matrix(g.matrix)}")
     return lines, {"kind": kind.value, "k": args.k, "theta": args.degree,
-                   "strict": strict, "dim": space.dim,
+                   "strict": args.strict, "dim": space.dim,
                    "tuples": [[_matrix_json(g.matrix) for g in t]
                               for t in space.tuples]}, None
 
@@ -124,23 +123,22 @@ def cmd_check(args, spec: AlgebraSpec):
     here, so a patched or traced check function is the one run."""
     check = {"chain": check_inclusion_chain, "laws": check_bracket_laws,
              "jordan": check_qc_structure}[args.command]
-    rep = check(spec, args.kmax, not args.lax)
+    rep = check(spec, args.kmax, args.strict)
     return _report_lines(rep), {
-        "mode": {"strict": not args.lax, "k_max": args.kmax},
+        "mode": {"strict": args.strict, "k_max": args.kmax},
         "report": rep.to_dict()}, rep.ok
 
 
 def cmd_decompose(args, spec: AlgebraSpec):
-    strict = not args.lax
     triple = parse_map_tuple(args.triple, spec.n, 3)
     degree = triple[0].degree
     try:
         (dq, dpartner), dc = decompose_generalized(spec, args.k, degree,
-                                                   triple, strict)
+                                                   triple, args.strict)
     except ValueError as exc:
         raise _Refusal(f"decomposition failed: {exc}") from None
-    qspace = solve_space(spec, SpaceKind.QDER, args.k, degree, strict)
-    qc_space = solve_space(spec, SpaceKind.QC, args.k, degree, strict)
+    qspace = solve_space(spec, SpaceKind.QDER, args.k, degree, args.strict)
+    qc_space = solve_space(spec, SpaceKind.QC, args.k, degree, args.strict)
     in_qder = space_contains(qspace, (dq, dpartner))
     in_qc = space_contains(qc_space, (dc,))
     exact = triple[0].matrix == dq.matrix + dc.matrix
@@ -152,7 +150,7 @@ def cmd_decompose(args, spec: AlgebraSpec):
         f"Dc in QC space: {'yes' if in_qc else 'NO'}",
         f"D = Dq + Dc exactly: {'yes' if exact else 'NO'}",
     ]
-    return lines, {"k": args.k, "theta": degree, "strict": strict,
+    return lines, {"k": args.k, "theta": degree, "strict": args.strict,
                    "qder_part": _matrix_json(dq.matrix),
                    "qder_partner": _matrix_json(dpartner.matrix),
                    "qc_part": _matrix_json(dc.matrix),
@@ -193,7 +191,7 @@ def cmd_embed(args, spec: AlgebraSpec):
         ext = build_extended(spec)
     except ValueError as exc:
         raise _Refusal(f"extension failed: {exc}") from None
-    prep = verify_phi_properties(ext, args.k, not args.lax)
+    prep = verify_phi_properties(ext, args.k, args.strict)
     drep = verify_embedding_decomposition(ext, args.k)
     return _report_lines(prep) + _report_lines(drep), {
         "k": args.k, "phi": prep.to_dict(),
@@ -201,11 +199,10 @@ def cmd_embed(args, spec: AlgebraSpec):
 
 
 def cmd_report(args, spec: AlgebraSpec):
-    strict = not args.lax
     k_max = args.kmax
     rep = validate(spec)
     lines = _validation_lines(spec, rep)
-    doc = {"mode": {"strict": strict, "k_max": k_max},
+    doc = {"mode": {"strict": args.strict, "k_max": k_max},
            "validation": rep.to_dict()}
     if not rep.axioms_ok:
         lines.append("skipping computations: validation failed")
@@ -215,15 +212,15 @@ def cmd_report(args, spec: AlgebraSpec):
     lines.append(f"center: dim {z.dim}")
     doc["center_dim"] = z.dim
 
-    dims = _dimension_entries(spec, k_max, strict)
+    dims = _dimension_entries(spec, k_max, args.strict)
     lines.append("== dimensions ==")
     lines.extend(_dimension_lines(dims))
     doc["dimensions"] = dims
 
     reports = [
-        check_inclusion_chain(spec, k_max, strict),
-        check_bracket_laws(spec, k_max, strict),
-        check_qc_structure(spec, k_max, strict),
+        check_inclusion_chain(spec, k_max, args.strict),
+        check_bracket_laws(spec, k_max, args.strict),
+        check_qc_structure(spec, k_max, args.strict),
     ]
     ext, _, ext_valid, nil_ok = _extension_checks(spec)
     lines.append("== double ==")
@@ -232,7 +229,7 @@ def cmd_report(args, spec: AlgebraSpec):
     doc["double"] = {"validates": ext_valid, "truncation_ok": nil_ok,
                      "u_complement_dim": ext.u_complement.dim}
     for k in range(k_max + 1):
-        reports.append(verify_phi_properties(ext, k, strict))
+        reports.append(verify_phi_properties(ext, k, args.strict))
         reports.append(verify_embedding_decomposition(ext, k))
 
     for r in reports:
@@ -252,6 +249,34 @@ def _twist_power(text: str) -> int:
     return value
 
 
+# every option, in the order each parser adds those it takes
+_OPTIONS = {
+    "--kind": dict(required=True, help="one of Der, GDer, QDer, C, QC, ZDer"),
+    "--k": dict(type=_twist_power, default=0, help="twist power"),
+    "--kmax": dict(type=_twist_power, default=3, help="largest twist power checked (default 3)"),
+    "--degree": dict(type=int, choices=(0, 1), default=0, help="Z2 degree of the unknown maps"),
+    "--triple": dict(required=True, help="JSON file with the three matrices"),
+    "--lax": dict(dest="strict", action="store_false",
+                  help="drop the twist-commutation constraints"),
+    "--json": dict(action="store_true", help="emit a machine-readable JSON report"),
+}
+
+# (command, function, help, the options it takes besides --json)
+_COMMANDS = (
+    ("validate", cmd_validate, "check the algebra axioms", ()),
+    ("center", cmd_center, "compute the center", ()),
+    ("solve", cmd_solve, "solve one operator space", ("--kind", "--k", "--degree", "--lax")),
+    ("chain", cmd_check, "verify the inclusion chain", ("--kmax", "--lax")),
+    ("laws", cmd_check, "verify the bracket and shift laws", ("--kmax", "--lax")),
+    ("decompose", cmd_decompose, "split a generalized-derivation triple",
+     ("--k", "--triple", "--lax")),
+    ("extend", cmd_extend, "build and validate the t-graded double", ()),
+    ("embed", cmd_embed, "verify the quasiderivation embedding", ("--k", "--lax")),
+    ("jordan", cmd_check, "verify quasicentroid closure and Jordan structure", ("--kmax", "--lax")),
+    ("report", cmd_report, "run the full verification suite", ("--kmax", "--lax")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homlie",
@@ -259,48 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator spaces, structure laws and the "
                     "quasiderivation embedding.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, *, kind=False, k=False, kmax=False,
-            degree=False, triple=False, lax=True):
+    for name, fn, help_text, options in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("algebra",
                         help="algebra file path or bundled name "
                              f"({', '.join(BUILTIN)})")
-        if kind:
-            sp.add_argument("--kind", required=True,
-                            help="one of Der, GDer, QDer, C, QC, ZDer")
-        if k:
-            sp.add_argument("--k", type=_twist_power, default=0, help="twist power")
-        if kmax:
-            sp.add_argument("--kmax", type=_twist_power, default=3,
-                            help="largest twist power checked (default 3)")
-        if degree:
-            sp.add_argument("--degree", type=int, choices=(0, 1), default=0,
-                            help="Z2 degree of the unknown maps")
-        if triple:
-            sp.add_argument("--triple", required=True,
-                            help="JSON file with the three matrices")
-        if lax:
-            sp.add_argument("--lax", action="store_true",
-                            help="drop the twist-commutation constraints")
-        sp.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON report")
+        for flag, kwargs in _OPTIONS.items():
+            if flag in options or flag == "--json":
+                sp.add_argument(flag, **kwargs)
         sp.set_defaults(func=fn)
-
-    add("validate", cmd_validate, "check the algebra axioms", lax=False)
-    add("center", cmd_center, "compute the center", lax=False)
-    add("solve", cmd_solve, "solve one operator space",
-        kind=True, k=True, degree=True)
-    add("chain", cmd_check, "verify the inclusion chain", kmax=True)
-    add("laws", cmd_check, "verify the bracket and shift laws", kmax=True)
-    add("decompose", cmd_decompose,
-        "split a generalized-derivation triple", k=True, triple=True)
-    add("extend", cmd_extend, "build and validate the t-graded double",
-        lax=False)
-    add("embed", cmd_embed, "verify the quasiderivation embedding", k=True)
-    add("jordan", cmd_check,
-        "verify quasicentroid closure and Jordan structure", kmax=True)
-    add("report", cmd_report, "run the full verification suite", kmax=True)
     return parser
 
 

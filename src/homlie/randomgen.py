@@ -90,7 +90,12 @@ def random_algebra(rng: random.Random, n_max: int = 3) -> AlgebraSpec | None:
 
 
 def sample_algebras(rng: random.Random, count: int, n_max: int = 3) -> list[AlgebraSpec]:
-    """Draw until `count` validated algebras are found."""
+    """Draw until `count` validated algebras are found; a free draw needs
+    two basis elements, so `n_max` must be at least 2."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     out: list[AlgebraSpec] = []
     for _ in range(_MAX_TRIES):
         if len(out) == count:

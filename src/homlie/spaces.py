@@ -430,6 +430,8 @@ def _reader(spec: AlgebraSpec, strict: bool, k_max: int):
     reads k only through alpha^k.  Every check reads its levels here.
     The powers are formed up to the first repeat alpha^p = alpha^q, q < p,
     after which the least power of k >= q is q + (k - q) mod (p - q).
+    Stopping at the first repeat keeps a far level cheap: ``embed --k K``
+    and the double's checks build a reader up to K to read one level.
     A power is keyed with the sum of its entries' bit lengths: hash(2**j)
     repeats with period 61, and unequal powers must not chain in one bucket."""
     if isinstance(k_max, bool) or not isinstance(k_max, int):

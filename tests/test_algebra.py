@@ -146,3 +146,22 @@ def test_sampling_gives_up_after_its_budget(monkeypatch):
                                            "2 valid algebras were found"):
         randomgen.sample_algebras(random.Random(0), 2, n_max=4)
     assert draws == [4] * 20000
+
+
+def test_sampling_refuses_a_negative_count_before_drawing():
+    # unguarded, the loop never meets len(out) == -1 and returns a list
+    # of up to 20000 algebras
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+        randomgen.sample_algebras(rng, -1)
+    assert rng.getstate() == state
+
+
+def test_sampling_refuses_a_basis_too_small_for_a_free_draw():
+    # unguarded, the free draw raises "empty range for randrange()"
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"^n_max must be >= 2, got 1$"):
+        randomgen.sample_algebras(rng, 3, n_max=1)
+    assert rng.getstate() == state

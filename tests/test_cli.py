@@ -341,6 +341,52 @@ def test_main_builds_no_parser_per_call(capsys, monkeypatch):
     assert made == []
 
 
+def _pinned(parser):
+    """Each argument of a parser as a user meets it: option strings, help,
+    required, choices and, for one that takes a value, its default.  The
+    formatted help is left out, as it varies with Python and the terminal."""
+    return [(a.option_strings, a.help, a.required, a.choices and list(a.choices),
+             a.default if a.nargs != 0 else None) for a in parser._actions]
+
+
+_HELP = (["-h", "--help"], "show this help message and exit", False, None, None)
+_ALGEBRA = ([], "algebra file path or bundled name "
+                "(ex2_5, abelian2, heisenberg3, odd_heisenberg)", True, None, None)
+_PINNED_OPTIONS = {
+    "--kind": (["--kind"], "one of Der, GDer, QDer, C, QC, ZDer", True, None, None),
+    "--k": (["--k"], "twist power", False, None, 0),
+    "--kmax": (["--kmax"], "largest twist power checked (default 3)", False, None, 3),
+    "--degree": (["--degree"], "Z2 degree of the unknown maps", False, [0, 1], 0),
+    "--triple": (["--triple"], "JSON file with the three matrices", True, None, None),
+    "--lax": (["--lax"], "drop the twist-commutation constraints", False, None, None),
+    "--json": (["--json"], "emit a machine-readable JSON report", False, None, None),
+}
+# command: (help, options besides --json)
+_PINNED_COMMANDS = {
+    "validate": ("check the algebra axioms", ()),
+    "center": ("compute the center", ()),
+    "solve": ("solve one operator space", ("--kind", "--k", "--degree", "--lax")),
+    "chain": ("verify the inclusion chain", ("--kmax", "--lax")),
+    "laws": ("verify the bracket and shift laws", ("--kmax", "--lax")),
+    "decompose": ("split a generalized-derivation triple", ("--k", "--triple", "--lax")),
+    "extend": ("build and validate the t-graded double", ()),
+    "embed": ("verify the quasiderivation embedding", ("--k", "--lax")),
+    "jordan": ("verify quasicentroid closure and Jordan structure", ("--kmax", "--lax")),
+    "report": ("run the full verification suite", ("--kmax", "--lax")),
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    top = cli._PARSER
+    sub = top._subparsers._group_actions[0]
+    assert _pinned(top) == [_HELP, ([], None, True, list(_PINNED_COMMANDS), None)]
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        name: help_text for name, (help_text, _) in _PINNED_COMMANDS.items()}
+    for name, (_, options) in _PINNED_COMMANDS.items():
+        assert _pinned(sub.choices[name]) == [
+            _HELP, _ALGEBRA, *(_PINNED_OPTIONS[o] for o in (*options, "--json"))], name
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["report", "abelian2", "--kmax", "0", "--json"], 0), (["report"], 2)],
     ids=["report", "usage-error"])
