@@ -53,6 +53,7 @@ RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
 BATCH = "tests/test_batched_product.py::test_each_block_is_the_per_pair_product"
 WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
 SELF_CELL = BATCHED + "test_a_bracket_cell_of_one_basis_finds_the_first_witness"
+TWO_BASES = BATCHED + "test_a_cell_of_two_bases_finds_the_first_witness"
 H9_LAX = "tests/test_golden_large.py::test_large_report_is_golden[h9-lax]"
 CACHE_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_a_failing_report"
 REPORT_COUNTS = "tests/test_law_engine.py::test_law_cache_counts_on_report"
@@ -160,15 +161,28 @@ MUTANTS = (
            "done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())",
            "done = _reduce(dict(row) for row in m._sparse.values())",
            ("tests/test_mixed_rows.py::test_nullspace_matches_the_dense_reference",)),
-    # the batched product of both engines
-    Mutant("_batched: s ignored", SPACES,
-           "(sign * s * parity_sign(p.degree, dg), g, x)", "(sign * parity_sign(p.degree, dg), g, x)",
+    # the join that forms a map times a batch of maps, for both engines
+    Mutant("_join: s ignored", SPACES,
+           "t = sign * s * parity_sign(p.degree, dg)", "t = sign * parity_sign(p.degree, dg)",
            (BATCH,)),
-    Mutant("_batched: the parity sign ignored", SPACES,
-           "(sign * s * parity_sign(p.degree, dg), g, x)", "(sign * s, g, x)",
+    Mutant("_join: the parity sign ignored", SPACES,
+           "t = sign * s * parity_sign(p.degree, dg)", "t = sign * s",
            (BATCH,)),
-    Mutant("_batched: the left product unsigned", SPACES,
-           "[(sign, p.matrix._cols, g)]", "[(1, p.matrix._cols, g)]",
+    Mutant("_join: the left product unsigned", SPACES,
+           "_subtract(acc.setdefault((w, k), {}), -sign * f, row)",
+           "_subtract(acc.setdefault((w, k), {}), -f, row)",
+           (BATCH,)),
+    Mutant("_join: a batch column of one entry skipped", SPACES,
+           "for w, r, f in cols.get(k, ()) if t else ():",
+           "for w, r, f in cols.get(k, ()) if t and len(cols.get(k, ())) > 1 else ():",
+           (BATCH,)),
+    Mutant("_join: the column read unsigned", SPACES,
+           "t = sign * s * parity_sign(p.degree, dg)", "t = s * parity_sign(p.degree, dg)",
+           (BATCH,)),
+    Mutant("_join: the reverse term read through p's column instead of its row", SPACES,
+           "_subtract(acc.setdefault((w, r), {}), -t * f, prow)",
+           "_subtract(acc.setdefault((w, r), {}), -t * f,\n"
+           "                              {c: v[k] for c, v in p.matrix._sparse.items() if k in v})",
            (BATCH,)),
     # the w-generic Jordan engine and its basis-first walk
     Mutant("jordan: the max instead of the min w", SPACES,
@@ -202,12 +216,13 @@ MUTANTS = (
     Mutant("jordan: the witness read off the basis walk", SPACES,
            "and _jordan_witness(spec.alpha, elems)", "and _jordan_witness(spec.alpha, basis)",
            (BATCHED + "test_basis_first_walk_fails_with_the_walked_witness",)),
-    Mutant("jordan: keyed rows multiplied on the left keep their row", LINALG,
-           "out = acc.setdefault((w, r), {})", "out = acc.setdefault((w, k), {})",
+    Mutant("jordan: keyed rows multiplied on the left keep their row", SPACES,
+           "_subtract(acc.setdefault((w, k), {}), -sign * f, row)",
+           "_subtract(acc.setdefault((w, j), {}), -sign * f, row)",
            (RESIDUALS,)),
     # the batched law cells
     Mutant("law: a swapped (w, r) key", SPACES,
-           "for (w, r), row in _sparse_sum(", "for (r, w), row in _sparse_sum(",
+           "for (w, r), row in _join(", "for (r, w), row in _join(",
            (WIDE_CELL,)),
     Mutant("law: the component offset dropped", SPACES,
            "(c * n + r) * n + col", "r * n + col",
@@ -236,11 +251,12 @@ MUTANTS = (
            "((rows.get(w, {None: 1}), w) for w in range(len(b))))",
            (ON_REFERENCE,)),
     Mutant("law: w > x in place of w >= x in a cell of one basis", SPACES,
-           "b[i - 1] if skew and i else ()):\n            for r in y.matrix._sparse:\n"
-           "                del g[i - 1, r]",
-           "b[i] if skew else ()):\n            for r in y.matrix._sparse:\n"
-           "                del g[i, r]",
+           "lo=i if skew else 0", "lo=i + 1 if skew else 0",
            (SELF_CELL,)),
+    Mutant("law: the w >= x bound applied to a cell of two bases", SPACES,
+           "skew = b[0][0].n, b[0][0].degree, s == -1 and a == b",
+           "skew = b[0][0].n, b[0][0].degree, s == -1",
+           (TWO_BASES,)),
     Mutant("law: the transposed cut on a composition cell", SPACES,
            "if (sign == -1 and ka == kb", "if (sign <= 0 and ka == kb",
            ("tests/test_law_engine.py::test_closure_equivalence_fails_on_a_bent_composition",)),
@@ -470,13 +486,6 @@ MUTANTS = (
     Mutant("_sparse_sum: no zero pruning", LINALG,
            "return {r: row for r, row in rows.items() if row}", "return rows",
            ("tests/test_spaces.py::test_products_match_the_dense_reference_product",)),
-    Mutant("_sparse_sum: a nonempty column of one entry skipped", LINALG,
-           "if col := a[k]:", "if len(col := a[k]) > 1:",
-           (BATCH,)),
-    Mutant("_sparse_sum: the column branch unsigned", LINALG,
-           "out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)\n            continue",
-           "out[c] = out.get(c, 0) + x * y\n            continue",
-           (BATCH,)),
     Mutant("rank: the matrix's own view consumed", LINALG,
            "len(_reduce(dict(row) for row in m._sparse.values()))",
            "len(_reduce(m._sparse.values()))",
@@ -497,10 +506,6 @@ MUTANTS = (
 
 # (name, file, old, new, why the edit changes no behaviour)
 EQUIVALENT = (
-    ("_batched: no early return for an empty factor", SPACES,
-     "    if not (g and x):\n        return []\n", "",
-     "a term with an empty factor adds only empty rows, which _sparse_sum "
-     "prunes"),
     ("law: the batch degree read off the last map", SPACES,
      "b[0][0].degree", "b[-1][0].degree",
      "every map of one basis has the degree of its space"),

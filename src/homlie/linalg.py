@@ -10,7 +10,7 @@ on first read.  One sparse Gauss-Jordan, ``_reduce`` (unique, so pivot
 order is free), answers every elimination.  A sum reduces the stacked
 rows, an intersection the Zassenhaus rows [a | a] over [b | 0], and
 membership runs the elimination step on the stored rows.  One routine,
-``_sparse_sum``, forms every product.
+``_sparse_sum``, forms every product of two maps.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ class Matrix:
         return self._hash
 
     _hash = cached_property(lambda m: hash((m.rows, m.cols, _scatter(m, 0, _int))))
-    _cols = cached_property(lambda m: _columns(m))  # once per matrix; not a field
 
     def at(self, r: int, c: int) -> Fraction:
         return self.entries[r * self.cols + c]
@@ -203,20 +202,10 @@ def _columns(m: Matrix) -> list[Row]:
 
 def _sparse_sum(*terms) -> dict[int, Row]:
     """The nonzeros of sum(sign * ab) over (sign, a, b), for sparse maps
-    {row: {col: nonzero}} and sign +1 or -1: empty exactly when zero.  For
-    b with rows keyed (w, k), one map per w, a may be its left factor's
-    ``_columns``, which row (w, k) reads at k.  Only a nonempty column of
-    a, or row of b, is read, and only it opens a row of the sum."""
+    {row: {col: nonzero}} and sign +1 or -1: empty exactly when zero; only
+    a nonempty row of b is read, and only it opens a row of the sum."""
     acc: dict = {}
     for sign, a, b in terms:
-        if isinstance(a, list):
-            for (w, k), brow in b.items():
-                if col := a[k]:
-                    for r, x in col.items():
-                        out = acc.setdefault((w, r), {})
-                        for c, y in brow.items():
-                            out[c] = out.get(c, 0) + (x * y if sign > 0 else -x * y)
-            continue
         for r, arow in a.items():
             for k, x in arow.items():
                 if brow := b.get(k):

@@ -77,6 +77,8 @@ def _free_draw(rng: random.Random, n_max: int) -> AlgebraSpec:
 
 def random_algebra(rng: random.Random, n_max: int = 3) -> AlgebraSpec | None:
     """One sampling attempt; None when the draw fails validation."""
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     style = rng.random()
     if style < 0.25:
         spec = _abelian(rng, n_max)

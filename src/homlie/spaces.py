@@ -110,16 +110,34 @@ def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
     return GradedMap._of(Matrix._of(a.n, a.n, _sparse_sum(*terms)), (a.degree + b.degree) % 2)
 
 
-def _batched(p: GradedMap, g: dict, dg: int, s: int, sign: int = 1) -> list:
-    """The ``_sparse_sum`` terms of sign (pg + s (-1)^{|p| dg} gp), for g one
-    map of degree dg per w held as rows keyed (w, r): ``_product`` with its
-    second argument batched, p multiplying g on the left through p's
-    columns.  s is 0 or +-1, sign +-1."""
-    x = p.matrix._sparse
-    if not (g and x):
-        return []
-    return [(sign, p.matrix._cols, g)] + ([(sign * s * parity_sign(p.degree, dg), g, x)]
-                                          if s else [])
+def _index(g: dict) -> tuple[dict, dict]:
+    """A batch, maps g_w held as rows keyed (w, r), indexed for ``_join``:
+    rows by row index, {k: [(w, row)]}, entries by column, {k: [(w, r, x)]}."""
+    rows, cols = {}, {}
+    for (w, r), row in g.items():
+        rows.setdefault(r, []).append((w, row))
+        for c, x in row.items():
+            cols.setdefault(c, []).append((w, r, x))
+    return rows, cols
+
+
+def _join(*terms, lo: int = 0) -> dict:
+    """The nonzero rows (w, r), w >= lo, of the sum over terms (sign, p, g,
+    dg, s) of sign (p g_w + s (-1)^{|p| dg} g_w p), g a batch of maps of
+    degree dg indexed by ``_index``.  p's entry (k, j) reads g's rows j, and
+    p's row k its column k, so every multiply pairs two nonzeros."""
+    acc: dict = {}
+    for sign, p, (rows, cols), dg, s in terms:
+        t = sign * s * parity_sign(p.degree, dg)
+        for k, prow in p.matrix._sparse.items():
+            for j, f in prow.items():
+                for w, row in rows.get(j, ()):
+                    if w >= lo:
+                        _subtract(acc.setdefault((w, k), {}), -sign * f, row)
+            for w, r, f in cols.get(k, ()) if t else ():
+                if w >= lo:
+                    _subtract(acc.setdefault((w, r), {}), -t * f, prow)
+    return {key: row for key, row in acc.items() if row}
 
 
 def compose(a: GradedMap, b: GradedMap) -> GradedMap:
@@ -461,26 +479,21 @@ def _levels(k_max: int) -> list[tuple[int, int]]:
 def _first_product_outside(s, a, b, target):
     """The first index pair (i, w), i outermost, whose products
     ``_product(x[c], y[c], s)``, x = a[i] and y = b[w], leave target, or
-    None; s is -1 for brackets and 0 for compositions.  As all y have one
-    degree, one ``_batched`` product per x and component c forms x[c] times
-    every y[c], the y[c] held as rows keyed (w, r); only the nonzero ones
-    are tested, in w order, as a zero lies in every target.  A bracket is
-    super-skew, so when a == b the product at (x_i, w) is +-that at (x_w, i),
-    which comes first for w < i: each x_i is bracketed only with the batches'
-    suffix from w = i, left as the rows of each w are dropped.  Keyed on
-    content: a repeated cell is answered once, and a changed basis afresh."""
+    None; s is -1 for brackets and 0 for compositions.  One ``_join`` per
+    x and c forms x[c] times every y[c] (all y have one degree), and only
+    nonzero products are tested, in w order, as a zero lies in every
+    target.  When a == b a bracket at (x_i, w), w < i, is +-that at (x_w,
+    i), tested first, so x_i is joined from w = i on.  Keyed on content: a
+    repeated cell is answered once, and a changed basis afresh."""
     if not b:
         return None
     n, dg, skew = b[0][0].n, b[0][0].degree, s == -1 and a == b
-    batches = [{(w, r): row for w, y in enumerate(b)
-                for r, row in y[c].matrix._sparse.items()} for c in range(len(b[0]))]
+    batches = [_index({(w, r): row for w, y in enumerate(b)
+                       for r, row in y[c].matrix._sparse.items()}) for c in range(len(b[0]))]
     for i, x in enumerate(a):
-        for g, y in zip(batches, b[i - 1] if skew and i else ()):
-            for r in y.matrix._sparse:
-                del g[i - 1, r]
         rows: dict[int, Row] = {}
         for c, (p, g) in enumerate(zip(x, batches)):
-            for (w, r), row in _sparse_sum(*_batched(p, g, dg, s)).items():
+            for (w, r), row in _join((1, p, g, dg, s), lo=i if skew else 0).items():
                 rows.setdefault(w, {}).update(((c * n + r) * n + col, v) for col, v in row.items())
         w = _first_outside(target, ((rows[w], w) for w in sorted(rows)))
         if w is not None:
@@ -689,24 +702,25 @@ def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
     def twist(rows):
         return _sparse_sum((1, rows, av))
 
-    # per degree d held, every w of degree d keyed (w, r): (d, w alpha,
-    # w alpha^2, g o w for every g, and its twist); w o g is read as
-    # (-1)^{|w||g|} g o w
+    # per degree d held, every w of degree d keyed (w, r) and indexed: (d,
+    # w alpha, w alpha^2, g o w for every g, and its twist); w o g is read
+    # as (-1)^{|w||g|} g o w
     batches = []
     for d in (0, 1):
         w = {(i, r): row for i, g in enumerate(elems) if g.degree == d
              for r, row in g.matrix._sparse.items()}
         if w:
-            gw = [_sparse_sum(*_batched(g, w, d, 1)) for g in elems]
-            batches.append((d, twist(w), twist(twist(w)), gw, [twist(v) for v in gw]))
+            wi, wa = _index(w), twist(w)
+            gw = [_join((1, g, wi, d, 1)) for g in elems]
+            batches.append((d, _index(wa), _index(twist(wa)), [_index(v) for v in gw],
+                            [_index(twist(v)) for v in gw]))
 
     def at(z):
         dz, twz = elems[z].degree, tw[z]
         zc = [_product(twz, g, 1) for g in tw]
         # per degree d held: tw z o tw w, and (g o w) o tw z for every g
-        with_z = [(_sparse_sum(*_batched(twz, wa, d, 1)),
-                   [_sparse_sum(*_batched(twz, v, g.degree + d, 1,
-                                          parity_sign(g.degree + d, dz)))
+        with_z = [(_index(_join((1, twz, wa, d, 1))),
+                   [_index(_join((parity_sign(g.degree + d, dz), twz, v, g.degree + d, 1)))
                     for g, v in zip(elems, gw)])
                   for d, wa, _, gw, _ in batches]
 
@@ -720,13 +734,13 @@ def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
                 s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, d),
                               parity_sign(dx, d + dy))
                 u = parity_sign(dz, dx + dy + d)
-                out |= _sparse_sum(
-                    *_batched(inner, wa2, d, 1, s1),
-                    *_batched(tw_xy[x][y], zw, dz + d, 1, -s1),
-                    *_batched(tw2[x], gw_z[y], dy + d + dz, 1, s2),
-                    *_batched(zc[x], tw_gw[y], dy + d, 1, -u * s2),
-                    *_batched(tw2[y], gw_z[x], dx + d + dz, 1, s3),
-                    *_batched(zc[y], tw_gw[x], dx + d, 1, -u * s3))
+                out |= _join(
+                    (s1, inner, wa2, d, 1),
+                    (-s1, tw_xy[x][y], zw, dz + d, 1),
+                    (s2, tw2[x], gw_z[y], dy + d + dz, 1),
+                    (-u * s2, zc[x], tw_gw[y], dy + d, 1),
+                    (s3, tw2[y], gw_z[x], dx + d + dz, 1),
+                    (-u * s3, zc[y], tw_gw[x], dx + d, 1))
             return out
 
         return residual

@@ -165,3 +165,18 @@ def test_sampling_refuses_a_basis_too_small_for_a_free_draw():
     with pytest.raises(ValueError, match=r"^n_max must be >= 2, got 1$"):
         randomgen.sample_algebras(rng, 3, n_max=1)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_one_draw_refuses_a_basis_too_small_before_drawing(n_max):
+    # unguarded, a free draw (and at 0 an abelian one) raises "empty range
+    # for randrange()" partway through, and the other families return
+    for seed in range(20):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=rf"^n_max must be >= 2, got {n_max}$"):
+            randomgen.random_algebra(rng, n_max)
+        assert rng.getstate() == state
+    # the sampler refuses it too, even when it would draw nothing
+    with pytest.raises(ValueError, match=rf"^n_max must be >= 2, got {n_max}$"):
+        randomgen.sample_algebras(random.Random(0), 0, n_max=n_max)

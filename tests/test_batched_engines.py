@@ -1,10 +1,10 @@
 """The batched verifier engines of homlie.spaces against their references.
 
 A law cell forms one product per first element x and component: x
-times all m second elements at once, held as rows keyed (w, r), and
-tests only the nonzero ones.  A bracket cell of one basis with itself
-forms x_i's brackets only from w = i on, and a law that brackets a kind
-with itself skips a cell whose transpose passed.  The twisted Jordan
+times all m second elements at once, joined with them as one indexed
+batch, and tests only the nonzero ones.  A bracket cell of one basis
+with itself forms x_i's brackets only from w = i on, and a law that
+brackets a kind with itself skips a cell whose transpose passed.  The twisted Jordan
 check forms the residual once per (x, y, z), with every w of one degree
 carried as one map keyed (w, r), and it walks the quasicentroid maps
 only when a basis of their span per degree already fails.  Whole reports
@@ -29,7 +29,6 @@ from homlie.spaces import (
     check_bracket_laws,
     check_qc_structure,
     solve_space,
-    supercommutator,
 )
 from oracle import (
     from_sparse,
@@ -156,33 +155,45 @@ def test_law_witness_at_a_later_w_in_a_wide_cell(ex2_5):
         assert reference_first_product_outside(-1, a, b, later[0]) is None
 
 
-# --- bracket cells of one basis with itself: the first w is never below x ----
+# --- law cells against the per-pair cells, of one basis or of two -----------
 
-def _brackets(x, y):
-    return tuple(supercommutator(p, q) for p, q in zip(x, y))
+def _products(s, x, y):
+    return tuple(spaces._product(p, q, s) for p, q in zip(x, y))
 
 
 @st.composite
-def _self_cells(draw):
-    """(a, target): one to four tuples of 1 or 2 maps of one degree, even
-    or odd, and a target spanned by the brackets of the first pairs in
-    walk order and by a random tuple, so that cells pass, and fail at
-    w = x as at w > x, for the first x and later ones."""
-    n, arity, degree = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
-    tuples = st.lists(_matrices(n), min_size=arity, max_size=arity).map(
-        lambda ms: tuple(GradedMap(m, degree) for m in ms))
-    a = tuple(draw(st.lists(tuples, min_size=1, max_size=4)))
-    spans = [_brackets(x, y) for x in a for y in a][:draw(st.integers(0, len(a) ** 2))]
-    spans += draw(st.lists(tuples, max_size=1))
-    return a, Subspace._from_sparse(arity * n * n, (spaces._coords(*g) for g in spans))
+def _cells(draw, same):
+    """(s, a, b, target): one to four tuples a side, the maps of a side of
+    one degree, even or odd.  When same, b is a, s is -1 and the tuples
+    hold 1 or 2 maps; else b is drawn apart, s is -1 or 0 and the tuples
+    hold 1 or 3 maps.  The target is spanned by the products of the first
+    pairs in walk order and by a random tuple, so that cells pass, and
+    fail at w = x as at other w, for the first x and later ones."""
+    n, arity = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2) if same else (1, 3)))
+
+    def tuples():
+        degree = draw(st.integers(0, 1))
+        return st.lists(_matrices(n), min_size=arity, max_size=arity).map(
+            lambda ms: tuple(GradedMap(m, degree) for m in ms))
+
+    a = tuple(draw(st.lists(tuples(), min_size=1, max_size=4)))
+    b, s = (a, -1) if same else (tuple(draw(st.lists(tuples(), min_size=1, max_size=4))),
+                                 draw(st.sampled_from((-1, 0))))
+    spans = [_products(s, x, y) for x in a for y in b][:draw(st.integers(0, len(a) * len(b)))]
+    spans += draw(st.lists(tuples(), max_size=1))
+    return s, a, b, Subspace._from_sparse(arity * n * n, (spaces._coords(*g) for g in spans))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_self_cells())
+@given(_cells(same=True))
 def test_a_bracket_cell_of_one_basis_finds_the_first_witness(cell):
-    a, target = cell
-    assert (spaces._first_product_outside(-1, a, a, target)
-            == reference_first_product_outside(-1, a, a, target))
+    assert spaces._first_product_outside(*cell) == reference_first_product_outside(*cell)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cells(same=False))
+def test_a_cell_of_two_bases_finds_the_first_witness(cell):
+    assert spaces._first_product_outside(*cell) == reference_first_product_outside(*cell)
 
 
 @pytest.mark.parametrize("a, x, w", [
@@ -194,7 +205,7 @@ def test_a_bracket_cell_of_one_basis_finds_the_first_witness(cell):
 ], ids=["w=x", "w>x"])
 def test_a_bracket_cell_of_one_basis_fails_at_its_first_pair(a, x, w):
     zero = Subspace.zero(a[0][0].n ** 2)
-    assert not _brackets(a[x], a[w])[0].is_zero()
+    assert not _products(-1, a[x], a[w])[0].is_zero()
     assert (spaces._first_product_outside(-1, a, a, zero) == (x, w)
             == reference_first_product_outside(-1, a, a, zero))
 

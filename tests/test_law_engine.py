@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from homlie import cli, spaces
-from homlie.linalg import format_matrix
+from homlie.linalg import _subtract, format_matrix
 from homlie.spaces import (
     GradedMap,
     SpaceKind,
@@ -41,23 +41,25 @@ def test_cached_cells_are_not_served_to_changed_bases(ex2_5, monkeypatch):
 
 @pytest.fixture
 def bend_compositions(monkeypatch):
-    """bend(p, w, block) patches ``spaces._batched`` so that a composition
+    """bend(p, w, block) patches ``spaces._join`` so that a composition
     (s = 0) of the map p with a batch whose block w is ``block`` gains
     +1/3 at entry (0, 1) of block w, and returns the list of batch sizes
     it bent at.  The law cache is cleared once bent and again after the
     test, so no verdict crosses the bend."""
-    batched, bent_at = spaces._batched, []
+    join, bent_at = spaces._join, []
 
     def bend(p, w, block):
-        def bent(q, g, dg, s, sign=1):
-            terms = batched(q, g, dg, s, sign)
-            if (s != 0 or q != p or block.matrix._sparse
-                    != {r: row for (v, r), row in g.items() if v == w}):
-                return terms
-            bent_at.append(len({v for v, _ in g}))
-            return terms + [(1, {(w, 0): {0: Fraction(1, 3)}}, {0: {1: 1}})]
+        def bent(*terms, lo=0):
+            rows = join(*terms, lo=lo)
+            for _, q, (by_row, _), _, s in terms:
+                blocks = [(v, k, row) for k, at in by_row.items() for v, row in at]
+                if s == 0 and q == p and block.matrix._sparse == {
+                        k: row for v, k, row in blocks if v == w}:
+                    bent_at.append(len({v for v, _, _ in blocks}))
+                    _subtract(rows.setdefault((w, 0), {}), -1, {1: Fraction(1, 3)})
+            return {key: row for key, row in rows.items() if row}
 
-        monkeypatch.setattr(spaces, "_batched", bent)
+        monkeypatch.setattr(spaces, "_join", bent)
         spaces._first_product_outside.cache_clear()
         return bent_at
 
