@@ -50,6 +50,8 @@ FILEFORMAT, RANDOMGEN = "src/homlie/fileformat.py", "src/homlie/randomgen.py"
 BATCHED = "tests/test_batched_engines.py::"
 JORDAN = "tests/test_jordan_engine.py::"
 RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
+PASS = JORDAN + "test_pass_matches_the_per_quadruple_engine"
+MIXED = BATCHED + "test_a_basis_failing_only_at_mixed_degrees_fails_with_the_reference_witness"
 BATCH = "tests/test_batched_product.py::test_each_block_is_the_per_pair_product"
 WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
 SELF_CELL = BATCHED + "test_a_bracket_cell_of_one_basis_finds_the_first_witness"
@@ -161,68 +163,81 @@ MUTANTS = (
            "done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())",
            "done = _reduce(dict(row) for row in m._sparse.values())",
            ("tests/test_mixed_rows.py::test_nullspace_matches_the_dense_reference",)),
-    # the join that forms a map times a batch of maps, for both engines
+    # the join that forms a batch of maps times a batch of maps, for both engines
     Mutant("_join: s ignored", SPACES,
-           "t = sign * s * parity_sign(p.degree, dg)", "t = sign * parity_sign(p.degree, dg)",
+           "t = sign * s * parity_sign(dp, dg)", "t = sign * parity_sign(dp, dg)",
            (BATCH,)),
     Mutant("_join: the parity sign ignored", SPACES,
-           "t = sign * s * parity_sign(p.degree, dg)", "t = sign * s",
+           "t = sign * s * parity_sign(dp, dg)", "t = sign * s",
            (BATCH,)),
     Mutant("_join: the left product unsigned", SPACES,
-           "_subtract(acc.setdefault((w, k), {}), -sign * f, row)",
-           "_subtract(acc.setdefault((w, k), {}), -f, row)",
+           "_subtract(acc.setdefault((i, w, k), {}), -sign * f, row)",
+           "_subtract(acc.setdefault((i, w, k), {}), -f, row)",
            (BATCH,)),
     Mutant("_join: a batch column of one entry skipped", SPACES,
            "for w, r, f in cols.get(k, ()) if t else ():",
            "for w, r, f in cols.get(k, ()) if t and len(cols.get(k, ())) > 1 else ():",
            (BATCH,)),
     Mutant("_join: the column read unsigned", SPACES,
-           "t = sign * s * parity_sign(p.degree, dg)", "t = s * parity_sign(p.degree, dg)",
+           "t = sign * s * parity_sign(dp, dg)", "t = s * parity_sign(dp, dg)",
            (BATCH,)),
-    Mutant("_join: the reverse term read through p's column instead of its row", SPACES,
-           "_subtract(acc.setdefault((w, r), {}), -t * f, prow)",
-           "_subtract(acc.setdefault((w, r), {}), -t * f,\n"
-           "                              {c: v[k] for c, v in p.matrix._sparse.items() if k in v})",
+    Mutant("_join: the reverse term read through p_i's column instead of its row", SPACES,
+           "_subtract(acc.setdefault((i, w, r), {}), -t * f, prow)",
+           "_subtract(acc.setdefault((i, w, r), {}), -t * f,\n"
+           "                              {c: v[k] for (h, c), v in p.items() if h == i and k in v})",
            (BATCH,)),
-    # the w-generic Jordan engine and its basis-first walk
+    # the per-z Jordan pass and its basis-first walk
     Mutant("jordan: the max instead of the min w", SPACES,
-           "min(w for w, _ in rows)", "max(w for w, _ in rows)",
+           "best = min(best or (x, y, z, w), (x, y, z, w))",
+           "best = min(best or (x, y, z, w), (x, y, z, w), key=lambda q: (q[:3], -q[3]))",
            (BATCHED + "test_first_failing_w_is_odd_before_a_failing_even_w",)),
     Mutant("jordan: a dropped w-degree sign", SPACES,
-           "s1, s2, s3 = (parity_sign(dz, dx + d),", "s1, s2, s3 = (parity_sign(dz, dx),",
+           "o * parity_sign(dz, deg[u] + dc)", "o * parity_sign(dz, deg[u])",
            (RESIDUALS,)),
-    Mutant("jordan: (g o w) o tw z turned round without the degree of w", SPACES,
-           "parity_sign(g.degree + d, dz)", "parity_sign(g.degree, dz)",
+    Mutant("jordan: a swapped (z, r) key", SPACES,
+           "tz = g.degree, {(z, r): row for r, row in", "tz = g.degree, {(r, z): row for r, row in",
            (RESIDUALS,)),
-    Mutant("jordan: a swapped (w, r) key", SPACES,
-           "w = {(i, r): row for i, g in enumerate(elems)", "w = {(r, i): row for i, g in enumerate(elems)",
-           (RESIDUALS,)),
-    Mutant("jordan: a per-z table built once per engine", SPACES,
-           "    def at(z):\n        dz, twz = elems[z].degree, tw[z]\n"
-           "        zc = [_product(twz, g, 1) for g in tw]\n",
-           "    zc = [_product(tw[0], g, 1) for g in tw]\n\n"
-           "    def at(z):\n        dz, twz = elems[z].degree, tw[z]\n",
+    Mutant("jordan: a per-z table built once per pass", SPACES,
+           "zc = index(family(_join(", "zc = z and zc or index(family(_join(",
            (RESIDUALS,)),
     Mutant("jordan: the z-outer walk keeps the last witness", SPACES,
-           "(x, y, z) < best[:3]", "(x, y, z) > best[:3]",
+           "best = min(best or", "best = max(best or",
            (JORDAN + "test_engine_matches_oracle_on_bundled[lax]",)),
+    Mutant("jordan: the walk over z ended at any witness", SPACES,
+           "if best[:2] == (0, 0):", "if best:",
+           (BATCHED + "test_a_later_z_holds_the_least_pair",)),
     Mutant("jordan: basis-first reports pass when the basis fails", SPACES,
            "quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)",
            "quad = _jordan_witness(spec.alpha, basis) and None",
            (JORDAN + "test_engine_matches_oracle_on_bundled[lax]",)),
-    Mutant("jordan: the walk keeps the last failing triple", SPACES,
-           "if (best is None or (x, y, z) < best[:3]) and (rows", "if True and (rows",
+    Mutant("jordan: the walk keeps the last failing quadruple", SPACES,
+           "best = min(best or (x, y, z, w), (x, y, z, w))", "best = (x, y, z, w)",
            (H9_LAX,)),
     Mutant("jordan: the witness read off the basis walk", SPACES,
            "and _jordan_witness(spec.alpha, elems)", "and _jordan_witness(spec.alpha, basis)",
            (BATCHED + "test_basis_first_walk_fails_with_the_walked_witness",)),
     Mutant("jordan: keyed rows multiplied on the left keep their row", SPACES,
-           "_subtract(acc.setdefault((w, k), {}), -sign * f, row)",
-           "_subtract(acc.setdefault((w, j), {}), -sign * f, row)",
+           "_subtract(acc.setdefault((i, w, k), {}), -sign * f, row)",
+           "_subtract(acc.setdefault((i, w, j), {}), -sign * f, row)",
            (RESIDUALS,)),
+    Mutant("jordan: the multiset weight dropped", SPACES,
+           "(a, b, c).count(c))]", "1)]",
+           (PASS,)),
+    Mutant("jordan: one cyclic term of R dropped", SPACES,
+           ", ((c, u, v), t), ((v, c, u), t)]", ", ((c, u, v), t)]",
+           (PASS,)),
+    Mutant("jordan: the even fold applied to a triple that holds an odd map", SPACES,
+           "if not (da or db or dc):", "if not (da or db):",
+           (PASS, MIXED)),
+    Mutant("jordan: the w >= i bound applied to tz joined with every tc", SPACES,
+           "for d, i in twi.items()]), dz))", "for d, i in twi.items()], skew=True), dz))",
+           (PASS,)),
+    Mutant("jordan: the batch-left parity sign dropped", SPACES,
+           "(parity_sign(dz, d), tz, dz, i, d, 1)", "(1, tz, dz, i, d, 1)",
+           (PASS,)),
     # the batched law cells
     Mutant("law: a swapped (w, r) key", SPACES,
-           "for (w, r), row in _join(", "for (r, w), row in _join(",
+           "for (i, w, r), row in _join(", "for (i, r, w), row in _join(",
            (WIDE_CELL,)),
     Mutant("law: the component offset dropped", SPACES,
            "(c * n + r) * n + col", "r * n + col",
@@ -233,7 +248,7 @@ MUTANTS = (
     # a cell answers with its first failing pair, and each caller forms the
     # product it prints
     Mutant("law: the pair returned as (w, i)", SPACES,
-           "            return i, w\n", "            return w, i\n",
+           "((rows[key], key) for key in", "((rows[key], key[::-1]) for key in",
            (WIDE_CELL,)),
     Mutant("law: the tuple laws reading first-component views", SPACES,
            'view = "_tuple_view" if whole else "_first_view"', 'view = "_first_view"',
@@ -244,18 +259,20 @@ MUTANTS = (
     # only nonzero product rows, each bracket cell of one basis from w = x on,
     # and a cell of a kind with itself skipped once its transpose passes
     Mutant("law: rows tested in reverse w order", SPACES,
-           "for w in sorted(rows))", "for w in sorted(rows, reverse=True))",
+           "for key in sorted(rows))", "for key in sorted(rows, reverse=True))",
            (H9_LAX,)),
     Mutant("law: an empty row treated as failing", SPACES,
-           "((rows[w], w) for w in sorted(rows)))",
-           "((rows.get(w, {None: 1}), w) for w in range(len(b))))",
+           "((rows[key], key) for key in sorted(rows)))",
+           "((rows.get(key, {None: 1}), key)\n"
+           "                                  for key in itertools.product(range(len(a)), range(len(b)))))",
            (ON_REFERENCE,)),
     Mutant("law: w > x in place of w >= x in a cell of one basis", SPACES,
-           "lo=i if skew else 0", "lo=i + 1 if skew else 0",
+           "if not skew or w >= i:\n                        _subtract(acc.setdefault((i, w, k)",
+           "if not skew or w > i:\n                        _subtract(acc.setdefault((i, w, k)",
            (SELF_CELL,)),
     Mutant("law: the w >= x bound applied to a cell of two bases", SPACES,
-           "skew = b[0][0].n, b[0][0].degree, s == -1 and a == b",
-           "skew = b[0][0].n, b[0][0].degree, s == -1",
+           "skew, rows = b[0][0].n, s == -1 and a == b, {}",
+           "skew, rows = b[0][0].n, s == -1, {}",
            (TWO_BASES,)),
     Mutant("law: the transposed cut on a composition cell", SPACES,
            "if (sign == -1 and ka == kb", "if (sign <= 0 and ka == kb",
@@ -267,10 +284,10 @@ MUTANTS = (
            (CACHE_COUNTS,)),
     # a cell with an empty factor passes before any lookup
     Mutant("law: a cell skipped only when both factors are empty", SPACES,
-           "if not (a and b):", "if not (a or b):",
+           "if not (a and b):\n                continue", "if not (a or b):\n                continue",
            (CACHE_COUNTS, REPORT_COUNTS)),
     Mutant("law: the empty-factor skip inverted", SPACES,
-           "if not (a and b):", "if a and b:",
+           "if not (a and b):\n                continue", "if a and b:\n                continue",
            (ON_REFERENCE,)),
     # each level read at the least power with its twist power, by one reader
     # that also checks k_max
@@ -320,7 +337,7 @@ MUTANTS = (
            "space(kind, k + 1, th)._tuple_view[0])", "space(kind, k, th)._tuple_view[0])",
            (BENT_SHIFT,)),
     Mutant("law: cells of one map skipped", SPACES,
-           "    if not b:\n        return None", "    if len(b) < 2:\n        return None",
+           "    if not (a and b):\n        return None", "    if not a or len(b) < 2:\n        return None",
            ("tests/test_law_engine.py::test_closure_equivalence_fails_on_a_bent_composition",)),
     Mutant("_first_outside: an inverted cell verdict", SPACES,
            "if _eliminate(row, target._reduced):", "if not _eliminate(row, target._reduced):",
@@ -507,7 +524,7 @@ MUTANTS = (
 # (name, file, old, new, why the edit changes no behaviour)
 EQUIVALENT = (
     ("law: the batch degree read off the last map", SPACES,
-     "b[0][0].degree", "b[-1][0].degree",
+     "b[0][c].degree", "b[-1][c].degree",
      "every map of one basis has the degree of its space"),
     ("solver: the left table's parity sign with its arguments swapped", SPACES,
      "parity_sign(degree, deg[i])", "parity_sign(deg[i], degree)",
@@ -517,8 +534,11 @@ EQUIVALENT = (
      "return Subspace._from_sparse(m.cols, ({f: 1} | row for f, row in kernel.items()))",
      "each kernel row leads at its free column, which no other row holds, so "
      "_reduce returns the rows as they are; only the time differs"),
+    ("jordan: the walk over z not ended at a witness at (0, 0)", SPACES,
+     "        if best[:2] == (0, 0):\n            break\n", "",
+     "no later z holds a triple before (0, 0, z), so only the time differs"),
     ("jordan: the w-degree sign with its arguments swapped", SPACES,
-     "parity_sign(dz, dx + d)", "parity_sign(dx + d, dz)",
+     "parity_sign(dz, deg[u] + dc)", "parity_sign(deg[u] + dc, dz)",
      "(-1)^(ab) is symmetric in a and b"),
 )
 

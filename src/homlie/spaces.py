@@ -121,22 +121,23 @@ def _index(g: dict) -> tuple[dict, dict]:
     return rows, cols
 
 
-def _join(*terms, lo: int = 0) -> dict:
-    """The nonzero rows (w, r), w >= lo, of the sum over terms (sign, p, g,
-    dg, s) of sign (p g_w + s (-1)^{|p| dg} g_w p), g a batch of maps of
-    degree dg indexed by ``_index``.  p's entry (k, j) reads g's rows j, and
-    p's row k its column k, so every multiply pairs two nonzeros."""
-    acc: dict = {}
-    for sign, p, (rows, cols), dg, s in terms:
-        t = sign * s * parity_sign(p.degree, dg)
-        for k, prow in p.matrix._sparse.items():
+def _join(*terms, skew: bool = False) -> dict:
+    """The nonzero rows (i, w, r), w >= i if skew, of the sum over terms (sign,
+    p, dp, g, dg, s) of sign (p_i g_w + s (-1)^{dp dg} g_w p_i), p maps p_i of
+    degree dp as rows keyed (i, k), g maps g_w of degree dg indexed by
+    ``_index``.  p_i's entry (k, j) reads g's rows j, and its row k g's column
+    k, so every multiply pairs two nonzeros."""
+    acc = {}
+    for sign, p, dp, (rows, cols), dg, s in terms:
+        t = sign * s * parity_sign(dp, dg)
+        for (i, k), prow in p.items():
             for j, f in prow.items():
                 for w, row in rows.get(j, ()):
-                    if w >= lo:
-                        _subtract(acc.setdefault((w, k), {}), -sign * f, row)
+                    if not skew or w >= i:
+                        _subtract(acc.setdefault((i, w, k), {}), -sign * f, row)
             for w, r, f in cols.get(k, ()) if t else ():
-                if w >= lo:
-                    _subtract(acc.setdefault((w, r), {}), -t * f, prow)
+                if not skew or w >= i:
+                    _subtract(acc.setdefault((i, w, r), {}), -t * f, prow)
     return {key: row for key, row in acc.items() if row}
 
 
@@ -477,28 +478,24 @@ def _levels(k_max: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=1024)
 def _first_product_outside(s, a, b, target):
-    """The first index pair (i, w), i outermost, whose products
+    """The first index pair (i, w) whose products
     ``_product(x[c], y[c], s)``, x = a[i] and y = b[w], leave target, or
     None; s is -1 for brackets and 0 for compositions.  One ``_join`` per
-    x and c forms x[c] times every y[c] (all y have one degree), and only
-    nonzero products are tested, in w order, as a zero lies in every
-    target.  When a == b a bracket at (x_i, w), w < i, is +-that at (x_w,
-    i), tested first, so x_i is joined from w = i on.  Keyed on content: a
-    repeated cell is answered once, and a changed basis afresh."""
-    if not b:
+    component c forms every x[c] times every y[c] (a side's maps have one
+    degree); only nonzero products are tested, in (i, w) order, as a zero
+    lies in every target.  When a == b a bracket at (i, w), w < i, is +-that
+    at (w, i), so only w >= i is formed.  Keyed on content: a repeated cell
+    is answered once, and a changed basis afresh."""
+    if not (a and b):
         return None
-    n, dg, skew = b[0][0].n, b[0][0].degree, s == -1 and a == b
-    batches = [_index({(w, r): row for w, y in enumerate(b)
-                       for r, row in y[c].matrix._sparse.items()}) for c in range(len(b[0]))]
-    for i, x in enumerate(a):
-        rows: dict[int, Row] = {}
-        for c, (p, g) in enumerate(zip(x, batches)):
-            for (w, r), row in _join((1, p, g, dg, s), lo=i if skew else 0).items():
-                rows.setdefault(w, {}).update(((c * n + r) * n + col, v) for col, v in row.items())
-        w = _first_outside(target, ((rows[w], w) for w in sorted(rows)))
-        if w is not None:
-            return i, w
-    return None
+    n, skew, rows = b[0][0].n, s == -1 and a == b, {}
+    for c in range(len(b[0])):
+        p, g = ({(i, r): row for i, x in enumerate(side) for r, row in x[c].matrix._sparse.items()}
+                for side in (a, b))
+        for (i, w, r), row in _join((1, p, a[0][c].degree, _index(g), b[0][c].degree, s),
+                                    skew=skew).items():
+            rows.setdefault((i, w), {}).update(((c * n + r) * n + col, v) for col, v in row.items())
+    return _first_outside(target, ((rows[key], key) for key in sorted(rows)))
 
 
 def _law_witness(space, sign, ka, kb, target, levels):
@@ -683,90 +680,83 @@ def decompose_generalized(spec: AlgebraSpec, k: int, degree: int,
     return (dq, d2), dc
 
 
-def _jordan_engine(alpha: Matrix, elems: Sequence[GradedMap]):
-    """The residual of the twisted super Jordan identity at (x, y, z, w),
-    elems by index: with tw g = g alpha, the signed sum over (a, b, c) in
-    (x, y, w), (y, w, x), (w, x, y) of ((a o b) o tw z) o tw^2 c -
-    tw(a o b) o (tw z o tw c).  Linear in w at each degree of w, it is
-    formed for every w at once: engine(z)(x, y) holds its nonzero rows,
-    keyed (w, r).  The factors without z are made once per engine, those
-    with z once per engine(z)."""
+def _jordan_pass(alpha: Matrix, elems: Sequence[GradedMap]):
+    """Per z, {(key, r): row}, the nonzero rows of the twisted super Jordan
+    residual R = s1 T(x, y, w) + s2 T(y, w, x) + s3 T(w, x, y) at every
+    (x, y, w), indices into elems: T(a, b, c) = ((a o b) o tz) o t^2 c -
+    t(a o b) o (tz o tc), tg = g alpha, s1, s2, s3 = (-1)^{|z|(|x|+|w|)},
+    (-1)^{|x|(|y|+|z|)}, (-1)^{|y|(|w|+|z|)}.  key is (x, y, w), sorted when
+    the three are even, as R is then symmetric in them.  Each a o b, a <= b,
+    is formed once, and per z three joins form every T."""
     if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
         raise ValueError("ambient dimension mismatch")
-    av, a1 = alpha._sparse, GradedMap(alpha, 0)
-    tw = [_product(g, a1, 0) for g in elems]
-    tw2 = [_product(g, a1, 0) for g in tw]
-    xy = [[_product(g, h, 1) for h in elems] for g in elems]
-    tw_xy = [[_product(g, a1, 0) for g in row] for row in xy]
+    av, deg = alpha._sparse, {i: g.degree for i, g in enumerate(elems)}
 
-    def twist(rows):
-        return _sparse_sum((1, rows, av))
+    def family(rows, shift=0):  # rows keyed (.., v, r) as {|v| + shift: {(v, r): row}}
+        out = {}
+        for (*_, v, r), row in rows.items():
+            out.setdefault((deg[v] + shift) % 2, {})[v, r] = row
+        return out
 
-    # per degree d held, every w of degree d keyed (w, r) and indexed: (d,
-    # w alpha, w alpha^2, g o w for every g, and its twist); w o g is read
-    # as (-1)^{|w||g|} g o w
-    batches = []
-    for d in (0, 1):
-        w = {(i, r): row for i, g in enumerate(elems) if g.degree == d
-             for r, row in g.matrix._sparse.items()}
-        if w:
-            wi, wa = _index(w), twist(w)
-            gw = [_join((1, g, wi, d, 1)) for g in elems]
-            batches.append((d, _index(wa), _index(twist(wa)), [_index(v) for v in gw],
-                            [_index(twist(v)) for v in gw]))
+    def twist(fam):
+        return {d: _sparse_sum((1, rows, av)) for d, rows in fam.items()}
 
-    def at(z):
-        dz, twz = elems[z].degree, tw[z]
-        zc = [_product(twz, g, 1) for g in tw]
-        # per degree d held: tw z o tw w, and (g o w) o tw z for every g
-        with_z = [(_index(_join((1, twz, wa, d, 1))),
-                   [_index(_join((parity_sign(g.degree + d, dz), twz, v, g.degree + d, 1)))
-                    for g, v in zip(elems, gw)])
-                  for d, wa, _, gw, _ in batches]
+    def index(fam):
+        return {d: _index(rows) for d, rows in fam.items()}
 
-        def residual(x, y):
-            dx, dy = elems[x].degree, elems[y].degree
-            inner = _product(xy[x][y], twz, 1)
-            out = {}
-            for (d, _, wa2, _, tw_gw), (zw, gw_z) in zip(batches, with_z):
-                # the three signs of the sum, once w o x is read as x o w and
-                # each circle g o p with g batched as (-1)^{|g||p|} p o g
-                s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, d),
-                              parity_sign(dx, d + dy))
-                u = parity_sign(dz, dx + dy + d)
-                out |= _join(
-                    (s1, inner, wa2, d, 1),
-                    (-s1, tw_xy[x][y], zw, dz + d, 1),
-                    (s2, tw2[x], gw_z[y], dy + d + dz, 1),
-                    (-u * s2, zc[x], tw_gw[y], dy + d, 1),
-                    (s3, tw2[y], gw_z[x], dx + d + dz, 1),
-                    (-u * s3, zc[y], tw_gw[x], dx + d, 1))
-            return out
+    def route(a, b, c, dz):
+        """(key, weight) per R that T(a o b, c) enters, b o a = (-1)^{|a||b|}
+        a o b: the sorted triple, once per c in it, if the three are even,
+        else each ordered one, signed."""
+        da, db, dc = deg[a], deg[b], deg[c]
+        if not (da or db or dc):
+            return [(tuple(sorted((a, b, c))), (a, b, c).count(c))]
+        out = []
+        for u, v, o in [(a, b, 1)] + ([(b, a, parity_sign(da, db))] if a != b else []):
+            t = o * parity_sign(dc, deg[u] + dz)
+            out += [((u, v, c), o * parity_sign(dz, deg[u] + dc)), ((c, u, v), t), ((v, c, u), t)]
+        return out
 
-        return residual
-
-    return at
+    e = family({(i, r): row for i, g in enumerate(elems) for r, row in g.matrix._sparse.items()})
+    tw = twist(e)
+    tw2, twi = index(twist(tw)), index(tw)
+    pairs = _join(*[(1, e[d], d, i, di, 1) for d in e for di, i in index(e).items()], skew=True)
+    deg.update({(a, b): (deg[a] + deg[b]) % 2 for a, b, _ in pairs})
+    p = family({((a, b), r): row for (a, b, r), row in pairs.items()})
+    tp, pi = twist(p), index(p)
+    for z, g in enumerate(elems):
+        dz, tz = g.degree, {(z, r): row for r, row in _sparse_sum((1, g.matrix._sparse, av)).items()}
+        # a o tz for every pair a, read off tz o a = (-1)^{|z||a|} a o tz
+        q = family(_join(*[(parity_sign(dz, d), tz, dz, i, d, 1) for d, i in pi.items()]), dz)
+        zc = index(family(_join(*[(1, tz, dz, i, d, 1) for d, i in twi.items()]), dz))
+        acc = {}
+        for ((a, b), c, r), row in _join(
+                *[(1, rows, d, i, dc, 1) for d, rows in q.items() for dc, i in tw2.items()],
+                *[(-1, rows, d, i, dc, 1) for d, rows in tp.items() for dc, i in zc.items()]).items():
+            for key, f in route(a, b, c, dz):
+                _subtract(acc.setdefault((key, r), {}), -f, row)
+        yield {key: row for key, row in acc.items() if row}
 
 
 def _jordan_witness(alpha: Matrix, elems: Sequence[GradedMap]):
-    """The first quadruple of indices into elems, in ``itertools.product``
-    order, with a nonzero residual, or None; z runs outermost."""
-    engine, best = _jordan_engine(alpha, elems), None
-    for z in range(len(elems)):
-        residual = engine(z)
-        for x, y in itertools.product(range(len(elems)), repeat=2):
-            if (best is None or (x, y, z) < best[:3]) and (rows := residual(x, y)):
-                best = (x, y, z, min(w for w, _ in rows))
-    return best
+    """The least index triple (x, y, z), then its least w, with a nonzero
+    residual, or None; z runs outermost, so a witness at (0, 0) ends it."""
+    best = ()
+    for z, residual in enumerate(_jordan_pass(alpha, elems)):
+        for key, _ in residual:
+            for x, y, w in (key,) if any(elems[i].degree for i in key) else itertools.permutations(key):
+                best = min(best or (x, y, z, w), (x, y, z, w))
+        if best[:2] == (0, 0):
+            break
+    return best or None
 
 
 def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
                         z: GradedMap, w: GradedMap) -> Matrix:
-    """Residual of the twisted super Jordan identity at four maps, the
-    twist acting on maps by composition with alpha on the input side: the
-    rows at w of the engine that ``check_qc_structure`` runs."""
-    rows = _jordan_engine(alpha, (x, y, z, w))(2)(0, 1).items()
-    return Matrix._of(alpha.rows, alpha.cols, {r: row for (i, r), row in rows if i == 3})
+    """Residual of the twisted super Jordan identity at four maps, tg = g
+    alpha: the rows at (0, 1, 3) of the pass ``check_qc_structure`` runs."""
+    rows = list(_jordan_pass(alpha, (x, y, z, w)))[2].items()
+    return Matrix._of(alpha.rows, alpha.cols, {r: row for (key, r), row in rows if key == (0, 1, 3)})
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,
@@ -792,7 +782,7 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
         "pass" if closed["bracket"] == closed["composition"] else "fail",
         f"bracket: {closed['bracket']}, composition: {closed['composition']}"))
 
-    # quadruple checks run on the deduplicated union of all basis maps
+    # quadruples run on the deduplicated union of all basis maps
     elems = list(dict.fromkeys(g for k in range(k_max + 1) for th in (0, 1)
                                for g, in space(SpaceKind.QC, k, th)._first_view[1]))
 

@@ -1001,6 +1001,83 @@ def reference_jordan_witness(alpha: Matrix, elems):
                 None)
 
 
+def _join_one(*terms) -> dict:
+    """The single-map form ``spaces._join`` had before its left factor
+    became a batch: over terms (sign, p, g, dg, s), p one map, the nonzero
+    rows (w, r) of sum sign (p g_w + s (-1)^{|p| dg} g_w p), read off the
+    batched join at the one left map."""
+    rows = spaces._join(*[(sign, {(0, k): row for k, row in p.matrix._sparse.items()},
+                           p.degree, g, dg, s) for sign, p, g, dg, s in terms])
+    return {(w, r): row for (_, w, r), row in rows.items()}
+
+
+def reference_per_xy_engine(alpha: Matrix, elems):
+    """The engine ``check_qc_structure`` ran before its per-z pass: with
+    tw g = g alpha, the residual of the twisted super Jordan identity at
+    (x, y, z, w), elems by index, is the signed sum over (a, b, c) in
+    (x, y, w), (y, w, x), (w, x, y) of ((a o b) o tw z) o tw^2 c -
+    tw(a o b) o (tw z o tw c).  Linear in w at each degree of w, it is
+    formed for every w at once: engine(z)(x, y) holds its nonzero rows,
+    keyed (w, r).  The factors without z are made once per engine, those
+    with z once per engine(z)."""
+    if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
+        raise ValueError("ambient dimension mismatch")
+    product, index, join = spaces._product, spaces._index, _join_one
+    av, a1 = alpha._sparse, GradedMap(alpha, 0)
+    tw = [product(g, a1, 0) for g in elems]
+    tw2 = [product(g, a1, 0) for g in tw]
+    xy = [[product(g, h, 1) for h in elems] for g in elems]
+    tw_xy = [[product(g, a1, 0) for g in row] for row in xy]
+
+    def twist(rows):
+        return _sparse_sum((1, rows, av))
+
+    # per degree d held, every w of degree d keyed (w, r) and indexed: (d,
+    # w alpha, w alpha^2, g o w for every g, and its twist); w o g is read
+    # as (-1)^{|w||g|} g o w
+    batches = []
+    for d in (0, 1):
+        w = {(i, r): row for i, g in enumerate(elems) if g.degree == d
+             for r, row in g.matrix._sparse.items()}
+        if w:
+            wi, wa = index(w), twist(w)
+            gw = [join((1, g, wi, d, 1)) for g in elems]
+            batches.append((d, index(wa), index(twist(wa)), [index(v) for v in gw],
+                            [index(twist(v)) for v in gw]))
+
+    def at(z):
+        dz, twz = elems[z].degree, tw[z]
+        zc = [product(twz, g, 1) for g in tw]
+        # per degree d held: tw z o tw w, and (g o w) o tw z for every g
+        with_z = [(index(join((1, twz, wa, d, 1))),
+                   [index(join((parity_sign(g.degree + d, dz), twz, v, g.degree + d, 1)))
+                    for g, v in zip(elems, gw)])
+                  for d, wa, _, gw, _ in batches]
+
+        def residual(x, y):
+            dx, dy = elems[x].degree, elems[y].degree
+            inner = product(xy[x][y], twz, 1)
+            out = {}
+            for (d, _, wa2, _, tw_gw), (zw, gw_z) in zip(batches, with_z):
+                # the three signs of the sum, once w o x is read as x o w and
+                # each circle g o p with g batched as (-1)^{|g||p|} p o g
+                s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, d),
+                              parity_sign(dx, d + dy))
+                u = parity_sign(dz, dx + dy + d)
+                out |= join(
+                    (s1, inner, wa2, d, 1),
+                    (-s1, tw_xy[x][y], zw, dz + d, 1),
+                    (s2, tw2[x], gw_z[y], dy + d + dz, 1),
+                    (-u * s2, zc[x], tw_gw[y], dy + d, 1),
+                    (s3, tw2[y], gw_z[x], dx + d + dz, 1),
+                    (-u * s3, zc[y], tw_gw[x], dx + d, 1))
+            return out
+
+        return residual
+
+    return at
+
+
 def reference_circle_witness(elems):
     """The first ordered pair (a, b) of elems, in ``itertools.product``
     order, with a o b != (-1)^{|a||b|} (b o a), or None: the walk the

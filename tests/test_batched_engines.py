@@ -1,18 +1,20 @@
 """The batched verifier engines of homlie.spaces against their references.
 
-A law cell forms one product per first element x and component: x
-times all m second elements at once, joined with them as one indexed
-batch, and tests only the nonzero ones.  A bracket cell of one basis
-with itself forms x_i's brackets only from w = i on, and a law that
-brackets a kind with itself skips a cell whose transpose passed.  The twisted Jordan
-check forms the residual once per (x, y, z), with every w of one degree
-carried as one map keyed (w, r), and it walks the quasicentroid maps
-only when a basis of their span per degree already fails.  Whole reports
-must be those of the per-pair cells, the full walk over cells and the
-per-quadruple engine kept in ``oracle``, and the first witness must be
-found where it sits later in a cell or in a triple.
+A law cell forms all its products in one join per component: every
+first element times every second one, each side one indexed batch, and
+tests only the nonzero ones.  A bracket cell of one basis with itself
+forms x_i's brackets only from w = i on, and a law that brackets a kind
+with itself skips a cell whose transpose passed.  The twisted Jordan
+check forms, per z, every residual at once by a per-z pass, and it walks
+the quasicentroid maps only when a basis of their span per degree
+already fails, which must happen exactly when the walk over the maps
+fails.  Whole reports must be those of the per-pair cells, the full walk
+over cells and the per-quadruple engine kept in ``oracle``, and the
+first witness must be found where it sits later in a cell or in a
+triple, or at a quadruple that holds an odd map.
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlie import spaces
+from homlie.algebra import AlgebraSpec
 from homlie.catalog import BUILTIN
 from homlie.linalg import Matrix, Subspace, format_matrix
 from homlie.randomgen import sample_algebras
@@ -34,8 +37,10 @@ from oracle import (
     from_sparse,
     reference_engine_witness,
     reference_first_product_outside,
+    reference_jordan_engine,
     reference_jordan_witness,
     reference_law_witness,
+    reference_per_xy_engine,
 )
 from test_batched_product import _matrices
 from test_boundary import yau_sl2
@@ -101,7 +106,7 @@ def test_first_failing_w_is_not_the_first_of_its_degree():
     assert spaces._jordan_witness(alpha, elems) == (0, 0, 1, 1)
     assert reference_jordan_witness(alpha, elems) == tuple(
         elems[i] for i in (0, 0, 1, 1))
-    assert not spaces._jordan_engine(alpha, elems)(1)(0, 0).get((0, 0))
+    assert not reference_per_xy_engine(alpha, elems)(1)(0, 0).get((0, 0))
 
 
 def test_first_failing_w_is_odd_before_a_failing_even_w():
@@ -110,11 +115,22 @@ def test_first_failing_w_is_odd_before_a_failing_even_w():
     alpha = Matrix.from_rows([[2, 0], [0, 1]])
     elems = [_map({0: {0: -1}, 1: {0: 2}}, 0), _map({0: {1: 1}}, 1),
              _map({0: {0: -1, 1: 2}}, 0)]
-    rows = spaces._jordan_engine(alpha, elems)(0)(0, 0)
+    rows = reference_per_xy_engine(alpha, elems)(0)(0, 0)
     assert sorted({w for w, _ in rows}) == [1, 2]
     assert spaces._jordan_witness(alpha, elems) == (0, 0, 0, 1)
     assert reference_jordan_witness(alpha, elems) == tuple(
         elems[i] for i in (0, 0, 0, 1))
+
+
+def test_a_later_z_holds_the_least_pair():
+    """z = 0 already fails, but not at (x, y) = (0, 0), and z = 1 fails
+    there, so the walk goes on past the first failing z."""
+    alpha = Matrix.from_rows([[0, 0], [1, 0]])
+    elems = [_map({1: {1: -1}}, 0), _map({0: {1: 1}}, 0), _map({0: {0: 1}}, 0)]
+    assert next(spaces._jordan_pass(alpha, elems))
+    assert spaces._jordan_witness(alpha, elems) == (0, 0, 1, 1)
+    assert reference_jordan_witness(alpha, elems) == tuple(
+        elems[i] for i in (0, 0, 1, 1))
 
 
 def test_basis_first_walk_fails_with_the_walked_witness(monkeypatch):
@@ -124,18 +140,65 @@ def test_basis_first_walk_fails_with_the_walked_witness(monkeypatch):
     spec = sample_algebras(random.Random(3), 10, n_max=4)[1]
     elems = _qc_elems(spec, 2, False)
     walked = []
-    witness = spaces._jordan_witness
+    jordan_pass = spaces._jordan_pass
 
     def spy(alpha, maps):
         walked.append(len(maps))
-        return witness(alpha, maps)
+        return jordan_pass(alpha, maps)
 
-    monkeypatch.setattr(spaces, "_jordan_witness", spy)
+    monkeypatch.setattr(spaces, "_jordan_pass", spy)
     check = check_qc_structure(spec, 2, False).checks[-1]
     assert walked == [5, 6] and len(elems) == 6
     quad = reference_jordan_witness(spec.alpha, elems)
     assert check.status == "fail" and quad is not None
     assert check.detail == " , ".join(format_matrix(g.matrix) for g in quad)
+
+
+# --- the basis walk against the full walk ------------------------------------
+
+def assert_basis_walk_agrees_with_full_walk(monkeypatch, spec, k_max, strict):
+    """The check's walk over a basis of the QC span fails exactly when the
+    walk over every QC map does."""
+    walks, jordan_witness = [], spaces._jordan_witness
+
+    def spy(alpha, maps):
+        walks.append(jordan_witness(alpha, maps))
+        return walks[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(spaces, "_jordan_witness", spy)
+        check_qc_structure(spec, k_max, strict)
+    full = jordan_witness(spec.alpha, _qc_elems(spec, k_max, strict))
+    assert (walks[0] is None) == (full is None), spec.name
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+def test_basis_walk_agrees_with_full_walk_on_bundled(bundled, monkeypatch, strict):
+    for spec in bundled.values():
+        assert_basis_walk_agrees_with_full_walk(monkeypatch, spec, 3, strict)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_basis_walk_agrees_with_full_walk_on_random_algebras(monkeypatch, seed):
+    for spec in sample_algebras(random.Random(seed), 10, n_max=4):
+        for strict in (True, False):
+            assert_basis_walk_agrees_with_full_walk(monkeypatch, spec, 1, strict)
+
+
+def test_a_basis_failing_only_at_mixed_degrees_fails_with_the_reference_witness():
+    """The abelian superalgebra of dimension 1|1 under the identity twist:
+    its QC is every map, and the Jordan residual is nonzero only where one
+    of x, y, w is odd, so no all-even triple of the pass holds the fail."""
+    spec = AlgebraSpec.from_pairs("abelian1_1", (0, 1), Matrix.identity(2), {})
+    elems = _qc_elems(spec, 1, True)
+    residual = reference_jordan_engine(spec.alpha, elems)
+    fails = [q for q in itertools.product(range(len(elems)), repeat=4) if residual(*q)]
+    assert fails and all(elems[x].degree or elems[y].degree or elems[w].degree
+                         for x, y, _, w in fails)
+    quad = reference_jordan_witness(spec.alpha, elems)
+    check = check_qc_structure(spec, 1, True).checks[-1]
+    assert (check.status, check.detail) == (
+        "fail", " , ".join(format_matrix(g.matrix) for g in quad))
 
 
 # --- law cells: a witness later in the cell -----------------------------------

@@ -1,13 +1,14 @@
 """The join behind both verifier engines of homlie.spaces.
 
-``spaces._join(*terms, lo=0)`` sums sign (p g_w + s (-1)^{|p| dg} g_w p)
-over terms (sign, p, g, dg, s), for g one map of degree dg per w held as
-rows keyed (w, r) and indexed once by ``spaces._index``; its rows are
-keyed (w, r), and only w >= lo is formed.  Row block w of one term must
-be sign times ``_product(p, b_w, s)``, and that formula on the dense
-reference product, for maps of both degrees, every s and sign, an empty
-batch and a zero p; several terms must add, down to no row where they
-cancel; and an index must serve any number of calls unchanged.
+``spaces._join(*terms, skew=False)`` sums sign (p_i g_w + s (-1)^{dp dg}
+g_w p_i) over terms (sign, p, dp, g, dg, s), for p a batch of maps p_i of
+degree dp held as rows keyed (i, k), and g one of maps g_w of degree dg
+held as rows keyed (w, r) and indexed once by ``spaces._index``; its rows
+are keyed (i, w, r), and with skew only w >= i is formed.  Block (i, w) of
+one term must be sign times ``_product(p_i, g_w, s)``, and that formula on
+the dense reference product, for batches of both degrees, every s and
+sign, empty batches and zero maps; several terms must add, down to no row
+where they cancel; and an index must serve any number of calls unchanged.
 """
 
 import copy
@@ -32,68 +33,91 @@ def _matrices(n):
 
 @st.composite
 def _cases(draw):
-    """(p, a second map q, the batch's maps, their degree, s, sign): p may
-    be zero, and the batch may hold no map."""
+    """(a left batch, a second one, the right batch, the left and right
+    degrees, s, sign): each batch a list of up to three maps of its side's
+    degree, zero maps among them, and any batch may hold no map."""
     n = draw(st.integers(1, 3))
-    p, q = (GradedMap(draw(st.just(Matrix(n, n, (Fraction(0),) * (n * n))) | _matrices(n)),
-                      draw(st.integers(0, 1))) for _ in range(2))
-    dg = draw(st.integers(0, 1))
-    maps = [GradedMap(m, dg) for m in draw(st.lists(_matrices(n), max_size=3))]
-    return p, q, maps, dg, draw(st.sampled_from((-1, 0, 1))), draw(st.sampled_from((-1, 1)))
+    zero = st.just(Matrix(n, n, (Fraction(0),) * (n * n)))
+
+    def batch(degree):
+        return [GradedMap(m, degree) for m in draw(st.lists(zero | _matrices(n), max_size=3))]
+
+    dp, dg = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    return (batch(dp), batch(dp), batch(dg), dp, dg, draw(st.sampled_from((-1, 0, 1))),
+            draw(st.sampled_from((-1, 1))))
 
 
-def _indexed(maps):
-    return _index({(w, r): row for w, b in enumerate(maps) for r, row in b.matrix._sparse.items()})
+def _rows(maps):
+    return {(w, r): row for w, b in enumerate(maps) for r, row in b.matrix._sparse.items()}
 
 
-def _block(rows, n, w):
-    return Matrix._of(n, n, {r: row for (v, r), row in rows.items() if v == w})
+def _term(sign, left, dp, right, dg, s):
+    return sign, _rows(left), dp, _index(_rows(right)), dg, s
+
+
+def _block(rows, n, i, w):
+    return Matrix._of(n, n, {r: row for (u, v, r), row in rows.items() if (u, v) == (i, w)})
 
 
 @given(_cases())
 def test_each_block_is_the_per_pair_product(case):
-    p, _, maps, dg, s, sign = case
-    rows = _join((sign, p, _indexed(maps), dg, s))
-    assert all(w < len(maps) for w, _ in rows) and all(rows.values())
-    for w, b in enumerate(maps):
-        block = _block(rows, p.n, w)
-        assert block == _product(p, b, s).matrix.scale(sign)
-        flipped = reference_matmul(b.matrix, p.matrix).scale(s * parity_sign(p.degree, dg))
-        dense = reference_matmul(p.matrix, b.matrix) + flipped
-        assert block == dense.scale(sign)
+    left, _, right, dp, dg, s, sign = case
+    rows = _join(_term(sign, left, dp, right, dg, s))
+    assert all(i < len(left) and w < len(right) for i, w, _ in rows) and all(rows.values())
+    for i, p in enumerate(left):
+        for w, b in enumerate(right):
+            block = _block(rows, p.n, i, w)
+            assert block == _product(p, b, s).matrix.scale(sign)
+            flipped = reference_matmul(b.matrix, p.matrix).scale(
+                s * parity_sign(p.degree, b.degree))
+            dense = reference_matmul(p.matrix, b.matrix) + flipped
+            assert block == dense.scale(sign)
 
 
 @given(_cases())
 def test_terms_are_summed_and_cancelled_rows_pruned(case):
-    p, q, maps, dg, s, sign = case
-    g = _indexed(maps)
-    rows = _join((sign, p, g, dg, s), (1, q, g, dg, s))
+    left, other, right, dp, dg, s, sign = case
+    terms = [_term(x, batch, dp, right, dg, s)
+             for x, batch in ((sign, left), (1, other), (-sign, left))]
+    rows = _join(*terms[:2])
     assert all(rows.values())
-    for w, b in enumerate(maps):
-        assert _block(rows, p.n, w) == (_product(p, b, s).matrix.scale(sign)
-                                        + _product(q, b, s).matrix)
-    assert _join((sign, p, g, dg, s), (1, q, g, dg, s), (-sign, p, g, dg, s)) == _join(
-        (1, q, g, dg, s))
-    assert _join((sign, p, g, dg, s), (-sign, p, g, dg, s)) == {}
+    for i in range(max(len(left), len(other))):
+        for w, b in enumerate(right):
+            want = Matrix._of(b.n, b.n, {})
+            if i < len(left):
+                want += _product(left[i], b, s).matrix.scale(sign)
+            if i < len(other):
+                want += _product(other[i], b, s).matrix
+            assert _block(rows, b.n, i, w) == want
+    assert _join(*terms) == _join(terms[1])
+    assert _join(terms[0], terms[2]) == {}
 
 
-@given(_cases(), st.integers(0, 4))
-def test_lo_keeps_the_blocks_from_w_equal_lo(case, lo):
-    p, _, maps, dg, s, sign = case
-    term = (sign, p, _indexed(maps), dg, s)
-    assert _join(term, lo=lo) == {(w, r): row for (w, r), row in _join(term).items() if w >= lo}
+@given(_cases())
+def test_skew_keeps_the_blocks_from_w_equal_i(case):
+    """The bound w >= i, on a batch joined with itself and with another:
+    block (i, w) is the per-pair product from w = i on, and empty before."""
+    left, _, right, dp, dg, s, sign = case
+    for other, d in ((left, dp), (right, dg)):
+        rows = _join(_term(sign, left, dp, other, d, s), skew=True)
+        assert all(w >= i for i, w, _ in rows)
+        for i, p in enumerate(left):
+            for w, b in enumerate(other[i:], i):
+                assert _block(rows, p.n, i, w) == _product(p, b, s).matrix.scale(sign)
 
 
 @given(_cases())
 def test_an_index_serves_every_call_unchanged(case):
-    p, q, maps, dg, s, sign = case
-    g = _indexed(maps)
+    left, other, right, dp, dg, s, sign = case
+    g = _index(_rows(right))
     kept = copy.deepcopy(g)
-    first = _join((sign, p, g, dg, s))
-    for x in (q, p):
-        for lo in (1, 0):
-            rows = _join((sign, x, g, dg, s), lo=lo)
-            for w, b in enumerate(maps):
-                assert _block(rows, p.n, w) == (
-                    _product(x, b, s).matrix.scale(sign) if w >= lo else Matrix._of(p.n, p.n, {}))
-    assert _join((sign, p, g, dg, s)) == first and g == kept
+    first = _join((sign, _rows(left), dp, g, dg, s))
+    for batch in (other, left):
+        for skew in (True, False):
+            rows = _join((sign, _rows(batch), dp, g, dg, s), skew=skew)
+            for i, p in enumerate(batch):
+                for w, b in enumerate(right):
+                    assert _block(rows, p.n, i, w) == (
+                        _product(p, b, s).matrix.scale(sign) if w >= i or not skew
+                        else Matrix._of(p.n, p.n, {}))
+    assert _join((sign, _rows(left), dp, g, dg, s)) == first and g == kept

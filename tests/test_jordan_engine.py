@@ -1,10 +1,12 @@
-"""The memoised sparse engine behind the twisted Jordan check.
+"""The per-z pass behind the twisted Jordan check.
 
 ``check_qc_structure`` tests the twisted super Jordan identity on every
-quadruple of quasicentroid basis maps through one engine that forms the
-residual once per (x, y, z) for every w, and memoises the factors shared
-between triples.  Its first witness and its residuals must be those of
-the dense per-quadruple loop kept in
+quadruple of quasicentroid basis maps through one pass that, per z,
+forms every circle pair's term at every third map by three joins and
+routes each term into the residual of each triple it enters.  Its
+residuals must be those of the per-quadruple engine in
+``oracle.reference_jordan_engine``, and its first witness and its
+residuals those of the dense per-quadruple loop kept in
 ``oracle.reference_jordan_witness``, on the bundled algebras, on random
 algebras and on the larger twisted and odd inputs; and the check must
 report ``fail`` with that witness when a basis map is bent.  The circle
@@ -35,7 +37,9 @@ from homlie.spaces import (
 from oracle import (
     from_sparse,
     reference_circle_witness,
+    reference_engine_witness,
     reference_hom_jordan_residual,
+    reference_jordan_engine,
     reference_jordan_witness,
 )
 from test_laws import K_MAX, _with_fault
@@ -172,20 +176,51 @@ def _maps_and_twist(draw, n=2):
             matrix())
 
 
+def residual_at(residual, elems, x, y, w):
+    """The rows of one per-z residual of ``spaces._jordan_pass`` at (x, y,
+    w), keyed by the sorted triple when the three maps are even."""
+    key = (x, y, w) if any(elems[i].degree for i in (x, y, w)) else tuple(sorted((x, y, w)))
+    return {r: row for (k, r), row in residual.items() if k == key}
+
+
 @given(_maps_and_twist())
 @settings(max_examples=40, deadline=None)
 def test_engine_residuals_match_dense_residuals(maps_and_twist):
-    """One engine answers every triple of three maps of mixed degrees,
-    each w generic, so each memoised factor is served to other triples."""
+    """One pass answers every (x, y, w) of three maps of mixed degrees at
+    each z, each factor shared between the triples it enters."""
     elems, alpha = maps_and_twist
-    engine = spaces._jordan_engine(alpha, elems)
-    for x, y, z in itertools.product(range(3), repeat=3):
-        rows = engine(z)(x, y)
-        for w in range(3):
-            dense = from_sparse([rows.get((w, r), {}) for r in range(2)], 2)
+    for z, residual in enumerate(spaces._jordan_pass(alpha, elems)):
+        for x, y, w in itertools.product(range(3), repeat=3):
+            dense = from_sparse([residual_at(residual, elems, x, y, w).get(r, {})
+                                 for r in range(2)], 2)
             want = reference_hom_jordan_residual(
                 alpha, *(elems[i] for i in (x, y, z, w)))
             assert dense == want, (x, y, z, w)
+
+
+@st.composite
+def _pass_cases(draw):
+    """(one to four maps of any degrees, so z of either, and a twist), 1 <= n <= 3."""
+    n = draw(st.integers(1, 3))
+
+    def matrix():
+        return Matrix(n, n, tuple(Fraction(x) for x in draw(
+            st.lists(_ENTRIES, min_size=n * n, max_size=n * n))))
+    degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    return [GradedMap(matrix(), d) for d in degrees], matrix()
+
+
+@given(_pass_cases())
+@settings(max_examples=60, deadline=None)
+def test_pass_matches_the_per_quadruple_engine(case):
+    """Every residual of the per-z pass, folded or ordered, and its witness
+    are those of ``oracle.reference_jordan_engine``."""
+    elems, alpha = case
+    reference = reference_jordan_engine(alpha, elems)
+    for z, residual in enumerate(spaces._jordan_pass(alpha, elems)):
+        for x, y, w in itertools.product(range(len(elems)), repeat=3):
+            assert residual_at(residual, elems, x, y, w) == reference(x, y, z, w), (x, y, z, w)
+    assert spaces._jordan_witness(alpha, elems) == reference_engine_witness(alpha, elems)
 
 
 def test_h5_identity_twist_report_is_pinned():

@@ -42,21 +42,23 @@ def test_cached_cells_are_not_served_to_changed_bases(ex2_5, monkeypatch):
 @pytest.fixture
 def bend_compositions(monkeypatch):
     """bend(p, w, block) patches ``spaces._join`` so that a composition
-    (s = 0) of the map p with a batch whose block w is ``block`` gains
-    +1/3 at entry (0, 1) of block w, and returns the list of batch sizes
-    it bent at.  The law cache is cleared once bent and again after the
-    test, so no verdict crosses the bend."""
+    (s = 0) of a batch whose block i is the map p with a batch whose block
+    w is ``block`` gains +1/3 at entry (0, 1) of block (i, w), and returns
+    the list of right batch sizes it bent at.  The law cache is cleared once
+    bent and again after the test, so no verdict crosses the bend."""
     join, bent_at = spaces._join, []
 
     def bend(p, w, block):
-        def bent(*terms, lo=0):
-            rows = join(*terms, lo=lo)
-            for _, q, (by_row, _), _, s in terms:
+        def bent(*terms, skew=False):
+            rows = join(*terms, skew=skew)
+            for _, left, _, (by_row, _), _, s in terms:
                 blocks = [(v, k, row) for k, at in by_row.items() for v, row in at]
-                if s == 0 and q == p and block.matrix._sparse == {
-                        k: row for v, k, row in blocks if v == w}:
-                    bent_at.append(len({v for v, _, _ in blocks}))
-                    _subtract(rows.setdefault((w, 0), {}), -1, {1: Fraction(1, 3)})
+                if s != 0 or block.matrix._sparse != {k: row for v, k, row in blocks if v == w}:
+                    continue
+                for i in dict.fromkeys(i for i, _ in left):
+                    if p.matrix._sparse == {k: row for (j, k), row in left.items() if j == i}:
+                        bent_at.append(len({v for v, _, _ in blocks}))
+                        _subtract(rows.setdefault((i, w, 0), {}), -1, {1: Fraction(1, 3)})
             return {key: row for key, row in rows.items() if row}
 
         monkeypatch.setattr(spaces, "_join", bent)
