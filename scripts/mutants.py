@@ -88,6 +88,9 @@ SUMMED = ("tests/test_fileformat.py::"
           "test_terms_are_summed_into_one_row_and_a_cancelled_bracket_is_dropped")
 SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random_splits",
          "tests/test_elimination.py::test_projection_matches_reference_on_bundled")
+VIEWS = "tests/test_span_views.py::"
+ON_VIEWS = VIEWS + "test_views_of_solved_spaces_are_the_reductions_on_bundled[ex2_5]"
+BENT_VIEWS = VIEWS + "test_a_replaced_space_reduces_its_own_tuples[QC]"
 
 MUTANTS = (
     # the solver's system, assembled from the nonzeros of the bracket tables
@@ -324,14 +327,41 @@ MUTANTS = (
            "    modes = ((strict, _reader(base, strict, k), _reader(ext.spec, strict, k))\n"
            "             for strict in (True, False))",
            (EXT + "test_double_checks_reject_a_negative_or_bool_k",)),
-    # the spans each solved space holds, and the shift laws as law cells
+    # the views each space holds, read off the kernel of its solve or of one
+    # reduction of its tuples, and the shift laws as law cells
     Mutant("views: arity-1 spaces served their tuple view as first view", SPACES,
-           "        span = project_component(self, 0)\n",
+           "        span = self._span(self.n * self.n)\n",
            "        if self.arity == 1:\n            return self._tuple_view\n"
+           "        span = self._span(self.n * self.n)\n",
+           (BENT_EVERYWHERE, BENT_VIEWS)),
+    Mutant("views: the first view's maps read off the tuples as given", SPACES,
+           "for t in self._kernel[2][:span.dim])", "for t in self.tuples[:span.dim])",
+           (BENT_VIEWS,)),
+    Mutant("views: the first-component span reduced afresh", SPACES,
+           "        span = self._span(self.n * self.n)\n",
            "        span = project_component(self, 0)\n",
-           (BENT_EVERYWHERE,)),
+           ("tests/test_caches.py::test_each_fact_is_computed_once_per_report[strict]",)),
+    Mutant("views: the block-0 cut keeps entries at or past n^2", SPACES,
+           "{at[u]: x for u, x in row.items() if at[u] < size}",
+           "{at[u]: x for u, x in row.items()}",
+           (ON_VIEWS,)),
+    Mutant("views: the cut keeps rows whose pivot lies past block 0", SPACES,
+           "for p, row in kernel.items() if at[p] < size}", "for p, row in kernel.items()}",
+           (ON_VIEWS,)),
+    Mutant("views: the relabelling swaps c and m, so it no longer increases", SPACES,
+           "at = [(c * n + m) * n + l for c, m, l in where]",
+           "at = [(m * n + c) * n + l for c, m, l in where]",
+           (ON_VIEWS,)),
+    Mutant("views: a replaced space reuses the kernel it was replaced from", SPACES,
+           "    @cached_property\n    def _kernel(self)",
+           "    _kernel: tuple = __import__('dataclasses').field(default=None, compare=False)\n\n"
+           "    @cached_property\n    def _reduced(self)",
+           (BENT_VIEWS,)),
+    Mutant("basis: the cached index serves component 0 for every c", SPACES,
+           "[_index(rows) for rows in b._rows]", "[_index(b._rows[0]) for rows in b._rows]",
+           (WIDE_CELL, VIEWS + "test_a_basis_holds_each_components_rows_and_their_index")),
     Mutant("shift: alpha on component 0 only", SPACES,
-           "((alpha,) * kind.arity,)", "((alpha,),)",
+           "_Basis(((alpha,) * arity,))", "_Basis(((alpha,),))",
            (ON_REFERENCE,)),
     Mutant("shift: the target at level k, not k + 1", SPACES,
            "space(kind, k + 1, th)._tuple_view[0])", "space(kind, k, th)._tuple_view[0])",

@@ -33,6 +33,7 @@ from .linalg import (
     _eliminate,
     _int,
     _pivot_rows,
+    _reduce,
     _sparse_sum,
     _subtract,
     format_matrix,
@@ -53,9 +54,8 @@ class SpaceKind(Enum):
 
     @property
     def arity(self) -> int:
-        """Number of maps in a tuple: one past the largest component
-        index that the kind's identities mention."""
-        return 1 + max(c for eq in IDENTITIES[self] for _, c, _ in eq)
+        """Number of maps in a tuple, as ``_ARITY`` holds it."""
+        return _ARITY[self]
 
     @classmethod
     def parse(cls, text: str) -> "SpaceKind":
@@ -141,6 +141,19 @@ def _join(*terms, skew: bool = False) -> dict:
     return {key: row for key, row in acc.items() if row}
 
 
+class _Basis(tuple):
+    """A view's basis: the plain tuple, hashed once, with per component c, formed on
+    first read, its maps' rows {(i, r): row} and their ``_index``, for ``_join``."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    _hash = cached_property(lambda b: tuple.__hash__(b))
+    _rows = cached_property(lambda b: [{(i, r): row for i, t in enumerate(b) for r, row
+                                        in t[c].matrix._sparse.items()} for c in range(len(b[0]))])
+    _indexed = cached_property(lambda b: [_index(rows) for rows in b._rows])
+
+
 def compose(a: GradedMap, b: GradedMap) -> GradedMap:
     """a after b; degrees add mod 2."""
     return _product(a, b, 0)
@@ -163,7 +176,10 @@ class MapSpace:
     ``tuples`` is the canonical reduced basis of the solution space over
     the stacked coordinates of all components (D, then D', then D'').
     Two views, each formed once on first use, pair the tuple space with
-    ``tuples`` and the first-component span with its canonical basis maps.
+    ``tuples`` and the first-component span with its canonical basis maps,
+    each a ``_Basis``.  Both read ``_kernel``, not a field: a solve's or else one
+    reduction's canonical rows over unknowns at increasing places (c, m, l), and
+    their tuples, those that lead in component 0 first.
     """
 
     kind: SpaceKind
@@ -181,18 +197,34 @@ class MapSpace:
     def arity(self) -> int:
         return self.kind.arity
 
-    def as_subspace(self) -> Subspace:
-        return Subspace._from_sparse(self.arity * self.n * self.n,
-                                     (_coords(*t) for t in self.tuples))
+    @classmethod
+    def _of(cls, kernel: dict, where: list, *fields) -> "MapSpace":
+        """A space whose ``_kernel`` is trusted to be (kernel, where, its tuples)."""
+        space = cls(*fields)
+        space.__dict__["_kernel"] = kernel, where, space.tuples
+        return space
 
     @cached_property
-    def _tuple_view(self) -> tuple[Subspace, tuple]:
-        return self.as_subspace(), self.tuples
+    def _kernel(self) -> tuple[dict, list, tuple]:
+        n, rows = self.n, _reduce(_coords(*t) for t in self.tuples)
+        where = list(itertools.product(range(self.arity), range(n), range(n)))
+        zero = GradedMap._of(Matrix._of(n, n, {}), self.degree)
+        return rows, where, _maps(_pivot_rows(rows), where, self.arity, zero)
+
+    def _span(self, size: int) -> Subspace:
+        """The span of the first ``size`` coordinates: the kernel rows leading below
+        it, cut there and relabelled, (c n + m) n + l, in order, so canonical."""
+        (kernel, where, _), n = self._kernel, self.n
+        at = [(c * n + m) * n + l for c, m, l in where]
+        return Subspace._of(size, {at[p]: {at[u]: x for u, x in row.items() if at[u] < size}
+                                   for p, row in kernel.items() if at[p] < size})
+
+    _tuple_view = cached_property(lambda s: (s._span(s.arity * s.n * s.n), _Basis(s.tuples)))
 
     @cached_property
-    def _first_view(self) -> tuple[Subspace, tuple]:
-        span = project_component(self, 0)
-        return span, _span_maps(span, self.n, self.degree)
+    def _first_view(self) -> tuple[Subspace, _Basis]:
+        span = self._span(self.n * self.n)
+        return span, _Basis((t[0],) for t in self._kernel[2][:span.dim])
 
 
 def _coords(*maps: GradedMap) -> Row:
@@ -213,12 +245,6 @@ def _maps(rows: Sequence[Row], where: Sequence, arity: int, zero: GradedMap) -> 
         out.append(tuple([GradedMap._of(Matrix._of(n, n, views[c]), zero.degree)
                           if c in views else zero for c in range(arity)]))
     return tuple(out)
-
-
-def _span_maps(span: Subspace, n: int, degree: int) -> tuple:
-    """The n x n maps of a span's canonical basis, as 1-tuples of one degree."""
-    where = [(0, m, l) for m in range(n) for l in range(n)]
-    return _maps(_pivot_rows(span._reduced), where, 1, GradedMap._of(Matrix._of(n, n, {}), degree))
 
 
 def space_contains(space: MapSpace, maps: Sequence[GradedMap]) -> bool:
@@ -248,6 +274,8 @@ IDENTITIES = {
     SpaceKind.ZDER: ((("right", 0, 1),), (("eval", 0, 1),)),
 }
 _EQS = max(len(equations) for equations in IDENTITIES.values())  # the most of any kind
+# maps per tuple: one past the largest component index of the kind's identities
+_ARITY = {kind: 1 + max(c for eq in eqs for _, c, _ in eq) for kind, eqs in IDENTITIES.items()}
 
 
 def _presolve(rows_by_key: dict, width: int) -> tuple[list, list]:
@@ -339,7 +367,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     n, arity = spec.n, kind.arity
     cells, comm, sides = _level(spec, k, degree, strict)
     if not cells:
-        return MapSpace(kind, k, degree, strict, n, ())
+        return MapSpace._of({}, [], kind, k, degree, strict, n, ())
 
     def spread(acc, start, stride, table, index, sign, offset):
         """Sum sign * x into row start + q * stride + m at unknown offset + idx,
@@ -363,10 +391,11 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
                      ({c * size + i: x for i, x in r.items()} for c in range(arity) for r in comm)))
     rows, kept = _presolve(ident, arity * size)
     system = Matrix._of(len(rows), len(kept), dict(enumerate(rows)))
-    kernel = _pivot_rows(nullspace(system)._reduced)
+    kernel = nullspace(system)._reduced
     where = [(idx // size, *cells[idx % size]) for idx in kept]
     zero = GradedMap._of(Matrix._of(n, n, {}), degree)  # shared: no one writes a view
-    return MapSpace(kind, k, degree, strict, n, _maps(kernel, where, arity, zero))
+    return MapSpace._of(kernel, where, kind, k, degree, strict, n,
+                        _maps(_pivot_rows(kernel), where, arity, zero))
 
 
 def project_component(space: MapSpace, index: int) -> Subspace:
@@ -478,21 +507,17 @@ def _levels(k_max: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=1024)
 def _first_product_outside(s, a, b, target):
-    """The first index pair (i, w) whose products
-    ``_product(x[c], y[c], s)``, x = a[i] and y = b[w], leave target, or
-    None; s is -1 for brackets and 0 for compositions.  One ``_join`` per
-    component c forms every x[c] times every y[c] (a side's maps have one
-    degree); only nonzero products are tested, in (i, w) order, as a zero
-    lies in every target.  When a == b a bracket at (i, w), w < i, is +-that
-    at (w, i), so only w >= i is formed.  Keyed on content: a repeated cell
-    is answered once, and a changed basis afresh."""
+    """The first index pair (i, w) whose products ``_product(x[c], y[c], s)``, x =
+    a[i] and y = b[w], leave target, or None; s is -1 for brackets, 0 for compositions.
+    One ``_join`` per component c of the ``_Basis`` rows (one degree a side) forms every
+    x[c] times every y[c]; only nonzero products are tested, in (i, w) order, as a zero
+    lies in every target.  When a == b a bracket at (i, w), w < i, is +-that at (w, i),
+    so only w >= i is formed.  Keyed on content: a repeat once, a changed basis afresh."""
     if not (a and b):
         return None
     n, skew, rows = b[0][0].n, s == -1 and a == b, {}
-    for c in range(len(b[0])):
-        p, g = ({(i, r): row for i, x in enumerate(side) for r, row in x[c].matrix._sparse.items()}
-                for side in (a, b))
-        for (i, w, r), row in _join((1, p, a[0][c].degree, _index(g), b[0][c].degree, s),
+    for c, (p, g) in enumerate(zip(a._rows, b._indexed)):
+        for (i, w, r), row in _join((1, p, a[0][c].degree, g, b[0][c].degree, s),
                                     skew=skew).items():
             rows.setdefault((i, w), {}).update(((c * n + r) * n + col, v) for col, v in row.items())
     return _first_outside(target, ((rows[key], key) for key in sorted(rows)))
@@ -627,14 +652,15 @@ def check_bracket_laws(spec: AlgebraSpec, k_max: int,
     # stability of every space under the shift D -> D o alpha, one law cell with
     # B = ((alpha, .., alpha),); it needs a bracket-preserving twist, so it is gated
     multiplicative, alpha = validate(spec).multiplicative_ok, GradedMap(spec.alpha, 0)
+    shift = {arity: _Basis(((alpha,) * arity,)) for arity in set(_ARITY.values())}
     for k, th, kind in itertools.product(range(k_max), (0, 1), SpaceKind):
         name = f"shift {kind.value}: k={k} -> {k + 1} (deg={th})"
         if not multiplicative:
             checks.append(Check(name, "skipped",
                                 "twist does not preserve the bracket"))
             continue
-        tuples = space(kind, k, th).tuples
-        at = _first_product_outside(0, tuples, ((alpha,) * kind.arity,),
+        tuples = space(kind, k, th)._tuple_view[1]
+        at = _first_product_outside(0, tuples, shift[kind.arity],
                                     space(kind, k + 1, th)._tuple_view[0])
         checks.append(_verdict(name, at and _product(tuples[at[0]][0], alpha, 0), _witness))
 
@@ -796,12 +822,11 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
     checks.append(_verdict("circle product super-commutative", comm_bad,
                            lambda w: format_matrix(w[0].matrix)))
 
-    # the residual is linear in each map at fixed degrees, so it vanishes
-    # on elems exactly when on a basis of their span per degree; only a
-    # failing basis sends the walk over elems, for the first witness
-    n = spec.n
-    basis = [g for th in (0, 1) for g, in _span_maps(Subspace._from_sparse(
-        n * n, (_coords(g) for g in elems if g.degree == th)), n, th)]
+    # the residual is linear in each map at fixed degrees, so it vanishes on elems
+    # exactly when on a basis of their span per degree, a space of them's first
+    # view; only a failing basis sends the walk over elems, for the first witness
+    basis = [g for th in (0, 1) for g, in MapSpace(SpaceKind.QC, 0, th, strict, spec.n, tuple(
+        (g,) for g in elems if g.degree == th))._first_view[1]]
     quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)
     jordan_bad = quad and tuple(elems[i] for i in quad)
     checks.append(_verdict(

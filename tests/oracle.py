@@ -37,7 +37,10 @@ system (``reference_solve_space``) and that presolve written apart, with
 the unknowns that one-entry commutation rows fix struck first
 (``reference_presolve``, ``reference_presolved_rows``), the double's structure constants
 as ``build_extended`` read them off the dense bracket table
-(``reference_double_spec``), and the helpers that the package no
+(``reference_double_spec``), a solved space's tuple and first-component
+views as reductions of its tuples, as they were before they were read
+off the solver's kernel (``reference_tuple_view``,
+``reference_first_view``), and the helpers that the package no
 longer holds: dense vectors and columns (``is_zero_vec``, ``col``), a
 matrix from sparse rows (``from_sparse``), the whole space
 (``full_space``) and the shift D -> D o alpha (``alpha_shift``).  Last,
@@ -545,7 +548,7 @@ def reference_bracket_laws(spec: AlgebraSpec, k_max: int,
                                     label, f"{where}: {format_matrix(g.matrix)}")
                 for label, kind in tuple_laws:
                     target = solve_space(spec, kind, k + s, thr, strict)
-                    tsub = target.as_subspace()
+                    tsub = reference_tuple_view(target)[0]
                     for ta in solve_space(spec, kind, k, th1, strict).tuples:
                         for tb in solve_space(spec, kind, s, th2, strict).tuples:
                             gt = tuple(supercommutator(x, y)
@@ -608,7 +611,7 @@ def reference_bracket_laws(spec: AlgebraSpec, k_max: int,
                     continue
                 src = solve_space(spec, kind, k, th, strict)
                 tgt = solve_space(spec, kind, k + 1, th, strict)
-                tsub = tgt.as_subspace()
+                tsub = reference_tuple_view(tgt)[0]
                 bad = None
                 for t in src.tuples:
                     shifted = tuple(alpha_shift(spec, g) for g in t)
@@ -904,6 +907,21 @@ def reference_hom_jordan_residual(alpha: Matrix, x, y, z, w) -> Matrix:
     return t1 + t2 + t3
 
 
+def reference_tuple_view(space):
+    """``MapSpace._tuple_view`` as it was: the span of the tuples' stacked
+    coordinates, by one reduction, and the tuples."""
+    return Subspace._from_sparse(space.arity * space.n ** 2,
+                                 (spaces._coords(*t) for t in space.tuples)), space.tuples
+
+
+def reference_first_view(space):
+    """``MapSpace._first_view`` as it was: the span of the first
+    components, by one reduction, and its canonical basis maps."""
+    span = project_component(space, 0)
+    return span, tuple((GradedMap(Matrix(space.n, space.n, row), space.degree),)
+                       for row in span.basis)
+
+
 def reference_first_product_outside(s, a, b, target):
     """``spaces._first_product_outside`` as it was: one ``_product(p, q, s)``
     per pair (x, y), x in a outermost, component by component, each
@@ -1101,7 +1119,8 @@ def reference_partner_determined(ext, k: int, strict: bool = True) -> tuple:
     nn = n * n
     out = []
     for th in (0, 1):
-        pairs = spaces.solve_space(ext.base, SpaceKind.QDER, k, th, strict).as_subspace()
+        space = spaces.solve_space(ext.base, SpaceKind.QDER, k, th, strict)
+        pairs = reference_tuple_view(space)[0]
         rows = [from_sparse([{p: 1, **row}], pairs.ambient_dim).entries
                 for p, row in pairs._reduced.items() if p >= nn]
         bad = any(not is_zero_vec(reference_matvec(Matrix(n, n, row[nn:]), d))

@@ -207,7 +207,7 @@ def test_law_witness_at_a_later_w_in_a_wide_cell(ex2_5):
     """lax ex2_5's pairs law at (k=0, s=1), degrees (0, 0), has 9 pairs a
     side and first fails at x = 1, w = 3."""
     space = spaces._reader(ex2_5, False, 1)
-    pairs = space(SpaceKind.QDER, 0, 0).tuples
+    pairs = space(SpaceKind.QDER, 0, 0)._tuple_view[1]
     later = space(SpaceKind.QDER, 1, 0)._tuple_view
     assert len(pairs) == len(later[1]) == 9
     args = (-1, pairs, later[1], later[0])
@@ -226,10 +226,10 @@ def _products(s, x, y):
 
 @st.composite
 def _cells(draw, same):
-    """(s, a, b, target): one to four tuples a side, the maps of a side of
-    one degree, even or odd.  When same, b is a, s is -1 and the tuples
-    hold 1 or 2 maps; else b is drawn apart, s is -1 or 0 and the tuples
-    hold 1 or 3 maps.  The target is spanned by the products of the first
+    """(s, a, b, target): one to four tuples a side, as a ``spaces._Basis``,
+    the maps of a side of one degree, even or odd.  When same, b is a, s
+    is -1 and the tuples hold 1 or 2 maps; else b is drawn apart, s is -1
+    or 0 and the tuples hold 1 or 3 maps.  The target is spanned by the products of the first
     pairs in walk order and by a random tuple, so that cells pass, and
     fail at w = x as at other w, for the first x and later ones."""
     n, arity = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2) if same else (1, 3)))
@@ -239,8 +239,8 @@ def _cells(draw, same):
         return st.lists(_matrices(n), min_size=arity, max_size=arity).map(
             lambda ms: tuple(GradedMap(m, degree) for m in ms))
 
-    a = tuple(draw(st.lists(tuples(), min_size=1, max_size=4)))
-    b, s = (a, -1) if same else (tuple(draw(st.lists(tuples(), min_size=1, max_size=4))),
+    a = spaces._Basis(draw(st.lists(tuples(), min_size=1, max_size=4)))
+    b, s = (a, -1) if same else (spaces._Basis(draw(st.lists(tuples(), min_size=1, max_size=4))),
                                  draw(st.sampled_from((-1, 0))))
     spans = [_products(s, x, y) for x in a for y in b][:draw(st.integers(0, len(a) * len(b)))]
     spans += draw(st.lists(tuples(), max_size=1))
@@ -267,7 +267,7 @@ def test_a_cell_of_two_bases_finds_the_first_witness(cell):
     (tuple((_map({r: {c: 1}}, 0, 3),) for r, c in ((0, 0), (1, 1), (1, 2))), 1, 2),
 ], ids=["w=x", "w>x"])
 def test_a_bracket_cell_of_one_basis_fails_at_its_first_pair(a, x, w):
-    zero = Subspace.zero(a[0][0].n ** 2)
+    a, zero = spaces._Basis(a), Subspace.zero(a[0][0].n ** 2)
     assert not _products(-1, a[x], a[w])[0].is_zero()
     assert (spaces._first_product_outside(-1, a, a, zero) == (x, w)
             == reference_first_product_outside(-1, a, a, zero))

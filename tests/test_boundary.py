@@ -90,7 +90,7 @@ def test_maps_and_their_products_read_as_fractions(algebras):
             assert_fractions(x for row in span.basis for x in row)
             assert_map_fractions(g for g, in maps)
             firsts += [g for g, in maps]
-            assert_fractions(x for row in space.as_subspace().basis for x in row)
+            assert_fractions(x for row in space._tuple_view[0].basis for x in row)
         assert firsts, spec.name
         for a, b in itertools.product(firsts[:6], repeat=2):
             assert_map_fractions((compose(a, b), supercommutator(a, b),

@@ -5,8 +5,9 @@ functions of immutable values, keyed on content: ``solve_space``, the
 kind-free system of a level that every kind's solve there reads
 (``_level``), the law cells, ``validate`` and ``center``.  The least twist power at which
 a level's spaces are read is worked out once per check, by its level
-reader, and is no cache.  A solved space holds its own spans, each
-formed once on first use.  That a changed space is never
+reader, and is no cache.  A solved space holds its own views, each
+formed once on first use and read off the kernel of its solve, with no
+reduction.  That a changed space is never
 served a stale span or verdict is tested with injected faults in
 ``test_laws`` and ``test_law_engine``.
 """
@@ -15,55 +16,78 @@ import ast
 import contextlib
 import io
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import homlie
-from homlie import algebra, spaces
+from homlie import algebra, cli, extension, linalg, spaces
 from homlie.catalog import BUILTIN
 from homlie.cli import main
 
 
 def _report_work(monkeypatch, argv):
     """Run ``main(argv)`` on cleared caches; returns the cache infos of
-    ``validate`` and ``center`` and how often each span was formed: the
-    (space, component) spans and the (space, "tuples") tuple spaces.
-    Spans live on the solved spaces, so clearing ``solve_space`` clears
-    them too."""
+    ``validate`` and ``center``, and, for the spaces that ``solve_space``
+    returned, how often each view was formed, keyed (space, view name), and
+    how many reductions ran forming it, keyed alike.  Views live on the
+    solved spaces, so clearing ``solve_space`` clears them too."""
     for cached in (algebra.validate, algebra.center, spaces.solve_space):
         cached.cache_clear()
-    formed = Counter()
-    project = spaces.project_component
-    as_subspace = spaces.MapSpace.as_subspace
+    formed, reduced, forming, solved = Counter(), Counter(), [], set()
+    reduce, solve = linalg._reduce, spaces.solve_space
 
-    def counted(space, index):
-        formed[space, index] += 1
-        return project(space, index)
+    def counted_reduce(rows):
+        reduced.update(forming)
+        return reduce(rows)
 
-    def counted_tuples(space):
-        formed[space, "tuples"] += 1
-        return as_subspace(space)
+    def recorded_solve(*args):
+        space = solve(*args)
+        solved.add(id(space))  # the cache keeps every space alive until the end
+        return space
 
-    monkeypatch.setattr(spaces, "project_component", counted)
-    monkeypatch.setattr(spaces.MapSpace, "as_subspace", counted_tuples)
+    def counted(name, view):
+        def form(space):
+            if id(space) not in solved:
+                return view(space)
+            formed[space, name] += 1
+            forming.append((space, name))
+            try:
+                return view(space)
+            finally:
+                forming.pop()
+
+        prop = cached_property(form)
+        prop.__set_name__(spaces.MapSpace, name)
+        return prop
+
+    for module in (linalg, spaces):
+        monkeypatch.setattr(module, "_reduce", counted_reduce)
+    for module in (spaces, cli, extension):
+        monkeypatch.setattr(module, "solve_space", recorded_solve)
+    for name in ("_tuple_view", "_first_view"):
+        monkeypatch.setattr(spaces.MapSpace, name,
+                            counted(name, getattr(spaces.MapSpace, name).func))
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
     monkeypatch.undo()
-    return algebra.validate.cache_info(), algebra.center.cache_info(), formed
+    return algebra.validate.cache_info(), algebra.center.cache_info(), formed, reduced
 
 
 @pytest.mark.parametrize("lax", [(), ("--lax",)], ids=["strict", "lax"])
 def test_each_fact_is_computed_once_per_report(monkeypatch, lax):
     for name in BUILTIN:
-        validated, centered, formed = _report_work(
+        validated, centered, formed, reduced = _report_work(
             monkeypatch, ["report", name, "--kmax", "3", *lax])
         # the base algebra and its double, looked up 5 and 10 times
         assert (validated.misses, validated.hits) == (2, 3), name
         assert (centered.misses, centered.hits) == (2, 8), name
-        assert max(formed.values()) == 1, name
+        # every view formed at most once, off the solve's kernel, by no reduction
+        assert formed and max(formed.values()) == 1, name
+        assert not reduced, name
         if name == "ex2_5" and not lax:
-            tuples = [key for key in formed if key[1] == "tuples"]
+            tuples = [key for key in formed if key[1] == "_tuple_view"]
             assert len(formed) - len(tuples) == 76
             assert len(tuples) == 16
 
