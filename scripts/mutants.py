@@ -91,6 +91,8 @@ SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random
 VIEWS = "tests/test_span_views.py::"
 ON_VIEWS = VIEWS + "test_views_of_solved_spaces_are_the_reductions_on_bundled[ex2_5]"
 BENT_VIEWS = VIEWS + "test_a_replaced_space_reduces_its_own_tuples[QC]"
+WALKS_APART = "tests/test_twist_powers.py::test_the_walks_of_twists_at_one_k_max_are_kept_apart"
+WRITER = CLI_TESTS + "test_json_writer_matches_json_dumps_with_indent_2"
 
 MUTANTS = (
     # the solver's system, assembled from the nonzeros of the bracket tables
@@ -295,7 +297,7 @@ MUTANTS = (
     # each level read at the least power with its twist power, by one reader
     # that also checks k_max
     Mutant("levels: the least power is k", SPACES,
-           "q, p = seen.get(at, k_max + 1), len(seen)", "q, p = k_max + 1, len(seen)",
+           "return seen.get(at, k_max + 1), len(seen)", "return k_max + 1, len(seen)",
            (LEVEL_0,)),
     Mutant("levels: the least power is 0", SPACES,
            "k if k < q else q + (k - q) % (p - q)", "0",
@@ -317,6 +319,12 @@ MUTANTS = (
     Mutant("power: the square not squared", LINALG,
            "square = square.matmul(square) if k else square", "square = square if k else square",
            ("tests/test_twist_powers.py::test_power_is_repeated_matmul",)),
+    # one walk over a twist's powers per (twist, k_max), shared by every reader
+    Mutant("levels: the walk keyed without the twist", SPACES,
+           "@lru_cache(maxsize=1024)\ndef _walk(",
+           "@lambda walk: lambda alpha, k_max, _by_k={}: _by_k.setdefault(\n"
+           "    k_max, _by_k.get(k_max) or walk(alpha, k_max))\ndef _walk(",
+           (WALKS_APART,)),
     Mutant("levels: a bool k_max let through", SPACES,
            "if isinstance(k_max, bool) or not isinstance(k_max, int):",
            "if not isinstance(k_max, int):",
@@ -386,14 +394,27 @@ MUTANTS = (
            (BATCHED + "test_map_and_space_hashes_are_the_dataclass_hashes",)),
     # validate on the sparse bracket view
     Mutant("validate: a dropped live-triple rotation", ALGEBRA,
-           "for t in ((x, a, b), (b, x, a), (a, b, x))", "for t in ((x, a, b), (b, x, a))",
+           "for t in (c, (c[1], c[2], c[0]), (c[2], c[0], c[1]))}",
+           "for t in (c, (c[1], c[2], c[0]))}",
            (VALIDATE + "test_matches_reference_on_faulty_tables",)),
+    Mutant("validate: a Jacobi class reported at its representative only", ALGEBRA,
+           "for t in (c, (c[1], c[2], c[0]), (c[2], c[0], c[1]))}", "for t in (c,)}",
+           (VALIDATE + "test_each_identity_fails_with_its_witnesses[twisted Jacobi]",)),
+    Mutant("validate: a rotation class keyed on the sorted triple", ALGEBRA,
+           "classes.setdefault(min((x, y, z), (y, z, x), (z, x, y)), {})",
+           "classes.setdefault(tuple(sorted((x, y, z))), {})",
+           (VALIDATE + "test_each_identity_fails_with_its_witnesses[twisted Jacobi]",)),
+    Mutant("validate: the class of three equal rotations counted once", ALGEBRA,
+           "* (3 if x == y == z else 1)", "* 1",
+           (VALIDATE + "test_a_triple_of_one_index_is_its_three_rotations",)),
+    Mutant("validate: the multiplicativity term's -1 dropped", ALGEBRA,
+           "(-1, twisted, table)", "(1, twisted, table)",
+           (VALIDATE + "test_each_identity_fails_with_its_witnesses[multiplicativity]",)),
     Mutant("validate: skew without the transposes", ALGEBRA,
            "sorted(table.keys() | {(j, i) for i, j in table})", "sorted(table.keys())",
            (VALIDATE + "test_matches_reference_on_faulty_tables",)),
     Mutant("validate: multiplicativity on nonzero pairs only", ALGEBRA,
-           "for i in range(n) for j in range(n)\n            if (res := _add(twisted",
-           "for i, j in table\n            if (res := _add(twisted",
+           "for i in range(n) for j in range(n)}", "for i, j in table}",
            (VALIDATE + "test_all_five_faults_in_identity_order",)),
     # the spec's view, as from_pairs, the file parser and build_extended fill it
     Mutant("skew fill: the transpose without the parity sign", ALGEBRA,
@@ -492,6 +513,13 @@ MUTANTS = (
            '"run the full verification suite", ("--kmax",)),',
            (CLI_TESTS + "test_every_subcommand_keeps_its_options",
             GOLDEN_REPORT + "[ex2_5-json_lax]")),
+    # --json written in one pass, byte for byte as json.dumps(indent=2)
+    Mutant("json: a list's item separator written as ', '", CLI,
+           '"[" + inner + ("," + inner)', '"[" + inner + (", " + inner)',
+           (WRITER, GOLDEN_REPORT + "[ex2_5-json]")),
+    Mutant("json: True written as 1", CLI,
+           'else "true" if value else', 'else "1" if value else',
+           (WRITER, GOLDEN_REPORT + "[ex2_5-json]")),
     # a sampler that refuses nonsense arguments before it draws
     Mutant("sampler: a negative count let through", RANDOMGEN,
            "if count < 0:", "if False:",

@@ -10,8 +10,8 @@ affect the exit status.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraSpec, center, validate
 from .catalog import BUILTIN, resolve
@@ -39,6 +39,28 @@ _COMPONENT_NAMES = ("D", "D'", "D''")
 
 def _matrix_json(m: Matrix) -> list[list[str]]:
     return [[str(m.at(r, c)) for c in range(m.cols)] for r in range(m.rows)]
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, in one pass over dicts, lists, str,
+    int, bool and None; any other value, or a key that is no str, which
+    ``encode_basestring_ascii`` refuses, raises TypeError."""
+    if isinstance(value, list):
+        inner = indent + "  "
+        return ("[" + inner + ("," + inner).join([_json(v, inner) for v in value])
+                + indent + "]") if value else "[]"
+    if isinstance(value, dict):
+        inner = indent + "  "
+        return ("{" + inner + ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()])
+            + indent + "}") if value else "{}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {value!r:.60} as JSON")
 
 
 class _Refusal(Exception):
@@ -316,7 +338,7 @@ def main(argv=None) -> int:
         doc = {"command": args.command, "algebra": spec.name, **fields}
         if ok is not None:
             doc["ok"] = ok
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     else:
         for line in lines:
             print(line)

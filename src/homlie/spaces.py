@@ -472,30 +472,35 @@ def _verdict(name: str, witness, describe=lambda witness: "") -> Check:
     return Check(name, "fail", describe(witness))
 
 
-def _reader(spec: AlgebraSpec, strict: bool, k_max: int):
-    """``space(kind, k, th)``: the solved space of level k <= k_max and
-    degree th, at the least j with alpha^j = alpha^k, as ``solve_space``
-    reads k only through alpha^k.  Every check reads its levels here.
-    The powers are formed up to the first repeat alpha^p = alpha^q, q < p,
-    after which the least power of k >= q is q + (k - q) mod (p - q).
+@lru_cache(maxsize=1024)
+def _walk(alpha: Matrix, k_max: int) -> tuple[int, int]:
+    """(q, p) for the first repeat alpha^p = alpha^q, q < p, among the powers
+    up to alpha^(k_max + 1), or (k_max + 1, k_max + 1) if none repeats there.
     Stopping at the first repeat keeps a far level cheap: ``embed --k K``
     and the double's checks build a reader up to K to read one level.
     A power is keyed with the sum of its entries' bit lengths: hash(2**j)
     repeats with period 61, and unequal powers must not chain in one bucket."""
-    if isinstance(k_max, bool) or not isinstance(k_max, int):
-        raise TypeError(f"k_max must be an int, got {k_max!r}")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-
     def key(m: Matrix):  # the sum is free of the order in which the view was built
         return m, sum(x.numerator.bit_length() + x.denominator.bit_length()
                       for row in m._sparse.values() for x in row.values())
 
-    seen, power = {}, Matrix.identity(spec.n)  # key(alpha^j): j
+    seen, power = {}, Matrix.identity(alpha.rows)  # key(alpha^j): j
     while (at := key(power)) not in seen and len(seen) <= k_max:
         seen[at] = len(seen)
-        power = power.matmul(spec.alpha)
-    q, p = seen.get(at, k_max + 1), len(seen)
+        power = power.matmul(alpha)
+    return seen.get(at, k_max + 1), len(seen)
+
+
+def _reader(spec: AlgebraSpec, strict: bool, k_max: int):
+    """``space(kind, k, th)``: the solved space of level k <= k_max and
+    degree th, at the least j with alpha^j = alpha^k, as ``solve_space``
+    reads k only through alpha^k.  Every check reads its levels here, the
+    least power of a k >= q as q + (k - q) mod (p - q), (q, p) off ``_walk``."""
+    if isinstance(k_max, bool) or not isinstance(k_max, int):
+        raise TypeError(f"k_max must be an int, got {k_max!r}")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    q, p = _walk(spec.alpha, k_max)
     return lambda kind, k, th: solve_space(
         spec, kind, k if k < q else q + (k - q) % (p - q), th, strict)
 

@@ -3,12 +3,12 @@
 homlie reuses work through bounded ``functools.lru_cache``s over pure
 functions of immutable values, keyed on content: ``solve_space``, the
 kind-free system of a level that every kind's solve there reads
-(``_level``), the law cells, ``validate`` and ``center``.  The least twist power at which
-a level's spaces are read is worked out once per check, by its level
-reader, and is no cache.  A solved space holds its own views, each
-formed once on first use and read off the kernel of its solve, with no
-reduction.  That a changed space is never
-served a stale span or verdict is tested with injected faults in
+(``_level``), the law cells, ``validate``, ``center`` and the walk over
+a twist's powers (``_walk``), which finds the least power at which each
+level reader reads a level's spaces, once per twist and k_max.  A solved
+space holds its own views, each formed once on first use and read off
+the kernel of its solve, with no reduction.  That a changed space is
+never served a stale span or verdict is tested with injected faults in
 ``test_laws`` and ``test_law_engine``.
 """
 
@@ -29,11 +29,11 @@ from homlie.cli import main
 
 def _report_work(monkeypatch, argv):
     """Run ``main(argv)`` on cleared caches; returns the cache infos of
-    ``validate`` and ``center``, and, for the spaces that ``solve_space``
+    ``validate``, ``center`` and ``_walk``, and, for the spaces that ``solve_space``
     returned, how often each view was formed, keyed (space, view name), and
     how many reductions ran forming it, keyed alike.  Views live on the
     solved spaces, so clearing ``solve_space`` clears them too."""
-    for cached in (algebra.validate, algebra.center, spaces.solve_space):
+    for cached in (algebra.validate, algebra.center, spaces._walk, spaces.solve_space):
         cached.cache_clear()
     formed, reduced, forming, solved = Counter(), Counter(), [], set()
     reduce, solve = linalg._reduce, spaces.solve_space
@@ -72,17 +72,20 @@ def _report_work(monkeypatch, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
     monkeypatch.undo()
-    return algebra.validate.cache_info(), algebra.center.cache_info(), formed, reduced
+    return (algebra.validate.cache_info(), algebra.center.cache_info(),
+            spaces._walk.cache_info(), formed, reduced)
 
 
 @pytest.mark.parametrize("lax", [(), ("--lax",)], ids=["strict", "lax"])
 def test_each_fact_is_computed_once_per_report(monkeypatch, lax):
     for name in BUILTIN:
-        validated, centered, formed, reduced = _report_work(
+        validated, centered, walked, formed, reduced = _report_work(
             monkeypatch, ["report", name, "--kmax", "3", *lax])
         # the base algebra and its double, looked up 5 and 10 times
         assert (validated.misses, validated.hits) == (2, 3), name
         assert (centered.misses, centered.hits) == (2, 8), name
+        # 28 level readers over the base's and the double's twist at k_max 0..3
+        assert (walked.misses, walked.hits) == (8, 20), name
         # every view formed at most once, off the solve's kernel, by no reduction
         assert formed and max(formed.values()) == 1, name
         assert not reduced, name
@@ -111,7 +114,8 @@ def test_every_memo_is_a_bounded_content_keyed_lru_cache():
                          and [(kw.arg, kw.value.value) for kw in dec.keywords]
                          == [("maxsize", 1024)])
     assert found == dict.fromkeys(
-        ("validate", "center", "_level", "solve_space", "_first_product_outside"), True)
+        ("validate", "center", "_level", "solve_space", "_walk", "_first_product_outside"),
+        True)
 
 
 def test_the_level_reader_compares_few_powers_of_a_twist_that_never_repeats(ex2_5,

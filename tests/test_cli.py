@@ -529,3 +529,24 @@ def test_main_fuzz_exits_zero_one_or_two(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+
+
+# strings with quotes, backslashes, control characters and non-ASCII, beside any text
+_JSON_TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", " ", "😀", ""])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, -1) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps_with_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [[0.5]]}, {"a": {None: 0}}],
+                         ids=["float", "tuple", "int-key", "nested-float", "nested-none-key"])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value)

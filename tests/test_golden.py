@@ -10,6 +10,8 @@ Input files are written under ``tmp_path`` and named relative to it, the
 working directory of each run, so a message that names its file pins
 the file name and not the temporary path.  The test runs under
 ``python -O`` too, so it checks with ``pytest.fail``, not ``assert``.
+Every document printed under ``--json`` must also be the bytes that
+``json.dumps(indent=2)`` writes for it, plus a newline.
 """
 
 import contextlib
@@ -52,6 +54,12 @@ GOLDEN = {
 }
 
 
+def _check_document(text):
+    """A document on stdout is printed as ``json.dumps(indent=2)`` prints it."""
+    if text and text != json.dumps(json.loads(text), indent=2) + "\n":
+        pytest.fail(f"a document not written as json.dumps(indent=2): {text[:200]!r}")
+
+
 @pytest.mark.parametrize("algebra, flags", list(GOLDEN),
                          ids=lambda v: ("_".join(f.lstrip("-") for f in v) or "text")
                          if isinstance(v, tuple) else v)
@@ -59,6 +67,8 @@ def test_report_output_is_golden(algebra, flags):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["report", algebra, "--kmax", "3", *flags])
+    if "--json" in flags:
+        _check_document(out.getvalue())
     got = (hashlib.sha256(out.getvalue().encode()).hexdigest(), code)
     if got != GOLDEN[algebra, flags]:
         pytest.fail(f"report {algebra} {' '.join(flags)}: stdout sha256 and "
@@ -488,6 +498,8 @@ def _outcome(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if "--json" in argv:
+        _check_document(out.getvalue())
     return hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue(), code
 
 

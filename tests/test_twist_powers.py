@@ -68,6 +68,13 @@ def test_least_power_of_each_twist(name, twist, least):
         assert [space(SpaceKind.DER, k, 0).k for k in range(K_MAX + 1)] == least
 
 
+def test_the_walks_of_twists_at_one_k_max_are_kept_apart():
+    # one cache holds every twist's walk; no twist is served another's
+    walked = [[spaces._reader(_plane(name, twist), True, K_MAX)(SpaceKind.DER, k, 0).k
+               for k in range(K_MAX + 1)] for name, twist, _ in TWISTS]
+    assert walked == [least for _, _, least in TWISTS]
+
+
 @MODES
 @pytest.mark.parametrize("spec", INPUTS)
 def test_verifiers_match_the_per_level_references(spec, strict):

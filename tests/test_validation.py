@@ -5,16 +5,20 @@ identity; their failures are pinned with indices, residuals and order.
 ``validate`` must equal ``oracle.reference_validate``, the dense loops
 it replaced, on the bundled algebras, seeded random algebras, the
 iterated doubles of ex2_5 and Hypothesis tables with injected faults;
-``bracket`` must equal ``oracle.brute_bracket``.
+``bracket`` must equal ``oracle.brute_bracket``.  Jacobi and
+multiplicativity form their products with the view in one sum each,
+with no ``_bracket`` call.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from homlie import algebra
 from homlie.algebra import AlgebraSpec, IdentityFailure, bracket, validate
 from homlie.extension import build_extended
 from homlie.linalg import Matrix, vec
@@ -91,6 +95,18 @@ def test_all_five_faults_in_identity_order():
     assert seen == sorted(seen, key=ORDER.index)
 
 
+def test_a_triple_of_one_index_is_its_three_rotations():
+    # [e2, e2] = e1 on the odd e2, so J(1, 1, 1) = -[e2, e1] = e2 enters the
+    # Jacobi sum at (1, 1, 1) three times, once per rotation
+    spec = AlgebraSpec.from_pairs("odd_square", (0, 1), [[1, 0], [0, 1]],
+                                  {(1, 1): (1, 0), (0, 1): (0, 1)})
+    rep = validate(spec)
+    assert rep == oracle.reference_validate(spec)
+    assert list(rep.failures) == [
+        *(fail("twisted Jacobi", t, -2, 0) for t in ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+        fail("twisted Jacobi", (1, 1, 1), 0, 3)]
+
+
 def _iterated_doubles(spec, times):
     out = [spec]
     for _ in range(times):
@@ -112,7 +128,8 @@ def test_matches_reference_on_random_algebras(seed):
         assert validate(spec) == oracle.reference_validate(spec), spec.name
 
 
-_ENTRY = st.sampled_from((0, 0, 0, 0, 1, -1, 2))
+# non-integral entries meet the batched products with Fractions
+_ENTRY = st.sampled_from((0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
 
 
 @st.composite
@@ -157,6 +174,19 @@ def test_matches_reference_on_faulty_tables(spec):
     assert rep == oracle.reference_validate(spec)
     assert [f.identity for f in rep.failures] == sorted(
         (f.identity for f in rep.failures), key=ORDER.index)
+
+
+def test_jacobi_and_multiplicativity_call_no_bracket(monkeypatch, ex2_5):
+    """Only skew-symmetry brackets, once per nonzero pair or transpose."""
+    specs = [FAULTS["twisted Jacobi"][0], FAULTS["multiplicativity"][0], ex2_5,
+             build_extended(ex2_5).spec]
+    calls, bracket_ = [], algebra._bracket
+    monkeypatch.setattr(algebra, "_bracket", lambda *a: calls.append(a) or bracket_(*a))
+    for spec in specs:
+        calls.clear()
+        assert validate.__wrapped__(spec) == oracle.reference_validate(spec)
+        table = spec._sparse
+        assert len(calls) == len(table.keys() | {(j, i) for i, j in table}), spec.name
 
 
 @settings(max_examples=100, deadline=None)
