@@ -72,6 +72,8 @@ SHARED_LEVEL = ("tests/test_level_sharing.py::"
 EDGES = ASSEMBLY + "test_presolve_edge_cases_match_the_reference"
 RANDOM_ROWS = ASSEMBLY + "test_presolve_matches_the_reference_on_random_rows"
 ROUND_TRIP = "tests/test_sparse_coords.py::test_maps_inverts_coords_and_hands_back_zero"
+MAPS_REF = "tests/test_sparse_coords.py::test_maps_of_a_kernel_match_the_reference"
+LEVEL_REF = "tests/test_level_sharing.py::test_level_matches_the_reference[half_plane]"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
 BENT_SHIFT = "tests/test_law_engine.py::test_shift_law_fails_into_a_space_bent_at_the_next_level"
@@ -109,33 +111,38 @@ MUTANTS = (
            "evals.setdefault(l, {})[(a * n + b) * step] = -x",
            (ON_BUNDLED,)),
     Mutant("solver: the strict alpha-term sign flipped", SPACES,
-           "(l * n + p, -x) for p, x in acols[m].items()]",
-           "(l * n + p, x) for p, x in acols[m].items()]",
+           "row[idx] = row.get(idx, 0) - x", "row[idx] = row.get(idx, 0) + x",
            (ON_BUNDLED,)),
+    Mutant("level: the commutation row term's sign flipped", SPACES,
+           "row = acc.setdefault(j * n + m, {})\n                row[idx] = row.get(idx, 0) + x",
+           "row = acc.setdefault(j * n + m, {})\n                row[idx] = row.get(idx, 0) - x",
+           (ON_BUNDLED, LEVEL_REF)),
     Mutant("solver: rows in walk order, not key order", SPACES,
-           "for key in sorted(key for key, row in rows_by_key.items() if len(row) > 1)]",
-           "for key in (key for key, row in rows_by_key.items() if len(row) > 1)]",
+           "return [row for key in sorted(multi)", "return [row for key in multi",
            (ON_BUNDLED,)),
     Mutant("solver: the eval term through the row index", SPACES,
            '"eval": (1, evals, by_col)}', '"eval": (1, evals, by_row)}',
            (ON_BUNDLED,)),
     Mutant("solver: integral sums left as Fraction", SPACES,
-           "{at[idx]: _int(x) for idx, x in r.items() if idx in at}",
-           "{at[idx]: x for idx, x in r.items() if idx in at}",
+           "{at[idx]: _int(x) for idx, x in multi[key].items() if idx in at}",
+           "{at[idx]: x for idx, x in multi[key].items() if idx in at}",
            (ON_BUNDLED,)),
     # the unknowns that rows of one nonzero entry fix to zero, taken out of the
     # system by one routine, at the level and at the solve
     Mutant("presolve: a two-entry row taken as fixing its unknowns", SPACES,
-           "fixed.update(idx for row in cleared if len(row) == 1 for idx in row)",
-           "fixed.update(idx for row in cleared if len(row) in (1, 2) for idx in row)",
+           "len(row := {idx: x for idx, x in row.items() if x}) > 1:",
+           "len(row := {idx: x for idx, x in row.items() if x}) > 2:",
            (ON_BUNDLED, EDGES, RANDOM_ROWS)),
     Mutant("presolve: a one-unknown row whose sum is 0 taken as fixing it", SPACES,
-           "if len(row) == 1 for idx, x in row.items() if x}",
-           "if len(row) == 1 for idx, x in row.items()}",
+           "elif all(row.values()):", "elif row:",
            (ON_BUNDLED, RANDOM_ROWS)),
     Mutant("presolve: a row cancelled down to one entry kept as a row", SPACES,
-           "fixed.update(idx for row in cleared if len(row) == 1 for idx in row)",
-           "fixed.update(idx for row in cleared if len(row) == 0 for idx in row)",
+           "len(row := {idx: x for idx, x in row.items() if x}) > 1:",
+           "len(row := {idx: x for idx, x in row.items() if x}) > 0:",
+           (EDGES, RANDOM_ROWS)),
+    Mutant("presolve: a row that clears to one entry kept as a row, its zeros left in", SPACES,
+           "len(row := {idx: x for idx, x in row.items() if x}) > 1:",
+           "len(row := dict(row)) > 1:",
            (EDGES, RANDOM_ROWS)),
     Mutant("presolve: the surviving unknowns renumbered out of order", SPACES,
            "kept = [idx for idx in range(width) if idx not in fixed]",
@@ -163,7 +170,13 @@ MUTANTS = (
            (ON_BUNDLED, EDGES)),
     Mutant("_maps: row and column read swapped", SPACES,
            "c, m, l = where[i]", "c, l, m = where[i]",
-           (ON_BUNDLED, ROUND_TRIP)),
+           (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
+    Mutant("_maps: a unit row's 1 written into component 0 whatever its c", SPACES,
+           "t[c] = GradedMap._of(", "t[0] = GradedMap._of(",
+           (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
+    Mutant("_maps: the leading 1 written at (c, l, m)", SPACES,
+           "views = {c: {m: {l: 1}}}", "views = {c: {l: {m: 1}}}",
+           (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
     Mutant("nullspace: the columns not reversed", LINALG,
            "done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())",
            "done = _reduce(dict(row) for row in m._sparse.values())",
@@ -241,6 +254,10 @@ MUTANTS = (
            "(parity_sign(dz, d), tz, dz, i, d, 1)", "(1, tz, dz, i, d, 1)",
            (PASS,)),
     # the batched law cells
+    Mutant("law: every space read afresh at each use", SPACES,
+           "return views[key] if key in views else views.setdefault(key, getattr(space(*key), view))",
+           "return getattr(space(*key), view)",
+           ("tests/test_law_engine.py::test_a_law_walk_reads_each_space_once_in_walk_order[strict]",)),
     Mutant("law: a swapped (w, r) key", SPACES,
            "for (i, w, r), row in _join(", "for (i, r, w), row in _join(",
            (WIDE_CELL,)),

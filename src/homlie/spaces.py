@@ -209,7 +209,7 @@ class MapSpace:
         n, rows = self.n, _reduce(_coords(*t) for t in self.tuples)
         where = list(itertools.product(range(self.arity), range(n), range(n)))
         zero = GradedMap._of(Matrix._of(n, n, {}), self.degree)
-        return rows, where, _maps(_pivot_rows(rows), where, self.arity, zero)
+        return rows, where, _maps(rows, where, self.arity, zero)
 
     def _span(self, size: int) -> Subspace:
         """The span of the first ``size`` coordinates: the kernel rows leading below
@@ -233,16 +233,23 @@ def _coords(*maps: GradedMap) -> Row:
             for r, row in g.matrix._sparse.items() for col, x in row.items()}
 
 
-def _maps(rows: Sequence[Row], where: Sequence, arity: int, zero: GradedMap) -> tuple:
-    """One tuple of ``arity`` maps per row, D_c[m, l] = x for each i: x of
-    the row and (c, m, l) = ``where[i]``; views only, each zero map ``zero``."""
-    n, out = zero.n, []
-    for coords in rows:
-        views: dict[int, dict[int, Row]] = {}
-        for i, x in coords.items():
+def _maps(kernel: dict, where: Sequence, arity: int, zero: GradedMap) -> tuple:
+    """One tuple of ``arity`` maps per row of kernel, {pivot: row less its leading 1},
+    in pivot order: D_c[m, l] = x for the leading 1 at the pivot, then each i: x of
+    the row, (c, m, l) = ``where`` there; views only, each zero map ``zero``."""
+    n, degree, out = zero.n, zero.degree, []
+    for p, row in sorted(kernel.items()):
+        c, m, l = where[p]
+        if not row:  # a unit row: one map of one entry
+            t = [zero] * arity
+            t[c] = GradedMap._of(Matrix._of(n, n, {m: {l: 1}}), degree)
+            out.append(tuple(t))
+            continue
+        views = {c: {m: {l: 1}}}
+        for i, x in row.items():
             c, m, l = where[i]
             views.setdefault(c, {}).setdefault(m, {})[l] = x
-        out.append(tuple([GradedMap._of(Matrix._of(n, n, views[c]), zero.degree)
+        out.append(tuple([GradedMap._of(Matrix._of(n, n, views[c]), degree)
                           if c in views else zero for c in range(arity)]))
     return tuple(out)
 
@@ -281,15 +288,18 @@ _ARITY = {kind: 1 + max(c for eq in eqs for _, c, _ in eq) for kind, eqs in IDEN
 def _presolve(rows_by_key: dict, width: int) -> tuple[list, list]:
     """(rows, kept): kept lists in order the unknowns 0..width-1 that no row of
     {key: row} fixes to 0 by one nonzero entry, in place or once cleared of zeros;
-    rows holds the other rows in key order, over places in kept, none left empty."""
-    fixed = {idx for row in rows_by_key.values() if len(row) == 1 for idx, x in row.items() if x}
-    cleared = [{idx: x for idx, x in rows_by_key[key].items() if x}
-               for key in sorted(key for key, row in rows_by_key.items() if len(row) > 1)]
-    fixed.update(idx for row in cleared if len(row) == 1 for idx in row)
+    rows holds the other rows in key order, over places in kept, none left empty.
+    One walk sorts the rows, and clears only those of more entries."""
+    fixed, multi = set(), {}
+    for key, row in rows_by_key.items():
+        if len(row) > 1 and len(row := {idx: x for idx, x in row.items() if x}) > 1:
+            multi[key] = row
+        elif all(row.values()):  # one entry, not 0, or none
+            fixed.update(row)
     kept = [idx for idx in range(width) if idx not in fixed]
     at = {old: new for new, old in enumerate(kept)}
-    return [row for r in cleared
-            if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})], kept
+    return [row for key in sorted(multi)
+            if (row := {at[idx]: _int(x) for idx, x in multi[key].items() if idx in at})], kept
 
 
 @lru_cache(maxsize=1024)
@@ -314,12 +324,14 @@ def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
     if strict:
         # M[m, l] sits in the row (j, m) of M alpha times alpha[l, j], and in
         # the row (l, p) of alpha M times alpha[p, m]; the row (l, m) keyed l*n + m
-        acc, acols = {}, _columns(spec.alpha)
+        acc, arows, acols = {}, spec.alpha._sparse, _columns(spec.alpha)
         for idx, (m, l) in enumerate(cells):
-            for key, x in [(j * n + m, x) for j, x in spec.alpha._sparse.get(l, {}).items()] + [
-                    (l * n + p, -x) for p, x in acols[m].items()]:
-                row = acc.setdefault(key, {})
+            for j, x in arows.get(l, {}).items():
+                row = acc.setdefault(j * n + m, {})
                 row[idx] = row.get(idx, 0) + x
+            for p, x in acols[m].items():
+                row = acc.setdefault(l * n + p, {})
+                row[idx] = row.get(idx, 0) - x
         comm, kept = _presolve(acc, len(cells))
         cells = [cells[i] for i in kept]
     if not cells:
@@ -395,7 +407,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     where = [(idx // size, *cells[idx % size]) for idx in kept]
     zero = GradedMap._of(Matrix._of(n, n, {}), degree)  # shared: no one writes a view
     return MapSpace._of(kernel, where, kind, k, degree, strict, n,
-                        _maps(_pivot_rows(kernel), where, arity, zero))
+                        _maps(kernel, where, arity, zero))
 
 
 def project_component(space: MapSpace, index: int) -> Subspace:
@@ -540,15 +552,18 @@ def _law_witness(space, sign, ka, kb, target, levels):
     same products up to sign and has the same target: once it passes,
     this cell passes.  A failing cell walks its own products, for its own
     first witness."""
-    whole = target == _TUPLE
+    whole, views = target == _TUPLE, {}
     view = "_tuple_view" if whole else "_first_view"
+
+    def read(*key):  # (kind, level, degree): that space's view, read once a call
+        return views[key] if key in views else views.setdefault(key, getattr(space(*key), view))
     for k, s in levels:
         for th1, th2 in itertools.product((0, 1), repeat=2):
-            a, b = getattr(space(ka, k, th1), view)[1], getattr(space(kb, s, th2), view)[1]
+            a, b = read(ka, k, th1)[1], read(kb, s, th2)[1]
             if not (a and b):
                 continue
-            tgt = (target if isinstance(target, Subspace) else getattr(
-                space(ka if whole else target, k + s, (th1 + th2) % 2), view)[0])
+            tgt = (target if isinstance(target, Subspace)
+                   else read(ka if whole else target, k + s, (th1 + th2) % 2)[0])
             if (sign == -1 and ka == kb and (s, th2) < (k, th1)
                     and _first_product_outside(sign, b, a, tgt) is None):
                 continue

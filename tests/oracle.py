@@ -35,7 +35,11 @@ before it was driven by the nonzeros of the bracket tables
 they were before the unknowns that one-entry rows fix to zero left the
 system (``reference_solve_space``) and that presolve written apart, with
 the unknowns that one-entry commutation rows fix struck first
-(``reference_presolve``, ``reference_presolved_rows``), the double's structure constants
+(``reference_presolve``, ``reference_presolved_rows``), the kind-free level,
+the presolve and the map builder as they were written before each was made one
+direct pass (``reference_level``, its commutation rows gathered in lists;
+``reference_keyed_presolve``; ``reference_maps``, over rows with their leading 1
+copied in), the double's structure constants
 as ``build_extended`` read them off the dense bracket table
 (``reference_double_spec``), a solved space's tuple and first-component
 views as reductions of its tuples, as they were before they were read
@@ -72,6 +76,7 @@ from homlie.linalg import (
     _nonzeros,
     _pivot_rows,
     _sparse_sum,
+    _subtract,
     block_diag,
     contains,
     format_matrix,
@@ -426,6 +431,74 @@ def reference_presolve(rows, width, commuting=0):
         if len(row) == 1:
             zeroed.update(row)
     return _strike(rows, width, zeroed)
+
+
+def reference_keyed_presolve(rows_by_key: dict, width: int) -> tuple[list, list]:
+    """``spaces._presolve`` as it was written before its one walk over the rows:
+    a set of the unknowns that rows of one nonzero entry fix, the longer rows
+    cleared in key order, and those left of one entry fixing theirs too."""
+    fixed = {idx for row in rows_by_key.values() if len(row) == 1 for idx, x in row.items() if x}
+    cleared = [{idx: x for idx, x in rows_by_key[key].items() if x}
+               for key in sorted(key for key, row in rows_by_key.items() if len(row) > 1)]
+    fixed.update(idx for row in cleared if len(row) == 1 for idx in row)
+    kept = [idx for idx in range(width) if idx not in fixed]
+    at = {old: new for new, old in enumerate(kept)}
+    return [row for r in cleared
+            if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})], kept
+
+
+def reference_level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
+    """``spaces._level`` as it was written before its commutation rows were
+    summed in two direct loops: each cell's (key, entry) pairs gathered in
+    two lists and concatenated, its rows presolved by
+    ``reference_keyed_presolve``; the side tables as the package fills them."""
+    n, deg = spec.n, spec.degrees
+    cells = [(m, l) for m in range(n) for l in range(n) if deg[m] == (deg[l] + degree) % 2]
+    comm = []
+    if strict:
+        acc, acols = {}, _columns(spec.alpha)
+        for idx, (m, l) in enumerate(cells):
+            for key, x in [(j * n + m, x) for j, x in spec.alpha._sparse.get(l, {}).items()] + [
+                    (l * n + p, -x) for p, x in acols[m].items()]:
+                row = acc.setdefault(key, {})
+                row[idx] = row.get(idx, 0) + x
+        comm, kept = reference_keyed_presolve(acc, len(cells))
+        cells = [cells[i] for i in kept]
+    if not cells:
+        return cells, comm, {}
+    by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
+    for idx, (m, l) in enumerate(cells):
+        by_row[m].append((l, idx))
+        by_col[l].append((m, idx))
+    step, ak = spaces._EQS * n, spec.alpha.power(k)._sparse
+    right, left, evals = {}, {}, {}
+    for (a, b), vec in spec._sparse.items():
+        for j, x in ak.get(b, {}).items():
+            _subtract(right.setdefault(a, {}), -x, {j * step + m: y for m, y in vec.items()})
+        for i, x in ak.get(a, {}).items():
+            _subtract(left.setdefault(b, {}), -x * parity_sign(degree, deg[i]),
+                      {i * n * step + m: y for m, y in vec.items()})
+        for l, x in vec.items():
+            evals.setdefault(l, {})[(a * n + b) * step] = x
+    sides = {"right": (n * step, right, by_row), "left": (step, left, by_row),
+             "eval": (1, evals, by_col)}
+    return cells, comm, sides
+
+
+def reference_maps(rows, where, arity: int, zero: GradedMap) -> tuple:
+    """``spaces._maps`` as it was written before it read the kernel: one tuple
+    of ``arity`` maps per row, leading 1 included (``_pivot_rows``), each row's
+    entries gathered in a views dict, D_c[m, l] = x for each i: x of the row and
+    (c, m, l) = ``where[i]``; each zero map ``zero``."""
+    n, out = zero.n, []
+    for coords in rows:
+        views: dict = {}
+        for i, x in coords.items():
+            c, m, l = where[i]
+            views.setdefault(c, {}).setdefault(m, {})[l] = x
+        out.append(tuple([GradedMap._of(Matrix._of(n, n, views[c]), zero.degree)
+                          if c in views else zero for c in range(arity)]))
+    return tuple(out)
 
 
 def reference_presolved_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,

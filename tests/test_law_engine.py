@@ -6,6 +6,7 @@ be served the verdict of an earlier call; and the checks it runs must
 report ``fail`` with a witness when a product really leaves its target.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -228,3 +229,41 @@ def test_law_cache_counts_on_a_failing_report(capsys):
     cli.main(["report", "ex2_5", "--kmax", "3", "--lax"])
     info = spaces._first_product_outside.cache_info()
     assert (info.hits, info.misses) == (39, 60)
+
+
+def _walk_reads(reader, sign, ka, kb, target, levels, witness):
+    """The reads of a law walk that reads each space afresh, cell by cell
+    up to the witness's: a and b, then the target's space when both hold
+    maps and the target is a kind or the tuple space."""
+    whole, reads = target == spaces._TUPLE, []
+    view = "_tuple_view" if whole else "_first_view"
+    for k, s in levels:
+        for th1, th2 in itertools.product((0, 1), repeat=2):
+            reads += [(ka, k, th1), (kb, s, th2)]
+            if getattr(reader(ka, k, th1), view)[1] and getattr(reader(kb, s, th2), view)[1]:
+                reads.append((ka if whole else target, k + s, (th1 + th2) % 2))
+            if witness and witness[:4] == (k, s, th1, th2):
+                return reads
+    return reads
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+def test_a_law_walk_reads_each_space_once_in_walk_order(bundled, strict):
+    """One law walk reads each (kind, level, degree) once, in the order of
+    its first read by a walk that reads afresh, and nothing that walk would
+    not read: a witness at degrees (0, 0) of the first level ends the walk
+    before any space of degree 1 is read."""
+    early = 0
+    for spec in bundled.values():
+        reader = spaces._reader(spec, strict, 2)
+        for (_, ka, kb, target), sign in itertools.product(
+                spaces._LAWS[:7] + (("", *spaces._QC_CLOSURE),), (-1, 0)):
+            reads = []
+            witness = spaces._law_witness(lambda *key: reads.append(key) or reader(*key),
+                                          sign, ka, kb, target, spaces._levels(2))
+            want = _walk_reads(reader, sign, ka, kb, target, spaces._levels(2), witness)
+            assert reads == list(dict.fromkeys(want)), (spec.name, ka, kb, target, sign)
+            if witness and witness[:4] == (0, 0, 0, 0):
+                early += 1
+                assert all(th == 0 for _, _, th in reads)
+    assert early

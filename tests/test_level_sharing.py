@@ -9,7 +9,10 @@ kind's identities and appends the commutation rows once per component.
 A solved space must not depend on whether its level was built for it or
 read warm after other kinds, in either order, and must equal the space
 read off the per-pair walk's whole system
-(``oracle.reference_solve_space``), with equal repr and hash.
+(``oracle.reference_solve_space``), with equal repr and hash.  The level
+itself, its commutation rows summed in two direct loops, must equal
+``oracle.reference_level``, which gathers them in lists as it was written
+before, cells, rows (in key order) and side tables alike.
 """
 
 import contextlib
@@ -25,7 +28,7 @@ from homlie.cli import main
 from homlie.extension import build_extended
 from homlie.randomgen import sample_algebras
 from homlie.spaces import SpaceKind
-from oracle import reference_solve_space
+from oracle import reference_level, reference_solve_space
 from test_solver_assembly import half_twisted_plane, sheared_h3
 
 K_MAX = 2
@@ -71,6 +74,15 @@ def test_each_kind_is_solved_alike_from_a_cold_or_a_shared_level(name):
                 assert got[kind] == want and repr(got[kind]) == repr(want), case
                 assert hash(got[kind]) == hash(want), case
     spaces._level.cache_clear()
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_level_matches_the_reference(name):
+    for spec, k, degree, strict in itertools.product(
+            INPUTS[name](), range(K_MAX + 1), (0, 1), (True, False)):
+        got = spaces._level.__wrapped__(spec, k, degree, strict)
+        assert got == reference_level(spec, k, degree, strict), (spec.name, k, degree, strict)
+        assert all(type(x) is int or x.denominator != 1 for row in got[1] for x in row.values())
 
 
 def test_a_report_builds_each_level_once(monkeypatch):

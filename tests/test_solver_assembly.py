@@ -12,9 +12,10 @@ follow, in the order of (component, twist column, m).  One routine,
 nonzero entry fix to zero, whether the row reached one unknown or
 cancelled down to one, and sorts only the keys of more unknowns; the
 level strikes its commutation rows through it too, and on random rows
-it must agree with ``oracle.reference_presolve``.  The kernel rows
-become maps through ``spaces._maps``, by a (component, row, column)
-table of the unknowns kept.  The rows and the width of the system that reaches ``nullspace``
+it must agree with ``oracle.reference_presolve`` and, row for row, with
+the walks it replaced (``oracle.reference_keyed_presolve``).  The kernel
+rows become maps through ``spaces._maps``, read in pivot order by a
+(component, row, column) table of the unknowns kept.  The rows and the width of the system that reaches ``nullspace``
 must be exactly those of the per-pair walk kept in
 ``oracle.reference_system_rows`` after ``oracle.reference_presolve``,
 which strikes the unknowns that commutation rows of one entry fix
@@ -46,6 +47,7 @@ from homlie.randomgen import sample_algebras
 from homlie.spaces import SpaceKind
 from oracle import (
     oracle_solve,
+    reference_keyed_presolve,
     reference_presolve,
     reference_presolved_rows,
     reference_solve_space,
@@ -223,6 +225,8 @@ def _keyed_rows(draw):
 def test_presolve_matches_the_reference_on_random_rows(case):
     rows_by_key, width = case
     rows, kept = spaces._presolve(rows_by_key, width)
+    # the one walk gives what the walks it replaced gave, rows in key order
+    assert (rows, kept) == reference_keyed_presolve(rows_by_key, width)
     cleared = [{i: x for i, x in rows_by_key[key].items() if x} for key in sorted(rows_by_key)]
     assert (rows, len(kept)) == reference_presolve(cleared, width)
     assert kept == sorted(set(kept)) and all(0 <= i < width for i in kept)

@@ -9,10 +9,14 @@ The views are recorded by ``oracle.from_sparse`` and must equal the
 ones rescanned from the dense entries; the special cases for empty
 input that the general path now covers must give the same zero
 subspace.  ``spaces._maps``, the one builder of solved and spanned maps,
-must read ``_coords`` back through a (component, row, column) table.
+must read ``_coords`` back through a (component, row, column) table from
+kernel rows, {pivot: row less its leading 1}, and make of random kernels
+the maps that the builder it replaced (``oracle.reference_maps``) made of
+the same rows with their leading 1 copied in.
 """
 
 import copy
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from homlie.linalg import (
     Matrix,
     Subspace,
     _nonzeros,
+    _pivot_rows,
     subspace_intersection,
     vec,
 )
@@ -34,7 +39,13 @@ from homlie.spaces import (
     jordan_product,
     supercommutator,
 )
-from oracle import from_sparse, full_space, reference_first_outside, tuple_vector
+from oracle import (
+    from_sparse,
+    full_space,
+    reference_first_outside,
+    reference_maps,
+    tuple_vector,
+)
 
 fr = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero = fr.filter(bool)
@@ -120,20 +131,66 @@ def test_first_outside_finds_a_bent_product():
         target, ((tuple_vector(t), i) for i, t in enumerate(tuples)))
 
 
+def _leading_one(t):
+    """(pivot, t scaled so that its first nonzero coordinate is 1)."""
+    coords = _coords(*t)
+    p = min(coords)
+    return p, tuple(GradedMap(g.matrix.scale(Fraction(1) / coords[p]), g.degree) for g in t)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 1), st.data())
 def test_maps_inverts_coords_and_hands_back_zero(n, arity, degree, data):
-    """Tuples of ``arity`` maps, zero ones among them, come back from their
-    ``_coords`` equal, with the caller's ``zero`` for every zero map."""
+    """Tuples of ``arity`` maps, zero ones among them, come back equal from
+    the kernel form of their ``_coords``, {pivot: row less its leading 1},
+    each scaled to lead with 1 and keyed in any order, one per pivot; every
+    zero map is the caller's ``zero``.  A zero tuple has no kernel row."""
     tuples = [tuple(GradedMap(Matrix(n, n, tuple(v)), degree) for v in t)
               for t in data.draw(st.lists(st.lists(sparse_vectors(n * n), min_size=arity,
                                                     max_size=arity), max_size=3))]
+    scaled = dict(_leading_one(t) for t in reversed(tuples) if any(_coords(*t)))
+    kernel = {}
+    for p in data.draw(st.permutations(sorted(scaled))):
+        kernel[p] = _coords(*scaled[p])
+        assert kernel[p].pop(p) == 1
     where = [(c, m, l) for c in range(arity) for m in range(n) for l in range(n)]
     zero = GradedMap(Matrix(n, n, (0,) * (n * n)), degree)
-    got = _maps([_coords(*t) for t in tuples], where, arity, zero)
-    assert got == tuple(tuples)
-    assert all((h is zero) == g.is_zero() for t, back in zip(tuples, got)
-               for g, h in zip(t, back))
+    got = _maps(kernel, where, arity, zero)
+    assert got == tuple(scaled[p] for p in sorted(scaled))
+    assert all((h is zero) == g.is_zero() for p, back in zip(sorted(scaled), got)
+               for g, h in zip(scaled[p], back))
+
+
+@st.composite
+def kernels(draw):
+    """(kernel, where, arity, zero): rows {pivot: row less its leading 1} over
+    unknowns at sorted places (c, m, l) of ``arity`` n x n maps, pivots in any
+    order, each row over unknowns past its pivot that no row leads, often
+    none (a unit row); the places may leave whole components out."""
+    n, arity, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    places = list(itertools.product(range(arity), range(n), range(n)))
+    where = sorted(draw(st.lists(st.sampled_from(places), unique=True, max_size=len(places))))
+    pivots = draw(st.lists(st.integers(0, len(where) - 1), unique=True)) if where else []
+    kernel = {}
+    for p in pivots:
+        free = [i for i in range(p + 1, len(where)) if i not in pivots]
+        kernel[p] = draw(st.dictionaries(st.sampled_from(free), nonzero, max_size=3)
+                         if free else st.just({}))
+    return kernel, where, arity, GradedMap(Matrix(n, n, (0,) * (n * n)), degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernels())
+def test_maps_of_a_kernel_match_the_reference(case):
+    """The maps read off kernel rows equal, view for view and row order
+    included, those the old builder made of the rows with their leading 1
+    copied in, and share the caller's zero map at the same places."""
+    kernel, where, arity, zero = case
+    got = _maps(kernel, where, arity, zero)
+    want = reference_maps(_pivot_rows(kernel), where, arity, zero)
+    assert got == want
+    assert [[(list(g.matrix._sparse.items()), g.degree, g is zero) for g in t] for t in got] == \
+        [[(list(g.matrix._sparse.items()), g.degree, g is zero) for g in t] for t in want]
 
 
 # 0 in every accepted form, and nonzeros as int, "p/q" string and Fraction
