@@ -51,8 +51,10 @@ BATCHED = "tests/test_batched_engines.py::"
 JORDAN = "tests/test_jordan_engine.py::"
 RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
 PASS = JORDAN + "test_pass_matches_the_per_quadruple_engine"
+REFERENCE_PASS = JORDAN + "test_pass_matches_the_reference_pass"
 MIXED = BATCHED + "test_a_basis_failing_only_at_mixed_degrees_fails_with_the_reference_witness"
 BATCH = "tests/test_batched_product.py::test_each_block_is_the_per_pair_product"
+INDEX = "tests/test_batched_product.py::test_an_index_serves_every_call_unchanged"
 WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
 SELF_CELL = BATCHED + "test_a_bracket_cell_of_one_basis_finds_the_first_witness"
 TWO_BASES = BATCHED + "test_a_cell_of_two_bases_finds_the_first_witness"
@@ -183,25 +185,39 @@ MUTANTS = (
            ("tests/test_mixed_rows.py::test_nullspace_matches_the_dense_reference",)),
     # the join that forms a batch of maps times a batch of maps, for both engines
     Mutant("_join: s ignored", SPACES,
-           "t = sign * s * parity_sign(dp, dg)", "t = sign * parity_sign(dp, dg)",
+           "for w, r, f in (flip if i in odd else cols).get(k, ()) if s else ():\n"
+           "                if not skew or w >= i:\n"
+           "                    _subtract(acc.setdefault((i, w, r), {}), -sign * s * f, prow)",
+           "for w, r, f in (flip if i in odd else cols).get(k, ()):\n"
+           "                if not skew or w >= i:\n"
+           "                    _subtract(acc.setdefault((i, w, r), {}), -sign * f, prow)",
            (BATCH,)),
     Mutant("_join: the parity sign ignored", SPACES,
-           "t = sign * s * parity_sign(dp, dg)", "t = sign * s",
+           "[(w, r, -x if w in odd else x) for w, r, x in col]",
+           "[(w, r, x) for w, r, x in col]",
+           (BATCH,)),
+    Mutant("_index: flip negates every entry, not only those at odd w", SPACES,
+           "[(w, r, -x if w in odd else x) for w, r, x in col]",
+           "[(w, r, -x) for w, r, x in col]",
+           (BATCH, INDEX)),
+    Mutant("_join: an odd p_i reads cols", SPACES,
+           "(flip if i in odd else cols).get(k, ())", "cols.get(k, ())",
            (BATCH,)),
     Mutant("_join: the left product unsigned", SPACES,
            "_subtract(acc.setdefault((i, w, k), {}), -sign * f, row)",
            "_subtract(acc.setdefault((i, w, k), {}), -f, row)",
            (BATCH,)),
     Mutant("_join: a batch column of one entry skipped", SPACES,
-           "for w, r, f in cols.get(k, ()) if t else ():",
-           "for w, r, f in cols.get(k, ()) if t and len(cols.get(k, ())) > 1 else ():",
+           "(flip if i in odd else cols).get(k, ()) if s else ():",
+           "(flip if i in odd else cols).get(k, ()) if s and len(cols.get(k, ())) > 1 else ():",
            (BATCH,)),
     Mutant("_join: the column read unsigned", SPACES,
-           "t = sign * s * parity_sign(dp, dg)", "t = s * parity_sign(dp, dg)",
+           "_subtract(acc.setdefault((i, w, r), {}), -sign * s * f, prow)",
+           "_subtract(acc.setdefault((i, w, r), {}), -s * f, prow)",
            (BATCH,)),
     Mutant("_join: the reverse term read through p_i's column instead of its row", SPACES,
-           "_subtract(acc.setdefault((i, w, r), {}), -t * f, prow)",
-           "_subtract(acc.setdefault((i, w, r), {}), -t * f,\n"
+           "_subtract(acc.setdefault((i, w, r), {}), -sign * s * f, prow)",
+           "_subtract(acc.setdefault((i, w, r), {}), -sign * s * f,\n"
            "                              {c: v[k] for (h, c), v in p.items() if h == i and k in v})",
            (BATCH,)),
     # the per-z Jordan pass and its basis-first walk
@@ -216,7 +232,8 @@ MUTANTS = (
            "tz = g.degree, {(z, r): row for r, row in", "tz = g.degree, {(r, z): row for r, row in",
            (RESIDUALS,)),
     Mutant("jordan: a per-z table built once per pass", SPACES,
-           "zc = index(family(_join(", "zc = z and zc or index(family(_join(",
+           "zc = {(c, r): row for (_, c, r), row in _join(",
+           "zc = z and zc or {(c, r): row for (_, c, r), row in _join(",
            (RESIDUALS,)),
     Mutant("jordan: the z-outer walk keeps the last witness", SPACES,
            "best = min(best or", "best = max(best or",
@@ -248,11 +265,17 @@ MUTANTS = (
            "if not (da or db or dc):", "if not (da or db):",
            (PASS, MIXED)),
     Mutant("jordan: the w >= i bound applied to tz joined with every tc", SPACES,
-           "for d, i in twi.items()]), dz))", "for d, i in twi.items()], skew=True), dz))",
+           "_join((1, tz, oz, twi, 1)).items()}", "_join((1, tz, oz, twi, 1), skew=True).items()}",
            (PASS,)),
     Mutant("jordan: the batch-left parity sign dropped", SPACES,
-           "(parity_sign(dz, d), tz, dz, i, d, 1)", "(1, tz, dz, i, d, 1)",
-           (PASS,)),
+           "_join((1, p, op, _index(tz, oz), 1))", "_join((1, p, (), _index(tz, oz), 1))",
+           (PASS, REFERENCE_PASS)),
+    Mutant("jordan: q's odd set taken without the dz shift", SPACES,
+           "_join((1, q, odd(q, dz), tw2, 1),", "_join((1, q, odd(q), tw2, 1),",
+           (PASS, REFERENCE_PASS)),
+    Mutant("jordan: zc's odd set taken without the dz shift", SPACES,
+           "_index(zc, odd(zc, dz))", "_index(zc, odd(zc))",
+           (PASS, REFERENCE_PASS)),
     # the batched law cells
     Mutant("law: every space read afresh at each use", SPACES,
            "return views[key] if key in views else views.setdefault(key, getattr(space(*key), view))",
@@ -383,8 +406,12 @@ MUTANTS = (
            "    @cached_property\n    def _reduced(self)",
            (BENT_VIEWS,)),
     Mutant("basis: the cached index serves component 0 for every c", SPACES,
-           "[_index(rows) for rows in b._rows]", "[_index(b._rows[0]) for rows in b._rows]",
+           "[_index(rows, b._odd(c)) for c, rows in enumerate(b._rows)]",
+           "[_index(b._rows[0], b._odd(c)) for c, rows in enumerate(b._rows)]",
            (WIDE_CELL, VIEWS + "test_a_basis_holds_each_components_rows_and_their_index")),
+    Mutant("basis: the law cell's odd set always empty", SPACES,
+           "return range(len(self)) if self[0][c].degree else ()", "return ()",
+           (SELF_CELL, TWO_BASES)),
     Mutant("shift: alpha on component 0 only", SPACES,
            "_Basis(((alpha,) * arity,))", "_Basis(((alpha,),))",
            (ON_REFERENCE,)),
@@ -599,7 +626,7 @@ MUTANTS = (
 # (name, file, old, new, why the edit changes no behaviour)
 EQUIVALENT = (
     ("law: the batch degree read off the last map", SPACES,
-     "b[0][c].degree", "b[-1][c].degree",
+     "self[0][c].degree", "self[-1][c].degree",
      "every map of one basis has the degree of its space"),
     ("solver: the left table's parity sign with its arguments swapped", SPACES,
      "parity_sign(degree, deg[i])", "parity_sign(deg[i], degree)",

@@ -10,6 +10,7 @@ affect the exit status.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -334,14 +335,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        doc = {"command": args.command, "algebra": spec.name, **fields}
-        if ok is not None:
-            doc["ok"] = ok
-        print(_json(doc))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            doc = {"command": args.command, "algebra": spec.name, **fields}
+            if ok is not None:
+                doc["ok"] = ok
+            print(_json(doc))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader gone early cuts the output, not the status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if ok is None or ok else 1
 
 

@@ -110,40 +110,42 @@ def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
     return GradedMap._of(Matrix._of(a.n, a.n, _sparse_sum(*terms)), (a.degree + b.degree) % 2)
 
 
-def _index(g: dict) -> tuple[dict, dict]:
-    """A batch, maps g_w held as rows keyed (w, r), indexed for ``_join``:
-    rows by row index, {k: [(w, row)]}, entries by column, {k: [(w, r, x)]}."""
+def _index(g: dict, odd=()) -> tuple[dict, dict, dict]:
+    """A batch, maps g_w held as rows keyed (w, r), the w in odd of degree 1, indexed
+    for ``_join``: rows by row index, {k: [(w, row)]}, entries by column, {k: [(w, r,
+    x)]}, and flip, the columns with x negated at each odd w (cols itself if none)."""
     rows, cols = {}, {}
     for (w, r), row in g.items():
         rows.setdefault(r, []).append((w, row))
         for c, x in row.items():
             cols.setdefault(c, []).append((w, r, x))
-    return rows, cols
+    return rows, cols, {c: [(w, r, -x if w in odd else x) for w, r, x in col]
+                        for c, col in cols.items()} if odd else cols
 
 
 def _join(*terms, skew: bool = False) -> dict:
     """The nonzero rows (i, w, r), w >= i if skew, of the sum over terms (sign,
-    p, dp, g, dg, s) of sign (p_i g_w + s (-1)^{dp dg} g_w p_i), p maps p_i of
-    degree dp as rows keyed (i, k), g maps g_w of degree dg indexed by
-    ``_index``.  p_i's entry (k, j) reads g's rows j, and its row k g's column
-    k, so every multiply pairs two nonzeros."""
+    p, odd, g, s) of sign (p_i g_w + s (-1)^{|p_i||g_w|} g_w p_i), p maps p_i as
+    rows keyed (i, k), the i in odd of degree 1, g indexed by ``_index``.  p_i's
+    entry (k, j) reads g's rows j, and its row k g's column k, signed by flip if
+    p_i is odd, so every multiply pairs two nonzeros."""
     acc = {}
-    for sign, p, dp, (rows, cols), dg, s in terms:
-        t = sign * s * parity_sign(dp, dg)
+    for sign, p, odd, (rows, cols, flip), s in terms:
         for (i, k), prow in p.items():
             for j, f in prow.items():
                 for w, row in rows.get(j, ()):
                     if not skew or w >= i:
                         _subtract(acc.setdefault((i, w, k), {}), -sign * f, row)
-            for w, r, f in cols.get(k, ()) if t else ():
+            for w, r, f in (flip if i in odd else cols).get(k, ()) if s else ():
                 if not skew or w >= i:
-                    _subtract(acc.setdefault((i, w, r), {}), -t * f, prow)
+                    _subtract(acc.setdefault((i, w, r), {}), -sign * s * f, prow)
     return {key: row for key, row in acc.items() if row}
 
 
 class _Basis(tuple):
     """A view's basis: the plain tuple, hashed once, with per component c, formed on
-    first read, its maps' rows {(i, r): row} and their ``_index``, for ``_join``."""
+    first read, its maps' rows {(i, r): row} and their ``_index``, for ``_join``; all
+    maps of a component have one degree, so its odd set holds every i or none."""
 
     def __hash__(self) -> int:
         return self._hash
@@ -151,7 +153,10 @@ class _Basis(tuple):
     _hash = cached_property(lambda b: tuple.__hash__(b))
     _rows = cached_property(lambda b: [{(i, r): row for i, t in enumerate(b) for r, row
                                         in t[c].matrix._sparse.items()} for c in range(len(b[0]))])
-    _indexed = cached_property(lambda b: [_index(rows) for rows in b._rows])
+    _indexed = cached_property(lambda b: [_index(rows, b._odd(c)) for c, rows in enumerate(b._rows)])
+
+    def _odd(self, c: int):
+        return range(len(self)) if self[0][c].degree else ()
 
 
 def compose(a: GradedMap, b: GradedMap) -> GradedMap:
@@ -526,16 +531,15 @@ def _levels(k_max: int) -> list[tuple[int, int]]:
 def _first_product_outside(s, a, b, target):
     """The first index pair (i, w) whose products ``_product(x[c], y[c], s)``, x =
     a[i] and y = b[w], leave target, or None; s is -1 for brackets, 0 for compositions.
-    One ``_join`` per component c of the ``_Basis`` rows (one degree a side) forms every
-    x[c] times every y[c]; only nonzero products are tested, in (i, w) order, as a zero
-    lies in every target.  When a == b a bracket at (i, w), w < i, is +-that at (w, i),
-    so only w >= i is formed.  Keyed on content: a repeat once, a changed basis afresh."""
+    One ``_join`` per component c of the ``_Basis`` rows forms every x[c] times every
+    y[c]; only nonzero products are tested, in (i, w) order, as a zero lies in every
+    target.  When a == b a bracket at (i, w), w < i, is +-that at (w, i), so only
+    w >= i is formed.  Keyed on content: a repeat once, a changed basis afresh."""
     if not (a and b):
         return None
     n, skew, rows = b[0][0].n, s == -1 and a == b, {}
     for c, (p, g) in enumerate(zip(a._rows, b._indexed)):
-        for (i, w, r), row in _join((1, p, a[0][c].degree, g, b[0][c].degree, s),
-                                    skew=skew).items():
+        for (i, w, r), row in _join((1, p, a._odd(c), g, s), skew=skew).items():
             rows.setdefault((i, w), {}).update(((c * n + r) * n + col, v) for col, v in row.items())
     return _first_outside(target, ((rows[key], key) for key in sorted(rows)))
 
@@ -738,17 +742,8 @@ def _jordan_pass(alpha: Matrix, elems: Sequence[GradedMap]):
         raise ValueError("ambient dimension mismatch")
     av, deg = alpha._sparse, {i: g.degree for i, g in enumerate(elems)}
 
-    def family(rows, shift=0):  # rows keyed (.., v, r) as {|v| + shift: {(v, r): row}}
-        out = {}
-        for (*_, v, r), row in rows.items():
-            out.setdefault((deg[v] + shift) % 2, {})[v, r] = row
-        return out
-
-    def twist(fam):
-        return {d: _sparse_sum((1, rows, av)) for d, rows in fam.items()}
-
-    def index(fam):
-        return {d: _index(rows) for d, rows in fam.items()}
+    def odd(rows, shift=0):  # the v of rows keyed (v, r) with |v| + shift odd
+        return {v for v, _ in rows if (deg[v] + shift) % 2}
 
     def route(a, b, c, dz):
         """(key, weight) per R that T(a o b, c) enters, b o a = (-1)^{|a||b|}
@@ -763,22 +758,21 @@ def _jordan_pass(alpha: Matrix, elems: Sequence[GradedMap]):
             out += [((u, v, c), o * parity_sign(dz, deg[u] + dc)), ((c, u, v), t), ((v, c, u), t)]
         return out
 
-    e = family({(i, r): row for i, g in enumerate(elems) for r, row in g.matrix._sparse.items()})
-    tw = twist(e)
-    tw2, twi = index(twist(tw)), index(tw)
-    pairs = _join(*[(1, e[d], d, i, di, 1) for d in e for di, i in index(e).items()], skew=True)
+    e = {(i, r): row for i, g in enumerate(elems) for r, row in g.matrix._sparse.items()}
+    oe, tw = odd(e), _sparse_sum((1, e, av))
+    tw2, twi = _index(_sparse_sum((1, tw, av)), oe), _index(tw, oe)
+    pairs = _join((1, e, oe, _index(e, oe), 1), skew=True)
     deg.update({(a, b): (deg[a] + deg[b]) % 2 for a, b, _ in pairs})
-    p = family({((a, b), r): row for (a, b, r), row in pairs.items()})
-    tp, pi = twist(p), index(p)
+    p = {((a, b), r): row for (a, b, r), row in pairs.items()}
+    op, tp = odd(p), _sparse_sum((1, p, av))
     for z, g in enumerate(elems):
         dz, tz = g.degree, {(z, r): row for r, row in _sparse_sum((1, g.matrix._sparse, av)).items()}
-        # a o tz for every pair a, read off tz o a = (-1)^{|z||a|} a o tz
-        q = family(_join(*[(parity_sign(dz, d), tz, dz, i, d, 1) for d, i in pi.items()]), dz)
-        zc = index(family(_join(*[(1, tz, dz, i, d, 1) for d, i in twi.items()]), dz))
+        oz = odd(tz)
+        q = {(ab, r): row for (ab, _, r), row in _join((1, p, op, _index(tz, oz), 1)).items()}
+        zc = {(c, r): row for (_, c, r), row in _join((1, tz, oz, twi, 1)).items()}
         acc = {}
-        for ((a, b), c, r), row in _join(
-                *[(1, rows, d, i, dc, 1) for d, rows in q.items() for dc, i in tw2.items()],
-                *[(-1, rows, d, i, dc, 1) for d, rows in tp.items() for dc, i in zc.items()]).items():
+        for ((a, b), c, r), row in _join((1, q, odd(q, dz), tw2, 1),
+                                         (-1, tp, op, _index(zc, odd(zc, dz)), 1)).items():
             for key, f in route(a, b, c, dz):
                 _subtract(acc.setdefault((key, r), {}), -f, row)
         yield {key: row for key, row in acc.items() if row}
@@ -801,7 +795,7 @@ def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
                         z: GradedMap, w: GradedMap) -> Matrix:
     """Residual of the twisted super Jordan identity at four maps, tg = g
     alpha: the rows at (0, 1, 3) of the pass ``check_qc_structure`` runs."""
-    rows = list(_jordan_pass(alpha, (x, y, z, w)))[2].items()
+    rows = next(itertools.islice(_jordan_pass(alpha, (x, y, z, w)), 2, None)).items()
     return Matrix._of(alpha.rows, alpha.cols, {r: row for (key, r), row in rows if key == (0, 1, 3)})
 
 

@@ -44,7 +44,11 @@ as ``build_extended`` read them off the dense bracket table
 (``reference_double_spec``), a solved space's tuple and first-component
 views as reductions of its tuples, as they were before they were read
 off the solver's kernel (``reference_tuple_view``,
-``reference_first_view``), and the helpers that the package no
+``reference_first_view``), the join as it was when it took one degree per
+batch, and the per-z Jordan pass that split every batch by degree for it and
+read a o tz off tz o a (``reference_index``, ``reference_join``,
+``reference_jordan_pass``; ``_join_one`` and ``reference_per_xy_engine``
+stand on that join), and the helpers that the package no
 longer holds: dense vectors and columns (``is_zero_vec``, ``col``), a
 matrix from sparse rows (``from_sparse``), the whole space
 (``full_space``) and the shift D -> D o alpha (``alpha_shift``).  Last,
@@ -1092,13 +1096,103 @@ def reference_jordan_witness(alpha: Matrix, elems):
                 None)
 
 
+def reference_index(g: dict) -> tuple[dict, dict]:
+    """A batch, maps g_w held as rows keyed (w, r), indexed for ``_join``:
+    rows by row index, {k: [(w, row)]}, entries by column, {k: [(w, r, x)]}."""
+    rows, cols = {}, {}
+    for (w, r), row in g.items():
+        rows.setdefault(r, []).append((w, row))
+        for c, x in row.items():
+            cols.setdefault(c, []).append((w, r, x))
+    return rows, cols
+
+
+def reference_join(*terms, skew: bool = False) -> dict:
+    """The nonzero rows (i, w, r), w >= i if skew, of the sum over terms (sign,
+    p, dp, g, dg, s) of sign (p_i g_w + s (-1)^{dp dg} g_w p_i), p maps p_i of
+    degree dp as rows keyed (i, k), g maps g_w of degree dg indexed by
+    ``_index``.  p_i's entry (k, j) reads g's rows j, and its row k g's column
+    k, so every multiply pairs two nonzeros."""
+    acc = {}
+    for sign, p, dp, (rows, cols), dg, s in terms:
+        t = sign * s * parity_sign(dp, dg)
+        for (i, k), prow in p.items():
+            for j, f in prow.items():
+                for w, row in rows.get(j, ()):
+                    if not skew or w >= i:
+                        _subtract(acc.setdefault((i, w, k), {}), -sign * f, row)
+            for w, r, f in cols.get(k, ()) if t else ():
+                if not skew or w >= i:
+                    _subtract(acc.setdefault((i, w, r), {}), -t * f, prow)
+    return {key: row for key, row in acc.items() if row}
+
+
+def reference_jordan_pass(alpha: Matrix, elems):
+    """Per z, {(key, r): row}, the nonzero rows of the twisted super Jordan
+    residual R = s1 T(x, y, w) + s2 T(y, w, x) + s3 T(w, x, y) at every
+    (x, y, w), indices into elems: T(a, b, c) = ((a o b) o tz) o t^2 c -
+    t(a o b) o (tz o tc), tg = g alpha, s1, s2, s3 = (-1)^{|z|(|x|+|w|)},
+    (-1)^{|x|(|y|+|z|)}, (-1)^{|y|(|w|+|z|)}.  key is (x, y, w), sorted when
+    the three are even, as R is then symmetric in them.  Each a o b, a <= b,
+    is formed once, and per z three joins form every T."""
+    if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
+        raise ValueError("ambient dimension mismatch")
+    av, deg = alpha._sparse, {i: g.degree for i, g in enumerate(elems)}
+    _index, _join = reference_index, reference_join
+
+    def family(rows, shift=0):  # rows keyed (.., v, r) as {|v| + shift: {(v, r): row}}
+        out = {}
+        for (*_, v, r), row in rows.items():
+            out.setdefault((deg[v] + shift) % 2, {})[v, r] = row
+        return out
+
+    def twist(fam):
+        return {d: _sparse_sum((1, rows, av)) for d, rows in fam.items()}
+
+    def index(fam):
+        return {d: _index(rows) for d, rows in fam.items()}
+
+    def route(a, b, c, dz):
+        """(key, weight) per R that T(a o b, c) enters, b o a = (-1)^{|a||b|}
+        a o b: the sorted triple, once per c in it, if the three are even,
+        else each ordered one, signed."""
+        da, db, dc = deg[a], deg[b], deg[c]
+        if not (da or db or dc):
+            return [(tuple(sorted((a, b, c))), (a, b, c).count(c))]
+        out = []
+        for u, v, o in [(a, b, 1)] + ([(b, a, parity_sign(da, db))] if a != b else []):
+            t = o * parity_sign(dc, deg[u] + dz)
+            out += [((u, v, c), o * parity_sign(dz, deg[u] + dc)), ((c, u, v), t), ((v, c, u), t)]
+        return out
+
+    e = family({(i, r): row for i, g in enumerate(elems) for r, row in g.matrix._sparse.items()})
+    tw = twist(e)
+    tw2, twi = index(twist(tw)), index(tw)
+    pairs = _join(*[(1, e[d], d, i, di, 1) for d in e for di, i in index(e).items()], skew=True)
+    deg.update({(a, b): (deg[a] + deg[b]) % 2 for a, b, _ in pairs})
+    p = family({((a, b), r): row for (a, b, r), row in pairs.items()})
+    tp, pi = twist(p), index(p)
+    for z, g in enumerate(elems):
+        dz, tz = g.degree, {(z, r): row for r, row in _sparse_sum((1, g.matrix._sparse, av)).items()}
+        # a o tz for every pair a, read off tz o a = (-1)^{|z||a|} a o tz
+        q = family(_join(*[(parity_sign(dz, d), tz, dz, i, d, 1) for d, i in pi.items()]), dz)
+        zc = index(family(_join(*[(1, tz, dz, i, d, 1) for d, i in twi.items()]), dz))
+        acc = {}
+        for ((a, b), c, r), row in _join(
+                *[(1, rows, d, i, dc, 1) for d, rows in q.items() for dc, i in tw2.items()],
+                *[(-1, rows, d, i, dc, 1) for d, rows in tp.items() for dc, i in zc.items()]).items():
+            for key, f in route(a, b, c, dz):
+                _subtract(acc.setdefault((key, r), {}), -f, row)
+        yield {key: row for key, row in acc.items() if row}
+
+
 def _join_one(*terms) -> dict:
     """The single-map form ``spaces._join`` had before its left factor
     became a batch: over terms (sign, p, g, dg, s), p one map, the nonzero
     rows (w, r) of sum sign (p g_w + s (-1)^{|p| dg} g_w p), read off the
-    batched join at the one left map."""
-    rows = spaces._join(*[(sign, {(0, k): row for k, row in p.matrix._sparse.items()},
-                           p.degree, g, dg, s) for sign, p, g, dg, s in terms])
+    batched ``reference_join`` at the one left map."""
+    rows = reference_join(*[(sign, {(0, k): row for k, row in p.matrix._sparse.items()},
+                             p.degree, g, dg, s) for sign, p, g, dg, s in terms])
     return {(w, r): row for (_, w, r), row in rows.items()}
 
 
@@ -1113,7 +1207,7 @@ def reference_per_xy_engine(alpha: Matrix, elems):
     with z once per engine(z)."""
     if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
         raise ValueError("ambient dimension mismatch")
-    product, index, join = spaces._product, spaces._index, _join_one
+    product, index, join = spaces._product, reference_index, _join_one
     av, a1 = alpha._sparse, GradedMap(alpha, 0)
     tw = [product(g, a1, 0) for g in elems]
     tw2 = [product(g, a1, 0) for g in tw]

@@ -406,6 +406,32 @@ def test_module_entry_matches_main(capsys, argv, expected):
     assert code == expected
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="sizes the pipe, which only Linux offers")
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_output_into_a_pipe_closed_after_one_line_ends_quietly(json_flag):
+    """As under ``| head -n 1``: the reader takes one line and closes the pipe
+    while the report still writes.  The pipe holds one page, far less than the
+    output, so the writer meets the closed end; it must print no traceback
+    and exit with the status of the run whose output is not cut."""
+    import fcntl
+
+    src = Path(homlie.__file__).resolve().parent.parent
+    argv = [sys.executable, "-m", "homlie.cli", "report", "ex2_5", "--kmax", "3", *json_flag]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    uncut = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert uncut.stderr == b"" and len(uncut.stdout) > 3 * 4096
+    read, write = os.pipe()
+    fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+    with subprocess.Popen(argv, env=env, stdout=write, stderr=subprocess.PIPE) as proc:
+        os.close(write)
+        with open(read, "rb") as out:
+            first = out.readline()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert first == uncut.stdout.splitlines(keepends=True)[0]
+    assert (proc.returncode, err.decode()) == (uncut.returncode, "")
+
+
 def test_report_all_bundled_exit_zero(capsys):
     for name in ("abelian2", "heisenberg3", "odd_heisenberg"):
         code, out, _ = run(capsys, "report", name, "--kmax", "1")

@@ -5,7 +5,9 @@ quadruple of quasicentroid basis maps through one pass that, per z,
 forms every circle pair's term at every third map by three joins and
 routes each term into the residual of each triple it enters.  Its
 residuals must be those of the per-quadruple engine in
-``oracle.reference_jordan_engine``, and its first witness and its
+``oracle.reference_jordan_engine``, its dict at every z that of the pass
+that split each batch by degree, ``oracle.reference_jordan_pass``, on maps
+that repeat, and its first witness and its
 residuals those of the dense per-quadruple loop kept in
 ``oracle.reference_jordan_witness``, on the bundled algebras, on random
 algebras and on the larger twisted and odd inputs; and the check must
@@ -40,6 +42,7 @@ from oracle import (
     reference_engine_witness,
     reference_hom_jordan_residual,
     reference_jordan_engine,
+    reference_jordan_pass,
     reference_jordan_witness,
 )
 from test_laws import K_MAX, _with_fault
@@ -221,6 +224,43 @@ def test_pass_matches_the_per_quadruple_engine(case):
         for x, y, w in itertools.product(range(len(elems)), repeat=3):
             assert residual_at(residual, elems, x, y, w) == reference(x, y, z, w), (x, y, z, w)
     assert spaces._jordan_witness(alpha, elems) == reference_engine_witness(alpha, elems)
+
+
+@st.composite
+def _repeating_cases(draw):
+    """(two to six maps, a twist), 1 <= n <= 3: one to three drawn maps, the
+    first odd and the others of degrees drawn on their own, so some z is odd,
+    then repeats, scalar multiples and zero maps of any degree, in any order."""
+    n = draw(st.integers(1, 3))
+
+    def matrix():
+        return Matrix(n, n, tuple(Fraction(x) for x in draw(
+            st.lists(_ENTRIES, min_size=n * n, max_size=n * n))))
+    drawn = [GradedMap(matrix(), d) for d in
+             [1] + draw(st.lists(st.integers(0, 1), max_size=2))]
+    maps = list(drawn)
+    for how in draw(st.lists(st.sampled_from(("repeat", "multiple", "zero")),
+                             min_size=1, max_size=3)):
+        g = draw(st.sampled_from(drawn))
+        if how == "repeat":
+            maps.append(g)
+        elif how == "multiple":
+            c = draw(st.sampled_from((2, -1, Fraction(1, 2))))
+            maps.append(GradedMap(g.matrix.scale(Fraction(c)), g.degree))
+        else:
+            maps.append(GradedMap(Matrix(n, n, (Fraction(0),) * (n * n)),
+                                  draw(st.integers(0, 1))))
+    return draw(st.permutations(maps)), matrix()
+
+
+@given(_repeating_cases())
+@settings(max_examples=80, deadline=None)
+def test_pass_matches_the_reference_pass(case):
+    """At every z the pass yields the dict of ``oracle.reference_jordan_pass``,
+    which splits every batch by degree and reads a o tz off tz o a."""
+    elems, alpha = case
+    assert any(g.degree for g in elems)
+    assert list(spaces._jordan_pass(alpha, elems)) == list(reference_jordan_pass(alpha, elems))
 
 
 def test_h5_identity_twist_report_is_pinned():

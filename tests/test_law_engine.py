@@ -52,7 +52,7 @@ def bend_compositions(monkeypatch):
     def bend(p, w, block):
         def bent(*terms, skew=False):
             rows = join(*terms, skew=skew)
-            for _, left, _, (by_row, _), _, s in terms:
+            for _, left, _, (by_row, _, _), s in terms:
                 blocks = [(v, k, row) for k, at in by_row.items() for v, row in at]
                 if s != 0 or block.matrix._sparse != {k: row for v, k, row in blocks if v == w}:
                     continue

@@ -95,14 +95,19 @@ def test_a_basis_equals_and_hashes_as_the_plain_tuple(heisenberg3):
         assert hash(basis) == hash(plain) == vars(basis)["_hash"]
 
 
-def test_a_basis_holds_each_components_rows_and_their_index(heisenberg3):
-    basis = solve_space(heisenberg3, SpaceKind.GDER, 1, 0)._tuple_view[1]
-    assert len(basis) > 1
-    for c in range(3):
-        rows = {(i, r): dict(row) for i, t in enumerate(basis)
-                for r, row in t[c].matrix._sparse.items()}
-        assert basis._rows[c] == rows
-        assert basis._indexed[c] == spaces._index(rows)
+def test_a_basis_holds_each_components_rows_and_their_index(bundled):
+    """Each component's index is that of its rows, the odd ones signed in its
+    column table, so an even basis shares one table for both."""
+    for name, degree in (("heisenberg3", 0), ("odd_heisenberg", 1)):
+        basis = solve_space(bundled[name], SpaceKind.GDER, 1, degree)._tuple_view[1]
+        assert len(basis) > 1
+        for c in range(3):
+            rows = {(i, r): dict(row) for i, t in enumerate(basis)
+                    for r, row in t[c].matrix._sparse.items()}
+            assert basis._rows[c] == rows
+            odd = {i for i, t in enumerate(basis) if t[c].degree}
+            assert basis._indexed[c] == spaces._index(rows, odd)
+            assert (basis._indexed[c][2] is basis._indexed[c][1]) == (degree == 0)
 
 
 def test_content_equal_bases_of_two_spaces_hit_one_law_cell(heisenberg3):
@@ -127,7 +132,7 @@ def test_a_lookup_that_reuses_its_bases_forms_no_rows_or_index(ex2_5, monkeypatc
     spaces._first_product_outside(-1, b, a, targets[0])
     held = [vars(x)[name] for x in (a, b) for name in ("_rows", "_indexed")]
     index, calls = spaces._index, []
-    monkeypatch.setattr(spaces, "_index", lambda g: calls.append(g) or index(g))
+    monkeypatch.setattr(spaces, "_index", lambda *args: calls.append(args) or index(*args))
     for x, y in ((a, b), (b, a)):
         spaces._first_product_outside(-1, x, y, targets[1])
     assert spaces._first_product_outside.cache_info().misses == 4
