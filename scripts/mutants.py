@@ -54,7 +54,6 @@ PASS = JORDAN + "test_pass_matches_the_per_quadruple_engine"
 REFERENCE_PASS = JORDAN + "test_pass_matches_the_reference_pass"
 MIXED = BATCHED + "test_a_basis_failing_only_at_mixed_degrees_fails_with_the_reference_witness"
 BATCH = "tests/test_batched_product.py::test_each_block_is_the_per_pair_product"
-INDEX = "tests/test_batched_product.py::test_an_index_serves_every_call_unchanged"
 WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
 SELF_CELL = BATCHED + "test_a_bracket_cell_of_one_basis_finds_the_first_witness"
 TWO_BASES = BATCHED + "test_a_cell_of_two_bases_finds_the_first_witness"
@@ -76,6 +75,9 @@ RANDOM_ROWS = ASSEMBLY + "test_presolve_matches_the_reference_on_random_rows"
 ROUND_TRIP = "tests/test_sparse_coords.py::test_maps_inverts_coords_and_hands_back_zero"
 MAPS_REF = "tests/test_sparse_coords.py::test_maps_of_a_kernel_match_the_reference"
 LEVEL_REF = "tests/test_level_sharing.py::test_level_matches_the_reference[half_plane]"
+RANDOM_LEVEL = "tests/test_level_sharing.py::test_strict_level_matches_the_reference_on_random_twists"
+UNIT_MAPS = "tests/test_sparse_coords.py::test_a_solve_forms_one_unit_map_per_cell"
+POWER_REF = "tests/test_twist_powers.py::test_power_matches_the_reference"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
 BENT_SHIFT = "tests/test_law_engine.py::test_shift_law_fails_into_a_space_bent_at_the_next_level"
@@ -106,19 +108,30 @@ MUTANTS = (
            (ON_BUNDLED,)),
     Mutant("solver: the right table reading a^k transposed", SPACES,
            "for j, x in ak.get(b, {}).items():",
-           "for j, x in _columns(spec.alpha.power(k))[b].items():",
+           "for j, x in {j: r[b] for j, r in ak.items() if b in r}.items():",
            (ON_BUNDLED,)),
     Mutant("solver: the eval sign flipped", SPACES,
            "evals.setdefault(l, {})[(a * n + b) * step] = x",
            "evals.setdefault(l, {})[(a * n + b) * step] = -x",
            (ON_BUNDLED,)),
     Mutant("solver: the strict alpha-term sign flipped", SPACES,
-           "row[idx] = row.get(idx, 0) - x", "row[idx] = row.get(idx, 0) + x",
+           "acc.setdefault(t * n + r, {})[idx] = -x", "acc.setdefault(t * n + r, {})[idx] = x",
            (ON_BUNDLED,)),
     Mutant("level: the commutation row term's sign flipped", SPACES,
-           "row = acc.setdefault(j * n + m, {})\n                row[idx] = row.get(idx, 0) + x",
-           "row = acc.setdefault(j * n + m, {})\n                row[idx] = row.get(idx, 0) - x",
+           "acc.setdefault(c * n + t, {})[idx] = x", "acc.setdefault(c * n + t, {})[idx] = -x",
            (ON_BUNDLED, LEVEL_REF)),
+    Mutant("level: the diagonal term's sign flipped", SPACES,
+           "{idx: diag[l] - diag[m]}", "{idx: diag[m] - diag[l]}",
+           (LEVEL_REF, RANDOM_LEVEL)),
+    Mutant("level: the entries off the twist's diagonal skipped", SPACES,
+           "for r, c, x in off:", "for r, c, x in ():",
+           (ON_BUNDLED, LEVEL_REF, RANDOM_LEVEL)),
+    Mutant("level: the degree classes swapped", SPACES,
+           "for l in classes[(deg[m] + degree) % 2]]", "for l in classes[(deg[m] + degree + 1) % 2]]",
+           (ON_BUNDLED, RANDOM_LEVEL)),
+    Mutant("solver: the spread sign applied twice", SPACES,
+           "row[idx] = row.get(idx, 0) + sign * x", "row[idx] = row.get(idx, 0) + sign * sign * x",
+           (ON_BUNDLED,)),
     Mutant("solver: rows in walk order, not key order", SPACES,
            "return [row for key in sorted(multi)", "return [row for key in multi",
            (ON_BUNDLED,)),
@@ -174,15 +187,22 @@ MUTANTS = (
            "c, m, l = where[i]", "c, l, m = where[i]",
            (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
     Mutant("_maps: a unit row's 1 written into component 0 whatever its c", SPACES,
-           "t[c] = GradedMap._of(", "t[0] = GradedMap._of(",
+           "t[c] = unit", "t[0] = unit",
            (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
+    Mutant("_maps: a shared unit keyed on m alone", SPACES,
+           "units.get(m * n + l)) is None:\n                unit = units[m * n + l] =",
+           "units.get(m)) is None:\n                unit = units[m] =",
+           (ON_BUNDLED, UNIT_MAPS)),
     Mutant("_maps: the leading 1 written at (c, l, m)", SPACES,
            "views = {c: {m: {l: 1}}}", "views = {c: {l: {m: 1}}}",
            (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
     Mutant("nullspace: the columns not reversed", LINALG,
-           "done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())",
-           "done = _reduce(dict(row) for row in m._sparse.values())",
+           "({w - c: x for c, x in row.items()} for row in m._sparse.values()), m.cols))",
+           "(dict(row) for row in m._sparse.values()), m.cols))",
            ("tests/test_mixed_rows.py::test_nullspace_matches_the_dense_reference",)),
+    Mutant("solver: the kept unknowns not counted from the last", SPACES,
+           "range(len(kept) - 1, -1, -1) if reverse", "range(len(kept)) if reverse",
+           (ON_BUNDLED,)),
     # the join that forms a batch of maps times a batch of maps, for both engines
     Mutant("_join: s ignored", SPACES,
            "for w, r, f in (flip if i in odd else cols).get(k, ()) if s else ():\n"
@@ -199,7 +219,7 @@ MUTANTS = (
     Mutant("_index: flip negates every entry, not only those at odd w", SPACES,
            "[(w, r, -x if w in odd else x) for w, r, x in col]",
            "[(w, r, -x) for w, r, x in col]",
-           (BATCH, INDEX)),
+           (BATCH,)),
     Mutant("_join: an odd p_i reads cols", SPACES,
            "(flip if i in odd else cols).get(k, ())", "cols.get(k, ())",
            (BATCH,)),
@@ -358,7 +378,11 @@ MUTANTS = (
            (READER_WORK,)),
     Mutant("power: the square not squared", LINALG,
            "square = square.matmul(square) if k else square", "square = square if k else square",
-           ("tests/test_twist_powers.py::test_power_is_repeated_matmul",)),
+           ("tests/test_twist_powers.py::test_power_is_repeated_matmul", POWER_REF)),
+    Mutant("power: power(1) returns the identity", LINALG,
+           "return Matrix.identity(self.rows) if out is None else out",
+           "return Matrix.identity(self.rows) if out is None or out is self else out",
+           (POWER_REF,)),
     # one walk over a twist's powers per (twist, k_max), shared by every reader
     Mutant("levels: the walk keyed without the twist", SPACES,
            "@lru_cache(maxsize=1024)\ndef _walk(",
@@ -632,8 +656,8 @@ EQUIVALENT = (
      "parity_sign(degree, deg[i])", "parity_sign(deg[i], degree)",
      "(-1)^(ab) is symmetric in a and b"),
     ("nullspace: the canonical kernel rows reduced once more", LINALG,
-     "return Subspace._of(m.cols, kernel)",
-     "return Subspace._from_sparse(m.cols, ({f: 1} | row for f, row in kernel.items()))",
+     "            kernel[w - c][w - p] = -x\n    return kernel",
+     "            kernel[w - c][w - p] = -x\n    return _reduce({f: 1} | row for f, row in kernel.items())",
      "each kernel row leads at its free column, which no other row holds, so "
      "_reduce returns the rows as they are; only the time differs"),
     ("jordan: the walk over z not ended at a witness at (0, 0)", SPACES,

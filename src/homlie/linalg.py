@@ -150,11 +150,11 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        out, square = Matrix.identity(self.rows), self  # by repeated squaring
+        out, square = None, self  # by squaring from the lowest set bit, which is out
         while k:
-            out, k = out.matmul(square) if k & 1 else out, k >> 1
+            out, k = (square if out is None else out.matmul(square)) if k & 1 else out, k >> 1
             square = square.matmul(square) if k else square
-        return out
+        return Matrix.identity(self.rows) if out is None else out
 
     def is_zero(self) -> bool:
         return not self._sparse
@@ -370,19 +370,24 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return inter
 
 
-def nullspace(m: Matrix) -> Subspace:
-    """Canonical basis of the right kernel {v : m v = 0}, from one
-    ``_reduce`` of m's sparse view with its columns reversed (c -> w - c):
-    per free column f, e_f - sum_p R[p, f] e_p over the pivot rows R[p]
-    it leaves.  Each such p lies right of f and is no free column, so
-    these vectors are already the kernel's canonical reduced rows."""
-    w = m.cols - 1
-    done = _reduce({w - c: x for c, x in row.items()} for row in m._sparse.values())
-    kernel: dict[int, Row] = {f: {} for f in range(m.cols) if w - f not in done}
+def _kernel(rows: Iterable[Row], width: int) -> dict[int, Row]:
+    """The right kernel's canonical rows by free column f, less their leading 1, of rows
+    whose column c stands for width - 1 - c: e_f - sum_p R[p, f] e_p over the pivot rows
+    R[p] of one ``_reduce`` (consuming rows), each p right of f and no free column."""
+    w = width - 1
+    done = _reduce(rows)
+    kernel: dict[int, Row] = {f: {} for f in range(width) if w - f not in done}
     for p, row in done.items():
         for c, x in row.items():
             kernel[w - c][w - p] = -x
-    return Subspace._of(m.cols, kernel)
+    return kernel
+
+
+def nullspace(m: Matrix) -> Subspace:
+    """Canonical basis of the right kernel {v : m v = 0}, by ``_kernel`` of m's view."""
+    w = m.cols - 1
+    return Subspace._of(m.cols, _kernel(
+        ({w - c: x for c, x in row.items()} for row in m._sparse.values()), m.cols))
 
 
 def format_vec(v: Sequence[Fraction]) -> str:

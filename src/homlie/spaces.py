@@ -29,15 +29,14 @@ from .linalg import (
     Matrix,
     Row,
     Subspace,
-    _columns,
     _eliminate,
     _int,
+    _kernel,
     _pivot_rows,
     _reduce,
     _sparse_sum,
     _subtract,
     format_matrix,
-    nullspace,
     rank,
 )
 
@@ -242,12 +241,14 @@ def _maps(kernel: dict, where: Sequence, arity: int, zero: GradedMap) -> tuple:
     """One tuple of ``arity`` maps per row of kernel, {pivot: row less its leading 1},
     in pivot order: D_c[m, l] = x for the leading 1 at the pivot, then each i: x of
     the row, (c, m, l) = ``where`` there; views only, each zero map ``zero``."""
-    n, degree, out = zero.n, zero.degree, []
+    n, degree, out, units = zero.n, zero.degree, [], {}
     for p, row in sorted(kernel.items()):
         c, m, l = where[p]
-        if not row:  # a unit row: one map of one entry
+        if not row:  # a unit row: one map of one entry, one per cell for every component
+            if (unit := units.get(m * n + l)) is None:
+                unit = units[m * n + l] = GradedMap._of(Matrix._of(n, n, {m: {l: 1}}), degree)
             t = [zero] * arity
-            t[c] = GradedMap._of(Matrix._of(n, n, {m: {l: 1}}), degree)
+            t[c] = unit
             out.append(tuple(t))
             continue
         views = {c: {m: {l: 1}}}
@@ -290,11 +291,11 @@ _EQS = max(len(equations) for equations in IDENTITIES.values())  # the most of a
 _ARITY = {kind: 1 + max(c for eq in eqs for _, c, _ in eq) for kind, eqs in IDENTITIES.items()}
 
 
-def _presolve(rows_by_key: dict, width: int) -> tuple[list, list]:
+def _presolve(rows_by_key: dict, width: int, reverse: bool = False) -> tuple[list, list]:
     """(rows, kept): kept lists in order the unknowns 0..width-1 that no row of
     {key: row} fixes to 0 by one nonzero entry, in place or once cleared of zeros;
-    rows holds the other rows in key order, over places in kept, none left empty.
-    One walk sorts the rows, and clears only those of more entries."""
+    rows holds the other rows in key order, over places in kept (from the last if
+    reverse, as ``_kernel`` reads them), none left empty.  One walk sorts them."""
     fixed, multi = set(), {}
     for key, row in rows_by_key.items():
         if len(row) > 1 and len(row := {idx: x for idx, x in row.items() if x}) > 1:
@@ -302,7 +303,7 @@ def _presolve(rows_by_key: dict, width: int) -> tuple[list, list]:
         elif all(row.values()):  # one entry, not 0, or none
             fixed.update(row)
     kept = [idx for idx in range(width) if idx not in fixed]
-    at = {old: new for new, old in enumerate(kept)}
+    at = dict(zip(kept, range(len(kept) - 1, -1, -1) if reverse else range(len(kept))))
     return [row for key in sorted(multi)
             if (row := {at[idx]: _int(x) for idx, x in multi[key].items() if idx in at})], kept
 
@@ -324,19 +325,24 @@ def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
     i*n*eqs*n + m and evals[l] [e_i, e_j]_l at (i*n + j)*eqs*n, for the
     sums over l of D[l, i] right, D[l, j] left and D e_l evals."""
     n, deg = spec.n, spec.degrees
-    cells = [(m, l) for m in range(n) for l in range(n) if deg[m] == (deg[l] + degree) % 2]
+    classes = [[i for i in range(n) if deg[i] == d] for d in (0, 1)]
+    cells = [(m, l) for m in range(n) for l in classes[(deg[m] + degree) % 2]]
     comm = []
     if strict:
-        # M[m, l] sits in the row (j, m) of M alpha times alpha[l, j], and in
-        # the row (l, p) of alpha M times alpha[p, m]; the row (l, m) keyed l*n + m
-        acc, arows, acols = {}, spec.alpha._sparse, _columns(spec.alpha)
-        for idx, (m, l) in enumerate(cells):
-            for j, x in arows.get(l, {}).items():
-                row = acc.setdefault(j * n + m, {})
-                row[idx] = row.get(idx, 0) + x
-            for p, x in acols[m].items():
-                row = acc.setdefault(l * n + p, {})
-                row[idx] = row.get(idx, 0) - x
+        # M[m, l] sits in the row (j, m) of M alpha times alpha[l, j], and in the row (l, p)
+        # of alpha M times alpha[p, m], the row (a, b) keyed a*n + b: both diagonal terms in
+        # (l, m); alpha[r, c] off it puts x at (t, r) in (c, t) and -x at (c, t) in (t, r)
+        arows = spec.alpha._sparse
+        diag = [arows.get(i, {}).get(i, 0) for i in range(n)]
+        acc = {l * n + m: {idx: diag[l] - diag[m]} for idx, (m, l) in enumerate(cells)}
+        off = [(r, c, x) for r, row in arows.items() for c, x in row.items() if r != c]
+        at = {cell: idx for idx, cell in enumerate(cells)} if off else {}
+        for r, c, x in off:
+            for t in range(n):
+                if (idx := at.get((t, r))) is not None:
+                    acc.setdefault(c * n + t, {})[idx] = x
+                if (idx := at.get((c, t))) is not None:
+                    acc.setdefault(t * n + r, {})[idx] = -x
         comm, kept = _presolve(acc, len(cells))
         cells = [cells[i] for i in kept]
     if not cells:
@@ -406,9 +412,8 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     # (below _EQS * n^3); the unknowns keep their order, so kernels stay canonical
     ident.update(zip(itertools.count(_EQS * n ** 3),
                      ({c * size + i: x for i, x in r.items()} for c in range(arity) for r in comm)))
-    rows, kept = _presolve(ident, arity * size)
-    system = Matrix._of(len(rows), len(kept), dict(enumerate(rows)))
-    kernel = nullspace(system)._reduced
+    rows, kept = _presolve(ident, arity * size, reverse=True)
+    kernel = _kernel(rows, len(kept))
     where = [(idx // size, *cells[idx % size]) for idx in kept]
     zero = GradedMap._of(Matrix._of(n, n, {}), degree)  # shared: no one writes a view
     return MapSpace._of(kernel, where, kind, k, degree, strict, n,

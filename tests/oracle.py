@@ -39,7 +39,8 @@ the unknowns that one-entry commutation rows fix struck first
 the presolve and the map builder as they were written before each was made one
 direct pass (``reference_level``, its commutation rows gathered in lists;
 ``reference_keyed_presolve``; ``reference_maps``, over rows with their leading 1
-copied in), the double's structure constants
+copied in), ``Matrix.power`` as it was before it squared from the lowest set
+bit (``reference_power``, which ``reference_level`` reads a^k by), the double's structure constants
 as ``build_extended`` read them off the dense bracket table
 (``reference_double_spec``), a solved space's tuple and first-component
 views as reductions of its tuples, as they were before they were read
@@ -455,7 +456,8 @@ def reference_level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
     """``spaces._level`` as it was written before its commutation rows were
     summed in two direct loops: each cell's (key, entry) pairs gathered in
     two lists and concatenated, its rows presolved by
-    ``reference_keyed_presolve``; the side tables as the package fills them."""
+    ``reference_keyed_presolve``, its cells found by testing every pair's
+    parity; the side tables as the package fills them, at ``reference_power``."""
     n, deg = spec.n, spec.degrees
     cells = [(m, l) for m in range(n) for l in range(n) if deg[m] == (deg[l] + degree) % 2]
     comm = []
@@ -474,7 +476,7 @@ def reference_level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
     for idx, (m, l) in enumerate(cells):
         by_row[m].append((l, idx))
         by_col[l].append((m, idx))
-    step, ak = spaces._EQS * n, spec.alpha.power(k)._sparse
+    step, ak = spaces._EQS * n, reference_power(spec.alpha, k)._sparse
     right, left, evals = {}, {}, {}
     for (a, b), vec in spec._sparse.items():
         for j, x in ak.get(b, {}).items():
@@ -487,6 +489,21 @@ def reference_level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
     sides = {"right": (n * step, right, by_row), "left": (step, left, by_row),
              "eval": (1, evals, by_col)}
     return cells, comm, sides
+
+
+def reference_power(m: Matrix, k: int) -> Matrix:
+    """``Matrix.power`` as it was written before it squared from the lowest set
+    bit: the identity times the squares m^(2^i) at the set bits i of k, so that
+    m^1 is the identity times m."""
+    if m.rows != m.cols:
+        raise ValueError("power of a non-square matrix")
+    if k < 0:
+        raise ValueError("negative matrix power")
+    out, square = Matrix.identity(m.rows), m  # by repeated squaring
+    while k:
+        out, k = out.matmul(square) if k & 1 else out, k >> 1
+        square = square.matmul(square) if k else square
+    return out
 
 
 def reference_maps(rows, where, arity: int, zero: GradedMap) -> tuple:

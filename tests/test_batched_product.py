@@ -10,13 +10,15 @@ Block (i, w) of one term must be sign times ``_product(p_i, g_w, s)``, and
 that formula on the dense reference product, for every s and sign, empty
 batches and zero maps; several terms must add, down to no row where they
 cancel; and an index must serve any number of calls unchanged, its signed
-column table the unsigned one itself when no map is odd.
+column table the unsigned one itself when no map is odd.  An odd left map
+against a nonzero even and a nonzero odd right map is always tried: it reads
+the signed table at an even w, where no sign may be taken.
 """
 
 import copy
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from homlie.algebra import parity_sign
@@ -65,7 +67,12 @@ def _block(rows, n, i, w):
     return Matrix._of(n, n, {r: row for (u, v, r), row in rows.items() if (u, v) == (i, w)})
 
 
+def _unit(degree):
+    return GradedMap(Matrix(1, 1, (Fraction(1),)), degree)
+
+
 @given(_cases())
+@example(([_unit(1)], [], [_unit(0), _unit(1)], 1, 1))
 def test_each_block_is_the_per_pair_product(case):
     left, _, right, s, sign = case
     rows = _join(_term(sign, left, right, s))

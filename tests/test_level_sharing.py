@@ -12,7 +12,9 @@ read off the per-pair walk's whole system
 (``oracle.reference_solve_space``), with equal repr and hash.  The level
 itself, its commutation rows summed in two direct loops, must equal
 ``oracle.reference_level``, which gathers them in lists as it was written
-before, cells, rows (in key order) and side tables alike.
+before, cells, rows (in key order) and side tables alike, also on random
+twists of a spec of both degrees: entries off the diagonal, equal
+diagonal entries (whose strict rows cancel) and zero rows.
 """
 
 import contextlib
@@ -21,8 +23,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlie import spaces
+from homlie.algebra import AlgebraSpec
 from homlie.catalog import BUILTIN, load_builtin
 from homlie.cli import main
 from homlie.extension import build_extended
@@ -83,6 +88,41 @@ def test_level_matches_the_reference(name):
         got = spaces._level.__wrapped__(spec, k, degree, strict)
         assert got == reference_level(spec, k, degree, strict), (spec.name, k, degree, strict)
         assert all(type(x) is int or x.denominator != 1 for row in got[1] for x in row.values())
+
+
+_ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-2, 2),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@st.composite
+def mixed_twists(draw):
+    """A spec of both degrees, n 2 to 4, with a few random brackets, under a
+    twist that holds a nonzero entry off its diagonal, often one value all
+    along its diagonal and often rows of zeros."""
+    n = draw(st.integers(2, 4))
+    degrees = draw(st.permutations([0, 1] + draw(st.lists(st.integers(0, 1),
+                                                              min_size=n - 2, max_size=n - 2))))
+    twist = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        same = draw(_ENTRIES)
+        for i in range(n):
+            twist[i][i] = same
+    r = draw(st.integers(0, n - 1))
+    for i in draw(st.sets(st.integers(0, n - 1).filter(lambda i: i != r), max_size=n - 1)):
+        twist[i] = [0] * n
+    twist[r][draw(st.integers(0, n - 1).filter(lambda c: c != r))] = draw(
+        _ENTRIES.filter(bool))
+    pairs = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ij: ij[0] < ij[1]), st.lists(_ENTRIES, min_size=n, max_size=n), max_size=3))
+    return AlgebraSpec.from_pairs("mixed", degrees, twist, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_twists(), st.integers(0, 2))
+def test_strict_level_matches_the_reference_on_random_twists(spec, k):
+    for degree in (0, 1):
+        got = spaces._level.__wrapped__(spec, k, degree, True)
+        assert got == reference_level(spec, k, degree, True), degree
 
 
 def test_a_report_builds_each_level_once(monkeypatch):

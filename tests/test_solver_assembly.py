@@ -15,8 +15,10 @@ level strikes its commutation rows through it too, and on random rows
 it must agree with ``oracle.reference_presolve`` and, row for row, with
 the walks it replaced (``oracle.reference_keyed_presolve``).  The kernel
 rows become maps through ``spaces._maps``, read in pivot order by a
-(component, row, column) table of the unknowns kept.  The rows and the width of the system that reaches ``nullspace``
-must be exactly those of the per-pair walk kept in
+(component, row, column) table of the unknowns kept.  The rows and the
+width of the system that reaches ``linalg._kernel``, its unknowns counted
+from the last, must be, once read in their own order again, exactly
+those of the per-pair walk kept in
 ``oracle.reference_system_rows`` after ``oracle.reference_presolve``,
 which strikes the unknowns that commutation rows of one entry fix
 first, and the solved space must be the one read off that walk's whole
@@ -103,17 +105,23 @@ def h(m):
 
 def _system(monkeypatch, spec, kind, k, degree, strict):
     """(rows, width, space) of one uncached solve: the rows and width of
-    the matrix that ``solve_space`` hands ``nullspace``, or ([], 0) when
-    no entry is allowed and no system is built."""
-    seen = []
+    the system that ``solve_space`` hands ``_kernel``, each row read back
+    from the reversed columns that ``_kernel`` takes (c -> width - 1 - c),
+    or ([], 0) when no entry is allowed and no system is built."""
+    seen, inner = [], spaces._kernel
+
+    def kernel(rows, width):
+        rows = list(rows)  # consumed by inner, so read first
+        seen.append(([{width - 1 - c: x for c, x in row.items()} for row in rows], width))
+        return inner(rows, width)
+
     with monkeypatch.context() as m:
-        m.setattr(spaces, "nullspace",
-                  lambda a, inner=spaces.nullspace: seen.append(a) or inner(a))
+        m.setattr(spaces, "_kernel", kernel)
         space = spaces.solve_space.__wrapped__(spec, kind, k, degree, strict)
     if not seen:
         return [], 0, space
-    (a,) = seen
-    return [a._sparse.get(r, {}) for r in range(a.rows)], a.cols, space
+    (system,) = seen
+    return *system, space
 
 
 def assert_assembly_matches(monkeypatch, specs, k_max):

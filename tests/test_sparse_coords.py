@@ -12,7 +12,9 @@ subspace.  ``spaces._maps``, the one builder of solved and spanned maps,
 must read ``_coords`` back through a (component, row, column) table from
 kernel rows, {pivot: row less its leading 1}, and make of random kernels
 the maps that the builder it replaced (``oracle.reference_maps``) made of
-the same rows with their leading 1 copied in.
+the same rows with their leading 1 copied in.  A solve forms each cell's
+unit map once and hands it to every component whose unit row is at that
+cell, so one map object stands for the cell, and no two cells share one.
 """
 
 import copy
@@ -22,6 +24,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlie import spaces
+from homlie.catalog import load_builtin
 from homlie.linalg import (
     Matrix,
     Subspace,
@@ -32,6 +36,7 @@ from homlie.linalg import (
 )
 from homlie.spaces import (
     GradedMap,
+    SpaceKind,
     _coords,
     _first_outside,
     _maps,
@@ -191,6 +196,25 @@ def test_maps_of_a_kernel_match_the_reference(case):
     assert got == want
     assert [[(list(g.matrix._sparse.items()), g.degree, g is zero) for g in t] for t in got] == \
         [[(list(g.matrix._sparse.items()), g.degree, g is zero) for g in t] for t in want]
+
+
+def test_a_solve_forms_one_unit_map_per_cell():
+    """heisenberg3's strict GDer at k = 0 has unit rows at one cell in two or
+    three components: they hold one map, distinct maps hold distinct views,
+    and the tuples are those the old builder makes of the kernel rows."""
+    space = spaces.solve_space.__wrapped__(load_builtin("heisenberg3"), SpaceKind.GDER, 0, 0, True)
+    kernel, where, tuples = space._kernel
+    units = {}
+    for t, (p, row) in zip(tuples, sorted(kernel.items())):
+        if not row:
+            c, m, l = where[p]
+            units.setdefault((m, l), []).append(t[c])
+    assert any(len(maps) > 1 for maps in units.values())
+    assert all(g is maps[0] for maps in units.values() for g in maps)
+    nonzero = {id(g): g for t in tuples for g in t if not g.is_zero()}.values()
+    assert len({id(g.matrix._sparse) for g in nonzero}) == len(nonzero)
+    zero = next(g for t in tuples for g in t if g.is_zero())
+    assert tuples == reference_maps(_pivot_rows(kernel), where, space.arity, zero)
 
 
 # 0 in every accepted form, and nonzeros as int, "p/q" string and Fraction

@@ -7,12 +7,17 @@ Their reports must equal the reference
 loops, which solve every level directly, on twists whose powers repeat
 at once, with a period, after a nilpotent tail, or never.  The reader
 forms powers only up to the first repeat, and ``Matrix.power`` squares,
-so a level far past k_max = 3 costs no more than one within it.
+so a level far past k_max = 3 costs no more than one within it.  It
+squares from the lowest set bit of k, so alpha^1 is alpha itself, and it
+must equal ``oracle.reference_power``, the identity times the squares, on
+random, nilpotent, zero and identity matrices.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlie import spaces
 from homlie.algebra import AlgebraSpec
@@ -29,6 +34,7 @@ from homlie.spaces import (
 from oracle import (
     reference_bracket_laws,
     reference_inclusion_chain,
+    reference_power,
     reference_qc_closure,
 )
 
@@ -105,6 +111,37 @@ def test_power_is_repeated_matmul(twist, k):
     for _ in range(k):
         want = want.matmul(alpha)
     assert alpha.power(k) == want
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-2, 2),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix, n 0 to 4: random, strictly upper triangular
+    (nilpotent), zero or the identity."""
+    n, how = draw(st.integers(0, 4)), draw(st.sampled_from(
+        ("random", "nilpotent", "zero", "identity")))
+    if how == "identity":
+        return Matrix.identity(n)
+    return Matrix.from_rows([[draw(_ENTRIES) if how == "random" or how == "nilpotent" and c > r
+                              else 0 for c in range(n)] for r in range(n)], n)
+
+
+@settings(deadline=None)
+@given(square_matrices())
+def test_power_matches_the_reference(m):
+    for k in range(9):
+        assert m.power(k) == reference_power(m, k), k
+    assert m.power(1) is m
+
+
+@pytest.mark.parametrize("m, k", [(Matrix.from_rows([[1, 2]]), 0), (Matrix.from_rows([[1, 2]]), 1),
+                                  (Matrix.identity(2), -1), (Matrix.from_rows([[0]]), -3)])
+def test_power_rejects_a_non_square_matrix_and_a_negative_k(m, k):
+    with pytest.raises(ValueError):
+        m.power(k)
 
 
 @pytest.mark.parametrize("name, twist, k, least", [
