@@ -52,6 +52,7 @@ JORDAN = "tests/test_jordan_engine.py::"
 RESIDUALS = JORDAN + "test_engine_residuals_match_dense_residuals"
 PASS = JORDAN + "test_pass_matches_the_per_quadruple_engine"
 REFERENCE_PASS = JORDAN + "test_pass_matches_the_reference_pass"
+WALK_REF = JORDAN + "test_witness_is_the_walk_over_every_ordering"
 MIXED = BATCHED + "test_a_basis_failing_only_at_mixed_degrees_fails_with_the_reference_witness"
 BATCH = "tests/test_batched_product.py::test_each_block_is_the_per_pair_product"
 WIDE_CELL = BATCHED + "test_law_witness_at_a_later_w_in_a_wide_cell"
@@ -242,9 +243,12 @@ MUTANTS = (
            (BATCH,)),
     # the per-z Jordan pass and its basis-first walk
     Mutant("jordan: the max instead of the min w", SPACES,
-           "best = min(best or (x, y, z, w), (x, y, z, w))",
-           "best = min(best or (x, y, z, w), (x, y, z, w), key=lambda q: (q[:3], -q[3]))",
+           "x, y, w = min(residual)[0]",
+           "x, y, w = min(residual, key=lambda kr: (kr[0][:2], -kr[0][2]))[0]",
            (BATCHED + "test_first_failing_w_is_odd_before_a_failing_even_w",)),
+    Mutant("jordan: a z's first key taken instead of its least", SPACES,
+           "x, y, w = min(residual)[0]", "x, y, w = next(iter(residual))[0]",
+           (WALK_REF,)),
     Mutant("jordan: a dropped w-degree sign", SPACES,
            "o * parity_sign(dz, deg[u] + dc)", "o * parity_sign(dz, deg[u])",
            (RESIDUALS,)),
@@ -257,19 +261,29 @@ MUTANTS = (
            (RESIDUALS,)),
     Mutant("jordan: the z-outer walk keeps the last witness", SPACES,
            "best = min(best or", "best = max(best or",
-           (JORDAN + "test_engine_matches_oracle_on_bundled[lax]",)),
+           (BATCHED + "test_a_later_z_holds_the_least_pair", WALK_REF)),
     Mutant("jordan: the walk over z ended at any witness", SPACES,
            "if best[:2] == (0, 0):", "if best:",
            (BATCHED + "test_a_later_z_holds_the_least_pair",)),
     Mutant("jordan: basis-first reports pass when the basis fails", SPACES,
-           "quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)",
-           "quad = _jordan_witness(spec.alpha, basis) and None",
+           "quad = _jordan_witness(spec.alpha, elems) if", "quad = None if",
            (JORDAN + "test_engine_matches_oracle_on_bundled[lax]",)),
+    Mutant("jordan: the pre-check's verdict negated", SPACES,
+           "if any(_jordan_pass(spec.alpha, basis)) else None",
+           "if not any(_jordan_pass(spec.alpha, basis)) else None",
+           (JORDAN + "test_engine_matches_oracle_on_bundled[lax]",)),
+    Mutant("jordan: the pre-check run over elems instead of basis", SPACES,
+           "any(_jordan_pass(spec.alpha, basis))", "any(_jordan_pass(spec.alpha, elems))",
+           (BATCHED + "test_basis_first_walk_fails_with_the_walked_witness",)),
+    Mutant("jordan: the basis walk run on past its first nonzero residual", SPACES,
+           "any(_jordan_pass(spec.alpha, basis))", "any(list(_jordan_pass(spec.alpha, basis)))",
+           (BATCHED + "test_the_basis_walk_stops_at_its_first_nonzero_residual",)),
     Mutant("jordan: the walk keeps the last failing quadruple", SPACES,
            "best = min(best or (x, y, z, w), (x, y, z, w))", "best = (x, y, z, w)",
-           (H9_LAX,)),
+           (WALK_REF,)),
     Mutant("jordan: the witness read off the basis walk", SPACES,
-           "and _jordan_witness(spec.alpha, elems)", "and _jordan_witness(spec.alpha, basis)",
+           "quad = _jordan_witness(spec.alpha, elems) if",
+           "quad = _jordan_witness(spec.alpha, basis) if",
            (BATCHED + "test_basis_first_walk_fails_with_the_walked_witness",)),
     Mutant("jordan: keyed rows multiplied on the left keep their row", SPACES,
            "_subtract(acc.setdefault((i, w, k), {}), -sign * f, row)",

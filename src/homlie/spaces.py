@@ -109,7 +109,7 @@ def _product(a: GradedMap, b: GradedMap, s: int) -> GradedMap:
     return GradedMap._of(Matrix._of(a.n, a.n, _sparse_sum(*terms)), (a.degree + b.degree) % 2)
 
 
-def _index(g: dict, odd=()) -> tuple[dict, dict, dict]:
+def _index(g: dict, odd) -> tuple[dict, dict, dict]:
     """A batch, maps g_w held as rows keyed (w, r), the w in odd of degree 1, indexed
     for ``_join``: rows by row index, {k: [(w, row)]}, entries by column, {k: [(w, r,
     x)]}, and flip, the columns with x negated at each odd w (cols itself if none)."""
@@ -784,13 +784,13 @@ def _jordan_pass(alpha: Matrix, elems: Sequence[GradedMap]):
 
 
 def _jordan_witness(alpha: Matrix, elems: Sequence[GradedMap]):
-    """The least index triple (x, y, z), then its least w, with a nonzero
-    residual, or None; z runs outermost, so a witness at (0, 0) ends it."""
+    """The least (x, y, z), then w, with a nonzero residual, or None; z runs
+    outermost, so (0, 0) ends it.  An all-even key is sorted, its least ordering."""
     best = ()
     for z, residual in enumerate(_jordan_pass(alpha, elems)):
-        for key, _ in residual:
-            for x, y, w in (key,) if any(elems[i].degree for i in key) else itertools.permutations(key):
-                best = min(best or (x, y, z, w), (x, y, z, w))
+        if residual:
+            x, y, w = min(residual)[0]
+            best = min(best or (x, y, z, w), (x, y, z, w))
         if best[:2] == (0, 0):
             break
     return best or None
@@ -842,11 +842,11 @@ def check_qc_structure(spec: AlgebraSpec, k_max: int,
                            lambda w: format_matrix(w[0].matrix)))
 
     # the residual is linear in each map at fixed degrees, so it vanishes on elems
-    # exactly when on a basis of their span per degree, a space of them's first
-    # view; only a failing basis sends the walk over elems, for the first witness
+    # exactly when on a basis of their span per degree, a space of them's first view;
+    # the basis walk stops at its first nonzero residual, and only then walks elems
     basis = [g for th in (0, 1) for g, in MapSpace(SpaceKind.QC, 0, th, strict, spec.n, tuple(
         (g,) for g in elems if g.degree == th))._first_view[1]]
-    quad = _jordan_witness(spec.alpha, basis) and _jordan_witness(spec.alpha, elems)
+    quad = _jordan_witness(spec.alpha, elems) if any(_jordan_pass(spec.alpha, basis)) else None
     jordan_bad = quad and tuple(elems[i] for i in quad)
     checks.append(_verdict(
         "twisted Jordan identity on QC", jordan_bad,

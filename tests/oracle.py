@@ -49,9 +49,10 @@ off the solver's kernel (``reference_tuple_view``,
 batch, and the per-z Jordan pass that split every batch by degree for it and
 read a o tz off tz o a (``reference_index``, ``reference_join``,
 ``reference_jordan_pass``; ``_join_one`` and ``reference_per_xy_engine``
-stand on that join), and the helpers that the package no
-longer holds: dense vectors and columns (``is_zero_vec``, ``col``), a
-matrix from sparse rows (``from_sparse``), the whole space
+stand on that join), the walk for the least Jordan witness that read every
+ordering of each all-even key (``reference_pass_witness``), and the helpers
+that the package no longer holds: dense vectors and columns
+(``is_zero_vec``, ``col``), a matrix from sparse rows (``from_sparse``), the whole space
 (``full_space``) and the shift D -> D o alpha (``alpha_shift``).  Last,
 it builds the large inputs whose reports ``test_golden_large`` pins:
 the twisted Heisenberg algebras and the iterated double (``heisenberg``,
@@ -1111,6 +1112,21 @@ def reference_jordan_witness(alpha: Matrix, elems):
     return next((quad for quad in itertools.product(elems, repeat=4)
                  if not reference_hom_jordan_residual(alpha, *quad).is_zero()),
                 None)
+
+
+def reference_pass_witness(alpha: Matrix, elems):
+    """The least index triple (x, y, z), then its least w, with a nonzero
+    residual in ``spaces._jordan_pass``, or None: the walk ``_jordan_witness``
+    made before it took one least key per z, every ordering of an all-even
+    key read apart.  z runs outermost, so a witness at (0, 0) ends it."""
+    best = ()
+    for z, residual in enumerate(spaces._jordan_pass(alpha, elems)):
+        for key, _ in residual:
+            for x, y, w in (key,) if any(elems[i].degree for i in key) else itertools.permutations(key):
+                best = min(best or (x, y, z, w), (x, y, z, w))
+        if best[:2] == (0, 0):
+            break
+    return best or None
 
 
 def reference_index(g: dict) -> tuple[dict, dict]:

@@ -8,10 +8,11 @@ with itself skips a cell whose transpose passed.  The twisted Jordan
 check forms, per z, every residual at once by a per-z pass, and it walks
 the quasicentroid maps only when a basis of their span per degree
 already fails, which must happen exactly when the walk over the maps
-fails.  Whole reports must be those of the per-pair cells, the full walk
-over cells and the per-quadruple engine kept in ``oracle``, and the
-first witness must be found where it sits later in a cell or in a
-triple, or at a quadruple that holds an odd map.
+fails; the basis walk stops at its first nonzero residual.  Whole
+reports must be those of the per-pair cells, the full walk over cells
+and the per-quadruple engine kept in ``oracle``, and the first witness
+must be found where it sits later in a cell or in a triple, or at a
+quadruple that holds an odd map.
 """
 
 import itertools
@@ -154,22 +155,42 @@ def test_basis_first_walk_fails_with_the_walked_witness(monkeypatch):
     assert check.detail == " , ".join(format_matrix(g.matrix) for g in quad)
 
 
+def test_the_basis_walk_stops_at_its_first_nonzero_residual(monkeypatch):
+    """The abelian superalgebra of dimension 1|1 under the identity twist
+    holds 4 strict QC maps at kmax 0, whose basis fails at its first z
+    already; the basis pass yields no z after that one."""
+    spec = AlgebraSpec.from_pairs("abelian1_1", (0, 1), Matrix.identity(2), {})
+    calls, jordan_pass = [], spaces._jordan_pass
+
+    def spy(alpha, maps):
+        calls.append((maps, []))
+        for residual in jordan_pass(alpha, maps):
+            calls[-1][1].append(bool(residual))
+            yield residual
+
+    monkeypatch.setattr(spaces, "_jordan_pass", spy)
+    assert check_qc_structure(spec, 0, True).checks[-1].status == "fail"
+    basis, seen = calls[0]
+    every = [bool(residual) for residual in jordan_pass(spec.alpha, basis)]
+    assert every == [True] * 4 and seen == [True]
+
+
 # --- the basis walk against the full walk ------------------------------------
 
 def assert_basis_walk_agrees_with_full_walk(monkeypatch, spec, k_max, strict):
-    """The check's walk over a basis of the QC span fails exactly when the
-    walk over every QC map does."""
-    walks, jordan_witness = [], spaces._jordan_witness
+    """The check's walk over a basis of the QC span, its first
+    ``_jordan_pass``, fails exactly when the walk over every QC map does."""
+    walks, jordan_pass = [], spaces._jordan_pass
 
     def spy(alpha, maps):
-        walks.append(jordan_witness(alpha, maps))
-        return walks[-1]
+        walks.append(any(jordan_pass(alpha, maps)))
+        return jordan_pass(alpha, maps)
 
     with monkeypatch.context() as m:
-        m.setattr(spaces, "_jordan_witness", spy)
+        m.setattr(spaces, "_jordan_pass", spy)
         check_qc_structure(spec, k_max, strict)
-    full = jordan_witness(spec.alpha, _qc_elems(spec, k_max, strict))
-    assert (walks[0] is None) == (full is None), spec.name
+    full = spaces._jordan_witness(spec.alpha, _qc_elems(spec, k_max, strict))
+    assert (not walks[0]) == (full is None), spec.name
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])

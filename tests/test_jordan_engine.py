@@ -10,7 +10,9 @@ that split each batch by degree, ``oracle.reference_jordan_pass``, on maps
 that repeat, and its first witness and its
 residuals those of the dense per-quadruple loop kept in
 ``oracle.reference_jordan_witness``, on the bundled algebras, on random
-algebras and on the larger twisted and odd inputs; and the check must
+algebras and on the larger twisted and odd inputs; its least witness, one
+least key per z, that of the walk over every ordering of each key in
+``oracle.reference_pass_witness``; and the check must
 report ``fail`` with that witness when a basis map is bent.  The circle
 super-commutativity check walks unordered pairs; its verdict must be
 that of the ordered walk in ``oracle.reference_circle_witness``.
@@ -21,7 +23,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homlie import spaces
@@ -44,6 +46,7 @@ from oracle import (
     reference_jordan_engine,
     reference_jordan_pass,
     reference_jordan_witness,
+    reference_pass_witness,
 )
 from test_laws import K_MAX, _with_fault
 
@@ -261,6 +264,63 @@ def test_pass_matches_the_reference_pass(case):
     elems, alpha = case
     assert any(g.degree for g in elems)
     assert list(spaces._jordan_pass(alpha, elems)) == list(reference_jordan_pass(alpha, elems))
+
+
+def _even(*rows):
+    return GradedMap(Matrix.from_rows(rows), 0)
+
+
+# all even: z = 0 fails first, but the least (x, y) = (0, 0) sits at z = 1
+LATER_Z = ([_even([0, 0], [0, -1]), _even([0, 1], [0, 0]), _even([1, 0], [0, 0])],
+           Matrix.from_rows([[0, 0], [1, 0]]))
+# the least failing (x, y, w) at z = 0 holds the odd w = 1
+MIXED = ([_even([-1, 0], [2, 0]), GradedMap(Matrix.from_rows([[0, 1], [0, 0]]), 1),
+          _even([-1, 2], [0, 0])], Matrix.from_rows([[2, 0], [0, 1]]))
+
+
+def test_the_witness_examples_fail_where_they_say():
+    elems, alpha = LATER_Z
+    assert [bool(r) for r in spaces._jordan_pass(alpha, elems)] == [True, True, False]
+    assert reference_pass_witness(alpha, elems) == (0, 0, 1, 1)
+    assert not any(g.degree for g in elems)
+    elems, alpha = MIXED
+    assert reference_pass_witness(alpha, elems) == (0, 0, 0, 1)
+    assert elems[1].degree == 1
+
+
+@st.composite
+def _witness_cases(draw):
+    """(two to six maps, a twist), 1 <= n <= 3: one to three drawn maps of
+    any degrees, each a random matrix or a matrix unit, then repeats and
+    scalar multiples of them, in any order."""
+    n = draw(st.integers(1, 3))
+
+    def matrix():
+        return Matrix(n, n, tuple(Fraction(x) for x in draw(
+            st.lists(_ENTRIES, min_size=n * n, max_size=n * n))))
+
+    def unit():
+        at = draw(st.integers(0, n * n - 1))
+        return Matrix(n, n, tuple(Fraction(int(i == at)) for i in range(n * n)))
+    drawn = [GradedMap(draw(st.sampled_from((matrix, unit)))(), d)
+             for d in draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))]
+    maps = list(drawn)
+    for c in draw(st.lists(st.sampled_from((1, 1, 2, -1, Fraction(1, 2))),
+                           min_size=1, max_size=3)):
+        g = draw(st.sampled_from(drawn))
+        maps.append(g if c == 1 else GradedMap(g.matrix.scale(Fraction(c)), g.degree))
+    return draw(st.permutations(maps)), matrix()
+
+
+@given(_witness_cases())
+@example(LATER_Z)
+@example(MIXED)
+@settings(max_examples=80, deadline=None)
+def test_witness_is_the_walk_over_every_ordering(case):
+    """One least key per z names the quadruple that the walk over every
+    ordering of each all-even key names."""
+    elems, alpha = case
+    assert spaces._jordan_witness(alpha, elems) == reference_pass_witness(alpha, elems)
 
 
 def test_h5_identity_twist_report_is_pinned():
