@@ -98,6 +98,10 @@ SPLIT = ("tests/test_elimination.py::test_projection_matches_reference_on_random
 VIEWS = "tests/test_span_views.py::"
 ON_VIEWS = VIEWS + "test_views_of_solved_spaces_are_the_reductions_on_bundled[ex2_5]"
 BENT_VIEWS = VIEWS + "test_a_replaced_space_reduces_its_own_tuples[QC]"
+LAYOUT = VIEWS + "test_a_solved_kernel_is_the_reduction_of_its_tuples_coordinates[ex2_5]"
+UNCOPIED = VIEWS + "test_the_tuple_view_holds_the_kernel_rows_uncopied[ex2_5]"
+LABELS = "tests/test_sparse_rref.py::test_kernel_writes_each_unknown_at_its_label"
+REPEATED = JORDAN + "test_residual_matches_the_dense_residual_with_a_map_repeated"
 WALKS_APART = "tests/test_twist_powers.py::test_the_walks_of_twists_at_one_k_max_are_kept_apart"
 WRITER = CLI_TESTS + "test_json_writer_matches_json_dumps_with_indent_2"
 
@@ -185,7 +189,7 @@ MUTANTS = (
            "zero = GradedMap._of(Matrix._of(n, n, {}), 0)",
            (ON_BUNDLED, EDGES)),
     Mutant("_maps: row and column read swapped", SPACES,
-           "c, m, l = where[i]", "c, l, m = where[i]",
+           ".setdefault(i // n % n, {})[i % n] = x", ".setdefault(i % n, {})[i // n % n] = x",
            (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
     Mutant("_maps: a unit row's 1 written into component 0 whatever its c", SPACES,
            "t[c] = unit", "t[0] = unit",
@@ -198,9 +202,20 @@ MUTANTS = (
            "views = {c: {m: {l: 1}}}", "views = {c: {l: {m: 1}}}",
            (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
     Mutant("nullspace: the columns not reversed", LINALG,
-           "({w - c: x for c, x in row.items()} for row in m._sparse.values()), m.cols))",
-           "(dict(row) for row in m._sparse.values()), m.cols))",
+           "({w - c: x for c, x in row.items()} for row in m._sparse.values()), range(m.cols)))",
+           "(dict(row) for row in m._sparse.values()), range(m.cols)))",
            ("tests/test_mixed_rows.py::test_nullspace_matches_the_dense_reference",)),
+    Mutant("_kernel: its labels read unreversed", LINALG,
+           "kernel[labels[w - c]][labels[w - p]] = -x", "kernel[labels[c]][labels[p]] = -x",
+           (LABELS, ON_BUNDLED)),
+    Mutant("solver: a label off by one component", SPACES,
+           "kernel = _kernel(rows, [(idx // size * n + m) * n + l",
+           "kernel = _kernel(rows, [((idx // size + 1) * n + m) * n + l",
+           (ON_BUNDLED, LAYOUT)),
+    Mutant("solver: the label swaps c and m, so it no longer increases", SPACES,
+           "kernel = _kernel(rows, [(idx // size * n + m) * n + l",
+           "kernel = _kernel(rows, [(m * n + idx // size) * n + l",
+           (ON_VIEWS,)),
     Mutant("solver: the kept unknowns not counted from the last", SPACES,
            "range(len(kept) - 1, -1, -1) if reverse", "range(len(kept)) if reverse",
            (ON_BUNDLED,)),
@@ -249,6 +264,16 @@ MUTANTS = (
     Mutant("jordan: a z's first key taken instead of its least", SPACES,
            "x, y, w = min(residual)[0]", "x, y, w = next(iter(residual))[0]",
            (WALK_REF,)),
+    Mutant("residual: the rows read at the key (2, 1, 3)", SPACES,
+           "for (key, r), row in rows if key == (1, 2, 3)}",
+           "for (key, r), row in rows if key == (2, 1, 3)}",
+           (REPEATED,)),
+    Mutant("residual: the pass run over (x, y, z, w)", SPACES,
+           "next(_jordan_pass(alpha, (z, x, y, w)))", "next(_jordan_pass(alpha, (x, y, z, w)))",
+           (REPEATED,)),
+    Mutant("residual: every z of the pass formed", SPACES,
+           "next(_jordan_pass(alpha, (z, x, y, w)))", "list(_jordan_pass(alpha, (z, x, y, w)))[0]",
+           (JORDAN + "test_the_residual_forms_only_its_own_z",)),
     Mutant("jordan: a dropped w-degree sign", SPACES,
            "o * parity_sign(dz, deg[u] + dc)", "o * parity_sign(dz, deg[u])",
            (RESIDUALS,)),
@@ -421,23 +446,26 @@ MUTANTS = (
            "        span = self._span(self.n * self.n)\n",
            (BENT_EVERYWHERE, BENT_VIEWS)),
     Mutant("views: the first view's maps read off the tuples as given", SPACES,
-           "for t in self._kernel[2][:span.dim])", "for t in self.tuples[:span.dim])",
+           "for t in self._kernel[1][:span.dim])", "for t in self.tuples[:span.dim])",
            (BENT_VIEWS,)),
     Mutant("views: the first-component span reduced afresh", SPACES,
            "        span = self._span(self.n * self.n)\n",
            "        span = project_component(self, 0)\n",
            ("tests/test_caches.py::test_each_fact_is_computed_once_per_report[strict]",)),
     Mutant("views: the block-0 cut keeps entries at or past n^2", SPACES,
-           "{at[u]: x for u, x in row.items() if at[u] < size}",
-           "{at[u]: x for u, x in row.items()}",
+           "{u: x for u, x in row.items() if u < size}", "dict(row)",
            (ON_VIEWS,)),
     Mutant("views: the cut keeps rows whose pivot lies past block 0", SPACES,
-           "for p, row in kernel.items() if at[p] < size}", "for p, row in kernel.items()}",
+           "for p, row in kernel.items() if p < size}", "for p, row in kernel.items()}",
            (ON_VIEWS,)),
-    Mutant("views: the relabelling swaps c and m, so it no longer increases", SPACES,
-           "at = [(c * n + m) * n + l for c, m, l in where]",
-           "at = [(m * n + c) * n + l for c, m, l in where]",
-           (ON_VIEWS,)),
+    Mutant("views: the tuple view built from the first-component cut", SPACES,
+           "(Subspace._of(s.arity * s.n * s.n, s._kernel[0]),",
+           "(Subspace._of(s.arity * s.n * s.n, s._span(s.n * s.n)._reduced),",
+           (ON_VIEWS, UNCOPIED)),
+    Mutant("views: the tuple view over a copy of the kernel rows", SPACES,
+           "(Subspace._of(s.arity * s.n * s.n, s._kernel[0]),",
+           "(s._span(s.arity * s.n * s.n),",
+           (UNCOPIED,)),
     Mutant("views: a replaced space reuses the kernel it was replaced from", SPACES,
            "    @cached_property\n    def _kernel(self)",
            "    _kernel: tuple = __import__('dataclasses').field(default=None, compare=False)\n\n"
@@ -670,8 +698,9 @@ EQUIVALENT = (
      "parity_sign(degree, deg[i])", "parity_sign(deg[i], degree)",
      "(-1)^(ab) is symmetric in a and b"),
     ("nullspace: the canonical kernel rows reduced once more", LINALG,
-     "            kernel[w - c][w - p] = -x\n    return kernel",
-     "            kernel[w - c][w - p] = -x\n    return _reduce({f: 1} | row for f, row in kernel.items())",
+     "            kernel[labels[w - c]][labels[w - p]] = -x\n    return kernel",
+     "            kernel[labels[w - c]][labels[w - p]] = -x\n"
+     "    return _reduce({f: 1} | row for f, row in kernel.items())",
      "each kernel row leads at its free column, which no other row holds, so "
      "_reduce returns the rows as they are; only the time differs"),
     ("jordan: the walk over z not ended at a witness at (0, 0)", SPACES,

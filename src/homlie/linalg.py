@@ -370,16 +370,17 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return inter
 
 
-def _kernel(rows: Iterable[Row], width: int) -> dict[int, Row]:
-    """The right kernel's canonical rows by free column f, less their leading 1, of rows
-    whose column c stands for width - 1 - c: e_f - sum_p R[p, f] e_p over the pivot rows
-    R[p] of one ``_reduce`` (consuming rows), each p right of f and no free column."""
-    w = width - 1
+def _kernel(rows: Iterable[Row], labels: Sequence[int]) -> dict[int, Row]:
+    """The right kernel's canonical rows by free unknown f, less their leading 1, of rows
+    whose column c stands for unknown w - c, w = len(labels) - 1, each unknown written at
+    its label, which increases with it: e_f - sum_p R[p, f] e_p over the pivot rows R[p]
+    of one ``_reduce`` (consuming rows), each p right of f and no free unknown."""
+    w = len(labels) - 1
     done = _reduce(rows)
-    kernel: dict[int, Row] = {f: {} for f in range(width) if w - f not in done}
+    kernel: dict[int, Row] = {labels[f]: {} for f in range(w + 1) if w - f not in done}
     for p, row in done.items():
         for c, x in row.items():
-            kernel[w - c][w - p] = -x
+            kernel[labels[w - c]][labels[w - p]] = -x
     return kernel
 
 
@@ -387,7 +388,7 @@ def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}, by ``_kernel`` of m's view."""
     w = m.cols - 1
     return Subspace._of(m.cols, _kernel(
-        ({w - c: x for c, x in row.items()} for row in m._sparse.values()), m.cols))
+        ({w - c: x for c, x in row.items()} for row in m._sparse.values()), range(m.cols)))
 
 
 def format_vec(v: Sequence[Fraction]) -> str:

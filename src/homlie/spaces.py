@@ -181,9 +181,9 @@ class MapSpace:
     the stacked coordinates of all components (D, then D', then D'').
     Two views, each formed once on first use, pair the tuple space with
     ``tuples`` and the first-component span with its canonical basis maps,
-    each a ``_Basis``.  Both read ``_kernel``, not a field: a solve's or else one
-    reduction's canonical rows over unknowns at increasing places (c, m, l), and
-    their tuples, those that lead in component 0 first.
+    each a ``_Basis``.  Both read ``_kernel``, not a field: the canonical rows,
+    over ``_coords``, of a solve or else of one reduction, and their tuples, those
+    that lead in component 0 first.
     """
 
     kind: SpaceKind
@@ -202,33 +202,31 @@ class MapSpace:
         return self.kind.arity
 
     @classmethod
-    def _of(cls, kernel: dict, where: list, *fields) -> "MapSpace":
-        """A space whose ``_kernel`` is trusted to be (kernel, where, its tuples)."""
+    def _of(cls, kernel: dict, *fields) -> "MapSpace":
+        """A space whose ``_kernel`` is trusted to be (kernel, its tuples)."""
         space = cls(*fields)
-        space.__dict__["_kernel"] = kernel, where, space.tuples
+        space.__dict__["_kernel"] = kernel, space.tuples
         return space
 
     @cached_property
-    def _kernel(self) -> tuple[dict, list, tuple]:
+    def _kernel(self) -> tuple[dict, tuple]:
         n, rows = self.n, _reduce(_coords(*t) for t in self.tuples)
-        where = list(itertools.product(range(self.arity), range(n), range(n)))
-        zero = GradedMap._of(Matrix._of(n, n, {}), self.degree)
-        return rows, where, _maps(rows, where, self.arity, zero)
+        return rows, _maps(rows, self.arity, GradedMap._of(Matrix._of(n, n, {}), self.degree))
 
     def _span(self, size: int) -> Subspace:
         """The span of the first ``size`` coordinates: the kernel rows leading below
-        it, cut there and relabelled, (c n + m) n + l, in order, so canonical."""
-        (kernel, where, _), n = self._kernel, self.n
-        at = [(c * n + m) * n + l for c, m, l in where]
-        return Subspace._of(size, {at[p]: {at[u]: x for u, x in row.items() if at[u] < size}
-                                   for p, row in kernel.items() if at[p] < size})
+        it, cut there, so canonical."""
+        kernel = self._kernel[0]
+        return Subspace._of(size, {p: {u: x for u, x in row.items() if u < size}
+                                   for p, row in kernel.items() if p < size})
 
-    _tuple_view = cached_property(lambda s: (s._span(s.arity * s.n * s.n), _Basis(s.tuples)))
+    _tuple_view = cached_property(lambda s: (Subspace._of(s.arity * s.n * s.n, s._kernel[0]),
+                                             _Basis(s.tuples)))
 
     @cached_property
     def _first_view(self) -> tuple[Subspace, _Basis]:
         span = self._span(self.n * self.n)
-        return span, _Basis((t[0],) for t in self._kernel[2][:span.dim])
+        return span, _Basis((t[0],) for t in self._kernel[1][:span.dim])
 
 
 def _coords(*maps: GradedMap) -> Row:
@@ -237,13 +235,13 @@ def _coords(*maps: GradedMap) -> Row:
             for r, row in g.matrix._sparse.items() for col, x in row.items()}
 
 
-def _maps(kernel: dict, where: Sequence, arity: int, zero: GradedMap) -> tuple:
-    """One tuple of ``arity`` maps per row of kernel, {pivot: row less its leading 1},
-    in pivot order: D_c[m, l] = x for the leading 1 at the pivot, then each i: x of
-    the row, (c, m, l) = ``where`` there; views only, each zero map ``zero``."""
+def _maps(kernel: dict, arity: int, zero: GradedMap) -> tuple:
+    """One tuple of ``arity`` maps per row of kernel, {pivot: row less its leading 1}
+    over ``_coords``, in pivot order: D_c[m, l] = x for the leading 1 at the pivot,
+    then each i: x of the row, i = (c n + m) n + l; views only, each zero map ``zero``."""
     n, degree, out, units = zero.n, zero.degree, [], {}
     for p, row in sorted(kernel.items()):
-        c, m, l = where[p]
+        c, (m, l) = p // (n * n), divmod(p % (n * n), n)
         if not row:  # a unit row: one map of one entry, one per cell for every component
             if (unit := units.get(m * n + l)) is None:
                 unit = units[m * n + l] = GradedMap._of(Matrix._of(n, n, {m: {l: 1}}), degree)
@@ -253,8 +251,7 @@ def _maps(kernel: dict, where: Sequence, arity: int, zero: GradedMap) -> tuple:
             continue
         views = {c: {m: {l: 1}}}
         for i, x in row.items():
-            c, m, l = where[i]
-            views.setdefault(c, {}).setdefault(m, {})[l] = x
+            views.setdefault(i // (n * n), {}).setdefault(i // n % n, {})[i % n] = x
         out.append(tuple([GradedMap._of(Matrix._of(n, n, views[c]), degree)
                           if c in views else zero for c in range(arity)]))
     return tuple(out)
@@ -390,7 +387,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     n, arity = spec.n, kind.arity
     cells, comm, sides = _level(spec, k, degree, strict)
     if not cells:
-        return MapSpace._of({}, [], kind, k, degree, strict, n, ())
+        return MapSpace._of({}, kind, k, degree, strict, n, ())
 
     def spread(acc, start, stride, table, index, sign, offset):
         """Sum sign * x into row start + q * stride + m at unknown offset + idx,
@@ -413,11 +410,11 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     ident.update(zip(itertools.count(_EQS * n ** 3),
                      ({c * size + i: x for i, x in r.items()} for c in range(arity) for r in comm)))
     rows, kept = _presolve(ident, arity * size, reverse=True)
-    kernel = _kernel(rows, len(kept))
-    where = [(idx // size, *cells[idx % size]) for idx in kept]
+    # each kept unknown at its tuple coordinate (c n + m) n + l, which increases with it
+    kernel = _kernel(rows, [(idx // size * n + m) * n + l
+                            for idx in kept for m, l in (cells[idx % size],)])
     zero = GradedMap._of(Matrix._of(n, n, {}), degree)  # shared: no one writes a view
-    return MapSpace._of(kernel, where, kind, k, degree, strict, n,
-                        _maps(kernel, where, arity, zero))
+    return MapSpace._of(kernel, kind, k, degree, strict, n, _maps(kernel, arity, zero))
 
 
 def project_component(space: MapSpace, index: int) -> Subspace:
@@ -798,10 +795,10 @@ def _jordan_witness(alpha: Matrix, elems: Sequence[GradedMap]):
 
 def hom_jordan_residual(alpha: Matrix, x: GradedMap, y: GradedMap,
                         z: GradedMap, w: GradedMap) -> Matrix:
-    """Residual of the twisted super Jordan identity at four maps, tg = g
-    alpha: the rows at (0, 1, 3) of the pass ``check_qc_structure`` runs."""
-    rows = next(itertools.islice(_jordan_pass(alpha, (x, y, z, w)), 2, None)).items()
-    return Matrix._of(alpha.rows, alpha.cols, {r: row for (key, r), row in rows if key == (0, 1, 3)})
+    """Residual of the twisted super Jordan identity at four maps, tg = g alpha: the
+    rows at (1, 2, 3) of the first z of ``check_qc_structure``'s pass over (z, x, y, w)."""
+    rows = next(_jordan_pass(alpha, (z, x, y, w))).items()
+    return Matrix._of(alpha.rows, alpha.cols, {r: row for (key, r), row in rows if key == (1, 2, 3)})
 
 
 def check_qc_structure(spec: AlgebraSpec, k_max: int,

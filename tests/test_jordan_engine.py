@@ -352,6 +352,30 @@ def test_jordan_identity_fails_on_a_bent_quasicentroid_map(ex2_5, monkeypatch):
     assert witness == (bent,) * 4
 
 
+@given(_pass_cases(), st.lists(st.integers(0, 2), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_residual_matches_the_dense_residual_with_a_map_repeated(case, picks):
+    """Four maps of 1 <= n <= 3 drawn from at most three, so at least one
+    repeats, of mixed degrees: the residual read off the pass over (z, x,
+    y, w) is the dense one."""
+    elems, alpha = case
+    quad = [elems[i % len(elems)] for i in picks]
+    assert hom_jordan_residual(alpha, *quad) == reference_hom_jordan_residual(alpha, *quad)
+
+
+def test_the_residual_forms_only_its_own_z(monkeypatch):
+    """One join forms the circle pairs and three form the terms at the one
+    z that ``hom_jordan_residual`` reads; the pass forms no other z."""
+    joins, join = [], spaces._join
+    monkeypatch.setattr(spaces, "_join", lambda *a, **kw: joins.append(a) or join(*a, **kw))
+    odd = GradedMap(Matrix.from_rows([[0, 1], [1, 0]]), 1)
+    even = GradedMap(Matrix.from_rows([[1, 2], [0, 3]]), 0)
+    alpha = Matrix.from_rows([[2, 1], [0, 1]])
+    residual = hom_jordan_residual(alpha, even, odd, even, odd)
+    assert residual == reference_hom_jordan_residual(alpha, even, odd, even, odd)
+    assert 0 < len(joins) <= 4
+
+
 def test_engine_rejects_maps_of_another_size():
     one = GradedMap(Matrix.identity(2), 0)
     with pytest.raises(ValueError, match="ambient dimension mismatch"):

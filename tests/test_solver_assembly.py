@@ -13,13 +13,13 @@ nonzero entry fix to zero, whether the row reached one unknown or
 cancelled down to one, and sorts only the keys of more unknowns; the
 level strikes its commutation rows through it too, and on random rows
 it must agree with ``oracle.reference_presolve`` and, row for row, with
-the walks it replaced (``oracle.reference_keyed_presolve``).  The kernel
-rows become maps through ``spaces._maps``, read in pivot order by a
-(component, row, column) table of the unknowns kept.  The rows and the
-width of the system that reaches ``linalg._kernel``, its unknowns counted
-from the last, must be, once read in their own order again, exactly
-those of the per-pair walk kept in
-``oracle.reference_system_rows`` after ``oracle.reference_presolve``,
+the walks it replaced (``oracle.reference_keyed_presolve``).  ``_kernel``
+writes each kept unknown at its tuple coordinate, (c n + m) n + l, and
+the kernel rows become maps through ``spaces._maps``, read in pivot
+order.  The rows and the width (the number of labels) of the system that
+reaches ``linalg._kernel``, its unknowns counted from the last, must be,
+once read in their own order again, exactly those of the per-pair walk
+kept in ``oracle.reference_system_rows`` after ``oracle.reference_presolve``,
 which strikes the unknowns that commutation rows of one entry fix
 first, and the solved space must be the one read off that walk's whole
 system (``oracle.reference_solve_space``), equal, with equal repr and
@@ -110,10 +110,10 @@ def _system(monkeypatch, spec, kind, k, degree, strict):
     or ([], 0) when no entry is allowed and no system is built."""
     seen, inner = [], spaces._kernel
 
-    def kernel(rows, width):
-        rows = list(rows)  # consumed by inner, so read first
+    def kernel(rows, labels):
+        rows, width = list(rows), len(labels)  # rows are consumed by inner, so read first
         seen.append(([{width - 1 - c: x for c, x in row.items()} for row in rows], width))
-        return inner(rows, width)
+        return inner(rows, labels)
 
     with monkeypatch.context() as m:
         m.setattr(spaces, "_kernel", kernel)

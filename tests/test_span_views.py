@@ -2,9 +2,11 @@
 value that the views hand out.
 
 A space from ``solve_space`` reads its tuple span and its
-first-component span off the kernel of its solve: the kernel rows
-relabelled to stacked coordinates, and for the first component cut to
-block 0.  Any other space, such as one that ``dataclasses.replace``
+first-component span off the kernel of its solve, which writes each
+unknown at its stacked coordinate (``spaces._coords``): the tuple span
+holds the kernel rows themselves, uncopied, and the first-component
+span cuts them to block 0.  The kernel must be exactly the reduction of
+its tuples' coordinates.  Any other space, such as one that ``dataclasses.replace``
 bent, reduces its own tuples once, and the same view code reads those
 rows.  Every view must equal the reduction-built view kept in
 ``oracle``: spans by ``==``, maps in order.  The views hand out their
@@ -22,9 +24,9 @@ import pytest
 
 from homlie import spaces
 from homlie.catalog import BUILTIN
-from homlie.linalg import Matrix
+from homlie.linalg import Matrix, _reduce
 from homlie.randomgen import sample_algebras
-from homlie.spaces import GradedMap, MapSpace, SpaceKind, solve_space
+from homlie.spaces import GradedMap, MapSpace, SpaceKind, _coords, solve_space
 from oracle import reference_first_view, reference_tuple_view
 
 K_MAX = 2
@@ -37,16 +39,35 @@ def _assert_views_are_the_reductions(space, where):
         assert list(got[1]) == list(want[1]), where
 
 
-def _assert_solved_views_are_the_reductions(spec):
+def _solved_spaces(spec):
+    """Every kind, k <= K_MAX, both degrees, strict and lax."""
     for kind, k, th, strict in itertools.product(SpaceKind, range(K_MAX + 1), (0, 1),
                                                  (True, False)):
-        space = solve_space(spec, kind, k, th, strict)
-        _assert_views_are_the_reductions(space, (spec.name, kind, k, th, strict))
+        yield solve_space(spec, kind, k, th, strict), (spec.name, kind, k, th, strict)
+
+
+def _assert_solved_views_are_the_reductions(spec):
+    for space, where in _solved_spaces(spec):
+        _assert_views_are_the_reductions(space, where)
 
 
 @pytest.mark.parametrize("name", BUILTIN)
 def test_views_of_solved_spaces_are_the_reductions_on_bundled(bundled, name):
     _assert_solved_views_are_the_reductions(bundled[name])
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_a_solved_kernel_is_the_reduction_of_its_tuples_coordinates(bundled, name):
+    """The kernel of a solve is keyed by tuple coordinates: it is the one
+    reduction of its tuples' ``_coords``, pivots and rows alike."""
+    for space, where in _solved_spaces(bundled[name]):
+        assert space._kernel[0] == _reduce(_coords(*t) for t in space.tuples), where
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_the_tuple_view_holds_the_kernel_rows_uncopied(bundled, name):
+    for space, where in _solved_spaces(bundled[name]):
+        assert space._tuple_view[0]._reduced is space._kernel[0], where
 
 
 @pytest.mark.parametrize("seed", range(4))

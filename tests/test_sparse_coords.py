@@ -9,12 +9,14 @@ The views are recorded by ``oracle.from_sparse`` and must equal the
 ones rescanned from the dense entries; the special cases for empty
 input that the general path now covers must give the same zero
 subspace.  ``spaces._maps``, the one builder of solved and spanned maps,
-must read ``_coords`` back through a (component, row, column) table from
-kernel rows, {pivot: row less its leading 1}, and make of random kernels
-the maps that the builder it replaced (``oracle.reference_maps``) made of
-the same rows with their leading 1 copied in.  A solve forms each cell's
-unit map once and hands it to every component whose unit row is at that
-cell, so one map object stands for the cell, and no two cells share one.
+must decode each ``_coords`` coordinate of kernel rows, {pivot: row less
+its leading 1}, back into (component, row, column), and make of random
+kernels the maps that the builder it replaced (``oracle.reference_maps``)
+made of the same rows with their leading 1 copied in, read through the
+table of every (component, row, column) in coordinate order.  A solve
+forms each cell's unit map once and hands it to every component whose
+unit row is at that cell, so one map object stands for the cell, and no
+two cells share one.
 """
 
 import copy
@@ -158,30 +160,34 @@ def test_maps_inverts_coords_and_hands_back_zero(n, arity, degree, data):
     for p in data.draw(st.permutations(sorted(scaled))):
         kernel[p] = _coords(*scaled[p])
         assert kernel[p].pop(p) == 1
-    where = [(c, m, l) for c in range(arity) for m in range(n) for l in range(n)]
     zero = GradedMap(Matrix(n, n, (0,) * (n * n)), degree)
-    got = _maps(kernel, where, arity, zero)
+    got = _maps(kernel, arity, zero)
     assert got == tuple(scaled[p] for p in sorted(scaled))
     assert all((h is zero) == g.is_zero() for p, back in zip(sorted(scaled), got)
                for g, h in zip(scaled[p], back))
 
 
+def places(arity, n):
+    """Every (c, m, l) of ``arity`` n x n maps, indexed by its ``_coords``
+    coordinate (c n + m) n + l, as ``oracle.reference_maps`` reads them."""
+    return list(itertools.product(range(arity), range(n), range(n)))
+
+
 @st.composite
 def kernels(draw):
-    """(kernel, where, arity, zero): rows {pivot: row less its leading 1} over
-    unknowns at sorted places (c, m, l) of ``arity`` n x n maps, pivots in any
-    order, each row over unknowns past its pivot that no row leads, often
-    none (a unit row); the places may leave whole components out."""
+    """(kernel, arity, zero): rows {pivot: row less its leading 1} over the
+    ``_coords`` coordinates of ``arity`` n x n maps, pivots in any order,
+    each row over coordinates past its pivot that no row leads, often none
+    (a unit row); the coordinates used may leave whole components out."""
     n, arity, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 1))
-    places = list(itertools.product(range(arity), range(n), range(n)))
-    where = sorted(draw(st.lists(st.sampled_from(places), unique=True, max_size=len(places))))
-    pivots = draw(st.lists(st.integers(0, len(where) - 1), unique=True)) if where else []
+    used = sorted(draw(st.lists(st.integers(0, arity * n * n - 1), unique=True)))
+    pivots = draw(st.lists(st.sampled_from(used), unique=True)) if used else []
     kernel = {}
     for p in pivots:
-        free = [i for i in range(p + 1, len(where)) if i not in pivots]
+        free = [i for i in used if i > p and i not in pivots]
         kernel[p] = draw(st.dictionaries(st.sampled_from(free), nonzero, max_size=3)
                          if free else st.just({}))
-    return kernel, where, arity, GradedMap(Matrix(n, n, (0,) * (n * n)), degree)
+    return kernel, arity, GradedMap(Matrix(n, n, (0,) * (n * n)), degree)
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,9 +196,9 @@ def test_maps_of_a_kernel_match_the_reference(case):
     """The maps read off kernel rows equal, view for view and row order
     included, those the old builder made of the rows with their leading 1
     copied in, and share the caller's zero map at the same places."""
-    kernel, where, arity, zero = case
-    got = _maps(kernel, where, arity, zero)
-    want = reference_maps(_pivot_rows(kernel), where, arity, zero)
+    kernel, arity, zero = case
+    got = _maps(kernel, arity, zero)
+    want = reference_maps(_pivot_rows(kernel), places(arity, zero.n), arity, zero)
     assert got == want
     assert [[(list(g.matrix._sparse.items()), g.degree, g is zero) for g in t] for t in got] == \
         [[(list(g.matrix._sparse.items()), g.degree, g is zero) for g in t] for t in want]
@@ -203,7 +209,7 @@ def test_a_solve_forms_one_unit_map_per_cell():
     three components: they hold one map, distinct maps hold distinct views,
     and the tuples are those the old builder makes of the kernel rows."""
     space = spaces.solve_space.__wrapped__(load_builtin("heisenberg3"), SpaceKind.GDER, 0, 0, True)
-    kernel, where, tuples = space._kernel
+    (kernel, tuples), where = space._kernel, places(space.arity, space.n)
     units = {}
     for t, (p, row) in zip(tuples, sorted(kernel.items())):
         if not row:

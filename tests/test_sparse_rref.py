@@ -116,6 +116,19 @@ def test_nullspace_matches_dense_reference(m):
     assert nullspace(m) == reference_nullspace(m) == reference_two_rref_nullspace(m)
 
 
+@given(rational_matrices(), st.data())
+def test_kernel_writes_each_unknown_at_its_label(m, data):
+    """``_kernel`` of random rows, over columns read reversed, with random
+    increasing labels is the dense kernel of those rows with each unknown
+    written at its label: pivots and entries alike, and still canonical."""
+    labels = sorted(data.draw(st.lists(st.integers(0, 3 * m.cols), unique=True,
+                                       min_size=m.cols, max_size=m.cols)))
+    rows = [dict(row) for row in m._sparse.values()]
+    got = linalg._kernel([dict(row) for row in rows], labels)
+    assert got == reference_kernel(rows, labels)
+    assert all(u > p and u not in got for p, row in got.items() for u in row)
+
+
 @with_examples
 @given(rational_matrices())
 def test_from_vectors_matches_dense_reference(m):
@@ -293,11 +306,14 @@ def stacked_maps(space):
             for c in range(space.arity)]
 
 
-def reference_kernel(rows, width):
+def reference_kernel(rows, labels):
     """``linalg._kernel`` through ``reference_nullspace``: the rows, over
-    columns read reversed, read back in their own order into a matrix."""
-    return reference_nullspace(from_sparse(
+    columns read reversed, read back in their own order into a matrix,
+    and its kernel's unknowns written at their labels."""
+    width = len(labels)
+    kernel = reference_nullspace(from_sparse(
         [{width - 1 - c: x for c, x in row.items()} for row in rows], width))._reduced
+    return {labels[p]: {labels[u]: x for u, x in row.items()} for p, row in kernel.items()}
 
 
 @pytest.mark.parametrize("strict", (True, False), ids=("strict", "lax"))
