@@ -78,6 +78,8 @@ MAPS_REF = "tests/test_sparse_coords.py::test_maps_of_a_kernel_match_the_referen
 LEVEL_REF = "tests/test_level_sharing.py::test_level_matches_the_reference[half_plane]"
 RANDOM_LEVEL = "tests/test_level_sharing.py::test_strict_level_matches_the_reference_on_random_twists"
 UNIT_MAPS = "tests/test_sparse_coords.py::test_a_solve_forms_one_unit_map_per_cell"
+DIAGONAL_LEVEL = "tests/test_level_sharing.py::test_level_on_a_diagonal_twist_matches_the_reference"
+PRESOLVED = "tests/test_level_sharing.py::test_only_a_twist_off_its_diagonal_presolves_its_level"
 POWER_REF = "tests/test_twist_powers.py::test_power_matches_the_reference"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
@@ -121,7 +123,7 @@ MUTANTS = (
            (ON_BUNDLED,)),
     Mutant("solver: the strict alpha-term sign flipped", SPACES,
            "acc.setdefault(t * n + r, {})[idx] = -x", "acc.setdefault(t * n + r, {})[idx] = x",
-           (ON_BUNDLED,)),
+           (LEVEL_REF, RANDOM_LEVEL)),
     Mutant("level: the commutation row term's sign flipped", SPACES,
            "acc.setdefault(c * n + t, {})[idx] = x", "acc.setdefault(c * n + t, {})[idx] = -x",
            (ON_BUNDLED, LEVEL_REF)),
@@ -132,8 +134,22 @@ MUTANTS = (
            "for r, c, x in off:", "for r, c, x in ():",
            (ON_BUNDLED, LEVEL_REF, RANDOM_LEVEL)),
     Mutant("level: the degree classes swapped", SPACES,
-           "for l in classes[(deg[m] + degree) % 2]]", "for l in classes[(deg[m] + degree + 1) % 2]]",
+           "for l in classes[(deg[m] + degree) % 2]\n", "for l in classes[(deg[m] + degree + 1) % 2]\n",
            (ON_BUNDLED, RANDOM_LEVEL)),
+    # on a diagonal twist each commutation row is one entry, diag[l] - diag[m]: the
+    # level keeps the cells whose diagonal entries agree, and builds no system
+    Mutant("level: the diagonal filter inverted", SPACES,
+           "if not strict or off or diag[m] == diag[l]]", "if not strict or off or diag[m] != diag[l]]",
+           (DIAGONAL_LEVEL, ON_BUNDLED)),
+    Mutant("level: the diagonal filter applied in lax mode", SPACES,
+           "if not strict or off or diag[m] == diag[l]]", "if off or diag[m] == diag[l]]",
+           (DIAGONAL_LEVEL, ON_BUNDLED)),
+    Mutant("level: the diagonal filter applied despite entries off the diagonal", SPACES,
+           "if not strict or off or diag[m] == diag[l]]", "if not strict or diag[m] == diag[l]]",
+           (LEVEL_REF, RANDOM_LEVEL)),
+    Mutant("level: the commutation system built on a diagonal twist too", SPACES,
+           "    if off:\n", "    if strict:\n",
+           (PRESOLVED,)),
     Mutant("solver: the spread sign applied twice", SPACES,
            "row[idx] = row.get(idx, 0) + sign * x", "row[idx] = row.get(idx, 0) + sign * sign * x",
            (ON_BUNDLED,)),
@@ -183,11 +199,14 @@ MUTANTS = (
     Mutant("level: the struck cells ignored", SPACES,
            "cells = [cells[i] for i in kept]",
            "cells = cells[:len(kept)]",
-           (SHARED_LEVEL,)),
+           (SHARED_LEVEL.replace("[bundled]", "[sheared_h3]"), RANDOM_LEVEL)),
     Mutant("solver: the zero map built at degree 0 for every degree", SPACES,
            "zero = GradedMap._of(Matrix._of(n, n, {}), degree)",
            "zero = GradedMap._of(Matrix._of(n, n, {}), 0)",
            (ON_BUNDLED, EDGES)),
+    Mutant("MapSpace._of: the k and degree fields swapped", SPACES,
+           'd["kind"], d["k"], d["degree"], d["strict"]', 'd["kind"], d["degree"], d["k"], d["strict"]',
+           (VIEWS + "test_a_solved_space_is_the_one_its_constructor_builds[ex2_5]",)),
     Mutant("_maps: row and column read swapped", SPACES,
            ".setdefault(i // n % n, {})[i % n] = x", ".setdefault(i % n, {})[i // n % n] = x",
            (ON_BUNDLED, ROUND_TRIP, MAPS_REF)),
@@ -581,6 +600,11 @@ MUTANTS = (
     Mutant("chain: the small and big kinds swapped", SPACES,
            "(label, small, big) in itertools", "(label, big, small) in itertools",
            ("tests/test_laws.py::test_each_chain_inclusion_fails_at_its_bent_small_kind",)),
+    # one test per pair of spaces, its verdict named at every level that reads them
+    Mutant("chain: a verdict reused across degrees", SPACES,
+           "if (key := (label, at.k, th)) not in witnesses:",
+           "if (key := (label, at.k)) not in witnesses:",
+           ("tests/test_laws.py::test_each_chain_inclusion_fails_at_its_bent_small_kind",)),
     # the README's list of public names
     Mutant("public names: an exported name dropped from the list", README,
            "- `homlie.rref`: the reduced row echelon form", "- the reduced row echelon form",
@@ -651,9 +675,12 @@ MUTANTS = (
            '"pass" if img_span.dim != first_span.dim else "fail"',
            (EXT + "test_phi_dimension_checks_fail_on_a_vanishing_embedding",)),
     Mutant("embedding: the trivial intersection verdict inverted", EXTENSION,
-           '"pass" if subspace_intersection(a, b).is_zero() else "fail"',
-           '"pass" if not subspace_intersection(a, b).is_zero() else "fail"',
+           '"pass" if total.dim == a.dim + b.dim else "fail"',
+           '"pass" if total.dim != a.dim + b.dim else "fail"',
            (EXT + "test_decomposition_fails_when_phi_meets_zder",)),
+    Mutant("embedding: the total span without its odd rows", EXTENSION,
+           "even._reduced | odd._reduced", "dict(even._reduced)",
+           (EXT + "test_total_span_is_the_sum_of_the_degrees_spans",)),
     Mutant("embedding: the dimension sum verdict inverted", EXTENSION,
            '"pass" if t.dim == a.dim + b.dim else "fail"',
            '"pass" if t.dim != a.dim + b.dim else "fail"',
@@ -663,8 +690,12 @@ MUTANTS = (
            "for p in [c for c in row if c in done]:", "for p in [c for c in row if c in done][:1]:",
            ("tests/test_linalg.py::test_contains_linear_combination", RREF)),
     Mutant("_reduce: the leading column not cleared from earlier pivot rows", LINALG,
-           "for other in done.values():", "for other in ():",
+           "for other in done.values() if lead in held else ():", "for other in ():",
            (RREF,)),
+    Mutant("_reduce: the back-clearing guard inverted", LINALG,
+           "for other in done.values() if lead in held else ():",
+           "for other in done.values() if lead not in held else ():",
+           ("tests/test_sparse_rref.py::test_back_clearing_only_where_a_pivot_row_can_hold_the_lead",)),
     Mutant("_reduce: the rightmost pivot", LINALG,
            "lead = min(row)", "lead = max(row)",
            (RREF,)),

@@ -238,8 +238,8 @@ def _reduce(rows: Iterable[Row]) -> dict[int, Row]:
     """Sparse Gauss-Jordan: the RREF rows of the rows' span (the rows are
     consumed) by pivot column, without their leading 1.  Each new row is
     eliminated against the pivot rows, scaled (a pivot of +-1 needs no
-    inverse), and then cleared from them."""
-    done: dict[int, Row] = {}
+    inverse), and cleared from them if ``held`` says one can hold its lead."""
+    done, held = {}, set()  # {pivot: row}, and a superset of the columns the rows hold
     for row in rows:
         if _eliminate(row, done):
             lead = min(row)
@@ -247,9 +247,10 @@ def _reduce(rows: Iterable[Row]) -> dict[int, Row]:
             if pivot != 1:
                 inv = -1 if pivot == -1 else _ONE / pivot
                 row = {c: _int(x * inv) for c, x in row.items()}
-            for other in done.values():
+            for other in done.values() if lead in held else ():
                 if lead in other:
                     _subtract(other, other.pop(lead), row)
+            held.update(row)
             done[lead] = row
     return done
 

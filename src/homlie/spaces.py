@@ -203,9 +203,11 @@ class MapSpace:
 
     @classmethod
     def _of(cls, kernel: dict, *fields) -> "MapSpace":
-        """A space whose ``_kernel`` is trusted to be (kernel, its tuples)."""
-        space = cls(*fields)
-        space.__dict__["_kernel"] = kernel, space.tuples
+        """A space of trusted fields, written straight in, whose ``_kernel`` is (kernel, tuples)."""
+        space = cls.__new__(cls)
+        d = space.__dict__  # as GradedMap._of
+        d["kind"], d["k"], d["degree"], d["strict"], d["n"], d["tuples"] = fields
+        d["_kernel"] = kernel, fields[5]
         return space
 
     @cached_property
@@ -321,19 +323,20 @@ def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
     at j*eqs*n + m, left[l] (-1)^{theta|e_i|} [a^k e_i, e_l] at
     i*n*eqs*n + m and evals[l] [e_i, e_j]_l at (i*n + j)*eqs*n, for the
     sums over l of D[l, i] right, D[l, j] left and D e_l evals."""
-    n, deg = spec.n, spec.degrees
+    n, deg, arows = spec.n, spec.degrees, spec.alpha._sparse
     classes = [[i for i in range(n) if deg[i] == d] for d in (0, 1)]
-    cells = [(m, l) for m in range(n) for l in classes[(deg[m] + degree) % 2]]
+    diag = [arows.get(i, {}).get(i, 0) for i in range(n)]
+    off = strict and [(r, c, x) for r, row in arows.items() for c, x in row.items() if r != c]
+    # with no entry off the diagonal, the row of (m, l) is the one entry diag[l] - diag[m]
+    cells = [(m, l) for m in range(n) for l in classes[(deg[m] + degree) % 2]
+             if not strict or off or diag[m] == diag[l]]
     comm = []
-    if strict:
+    if off:
         # M[m, l] sits in the row (j, m) of M alpha times alpha[l, j], and in the row (l, p)
         # of alpha M times alpha[p, m], the row (a, b) keyed a*n + b: both diagonal terms in
         # (l, m); alpha[r, c] off it puts x at (t, r) in (c, t) and -x at (c, t) in (t, r)
-        arows = spec.alpha._sparse
-        diag = [arows.get(i, {}).get(i, 0) for i in range(n)]
         acc = {l * n + m: {idx: diag[l] - diag[m]} for idx, (m, l) in enumerate(cells)}
-        off = [(r, c, x) for r, row in arows.items() for c, x in row.items() if r != c]
-        at = {cell: idx for idx, cell in enumerate(cells)} if off else {}
+        at = {cell: idx for idx, cell in enumerate(cells)}
         for r, c, x in off:
             for t in range(n):
                 if (idx := at.get((t, r))) is not None:
@@ -378,7 +381,7 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     degree must be ints, not bools; as the cache answers first, a bool
     call that hits a cached int entry still returns that entry.
     """
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (k, degree)):
+    if bool in (type(k), type(degree)) or not (isinstance(k, int) and isinstance(degree, int)):
         raise TypeError(f"twist power k and degree must be ints, got {k!r}, {degree!r}")
     if k < 0:
         raise ValueError("twist power k must be >= 0")
@@ -631,13 +634,14 @@ def check_inclusion_chain(spec: AlgebraSpec, k_max: int,
     spans.  Violations carry the offending basis map.
     """
     space = _reader(spec, strict, k_max)
-    checks = []
+    checks, witnesses = [], {}  # one per (label, least power, degree): one pair of spaces
     for k, th, (label, small, big) in itertools.product(range(k_max + 1), (0, 1), _CHAIN):
-        maps = space(small, k, th)._first_view[1]
-        target = maps and space(big, k, th)._first_view[0]  # no map, no target read
-        checks.append(_verdict(f"{label} (k={k}, deg={th})",
-                               _first_outside(target, ((_coords(g), g) for g, in maps)),
-                               _witness))
+        at = space(small, k, th)
+        if (key := (label, at.k, th)) not in witnesses:
+            maps = at._first_view[1]
+            target = maps and space(big, k, th)._first_view[0]  # no map, no target read
+            witnesses[key] = _first_outside(target, ((_coords(g), g) for g, in maps))
+        checks.append(_verdict(f"{label} (k={k}, deg={th})", witnesses[key], _witness))
     return CheckReport("inclusion chain", tuple(checks))
 
 

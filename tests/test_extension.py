@@ -380,3 +380,19 @@ def test_decomposition_fails_when_phi_meets_zder(ex2_5, monkeypatch):
         assert got[f"phi(QDer) meets ZDer(double) trivially [{mode}, k=0]"] == ("fail", "")
         assert got[f"dim Der(double) = dim phi(QDer) + dim ZDer(double) [{mode}, k=0]"] \
             == ("fail", dims)
+
+
+def test_total_span_is_the_sum_of_the_degrees_spans(bundled):
+    """``_total_span`` joins the two degrees' canonical rows without a
+    reduction, as maps of degree 0 and 1 have disjoint entries: the union
+    is the span that ``subspace_sum`` reduces, row for row, on the doubles
+    of the bundled algebras and of random ones, some with odd elements."""
+    bases = [*bundled.values(), *sample_algebras(random.Random(1), 6)]
+    assert any(1 in spec.degrees for spec in bases)
+    for base, strict, k in itertools.product(bases, (True, False), (0, 1)):
+        for spec in (base, build_extended(base).spec):
+            of = spaces._reader(spec, strict, k)
+            for kind in (SpaceKind.DER, SpaceKind.ZDER, SpaceKind.QC):
+                got = extension._total_span(of, kind, k)
+                want = subspace_sum(*(of(kind, k, th)._first_view[0] for th in (0, 1)))
+                assert got == want and got.basis == want.basis, (spec.name, kind, k, strict)

@@ -1,7 +1,9 @@
 """Golden output: the bytes and exit code of every ``homlie`` subcommand.
 
 ``report --kmax 3`` on the bundled algebras was recorded before the
-report's work was deduplicated behind caches; every other subcommand,
+report's work was deduplicated behind caches, and ``report --kmax 2
+--json`` of sheared h3 before a level on a diagonal twist stopped building
+its commutation rows; every other subcommand,
 and the failure paths (an algebra that fails Jacobi, a triple outside
 the GDer space, an unknown space kind), were recorded before the command
 line's output policy moved into ``main``.  Any change to the bytes a
@@ -21,9 +23,11 @@ import json
 
 import pytest
 
+from homlie import write_algebra
 from homlie.catalog import BUILTIN, load_builtin
 from homlie.cli import main
 from homlie.spaces import SpaceKind, solve_space
+from test_solver_assembly import sheared_h3
 
 # (algebra, extra flags) -> (sha256 of stdout, exit code)
 GOLDEN = {
@@ -73,6 +77,24 @@ def test_report_output_is_golden(algebra, flags):
     if got != GOLDEN[algebra, flags]:
         pytest.fail(f"report {algebra} {' '.join(flags)}: stdout sha256 and "
                     f"exit code {got}, recorded {GOLDEN[algebra, flags]}")
+
+
+# report --kmax 2 --json of sheared h3, written to a file: the one twist here
+# with an entry off its diagonal, so the strict levels presolve commutation rows
+SHEARED_GOLDEN = {
+    (): ("3e40d0290d6047cc7afd16da6a0b965b01b1124e6152265c0d0c8e576b11d59c", "", 0),
+    ("--lax",): ("42134de98ce7133ad38e5b847285446e864b7a217ff264fa350786002daf905c", "", 1),
+}
+
+
+@pytest.mark.parametrize("flags", list(SHEARED_GOLDEN), ids=["strict", "lax"])
+def test_report_of_a_twist_off_its_diagonal_is_golden(tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    write_algebra(sheared_h3(), "sheared_h3.json")
+    got = _outcome(["report", "sheared_h3.json", "--kmax", "2", "--json", *flags])
+    if got != SHEARED_GOLDEN[flags]:
+        pytest.fail(f"report sheared_h3.json {' '.join(flags)}: (stdout sha256, stderr, "
+                    f"exit code) {got}, recorded {SHEARED_GOLDEN[flags]}")
 
 
 # [e1,[e2,e3]] + [e2,[e3,e1]] + [e3,[e1,e2]] = 0 + e3 + 0, so Jacobi fails

@@ -116,6 +116,28 @@ def test_each_chain_inclusion_fails_at_its_bent_small_kind(bundled, monkeypatch,
     assert fails == CHAIN_FAILS[small]
 
 
+def test_the_chain_tests_each_pair_of_spaces_once(bundled, monkeypatch):
+    """heisenberg3's twist is the identity, so every level reads the spaces
+    of level 0: the chain at kmax 3 eliminates no more rows than at kmax 0,
+    and its verdicts are level 0's, each named after its own level."""
+    spec, seen = bundled["heisenberg3"], []
+    first_outside = spaces._first_outside
+
+    def counted(target, cells):
+        return first_outside(target, (seen.append(g) or (row, g) for row, g in cells))
+
+    monkeypatch.setattr(spaces, "_first_outside", counted)
+    eliminated = []
+    for k_max in (0, 3):
+        seen.clear()
+        report = check_inclusion_chain(spec, k_max)
+        eliminated.append(len(seen))
+        assert report == reference_inclusion_chain(spec, k_max)
+        assert [(c.status, c.detail) for c in report.checks] == [
+            (c.status, c.detail) for c in report.checks[:10]] * (k_max + 1)
+    assert eliminated[0] > 0 and eliminated[1] == eliminated[0], eliminated
+
+
 def _as_span(kind, rows):
     """solve_space, with every degree-0 space of the given kind, of arity
     1, spanned by the maps of the given rows."""

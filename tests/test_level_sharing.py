@@ -14,7 +14,9 @@ itself, its commutation rows summed in two direct loops, must equal
 ``oracle.reference_level``, which gathers them in lists as it was written
 before, cells, rows (in key order) and side tables alike, also on random
 twists of a spec of both degrees: entries off the diagonal, equal
-diagonal entries (whose strict rows cancel) and zero rows.
+diagonal entries (whose strict rows cancel) and zero rows.  On a diagonal
+twist every commutation row has one entry, so the level keeps the cells
+whose diagonal entries agree and builds no commutation system.
 """
 
 import contextlib
@@ -123,6 +125,51 @@ def test_strict_level_matches_the_reference_on_random_twists(spec, k):
     for degree in (0, 1):
         got = spaces._level.__wrapped__(spec, k, degree, True)
         assert got == reference_level(spec, k, degree, True), degree
+
+
+@st.composite
+def diagonal_twists(draw):
+    """A spec of both degrees, n 2 to 4, with a few random brackets, under a
+    diagonal twist: often one value all along it, often zeros on it, and
+    otherwise distinct values."""
+    n = draw(st.integers(2, 4))
+    degrees = draw(st.permutations([0, 1] + draw(st.lists(st.integers(0, 1),
+                                                              min_size=n - 2, max_size=n - 2))))
+    diag = draw(st.one_of(st.builds(lambda x: [x] * n, _ENTRIES),
+                          st.lists(_ENTRIES, min_size=n, max_size=n),
+                          st.lists(_ENTRIES, min_size=n, max_size=n, unique=True)))
+    pairs = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ij: ij[0] < ij[1]), st.lists(_ENTRIES, min_size=n, max_size=n), max_size=3))
+    twist = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return AlgebraSpec.from_pairs("diagonal", degrees, twist, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_twists(), st.integers(0, 2))
+def test_level_on_a_diagonal_twist_matches_the_reference(spec, k):
+    """On a diagonal twist a strict level keeps the cells whose two diagonal
+    entries agree, with no commutation row left, and a lax level keeps them
+    all: both as the reference builds and presolves the whole system."""
+    for degree, strict in itertools.product((0, 1), (True, False)):
+        got = spaces._level.__wrapped__(spec, k, degree, strict)
+        assert got == reference_level(spec, k, degree, strict), (degree, strict)
+        assert got[1] == []
+
+
+def test_only_a_twist_off_its_diagonal_presolves_its_level(monkeypatch):
+    """The commutation rows are built and presolved only for a twist with an
+    entry off its diagonal: sheared h3's strict levels call ``_presolve``,
+    and no level of a bundled algebra, all of whose twists are diagonal,
+    does; every level still equals the reference's."""
+    calls, presolve = [], spaces._presolve
+    monkeypatch.setattr(spaces, "_presolve", lambda *a, **kw: calls.append(a) or presolve(*a, **kw))
+    for spec in INPUTS["bundled"]() + INPUTS["sheared_h3"]():
+        for k, degree, strict in itertools.product(range(K_MAX + 1), (0, 1), (True, False)):
+            calls.clear()
+            got = spaces._level.__wrapped__(spec, k, degree, strict)
+            assert got == reference_level(spec, k, degree, strict)
+            assert len(calls) == (spec.name == "h3_shear" and strict), \
+                (spec.name, k, degree, strict)
 
 
 def test_a_report_builds_each_level_once(monkeypatch):

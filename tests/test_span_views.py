@@ -70,6 +70,20 @@ def test_the_tuple_view_holds_the_kernel_rows_uncopied(bundled, name):
         assert space._tuple_view[0]._reduced is space._kernel[0], where
 
 
+@pytest.mark.parametrize("name", BUILTIN)
+def test_a_solved_space_is_the_one_its_constructor_builds(bundled, name):
+    """``MapSpace._of`` writes a solve's fields straight in: the space equals
+    the public constructor's over the solve's arguments and tuples, field by
+    field, with the same hash and repr."""
+    for space, where in _solved_spaces(bundled[name]):
+        _, kind, k, th, strict = where
+        made = MapSpace(kind, k, th, strict, bundled[name].n, space.tuples)
+        assert [getattr(space, f.name) for f in dataclasses.fields(MapSpace)] == [
+            getattr(made, f.name) for f in dataclasses.fields(MapSpace)], where
+        assert space == made and hash(space) == hash(made), where
+        assert repr(space) == repr(made), where
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_views_of_solved_spaces_are_the_reductions_on_random_algebras(seed):
     for spec in sample_algebras(random.Random(seed), 10, n_max=4):

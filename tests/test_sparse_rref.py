@@ -116,6 +116,31 @@ def test_nullspace_matches_dense_reference(m):
     assert nullspace(m) == reference_nullspace(m) == reference_two_rref_nullspace(m)
 
 
+@st.composite
+def sparse_systems(draw):
+    """Rows of one to three nonzeros over up to 9 columns, as the solver's
+    kernel systems are: the lead of a new pivot row mostly lies in no
+    earlier pivot row, and sometimes in one, which must then be cleared."""
+    c = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [Fraction(0)] * c
+        for at in draw(st.sets(st.integers(0, c - 1), min_size=1, max_size=3)):
+            row[at] = draw(fr.filter(bool))
+        rows.append(row)
+    return Matrix.from_rows(rows, c)
+
+
+@given(sparse_systems())
+@example(Matrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+def test_back_clearing_only_where_a_pivot_row_can_hold_the_lead(m):
+    """``_reduce`` clears a new lead from the earlier pivot rows only when its
+    running set of their columns holds it: the rows and the kernel stay the
+    dense reference's, whether or not a row must be cleared."""
+    assert rref(m) == reference_rref(m)
+    assert nullspace(m) == reference_nullspace(m)
+
+
 @given(rational_matrices(), st.data())
 def test_kernel_writes_each_unknown_at_its_label(m, data):
     """``_kernel`` of random rows, over columns read reversed, with random
