@@ -155,7 +155,7 @@ MUTANTS = (
            (ON_BUNDLED,)),
     Mutant("solver: rows in walk order, not key order", SPACES,
            "return [row for key in sorted(multi)", "return [row for key in multi",
-           (ON_BUNDLED,)),
+           (ON_BUNDLED, RANDOM_ROWS)),
     Mutant("solver: the eval term through the row index", SPACES,
            '"eval": (1, evals, by_col)}', '"eval": (1, evals, by_row)}',
            (ON_BUNDLED,)),

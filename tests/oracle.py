@@ -1,61 +1,34 @@
-"""Brute-force reference solver used to cross-check the main solver.
+"""Dense oracles, and the earlier implementations kept beside them, that
+homlie is tested against.
 
-Independent of homlie.linalg and of the solver's reduced-unknown
-shortcut: the constraint system is built dense over ALL arity * n^2
-matrix entries, row by row, by probing each unknown with a unit matrix
-and evaluating the defining identities directly (homogeneity becomes an
-explicit pin-to-zero row per banned entry).  The kernel is computed by
-a separately written elimination (forward echelon plus back
-substitution) and canonicalized by an independent reduction pass, so a
-matching answer really is two routes agreeing.
+Each engine has its dense oracle, written from the paper's formulas, and
+at most one earlier implementation, kept where the oracle is too slow for
+the inputs its tests draw:
 
-The module also keeps the verifiers' original per-pair loops as the
-reference that the law tables in homlie.spaces are tested against, and
-the intersection, projection and phi-kernel routines that one stacked
-RREF replaced in homlie.linalg and homlie.extension, the dense RREF of
-[L, L] beside the identity that chose the double's complement, the dense
-Gauss-Jordan loop that the sparse ``rref`` replaced, the dense product
-loop and the map products as they were written with ``Matrix.scale`` by
-a +-1 sign, the per-quadruple Jordan loop that the memoised sparse
-engine replaced and that engine itself, which now makes w generic, the
-per-pair law cell that now forms one product per first element, the
-walk over every law cell that bracket cells now cut by reading their
-transposes (``reference_law_witness``), the
-zero matrix built dense, the ordered-pair walk of the circle super-commutativity
-check, the dense test of the pairs with a vanishing first map that
-phi's well-definedness check ran before it compared spans, the dense
-``validate`` that the sparse view of the structure constants replaced,
-the dense membership walk that sparse coordinates replaced in the
-verifiers, the two-``rref`` ``nullspace`` that now reads ``_reduce``'s
-pivot rows, the dense flat vector of a map tuple (``tuple_vector``,
-``stacked``) that ``space_contains`` tested before it eliminated sparse
-coordinates, and the per-pair walk that assembled the solver's system
-before it was driven by the nonzeros of the bracket tables
-(``reference_system_rows``), with the basis maps read off its kernel as
-they were before the unknowns that one-entry rows fix to zero left the
-system (``reference_solve_space``) and that presolve written apart, with
-the unknowns that one-entry commutation rows fix struck first
-(``reference_presolve``, ``reference_presolved_rows``), the kind-free level,
-the presolve and the map builder as they were written before each was made one
-direct pass (``reference_level``, its commutation rows gathered in lists;
-``reference_keyed_presolve``; ``reference_maps``, over rows with their leading 1
-copied in), ``Matrix.power`` as it was before it squared from the lowest set
-bit (``reference_power``, which ``reference_level`` reads a^k by), the double's structure constants
-as ``build_extended`` read them off the dense bracket table
-(``reference_double_spec``), a solved space's tuple and first-component
-views as reductions of its tuples, as they were before they were read
-off the solver's kernel (``reference_tuple_view``,
-``reference_first_view``), the join as it was when it took one degree per
-batch, and the per-z Jordan pass that split every batch by degree for it and
-read a o tz off tz o a (``reference_index``, ``reference_join``,
-``reference_jordan_pass``; ``_join_one`` and ``reference_per_xy_engine``
-stand on that join), the walk for the least Jordan witness that read every
-ordering of each all-even key (``reference_pass_witness``), and the helpers
-that the package no longer holds: dense vectors and columns
-(``is_zero_vec``, ``col``), a matrix from sparse rows (``from_sparse``), the whole space
-(``full_space``) and the shift D -> D o alpha (``alpha_shift``).  Last,
-it builds the large inputs whose reports ``test_golden_large`` pins:
-the twisted Heisenberg algebras and the iterated double (``heisenberg``,
+- solver: ``oracle_solve`` over ``defining_residuals``,
+  ``commutation_residuals``, ``kernel_basis`` and ``canonical_rows``;
+  kept, ``reference_solve_space`` over ``reference_system_rows`` and
+  ``system_coordinates``;
+- elimination: ``reference_rref``, ``reference_span``,
+  ``reference_nullspace`` and ``reference_intersection``; products by
+  ``reference_matmul``, ``reference_supercommutator``;
+- views and membership: ``reference_tuple_view``,
+  ``reference_first_outside``;
+- law cells: the per-pair loops ``reference_inclusion_chain``,
+  ``reference_bracket_laws`` and ``reference_qc_closure``; kept,
+  ``reference_first_product_outside``;
+- Jordan pass: ``reference_jordan_product``,
+  ``reference_hom_jordan_residual`` and ``reference_jordan_witness``;
+  kept, ``reference_jordan_engine`` with ``reference_engine_witness``;
+- double and phi: ``reference_double_spec``, ``reference_complement``,
+  ``reference_derived_projection``, ``reference_phi_kernel`` and
+  ``reference_partner_determined``;
+- validation: ``reference_validate``, brackets by ``brute_bracket``.
+
+Shared helpers: dense vectors and maps (``is_zero_vec``, ``col``,
+``unit_vec``, ``diag``, ``zero_matrix``, ``tuple_vector``, ``stacked``),
+``from_sparse``, ``full_space``, ``alpha_shift``, ``kernel_at``, and the
+large inputs that ``test_golden_large`` pins (``heisenberg``,
 ``iterated_double``).
 """
 
@@ -79,10 +52,8 @@ from homlie.linalg import (
     Subspace,
     _columns,
     _int,
-    _nonzeros,
     _pivot_rows,
     _sparse_sum,
-    _subtract,
     block_diag,
     contains,
     format_matrix,
@@ -150,6 +121,13 @@ def unit_vec(n: int, i: int):
     return tuple(F1 if j == i else F0 for j in range(n))
 
 
+def diag(*entries) -> Matrix:
+    """The diagonal matrix with the given entries."""
+    n = len(entries)
+    return Matrix.from_rows([[entries[r] if r == c else 0 for c in range(n)]
+                             for r in range(n)], n)
+
+
 def tuple_vector(maps):
     """A tuple of maps as one flat vector, components concatenated."""
     return tuple(x for g in maps for x in g.matrix.entries)
@@ -178,7 +156,7 @@ def brute_bracket(spec: AlgebraSpec, u, v):
 
 
 def mat_mul(a, b, n):
-    return [[sum(a[r][t] * b[t][c] for t in range(n)) for c in range(n)]
+    return [[sum((a[r][t] * b[t][c] for t in range(n) if a[r][t]), F0) for c in range(n)]
             for r in range(n)]
 
 
@@ -270,7 +248,7 @@ def kernel_basis(rows, width):
         for i in range(r + 1, m):
             if work[i][c] != 0:
                 f = work[i][c] / work[r][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
         pivots.append((r, c))
         r += 1
     pivot_cols = {c for _, c in pivots}
@@ -281,7 +259,7 @@ def kernel_basis(rows, width):
         v = [F0] * width
         v[fc] = F1
         for pr, pc in reversed(pivots):
-            s = sum(work[pr][c] * v[c] for c in range(pc + 1, width))
+            s = sum((work[pr][c] * v[c] for c in range(pc + 1, width) if v[c]), F0)
             v[pc] = -s / work[pr][pc]
         basis.append(v)
     return basis
@@ -306,9 +284,25 @@ def canonical_rows(vectors, width):
     return [tuple(row) for row in rows[:r]]
 
 
-def oracle_solve(spec: AlgebraSpec, kind: SpaceKind, k: int, theta: int,
+def kernel_at(rows, width, places, size):
+    """Canonical basis, over ``size`` coordinates, of the kernel of the sparse
+    rows {unknown: entry} over ``width`` unknowns, unknown i written at
+    coordinate places[i] and every other coordinate 0."""
+    dense = [[Fraction(row.get(i, 0)) for i in range(width)] for row in rows]
+    out = []
+    for v in kernel_basis(dense, width):
+        at = [F0] * size
+        for i, x in zip(places, v):
+            at[i] = x
+        out.append(at)
+    return canonical_rows(out, size)
+
+
+def oracle_solve(spec: AlgebraSpec, kind: SpaceKind | None, k: int, theta: int,
                  strict: bool):
-    """Canonical solution basis over the full stacked unknown vector."""
+    """Canonical solution basis over the full stacked unknown vector; kind
+    None imposes no identity, only homogeneity and, if strict, commutation
+    with alpha, on one map."""
     n = spec.n
     arity = _arity(kind)
     nn = n * n
@@ -324,7 +318,7 @@ def oracle_solve(spec: AlgebraSpec, kind: SpaceKind, k: int, theta: int,
         flat[u_idx] = F1
         mats = unpack(flat)
         col = [x for res in defining_residuals(spec, kind, k, theta, mats)
-               for x in res]
+               for x in res] if kind is not None else []
         if strict:
             col.extend(commutation_residuals(spec, mats))
         columns.append(col)
@@ -406,130 +400,12 @@ def reference_system_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,
     return rows, len(allowed)
 
 
-def _strike(rows, width, zeroed):
-    """(rows, width) less the unknowns in zeroed: each is struck from every
-    row, a row left empty is dropped, and the other unknowns are numbered
-    0, 1, ... in their old order."""
-    renumber = {}
-    for old in range(width):
-        if old not in zeroed:
-            renumber[old] = len(renumber)
-    out = []
-    for row in rows:
-        kept = {renumber[c]: x for c, x in row.items() if c not in zeroed}
-        if kept:
-            out.append(kept)
-    return out, len(renumber)
-
-
-def reference_presolve(rows, width, commuting=0):
-    """(rows, width) of a system less the unknowns that its one-entry rows
-    fix to zero.  The last ``commuting`` rows, the strict ones, go first:
-    the unknowns that those of one entry fix are struck; then the unknowns
-    that the rows left of one entry fix are struck in turn."""
-    zeroed = set()
-    for row in rows[len(rows) - commuting:]:
-        if len(row) == 1:
-            zeroed.update(row)
-    rows, width = _strike(rows, width, zeroed)
-    zeroed = set()
-    for row in rows:
-        if len(row) == 1:
-            zeroed.update(row)
-    return _strike(rows, width, zeroed)
-
-
-def reference_keyed_presolve(rows_by_key: dict, width: int) -> tuple[list, list]:
-    """``spaces._presolve`` as it was written before its one walk over the rows:
-    a set of the unknowns that rows of one nonzero entry fix, the longer rows
-    cleared in key order, and those left of one entry fixing theirs too."""
-    fixed = {idx for row in rows_by_key.values() if len(row) == 1 for idx, x in row.items() if x}
-    cleared = [{idx: x for idx, x in rows_by_key[key].items() if x}
-               for key in sorted(key for key, row in rows_by_key.items() if len(row) > 1)]
-    fixed.update(idx for row in cleared if len(row) == 1 for idx in row)
-    kept = [idx for idx in range(width) if idx not in fixed]
-    at = {old: new for new, old in enumerate(kept)}
-    return [row for r in cleared
-            if (row := {at[idx]: _int(x) for idx, x in r.items() if idx in at})], kept
-
-
-def reference_level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
-    """``spaces._level`` as it was written before its commutation rows were
-    summed in two direct loops: each cell's (key, entry) pairs gathered in
-    two lists and concatenated, its rows presolved by
-    ``reference_keyed_presolve``, its cells found by testing every pair's
-    parity; the side tables as the package fills them, at ``reference_power``."""
+def system_coordinates(spec: AlgebraSpec, kind: SpaceKind, degree: int) -> list:
+    """The tuple coordinate (c n + m) n + l of each unknown of
+    ``reference_system_rows``, in its order."""
     n, deg = spec.n, spec.degrees
-    cells = [(m, l) for m in range(n) for l in range(n) if deg[m] == (deg[l] + degree) % 2]
-    comm = []
-    if strict:
-        acc, acols = {}, _columns(spec.alpha)
-        for idx, (m, l) in enumerate(cells):
-            for key, x in [(j * n + m, x) for j, x in spec.alpha._sparse.get(l, {}).items()] + [
-                    (l * n + p, -x) for p, x in acols[m].items()]:
-                row = acc.setdefault(key, {})
-                row[idx] = row.get(idx, 0) + x
-        comm, kept = reference_keyed_presolve(acc, len(cells))
-        cells = [cells[i] for i in kept]
-    if not cells:
-        return cells, comm, {}
-    by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
-    for idx, (m, l) in enumerate(cells):
-        by_row[m].append((l, idx))
-        by_col[l].append((m, idx))
-    step, ak = spaces._EQS * n, reference_power(spec.alpha, k)._sparse
-    right, left, evals = {}, {}, {}
-    for (a, b), vec in spec._sparse.items():
-        for j, x in ak.get(b, {}).items():
-            _subtract(right.setdefault(a, {}), -x, {j * step + m: y for m, y in vec.items()})
-        for i, x in ak.get(a, {}).items():
-            _subtract(left.setdefault(b, {}), -x * parity_sign(degree, deg[i]),
-                      {i * n * step + m: y for m, y in vec.items()})
-        for l, x in vec.items():
-            evals.setdefault(l, {})[(a * n + b) * step] = x
-    sides = {"right": (n * step, right, by_row), "left": (step, left, by_row),
-             "eval": (1, evals, by_col)}
-    return cells, comm, sides
-
-
-def reference_power(m: Matrix, k: int) -> Matrix:
-    """``Matrix.power`` as it was written before it squared from the lowest set
-    bit: the identity times the squares m^(2^i) at the set bits i of k, so that
-    m^1 is the identity times m."""
-    if m.rows != m.cols:
-        raise ValueError("power of a non-square matrix")
-    if k < 0:
-        raise ValueError("negative matrix power")
-    out, square = Matrix.identity(m.rows), m  # by repeated squaring
-    while k:
-        out, k = out.matmul(square) if k & 1 else out, k >> 1
-        square = square.matmul(square) if k else square
-    return out
-
-
-def reference_maps(rows, where, arity: int, zero: GradedMap) -> tuple:
-    """``spaces._maps`` as it was written before it read the kernel: one tuple
-    of ``arity`` maps per row, leading 1 included (``_pivot_rows``), each row's
-    entries gathered in a views dict, D_c[m, l] = x for each i: x of the row and
-    (c, m, l) = ``where[i]``; each zero map ``zero``."""
-    n, out = zero.n, []
-    for coords in rows:
-        views: dict = {}
-        for i, x in coords.items():
-            c, m, l = where[i]
-            views.setdefault(c, {}).setdefault(m, {})[l] = x
-        out.append(tuple([GradedMap._of(Matrix._of(n, n, views[c]), zero.degree)
-                          if c in views else zero for c in range(arity)]))
-    return tuple(out)
-
-
-def reference_presolved_rows(spec: AlgebraSpec, kind: SpaceKind, k: int,
-                             degree: int, strict: bool):
-    """``reference_presolve`` of ``reference_system_rows``, the commutation
-    rows counted as those past the rows of lax mode."""
-    rows, width = reference_system_rows(spec, kind, k, degree, strict)
-    lax = reference_system_rows(spec, kind, k, degree, False)[0] if strict else rows
-    return reference_presolve(rows, width, len(rows) - len(lax))
+    return [(c * n + m) * n + l for c in range(kind.arity) for m in range(n)
+            for l in range(n) if deg[m] == (deg[l] + degree) % 2]
 
 
 def reference_solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int,
@@ -542,8 +418,7 @@ def reference_solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int,
     rows, width = reference_system_rows(spec, kind, k, degree, strict)
     if not width:
         return MapSpace(kind, k, degree, strict, n, ())
-    slots = [(c * n + m) * n + l for c in range(arity) for m in range(n)
-             for l in range(n) if spec.degrees[m] == (spec.degrees[l] + degree) % 2]
+    slots = system_coordinates(spec, kind, degree)
     kernel = _pivot_rows(nullspace(from_sparse(rows, width))._reduced)
     tuples = []
     for row in kernel:
@@ -923,22 +798,6 @@ def reference_nullspace(m: Matrix) -> Subspace:
     return reference_span(m.cols, out)
 
 
-def reference_two_rref_nullspace(m: Matrix) -> Subspace:
-    """``linalg.nullspace`` as it was before it read the pivot rows of
-    ``_reduce``: the kernel from the nonzeros of the dense RREF's pivot
-    rows, made canonical by a second ``rref``."""
-    reduced, pivots, _ = rref(m)
-    kernel = {f: {f: F1} for f in sorted(set(range(m.cols)) - set(pivots))}
-    for r, p in enumerate(pivots):
-        for c, x in _nonzeros(reduced.row(r)).items():
-            if c != p:
-                kernel[c][p] = -x
-    if not kernel:
-        return Subspace.zero(m.cols)
-    basis, _, dim = rref(from_sparse(list(kernel.values()), m.cols))
-    return Subspace(m.cols, tuple(basis.row(i) for i in range(dim)))
-
-
 def reference_first_outside(target, cells):
     """``spaces._first_outside`` as it was: the payload of the first
     (dense vector, payload) cell whose vector ``contains`` rejects from
@@ -1009,14 +868,6 @@ def reference_tuple_view(space):
                                  (spaces._coords(*t) for t in space.tuples)), space.tuples
 
 
-def reference_first_view(space):
-    """``MapSpace._first_view`` as it was: the span of the first
-    components, by one reduction, and its canonical basis maps."""
-    span = project_component(space, 0)
-    return span, tuple((GradedMap(Matrix(space.n, space.n, row), space.degree),)
-                       for row in span.basis)
-
-
 def reference_first_product_outside(s, a, b, target):
     """``spaces._first_product_outside`` as it was: one ``_product(p, q, s)``
     per pair (x, y), x in a outermost, component by component, each
@@ -1027,34 +878,6 @@ def reference_first_product_outside(s, a, b, target):
                 for i, x in enumerate(a) for w, y in enumerate(b))
     return spaces._first_outside(target, ((spaces._coords(*g), (i, w))
                                           for i, w, g in products))
-
-
-def reference_law_witness(space, sign, ka, kb, target, levels):
-    """``spaces._law_witness`` as it was before bracket cells read their
-    transposes: every cell of the order (k, s, th1, th2) is walked through
-    ``spaces._first_product_outside``, looked up at call time, so a
-    patched cell reaches this walk too.  ``space`` is a level reader of
-    ``spaces._reader``; the tuple views are read when target is
-    ``spaces._TUPLE``, with the tuple space of ka as target, else the
-    first-component views.  The witness is the product of the first
-    components of the cell's failing pair, or None for whole tuples."""
-    whole = target == spaces._TUPLE
-
-    def view(kind, k, th):
-        solved = space(kind, k, th)
-        return solved._tuple_view if whole else solved._first_view
-
-    for k, s in levels:
-        for th1, th2 in itertools.product((0, 1), repeat=2):
-            a, b = view(ka, k, th1)[1], view(kb, s, th2)[1]
-            tgt = (target if isinstance(target, Subspace)
-                   else view(ka if whole else target, k + s, (th1 + th2) % 2)[0])
-            at = spaces._first_product_outside(sign, a, b, tgt)
-            if at is not None:
-                i, w = at
-                return k, s, th1, th2, None if whole else spaces._product(
-                    a[i][0], b[w][0], sign)
-    return None
 
 
 def reference_jordan_engine(alpha: Matrix, elems):
@@ -1111,201 +934,6 @@ def reference_jordan_witness(alpha: Matrix, elems):
     or None: the loop ``check_qc_structure`` ran before its engine."""
     return next((quad for quad in itertools.product(elems, repeat=4)
                  if not reference_hom_jordan_residual(alpha, *quad).is_zero()),
-                None)
-
-
-def reference_pass_witness(alpha: Matrix, elems):
-    """The least index triple (x, y, z), then its least w, with a nonzero
-    residual in ``spaces._jordan_pass``, or None: the walk ``_jordan_witness``
-    made before it took one least key per z, every ordering of an all-even
-    key read apart.  z runs outermost, so a witness at (0, 0) ends it."""
-    best = ()
-    for z, residual in enumerate(spaces._jordan_pass(alpha, elems)):
-        for key, _ in residual:
-            for x, y, w in (key,) if any(elems[i].degree for i in key) else itertools.permutations(key):
-                best = min(best or (x, y, z, w), (x, y, z, w))
-        if best[:2] == (0, 0):
-            break
-    return best or None
-
-
-def reference_index(g: dict) -> tuple[dict, dict]:
-    """A batch, maps g_w held as rows keyed (w, r), indexed for ``_join``:
-    rows by row index, {k: [(w, row)]}, entries by column, {k: [(w, r, x)]}."""
-    rows, cols = {}, {}
-    for (w, r), row in g.items():
-        rows.setdefault(r, []).append((w, row))
-        for c, x in row.items():
-            cols.setdefault(c, []).append((w, r, x))
-    return rows, cols
-
-
-def reference_join(*terms, skew: bool = False) -> dict:
-    """The nonzero rows (i, w, r), w >= i if skew, of the sum over terms (sign,
-    p, dp, g, dg, s) of sign (p_i g_w + s (-1)^{dp dg} g_w p_i), p maps p_i of
-    degree dp as rows keyed (i, k), g maps g_w of degree dg indexed by
-    ``_index``.  p_i's entry (k, j) reads g's rows j, and its row k g's column
-    k, so every multiply pairs two nonzeros."""
-    acc = {}
-    for sign, p, dp, (rows, cols), dg, s in terms:
-        t = sign * s * parity_sign(dp, dg)
-        for (i, k), prow in p.items():
-            for j, f in prow.items():
-                for w, row in rows.get(j, ()):
-                    if not skew or w >= i:
-                        _subtract(acc.setdefault((i, w, k), {}), -sign * f, row)
-            for w, r, f in cols.get(k, ()) if t else ():
-                if not skew or w >= i:
-                    _subtract(acc.setdefault((i, w, r), {}), -t * f, prow)
-    return {key: row for key, row in acc.items() if row}
-
-
-def reference_jordan_pass(alpha: Matrix, elems):
-    """Per z, {(key, r): row}, the nonzero rows of the twisted super Jordan
-    residual R = s1 T(x, y, w) + s2 T(y, w, x) + s3 T(w, x, y) at every
-    (x, y, w), indices into elems: T(a, b, c) = ((a o b) o tz) o t^2 c -
-    t(a o b) o (tz o tc), tg = g alpha, s1, s2, s3 = (-1)^{|z|(|x|+|w|)},
-    (-1)^{|x|(|y|+|z|)}, (-1)^{|y|(|w|+|z|)}.  key is (x, y, w), sorted when
-    the three are even, as R is then symmetric in them.  Each a o b, a <= b,
-    is formed once, and per z three joins form every T."""
-    if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
-        raise ValueError("ambient dimension mismatch")
-    av, deg = alpha._sparse, {i: g.degree for i, g in enumerate(elems)}
-    _index, _join = reference_index, reference_join
-
-    def family(rows, shift=0):  # rows keyed (.., v, r) as {|v| + shift: {(v, r): row}}
-        out = {}
-        for (*_, v, r), row in rows.items():
-            out.setdefault((deg[v] + shift) % 2, {})[v, r] = row
-        return out
-
-    def twist(fam):
-        return {d: _sparse_sum((1, rows, av)) for d, rows in fam.items()}
-
-    def index(fam):
-        return {d: _index(rows) for d, rows in fam.items()}
-
-    def route(a, b, c, dz):
-        """(key, weight) per R that T(a o b, c) enters, b o a = (-1)^{|a||b|}
-        a o b: the sorted triple, once per c in it, if the three are even,
-        else each ordered one, signed."""
-        da, db, dc = deg[a], deg[b], deg[c]
-        if not (da or db or dc):
-            return [(tuple(sorted((a, b, c))), (a, b, c).count(c))]
-        out = []
-        for u, v, o in [(a, b, 1)] + ([(b, a, parity_sign(da, db))] if a != b else []):
-            t = o * parity_sign(dc, deg[u] + dz)
-            out += [((u, v, c), o * parity_sign(dz, deg[u] + dc)), ((c, u, v), t), ((v, c, u), t)]
-        return out
-
-    e = family({(i, r): row for i, g in enumerate(elems) for r, row in g.matrix._sparse.items()})
-    tw = twist(e)
-    tw2, twi = index(twist(tw)), index(tw)
-    pairs = _join(*[(1, e[d], d, i, di, 1) for d in e for di, i in index(e).items()], skew=True)
-    deg.update({(a, b): (deg[a] + deg[b]) % 2 for a, b, _ in pairs})
-    p = family({((a, b), r): row for (a, b, r), row in pairs.items()})
-    tp, pi = twist(p), index(p)
-    for z, g in enumerate(elems):
-        dz, tz = g.degree, {(z, r): row for r, row in _sparse_sum((1, g.matrix._sparse, av)).items()}
-        # a o tz for every pair a, read off tz o a = (-1)^{|z||a|} a o tz
-        q = family(_join(*[(parity_sign(dz, d), tz, dz, i, d, 1) for d, i in pi.items()]), dz)
-        zc = index(family(_join(*[(1, tz, dz, i, d, 1) for d, i in twi.items()]), dz))
-        acc = {}
-        for ((a, b), c, r), row in _join(
-                *[(1, rows, d, i, dc, 1) for d, rows in q.items() for dc, i in tw2.items()],
-                *[(-1, rows, d, i, dc, 1) for d, rows in tp.items() for dc, i in zc.items()]).items():
-            for key, f in route(a, b, c, dz):
-                _subtract(acc.setdefault((key, r), {}), -f, row)
-        yield {key: row for key, row in acc.items() if row}
-
-
-def _join_one(*terms) -> dict:
-    """The single-map form ``spaces._join`` had before its left factor
-    became a batch: over terms (sign, p, g, dg, s), p one map, the nonzero
-    rows (w, r) of sum sign (p g_w + s (-1)^{|p| dg} g_w p), read off the
-    batched ``reference_join`` at the one left map."""
-    rows = reference_join(*[(sign, {(0, k): row for k, row in p.matrix._sparse.items()},
-                             p.degree, g, dg, s) for sign, p, g, dg, s in terms])
-    return {(w, r): row for (_, w, r), row in rows.items()}
-
-
-def reference_per_xy_engine(alpha: Matrix, elems):
-    """The engine ``check_qc_structure`` ran before its per-z pass: with
-    tw g = g alpha, the residual of the twisted super Jordan identity at
-    (x, y, z, w), elems by index, is the signed sum over (a, b, c) in
-    (x, y, w), (y, w, x), (w, x, y) of ((a o b) o tw z) o tw^2 c -
-    tw(a o b) o (tw z o tw c).  Linear in w at each degree of w, it is
-    formed for every w at once: engine(z)(x, y) holds its nonzero rows,
-    keyed (w, r).  The factors without z are made once per engine, those
-    with z once per engine(z)."""
-    if alpha.rows != alpha.cols or any(g.n != alpha.rows for g in elems):
-        raise ValueError("ambient dimension mismatch")
-    product, index, join = spaces._product, reference_index, _join_one
-    av, a1 = alpha._sparse, GradedMap(alpha, 0)
-    tw = [product(g, a1, 0) for g in elems]
-    tw2 = [product(g, a1, 0) for g in tw]
-    xy = [[product(g, h, 1) for h in elems] for g in elems]
-    tw_xy = [[product(g, a1, 0) for g in row] for row in xy]
-
-    def twist(rows):
-        return _sparse_sum((1, rows, av))
-
-    # per degree d held, every w of degree d keyed (w, r) and indexed: (d,
-    # w alpha, w alpha^2, g o w for every g, and its twist); w o g is read
-    # as (-1)^{|w||g|} g o w
-    batches = []
-    for d in (0, 1):
-        w = {(i, r): row for i, g in enumerate(elems) if g.degree == d
-             for r, row in g.matrix._sparse.items()}
-        if w:
-            wi, wa = index(w), twist(w)
-            gw = [join((1, g, wi, d, 1)) for g in elems]
-            batches.append((d, index(wa), index(twist(wa)), [index(v) for v in gw],
-                            [index(twist(v)) for v in gw]))
-
-    def at(z):
-        dz, twz = elems[z].degree, tw[z]
-        zc = [product(twz, g, 1) for g in tw]
-        # per degree d held: tw z o tw w, and (g o w) o tw z for every g
-        with_z = [(index(join((1, twz, wa, d, 1))),
-                   [index(join((parity_sign(g.degree + d, dz), twz, v, g.degree + d, 1)))
-                    for g, v in zip(elems, gw)])
-                  for d, wa, _, gw, _ in batches]
-
-        def residual(x, y):
-            dx, dy = elems[x].degree, elems[y].degree
-            inner = product(xy[x][y], twz, 1)
-            out = {}
-            for (d, _, wa2, _, tw_gw), (zw, gw_z) in zip(batches, with_z):
-                # the three signs of the sum, once w o x is read as x o w and
-                # each circle g o p with g batched as (-1)^{|g||p|} p o g
-                s1, s2, s3 = (parity_sign(dz, dx + d), parity_sign(dx, d),
-                              parity_sign(dx, d + dy))
-                u = parity_sign(dz, dx + dy + d)
-                out |= join(
-                    (s1, inner, wa2, d, 1),
-                    (-s1, tw_xy[x][y], zw, dz + d, 1),
-                    (s2, tw2[x], gw_z[y], dy + d + dz, 1),
-                    (-u * s2, zc[x], tw_gw[y], dy + d, 1),
-                    (s3, tw2[y], gw_z[x], dx + d + dz, 1),
-                    (-u * s3, zc[y], tw_gw[x], dx + d, 1))
-            return out
-
-        return residual
-
-    return at
-
-
-def reference_circle_witness(elems):
-    """The first ordered pair (a, b) of elems, in ``itertools.product``
-    order, with a o b != (-1)^{|a||b|} (b o a), or None: the walk the
-    super-commutativity check ran before it took unordered pairs.
-    ``spaces.jordan_product`` is looked up at call time, so a patched
-    circle product reaches this walk and the check alike."""
-    jp = spaces.jordan_product
-    return next(((a, b) for a, b in itertools.product(elems, repeat=2)
-                 if not (jp(a, b).matrix - jp(b, a).matrix.scale(
-                     parity_sign(a.degree, b.degree))).is_zero()),
                 None)
 
 

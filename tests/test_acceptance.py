@@ -18,11 +18,7 @@ from homlie.extension import (
     verify_embedding_decomposition,
     verify_phi_properties,
 )
-from homlie.linalg import (
-    Matrix,
-    contains,
-    subspace_sum,
-)
+from homlie.linalg import contains, subspace_sum
 from homlie.randomgen import sample_algebras
 from homlie.spaces import (
     GradedMap,
@@ -35,7 +31,7 @@ from homlie.spaces import (
     solve_space,
     space_contains,
 )
-from oracle import is_zero_vec, oracle_solve, stacked, unit_vec
+from oracle import diag, is_zero_vec, oracle_solve, stacked
 
 ALL_KINDS = tuple(SpaceKind)
 
@@ -44,12 +40,6 @@ def report(num, label, problems):
     status = "PASS" if not problems else "FAIL"
     print(f"[acceptance] criterion {num} ({label}): {status}")
     assert not problems, problems
-
-
-def diag(*entries):
-    n = len(entries)
-    return Matrix.from_rows(
-        [[entries[r] if r == c else 0 for c in range(n)] for r in range(n)])
 
 
 def test_criterion_1_bundled_example_fidelity():

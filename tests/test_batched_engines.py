@@ -9,10 +9,10 @@ check forms, per z, every residual at once by a per-z pass, and it walks
 the quasicentroid maps only when a basis of their span per degree
 already fails, which must happen exactly when the walk over the maps
 fails; the basis walk stops at its first nonzero residual.  Whole
-reports must be those of the per-pair cells, the full walk over cells
-and the per-quadruple engine kept in ``oracle``, and the first witness
-must be found where it sits later in a cell or in a triple, or at a
-quadruple that holds an odd map.
+reports must be those of the per-pair cells and the per-quadruple engine
+kept in ``oracle``, and the first witness must be found where it sits
+later in a cell or in a triple, or at a quadruple that holds an odd
+map.
 """
 
 import itertools
@@ -40,8 +40,6 @@ from oracle import (
     reference_first_product_outside,
     reference_jordan_engine,
     reference_jordan_witness,
-    reference_law_witness,
-    reference_per_xy_engine,
 )
 from test_batched_product import _matrices
 from test_boundary import yau_sl2
@@ -64,16 +62,14 @@ def _qc_elems(spec, k_max, strict):
 
 def assert_matches_references(monkeypatch, spec, k_max, strict):
     """Whole law and QC reports equal those of the reference engines, the
-    law cells and the walk over them both replaced, and the Jordan
-    engine's first witness on the walked maps is the per-quadruple
-    engine's."""
+    law cells replaced by per-pair ones, and the Jordan engine's first
+    witness on the walked maps is the per-quadruple engine's."""
     batched = _reports(spec, k_max, strict)
     elems = _qc_elems(spec, k_max, strict)
     assert (spaces._jordan_witness(spec.alpha, elems)
             == reference_engine_witness(spec.alpha, elems)), spec.name
     with monkeypatch.context() as m:
         m.setattr(spaces, "_first_product_outside", reference_first_product_outside)
-        m.setattr(spaces, "_law_witness", reference_law_witness)
         m.setattr(spaces, "_jordan_witness", reference_engine_witness)
         assert _reports(spec, k_max, strict) == batched, spec.name
 
@@ -107,7 +103,7 @@ def test_first_failing_w_is_not_the_first_of_its_degree():
     assert spaces._jordan_witness(alpha, elems) == (0, 0, 1, 1)
     assert reference_jordan_witness(alpha, elems) == tuple(
         elems[i] for i in (0, 0, 1, 1))
-    assert not reference_per_xy_engine(alpha, elems)(1)(0, 0).get((0, 0))
+    assert not reference_jordan_engine(alpha, elems)(0, 0, 1, 0)
 
 
 def test_first_failing_w_is_odd_before_a_failing_even_w():
@@ -116,8 +112,8 @@ def test_first_failing_w_is_odd_before_a_failing_even_w():
     alpha = Matrix.from_rows([[2, 0], [0, 1]])
     elems = [_map({0: {0: -1}, 1: {0: 2}}, 0), _map({0: {1: 1}}, 1),
              _map({0: {0: -1, 1: 2}}, 0)]
-    rows = reference_per_xy_engine(alpha, elems)(0)(0, 0)
-    assert sorted({w for w, _ in rows}) == [1, 2]
+    residual = reference_jordan_engine(alpha, elems)
+    assert [w for w in range(3) if residual(0, 0, 0, w)] == [1, 2]
     assert spaces._jordan_witness(alpha, elems) == (0, 0, 0, 1)
     assert reference_jordan_witness(alpha, elems) == tuple(
         elems[i] for i in (0, 0, 0, 1))

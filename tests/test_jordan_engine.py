@@ -5,17 +5,17 @@ quadruple of quasicentroid basis maps through one pass that, per z,
 forms every circle pair's term at every third map by three joins and
 routes each term into the residual of each triple it enters.  Its
 residuals must be those of the per-quadruple engine in
-``oracle.reference_jordan_engine``, its dict at every z that of the pass
-that split each batch by degree, ``oracle.reference_jordan_pass``, on maps
-that repeat, and its first witness and its
-residuals those of the dense per-quadruple loop kept in
+``oracle.reference_jordan_engine``, and its dict at every z the one read
+off that engine, also on maps that repeat; its first witness and its
+residuals must be those of the dense per-quadruple loop kept in
 ``oracle.reference_jordan_witness``, on the bundled algebras, on random
 algebras and on the larger twisted and odd inputs; its least witness, one
-least key per z, that of the walk over every ordering of each key in
-``oracle.reference_pass_witness``; and the check must
-report ``fail`` with that witness when a basis map is bent.  The circle
-super-commutativity check walks unordered pairs; its verdict must be
-that of the ordered walk in ``oracle.reference_circle_witness``.
+least key per z, that of the engine's walk over every ordered quadruple
+(``oracle.reference_engine_witness``); and the check must report
+``fail`` with that witness when a basis map is bent.  The circle
+super-commutativity check walks unordered pairs: it must pass where
+every ordered pair super-commutes, and fail with the first map of the
+first ordered pair that does not.
 """
 
 import itertools
@@ -39,14 +39,12 @@ from homlie.spaces import (
     project_component,
 )
 from oracle import (
+    diag,
     from_sparse,
-    reference_circle_witness,
     reference_engine_witness,
     reference_hom_jordan_residual,
     reference_jordan_engine,
-    reference_jordan_pass,
     reference_jordan_witness,
-    reference_pass_witness,
 )
 from test_laws import K_MAX, _with_fault
 
@@ -54,17 +52,11 @@ JORDAN = "twisted Jordan identity on QC"
 CIRCLE = "circle product super-commutative"
 
 
-def _diag(*entries):
-    n = len(entries)
-    return Matrix.from_rows([[entries[r] if r == c else 0 for c in range(n)]
-                             for r in range(n)])
-
-
 def heisenberg(m, twist):
     """h_{2m+1}: [x_i, y_i] = z, all even, twisted by diag(twist)."""
     n = 2 * m + 1
     z = tuple(int(c == n - 1) for c in range(n))
-    return AlgebraSpec.from_pairs(f"h{n}", (0,) * n, _diag(*twist),
+    return AlgebraSpec.from_pairs(f"h{n}", (0,) * n, diag(*twist),
                                   {(i, m + i): z for i in range(m)})
 
 
@@ -72,7 +64,7 @@ def super_heisenberg(m):
     """1|m: even e, odd f_1..f_m, [f_i, f_i] = e, twist diag(4, 2, .., 2)."""
     e = tuple(int(c == 0) for c in range(m + 1))
     return AlgebraSpec.from_pairs(f"sh1_{m}", (0,) + (1,) * m,
-                                  _diag(4, *[2] * m),
+                                  diag(4, *[2] * m),
                                   {(i, i): e for i in range(1, m + 1)})
 
 
@@ -107,21 +99,20 @@ def assert_engine_matches_oracle(spec, k_max, strict):
     return witness
 
 
-def assert_circle_check_matches_ordered_walk(spec, k_max, strict):
-    """The unordered walk's verdict is the ordered walk's; returns the
-    ordered walk's first witness pair."""
-    witness = reference_circle_witness(qc_maps(spec, k_max, strict))
+def assert_circle_check(spec, k_max, strict, first=None):
+    """The unordered walk's verdict is the ordered walk's: pass when every
+    ordered pair (a, b) has a o b = (-1)^{|a||b|} (b o a), as the circle
+    product does, else fail with a of the first pair that does not, given
+    as first."""
     check = {c.name: c for c in check_qc_structure(spec, k_max, strict).checks}[CIRCLE]
     assert (check.status, check.detail) == (
-        ("pass", "") if witness is None
-        else ("fail", format_matrix(witness[0].matrix))), spec.name
-    return witness
+        ("pass", "") if first is None else ("fail", format_matrix(first.matrix))), spec.name
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
 def test_circle_check_matches_ordered_walk_on_bundled(bundled, strict):
     for spec in bundled.values():
-        assert assert_circle_check_matches_ordered_walk(spec, 2, strict) is None
+        assert_circle_check(spec, 2, strict)
 
 
 def test_circle_check_finds_a_fault_at_a_later_ordered_pair(heisenberg3,
@@ -138,7 +129,7 @@ def test_circle_check_finds_a_fault_at_a_later_ordered_pair(heisenberg3,
         return GradedMap(g.matrix + Matrix.identity(g.n), g.degree)
 
     monkeypatch.setattr(spaces, "jordan_product", bent)
-    assert assert_circle_check_matches_ordered_walk(heisenberg3, K_MAX, True) == (a, b)
+    assert_circle_check(heisenberg3, K_MAX, True, a)
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
@@ -161,7 +152,7 @@ def test_engine_matches_oracle_on_random_algebras():
 def test_circle_check_matches_ordered_walk_on_random_algebras():
     for spec in sample_algebras(random.Random(20261018), 20, n_max=3):
         for strict in (True, False):
-            assert assert_circle_check_matches_ordered_walk(spec, 1, strict) is None
+            assert_circle_check(spec, 1, strict)
 
 
 @pytest.mark.parametrize("spec", [heisenberg(1, (1, 2, 2)), super_heisenberg(2)],
@@ -256,14 +247,24 @@ def _repeating_cases(draw):
     return draw(st.permutations(maps)), matrix()
 
 
+def reference_pass(alpha, elems):
+    """Per z, the dict {((x, y, w), r): row} of the nonzero residual rows of
+    ``oracle.reference_jordan_engine`` at (x, y, z, w), (x, y, w) taken sorted
+    when the three maps are even."""
+    residual = reference_jordan_engine(alpha, elems)
+    keys = [key for key in itertools.product(range(len(elems)), repeat=3)
+            if any(elems[i].degree for i in key) or list(key) == sorted(key)]
+    for z in range(len(elems)):
+        yield {(key, r): row for key in keys for r, row in residual(*key[:2], z, key[2]).items()}
+
+
 @given(_repeating_cases())
 @settings(max_examples=80, deadline=None)
 def test_pass_matches_the_reference_pass(case):
-    """At every z the pass yields the dict of ``oracle.reference_jordan_pass``,
-    which splits every batch by degree and reads a o tz off tz o a."""
+    """At every z the pass yields the dict read off the per-quadruple engine."""
     elems, alpha = case
     assert any(g.degree for g in elems)
-    assert list(spaces._jordan_pass(alpha, elems)) == list(reference_jordan_pass(alpha, elems))
+    assert list(spaces._jordan_pass(alpha, elems)) == list(reference_pass(alpha, elems))
 
 
 def _even(*rows):
@@ -281,10 +282,10 @@ MIXED = ([_even([-1, 0], [2, 0]), GradedMap(Matrix.from_rows([[0, 1], [0, 0]]), 
 def test_the_witness_examples_fail_where_they_say():
     elems, alpha = LATER_Z
     assert [bool(r) for r in spaces._jordan_pass(alpha, elems)] == [True, True, False]
-    assert reference_pass_witness(alpha, elems) == (0, 0, 1, 1)
+    assert reference_engine_witness(alpha, elems) == (0, 0, 1, 1)
     assert not any(g.degree for g in elems)
     elems, alpha = MIXED
-    assert reference_pass_witness(alpha, elems) == (0, 0, 0, 1)
+    assert reference_engine_witness(alpha, elems) == (0, 0, 0, 1)
     assert elems[1].degree == 1
 
 
@@ -318,9 +319,9 @@ def _witness_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_witness_is_the_walk_over_every_ordering(case):
     """One least key per z names the quadruple that the walk over every
-    ordering of each all-even key names."""
+    ordered quadruple names, every ordering of an all-even key included."""
     elems, alpha = case
-    assert spaces._jordan_witness(alpha, elems) == reference_pass_witness(alpha, elems)
+    assert spaces._jordan_witness(alpha, elems) == reference_engine_witness(alpha, elems)
 
 
 def test_h5_identity_twist_report_is_pinned():

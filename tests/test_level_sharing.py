@@ -9,17 +9,21 @@ kind's identities and appends the commutation rows once per component.
 A solved space must not depend on whether its level was built for it or
 read warm after other kinds, in either order, and must equal the space
 read off the per-pair walk's whole system
-(``oracle.reference_solve_space``), with equal repr and hash.  The level
-itself, its commutation rows summed in two direct loops, must equal
-``oracle.reference_level``, which gathers them in lists as it was written
-before, cells, rows (in key order) and side tables alike, also on random
-twists of a spec of both degrees: entries off the diagonal, equal
-diagonal entries (whose strict rows cancel) and zero rows.  On a diagonal
-twist every commutation row has one entry, so the level keeps the cells
-whose diagonal entries agree and builds no commutation system.
+(``oracle.reference_solve_space``), with equal repr and hash.  The level's
+cells, in (m, l) order and each allowed by the degree, held to its
+commutation rows, must span the maps that the dense oracle finds
+(``oracle.oracle_solve`` with no identity): those of the degree that
+commute with alpha if strict, and all of them if lax.  So must they on
+random twists of a spec of both degrees: entries off the diagonal, equal
+diagonal entries (whose strict rows cancel) and zero rows; there Der,
+whose identity reads all three side tables, is solved from the level as
+the per-pair walk solves it.  On a diagonal twist every commutation row
+has one entry, so the level keeps the cells whose diagonal entries agree
+and builds no commutation system.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import random
@@ -35,7 +39,7 @@ from homlie.cli import main
 from homlie.extension import build_extended
 from homlie.randomgen import sample_algebras
 from homlie.spaces import SpaceKind
-from oracle import reference_level, reference_solve_space
+from oracle import kernel_at, oracle_solve, reference_solve_space
 from test_solver_assembly import half_twisted_plane, sheared_h3
 
 K_MAX = 2
@@ -83,12 +87,31 @@ def test_each_kind_is_solved_alike_from_a_cold_or_a_shared_level(name):
     spaces._level.cache_clear()
 
 
+@functools.lru_cache(maxsize=None)
+def _commutant(spec, degree, strict):
+    """The maps of the degree, commuting with alpha if strict, by the dense
+    oracle: what a level leaves at every k."""
+    return oracle_solve(spec, None, 0, degree, strict)
+
+
+def assert_level_matches_the_oracle(spec, k, degree, strict):
+    """The level's cells, in order and allowed by the degree, held to its
+    commutation rows, span the maps of the degree that the dense oracle
+    finds, commuting with alpha if strict; returns the level."""
+    level = spaces._level.__wrapped__(spec, k, degree, strict)
+    (cells, comm, _), n, case = level, spec.n, (spec.name, k, degree, strict)
+    assert cells == sorted(cells), case
+    assert all(spec.degrees[m] == (spec.degrees[l] + degree) % 2 for m, l in cells), case
+    assert kernel_at(comm, len(cells), [m * n + l for m, l in cells], n * n) == \
+        _commutant(spec, degree, strict), case
+    return level
+
+
 @pytest.mark.parametrize("name", list(INPUTS))
 def test_level_matches_the_reference(name):
     for spec, k, degree, strict in itertools.product(
             INPUTS[name](), range(K_MAX + 1), (0, 1), (True, False)):
-        got = spaces._level.__wrapped__(spec, k, degree, strict)
-        assert got == reference_level(spec, k, degree, strict), (spec.name, k, degree, strict)
+        got = assert_level_matches_the_oracle(spec, k, degree, strict)
         assert all(type(x) is int or x.denominator != 1 for row in got[1] for x in row.values())
 
 
@@ -123,8 +146,9 @@ def mixed_twists(draw):
 @given(mixed_twists(), st.integers(0, 2))
 def test_strict_level_matches_the_reference_on_random_twists(spec, k):
     for degree in (0, 1):
-        got = spaces._level.__wrapped__(spec, k, degree, True)
-        assert got == reference_level(spec, k, degree, True), degree
+        assert_level_matches_the_oracle(spec, k, degree, True)
+        want = reference_solve_space(spec, SpaceKind.DER, k, degree, True)
+        assert _solve(spec, SpaceKind.DER, k, degree, True) == want, degree
 
 
 @st.composite
@@ -149,25 +173,23 @@ def diagonal_twists(draw):
 def test_level_on_a_diagonal_twist_matches_the_reference(spec, k):
     """On a diagonal twist a strict level keeps the cells whose two diagonal
     entries agree, with no commutation row left, and a lax level keeps them
-    all: both as the reference builds and presolves the whole system."""
+    all: both span what the dense oracle finds."""
     for degree, strict in itertools.product((0, 1), (True, False)):
-        got = spaces._level.__wrapped__(spec, k, degree, strict)
-        assert got == reference_level(spec, k, degree, strict), (degree, strict)
-        assert got[1] == []
+        _, comm, _ = assert_level_matches_the_oracle(spec, k, degree, strict)
+        assert comm == []
 
 
 def test_only_a_twist_off_its_diagonal_presolves_its_level(monkeypatch):
     """The commutation rows are built and presolved only for a twist with an
     entry off its diagonal: sheared h3's strict levels call ``_presolve``,
     and no level of a bundled algebra, all of whose twists are diagonal,
-    does; every level still equals the reference's."""
+    does; every level still spans what the dense oracle finds."""
     calls, presolve = [], spaces._presolve
     monkeypatch.setattr(spaces, "_presolve", lambda *a, **kw: calls.append(a) or presolve(*a, **kw))
     for spec in INPUTS["bundled"]() + INPUTS["sheared_h3"]():
         for k, degree, strict in itertools.product(range(K_MAX + 1), (0, 1), (True, False)):
             calls.clear()
-            got = spaces._level.__wrapped__(spec, k, degree, strict)
-            assert got == reference_level(spec, k, degree, strict)
+            assert_level_matches_the_oracle(spec, k, degree, strict)
             assert len(calls) == (spec.name == "h3_shear" and strict), \
                 (spec.name, k, degree, strict)
 

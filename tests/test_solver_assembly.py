@@ -11,19 +11,19 @@ follow, in the order of (component, twist column, m).  One routine,
 ``spaces._presolve``, then takes out the unknowns that rows of one
 nonzero entry fix to zero, whether the row reached one unknown or
 cancelled down to one, and sorts only the keys of more unknowns; the
-level strikes its commutation rows through it too, and on random rows
-it must agree with ``oracle.reference_presolve`` and, row for row, with
-the walks it replaced (``oracle.reference_keyed_presolve``).  ``_kernel``
-writes each kept unknown at its tuple coordinate, (c n + m) n + l, and
-the kernel rows become maps through ``spaces._maps``, read in pivot
-order.  The rows and the width (the number of labels) of the system that
-reaches ``linalg._kernel``, its unknowns counted from the last, must be,
-once read in their own order again, exactly those of the per-pair walk
-kept in ``oracle.reference_system_rows`` after ``oracle.reference_presolve``,
-which strikes the unknowns that commutation rows of one entry fix
-first, and the solved space must be the one read off that walk's whole
-system (``oracle.reference_solve_space``), equal, with equal repr and
-hash.
+level strikes its commutation rows through it too.  On random rows the
+presolved rows must have the kernel that the dense oracle
+(``oracle.kernel_at``) gives for the rows as given, and be those of two
+or more nonzero entries, in key order.  ``_kernel`` writes each kept
+unknown at its tuple coordinate, (c n + m) n + l, and the kernel rows
+become maps through ``spaces._maps``, read in pivot order.  The system
+that reaches ``linalg._kernel``, its unknowns counted from the last,
+must hold, at increasing labels, no unknown that a row of one entry of
+the per-pair walk's whole system (``oracle.reference_system_rows``)
+fixes; on the edge cases it must have that whole system's kernel, by
+the dense oracle; and the solved space must be the one read off the
+whole system (``oracle.reference_solve_space``), equal, with equal repr
+and hash.
 The brute-force oracle, which builds its system dense over every matrix
 entry, must agree on twisted h5, sheared h3 and super-Heisenberg 1|2 for
 every kind.
@@ -48,13 +48,12 @@ from homlie.extension import build_extended
 from homlie.randomgen import sample_algebras
 from homlie.spaces import SpaceKind
 from oracle import (
+    kernel_at,
     oracle_solve,
-    reference_keyed_presolve,
-    reference_presolve,
-    reference_presolved_rows,
     reference_solve_space,
     reference_system_rows,
     stacked,
+    system_coordinates,
 )
 from test_boundary import yau_sl2
 from test_jordan_engine import heisenberg, super_heisenberg
@@ -104,22 +103,23 @@ def h(m):
 
 
 def _system(monkeypatch, spec, kind, k, degree, strict):
-    """(rows, width, space) of one uncached solve: the rows and width of
+    """(rows, labels, space) of one uncached solve: the rows and labels of
     the system that ``solve_space`` hands ``_kernel``, each row read back
-    from the reversed columns that ``_kernel`` takes (c -> width - 1 - c),
-    or ([], 0) when no entry is allowed and no system is built."""
+    from the reversed columns that ``_kernel`` takes (c -> width - 1 - c,
+    the unknown at labels[width - 1 - c]), or ([], []) when no entry is
+    allowed and no system is built."""
     seen, inner = [], spaces._kernel
 
     def kernel(rows, labels):
         rows, width = list(rows), len(labels)  # rows are consumed by inner, so read first
-        seen.append(([{width - 1 - c: x for c, x in row.items()} for row in rows], width))
+        seen.append(([{width - 1 - c: x for c, x in row.items()} for row in rows], list(labels)))
         return inner(rows, labels)
 
     with monkeypatch.context() as m:
         m.setattr(spaces, "_kernel", kernel)
         space = spaces.solve_space.__wrapped__(spec, kind, k, degree, strict)
     if not seen:
-        return [], 0, space
+        return [], [], space
     (system,) = seen
     return *system, space
 
@@ -128,9 +128,14 @@ def assert_assembly_matches(monkeypatch, specs, k_max):
     for spec, kind, k, degree, strict in itertools.product(
             specs, SpaceKind, range(k_max + 1), (0, 1), (True, False)):
         case = (spec.name, kind.value, k, degree, strict)
-        rows, width, space = _system(monkeypatch, spec, kind, k, degree, strict)
-        want_rows, want_width = reference_presolved_rows(spec, kind, k, degree, strict)
-        assert (rows, width) == (want_rows, want_width), case
+        rows, labels, space = _system(monkeypatch, spec, kind, k, degree, strict)
+        whole = reference_system_rows(spec, kind, k, degree, strict)[0]
+        places = system_coordinates(spec, kind, degree)
+        # presolved: each unknown left at its coordinate, in order, and none
+        # that a row of one entry of the whole system fixes to 0
+        fixed = {places[i] for row in whole if len(row) == 1 for i in row}
+        assert labels == sorted(set(labels)) and not set(labels) - set(places) - fixed, case
+        assert all(row and all(row.values()) for row in rows), case
         # the trusted view holds integral values as int, as every sparse row does
         assert all(type(x) is int or x.denominator != 1
                    for row in rows for x in row.values()), case
@@ -174,7 +179,7 @@ def _commutation_rows(spec, kind, k, degree):
 
 
 # name: (algebra, kind, k, degree, strict, what the case is, given the
-# whole system, the system that reaches nullspace and the solved space)
+# whole system, the system that reaches _kernel and the solved space)
 EDGES = {
     "every allowed unknown fixed": (
         lambda: load_builtin("ex2_5"), SpaceKind.ZDER, 0, 0, True,
@@ -205,9 +210,12 @@ def test_presolve_edge_cases_match_the_reference(monkeypatch, case):
     make, kind, k, degree, strict, holds = EDGES[case]
     spec = make()
     whole = reference_system_rows(spec, kind, k, degree, strict)
-    rows, width, space = _system(monkeypatch, spec, kind, k, degree, strict)
-    assert holds(whole, rows, width, space), case
-    assert (rows, width) == reference_presolved_rows(spec, kind, k, degree, strict), case
+    rows, labels, space = _system(monkeypatch, spec, kind, k, degree, strict)
+    assert holds(whole, rows, len(labels), space), case
+    # the presolved system has the whole system's kernel, each unknown at its coordinate
+    size = kind.arity * spec.n ** 2
+    assert kernel_at(rows, len(labels), labels, size) == \
+        kernel_at(whole[0], whole[1], system_coordinates(spec, kind, degree), size), case
     want = reference_solve_space(spec, kind, k, degree, strict)
     assert space == want and repr(space) == repr(want), case
     assert hash(space) == hash(want), case
@@ -233,10 +241,14 @@ def _keyed_rows(draw):
 def test_presolve_matches_the_reference_on_random_rows(case):
     rows_by_key, width = case
     rows, kept = spaces._presolve(rows_by_key, width)
-    # the one walk gives what the walks it replaced gave, rows in key order
-    assert (rows, kept) == reference_keyed_presolve(rows_by_key, width)
-    cleared = [{i: x for i, x in rows_by_key[key].items() if x} for key in sorted(rows_by_key)]
-    assert (rows, len(kept)) == reference_presolve(cleared, width)
+    # the presolved rows, each kept unknown in its place, have the kernel of the rows as given
+    assert kernel_at(rows, len(kept), kept, width) == \
+        kernel_at(list(rows_by_key.values()), width, range(width), width)
+    # and are the given rows of two or more nonzero entries, in key order, less the others
+    at = {i: p for p, i in enumerate(kept)}
+    assert rows == [row for _, given in sorted(rows_by_key.items())
+                    if len(r := {i: x for i, x in given.items() if x}) > 1
+                    and (row := {at[i]: x for i, x in r.items() if i in at})]
     assert kept == sorted(set(kept)) and all(0 <= i < width for i in kept)
     assert all(type(x) is int or x.denominator != 1 for row in rows for x in row.values())
 

@@ -37,6 +37,7 @@ from oracle import (
     alpha_shift,
     col,
     defining_residuals,
+    diag,
     from_sparse,
     full_space,
     oracle_solve,
@@ -61,12 +62,6 @@ def is_homogeneous(spec: AlgebraSpec, g: GradedMap) -> bool:
             if deg[m] != (deg[l] + g.degree) % 2 and g.matrix.at(m, l):
                 return False
     return True
-
-
-def diag(*entries):
-    n = len(entries)
-    return Matrix.from_rows([[entries[r] if r == c else 0 for c in range(n)]
-                             for r in range(n)])
 
 
 def test_known_dimensions(ex2_5):

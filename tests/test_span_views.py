@@ -8,11 +8,12 @@ holds the kernel rows themselves, uncopied, and the first-component
 span cuts them to block 0.  The kernel must be exactly the reduction of
 its tuples' coordinates.  Any other space, such as one that ``dataclasses.replace``
 bent, reduces its own tuples once, and the same view code reads those
-rows.  Every view must equal the reduction-built view kept in
-``oracle``: spans by ``==``, maps in order.  The views hand out their
-maps as one ``spaces._Basis``, which equals and hashes as the plain
-tuple and forms each component's rows and index once, for every law
-cell that reads it.
+rows.  Every view must equal the one built by reduction, spans by
+``==`` and maps in order: the tuple view kept in ``oracle``, and the
+first-component span of ``project_component`` with a map per row of its
+canonical basis.  The views hand out their maps as one
+``spaces._Basis``, which equals and hashes as the plain tuple and forms
+each component's rows and index once, for every law cell that reads it.
 """
 
 import dataclasses
@@ -26,15 +27,24 @@ from homlie import spaces
 from homlie.catalog import BUILTIN
 from homlie.linalg import Matrix, _reduce
 from homlie.randomgen import sample_algebras
-from homlie.spaces import GradedMap, MapSpace, SpaceKind, _coords, solve_space
-from oracle import reference_first_view, reference_tuple_view
+from homlie.spaces import (
+    GradedMap,
+    MapSpace,
+    SpaceKind,
+    _coords,
+    project_component,
+    solve_space,
+)
+from oracle import reference_tuple_view
 
 K_MAX = 2
 
 
 def _assert_views_are_the_reductions(space, where):
+    span = project_component(space, 0)
+    first = span, [(GradedMap(Matrix(space.n, space.n, row), space.degree),) for row in span.basis]
     for got, want in ((space._tuple_view, reference_tuple_view(space)),
-                      (space._first_view, reference_first_view(space))):
+                      (space._first_view, first)):
         assert got[0] == want[0], where
         assert list(got[1]) == list(want[1]), where
 

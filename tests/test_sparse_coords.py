@@ -11,9 +11,9 @@ input that the general path now covers must give the same zero
 subspace.  ``spaces._maps``, the one builder of solved and spanned maps,
 must decode each ``_coords`` coordinate of kernel rows, {pivot: row less
 its leading 1}, back into (component, row, column), and make of random
-kernels the maps that the builder it replaced (``oracle.reference_maps``)
-made of the same rows with their leading 1 copied in, read through the
-table of every (component, row, column) in coordinate order.  A solve
+kernels the maps read densely off the same rows with their leading 1
+written in, each view's rows in the order the kernel row first names
+them.  A solve
 forms each cell's unit map once and hands it to every component whose
 unit row is at that cell, so one map object stands for the cell, and no
 two cells share one.
@@ -32,7 +32,6 @@ from homlie.linalg import (
     Matrix,
     Subspace,
     _nonzeros,
-    _pivot_rows,
     subspace_intersection,
     vec,
 )
@@ -50,7 +49,6 @@ from oracle import (
     from_sparse,
     full_space,
     reference_first_outside,
-    reference_maps,
     tuple_vector,
 )
 
@@ -169,8 +167,21 @@ def test_maps_inverts_coords_and_hands_back_zero(n, arity, degree, data):
 
 def places(arity, n):
     """Every (c, m, l) of ``arity`` n x n maps, indexed by its ``_coords``
-    coordinate (c n + m) n + l, as ``oracle.reference_maps`` reads them."""
+    coordinate (c n + m) n + l."""
     return list(itertools.product(range(arity), range(n), range(n)))
+
+
+def decoded(kernel, arity, n, degree):
+    """One tuple of ``arity`` dense n x n maps per kernel row, in pivot
+    order: the row's stacked entries, its leading 1 written in at the pivot."""
+    out = []
+    for p, row in sorted(kernel.items()):
+        v = [0] * (arity * n * n)
+        for i, x in {p: 1, **row}.items():
+            v[i] = x
+        out.append(tuple(GradedMap(Matrix(n, n, tuple(v[c * n * n:(c + 1) * n * n])), degree)
+                         for c in range(arity)))
+    return tuple(out)
 
 
 @st.composite
@@ -193,21 +204,25 @@ def kernels(draw):
 @settings(max_examples=150, deadline=None)
 @given(kernels())
 def test_maps_of_a_kernel_match_the_reference(case):
-    """The maps read off kernel rows equal, view for view and row order
-    included, those the old builder made of the rows with their leading 1
-    copied in, and share the caller's zero map at the same places."""
+    """The maps read off kernel rows equal those read densely off the rows
+    with their leading 1 written in, each view's rows in the order that the
+    leading 1, then the row, first names them; every zero map is the
+    caller's."""
     kernel, arity, zero = case
+    n = zero.n
     got = _maps(kernel, arity, zero)
-    want = reference_maps(_pivot_rows(kernel), places(arity, zero.n), arity, zero)
-    assert got == want
-    assert [[(list(g.matrix._sparse.items()), g.degree, g is zero) for g in t] for t in got] == \
-        [[(list(g.matrix._sparse.items()), g.degree, g is zero) for g in t] for t in want]
+    assert got == decoded(kernel, arity, n, zero.degree)
+    for (p, row), t in zip(sorted(kernel.items()), got):
+        for c, g in enumerate(t):
+            assert list(g.matrix._sparse) == list(dict.fromkeys(
+                i // n % n for i in (p, *row) if i // (n * n) == c))
+            assert (g is zero) == g.is_zero() and g.degree == zero.degree
 
 
 def test_a_solve_forms_one_unit_map_per_cell():
     """heisenberg3's strict GDer at k = 0 has unit rows at one cell in two or
     three components: they hold one map, distinct maps hold distinct views,
-    and the tuples are those the old builder makes of the kernel rows."""
+    and the tuples are those read densely off the kernel rows."""
     space = spaces.solve_space.__wrapped__(load_builtin("heisenberg3"), SpaceKind.GDER, 0, 0, True)
     (kernel, tuples), where = space._kernel, places(space.arity, space.n)
     units = {}
@@ -219,8 +234,7 @@ def test_a_solve_forms_one_unit_map_per_cell():
     assert all(g is maps[0] for maps in units.values() for g in maps)
     nonzero = {id(g): g for t in tuples for g in t if not g.is_zero()}.values()
     assert len({id(g.matrix._sparse) for g in nonzero}) == len(nonzero)
-    zero = next(g for t in tuples for g in t if g.is_zero())
-    assert tuples == reference_maps(_pivot_rows(kernel), where, space.arity, zero)
+    assert tuples == decoded(kernel, space.arity, space.n, space.degree)
 
 
 # 0 in every accepted form, and nonzeros as int, "p/q" string and Fraction

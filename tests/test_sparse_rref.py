@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homlie import linalg, spaces
-from homlie.algebra import AlgebraSpec
 from homlie.extension import build_extended
 from homlie.linalg import (
     Matrix,
@@ -34,11 +33,11 @@ from oracle import (
     commutation_residuals,
     defining_residuals,
     from_sparse,
+    heisenberg,
     reference_matmul,
     reference_nullspace,
     reference_rref,
     reference_span,
-    reference_two_rref_nullspace,
     zero_matrix,
 )
 
@@ -111,9 +110,8 @@ def test_rank_reduces_copies_of_the_rows_without_rref(m):
 @with_examples
 @given(rational_matrices())
 def test_nullspace_matches_dense_reference(m):
-    # and the two-rref nullspace it replaced, on 0 x k, k x 0, zero and
-    # full-rank edge cases too
-    assert nullspace(m) == reference_nullspace(m) == reference_two_rref_nullspace(m)
+    # on 0 x k, k x 0, zero and full-rank edge cases too
+    assert nullspace(m) == reference_nullspace(m)
 
 
 @st.composite
@@ -251,20 +249,10 @@ def test_rref_and_nullspace_match_sympy(sympy, m):
 
 # -- the solver at the benchmark ladder's sizes -------------------------------
 
-def twisted_heisenberg7() -> AlgebraSpec:
-    """h7, [x_i, y_i] = z, twisted by diag(1, 1, 1, 2, 2, 2, 2)."""
-    n, m = 7, 3
-    z = tuple(1 if c == n - 1 else 0 for c in range(n))
-    twist = [1] * m + [2] * (m + 1)
-    alpha = [[twist[r] if r == c else 0 for c in range(n)] for r in range(n)]
-    return AlgebraSpec.from_pairs("h7_d", (0,) * n, alpha,
-                                  {(i, m + i): z for i in range(m)})
-
-
 @pytest.fixture(scope="module")
 def ladder(ex2_5):
     return {"ex2_5 doubled twice": build_extended(build_extended(ex2_5).spec).spec,
-            "h7 twisted": twisted_heisenberg7()}
+            "h7 twisted": heisenberg(3, True)}
 
 
 class Stacked:
