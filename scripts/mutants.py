@@ -155,7 +155,7 @@ MUTANTS = (
            (ON_BUNDLED,)),
     Mutant("solver: rows in walk order, not key order", SPACES,
            "return [row for key in sorted(multi)", "return [row for key in multi",
-           (ON_BUNDLED, RANDOM_ROWS)),
+           (ON_BUNDLED,)),
     Mutant("solver: the eval term through the row index", SPACES,
            '"eval": (1, evals, by_col)}', '"eval": (1, evals, by_row)}',
            (ON_BUNDLED,)),
@@ -188,6 +188,9 @@ MUTANTS = (
            "kept = [idx for idx in range(width) if idx not in fixed]",
            "kept = list(range(width))",
            (ON_BUNDLED, EDGES, RANDOM_ROWS)),
+    Mutant("presolve: a row of one entry kept as a row, its unknown not struck", SPACES,
+           "            fixed.update(row)", "            multi[key] = row",
+           (ON_BUNDLED,)),
     # one kind-free level per (k, degree, mode), read by every kind's solve
     Mutant("level: read with strict forced True", SPACES,
            "_level(spec, k, degree, strict)\n", "_level(spec, k, degree, True)\n",

@@ -252,15 +252,18 @@ def kernel_basis(rows, width):
         pivots.append((r, c))
         r += 1
     pivot_cols = {c for _, c in pivots}
+    # each pivot row's nonzero entries right of its pivot, last pivot first
+    tails = [(pc, work[pr][pc], [(c, x) for c, x in enumerate(work[pr]) if c > pc and x])
+             for pr, pc in reversed(pivots)]
     basis = []
     for fc in range(width):
         if fc in pivot_cols:
             continue
         v = [F0] * width
         v[fc] = F1
-        for pr, pc in reversed(pivots):
-            s = sum((work[pr][c] * v[c] for c in range(pc + 1, width) if v[c]), F0)
-            v[pc] = -s / work[pr][pc]
+        for pc, lead, tail in tails:
+            s = sum((x * v[c] for c, x in tail if v[c]), F0)
+            v[pc] = -s / lead if s else F0
         basis.append(v)
     return basis
 
@@ -275,11 +278,11 @@ def canonical_rows(vectors, width):
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
+        rows[r] = [x / piv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         r += 1
     return [tuple(row) for row in rows[:r]]
 
@@ -288,7 +291,7 @@ def kernel_at(rows, width, places, size):
     """Canonical basis, over ``size`` coordinates, of the kernel of the sparse
     rows {unknown: entry} over ``width`` unknowns, unknown i written at
     coordinate places[i] and every other coordinate 0."""
-    dense = [[Fraction(row.get(i, 0)) for i in range(width)] for row in rows]
+    dense = [[Fraction(row[i]) if i in row else F0 for i in range(width)] for row in rows]
     out = []
     for v in kernel_basis(dense, width):
         at = [F0] * size

@@ -18,12 +18,13 @@ or more nonzero entries, in key order.  ``_kernel`` writes each kept
 unknown at its tuple coordinate, (c n + m) n + l, and the kernel rows
 become maps through ``spaces._maps``, read in pivot order.  The system
 that reaches ``linalg._kernel``, its unknowns counted from the last,
-must hold, at increasing labels, no unknown that a row of one entry of
-the per-pair walk's whole system (``oracle.reference_system_rows``)
-fixes; on the edge cases it must have that whole system's kernel, by
-the dense oracle; and the solved space must be the one read off the
-whole system (``oracle.reference_solve_space``), equal, with equal repr
-and hash.
+must hold, at increasing labels, none of the unknowns of the per-pair
+walk's whole system (``oracle.reference_system_rows``) that a row of one
+entry there fixes; its rows must be those of the whole system that keep
+a labelled unknown, in their order, less the other unknowns; it must
+have that whole system's kernel, by the dense oracle; and the solved
+space must be the one read off the whole system
+(``oracle.reference_solve_space``), equal, with equal repr and hash.
 The brute-force oracle, which builds its system dense over every matrix
 entry, must agree on twisted h5, sheared h3 and super-Heisenberg 1|2 for
 every kind.
@@ -48,6 +49,7 @@ from homlie.extension import build_extended
 from homlie.randomgen import sample_algebras
 from homlie.spaces import SpaceKind
 from oracle import (
+    heisenberg,
     kernel_at,
     oracle_solve,
     reference_solve_space,
@@ -56,7 +58,7 @@ from oracle import (
     system_coordinates,
 )
 from test_boundary import yau_sl2
-from test_jordan_engine import heisenberg, super_heisenberg
+from test_jordan_engine import super_heisenberg
 
 
 def sl2_sum() -> AlgebraSpec:
@@ -97,11 +99,6 @@ def half_twisted_plane() -> AlgebraSpec:
                                   [[Fraction(3, 2), 1], [1, Fraction(1, 2)]], {})
 
 
-def h(m):
-    """h_{2m+1} twisted by diag(1,..,1, 2,..,2, 2) on (x, y, z)."""
-    return heisenberg(m, (1,) * m + (2,) * (m + 1))
-
-
 def _system(monkeypatch, spec, kind, k, degree, strict):
     """(rows, labels, space) of one uncached solve: the rows and labels of
     the system that ``solve_space`` hands ``_kernel``, each row read back
@@ -129,13 +126,21 @@ def assert_assembly_matches(monkeypatch, specs, k_max):
             specs, SpaceKind, range(k_max + 1), (0, 1), (True, False)):
         case = (spec.name, kind.value, k, degree, strict)
         rows, labels, space = _system(monkeypatch, spec, kind, k, degree, strict)
-        whole = reference_system_rows(spec, kind, k, degree, strict)[0]
+        whole, width = reference_system_rows(spec, kind, k, degree, strict)
         places = system_coordinates(spec, kind, degree)
-        # presolved: each unknown left at its coordinate, in order, and none
-        # that a row of one entry of the whole system fixes to 0
+        # presolved: the kept unknowns at their coordinates, in order, none
+        # that a row of one entry of the whole system fixes to 0; the rows
+        # are those of the whole system that keep a labelled unknown, in
+        # their order, each less the other unknowns, and have its kernel
         fixed = {places[i] for row in whole if len(row) == 1 for i in row}
-        assert labels == sorted(set(labels)) and not set(labels) - set(places) - fixed, case
-        assert all(row and all(row.values()) for row in rows), case
+        assert labels == sorted(set(labels)) and set(labels) <= set(places), case
+        assert not set(labels) & fixed, case
+        at = {p: c for c, p in enumerate(labels)}
+        assert rows == [r for row in whole if (r := {
+            at[places[i]]: x for i, x in row.items() if places[i] in at})], case
+        size = kind.arity * spec.n ** 2
+        assert kernel_at(rows, len(labels), labels, size) == \
+            kernel_at(whole, width, places, size), case
         # the trusted view holds integral values as int, as every sparse row does
         assert all(type(x) is int or x.denominator != 1
                    for row in rows for x in row.values()), case
@@ -153,7 +158,8 @@ def test_assembly_matches_the_per_pair_walk_on_bundled(bundled, monkeypatch):
 @pytest.mark.parametrize("name", ["h5", "h7", "sh1_3", "ex2_5 double of double"])
 def test_assembly_matches_the_per_pair_walk_on_larger_algebras(bundled, monkeypatch,
                                                                name):
-    spec = {"h5": lambda: h(2), "h7": lambda: h(3), "sh1_3": lambda: super_heisenberg(3),
+    spec = {"h5": lambda: heisenberg(2, True), "h7": lambda: heisenberg(3, True),
+            "sh1_3": lambda: super_heisenberg(3),
             "ex2_5 double of double": lambda: build_extended(
                 build_extended(bundled["ex2_5"]).spec).spec}[name]()
     assert_assembly_matches(monkeypatch, [spec], 1)
@@ -278,10 +284,10 @@ def test_a_report_writes_into_no_solved_map(bundled, lax):
     assert state() == before
 
 
-@pytest.mark.slow  # about 6 s for both modes: dense Fraction elimination of 75 unknowns
+@pytest.mark.slow  # about 2 s for both modes: dense Fraction elimination of 75 unknowns
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
 def test_solver_matches_brute_force_oracle_on_twisted_h5(strict):
-    spec = h(2)
+    spec = heisenberg(2, True)
     for kind, k, degree in itertools.product(SpaceKind, (0, 1), (0, 1)):
         got = stacked(spaces.solve_space(spec, kind, k, degree, strict))
         assert got == oracle_solve(spec, kind, k, degree, strict), (kind, k, degree)
