@@ -106,6 +106,8 @@ LABELS = "tests/test_sparse_rref.py::test_kernel_writes_each_unknown_at_its_labe
 REPEATED = JORDAN + "test_residual_matches_the_dense_residual_with_a_map_repeated"
 WALKS_APART = "tests/test_twist_powers.py::test_the_walks_of_twists_at_one_k_max_are_kept_apart"
 WRITER = CLI_TESTS + "test_json_writer_matches_json_dumps_with_indent_2"
+MATRIX = "tests/test_golden.py::test_every_json_document_exits_with_its_code_and_no_stderr"
+SCRIPTS = CLI_TESTS + "test_scripts_print_a_table_or_exit_two_with_usage"
 
 MUTANTS = (
     # the solver's system, assembled from the nonzeros of the bracket tables
@@ -657,6 +659,22 @@ MUTANTS = (
     Mutant("json: True written as 1", CLI,
            'else "true" if value else', 'else "1" if value else',
            (WRITER, GOLDEN_REPORT + "[ex2_5-json]")),
+    # the CLI contract: every --json call prints json.dumps(indent=2)'s document,
+    # writes nothing to stderr and exits with its code, and the scripts refuse
+    # a nonsense argument with a usage line
+    Mutant("json: a dict indented by 4", CLI,
+           'inner = indent + "  "\n        return ("{"', 'inner = indent + "    "\n        return ("{"',
+           (MATRIX,)),
+    Mutant("cli: a stray stderr line on every run", CLI,
+           "    return 0 if ok is None or ok else 1\n",
+           '    print("done", file=sys.stderr)\n    return 0 if ok is None or ok else 1\n',
+           (MATRIX,)),
+    Mutant("solve: ok False, so every solve exits 1", CLI,
+           "for t in space.tuples]}, None", "for t in space.tuples]}, False",
+           (MATRIX,)),
+    Mutant("cli: a twist power of -1 let through", CLI,
+           "if value < 0:", "if value < -1:",
+           (SCRIPTS,)),
     # a sampler that refuses nonsense arguments before it draws
     Mutant("sampler: a negative count let through", RANDOMGEN,
            "if count < 0:", "if False:",

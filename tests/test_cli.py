@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -430,6 +431,36 @@ def test_output_into_a_pipe_closed_after_one_line_ends_quietly(json_flag):
         proc.wait(timeout=120)
     assert first == uncut.stdout.splitlines(keepends=True)[0]
     assert (proc.returncode, err.decode()) == (uncut.returncode, "")
+
+
+_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_scripts_print_a_table_or_exit_two_with_usage(capsys, monkeypatch):
+    """Each script run as ``__main__`` prints its table, and a nonsense
+    argument exits 2 with a usage line naming the argument.  Written with
+    ``pytest.fail``, so it checks under ``python -O`` too."""
+    def run_script(script, *args):
+        monkeypatch.setattr(sys, "argv", [script, *args])
+        runpy.run_path(str(_SCRIPTS / script), run_name="__main__")
+
+    for script, args, first in [
+            ("dimension_table.py", ["--kmax", "1"], "\nex2_5 (n=3, strict;"),
+            ("dimension_table.py", ["--kmax", "1", "--lax"], "\nex2_5 (n=3, lax;"),
+            ("random_survey.py", ["--count", "3", "--seed", "0"], "#0 ")]:
+        run_script(script, *args)
+        out, err = capsys.readouterr()
+        if not out.startswith(first) or err:
+            pytest.fail(f"{script} {' '.join(args)}: stdout {out[:80]!r}, stderr {err!r}")
+    for script, option, value in [("dimension_table.py", "--kmax", "-1"),
+                                  ("random_survey.py", "--count", "-1"),
+                                  ("random_survey.py", "--nmax", "1")]:
+        with pytest.raises(SystemExit) as exc:
+            run_script(script, option, value)
+        err = capsys.readouterr().err
+        if exc.value.code != 2 or not err.startswith(f"usage: {script}") \
+                or f"argument {option}: must be >= " not in err:
+            pytest.fail(f"{script} {option} {value}: exit {exc.value.code}, stderr {err!r}")
 
 
 def test_report_all_bundled_exit_zero(capsys):

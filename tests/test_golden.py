@@ -13,13 +13,17 @@ working directory of each run, so a message that names its file pins
 the file name and not the temporary path.  The test runs under
 ``python -O`` too, so it checks with ``pytest.fail``, not ``assert``.
 Every document printed under ``--json`` must also be the bytes that
-``json.dumps(indent=2)`` writes for it, plus a newline.
+``json.dumps(indent=2)`` writes for it, plus a newline.  The ``--json``
+matrix runs each command on the bundled algebras, and solve and report on
+sheared h3, every call on cleared caches as a fresh process would, and
+holds each call to that document, an empty stderr and its exact exit code.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -58,10 +62,11 @@ GOLDEN = {
 }
 
 
-def _check_document(text):
+def _check_document(text, argv):
     """A document on stdout is printed as ``json.dumps(indent=2)`` prints it."""
     if text and text != json.dumps(json.loads(text), indent=2) + "\n":
-        pytest.fail(f"a document not written as json.dumps(indent=2): {text[:200]!r}")
+        pytest.fail(f"{' '.join(argv)}: a document not written as "
+                    f"json.dumps(indent=2): {text[:200]!r}")
 
 
 @pytest.mark.parametrize("algebra, flags", list(GOLDEN),
@@ -72,7 +77,7 @@ def test_report_output_is_golden(algebra, flags):
     with contextlib.redirect_stdout(out):
         code = main(["report", algebra, "--kmax", "3", *flags])
     if "--json" in flags:
-        _check_document(out.getvalue())
+        _check_document(out.getvalue(), ["report", algebra, *flags])
     got = (hashlib.sha256(out.getvalue().encode()).hexdigest(), code)
     if got != GOLDEN[algebra, flags]:
         pytest.fail(f"report {algebra} {' '.join(flags)}: stdout sha256 and "
@@ -521,7 +526,7 @@ def _outcome(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if "--json" in argv:
-        _check_document(out.getvalue())
+        _check_document(out.getvalue(), argv)
     return hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue(), code
 
 
@@ -540,3 +545,59 @@ def test_command_output_is_golden(tmp_path, monkeypatch, case, template, algebra
     if got != want:
         pytest.fail(f"{' '.join(argv)}: (stdout sha256, stderr, exit code) "
                     f"{got}, recorded {want}")
+
+
+# (command, algebra) pairs whose run at --kmax 1 --lax fails a check
+_LAX_FAILURES = {("report", "ex2_5"), ("laws", "ex2_5"), ("report", "abelian2"),
+                 ("jordan", "abelian2"), ("report", "sheared_h3.json")}
+_MODES = ((), ("--lax",))
+_EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+def _solve_calls(algebra, powers):
+    return [["solve", algebra, "--kind", kind.value, "--k", str(k), "--degree", str(degree),
+             *mode] for kind in SpaceKind for k in powers for degree in (0, 1) for mode in _MODES]
+
+
+def _matrix_calls():
+    """Every call of the ``--json`` matrix, without ``--json``: solve at k = 0,
+    where no power is formed, and at k = 3 (alpha times alpha^2), or 1 on
+    sheared h3, whose strict levels presolve commutation rows; decompose of
+    a zero triple, which lies in every GDer space."""
+    calls = []
+    for name in BUILTIN:
+        calls += [["validate", name], ["center", name], ["extend", name],
+                  ["embed", name, "--k", "1"]]
+        calls += [[command, name, "--kmax", "1", *mode]
+                  for command in ("report", "chain", "laws", "jordan") for mode in _MODES]
+        calls += _solve_calls(name, (0, 3))
+    calls += _solve_calls("sheared_h3.json", (0, 1))
+    calls += [["report", "sheared_h3.json", "--kmax", "1", *mode] for mode in _MODES]
+    calls.append(["decompose", "ex2_5", "--k", "0", "--triple", "zero_triple.json"])
+    return calls
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homlie."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_every_json_document_exits_with_its_code_and_no_stderr(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_algebra(sheared_h3(), "sheared_h3.json")
+    zero = [["0"] * 3] * 3
+    (tmp_path / "zero_triple.json").write_text(json.dumps({"degree": 0, "maps": [zero] * 3}))
+    for argv in _matrix_calls():
+        expected = 1 if "--lax" in argv and tuple(argv[:2]) in _LAX_FAILURES else 0
+        _clear_caches()
+        try:
+            digest, err, code = _outcome([*argv, "--json"])
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{' '.join(argv)} --json raised {exc!r}")
+        got, want = (digest == _EMPTY, err, code), (False, "", expected)
+        if got != want:
+            pytest.fail(f"{' '.join(argv)} --json: (stdout empty, stderr, exit code) "
+                        f"{got}, expected {want}")

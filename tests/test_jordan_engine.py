@@ -151,7 +151,8 @@ def test_circle_check_matches_ordered_walk_on_random_algebras():
 @pytest.mark.parametrize("spec", [heisenberg(1, True), super_heisenberg(2)],
                          ids=["h3_d", "sh1_2"])
 def test_engine_matches_oracle_on_twisted_and_odd(spec):
-    assert assert_engine_matches_oracle(spec, 3, True) is None
+    witness = assert_engine_matches_oracle(spec, 3, True)
+    assert witness is None, witness
 
 
 _ENTRIES = st.sampled_from([0, 0, 1, -1, Fraction(1, 2), 2])
