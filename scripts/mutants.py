@@ -79,7 +79,8 @@ LEVEL_REF = "tests/test_level_sharing.py::test_level_matches_the_reference[half_
 RANDOM_LEVEL = "tests/test_level_sharing.py::test_strict_level_matches_the_reference_on_random_twists"
 UNIT_MAPS = "tests/test_sparse_coords.py::test_a_solve_forms_one_unit_map_per_cell"
 DIAGONAL_LEVEL = "tests/test_level_sharing.py::test_level_on_a_diagonal_twist_matches_the_reference"
-PRESOLVED = "tests/test_level_sharing.py::test_only_a_twist_off_its_diagonal_presolves_its_level"
+TWO_SIDES = ("tests/test_level_sharing.py::"
+             "test_no_level_presolves_and_only_a_twist_off_its_diagonal_gets_the_two_sides")
 POWER_REF = "tests/test_twist_powers.py::test_power_matches_the_reference"
 VALIDATE = "tests/test_validation.py::"
 STORED = "tests/test_stored_form.py::"
@@ -123,23 +124,33 @@ MUTANTS = (
            "evals.setdefault(l, {})[(a * n + b) * step] = x",
            "evals.setdefault(l, {})[(a * n + b) * step] = -x",
            (ON_BUNDLED,)),
+    # strict on a twist with an entry off its diagonal: M alpha - alpha M as two
+    # more sides of the level, spread per component past the identities' rows
     Mutant("solver: the strict alpha-term sign flipped", SPACES,
-           "acc.setdefault(t * n + r, {})[idx] = -x", "acc.setdefault(t * n + r, {})[idx] = x",
+           '(("twist", 1), ("twisted", -1))', '(("twist", 1), ("twisted", 1))',
            (LEVEL_REF, RANDOM_LEVEL)),
     Mutant("level: the commutation row term's sign flipped", SPACES,
-           "acc.setdefault(c * n + t, {})[idx] = x", "acc.setdefault(c * n + t, {})[idx] = -x",
+           "{l: {b * n: x for b, x in row.items()}", "{l: {b * n: -x for b, x in row.items()}",
            (ON_BUNDLED, LEVEL_REF)),
     Mutant("level: the diagonal term's sign flipped", SPACES,
-           "{idx: diag[l] - diag[m]}", "{idx: diag[m] - diag[l]}",
+           "{l: {b * n: x for b, x in row.items()}",
+           "{l: {b * n: -x if b == l else x for b, x in row.items()}",
            (LEVEL_REF, RANDOM_LEVEL)),
     Mutant("level: the entries off the twist's diagonal skipped", SPACES,
-           "for r, c, x in off:", "for r, c, x in ():",
+           "for b, x in row.items()} for l, row in arows.items()}",
+           "for b, x in row.items() if b == l} for l, row in arows.items()}",
            (ON_BUNDLED, LEVEL_REF, RANDOM_LEVEL)),
+    Mutant("solver: the commutation sides spread for component 0 only", SPACES,
+           "itertools.product(range(arity), ((", "itertools.product(range(1), ((",
+           (RANDOM_LEVEL,)),
+    Mutant("solver: every component's commutation rows keyed at component 0's start", SPACES,
+           "_spread(acc, (_EQS * n + c) * n * n,", "_spread(acc, _EQS * n * n * n,",
+           (SHARED_LEVEL.replace("[bundled]", "[sheared_h3]"),)),
     Mutant("level: the degree classes swapped", SPACES,
            "for l in classes[(deg[m] + degree) % 2]\n", "for l in classes[(deg[m] + degree + 1) % 2]\n",
            (ON_BUNDLED, RANDOM_LEVEL)),
     # on a diagonal twist each commutation row is one entry, diag[l] - diag[m]: the
-    # level keeps the cells whose diagonal entries agree, and builds no system
+    # level keeps the cells whose diagonal entries agree, and has no commutation side
     Mutant("level: the diagonal filter inverted", SPACES,
            "if not strict or off or diag[m] == diag[l]]", "if not strict or off or diag[m] != diag[l]]",
            (DIAGONAL_LEVEL, ON_BUNDLED)),
@@ -151,7 +162,7 @@ MUTANTS = (
            (LEVEL_REF, RANDOM_LEVEL)),
     Mutant("level: the commutation system built on a diagonal twist too", SPACES,
            "    if off:\n", "    if strict:\n",
-           (PRESOLVED,)),
+           (TWO_SIDES,)),
     Mutant("solver: the spread sign applied twice", SPACES,
            "row[idx] = row.get(idx, 0) + sign * x", "row[idx] = row.get(idx, 0) + sign * sign * x",
            (ON_BUNDLED,)),
@@ -166,7 +177,7 @@ MUTANTS = (
            "{at[idx]: x for idx, x in multi[key].items() if idx in at}",
            (ON_BUNDLED,)),
     # the unknowns that rows of one nonzero entry fix to zero, taken out of the
-    # system by one routine, at the level and at the solve
+    # whole system, identities and commutation rows, by one routine at the solve
     Mutant("presolve: a two-entry row taken as fixing its unknowns", SPACES,
            "len(row := {idx: x for idx, x in row.items() if x}) > 1:",
            "len(row := {idx: x for idx, x in row.items() if x}) > 2:",
@@ -198,13 +209,9 @@ MUTANTS = (
            "_level(spec, k, degree, strict)\n", "_level(spec, k, degree, True)\n",
            (SHARED_LEVEL,)),
     Mutant("level: the component offsets dropped", SPACES,
-           "spread(ident, e * n, *sides[side], sign, c * size)",
-           "spread(ident, e * n, *sides[side], sign, 0)",
+           "_spread(acc, e * n, *sides[side], sign, c * size)",
+           "_spread(acc, e * n, *sides[side], sign, 0)",
            (SHARED_LEVEL,)),
-    Mutant("level: the struck cells ignored", SPACES,
-           "cells = [cells[i] for i in kept]",
-           "cells = cells[:len(kept)]",
-           (SHARED_LEVEL.replace("[bundled]", "[sheared_h3]"), RANDOM_LEVEL)),
     Mutant("solver: the zero map built at degree 0 for every degree", SPACES,
            "zero = GradedMap._of(Matrix._of(n, n, {}), degree)",
            "zero = GradedMap._of(Matrix._of(n, n, {}), 0)",
@@ -241,8 +248,8 @@ MUTANTS = (
            "kernel = _kernel(rows, [(m * n + idx // size) * n + l",
            (ON_VIEWS,)),
     Mutant("solver: the kept unknowns not counted from the last", SPACES,
-           "range(len(kept) - 1, -1, -1) if reverse", "range(len(kept)) if reverse",
-           (ON_BUNDLED,)),
+           "at = dict(zip(kept, range(len(kept) - 1, -1, -1)))", "at = dict(zip(kept, range(len(kept))))",
+           (ON_BUNDLED, RANDOM_ROWS)),
     # the join that forms a batch of maps times a batch of maps, for both engines
     Mutant("_join: s ignored", SPACES,
            "for w, r, f in (flip if i in odd else cols).get(k, ()) if s else ():\n"

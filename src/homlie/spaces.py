@@ -29,6 +29,7 @@ from .linalg import (
     Matrix,
     Row,
     Subspace,
+    _columns,
     _eliminate,
     _int,
     _kernel,
@@ -290,11 +291,11 @@ _EQS = max(len(equations) for equations in IDENTITIES.values())  # the most of a
 _ARITY = {kind: 1 + max(c for eq in eqs for _, c, _ in eq) for kind, eqs in IDENTITIES.items()}
 
 
-def _presolve(rows_by_key: dict, width: int, reverse: bool = False) -> tuple[list, list]:
+def _presolve(rows_by_key: dict, width: int) -> tuple[list, list]:
     """(rows, kept): kept lists in order the unknowns 0..width-1 that no row of
     {key: row} fixes to 0 by one nonzero entry, in place or once cleared of zeros;
-    rows holds the other rows in key order, over places in kept (from the last if
-    reverse, as ``_kernel`` reads them), none left empty.  One walk sorts them."""
+    rows holds the other rows in key order, over places in kept counted from the
+    last, as ``_kernel`` reads them, none left empty.  One walk sorts them."""
     fixed, multi = set(), {}
     for key, row in rows_by_key.items():
         if len(row) > 1 and len(row := {idx: x for idx, x in row.items() if x}) > 1:
@@ -302,51 +303,49 @@ def _presolve(rows_by_key: dict, width: int, reverse: bool = False) -> tuple[lis
         elif all(row.values()):  # one entry, not 0, or none
             fixed.update(row)
     kept = [idx for idx in range(width) if idx not in fixed]
-    at = dict(zip(kept, range(len(kept) - 1, -1, -1) if reverse else range(len(kept))))
+    at = dict(zip(kept, range(len(kept) - 1, -1, -1)))
     return [row for key in sorted(multi)
             if (row := {at[idx]: _int(x) for idx, x in multi[key].items() if idx in at})], kept
 
 
+def _spread(acc, start, stride, table, index, sign, offset):
+    """Sum sign * x into row start + q * stride + m at unknown offset + idx,
+    for each l: vec of table, (q, idx) of index[l] and m: x of vec."""
+    for l, vec in table.items():
+        for q, idx in index[l]:
+            at, idx = start + q * stride, offset + idx
+            for m, x in vec.items():
+                row = acc.setdefault(at + m, {})
+                row[idx] = row.get(idx, 0) + sign * x
+
+
 @lru_cache(maxsize=1024)
 def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
-    """(cells, comm, sides): what a solve at one level owes to no kind, for
-    one component, read and never written by every solve there.  cells
-    are the (m, l) that the degree allows, less in strict mode those that
-    a row of one entry of M alpha - alpha M fixes to 0; comm holds that
-    system's other rows over the cells left, in (l, m) order.  sides maps
-    each side of ``IDENTITIES`` to (stride, table, index), index listing
-    the cells as (l, idx) by row m, or (m, idx) by column l.  The row
-    (i, j, e, m) of an identity is keyed ((i*n + j)*eqs + e)*n + m, eqs
-    = ``_EQS``, so that keys sort as those tuples and stay below eqs*n^3.
-    One pass over the nonzero brackets [e_a, e_b] fills one table per
-    side, {l: {the key's share: nonzero}}: right[l] holds [e_l, a^k e_j]
-    at j*eqs*n + m, left[l] (-1)^{theta|e_i|} [a^k e_i, e_l] at
-    i*n*eqs*n + m and evals[l] [e_i, e_j]_l at (i*n + j)*eqs*n, for the
-    sums over l of D[l, i] right, D[l, j] left and D e_l evals."""
+    """(cells, sides): what a solve at one level owes to no kind, for one
+    component, read and never written by every solve there.  cells are the
+    (m, l) that the degree allows, less in strict mode on a diagonal twist
+    those whose row of M alpha - alpha M, the one entry alpha[l, l] -
+    alpha[m, m], fixes them to 0.  sides maps each side of ``IDENTITIES`` to
+    (stride, table, index) for ``_spread``, index listing the cells as (l,
+    idx) by row m, or (m, idx) by column l.  The row (i, j, e, m) of an
+    identity is keyed ((i*n + j)*eqs + e)*n + m, eqs = ``_EQS``, so that keys
+    sort as those tuples and stay below eqs*n^3.  One pass over the nonzero
+    brackets [e_a, e_b] fills one table per side, {l: {the key's share:
+    nonzero}}: right[l] holds [e_l, a^k e_j] at j*eqs*n + m, left[l]
+    (-1)^{theta|e_i|} [a^k e_i, e_l] at i*n*eqs*n + m and evals[l] [e_i, e_j]_l
+    at (i*n + j)*eqs*n, for the sums over l of D[l, i] right, D[l, j] left and
+    D e_l evals.  A strict twist with an entry off its diagonal adds the two
+    sides of M alpha - alpha M, its entry (r, c) keyed c*n + r: twist[l]
+    holds alpha[l, b] at b*n, for M[m, l] alpha[l, b] at (m, b), and
+    twisted[m] alpha[a, m] at a, for alpha[a, m] M[m, l] at (a, l)."""
     n, deg, arows = spec.n, spec.degrees, spec.alpha._sparse
     classes = [[i for i in range(n) if deg[i] == d] for d in (0, 1)]
     diag = [arows.get(i, {}).get(i, 0) for i in range(n)]
-    off = strict and [(r, c, x) for r, row in arows.items() for c, x in row.items() if r != c]
-    # with no entry off the diagonal, the row of (m, l) is the one entry diag[l] - diag[m]
+    off = strict and any(r != c for r, row in arows.items() for c in row)
     cells = [(m, l) for m in range(n) for l in classes[(deg[m] + degree) % 2]
              if not strict or off or diag[m] == diag[l]]
-    comm = []
-    if off:
-        # M[m, l] sits in the row (j, m) of M alpha times alpha[l, j], and in the row (l, p)
-        # of alpha M times alpha[p, m], the row (a, b) keyed a*n + b: both diagonal terms in
-        # (l, m); alpha[r, c] off it puts x at (t, r) in (c, t) and -x at (c, t) in (t, r)
-        acc = {l * n + m: {idx: diag[l] - diag[m]} for idx, (m, l) in enumerate(cells)}
-        at = {cell: idx for idx, cell in enumerate(cells)}
-        for r, c, x in off:
-            for t in range(n):
-                if (idx := at.get((t, r))) is not None:
-                    acc.setdefault(c * n + t, {})[idx] = x
-                if (idx := at.get((c, t))) is not None:
-                    acc.setdefault(t * n + r, {})[idx] = -x
-        comm, kept = _presolve(acc, len(cells))
-        cells = [cells[i] for i in kept]
     if not cells:
-        return cells, comm, {}
+        return cells, {}
     by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
     for idx, (m, l) in enumerate(cells):
         by_row[m].append((l, idx))
@@ -364,7 +363,11 @@ def _level(spec: AlgebraSpec, k: int, degree: int, strict: bool):
             evals.setdefault(l, {})[(a * n + b) * step] = x
     sides = {"right": (n * step, right, by_row), "left": (step, left, by_row),
              "eval": (1, evals, by_col)}
-    return cells, comm, sides
+    if off:
+        sides["twist"] = (1, {l: {b * n: x for b, x in row.items()} for l, row in arows.items()},
+                          by_col)
+        sides["twisted"] = (n, dict(enumerate(_columns(spec.alpha))), by_row)
+    return cells, sides
 
 
 @lru_cache(maxsize=1024)
@@ -388,31 +391,20 @@ def solve_space(spec: AlgebraSpec, kind: SpaceKind, k: int = 0,
     if degree not in (0, 1):
         raise ValueError("degree must be 0 or 1")
     n, arity = spec.n, kind.arity
-    cells, comm, sides = _level(spec, k, degree, strict)
+    cells, sides = _level(spec, k, degree, strict)
     if not cells:
         return MapSpace._of({}, kind, k, degree, strict, n, ())
 
-    def spread(acc, start, stride, table, index, sign, offset):
-        """Sum sign * x into row start + q * stride + m at unknown offset + idx,
-        for each l: vec of table, (q, idx) of index[l] and m: x of vec."""
-        for l, vec in table.items():
-            for q, idx in index[l]:
-                at, idx = start + q * stride, offset + idx
-                for m, x in vec.items():
-                    row = acc.setdefault(at + m, {})
-                    row[idx] = row.get(idx, 0) + sign * x
-
-    # component c's unknowns follow those of c - 1
-    size, ident = len(cells), {}
+    # component c's unknowns follow those of c - 1; its rows of M alpha - alpha M, if
+    # the level has them, follow the identities' (below _EQS * n^3) in (c, column, m) order
+    size, acc = len(cells), {}
     for e, equation in enumerate(IDENTITIES[kind]):
         for side, c, sign in equation:
-            spread(ident, e * n, *sides[side], sign, c * size)
-
-    # the kept commutation rows follow, each component's keyed past the identities'
-    # (below _EQS * n^3); the unknowns keep their order, so kernels stay canonical
-    ident.update(zip(itertools.count(_EQS * n ** 3),
-                     ({c * size + i: x for i, x in r.items()} for c in range(arity) for r in comm)))
-    rows, kept = _presolve(ident, arity * size, reverse=True)
+            _spread(acc, e * n, *sides[side], sign, c * size)
+    for c, (side, sign) in itertools.product(range(arity), (("twist", 1), ("twisted", -1))):
+        if side in sides:
+            _spread(acc, (_EQS * n + c) * n * n, *sides[side], sign, c * size)
+    rows, kept = _presolve(acc, arity * size)
     # each kept unknown at its tuple coordinate (c n + m) n + l, which increases with it
     kernel = _kernel(rows, [(idx // size * n + m) * n + l
                             for idx in kept for m, l in (cells[idx % size],)])

@@ -2,24 +2,27 @@
 
 ``spaces._level`` holds what a solve at one (twist power, degree, mode)
 owes to no kind, for one component: the cells that the degree allows,
-less in strict mode those that a one-entry row of M alpha = alpha M
-fixes to 0, the other commutation rows, and the bracket tables at
-alpha^k.  ``solve_space`` offsets each component's unknowns, spreads its
-kind's identities and appends the commutation rows once per component.
-A solved space must not depend on whether its level was built for it or
+less in strict mode on a diagonal twist those whose one commutation
+entry fixes them to 0, and the side tables that ``spaces._spread``
+spreads: those of the identities at alpha^k and, strict on a twist with
+an entry off its diagonal, the two sides of M alpha - alpha M.
+``solve_space`` offsets each component's unknowns, spreads its kind's
+identities and the two commutation sides once per component, and
+presolves the whole system once; no level calls ``_presolve``.  A
+solved space must not depend on whether its level was built for it or
 read warm after other kinds, in either order, and must equal the space
 read off the per-pair walk's whole system
-(``oracle.reference_solve_space``), with equal repr and hash.  The level's
-cells, in (m, l) order and each allowed by the degree, held to its
-commutation rows, must span the maps that the dense oracle finds
-(``oracle.oracle_solve`` with no identity): those of the degree that
-commute with alpha if strict, and all of them if lax.  So must they on
-random twists of a spec of both degrees: entries off the diagonal, equal
-diagonal entries (whose strict rows cancel) and zero rows; there Der,
-whose identity reads all three side tables, is solved from the level as
-the per-pair walk solves it.  On a diagonal twist every commutation row
-has one entry, so the level keeps the cells whose diagonal entries agree
-and builds no commutation system.
+(``oracle.reference_solve_space``), with equal repr and hash.  The
+level's cells, in (m, l) order and each allowed by the degree, held to
+the rows that its two sides spread over one component, must span the
+maps that the dense oracle finds (``oracle.oracle_solve`` with no
+identity): those of the degree that commute with alpha if strict, and
+all of them if lax.  So must they on random twists of a spec of both
+degrees: entries off the diagonal, equal diagonal entries (whose strict
+rows cancel) and zero rows; there every kind is solved from the level
+as the per-pair walk solves it.  On a diagonal twist every commutation
+row has one entry, so the level keeps the cells whose diagonal entries
+agree and has no commutation side.
 """
 
 import contextlib
@@ -92,15 +95,37 @@ def _commutant(spec, degree, strict):
     return oracle_solve(spec, None, 0, degree, strict)
 
 
+def _commutation_rows(sides):
+    """The rows of M alpha - alpha M that a solve spreads from the level's two
+    sides over one component, M alpha added and alpha M taken away; none
+    when the level has no such side."""
+    acc = {}
+    for side, sign in (("twist", 1), ("twisted", -1)):
+        if side in sides:
+            spaces._spread(acc, 0, *sides[side], sign, 0)
+    return list(acc.values())
+
+
 def assert_level_matches_the_oracle(spec, k, degree, strict, commutant):
-    """The level's cells, in order and allowed by the degree, held to its
-    commutation rows, span ``commutant``, the maps of the degree that the
-    dense oracle finds, commuting with alpha if strict; returns the level."""
-    level = spaces._level.__wrapped__(spec, k, degree, strict)
-    (cells, comm, _), n, case = level, spec.n, (spec.name, k, degree, strict)
+    """The level's cells, in order and allowed by the degree, held to the
+    rows that its two commutation sides spread over one component, span
+    ``commutant``, the maps of the degree that the dense oracle finds,
+    commuting with alpha if strict.  The level is built with no
+    ``_presolve`` call, and has the two sides exactly when it is strict on
+    a twist with an entry off its diagonal and keeps a cell; returns it."""
+    calls, n, case = [], spec.n, (spec.name, k, degree, strict)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spaces, "_presolve", lambda *a: calls.append(a))
+        level = spaces._level.__wrapped__(spec, k, degree, strict)
+    cells, sides = level
+    assert not calls, case
+    off = strict and any(spec.alpha.at(r, c) for r in range(n) for c in range(n) if r != c)
+    two = {"twist", "twisted"}
+    assert two & set(sides) == (two if off and cells else set()), case
     assert cells == sorted(cells), case
     assert all(spec.degrees[m] == (spec.degrees[l] + degree) % 2 for m, l in cells), case
-    assert kernel_at(comm, len(cells), [m * n + l for m, l in cells], n * n) == commutant, case
+    assert kernel_at(_commutation_rows(sides), len(cells), [m * n + l for m, l in cells],
+                     n * n) == commutant, case
     return level
 
 
@@ -110,8 +135,8 @@ def test_level_matches_the_reference(name):
         commutant = _commutant(spec, degree, strict)
         for k in range(K_MAX + 1):
             got = assert_level_matches_the_oracle(spec, k, degree, strict, commutant)
-            assert all(type(x) is int or x.denominator != 1
-                       for row in got[1] for x in row.values())
+            assert all(type(x) is int or x.denominator != 1 for _, table, _ in got[1].values()
+                       for vec in table.values() for x in vec.values())
 
 
 _ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-2, 2),
@@ -146,8 +171,9 @@ def mixed_twists(draw):
 def test_strict_level_matches_the_reference_on_random_twists(spec, k):
     for degree in (0, 1):
         assert_level_matches_the_oracle(spec, k, degree, True, _commutant(spec, degree, True))
-        want = reference_solve_space(spec, SpaceKind.DER, k, degree, True)
-        assert _solve(spec, SpaceKind.DER, k, degree, True) == want, degree
+        for kind in SpaceKind:
+            want = reference_solve_space(spec, kind, k, degree, True)
+            assert _solve(spec, kind, k, degree, True) == want, (kind.value, degree)
 
 
 @st.composite
@@ -171,28 +197,28 @@ def diagonal_twists(draw):
 @given(diagonal_twists(), st.integers(0, 2))
 def test_level_on_a_diagonal_twist_matches_the_reference(spec, k):
     """On a diagonal twist a strict level keeps the cells whose two diagonal
-    entries agree, with no commutation row left, and a lax level keeps them
+    entries agree, with no commutation side, and a lax level keeps them
     all: both span what the dense oracle finds."""
     for degree, strict in itertools.product((0, 1), (True, False)):
-        _, comm, _ = assert_level_matches_the_oracle(spec, k, degree, strict,
-                                                     _commutant(spec, degree, strict))
-        assert comm == []
+        _, sides = assert_level_matches_the_oracle(spec, k, degree, strict,
+                                                   _commutant(spec, degree, strict))
+        assert "twist" not in sides and "twisted" not in sides
 
 
-def test_only_a_twist_off_its_diagonal_presolves_its_level(monkeypatch):
-    """The commutation rows are built and presolved only for a twist with an
-    entry off its diagonal: sheared h3's strict levels call ``_presolve``,
-    and no level of a bundled algebra, all of whose twists are diagonal,
-    does; every level still spans what the dense oracle finds."""
-    calls, presolve = [], spaces._presolve
-    monkeypatch.setattr(spaces, "_presolve", lambda *a, **kw: calls.append(a) or presolve(*a, **kw))
-    for spec in INPUTS["bundled"]() + INPUTS["sheared_h3"]():
+def test_no_level_presolves_and_only_a_twist_off_its_diagonal_gets_the_two_sides():
+    """No level calls ``_presolve`` (``assert_level_matches_the_oracle``
+    builds each with it watched), and only the strict levels of sheared h3
+    and of the half-twisted plane, whose twists hold an entry off their
+    diagonals, get the two sides of M alpha - alpha M; no bundled
+    algebra's level does, as all their twists are diagonal.  Every level
+    still spans what the dense oracle finds."""
+    for spec in INPUTS["bundled"]() + INPUTS["sheared_h3"]() + INPUTS["half_plane"]():
         for degree, strict in itertools.product((0, 1), (True, False)):
             commutant = _commutant(spec, degree, strict)
             for k in range(K_MAX + 1):
-                calls.clear()
-                assert_level_matches_the_oracle(spec, k, degree, strict, commutant)
-                assert len(calls) == (spec.name == "h3_shear" and strict), \
+                cells, sides = assert_level_matches_the_oracle(spec, k, degree, strict, commutant)
+                two = ["twist", "twisted"] if strict and spec.name in ("h3_shear", "half_plane") else []
+                assert sorted(sides) == (["eval", "left", "right"] + two if cells else []), \
                     (spec.name, k, degree, strict)
 
 

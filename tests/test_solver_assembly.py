@@ -1,29 +1,30 @@
 """How ``solve_space`` assembles its linear system.
 
 The solver reads one kind-free level (``spaces._level``): the allowed
-cells of one component, less in strict mode those that commutation rows
-of one entry fix to zero, the commutation rows of more entries, and the
-term tables built in one pass over the nonzero structure constants.  It
-offsets each component's unknowns and sums every cell of every term of
-``IDENTITIES`` into its row as it is made, the row keyed by one integer
-whose order is that of (i, j, equation, m); the kept commutation rows
-follow, in the order of (component, twist column, m).  One routine,
+cells of one component, on a diagonal strict twist less those whose one
+commutation entry fixes them to zero, and the side tables, those of the
+identities built in one pass over the nonzero structure constants and,
+on a strict twist with an entry off its diagonal, the two sides of
+M alpha - alpha M.  It offsets each component's unknowns and sums every
+cell of every term of ``IDENTITIES`` into its row as it is made, the row
+keyed by one integer whose order is that of (i, j, equation, m); the
+commutation rows, spread from the two sides per component, follow in
+the order of (component, twist column, m).  One routine,
 ``spaces._presolve``, then takes out the unknowns that rows of one
 nonzero entry fix to zero, whether the row reached one unknown or
-cancelled down to one, and sorts only the keys of more unknowns; the
-level strikes its commutation rows through it too.  On random rows the
-presolved rows must have the kernel that the dense oracle
-(``oracle.kernel_at``) gives for the rows as given, and be those of two
-or more nonzero entries, in key order.  ``_kernel`` writes each kept
-unknown at its tuple coordinate, (c n + m) n + l, and the kernel rows
-become maps through ``spaces._maps``, read in pivot order.  The system
-that reaches ``linalg._kernel``, its unknowns counted from the last,
-must hold, at increasing labels, none of the unknowns of the per-pair
-walk's whole system (``oracle.reference_system_rows``) that a row of one
-entry there fixes; its rows must be those of the whole system that keep
-a labelled unknown, in their order, less the other unknowns; it must
-have that whole system's kernel, by the dense oracle; and the solved
-space must be the one read off the whole system
+cancelled down to one, and sorts only the keys of more unknowns, its
+kept unknowns counted from the last.  On random rows the presolved rows
+must have the kernel that the dense oracle (``oracle.kernel_at``) gives
+for the rows as given, and be those of two or more nonzero entries, in
+key order.  ``_kernel`` writes each kept unknown at its tuple coordinate,
+(c n + m) n + l, and the kernel rows become maps through
+``spaces._maps``, read in pivot order.  The system that reaches
+``linalg._kernel`` must hold, at increasing labels, none of the unknowns
+of the per-pair walk's whole system (``oracle.reference_system_rows``)
+that a row of one entry there fixes; its rows must be those of the whole
+system that keep a labelled unknown, in their order, less the other
+unknowns; it must have that whole system's kernel, by the dense oracle;
+and the solved space must be the one read off the whole system
 (``oracle.reference_solve_space``), equal, with equal repr and hash.
 The brute-force oracle, which builds its system dense over every matrix
 entry, must agree on twisted h5, sheared h3 and super-Heisenberg 1|2 for
@@ -247,11 +248,12 @@ def _keyed_rows(draw):
 def test_presolve_matches_the_reference_on_random_rows(case):
     rows_by_key, width = case
     rows, kept = spaces._presolve(rows_by_key, width)
-    # the presolved rows, each kept unknown in its place, have the kernel of the rows as given
-    assert kernel_at(rows, len(kept), kept, width) == \
+    # the presolved rows, their place c the kept unknown kept[-1 - c], counted from the
+    # last, have the kernel of the rows as given
+    assert kernel_at(rows, len(kept), kept[::-1], width) == \
         kernel_at(list(rows_by_key.values()), width, range(width), width)
     # and are the given rows of two or more nonzero entries, in key order, less the others
-    at = {i: p for p, i in enumerate(kept)}
+    at = {i: len(kept) - 1 - p for p, i in enumerate(kept)}
     assert rows == [row for _, given in sorted(rows_by_key.items())
                     if len(r := {i: x for i, x in given.items() if x}) > 1
                     and (row := {at[i]: x for i, x in r.items() if i in at})]
